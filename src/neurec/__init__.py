@@ -38,16 +38,13 @@ from .construction import (
 )
 from .cycles import CycleReport, detect_cycle, prime_factors, verify_predicted
 from .engine import (
-    BitState,
     CompiledSystem,
     advance_word,
-    affine_sum_scaled,
     bits_from_word,
     compile_system,
     dense_oracle_run,
-    make_stepper,
     run,
-    step,
+    walk,
     word_from_bits,
 )
 from .errors import (
@@ -64,16 +61,11 @@ from .errors import (
 from .numtheory import WindowParams, cycle_lengths, lcm_list, primes_between, window_params
 from .verify import (
     ALL_CLAIMS,
-    COMPOSITION_CLAIMS,
-    DYNAMIC_CLAIMS,
-    STATIC_CLAIMS,
     ClaimResult,
     check_basin,
     check_chain,
     check_composition,
-    check_dynamics,
     check_phases,
-    check_static,
     claim_instances,
     measure_cycle,
     predicted_cycle,

@@ -27,8 +27,9 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
+from . import __version__
 from . import construction as cons
 from .construction import RecurrenceSystem
 from .engine import compile_system, run
@@ -38,6 +39,8 @@ from .verify import (
     ALL_CLAIMS,
     MEASURE_CUTOFF,
     ClaimResult,
+    _frac,
+    attempt,
     check_basin,
     check_chain,
     claim_instances,
@@ -45,8 +48,6 @@ from .verify import (
     predicted_cycle,
     run_claims,
 )
-
-__version__ = "0.1.0"
 
 MODES = ("construct", "simulate", "cycle", "verify", "chain", "basin")
 FAMILIES = ("x", "v", "y", "w", "z")
@@ -135,11 +136,6 @@ def import_trace(path: str | Path) -> list[int]:
     return [int(c) for c in body if c in "01"]
 
 
-def _rational_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _rational_parse(s: str):
     return Fraction(s) if "/" in s else int(s)
 
@@ -151,9 +147,9 @@ def system_to_json(system: RecurrenceSystem) -> dict:
         "version": 1,
         "label": system.label,
         "memory": system.memory,
-        "threshold": _rational_str(system.threshold),
+        "threshold": _frac(system.threshold),
         "weights": {
-            str(j): _rational_str(w)
+            str(j): _frac(w)
             for j, w in enumerate(system.weights, start=1)
             if w != 0
         },
@@ -318,7 +314,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         for m in ms:
             if claim_instances("chain", m):
                 claim_results.append(
-                    _guarded(lambda: check_chain(m, budget=config.budget), "chain", {"m": m})
+                    attempt("chain", {"m": m}, check_chain, m, budget=config.budget)
                 )
             else:
                 claim_results.append(
@@ -336,12 +332,14 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
             ]
             for d in ds:
                 claim_results.append(
-                    _guarded(
-                        lambda m=m, d=d: check_basin(
-                            m, d, seed=config.seed, budget=config.budget
-                        ),
+                    attempt(
                         "basin",
                         {"m": m, "d": d},
+                        check_basin,
+                        m,
+                        d,
+                        seed=config.seed,
+                        budget=config.budget,
                     )
                 )
     elif config.mode == "construct":
@@ -394,20 +392,6 @@ def _with_system(config: ExperimentConfig, system: str) -> ExperimentConfig:
     clone = ExperimentConfig(**asdict(config))
     clone.system = system
     return clone
-
-
-def _guarded(fn, claim: str, ident: dict) -> ClaimResult:
-    """Turn search-budget and prediction failures into failing results."""
-    try:
-        return fn()
-    except BudgetExceeded as exc:
-        return ClaimResult(
-            claim, ident, False, {"error": "BudgetExceeded", "steps": exc.steps, "budget": exc.budget}
-        )
-    except PredictionFailed as exc:
-        return ClaimResult(
-            claim, ident, False, {"error": "PredictionFailed", "check": exc.check} | exc.detail
-        )
 
 
 def _csv_rows(report: RunReport) -> list[dict]:
@@ -543,12 +527,18 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is not None:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_values) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     config = ExperimentConfig()
+    hints = get_type_hints(ExperimentConfig)
     for name in ExperimentConfig.__dataclass_fields__:
         if name in file_values and file_values[name] is not None:
+            if not _has_type(file_values[name], hints[name]):
+                kind = ExperimentConfig.__dataclass_fields__[name].type
+                raise ValueError(f"config key {name!r} must be {kind}, got {file_values[name]!r}")
             setattr(config, name, file_values[name])
     overrides = {
         "mode": args.mode,
@@ -570,6 +560,16 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             setattr(config, name, value)
     _validate(config)
     return config
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation (bool is not an int here)."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as int | None
+        return any(_has_type(value, a) for a in args)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def _validate(config: ExperimentConfig) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import CompiledSystem, advance_word, make_stepper, word_from_bits
+from .engine import CompiledSystem, advance_word, walk, word_from_bits
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
 
 __all__ = ["CycleReport", "detect_cycle", "verify_predicted", "prime_factors"]
@@ -120,36 +120,33 @@ def detect_cycle(
     re-proved by the probe pass, so a buggy search cannot return quietly.
     """
     word0 = _check_init(cs, init)
-    step1 = make_stepper(cs)
-    steps = 0
 
     # Anchor pass: teleport the anchor to the probe at powers of two; the
     # first probe state equal to the anchor is exactly one minimal period
     # ahead of it.
+    probes = walk(cs, word0)
+    anchor, _ = next(probes)
+    steps = 1  # the slide to the first probe
     power = 1
-    lam = 1
-    anchor = word0
-    probe = step1(word0)
-    steps += 1
-    while anchor != probe:
+    lam = 0
+    for probe, _ in probes:
+        lam += 1
+        if probe == anchor:
+            break
         if power == lam:
             anchor = probe
             power *= 2
             lam = 0
-        probe = step1(probe)
         steps += 1
-        lam += 1
         if steps > step_budget:
             raise BudgetExceeded(steps, step_budget)
 
     # Transient pass: two pointers lam apart meet first at S_T.
-    lead = advance_word(cs, word0, lam)
     steps += lam
-    trail = word0
     mu = 0
-    while trail != lead:
-        trail = step1(trail)
-        lead = step1(lead)
+    for (trail, _), (lead, _) in zip(walk(cs, word0), walk(cs, advance_word(cs, word0, lam))):
+        if trail == lead:
+            break
         steps += 2
         mu += 1
         if steps > step_budget:
@@ -157,22 +154,16 @@ def detect_cycle(
 
     steps += _probe_pass(cs, word0, mu, lam) if certify else 0
 
-    report = CycleReport(
+    t_pred, p_pred = predicted if predicted is not None else (None, None)
+    return CycleReport(
         measured_transient=mu,
         measured_period=lam,
+        predicted_transient=t_pred,
+        predicted_period=p_pred,
+        transient_match=None if predicted is None else mu == t_pred,
+        period_match=None if predicted is None else lam == p_pred,
         steps_executed=steps,
     )
-    if predicted is not None:
-        report = CycleReport(
-            measured_transient=mu,
-            measured_period=lam,
-            predicted_transient=predicted[0],
-            predicted_period=predicted[1],
-            transient_match=mu == predicted[0],
-            period_match=lam == predicted[1],
-            steps_executed=steps,
-        )
-    return report
 
 
 def verify_predicted(

@@ -23,19 +23,16 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .construction import RecurrenceSystem
 from .errors import ShapeMismatch
 
 __all__ = [
-    "BitState",
     "CompiledSystem",
     "compile_system",
-    "make_stepper",
-    "step",
     "advance_word",
-    "affine_sum_scaled",
+    "walk",
     "run",
     "dense_oracle_run",
     "word_from_bits",
@@ -54,27 +51,6 @@ def word_from_bits(bits: Sequence[int]) -> int:
 def bits_from_word(word: int, memory: int) -> tuple[int, ...]:
     """Unpack to the same oldest-first order word_from_bits consumes."""
     return tuple((word >> (memory - 1 - q)) & 1 for q in range(memory))
-
-
-@dataclass
-class BitState:
-    """Sliding window of the memory most recent outputs.
-
-    word bit (j - 1) holds x(time - j); time starts at memory so the init
-    window is x(0)..x(memory - 1).
-    """
-
-    memory: int
-    word: int
-    time: int
-
-    @classmethod
-    def from_init(cls, init: Sequence[int]) -> "BitState":
-        return cls(memory=len(init), word=word_from_bits(init), time=len(init))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return bits_from_word(self.word, self.memory)
 
 
 @dataclass(frozen=True)
@@ -124,44 +100,6 @@ def compile_system(system: RecurrenceSystem) -> CompiledSystem:
     )
 
 
-def make_stepper(cs: CompiledSystem) -> Callable[[int], int]:
-    """Return word -> next word with the hot constants bound as locals."""
-    groups = cs.groups
-    theta = cs.scaled_threshold
-    mask = cs.mask
-
-    def step1(word: int) -> int:
-        s = 0
-        for w, gm in groups:
-            hit = word & gm
-            if hit:
-                s += w * hit.bit_count()
-        return ((word << 1) | (1 if s >= theta else 0)) & mask
-
-    return step1
-
-
-def affine_sum_scaled(cs: CompiledSystem, word: int) -> int:
-    """D * (sum_j a_j x(n-j)) for the window packed in word."""
-    s = 0
-    for w, gm in cs.groups:
-        hit = word & gm
-        if hit:
-            s += w * hit.bit_count()
-    return s
-
-
-def step(cs: CompiledSystem, state: BitState) -> int:
-    """Advance one step in place and return the emitted bit."""
-    if state.memory != cs.memory:
-        raise ShapeMismatch(f"state memory {state.memory} != system memory {cs.memory}")
-    s = affine_sum_scaled(cs, state.word)
-    out = 1 if s >= cs.scaled_threshold else 0
-    state.word = ((state.word << 1) | out) & cs.mask
-    state.time += 1
-    return out
-
-
 def advance_word(cs: CompiledSystem, word: int, steps: int) -> int:
     """Slide the window forward without recording a trace."""
     groups = cs.groups
@@ -177,25 +115,45 @@ def advance_word(cs: CompiledSystem, word: int, steps: int) -> int:
     return word
 
 
-def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> list[int]:
-    """Full trace x(0)..x(memory+steps-1); the prefix is the init itself."""
-    if len(init) != cs.memory:
-        raise ShapeMismatch(f"init length {len(init)} != system memory {cs.memory}")
-    trace = list(init)
+def walk(cs: CompiledSystem, word: int) -> Iterator[tuple[int, int]]:
+    """Yield (window, D * sum_j a_j x(n-j)) from word on, forever.
+
+    The sum decides the next output: it is 1 iff the sum is at least the
+    scaled threshold.  advance_word is the same step with the loop inlined,
+    for callers that only need where the window ends up.
+    """
     groups = cs.groups
     theta = cs.scaled_threshold
     mask = cs.mask
-    word = word_from_bits(init)
-    append = trace.append
-    for _ in range(steps):
+    while True:
         s = 0
         for w, gm in groups:
             hit = word & gm
             if hit:
                 s += w * hit.bit_count()
-        out = 1 if s >= theta else 0
-        append(out)
-        word = ((word << 1) | out) & mask
+        yield word, s
+        word = ((word << 1) | (1 if s >= theta else 0)) & mask
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> list[int]:
+    """Full trace x(0)..x(memory+steps-1); the prefix is the init itself.
+
+    Steps in chunks of at most memory slides: after c <= memory slides the
+    low c bits of the window are exactly the c new outputs, oldest highest.
+    """
+    if len(init) != cs.memory:
+        raise ShapeMismatch(f"init length {len(init)} != system memory {cs.memory}")
+    trace = list(init)
+    word = word_from_bits(init)
+    remaining = steps
+    while remaining > 0:
+        c = min(cs.memory, remaining)
+        word = advance_word(cs, word, c)
+        trace.extend(format(word & ((1 << c) - 1), f"0{c}b").encode().translate(_BITS))
+        remaining -= c
     return trace
 
 

@@ -1,18 +1,23 @@
 """Machine checks for every claim the construction is supposed to satisfy.
 
-Claims are data: each entry in ALL_CLAIMS names one checkable statement, the
-grid functions decide which (m, d) instances are worth running, and the
-runner functions produce ClaimResult records.  The test suite and the CLI
-verify command share this registry, so a claim passes in exactly one place.
+Claims are data: one ordered table holds a Claim(name, grid, run) per
+checkable statement.  grid(params) lists the instances worth running at one
+scale (keyword dicts, at most a bifurcation step d each) and is None for the
+scale-free composition claims; run produces the ClaimResult of one instance.
+ALL_CLAIMS is the table's names in order, claim_instances looks a grid up,
+and run_claims, the entry point shared by the test suite and the CLI, loops
+over the table.  attempt is the one place where a failed search
+(BudgetExceeded) or a refuted prediction (PredictionFailed) becomes a
+failing result, so a claim passes or fails in exactly one place.
 
-Static claims re-derive combinatorial facts (index-set cardinalities, weight
-band sums, the two routes to the perturbation set, the chain update).
-Dynamic claims simulate and compare against closed forms or predicted
-(transient, period) pairs; measurement is routed through detect_cycle for
-desk-sized orbits and verify_predicted (one certified pass) for the large
-ones.  Cutoffs below bound the work per claim instance; instances whose
-predicted work exceeds MEASURE_CUTOFF are skipped by the grids rather than
-attempted and aborted.
+Some claims re-derive combinatorial facts (index-set cardinalities, weight
+band sums, the two routes to the perturbation set, the chain update).  The
+others simulate and compare against closed forms or predicted (transient,
+period) pairs; measurement is routed through detect_cycle for desk-sized
+orbits and verify_predicted (one certified pass) for the large ones.
+Cutoffs below bound the work per claim instance; instances whose predicted
+work exceeds MEASURE_CUTOFF are left out of the grids rather than attempted
+and aborted.
 """
 
 from __future__ import annotations
@@ -20,36 +25,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Sequence
 
 from . import construction as cons
 from .construction import RecurrenceSystem
 from .cycles import CycleReport, detect_cycle, verify_predicted
-from .engine import (
-    advance_word,
-    affine_sum_scaled,
-    compile_system,
-    make_stepper,
-    run,
-    word_from_bits,
-)
+from .engine import advance_word, compile_system, run, walk, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed, RhoTooSmall
 from .numtheory import WindowParams, cycle_lengths, window_params
 
 __all__ = [
     "ALL_CLAIMS",
-    "STATIC_CLAIMS",
-    "DYNAMIC_CLAIMS",
-    "COMPOSITION_CLAIMS",
     "ClaimResult",
     "predicted_cycle",
     "measure_cycle",
-    "check_static",
-    "check_dynamics",
     "check_phases",
     "check_chain",
     "check_basin",
     "check_composition",
+    "attempt",
     "run_claims",
     "claim_instances",
 ]
@@ -58,50 +53,6 @@ __all__ = [
 DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the instance
 TRACE_CUTOFF = 2_000_000       # longest trace a phase comparison may record
-
-STATIC_CLAIMS = (
-    "window_param_bounds",
-    "prop1",
-    "prop2",
-    "pos_disjoint",
-    "b0_methods_agree",
-    "chain_equals_direct",
-)
-DYNAMIC_CLAIMS = (
-    "x_cycle",
-    "v_fixed",
-    "sum_bounds",
-    "s1_range",
-    "y_cycle",
-    "y_deshuffle",
-    "w_cycle",
-    "z_summary",
-)
-COMPOSITION_CLAIMS = ("example1_period2", "example1_period3", "divisor_rule")
-
-ALL_CLAIMS = (
-    "window_param_bounds",
-    "prop1",
-    "prop2",
-    "pos_disjoint",
-    "x_cycle",
-    "v_fixed",
-    "sum_bounds",
-    "s1_range",
-    "y_cycle",
-    "y_deshuffle",
-    "w_cycle",
-    "b0_methods_agree",
-    "chain_equals_direct",
-    "phases",
-    "z_summary",
-    "chain",
-    "basin",
-    "example1_period2",
-    "example1_period3",
-    "divisor_rule",
-)
-
 
 @dataclass
 class ClaimResult:
@@ -354,15 +305,9 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         late_one = next((t for t in range(dead_from, len(trace)) if trace[t]), None)
         # After the window clears the initial pattern the affine sum must sit
         # at least two whole units below the threshold.
-        step1 = make_stepper(cs)
-        word = word_from_bits(system.init)
-        margin_ok = True
-        for t in range(k, 2 * k + 1):
-            s = affine_sum_scaled(cs, word)
-            if s > cs.scaled_threshold - 2 * cs.denominator:
-                margin_ok = False
-                break
-            word = step1(word)
+        ceiling = cs.scaled_threshold - 2 * cs.denominator
+        orbit = walk(cs, word_from_bits(system.init))
+        margin_ok = all(s <= ceiling for _, s in islice(orbit, k + 1))
         lane_ok = bool(rep.matches) and attractor_zero and late_one is None and margin_ok
         ok = ok and lane_ok
         per_lane[str(i)] = _report_dict(rep, route) | {
@@ -375,16 +320,9 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
 
 def _window_popcounts(system: RecurrenceSystem, horizon: int) -> tuple[int, int]:
     """(min, max) of the window popcount over times memory..memory+horizon."""
-    cs = compile_system(system)
-    step1 = make_stepper(cs)
-    word = word_from_bits(system.init)
-    lo = hi = word.bit_count()
-    for _ in range(horizon):
-        word = step1(word)
-        c = word.bit_count()
-        lo = min(lo, c)
-        hi = max(hi, c)
-    return lo, hi
+    orbit = walk(compile_system(system), word_from_bits(system.init))
+    counts = {word.bit_count() for word, _ in islice(orbit, horizon + 1)}
+    return min(counts), max(counts)
 
 
 def _run_sum_bounds(m: int, **_: object) -> ClaimResult:
@@ -433,20 +371,16 @@ def _run_s1_range(m: int, **_: object) -> ClaimResult:
     worst_gap = None
     for i in range(params.rho):
         system = cons.single_system(params, i)
-        cs = compile_system(system)
-        step1 = make_stepper(cs)
-        word = word_from_bits(system.init)
+        orbit = walk(compile_system(system), word_from_bits(system.init))
         low = -2 * (1 + params.mu[i])
         lane_ok = True
         max_sub = None
-        for _ in range(params.k, params.k + 2 * params.primes[i] + 1):
-            s = affine_sum_scaled(cs, word)
+        for _, s in islice(orbit, 2 * params.primes[i] + 1):
             if s >= theta:
                 lane_ok = lane_ok and s == theta
             else:
                 lane_ok = lane_ok and low <= s <= theta - 1
                 max_sub = s if max_sub is None else max(max_sub, s)
-            word = step1(word)
         gap = None if max_sub is None else theta - max_sub
         if gap is not None:
             worst_gap = gap if worst_gap is None else min(worst_gap, gap)
@@ -634,13 +568,11 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
 
 
 def _attractor_set(cs, word0: int, transient: int, period: int) -> frozenset[int]:
-    word = advance_word(cs, word0, transient)
-    step1 = make_stepper(cs)
-    out = set()
-    for _ in range(period):
-        out.add(word)
-        word = step1(word)
-    return frozenset(out)
+    orbit = walk(cs, advance_word(cs, word0, transient))
+    # Copied from a set, the frozenset gets a table sized to fit; grown from
+    # the generator it would keep a table up to twice that, and check_basin
+    # holds these sets for the whole check.
+    return frozenset({word for word, _ in islice(orbit, period)})
 
 
 def check_basin(
@@ -752,49 +684,117 @@ def check_composition(claim: str, seed: int = 0, rounds: int = 100) -> ClaimResu
 
 
 # ---------------------------------------------------------------------------
-# dispatch and grids
+# instance grids
 
 
-_STATIC_RUNNERS = {
-    "window_param_bounds": _run_window_param_bounds,
-    "prop1": _run_prop1,
-    "prop2": _run_prop2,
-    "pos_disjoint": _run_pos_disjoint,
-    "b0_methods_agree": _run_b0_methods_agree,
-    "chain_equals_direct": _run_chain_equals_direct,
-}
-
-_DYNAMIC_RUNNERS = {
-    "x_cycle": _run_x_cycle,
-    "v_fixed": _run_v_fixed,
-    "sum_bounds": _run_sum_bounds,
-    "s1_range": _run_s1_range,
-    "y_cycle": _run_y_cycle,
-    "y_deshuffle": _run_y_deshuffle,
-    "w_cycle": _run_w_cycle,
-    "z_summary": _run_z_summary,
-}
+def _once(params: WindowParams) -> list[dict]:
+    return [{}]
 
 
-def check_static(claim: str, m: int) -> ClaimResult:
-    if claim not in _STATIC_RUNNERS:
-        raise ValueError(f"not a static claim: {claim!r}")
-    return _STATIC_RUNNERS[claim](m)
-
-
-def check_dynamics(claim: str, m: int, d: int | None = None, budget: int | None = None) -> ClaimResult:
-    if claim not in _DYNAMIC_RUNNERS:
-        raise ValueError(f"not a dynamic claim: {claim!r}")
-    if claim in ("w_cycle", "z_summary"):
-        if d is None:
-            raise ValueError(f"{claim} needs a bifurcation step d")
-        return _DYNAMIC_RUNNERS[claim](m, d=d, budget=budget)
-    return _DYNAMIC_RUNNERS[claim](m, budget=budget)
-
-
-def _measure_feasible(params: WindowParams, family: str, index: int | None = None) -> bool:
+def _measurable(params: WindowParams, family: str, index: int | None = None) -> bool:
     t, p = predicted_cycle(params, family, index)
     return t + p <= MEASURE_CUTOFF
+
+
+def _y_grid(params: WindowParams) -> list[dict]:
+    return [{}] if _measurable(params, "y") else []
+
+
+def _d_grid(family: str) -> Callable[[WindowParams], list[dict]]:
+    """Every d whose family member is measurable."""
+    return lambda params: [
+        {"d": d} for d in range(params.rho) if _measurable(params, family, d)
+    ]
+
+
+def _phases_grid(params: WindowParams) -> list[dict]:
+    rho, h = params.rho, params.h
+    out = []
+    for d in range(rho):
+        l0, l1, _ = cycle_lengths(params, d)
+        l4 = l1 + h + d + 1 - rho * (1 + params.primes[d])
+        if l4 + min(l0, 10_000) + 2 * h <= TRACE_CUTOFF:
+            out.append({"d": d})
+    return out
+
+
+def _chain_grid(params: WindowParams) -> list[dict]:
+    zs = all(_measurable(params, "z", d) for d in range(params.rho))
+    return [{}] if _measurable(params, "y") and zs else []
+
+
+def _basin_grid(params: WindowParams) -> list[dict]:
+    # check_basin needs d < min beta and searches every variant blind
+    beta_e = min(params.beta_m)
+    return [
+        {"d": d}
+        for d in range(min(params.rho, beta_e))
+        if sum(predicted_cycle(params, "z", d)) <= DETECT_CUTOFF
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the claim table
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One checkable statement.
+
+    grid(params) lists the instances run at one scale, or is None for a
+    scale-free claim.  run(m, seed=, budget=, **instance) checks one
+    instance; a scale-free claim's run takes only seed.
+    """
+
+    name: str
+    grid: Callable[[WindowParams], list[dict]] | None
+    run: Callable[..., ClaimResult]
+
+
+def _composition(name: str) -> Claim:
+    return Claim(name, None, lambda seed: check_composition(name, seed=seed))
+
+
+# The phases, chain, basin and composition runners look the public check
+# functions up by name when called, so a wrapper bound over one of those
+# names (a profiler's, say) sees every call.
+_TABLE = {
+    claim.name: claim
+    for claim in (
+        Claim("window_param_bounds", _once, _run_window_param_bounds),
+        Claim("prop1", _once, _run_prop1),
+        Claim("prop2", _once, _run_prop2),
+        Claim("pos_disjoint", _once, _run_pos_disjoint),
+        Claim("x_cycle", _once, _run_x_cycle),
+        Claim("v_fixed", _once, _run_v_fixed),
+        Claim("sum_bounds", _once, _run_sum_bounds),
+        Claim("s1_range", _once, _run_s1_range),
+        Claim("y_cycle", _y_grid, _run_y_cycle),
+        Claim("y_deshuffle", _once, _run_y_deshuffle),
+        Claim("w_cycle", _d_grid("w"), _run_w_cycle),
+        Claim("b0_methods_agree", _once, _run_b0_methods_agree),
+        Claim("chain_equals_direct", _once, _run_chain_equals_direct),
+        Claim(
+            "phases",
+            _phases_grid,
+            lambda m, d, budget, **_: check_phases(m, d, budget=budget),
+        ),
+        Claim("z_summary", _d_grid("z"), _run_z_summary),
+        Claim("chain", _chain_grid, lambda m, budget, **_: check_chain(m, budget=budget)),
+        Claim(
+            "basin",
+            _basin_grid,
+            lambda m, d, seed, budget: check_basin(
+                m, d, max_variants=8, seed=seed, budget=budget
+            ),
+        ),
+        _composition("example1_period2"),
+        _composition("example1_period3"),
+        _composition("divisor_rule"),
+    )
+}
+
+ALL_CLAIMS = tuple(_TABLE)
 
 
 def claim_instances(claim: str, m: int) -> list[dict]:
@@ -804,54 +804,25 @@ def claim_instances(claim: str, m: int) -> list[dict]:
     beyond MEASURE_CUTOFF / TRACE_CUTOFF, e.g. the full y cycle at m = 21).
     """
     params = window_params(m)
-    rho = params.rho
-    if claim in STATIC_CLAIMS or claim in ("x_cycle", "v_fixed", "sum_bounds", "s1_range", "y_deshuffle"):
-        return [{}]
-    if claim == "y_cycle":
-        return [{}] if _measure_feasible(params, "y") else []
-    if claim == "w_cycle":
-        return [{"d": d} for d in range(rho) if _measure_feasible(params, "w", d)]
-    if claim == "z_summary":
-        return [{"d": d} for d in range(rho) if _measure_feasible(params, "z", d)]
-    if claim == "phases":
-        out = []
-        for d in range(rho):
-            l0, l1, _ = cycle_lengths(params, d)
-            l4 = l1 + params.h + d + 1 - rho * (1 + params.primes[d])
-            if l4 + min(l0, 10_000) + 2 * params.h <= TRACE_CUTOFF:
-                out.append({"d": d})
-        return out
-    if claim == "chain":
-        if not _measure_feasible(params, "y"):
-            return []
-        if all(_measure_feasible(params, "z", d) for d in range(rho)):
-            return [{}]
-        return []
-    if claim == "basin":
-        beta_e = min(params.beta_m)
-        out = []
-        for d in range(rho):
-            if d >= beta_e:
-                continue
-            t, p = predicted_cycle(params, "z", d)
-            if t + p <= DETECT_CUTOFF:
-                out.append({"d": d})
-        return out
-    raise ValueError(f"unknown claim {claim!r}")
+    entry = _TABLE.get(claim)
+    if entry is None or entry.grid is None:
+        raise ValueError(f"unknown claim {claim!r}")
+    return entry.grid(params)
 
 
-def _run_instance(claim: str, m: int, seed: int, budget: int | None, **kw) -> ClaimResult:
-    if claim in STATIC_CLAIMS:
-        return check_static(claim, m)
-    if claim in DYNAMIC_CLAIMS:
-        return check_dynamics(claim, m, d=kw.get("d"), budget=budget)
-    if claim == "phases":
-        return check_phases(m, kw["d"], budget=budget)
-    if claim == "chain":
-        return check_chain(m, budget=budget)
-    if claim == "basin":
-        return check_basin(m, kw["d"], max_variants=kw.get("max_variants", 8), seed=seed, budget=budget)
-    raise ValueError(f"unknown claim {claim!r}")
+def attempt(
+    claim: str, ident: dict, check: Callable[..., ClaimResult], *args, **kwargs
+) -> ClaimResult:
+    """Return check(*args, **kwargs), or a failing result for the instance
+    ident of claim when its search ran out of budget or its prediction was
+    refuted."""
+    try:
+        return check(*args, **kwargs)
+    except BudgetExceeded as exc:
+        detail = {"error": "BudgetExceeded", "steps": exc.steps, "budget": exc.budget}
+    except PredictionFailed as exc:
+        detail = {"error": "PredictionFailed", "check": exc.check} | exc.detail
+    return ClaimResult(claim, ident, False, detail)
 
 
 def run_claims(
@@ -860,10 +831,10 @@ def run_claims(
     seed: int = 0,
     budget: int | None = None,
 ) -> list[ClaimResult]:
-    """Run a claim selection over a scale grid; the shared entry point.
+    """Run a claim selection, in the order given, over a scale grid.
 
-    Composition claims are scale-free and run once.  Search failures
-    (BudgetExceeded) and refuted predictions (PredictionFailed) become
+    Composition claims are scale-free and run once.  A scale the window
+    parameters reject, a failed search and a refuted prediction become
     failing results rather than exceptions, so one bad instance cannot take
     down a whole report.
     """
@@ -872,36 +843,18 @@ def run_claims(
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}")
     results: list[ClaimResult] = []
-    for claim in selected:
-        if claim in COMPOSITION_CLAIMS:
-            results.append(check_composition(claim, seed=seed))
+    for claim in (_TABLE[name] for name in selected):
+        if claim.grid is None:
+            results.append(claim.run(seed=seed))
             continue
         for m in ms:
             try:
-                instances = claim_instances(claim, m)
+                instances = claim.grid(window_params(m))
             except RhoTooSmall as exc:
-                results.append(ClaimResult(claim, {"m": m}, False, {"error": str(exc)}))
+                results.append(ClaimResult(claim.name, {"m": m}, False, {"error": str(exc)}))
                 continue
             for kw in instances:
-                ident = {"m": m} | {k: v for k, v in kw.items() if k == "d"}
-                try:
-                    results.append(_run_instance(claim, m, seed, budget, **kw))
-                except BudgetExceeded as exc:
-                    results.append(
-                        ClaimResult(
-                            claim,
-                            ident,
-                            False,
-                            {"error": "BudgetExceeded", "steps": exc.steps, "budget": exc.budget},
-                        )
-                    )
-                except PredictionFailed as exc:
-                    results.append(
-                        ClaimResult(
-                            claim,
-                            ident,
-                            False,
-                            {"error": "PredictionFailed", "check": exc.check} | exc.detail,
-                        )
-                    )
+                results.append(
+                    attempt(claim.name, {"m": m} | kw, claim.run, m, seed=seed, budget=budget, **kw)
+                )
     return results

@@ -21,7 +21,6 @@ from neurec import (
     check_chain,
     check_composition,
     check_phases,
-    check_static,
     compile_system,
     compute_B0,
     dense_oracle_run,
@@ -30,6 +29,7 @@ from neurec import (
     perturbation_plan,
     predicted_cycle,
     run,
+    run_claims,
     single_system,
     window_params,
 )
@@ -131,10 +131,10 @@ def test_criterion_04_phase_structure(criterion):
 def test_criterion_05_weight_combinatorics(criterion):
     with criterion(5, "sampling bound (exhaustive) and lane sums at m=6,11,16"):
         for m in (6, 11, 16):
-            res = check_static("prop1", m)
-            assert res.passed, (m, res.detail)
-            res = check_static("prop2", m)
-            assert res.passed, (m, res.detail)
+            results = run_claims(ms=(m,), claims=["prop1", "prop2"])
+            assert [r.claim for r in results] == ["prop1", "prop2"]
+            for res in results:
+                assert res.passed, (res.claim, m, res.detail)
 
 
 def test_criterion_06_base_set_routes_agree(criterion):

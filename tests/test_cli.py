@@ -275,9 +275,19 @@ def test_reports_are_deterministic(tmp_path):
         ["--mode", "simulate", "--m", "6", "--steps", "-4"],
         ["--mode", "verify", "--m", "6", "--budget", "0"],
         ["--config", "/nonexistent/cfg.json"],
+        # a non-string stands for a config file holding it as JSON
+        ["--config", {"m": 6}],
+        ["--config", {"budget": "10", "m": [6], "claims": ["z_summary"]}],
+        ["--config", {"claims": "prop1", "m": [6]}],
+        ["--config", [6]],
     ],
 )
-def test_config_errors_exit_2(argv, capsys):
+def test_config_errors_exit_2(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            cfg.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(cfg)] + argv[i + 1 :]
     assert main(argv) == 2
     assert "neurec:" in capsys.readouterr().err
 

@@ -21,10 +21,10 @@ from neurec import (
     compile_system,
     destabilized_system,
     detect_cycle,
-    make_stepper,
     prime_factors,
     single_system,
     verify_predicted,
+    walk,
     window_params,
     word_from_bits,
 )
@@ -32,17 +32,13 @@ from neurec import (
 
 def naive_cycle(cs, init, cap=200_000):
     seen = {}
-    word = word_from_bits(init)
-    step1 = make_stepper(cs)
-    n = 0
-    while n <= cap:
+    for n, (word, _) in enumerate(walk(cs, word_from_bits(init))):
         if word in seen:
             first = seen[word]
             return first, n - first
+        if n == cap:
+            raise AssertionError("no repeat within cap")
         seen[word] = n
-        word = step1(word)
-        n += 1
-    raise AssertionError("no repeat within cap")
 
 
 M6_EXPECTED = [

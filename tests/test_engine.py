@@ -2,31 +2,30 @@
 
 ref_run below is the third, dumbest evaluation route (plain list history,
 rational dot product per step).  Both shipped routes must reproduce it
-exactly: the compiled bitmask stepper and the dense oracle.
+exactly: the compiled bitmask kernel (run, advance_word, walk) and the
+dense oracle.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurec import (
-    BitState,
     RecurrenceSystem,
     ShapeMismatch,
     advance_word,
-    affine_sum_scaled,
     bits_from_word,
     build_w,
     build_y,
     build_z,
     compile_system,
     dense_oracle_run,
-    make_stepper,
     run,
     single_system,
-    step,
+    walk,
     window_params,
     word_from_bits,
 )
@@ -106,39 +105,31 @@ def test_compile_drops_zero_weights():
 # --- stepping --------------------------------------------------------------
 
 
-def test_bitstate_step_and_run_agree():
+def test_walk_and_run_agree():
+    # 600 steps of memory-140 y cross run's chunk boundaries four times
     p = window_params(6)
     y = build_y(p)
     cs = compile_system(y)
-    state = BitState.from_init(y.init)
-    assert state.time == y.memory
-    emitted = [step(cs, state) for _ in range(600)]
-    assert state.time == y.memory + 600
-    assert run(cs, y.init, 600) == list(y.init) + emitted
+    windows = [w for w, _ in islice(walk(cs, word_from_bits(y.init)), 601)]
+    assert run(cs, y.init, 600) == list(y.init) + [w & 1 for w in windows[1:]]
 
 
-def test_make_stepper_matches_advance_word():
+def test_walk_matches_advance_word():
     p = window_params(6)
     cs = compile_system(build_z(p, 1))
     w0 = word_from_bits(build_z(p, 1).init)
-    step1 = make_stepper(cs)
-    w = w0
-    for n in range(200):
-        w = step1(w)
-    assert w == advance_word(cs, w0, 200)
+    for n, (w, _) in enumerate(islice(walk(cs, w0), 201)):
+        assert w == advance_word(cs, w0, n)
 
 
 def test_affine_sum_sign_drives_output():
     p = window_params(6)
     z = build_z(p, 0)
     cs = compile_system(z)
-    word = word_from_bits(z.init)
-    step1 = make_stepper(cs)
-    for _ in range(300):
-        s = affine_sum_scaled(cs, word)
-        nxt = step1(word)
+    orbit = list(islice(walk(cs, word_from_bits(z.init)), 301))
+    for (word, s), (nxt, _) in zip(orbit, orbit[1:]):
+        assert nxt == ((word << 1) | (nxt & 1)) & cs.mask
         assert (nxt & 1) == (1 if s >= cs.scaled_threshold else 0)
-        word = nxt
 
 
 def test_run_prefix_law():
@@ -187,8 +178,15 @@ def small_systems(draw):
 @given(small_systems())
 def test_three_routes_agree_on_random_systems(s):
     expect = ref_run(s, 48)
-    assert run(compile_system(s), s.init, 48) == expect
+    cs = compile_system(s)
+    assert run(cs, s.init, 48) == expect
     assert dense_oracle_run(s, s.init, 48) == expect
+    # window n is the memory outputs ending at x(memory + n - 1)
+    word0 = word_from_bits(s.init)
+    windows = [w for w, _ in islice(walk(cs, word0), 49)]
+    for n, w in enumerate(windows):
+        assert bits_from_word(w, s.memory) == tuple(expect[n : n + s.memory])
+    assert advance_word(cs, word0, 48) == windows[-1]
 
 
 # --- edges -----------------------------------------------------------------
@@ -206,7 +204,5 @@ def test_shape_mismatch_guards():
     cs = compile_system(build_y(p))
     with pytest.raises(ShapeMismatch):
         run(cs, (0, 1), 5)
-    with pytest.raises(ShapeMismatch):
-        step(cs, BitState.from_init((0, 1, 0)))
     with pytest.raises(ShapeMismatch):
         dense_oracle_run(build_y(p), (0,), 5)

@@ -4,17 +4,12 @@ import pytest
 
 from neurec import (
     ALL_CLAIMS,
-    COMPOSITION_CLAIMS,
-    DYNAMIC_CLAIMS,
-    STATIC_CLAIMS,
     HypothesisUnmet,
     IndexOutOfRange,
     check_basin,
     check_chain,
     check_composition,
-    check_dynamics,
     check_phases,
-    check_static,
     claim_instances,
     measure_cycle,
     predicted_cycle,
@@ -51,14 +46,6 @@ EXPECTED_CLAIMS = (
 def test_claim_inventory_is_complete_and_partitioned():
     assert ALL_CLAIMS == EXPECTED_CLAIMS
     assert len(set(ALL_CLAIMS)) == 20
-    grouped = (
-        set(STATIC_CLAIMS)
-        | set(DYNAMIC_CLAIMS)
-        | set(COMPOSITION_CLAIMS)
-        | {"phases", "chain", "basin"}
-    )
-    assert grouped == set(ALL_CLAIMS)
-    assert not set(STATIC_CLAIMS) & set(DYNAMIC_CLAIMS)
 
 
 # --- predictions ------------------------------------------------------------
@@ -106,32 +93,42 @@ def test_measure_cycle_detect_route():
 # --- individual checks ------------------------------------------------------
 
 
+COMBINATORIAL_CLAIMS = (
+    "window_param_bounds",
+    "prop1",
+    "prop2",
+    "pos_disjoint",
+    "b0_methods_agree",
+    "chain_equals_direct",
+)
+
+
 def test_static_checks_pass_m6_m11():
     for m in (6, 11):
-        for claim in STATIC_CLAIMS:
-            res = check_static(claim, m)
-            assert res.passed, (claim, m, res.detail)
-    with pytest.raises(ValueError):
-        check_static("x_cycle", 6)
+        results = run_claims(ms=(m,), claims=COMBINATORIAL_CLAIMS)
+        assert [r.claim for r in results] == list(COMBINATORIAL_CLAIMS)
+        for res in results:
+            assert res.passed, (res.claim, m, res.detail)
 
 
 def test_dynamic_checks_pass_m6():
-    for claim in ("x_cycle", "v_fixed", "sum_bounds", "s1_range", "y_cycle", "y_deshuffle"):
-        res = check_dynamics(claim, 6)
-        assert res.passed, (claim, res.detail)
-    for d in (0, 1):
-        assert check_dynamics("w_cycle", 6, d=d).passed
-        res = check_dynamics("z_summary", 6, d=d)
-        assert res.passed
+    claims = ["x_cycle", "v_fixed", "sum_bounds", "s1_range", "y_cycle", "y_deshuffle"]
+    results = run_claims(ms=(6,), claims=claims)
+    assert [r.claim for r in results] == claims
+    for res in results:
+        assert res.passed, (res.claim, res.detail)
+    results = run_claims(ms=(6,), claims=["w_cycle", "z_summary"])
+    assert [(r.claim, r.params) for r in results] == [
+        (claim, {"m": 6, "d": d}) for claim in ("w_cycle", "z_summary") for d in (0, 1)
+    ]
+    for res in results:
+        assert res.passed, (res.claim, res.params, res.detail)
         assert res.detail["route"] == "detect"
-    with pytest.raises(ValueError):
-        check_dynamics("z_summary", 6)  # d is mandatory
-    with pytest.raises(ValueError):
-        check_dynamics("prop1", 6)
 
 
 def test_z_summary_detail_shape():
-    res = check_dynamics("z_summary", 6, d=0)
+    res = run_claims(ms=(6,), claims=["z_summary"])[0]
+    assert res.params == {"m": 6, "d": 0}
     assert res.detail["T"] == res.detail["T_pred"] == 139
     assert res.detail["P"] == res.detail["P_pred"] == 26
     assert res.detail["steps"] > 0
@@ -222,6 +219,8 @@ def test_grid_skips_infeasible_scales():
     assert [kw["d"] for kw in claim_instances("phases", 6)] == [0, 1]
     with pytest.raises(ValueError):
         claim_instances("nope", 6)
+    with pytest.raises(ValueError):
+        claim_instances("divisor_rule", 6)  # scale-free: no grid
 
 
 # --- the shared entry point --------------------------------------------------

@@ -15,7 +15,6 @@ from .construction import (
     IndexSets,
     PerturbationPlan,
     RecurrenceSystem,
-    b0_singleton_reading,
     build_w,
     build_y,
     build_z,

@@ -12,8 +12,9 @@ One batch entry point with six modes:
 Every run produces one JSON report (printed to stdout, or written to
 --out/report.json together with a summary.csv of all cycle measurements).
 Reports are deterministic for fixed (m, d, seed, budget) apart from the
-wall_clock_s field.  Exit status: 0 all checks passed, 1 some claim or
-prediction failed, 2 configuration or I/O trouble.
+wall_clock_s field.  An instance whose predicted work exceeds its cutoff
+is skipped, which neither passes nor fails.  Exit status: 0 no check failed,
+1 some claim or prediction failed, 2 configuration or I/O trouble.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +35,7 @@ from . import __version__
 from . import construction as cons
 from .construction import RecurrenceSystem
 from .engine import compile_system, run
-from .errors import BudgetExceeded, HypothesisUnmet, NeurecError, PredictionFailed, RhoTooSmall
+from .errors import HypothesisUnmet, NeurecError, RhoTooSmall
 from .numtheory import WindowParams, window_params
 from .verify import (
     ALL_CLAIMS,
@@ -42,11 +44,11 @@ from .verify import (
     _frac,
     attempt,
     check_basin,
-    check_chain,
-    claim_instances,
+    claim_grid,
     measure_cycle,
     predicted_cycle,
     run_claims,
+    skip_detail,
 )
 
 MODES = ("construct", "simulate", "cycle", "verify", "chain", "basin")
@@ -208,51 +210,39 @@ def _family_members(
             raise ValueError(f"unknown family {fam!r}")
 
 
+def _measured_row(
+    system: RecurrenceSystem, pred: tuple[int, int], budget: int | None
+) -> ClaimResult:
+    rep, route = measure_cycle(system, pred, budget)
+    detail = {
+        "T_measured": rep.measured_transient,
+        "P_measured": rep.measured_period,
+        "route": route,
+        "steps": rep.steps_executed,
+    }
+    return ClaimResult(system.label, {}, bool(rep.matches), detail)
+
+
 def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
     rows = []
     for fam, idx, system in _family_members(params, config):
         pred = predicted_cycle(params, fam, idx)
-        entry = {
-            "system": system.label,
-            "m": params.m,
-            "d": idx if fam in ("w", "z") else None,
-            "lane": idx if fam in ("x", "v") else None,
-            "T_predicted": pred[0],
-            "P_predicted": pred[1],
-        }
-        if config.budget is None and pred[0] + pred[1] > MEASURE_CUTOFF:
-            entry |= {
+        skip = skip_detail(sum(pred), MEASURE_CUTOFF)
+        res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget)
+        rows.append(
+            {
+                "system": system.label,
+                "m": params.m,
+                "d": idx if fam in ("w", "z") else None,
+                "lane": idx if fam in ("x", "v") else None,
+                "T_predicted": pred[0],
+                "P_predicted": pred[1],
                 "T_measured": None,
                 "P_measured": None,
-                "match": None,
-                "note": "skipped: predicted work exceeds cutoff",
+                "match": res.passed,
             }
-            rows.append(entry)
-            continue
-        try:
-            rep, route = measure_cycle(system, pred, config.budget)
-            entry |= {
-                "T_measured": rep.measured_transient,
-                "P_measured": rep.measured_period,
-                "match": bool(rep.matches),
-                "route": route,
-                "steps": rep.steps_executed,
-            }
-        except BudgetExceeded as exc:
-            entry |= {
-                "T_measured": None,
-                "P_measured": None,
-                "match": False,
-                "note": f"budget exceeded after {exc.steps} steps",
-            }
-        except PredictionFailed as exc:
-            entry |= {
-                "T_measured": None,
-                "P_measured": None,
-                "match": False,
-                "note": f"prediction failed: {exc.check}",
-            }
-        rows.append(entry)
+            | ({"note": f"skipped: {skip['skipped']}"} if skip else res.detail)
+        )
     return rows
 
 
@@ -303,38 +293,22 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     claim_results: list[ClaimResult] = []
     traces: list[tuple[str, list[int], int]] = []
 
-    if config.mode == "verify":
-        claim_results = run_claims(
-            ms=ms, claims=config.claims, seed=config.seed, budget=config.budget
-        )
+    if config.mode in ("verify", "chain"):
+        claims = config.claims if config.mode == "verify" else ["chain"]
+        claim_results = run_claims(ms=ms, claims=claims, seed=config.seed, budget=config.budget)
     elif config.mode == "cycle":
         for m in ms:
             cycle_reports.extend(_cycle_rows(window_params(m), config))
-    elif config.mode == "chain":
-        for m in ms:
-            if claim_instances("chain", m):
-                claim_results.append(
-                    attempt("chain", {"m": m}, check_chain, m, budget=config.budget)
-                )
-            else:
-                claim_results.append(
-                    ClaimResult(
-                        "chain",
-                        {"m": m},
-                        False,
-                        {"error": "skipped: predicted work exceeds cutoff"},
-                    )
-                )
     elif config.mode == "basin":
         for m in ms:
-            ds = config.d if config.d is not None else [
-                kw["d"] for kw in claim_instances("basin", m)
-            ]
-            for d in ds:
+            grid = {kw["d"]: skip for kw, skip in claim_grid("basin", m)}
+            for d in grid if config.d is None else config.d:
+                # a d off the grid has no skip detail, so check_basin rejects it
                 claim_results.append(
                     attempt(
                         "basin",
                         {"m": m, "d": d},
+                        grid.get(d),
                         check_basin,
                         m,
                         d,
@@ -381,7 +355,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         wall_clock_s=round(time.perf_counter() - start, 3),
     )
 
-    failed_claims = any(not r.passed for r in claim_results)
+    failed_claims = any(r.passed is False for r in claim_results)
     failed_cycles = any(row.get("match") is False for row in cycle_reports)
     code = 1 if (failed_claims or failed_cycles) else 0
     _write_outputs(report, traces, config)
@@ -548,7 +522,9 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         "lane": args.lane,
         "steps": args.steps,
         "budget": args.budget,
-        "claims": [c.strip() for c in args.claims.split(",") if c.strip()] if args.claims else None,
+        "claims": (
+            None if args.claims is None else [c.strip() for c in args.claims.split(",") if c.strip()]
+        ),
         "out": args.out,
         "emit_traces": args.emit_traces,
         "trace_format": args.trace_format,
@@ -577,6 +553,10 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError(f"mode must be one of {', '.join(MODES)}")
     if config.trace_format not in TRACE_FORMATS:
         raise ValueError(f"trace format must be one of {', '.join(TRACE_FORMATS)}")
+    if config.claims is not None and not config.claims:
+        raise ValueError("need at least one claim")
+    if config.d is not None and config.mode in ("verify", "chain"):
+        raise ValueError(f"--d does not apply to --mode {config.mode}")
     if config.claims:
         unknown = sorted(set(config.claims) - set(ALL_CLAIMS))
         if unknown:
@@ -609,10 +589,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"neurec: {exc}", file=sys.stderr)
         return 2
+    tags = {True: "PASS", False: "FAIL", None: "SKIP"}
     for res in report.claim_results:
-        tag = "PASS" if res["passed"] else "FAIL"
         where = " ".join(f"{k}={v}" for k, v in res["params"].items())
-        print(f"{tag} {res['claim']} {where}".rstrip(), file=sys.stderr)
+        print(f"{tags[res['passed']]} {res['claim']} {where}".rstrip(), file=sys.stderr)
+    if report.claim_results:
+        n = Counter(res["passed"] for res in report.claim_results)
+        print(f"neurec: {n[True]} passed, {n[False]} failed, {n[None]} skipped", file=sys.stderr)
     return code
 
 

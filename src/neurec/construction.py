@@ -67,7 +67,6 @@ __all__ = [
     "gamma",
     "build_w",
     "compute_B0",
-    "b0_singleton_reading",
     "perturbation_plan",
     "build_z",
     "chain_perturbation",
@@ -308,9 +307,9 @@ def compute_B0(params: WindowParams, d: int, method: str = "definitional") -> fr
 
     algebraic: union over lanes of the residue class
     f = L1(d) - i (mod rho * p_i) intersected with [1, h].  Reading the class
-    as a full congruence class (not a single representative) is what matches
-    the definitional scan; compute both and compare under the
-    b0_methods_agree claim if in doubt.
+    as a full congruence class is what matches the definitional scan; one
+    representative per lane gives a far smaller set.  The b0_methods_agree
+    claim compares both routes.
     """
     params.check_lane(d, "d")
     l1 = cycle_lengths(params, d)[1]
@@ -327,25 +326,6 @@ def compute_B0(params: WindowParams, d: int, method: str = "definitional") -> fr
             out.update(range(start, h + 1, mod))
         return frozenset(out)
     raise ValueError(f"unknown method {method!r}")
-
-
-def b0_singleton_reading(params: WindowParams, d: int) -> frozenset[int]:
-    """The one-representative-per-lane reading of the algebraic route.
-
-    Kept only so the b0_methods_agree claim can record that this reading does
-    NOT reproduce the definitional set (it is far too small); the congruence
-    class reading in compute_B0 is the faithful one.
-    """
-    params.check_lane(d, "d")
-    l1 = cycle_lengths(params, d)[1]
-    out: set[int] = set()
-    for i, p in enumerate(params.primes):
-        mod = params.rho * p
-        r = (l1 - i) % mod
-        r = r if r >= 1 else mod
-        if 1 <= r <= params.h:
-            out.add(r)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

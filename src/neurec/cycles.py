@@ -111,13 +111,12 @@ def detect_cycle(
     init: Sequence[int],
     step_budget: int,
     predicted: tuple[int, int] | None = None,
-    certify: bool = True,
 ) -> CycleReport:
     """Measure the minimal (transient, period) of the orbit from init.
 
     Raises BudgetExceeded if the anchor search has not met a repeat within
-    step_budget slides.  With certify (the default) the measured pair is
-    re-proved by the probe pass, so a buggy search cannot return quietly.
+    step_budget slides.  The measured pair is always re-proved by the probe
+    pass, so a buggy search cannot return quietly.
     """
     word0 = _check_init(cs, init)
 
@@ -152,7 +151,7 @@ def detect_cycle(
         if steps > step_budget:
             raise BudgetExceeded(steps, step_budget)
 
-    steps += _probe_pass(cs, word0, mu, lam) if certify else 0
+    steps += _probe_pass(cs, word0, mu, lam)
 
     t_pred, p_pred = predicted if predicted is not None else (None, None)
     return CycleReport(

@@ -1,23 +1,28 @@
 """Machine checks for every claim the construction is supposed to satisfy.
 
-Claims are data: one ordered table holds a Claim(name, grid, run) per
-checkable statement.  grid(params) lists the instances worth running at one
-scale (keyword dicts, at most a bifurcation step d each) and is None for the
-scale-free composition claims; run produces the ClaimResult of one instance.
-ALL_CLAIMS is the table's names in order, claim_instances looks a grid up,
-and run_claims, the entry point shared by the test suite and the CLI, loops
-over the table.  attempt is the one place where a failed search
-(BudgetExceeded) or a refuted prediction (PredictionFailed) becomes a
-failing result, so a claim passes or fails in exactly one place.
+Claims are data: one ordered table holds a Claim(name, grid, cost, run)
+per checkable statement.  grid(params) lists the structurally valid
+instances at one scale (keyword dicts, at most a bifurcation step d each)
+and is None for the scale-free composition claims; cost states an
+instance's predicted work and the cutoff it must stay within; run produces
+the ClaimResult of one instance.  ALL_CLAIMS is the table's names in order,
+claim_grid pairs each grid instance with its skip detail, claim_instances
+keeps the runnable ones, and run_claims, the entry point shared by the test
+suite and the CLI, loops over the table.  attempt is the one place where an
+instance is decided: skipped past its cutoff, failing on a failed search
+(BudgetExceeded) or a refuted prediction (PredictionFailed), or whatever its
+check returns.
 
 Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
 period) pairs; measurement is routed through detect_cycle for desk-sized
 orbits and verify_predicted (one certified pass) for the large ones.
-Cutoffs below bound the work per claim instance; instances whose predicted
-work exceeds MEASURE_CUTOFF are left out of the grids rather than attempted
-and aborted.
+Cutoffs below bound the work per claim instance.  Each grid lists every
+structurally valid instance, and the table states each claim's predicted
+work and cutoff; skip_detail compares the two, and an instance past its
+cutoff is reported as skipped (passed None) rather than attempted and
+aborted.
 """
 
 from __future__ import annotations
@@ -49,18 +54,19 @@ __all__ = [
     "claim_instances",
 ]
 
-# Routing and feasibility bounds, in window slides.
+# Routing and feasibility bounds, in window slides.  measure_cycle routes on
+# DETECT_CUTOFF; the claim table names which bound skips each claim's instances.
 DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
-MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the instance
+MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 TRACE_CUTOFF = 2_000_000       # longest trace a phase comparison may record
 
 @dataclass
 class ClaimResult:
-    """One verified (or refuted) claim instance."""
+    """One verified, refuted or skipped (passed None) claim instance."""
 
     claim: str
     params: dict
-    passed: bool
+    passed: bool | None
     detail: dict = field(default_factory=dict)
 
 
@@ -229,14 +235,9 @@ def _run_b0_methods_agree(m: int, **_: object) -> ClaimResult:
     for d in range(params.rho):
         definitional = cons.compute_B0(params, d, "definitional")
         algebraic = cons.compute_B0(params, d, "algebraic")
-        singleton = cons.b0_singleton_reading(params, d)
         agree = definitional == algebraic
         ok = ok and agree
-        per_d[str(d)] = {
-            "tot": len(definitional),
-            "agree": agree,
-            "singleton_reading_matches": singleton == definitional,
-        }
+        per_d[str(d)] = {"tot": len(definitional), "agree": agree}
     return ClaimResult("b0_methods_agree", {"m": m}, ok, {"per_d": per_d})
 
 
@@ -684,53 +685,51 @@ def check_composition(claim: str, seed: int = 0, rounds: int = 100) -> ClaimResu
 
 
 # ---------------------------------------------------------------------------
-# instance grids
+# instance grids and predicted work
 
 
 def _once(params: WindowParams) -> list[dict]:
     return [{}]
 
 
-def _measurable(params: WindowParams, family: str, index: int | None = None) -> bool:
-    t, p = predicted_cycle(params, family, index)
-    return t + p <= MEASURE_CUTOFF
-
-
-def _y_grid(params: WindowParams) -> list[dict]:
-    return [{}] if _measurable(params, "y") else []
-
-
-def _d_grid(family: str) -> Callable[[WindowParams], list[dict]]:
-    """Every d whose family member is measurable."""
-    return lambda params: [
-        {"d": d} for d in range(params.rho) if _measurable(params, family, d)
-    ]
-
-
-def _phases_grid(params: WindowParams) -> list[dict]:
-    rho, h = params.rho, params.h
-    out = []
-    for d in range(rho):
-        l0, l1, _ = cycle_lengths(params, d)
-        l4 = l1 + h + d + 1 - rho * (1 + params.primes[d])
-        if l4 + min(l0, 10_000) + 2 * h <= TRACE_CUTOFF:
-            out.append({"d": d})
-    return out
-
-
-def _chain_grid(params: WindowParams) -> list[dict]:
-    zs = all(_measurable(params, "z", d) for d in range(params.rho))
-    return [{}] if _measurable(params, "y") and zs else []
+def _every_d(params: WindowParams) -> list[dict]:
+    return [{"d": d} for d in range(params.rho)]
 
 
 def _basin_grid(params: WindowParams) -> list[dict]:
-    # check_basin needs d < min beta and searches every variant blind
-    beta_e = min(params.beta_m)
-    return [
-        {"d": d}
-        for d in range(min(params.rho, beta_e))
-        if sum(predicted_cycle(params, "z", d)) <= DETECT_CUTOFF
-    ]
+    # check_basin needs d < min beta
+    return [{"d": d} for d in range(min(params.rho, min(params.beta_m)))]
+
+
+def _proof_work(family: str) -> Callable[..., int]:
+    """Predicted T + P of the family member an instance proves."""
+    return lambda params, **kw: sum(predicted_cycle(params, family, kw.get("d")))
+
+
+def _chain_work(params: WindowParams) -> int:
+    """The largest member proof of the chain: y or one of the z(d)."""
+    members = [("y", None)] + [("z", d) for d in range(params.rho)]
+    return max(sum(predicted_cycle(params, fam, d)) for fam, d in members)
+
+
+def _phases_work(params: WindowParams, d: int) -> int:
+    """Bits of the longest trace check_phases records for z(d)."""
+    rho, h = params.rho, params.h
+    l0, l1, _ = cycle_lengths(params, d)
+    l4 = l1 + h + d + 1 - rho * (1 + params.primes[d])
+    return l4 + min(l0, 10_000) + 2 * h
+
+
+def skip_detail(work: int, cutoff: int) -> dict | None:
+    """Why an instance is skipped, or None when it runs.
+
+    An instance whose predicted work (in window slides) exceeds its cutoff
+    is skipped rather than attempted and aborted.  This is the one place a
+    cutoff is compared.
+    """
+    if work <= cutoff:
+        return None
+    return {"skipped": "predicted work exceeds cutoff", "work": work, "cutoff": cutoff}
 
 
 # ---------------------------------------------------------------------------
@@ -741,18 +740,22 @@ def _basin_grid(params: WindowParams) -> list[dict]:
 class Claim:
     """One checkable statement.
 
-    grid(params) lists the instances run at one scale, or is None for a
-    scale-free claim.  run(m, seed=, budget=, **instance) checks one
-    instance; a scale-free claim's run takes only seed.
+    grid(params) lists its structurally valid instances at one scale, or is
+    None for a scale-free claim.  cost is None when every instance runs, and
+    otherwise (work, cutoff): work(params, **instance) predicts the work of
+    one instance, which is skipped when that exceeds cutoff.
+    run(m, seed=, budget=, **instance) checks one instance; a scale-free
+    claim's run takes only seed.
     """
 
     name: str
     grid: Callable[[WindowParams], list[dict]] | None
+    cost: tuple[Callable[..., int], int] | None
     run: Callable[..., ClaimResult]
 
 
 def _composition(name: str) -> Claim:
-    return Claim(name, None, lambda seed: check_composition(name, seed=seed))
+    return Claim(name, None, None, lambda seed: check_composition(name, seed=seed))
 
 
 # The phases, chain, basin and composition runners look the public check
@@ -761,29 +764,36 @@ def _composition(name: str) -> Claim:
 _TABLE = {
     claim.name: claim
     for claim in (
-        Claim("window_param_bounds", _once, _run_window_param_bounds),
-        Claim("prop1", _once, _run_prop1),
-        Claim("prop2", _once, _run_prop2),
-        Claim("pos_disjoint", _once, _run_pos_disjoint),
-        Claim("x_cycle", _once, _run_x_cycle),
-        Claim("v_fixed", _once, _run_v_fixed),
-        Claim("sum_bounds", _once, _run_sum_bounds),
-        Claim("s1_range", _once, _run_s1_range),
-        Claim("y_cycle", _y_grid, _run_y_cycle),
-        Claim("y_deshuffle", _once, _run_y_deshuffle),
-        Claim("w_cycle", _d_grid("w"), _run_w_cycle),
-        Claim("b0_methods_agree", _once, _run_b0_methods_agree),
-        Claim("chain_equals_direct", _once, _run_chain_equals_direct),
+        Claim("window_param_bounds", _once, None, _run_window_param_bounds),
+        Claim("prop1", _once, None, _run_prop1),
+        Claim("prop2", _once, None, _run_prop2),
+        Claim("pos_disjoint", _once, None, _run_pos_disjoint),
+        Claim("x_cycle", _once, None, _run_x_cycle),
+        Claim("v_fixed", _once, None, _run_v_fixed),
+        Claim("sum_bounds", _once, None, _run_sum_bounds),
+        Claim("s1_range", _once, None, _run_s1_range),
+        Claim("y_cycle", _once, (_proof_work("y"), MEASURE_CUTOFF), _run_y_cycle),
+        Claim("y_deshuffle", _once, None, _run_y_deshuffle),
+        Claim("w_cycle", _every_d, (_proof_work("w"), MEASURE_CUTOFF), _run_w_cycle),
+        Claim("b0_methods_agree", _once, None, _run_b0_methods_agree),
+        Claim("chain_equals_direct", _once, None, _run_chain_equals_direct),
         Claim(
             "phases",
-            _phases_grid,
+            _every_d,
+            (_phases_work, TRACE_CUTOFF),
             lambda m, d, budget, **_: check_phases(m, d, budget=budget),
         ),
-        Claim("z_summary", _d_grid("z"), _run_z_summary),
-        Claim("chain", _chain_grid, lambda m, budget, **_: check_chain(m, budget=budget)),
+        Claim("z_summary", _every_d, (_proof_work("z"), MEASURE_CUTOFF), _run_z_summary),
+        Claim(
+            "chain",
+            _once,
+            (_chain_work, MEASURE_CUTOFF),
+            lambda m, budget, **_: check_chain(m, budget=budget),
+        ),
         Claim(
             "basin",
             _basin_grid,
+            (_proof_work("z"), DETECT_CUTOFF),
             lambda m, d, seed, budget: check_basin(
                 m, d, max_variants=8, seed=seed, budget=budget
             ),
@@ -797,25 +807,39 @@ _TABLE = {
 ALL_CLAIMS = tuple(_TABLE)
 
 
-def claim_instances(claim: str, m: int) -> list[dict]:
-    """The (m, d) grid actually run for one claim at one scale.
-
-    Returns a list of keyword dicts (possibly empty when every instance is
-    beyond MEASURE_CUTOFF / TRACE_CUTOFF, e.g. the full y cycle at m = 21).
-    """
-    params = window_params(m)
+def claim_grid(claim: str, m: int) -> list[tuple[dict, dict | None]]:
+    """Every structurally valid instance of claim at scale m, each with its
+    skip detail (None when the instance runs)."""
     entry = _TABLE.get(claim)
     if entry is None or entry.grid is None:
         raise ValueError(f"unknown claim {claim!r}")
-    return entry.grid(params)
+    params = window_params(m)
+    if entry.cost is None:
+        return [(kw, None) for kw in entry.grid(params)]
+    work, cutoff = entry.cost
+    return [(kw, skip_detail(work(params, **kw), cutoff)) for kw in entry.grid(params)]
+
+
+def claim_instances(claim: str, m: int) -> list[dict]:
+    """The (m, d) instances actually run for one claim at one scale.
+
+    Returns a list of keyword dicts: the grid less its skipped instances, so
+    possibly empty (e.g. the full y cycle at m = 21).
+    """
+    return [kw for kw, skip in claim_grid(claim, m) if skip is None]
 
 
 def attempt(
-    claim: str, ident: dict, check: Callable[..., ClaimResult], *args, **kwargs
+    claim: str, ident: dict, skip: dict | None, check: Callable[..., ClaimResult], *args, **kwargs
 ) -> ClaimResult:
-    """Return check(*args, **kwargs), or a failing result for the instance
-    ident of claim when its search ran out of budget or its prediction was
-    refuted."""
+    """Decide the instance ident of claim: PASS, FAIL or SKIP, in one place.
+
+    With a skip detail the result is skipped (passed None) and check is not
+    called.  Otherwise it is check(*args, **kwargs), or a failing result
+    when the search ran out of budget or the prediction was refuted.
+    """
+    if skip is not None:
+        return ClaimResult(claim, ident, None, skip)
     try:
         return check(*args, **kwargs)
     except BudgetExceeded as exc:
@@ -833,10 +857,11 @@ def run_claims(
 ) -> list[ClaimResult]:
     """Run a claim selection, in the order given, over a scale grid.
 
-    Composition claims are scale-free and run once.  A scale the window
-    parameters reject, a failed search and a refuted prediction become
-    failing results rather than exceptions, so one bad instance cannot take
-    down a whole report.
+    Composition claims are scale-free and run once.  Every grid instance
+    yields one result: an instance past its cutoff is skipped (passed None)
+    and nothing runs for it, while a scale the window parameters reject, a
+    failed search and a refuted prediction become failing results rather
+    than exceptions, so one bad instance cannot take down a whole report.
     """
     selected = list(claims) if claims is not None else list(ALL_CLAIMS)
     unknown = sorted(set(selected) - set(ALL_CLAIMS))
@@ -849,12 +874,13 @@ def run_claims(
             continue
         for m in ms:
             try:
-                instances = claim.grid(window_params(m))
+                grid = claim_grid(claim.name, m)
             except RhoTooSmall as exc:
                 results.append(ClaimResult(claim.name, {"m": m}, False, {"error": str(exc)}))
                 continue
-            for kw in instances:
+            for kw, skip in grid:
+                ident = {"m": m} | kw
                 results.append(
-                    attempt(claim.name, {"m": m} | kw, claim.run, m, seed=seed, budget=budget, **kw)
+                    attempt(claim.name, ident, skip, claim.run, m, seed=seed, budget=budget, **kw)
                 )
     return results

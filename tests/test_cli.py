@@ -95,6 +95,7 @@ def test_verify_mode_green(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "PASS prop1 m=6" in err
     assert "FAIL" not in err
+    assert err.splitlines()[-1] == "neurec: 4 passed, 0 failed, 0 skipped"
     report = read_report(out)
     assert report["mode"] == "verify"
     assert report["version"] == "0.1.0"
@@ -149,6 +150,19 @@ def test_cycle_mode_skips_past_cutoff(tmp_path):
     (row,) = report["cycle_reports"]
     assert row["T_measured"] is None
     assert "cutoff" in row["note"]
+
+
+def test_cycle_mode_budget_failure_exits_1(tmp_path):
+    out = tmp_path / "tight"
+    code = main(
+        ["--mode", "cycle", "--m", "6", "--system", "z", "--budget", "50", "--out", str(out)]
+    )
+    assert code == 1
+    rows = read_report(out)["cycle_reports"]
+    assert [row["system"] for row in rows] == ["z[m=6,d=0]", "z[m=6,d=1]"]
+    for row in rows:
+        assert row["match"] is False and row["T_measured"] is None
+        assert (row["error"], row["budget"]) == ("BudgetExceeded", 50)
 
 
 def test_cycle_mode_lane_filter(tmp_path):
@@ -220,6 +234,28 @@ def test_chain_mode(capsys):
     assert res["detail"]["periods"] == [442, 26, 1]
 
 
+def test_chain_mode_skips_past_cutoff(capsys):
+    code = main(["--mode", "chain", "--m", "21"])
+    assert code == 0  # a skip is not a failure
+    captured = capsys.readouterr()
+    (res,) = json.loads(captured.out)["claim_results"]
+    assert res["passed"] is None and res["detail"]["work"] > res["detail"]["cutoff"]
+    assert captured.err.splitlines() == ["SKIP chain m=21", "neurec: 0 passed, 0 failed, 1 skipped"]
+
+
+def test_basin_mode_selected_d_past_cutoff_is_skipped(capsys):
+    code = main(["--mode", "basin", "--m", "21", "--d", "0"])
+    assert code == 0
+    assert "SKIP basin m=21 d=0" in capsys.readouterr().err
+
+
+def test_basin_mode_off_grid_d_exits_2(capsys):
+    # m = 18 has rho = 5 and min beta = 2: d = 2 breaks the hypothesis, d = 5 the lane range
+    for d in ("2", "5"):
+        assert main(["--mode", "basin", "--m", "18", "--d", d]) == 2
+        assert "neurec:" in capsys.readouterr().err
+
+
 def test_basin_mode_selected_d(capsys):
     code = main(["--mode", "basin", "--m", "6", "--d", "1", "--seed", "3"])
     assert code == 0
@@ -280,6 +316,13 @@ def test_reports_are_deterministic(tmp_path):
         ["--config", {"budget": "10", "m": [6], "claims": ["z_summary"]}],
         ["--config", {"claims": "prop1", "m": [6]}],
         ["--config", [6]],
+        # an empty claim list would run nothing and pass
+        ["--mode", "verify", "--m", "6", "--claims", ","],
+        ["--mode", "verify", "--m", "6", "--claims", ""],
+        ["--config", {"claims": []}],
+        # verify and chain do not read --d
+        ["--mode", "verify", "--m", "6", "--claims", "prop2", "--d", "7"],
+        ["--mode", "chain", "--m", "6", "--d", "0"],
     ],
 )
 def test_config_errors_exit_2(argv, tmp_path, capsys):

@@ -19,7 +19,6 @@ from neurec import (
     PlanInvariantViolated,
     RecurrenceSystem,
     ShapeMismatch,
-    b0_singleton_reading,
     build_w,
     build_y,
     build_z,
@@ -295,10 +294,6 @@ def test_b0_routes_agree_with_simulation(m):
         by_residues = compute_B0(p, d, "algebraic")
         by_dynamics = simulated_B0(p, d)
         assert by_scan == by_residues == by_dynamics
-        # the one-representative reading undershoots badly
-        singleton = b0_singleton_reading(p, d)
-        assert singleton < by_scan
-        assert len(singleton) <= p.rho
 
 
 def test_compute_b0_rejects_unknown_method():

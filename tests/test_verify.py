@@ -17,6 +17,7 @@ from neurec import (
     single_system,
     window_params,
 )
+from neurec.verify import MEASURE_CUTOFF
 
 
 EXPECTED_CLAIMS = (
@@ -221,6 +222,22 @@ def test_grid_skips_infeasible_scales():
         claim_instances("nope", 6)
     with pytest.raises(ValueError):
         claim_instances("divisor_rule", 6)  # scale-free: no grid
+
+
+def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a skipped instance was simulated")
+
+    for name in ("compile_system", "measure_cycle", "detect_cycle", "verify_predicted"):
+        monkeypatch.setattr(f"neurec.verify.{name}", no_simulation)
+    results = run_claims(ms=(21,), claims=["y_cycle", "chain"])
+    assert [(r.claim, r.params, r.passed) for r in results] == [
+        ("y_cycle", {"m": 21}, None),
+        ("chain", {"m": 21}, None),
+    ]
+    for res in results:
+        assert res.detail["skipped"] == "predicted work exceeds cutoff"
+        assert res.detail["work"] > res.detail["cutoff"] == MEASURE_CUTOFF
 
 
 # --- the shared entry point --------------------------------------------------

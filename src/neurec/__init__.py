@@ -65,7 +65,6 @@ from .verify import (
     check_chain,
     check_composition,
     check_phases,
-    claim_instances,
     measure_cycle,
     predicted_cycle,
     run_claims,

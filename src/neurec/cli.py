@@ -9,8 +9,11 @@ One batch entry point with six modes:
   chain       the full period chain claim per scale
   basin       the free-prefix basin claim per scale and step
 
-Every run produces one JSON report (printed to stdout, or written to
---out/report.json together with a summary.csv of all cycle measurements).
+The verify, chain and basin modes hand their claims to verify.run_claims,
+which alone knows each claim's grid, cutoff and knobs; this module handles
+arguments and output.  Every run produces one JSON report (printed to
+stdout, or written to --out/report.json together with a summary.csv of every
+measured orbit).
 Reports are deterministic for fixed (m, d, seed, budget) apart from the
 wall_clock_s field.  An instance whose predicted work exceeds its cutoff
 is skipped, which neither passes nor fails.  Exit status: 0 no check failed,
@@ -43,8 +46,6 @@ from .verify import (
     ClaimResult,
     _frac,
     attempt,
-    check_basin,
-    claim_grid,
     measure_cycle,
     predicted_cycle,
     run_claims,
@@ -56,6 +57,7 @@ FAMILIES = ("x", "v", "y", "w", "z")
 TRACE_FORMATS = ("text-bits", "run-length")
 DEFAULT_MS = (6, 11)
 LONG_MS = (16, 21)
+CSV_FIELDS = ("system", "m", "d", "T_measured", "P_measured", "T_predicted", "P_predicted", "match")
 
 
 @dataclass
@@ -254,18 +256,7 @@ def _params_summary(ms: Sequence[int]) -> list[dict]:
     out = []
     for m in ms:
         try:
-            p = window_params(m)
-            out.append(
-                {
-                    "m": m,
-                    "rho": p.rho,
-                    "primes": list(p.primes),
-                    "k": p.k,
-                    "h": p.h,
-                    "mu": list(p.mu),
-                    "beta": list(p.beta_m),
-                }
-            )
+            out.append({"m": m} | window_params(m).summary())
         except RhoTooSmall as exc:
             out.append({"m": m, "error": str(exc)})
     return out
@@ -293,29 +284,13 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     claim_results: list[ClaimResult] = []
     traces: list[tuple[str, list[int], int]] = []
 
-    if config.mode in ("verify", "chain"):
-        claims = config.claims if config.mode == "verify" else ["chain"]
-        claim_results = run_claims(ms=ms, claims=claims, seed=config.seed, budget=config.budget)
+    if config.mode in ("verify", "chain", "basin"):
+        # chain and basin each run the claim of the same name
+        claims = config.claims if config.mode == "verify" else [config.mode]
+        claim_results = run_claims(ms, claims, config.seed, config.budget, ds=config.d)
     elif config.mode == "cycle":
         for m in ms:
             cycle_reports.extend(_cycle_rows(window_params(m), config))
-    elif config.mode == "basin":
-        for m in ms:
-            grid = {kw["d"]: skip for kw, skip in claim_grid("basin", m)}
-            for d in grid if config.d is None else config.d:
-                # a d off the grid has no skip detail, so check_basin rejects it
-                claim_results.append(
-                    attempt(
-                        "basin",
-                        {"m": m, "d": d},
-                        grid.get(d),
-                        check_basin,
-                        m,
-                        d,
-                        seed=config.seed,
-                        budget=config.budget,
-                    )
-                )
     elif config.mode == "construct":
         for m in ms:
             params = window_params(m)
@@ -368,49 +343,41 @@ def _with_system(config: ExperimentConfig, system: str) -> ExperimentConfig:
     return clone
 
 
+def _orbits(record: dict, key: str | None = None) -> Iterable[tuple[str | None, dict]]:
+    """(key, orbit) for every measured orbit in a claim detail.
+
+    An orbit is any dict holding T_pred: the detail itself (key None) or a
+    record nested in it, keyed as it is filed, with lanes as i=<lane>.
+    """
+    if "T_pred" in record:
+        yield key, record
+        return
+    for name, value in sorted(record.items()):
+        if isinstance(value, dict):
+            yield from _orbits(value, f"i={name}" if key == "per_lane" else name)
+
+
 def _csv_rows(report: RunReport) -> list[dict]:
-    """Flatten every cycle measurement in the report into the summary table."""
-    rows = []
+    """Flatten every measured orbit in the report into the summary table.
 
-    def add(system, m, d, t_m, p_m, t_p, p_p, match):
-        rows.append(
-            {
-                "system": system,
-                "m": m,
-                "d": d if d is not None else "",
-                "T_measured": t_m if t_m is not None else "",
-                "P_measured": p_m if p_m is not None else "",
-                "T_predicted": t_p if t_p is not None else "",
-                "P_predicted": p_p if p_p is not None else "",
-                "match": "" if match is None else str(bool(match)),
-            }
-        )
-
-    for row in report.cycle_reports:
-        if "T_predicted" in row:
-            add(
-                row.get("system"),
-                row.get("m"),
-                row.get("d"),
-                row.get("T_measured"),
-                row.get("P_measured"),
-                row.get("T_predicted"),
-                row.get("P_predicted"),
-                row.get("match"),
-            )
+    A cycle-mode row is one orbit as it stands.  A claim's own orbit carries
+    its verdict in match; the orbits nested in its detail carry none.
+    """
+    rows = [row for row in report.cycle_reports if "T_predicted" in row]
     for res in report.claim_results:
-        claim = res["claim"]
-        m = res["params"].get("m")
-        d = res["params"].get("d")
-        detail = res["detail"]
-        if claim in ("y_cycle", "w_cycle", "z_summary") and "T" in detail:
-            add(claim, m, d, detail["T"], detail["P"], detail["T_pred"], detail["P_pred"], res["passed"])
-        elif claim in ("x_cycle", "v_fixed") and "per_lane" in detail:
-            for lane, rep in sorted(detail["per_lane"].items()):
-                add(f"{claim}[i={lane}]", m, None, rep["T"], rep["P"], rep["T_pred"], rep["P_pred"], None)
-        elif claim == "chain" and "systems" in detail:
-            for name, rep in sorted(detail["systems"].items()):
-                add(f"chain[{name}]", m, d, rep["T"], rep["P"], rep["T_pred"], rep["P_pred"], None)
+        for key, orbit in _orbits(res["detail"]):
+            rows.append(
+                {
+                    "system": res["claim"] if key is None else f"{res['claim']}[{key}]",
+                    "m": res["params"].get("m"),
+                    "d": res["params"].get("d"),
+                    "T_measured": orbit["T"],
+                    "P_measured": orbit["P"],
+                    "T_predicted": orbit["T_pred"],
+                    "P_predicted": orbit["P_pred"],
+                    "match": res["passed"] if key is None else None,
+                }
+            )
     return rows
 
 
@@ -424,19 +391,7 @@ def _write_outputs(report: RunReport, traces, config: ExperimentConfig) -> None:
     (out_dir / "report.json").write_text(doc + "\n")
     rows = _csv_rows(report)
     with (out_dir / "summary.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "system",
-                "m",
-                "d",
-                "T_measured",
-                "P_measured",
-                "T_predicted",
-                "P_predicted",
-                "match",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     for label, trace, memory in traces:
@@ -473,7 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--steps", type=int, default=None, help="simulate: steps past the init")
     parser.add_argument("--budget", type=int, default=None, help="step budget for cycle search")
     parser.add_argument(
-        "--claims", default=None, help="comma-separated claim subset (default: all)"
+        "--claims",
+        type=_claim_list,
+        default=None,
+        help="comma-separated claim subset (default: all)",
     )
     parser.add_argument("--out", default=None, help="output directory (default: print JSON)")
     parser.add_argument(
@@ -496,6 +454,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _claim_list(text: str) -> list[str]:
+    return [c.strip() for c in text.split(",") if c.strip()]
+
+
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values: dict = {}
     if args.config is not None:
@@ -508,32 +470,15 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     config = ExperimentConfig()
     hints = get_type_hints(ExperimentConfig)
-    for name in ExperimentConfig.__dataclass_fields__:
-        if name in file_values and file_values[name] is not None:
-            if not _has_type(file_values[name], hints[name]):
-                kind = ExperimentConfig.__dataclass_fields__[name].type
-                raise ValueError(f"config key {name!r} must be {kind}, got {file_values[name]!r}")
-            setattr(config, name, file_values[name])
-    overrides = {
-        "mode": args.mode,
-        "m": args.m,
-        "d": args.d,
-        "system": args.system,
-        "lane": args.lane,
-        "steps": args.steps,
-        "budget": args.budget,
-        "claims": (
-            None if args.claims is None else [c.strip() for c in args.claims.split(",") if c.strip()]
-        ),
-        "out": args.out,
-        "emit_traces": args.emit_traces,
-        "trace_format": args.trace_format,
-        "seed": args.seed,
-        "long": args.long,
-    }
-    for name, value in overrides.items():
+    for name, spec in ExperimentConfig.__dataclass_fields__.items():
+        value = file_values.get(name)
         if value is not None:
+            if not _has_type(value, hints[name]):
+                raise ValueError(f"config key {name!r} must be {spec.type}, got {value!r}")
             setattr(config, name, value)
+        # each flag's dest is the field it overrides
+        if getattr(args, name) is not None:
+            setattr(config, name, getattr(args, name))
     _validate(config)
     return config
 

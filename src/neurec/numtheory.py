@@ -74,6 +74,17 @@ class WindowParams:
         """Threshold shared by the single units and their shuffles: 2*rho."""
         return 2 * self.rho
 
+    def summary(self) -> dict:
+        """The scale as reports show it: rho, primes, k, h, mu and beta."""
+        return {
+            "rho": self.rho,
+            "primes": list(self.primes),
+            "k": self.k,
+            "h": self.h,
+            "mu": list(self.mu),
+            "beta": list(self.beta_m),
+        }
+
     def check_lane(self, i: int, what: str = "i") -> None:
         if not 0 <= i <= self.rho - 1:
             raise IndexOutOfRange(f"{what}={i} not in [0, {self.rho - 1}] for m={self.m}")

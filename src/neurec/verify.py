@@ -6,12 +6,13 @@ instances at one scale (keyword dicts, at most a bifurcation step d each)
 and is None for the scale-free composition claims; cost states an
 instance's predicted work and the cutoff it must stay within; run produces
 the ClaimResult of one instance.  ALL_CLAIMS is the table's names in order,
-claim_grid pairs each grid instance with its skip detail, claim_instances
-keeps the runnable ones, and run_claims, the entry point shared by the test
-suite and the CLI, loops over the table.  attempt is the one place where an
-instance is decided: skipped past its cutoff, failing on a failed search
-(BudgetExceeded) or a refuted prediction (PredictionFailed), or whatever its
-check returns.
+claim_grid pairs each grid instance with its skip detail, and run_claims
+loops over the table, on each claim's whole grid or on requested
+bifurcation steps.  It is the one entry point of the test suite and of the
+CLI's verify, chain and basin modes, so no other module knows a claim's
+grid, cutoff or knobs.  attempt is the one place where an instance is
+decided: skipped past its cutoff, failing on a failed search (BudgetExceeded)
+or a refuted prediction (PredictionFailed), or whatever its check returns.
 
 Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
@@ -51,7 +52,6 @@ __all__ = [
     "check_composition",
     "attempt",
     "run_claims",
-    "claim_instances",
 ]
 
 # Routing and feasibility bounds, in window slides.  measure_cycle routes on
@@ -59,6 +59,7 @@ __all__ = [
 DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 TRACE_CUTOFF = 2_000_000       # longest trace a phase comparison may record
+BASIN_VARIANTS = 8             # free-prefix variants check_basin checks at most
 
 @dataclass
 class ClaimResult:
@@ -167,15 +168,7 @@ def _run_window_param_bounds(m: int, **_: object) -> ClaimResult:
         if prev_l1 is not None and l1 % prev_l1:
             bad.append(f"L1({d - 1}) does not divide L1({d})")
         prev_l0, prev_l1 = l0, l1
-    detail = {
-        "rho": rho,
-        "primes": list(params.primes),
-        "k": params.k,
-        "h": params.h,
-        "mu": list(params.mu),
-        "beta": list(params.beta_m),
-        "violations": bad,
-    }
+    detail = params.summary() | {"violations": bad}
     return ClaimResult("window_param_bounds", {"m": m}, not bad, detail)
 
 
@@ -453,7 +446,7 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
 # phase structure, chain, basin
 
 
-def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
+def check_phases(m: int, d: int) -> ClaimResult:
     """Compare z(., d) bit for bit against y then w across its five phases."""
     params = window_params(m)
     params.check_lane(d, "d")
@@ -576,19 +569,14 @@ def _attractor_set(cs, word0: int, transient: int, period: int) -> frozenset[int
     return frozenset({word for word, _ in islice(orbit, period)})
 
 
-def check_basin(
-    m: int,
-    d: int,
-    max_variants: int = 16,
-    seed: int = 0,
-    budget: int | None = None,
-) -> ClaimResult:
+def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> ClaimResult:
     """Free-prefix insensitivity of z(., d).
 
     With e the lane minimizing beta_i and d < beta_e, the first
     beta_e - d window bits of z(., d) are free: every assignment must fall
     into the basin of the same attractor.  Enumerates all 2^(beta_e - d)
-    assignments when that is small, otherwise samples max_variants of them.
+    assignments when there are at most BASIN_VARIANTS, otherwise samples
+    BASIN_VARIANTS of them.
     Raises HypothesisUnmet when d >= beta_e.
     """
     params = window_params(m)
@@ -610,12 +598,12 @@ def check_basin(
     )
 
     total = 2**n_free
-    if total <= max_variants:
+    if total <= BASIN_VARIANTS:
         chosen = list(range(total))
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
-        chosen = sorted(rng.sample(range(total), max_variants))
+        chosen = sorted(rng.sample(range(total), BASIN_VARIANTS))
         mode = "sampled"
 
     tail = system.init[n_free:]
@@ -781,7 +769,7 @@ _TABLE = {
             "phases",
             _every_d,
             (_phases_work, TRACE_CUTOFF),
-            lambda m, d, budget, **_: check_phases(m, d, budget=budget),
+            lambda m, d, **_: check_phases(m, d),
         ),
         Claim("z_summary", _every_d, (_proof_work("z"), MEASURE_CUTOFF), _run_z_summary),
         Claim(
@@ -794,9 +782,7 @@ _TABLE = {
             "basin",
             _basin_grid,
             (_proof_work("z"), DETECT_CUTOFF),
-            lambda m, d, seed, budget: check_basin(
-                m, d, max_variants=8, seed=seed, budget=budget
-            ),
+            lambda m, d, seed, budget: check_basin(m, d, seed=seed, budget=budget),
         ),
         _composition("example1_period2"),
         _composition("example1_period3"),
@@ -818,15 +804,6 @@ def claim_grid(claim: str, m: int) -> list[tuple[dict, dict | None]]:
         return [(kw, None) for kw in entry.grid(params)]
     work, cutoff = entry.cost
     return [(kw, skip_detail(work(params, **kw), cutoff)) for kw in entry.grid(params)]
-
-
-def claim_instances(claim: str, m: int) -> list[dict]:
-    """The (m, d) instances actually run for one claim at one scale.
-
-    Returns a list of keyword dicts: the grid less its skipped instances, so
-    possibly empty (e.g. the full y cycle at m = 21).
-    """
-    return [kw for kw, skip in claim_grid(claim, m) if skip is None]
 
 
 def attempt(
@@ -854,6 +831,7 @@ def run_claims(
     claims: Sequence[str] | None = None,
     seed: int = 0,
     budget: int | None = None,
+    ds: Sequence[int] | None = None,
 ) -> list[ClaimResult]:
     """Run a claim selection, in the order given, over a scale grid.
 
@@ -862,6 +840,9 @@ def run_claims(
     and nothing runs for it, while a scale the window parameters reject, a
     failed search and a refuted prediction become failing results rather
     than exceptions, so one bad instance cannot take down a whole report.
+    With ds, a claim's instances are the requested bifurcation steps, in
+    that order; a step off the claim's grid, or a claim without steps,
+    raises ValueError.
     """
     selected = list(claims) if claims is not None else list(ALL_CLAIMS)
     unknown = sorted(set(selected) - set(ALL_CLAIMS))
@@ -870,6 +851,8 @@ def run_claims(
     results: list[ClaimResult] = []
     for claim in (_TABLE[name] for name in selected):
         if claim.grid is None:
+            if ds is not None:
+                raise ValueError(f"claim {claim.name} takes no d")
             results.append(claim.run(seed=seed))
             continue
         for m in ms:
@@ -878,6 +861,12 @@ def run_claims(
             except RhoTooSmall as exc:
                 results.append(ClaimResult(claim.name, {"m": m}, False, {"error": str(exc)}))
                 continue
+            if ds is not None:
+                by_d = {kw.get("d"): (kw, skip) for kw, skip in grid}
+                off_grid = [d for d in ds if d not in by_d]
+                if off_grid:
+                    raise ValueError(f"d={off_grid[0]} is not on the {claim.name} grid at m={m}")
+                grid = [by_d[d] for d in ds]
             for kw, skip in grid:
                 ident = {"m": m} | kw
                 results.append(

@@ -176,7 +176,7 @@ def test_criterion_08_dual_route_equivalence(criterion):
 def test_criterion_09_basin_exhaustive_m6(criterion):
     with criterion(9, "every free-prefix variant shares the attractor at m=6"):
         for d in (0, 1):
-            res = check_basin(6, d, max_variants=16)
+            res = check_basin(6, d)
             assert res.passed, (d, res.detail)
             assert res.detail["mode"] == "exhaustive"
             assert res.detail["variants_checked"] == 2 ** (2 - d)

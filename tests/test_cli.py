@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurec import build_z, window_params
+from neurec import build_z, check_basin, window_params
 from neurec.cli import (
     export_trace,
     import_trace,
@@ -105,6 +105,17 @@ def test_verify_mode_green(tmp_path, capsys):
     assert z_rows[("z_summary", "0")]["T_measured"] == "139"
     assert z_rows[("z_summary", "0")]["P_measured"] == "26"
     assert z_rows[("z_summary", "0")]["match"] == "True"
+
+
+def test_summary_csv_holds_the_basin_reference_orbit(tmp_path):
+    out = tmp_path / "basin"
+    code = main(["--mode", "verify", "--m", "6", "--claims", "basin", "--out", str(out)])
+    assert code == 0
+    rows = {(r["system"], r["d"]): r for r in read_csv(out)}
+    ref = rows[("basin[reference]", "0")]
+    assert (ref["T_measured"], ref["P_measured"]) == ("139", "26")
+    assert (ref["T_predicted"], ref["P_predicted"]) == ("139", "26")
+    assert ref["match"] == ""  # the verdict belongs to the claim, not to its reference orbit
 
 
 def test_verify_mode_stdout_json_when_no_out(capsys):
@@ -265,6 +276,15 @@ def test_basin_mode_selected_d(capsys):
     assert res["passed"] and res["detail"]["mode"] == "exhaustive"
 
 
+def test_basin_mode_samples_the_table_variant_count(capsys):
+    code = main(["--mode", "basin", "--m", "11", "--d", "0", "--seed", "5"])
+    assert code == 0
+    (res,) = json.loads(capsys.readouterr().out)["claim_results"]
+    assert res["detail"]["mode"] == "sampled"
+    assert res["detail"]["variants_checked"] == 8
+    assert res["detail"] == check_basin(11, 0, seed=5).detail
+
+
 # --- configuration ------------------------------------------------------------------
 
 
@@ -339,9 +359,12 @@ def test_scale_rejection_paths(capsys):
     # cycle mode hits the constructor directly: configuration-level failure
     assert main(["--mode", "cycle", "--m", "4"]) == 2
     capsys.readouterr()
-    # verify mode folds the same rejection into a failing claim instead
+    # the claim modes fold the same rejection into a failing claim instead
     assert main(["--mode", "verify", "--m", "4", "--claims", "prop1"]) == 1
     assert "FAIL prop1 m=4" in capsys.readouterr().err
+    for mode in ("chain", "basin"):
+        assert main(["--mode", mode, "--m", "4"]) == 1
+        assert f"FAIL {mode} m=4" in capsys.readouterr().err
 
 
 def test_bad_mode_is_an_argparse_error():

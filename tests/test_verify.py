@@ -10,14 +10,18 @@ from neurec import (
     check_chain,
     check_composition,
     check_phases,
-    claim_instances,
     measure_cycle,
     predicted_cycle,
     run_claims,
     single_system,
     window_params,
 )
-from neurec.verify import MEASURE_CUTOFF
+from neurec.verify import MEASURE_CUTOFF, claim_grid
+
+
+def runnable(claim, m):
+    """The grid instances of claim at m that are not skipped."""
+    return [kw for kw, skip in claim_grid(claim, m) if skip is None]
 
 
 EXPECTED_CLAIMS = (
@@ -189,7 +193,7 @@ def test_basin_hypothesis_unmet():
     with pytest.raises(HypothesisUnmet):
         check_basin(18, 2)
     # and the instance grid respects the same boundary
-    assert all(kw["d"] < 2 for kw in claim_instances("basin", 18))
+    assert all(kw["d"] < 2 for kw in runnable("basin", 18))
 
 
 def test_composition_checks():
@@ -210,18 +214,18 @@ def test_composition_checks():
 
 def test_grid_skips_infeasible_scales():
     # the full interleaved cycle at m=21 is ~1.9e9 states: never measured blind
-    assert claim_instances("y_cycle", 21) == []
-    assert claim_instances("chain", 21) == []
+    assert runnable("y_cycle", 21) == []
+    assert runnable("chain", 21) == []
     # m=21 w-cycles: d=0 exceeds the cutoff, later steps shrink back in
-    ds = [kw["d"] for kw in claim_instances("w_cycle", 21)]
+    ds = [kw["d"] for kw in runnable("w_cycle", 21)]
     assert 0 not in ds and ds != []
     # desk scales keep everything
-    assert claim_instances("y_cycle", 6) == [{}]
-    assert [kw["d"] for kw in claim_instances("phases", 6)] == [0, 1]
+    assert runnable("y_cycle", 6) == [{}]
+    assert [kw["d"] for kw in runnable("phases", 6)] == [0, 1]
     with pytest.raises(ValueError):
-        claim_instances("nope", 6)
+        claim_grid("nope", 6)
     with pytest.raises(ValueError):
-        claim_instances("divisor_rule", 6)  # scale-free: no grid
+        claim_grid("divisor_rule", 6)  # scale-free: no grid
 
 
 def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
@@ -238,6 +242,21 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
     for res in results:
         assert res.detail["skipped"] == "predicted work exceeds cutoff"
         assert res.detail["work"] > res.detail["cutoff"] == MEASURE_CUTOFF
+
+
+def test_run_claims_on_requested_steps():
+    # requested steps run in the order given, each keeping its grid skip detail
+    results = run_claims(ms=(6,), claims=["w_cycle"], ds=[1, 0])
+    assert [(r.params, r.passed) for r in results] == [
+        ({"m": 6, "d": 1}, True),
+        ({"m": 6, "d": 0}, True),
+    ]
+    (skipped,) = run_claims(ms=(21,), claims=["w_cycle"], ds=[0])
+    assert skipped.passed is None and skipped.detail["work"] > skipped.detail["cutoff"]
+    # a step off the grid, or a claim without steps, is a configuration error
+    for m, claim, d in ((6, "w_cycle", 2), (18, "basin", 2), (6, "prop1", 0), (6, "divisor_rule", 0)):
+        with pytest.raises(ValueError):
+            run_claims(ms=(m,), claims=[claim], ds=[d])
 
 
 # --- the shared entry point --------------------------------------------------

@@ -19,6 +19,10 @@ of exactly T + P steps, checking
 
 which suffices: on a deterministic orbit any period is a multiple of the
 minimal one, so a smaller period would survive into some P/q probe.
+
+Both routes report the window S_T the probe pass snapshots as the
+certified entry_window, so a caller that needs the attractor starts from
+it instead of walking the transient again.
 """
 
 from __future__ import annotations
@@ -34,10 +38,15 @@ __all__ = ["CycleReport", "detect_cycle", "verify_predicted", "prime_factors"]
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Outcome of one cycle measurement or verification."""
+    """Outcome of one cycle measurement or verification.
+
+    entry_window is the window S_T at the measured transient: the first
+    window of the attractor, certified by the probe pass.
+    """
 
     measured_transient: int
     measured_period: int
+    entry_window: int
     predicted_transient: int | None = None
     predicted_period: int | None = None
     transient_match: bool | None = None
@@ -75,8 +84,11 @@ def _check_init(cs: CompiledSystem, init: Sequence[int]) -> int:
     return word_from_bits(init)
 
 
-def _probe_pass(cs: CompiledSystem, word0: int, transient: int, period: int) -> int:
-    """Run the certification probes in one forward pass; return steps used."""
+def _probe_pass(cs: CompiledSystem, word0: int, transient: int, period: int) -> tuple[int, int]:
+    """Run the certification probes in one forward pass.
+
+    Returns the steps used and the window S_T.
+    """
     checkpoints: set[int] = {transient, transient + period}
     checkpoints.update(transient + period // q for q in prime_factors(period))
     if transient > 0:
@@ -103,7 +115,7 @@ def _probe_pass(cs: CompiledSystem, word0: int, transient: int, period: int) -> 
             "transient_minimality",
             {"transient": transient, "period": period},
         )
-    return n
+    return n, snap[transient]
 
 
 def detect_cycle(
@@ -151,12 +163,14 @@ def detect_cycle(
         if steps > step_budget:
             raise BudgetExceeded(steps, step_budget)
 
-    steps += _probe_pass(cs, word0, mu, lam)
+    probe_steps, entry = _probe_pass(cs, word0, mu, lam)
+    steps += probe_steps
 
     t_pred, p_pred = predicted if predicted is not None else (None, None)
     return CycleReport(
         measured_transient=mu,
         measured_period=lam,
+        entry_window=entry,
         predicted_transient=t_pred,
         predicted_period=p_pred,
         transient_match=None if predicted is None else mu == t_pred,
@@ -181,10 +195,11 @@ def verify_predicted(
             f"need T >= 0 and P >= 1, got ({predicted_transient}, {predicted_period})"
         )
     word0 = _check_init(cs, init)
-    steps = _probe_pass(cs, word0, predicted_transient, predicted_period)
+    steps, entry = _probe_pass(cs, word0, predicted_transient, predicted_period)
     return CycleReport(
         measured_transient=predicted_transient,
         measured_period=predicted_period,
+        entry_window=entry,
         predicted_transient=predicted_transient,
         predicted_period=predicted_period,
         transient_match=True,

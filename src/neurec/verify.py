@@ -24,6 +24,15 @@ structurally valid instance, and the table states each claim's predicted
 work and cutoff; skip_detail compares the two, and an instance past its
 cutoff is reported as skipped (passed None) rather than attempted and
 aborted.
+
+A run proves each distinct orbit once.  While run_claims runs, measure_cycle
+remembers every completed proof under its compiled system, init, prediction
+and budget, so the chain reuses the proofs of y_cycle and z_summary, and a
+detail's steps is the cost of that one proof.  The memo is dropped when
+run_claims returns.  A certified proof also
+reports its entry window S_T, so the chain's all-zero attractor and
+basin's attractor sets start from it rather than walking the transient
+again.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -60,6 +70,10 @@ DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of sea
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 TRACE_CUTOFF = 2_000_000       # longest trace a phase comparison may record
 BASIN_VARIANTS = 8             # free-prefix variants check_basin checks at most
+
+# Completed proofs of the current run_claims call, keyed by (compiled system,
+# init, predicted, budget); None outside run_claims.
+_proofs: dict | None = None
 
 @dataclass
 class ClaimResult:
@@ -112,13 +126,27 @@ def measure_cycle(
     Small orbits are searched blind with detect_cycle; orbits past
     DETECT_CUTOFF are instead proved in one pass with verify_predicted.
     An explicit budget forces the search route.
+
+    Inside run_claims a completed proof is remembered for the rest of that
+    call, keyed by the compiled system, init, prediction and budget, and a
+    repeated request returns the same report and route without walking the
+    orbit again.  A failed proof raises as usual and is not remembered;
+    outside run_claims every call proves afresh.
     """
     cs = compile_system(system)
+    proofs = _proofs
+    key = (cs, tuple(system.init), predicted, budget)
+    if proofs is not None and key in proofs:
+        return proofs[key]
     t_pred, p_pred = predicted
     if budget is None and t_pred + p_pred > DETECT_CUTOFF:
-        return verify_predicted(cs, system.init, t_pred, p_pred), "verify_predicted"
-    b = budget if budget is not None else _default_budget(t_pred, p_pred, system.memory)
-    return detect_cycle(cs, system.init, b, predicted=predicted), "detect"
+        proof = verify_predicted(cs, system.init, t_pred, p_pred), "verify_predicted"
+    else:
+        b = budget if budget is not None else _default_budget(t_pred, p_pred, system.memory)
+        proof = detect_cycle(cs, system.init, b, predicted=predicted), "detect"
+    if proofs is not None:
+        proofs[key] = proof
+    return proof
 
 
 def _frac(x) -> str:
@@ -523,7 +551,7 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
 
     Passes when every period matches its formula, each period divides its
     predecessor, the final period is 1, and the final attractor is the
-    all-zero window.
+    all-zero window: the last member's certified entry window is 0.
     """
     params = window_params(m)
     rho = params.rho
@@ -546,9 +574,7 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
 
     divides = all(periods[i] % periods[i + 1] == 0 for i in range(len(periods) - 1))
     ends_at_one = periods[-1] == 1
-    last_cs = compile_system(systems[-1])
-    last_t = steps_detail[f"z{rho - 1}"]["T"]
-    attractor_zero = advance_word(last_cs, word_from_bits(systems[-1].init), last_t) == 0
+    attractor_zero = rep.entry_window == 0
     ok = ok and divides and ends_at_one and attractor_zero
 
     detail = {
@@ -561,12 +587,13 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     return ClaimResult("chain", {"m": m}, ok, detail)
 
 
-def _attractor_set(cs, word0: int, transient: int, period: int) -> frozenset[int]:
-    orbit = walk(cs, advance_word(cs, word0, transient))
+def _attractor_set(cs, rep: CycleReport) -> frozenset[int]:
+    """The P windows of the attractor, from the report's entry window on."""
+    orbit = walk(cs, rep.entry_window)
     # Copied from a set, the frozenset gets a table sized to fit; grown from
     # the generator it would keep a table up to twice that, and check_basin
     # holds these sets for the whole check.
-    return frozenset({word for word, _ in islice(orbit, period)})
+    return frozenset({word for word, _ in islice(orbit, rep.measured_period)})
 
 
 def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> ClaimResult:
@@ -593,9 +620,7 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
         t_pred, p_pred, params.h
     ) + 8 * params.h
     ref_rep = detect_cycle(cs, system.init, search_budget, predicted=(t_pred, p_pred))
-    ref_att = _attractor_set(
-        cs, word_from_bits(system.init), ref_rep.measured_transient, ref_rep.measured_period
-    )
+    ref_att = _attractor_set(cs, ref_rep)
 
     total = 2**n_free
     if total <= BASIN_VARIANTS:
@@ -610,10 +635,8 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     bad: list[int] = []
     for vid in chosen:
         prefix = tuple((vid >> (n_free - 1 - q)) & 1 for q in range(n_free))
-        word0 = word_from_bits(prefix + tail)
         rep = detect_cycle(cs, prefix + tail, search_budget)
-        att = _attractor_set(cs, word0, rep.measured_transient, rep.measured_period)
-        if att != ref_att:
+        if _attractor_set(cs, rep) != ref_att:
             bad.append(vid)
 
     detail = {
@@ -842,24 +865,26 @@ def run_claims(
     than exceptions, so one bad instance cannot take down a whole report.
     With ds, a claim's instances are the requested bifurcation steps, in
     that order; a step off the claim's grid, or a claim without steps,
-    raises ValueError.
+    raises ValueError before any instance runs.  Each distinct orbit is
+    proved once per call (see measure_cycle).
     """
+    global _proofs
     selected = list(claims) if claims is not None else list(ALL_CLAIMS)
     unknown = sorted(set(selected) - set(ALL_CLAIMS))
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}")
-    results: list[ClaimResult] = []
+    jobs: list[Callable[[], ClaimResult]] = []
     for claim in (_TABLE[name] for name in selected):
         if claim.grid is None:
             if ds is not None:
                 raise ValueError(f"claim {claim.name} takes no d")
-            results.append(claim.run(seed=seed))
+            jobs.append(partial(claim.run, seed=seed))
             continue
         for m in ms:
             try:
                 grid = claim_grid(claim.name, m)
             except RhoTooSmall as exc:
-                results.append(ClaimResult(claim.name, {"m": m}, False, {"error": str(exc)}))
+                jobs.append(partial(ClaimResult, claim.name, {"m": m}, False, {"error": str(exc)}))
                 continue
             if ds is not None:
                 by_d = {kw.get("d"): (kw, skip) for kw, skip in grid}
@@ -867,9 +892,15 @@ def run_claims(
                 if off_grid:
                     raise ValueError(f"d={off_grid[0]} is not on the {claim.name} grid at m={m}")
                 grid = [by_d[d] for d in ds]
-            for kw, skip in grid:
-                ident = {"m": m} | kw
-                results.append(
-                    attempt(claim.name, ident, skip, claim.run, m, seed=seed, budget=budget, **kw)
+            jobs.extend(
+                partial(
+                    attempt, claim.name, {"m": m} | kw, skip, claim.run, m,
+                    seed=seed, budget=budget, **kw,
                 )
-    return results
+                for kw, skip in grid
+            )
+    _proofs = {}
+    try:
+        return [job() for job in jobs]
+    finally:
+        _proofs = None

@@ -15,6 +15,7 @@ from neurec import (
     BudgetExceeded,
     PredictionFailed,
     RecurrenceSystem,
+    advance_word,
     build_w,
     build_y,
     build_z,
@@ -182,3 +183,6 @@ def test_detect_agrees_with_naive_on_random_systems(s):
     # and the one-pass prover accepts exactly that pair
     proof = verify_predicted(cs, s.init, t_ref, p_ref)
     assert proof.steps_executed == t_ref + p_ref
+    # both routes certify the same entry window S_T
+    entry = advance_word(cs, word_from_bits(s.init), t_ref)
+    assert rep.entry_window == proof.entry_window == entry

@@ -1,7 +1,10 @@
 """Claim registry behavior: inventory, dispatch, grids, failure capture."""
 
+import dataclasses
+
 import pytest
 
+import neurec.verify
 from neurec import (
     ALL_CLAIMS,
     HypothesisUnmet,
@@ -257,6 +260,86 @@ def test_run_claims_on_requested_steps():
     for m, claim, d in ((6, "w_cycle", 2), (18, "basin", 2), (6, "prop1", 0), (6, "divisor_rule", 0)):
         with pytest.raises(ValueError):
             run_claims(ms=(m,), claims=[claim], ds=[d])
+
+
+def test_off_grid_step_at_a_later_scale_runs_nothing(monkeypatch):
+    # d = 2 is on the basin grid at m = 11 but not at m = 18 (min beta = 2)
+    def no_basin(*args, **kwargs):
+        raise AssertionError("an instance ran before the grids were checked")
+
+    monkeypatch.setattr("neurec.verify.check_basin", no_basin)
+    with pytest.raises(ValueError, match="m=18"):
+        run_claims(ms=(11, 18), claims=["basin"], ds=[2])
+
+
+# --- the run-scoped proof memo ----------------------------------------------
+
+
+@pytest.fixture
+def proof_calls(monkeypatch):
+    """Every system detect_cycle or verify_predicted is asked to prove."""
+    calls = []
+    for name in ("detect_cycle", "verify_predicted"):
+        original = getattr(neurec.verify, name)
+
+        def counted(cs, init, *args, _original=original, **kwargs):
+            calls.append((cs, tuple(init)))
+            return _original(cs, init, *args, **kwargs)
+
+        monkeypatch.setattr(f"neurec.verify.{name}", counted)
+    return calls
+
+
+CHAIN_CLAIMS = ["y_cycle", "z_summary", "chain"]
+
+
+def test_run_proves_each_orbit_once(proof_calls):
+    # y, z(0) and z(1): chain reuses the proofs of y_cycle and z_summary
+    results = run_claims(ms=(6,), claims=CHAIN_CLAIMS)
+    assert len(proof_calls) == 3
+    assert len(set(proof_calls)) == 3
+    separate = [res for claim in CHAIN_CLAIMS for res in run_claims(ms=(6,), claims=[claim])]
+    assert results == separate
+    assert all(res.passed for res in results)
+
+
+def test_proof_memo_lives_for_one_run(proof_calls):
+    first = run_claims(ms=(6,), claims=CHAIN_CLAIMS)
+    second = run_claims(ms=(6,), claims=CHAIN_CLAIMS)
+    assert len(proof_calls) == 6
+    assert first == second
+    assert neurec.verify._proofs is None
+
+
+def test_chain_member_unlike_the_direct_build_is_proved_afresh(proof_calls, monkeypatch):
+    original = neurec.verify.cons.chain_perturbation
+
+    def flip_first_init_bit(current, plan, next_plan):
+        system = original(current, plan, next_plan)
+        return dataclasses.replace(system, init=(1 - system.init[0],) + system.init[1:])
+
+    monkeypatch.setattr("neurec.verify.cons.chain_perturbation", flip_first_init_bit)
+    run_claims(ms=(6,), claims=["z_summary", "chain"])
+    # z(0), z(1) for z_summary; y and the altered z(1) for chain
+    assert len(proof_calls) == 4
+    z1 = neurec.build_z(window_params(6), 1)
+    altered = (1 - z1.init[0],) + z1.init[1:]
+    assert [init for _, init in proof_calls].count(altered) == 1
+
+
+@pytest.mark.long
+def test_long_tier_chain_selection_proves_five_orbits(proof_calls):
+    # the benchmark's proofs16 selection: y and z(0..3) at m = 16, each once
+    results = run_claims(ms=(16,), claims=CHAIN_CLAIMS)
+    assert [(r.claim, r.passed) for r in results] == [
+        ("y_cycle", True),
+        ("z_summary", True),
+        ("z_summary", True),
+        ("z_summary", True),
+        ("z_summary", True),
+        ("chain", True),
+    ]
+    assert len(proof_calls) == 5
 
 
 # --- the shared entry point --------------------------------------------------

@@ -38,7 +38,7 @@ from . import __version__
 from . import construction as cons
 from .construction import RecurrenceSystem
 from .engine import compile_system, run
-from .errors import HypothesisUnmet, NeurecError, RhoTooSmall
+from .errors import NeurecError, RhoTooSmall
 from .numtheory import WindowParams, window_params
 from .verify import (
     ALL_CLAIMS,
@@ -528,10 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         report, code = cmd_run(config)
-    except (RhoTooSmall, HypothesisUnmet, NeurecError, ValueError) as exc:
-        print(f"neurec: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NeurecError, ValueError, OSError) as exc:
         print(f"neurec: {exc}", file=sys.stderr)
         return 2
     tags = {True: "PASS", False: "FAIL", None: "SKIP"}

@@ -30,9 +30,11 @@ remembers every completed proof under its compiled system, init, prediction
 and budget, so the chain reuses the proofs of y_cycle and z_summary, and a
 detail's steps is the cost of that one proof.  The memo is dropped when
 run_claims returns.  A certified proof also
-reports its entry window S_T, so the chain's all-zero attractor and
-basin's attractor sets start from it rather than walking the transient
-again.
+reports its entry window S_T, so v_fixed's and the chain's all-zero
+attractors are read from it rather than walking the transient again.
+basin shares its reference proof with z_summary; each free-prefix variant
+that merges into the reference window once its free bits slide out
+provably has the same attractor, and only one that does not is searched.
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         pred = predicted_cycle(params, "v", i)
         rep, route = measure_cycle(system, pred, budget)
         cs = compile_system(system)
-        attractor_zero = advance_word(cs, word_from_bits(system.init), rep.measured_transient) == 0
+        attractor_zero = rep.entry_window == 0
         trace = run(cs, system.init, k + 1)
         dead_from = k - params.primes[i]
         late_one = next((t for t in range(dead_from, len(trace)) if trace[t]), None)
@@ -587,15 +589,6 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     return ClaimResult("chain", {"m": m}, ok, detail)
 
 
-def _attractor_set(cs, rep: CycleReport) -> frozenset[int]:
-    """The P windows of the attractor, from the report's entry window on."""
-    orbit = walk(cs, rep.entry_window)
-    # Copied from a set, the frozenset gets a table sized to fit; grown from
-    # the generator it would keep a table up to twice that, and check_basin
-    # holds these sets for the whole check.
-    return frozenset({word for word, _ in islice(orbit, rep.measured_period)})
-
-
 def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> ClaimResult:
     """Free-prefix insensitivity of z(., d).
 
@@ -603,7 +596,10 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     beta_e - d window bits of z(., d) are free: every assignment must fall
     into the basin of the same attractor.  Enumerates all 2^(beta_e - d)
     assignments when there are at most BASIN_VARIANTS, otherwise samples
-    BASIN_VARIANTS of them.
+    BASIN_VARIANTS of them.  A variant whose window after beta_e - d slides
+    equals the reference's shares its future, so its attractor.  One that
+    does not merge is searched blind and shares the attractor iff its period
+    is the reference P and its entry window lies on the reference cycle.
     Raises HypothesisUnmet when d >= beta_e.
     """
     params = window_params(m)
@@ -614,13 +610,11 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     n_free = beta_e - d
 
     system = cons.build_z(params, d)
+    pred = predicted_cycle(params, "z", d)
+    ref_rep, route = measure_cycle(system, pred, budget)
+    period = ref_rep.measured_period
     cs = compile_system(system)
-    t_pred, p_pred = predicted_cycle(params, "z", d)
-    search_budget = budget if budget is not None else _default_budget(
-        t_pred, p_pred, params.h
-    ) + 8 * params.h
-    ref_rep = detect_cycle(cs, system.init, search_budget, predicted=(t_pred, p_pred))
-    ref_att = _attractor_set(cs, ref_rep)
+    merged = advance_word(cs, word_from_bits(system.init), n_free)
 
     total = 2**n_free
     if total <= BASIN_VARIANTS:
@@ -635,8 +629,13 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     bad: list[int] = []
     for vid in chosen:
         prefix = tuple((vid >> (n_free - 1 - q)) & 1 for q in range(n_free))
-        rep = detect_cycle(cs, prefix + tail, search_budget)
-        if _attractor_set(cs, rep) != ref_att:
+        variant = prefix + tail
+        if advance_word(cs, word_from_bits(variant), n_free) == merged:
+            continue
+        b = budget if budget is not None else _default_budget(*pred, params.h)
+        rep = detect_cycle(cs, variant, b)
+        ref_cycle = (w for w, _ in islice(walk(cs, ref_rep.entry_window), period))
+        if rep.measured_period != period or rep.entry_window not in ref_cycle:
             bad.append(vid)
 
     detail = {
@@ -644,13 +643,11 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
         "variants_total": total,
         "variants_checked": len(chosen),
         "mode": mode,
-        "attractor_size": len(ref_att),
-        "reference": _report_dict(ref_rep, "detect"),
+        "attractor_size": period,
+        "reference": _report_dict(ref_rep, route),
         "mismatched_variants": bad,
     }
-    return ClaimResult(
-        "basin", {"m": m, "d": d}, bool(ref_rep.matches) and not bad, detail
-    )
+    return ClaimResult("basin", {"m": m, "d": d}, bool(ref_rep.matches) and not bad, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +801,7 @@ _TABLE = {
         Claim(
             "basin",
             _basin_grid,
-            (_proof_work("z"), DETECT_CUTOFF),
+            (_proof_work("z"), MEASURE_CUTOFF),
             lambda m, d, seed, budget: check_basin(m, d, seed=seed, budget=budget),
         ),
         _composition("example1_period2"),

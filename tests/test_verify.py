@@ -9,6 +9,7 @@ from neurec import (
     ALL_CLAIMS,
     HypothesisUnmet,
     IndexOutOfRange,
+    RecurrenceSystem,
     check_basin,
     check_chain,
     check_composition,
@@ -189,6 +190,35 @@ def test_basin_m6_exhaustive():
     assert res.detail["variants_total"] == 2
 
 
+def test_basin_rotation_reaches_other_attractors(monkeypatch):
+    # negative control: x(n) = x(n - h) rotates every window, so no variant
+    # merges and each free prefix lands on a cycle of its own
+    original = neurec.verify.cons.build_z
+
+    def rotation(params, d):
+        z = original(params, d)
+        return RecurrenceSystem(z.memory, (0,) * (z.memory - 1) + (1,), 1, z.init)
+
+    monkeypatch.setattr("neurec.verify.cons.build_z", rotation)
+    res = check_basin(6, 0)
+    assert res.passed is False
+    assert res.detail["mismatched_variants"] == [1, 2, 3]
+
+
+def test_basin_fallback_search_agrees_with_the_merge(proof_calls, monkeypatch):
+    # a merge step that never merges leaves every variant to the blind search
+    cases = [((6, 0), {}), ((11, 1), {"seed": 3})]
+    merged = [check_basin(*args, **kw) for args, kw in cases]
+    monkeypatch.setattr("neurec.verify.advance_word", lambda cs, word, steps: object())
+    for (args, kw), expected in zip(cases, merged):
+        proof_calls.clear()
+        res = check_basin(*args, **kw)
+        assert res.passed
+        assert res == expected
+        # the reference proof, then one search per variant
+        assert len(proof_calls) == 1 + res.detail["variants_checked"]
+
+
 def test_basin_hypothesis_unmet():
     # m=18 has min beta = 2 with rho = 5, so d = 2 breaks the hypothesis
     p = window_params(18)
@@ -222,6 +252,10 @@ def test_grid_skips_infeasible_scales():
     # m=21 w-cycles: d=0 exceeds the cutoff, later steps shrink back in
     ds = [kw["d"] for kw in runnable("w_cycle", 21)]
     assert 0 not in ds and ds != []
+    # basin runs exactly the z(d) proofs of z_summary that lie on its grid
+    for m in (16, 21, 26):
+        grid = [kw for kw, _ in claim_grid("basin", m)]
+        assert runnable("basin", m) == [kw for kw in runnable("z_summary", m) if kw in grid]
     # desk scales keep everything
     assert runnable("y_cycle", 6) == [{}]
     assert [kw["d"] for kw in runnable("phases", 6)] == [0, 1]
@@ -340,6 +374,21 @@ def test_long_tier_chain_selection_proves_five_orbits(proof_calls):
         ("chain", True),
     ]
     assert len(proof_calls) == 5
+
+
+def test_basin_shares_the_z_summary_proofs(proof_calls):
+    results = run_claims(ms=(6, 11), claims=["z_summary", "basin"])
+    assert [r.claim for r in results] == ["z_summary"] * 5 + ["basin"] * 5
+    assert all(r.passed for r in results)
+    assert len(proof_calls) == 5
+
+
+@pytest.mark.long
+def test_long_tier_basin_proves_no_orbit_of_its_own(proof_calls):
+    results = run_claims(ms=(16,), claims=["z_summary", "basin"])
+    expected = [("z_summary", True)] * 4 + [("basin", True)] * 4
+    assert [(r.claim, r.passed) for r in results] == expected
+    assert len(proof_calls) == 4
 
 
 # --- the shared entry point --------------------------------------------------

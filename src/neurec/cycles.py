@@ -4,13 +4,7 @@ The state sequence is S_0, S_1, ... where S_n is the window after n slides
 (S_0 is the init itself) and the dynamics are deterministic, so it is
 eventually periodic with a unique minimal transient T and period P.
 
-detect_cycle finds (T, P) with a constant-memory search: a teleporting
-anchor pass recovers the exact minimal period, then two offset pointers
-recover the transient.  Every detection is certified afterwards by the same
-probe set verify_predicted uses, so a reported pair is never an artifact of
-the search itself.
-
-verify_predicted confirms a theoretically predicted pair in one forward pass
+verify_predicted proves a theoretically predicted pair in one forward pass
 of exactly T + P steps, checking
 
     S_{T+P}    == S_T         (P is a period at T)
@@ -18,11 +12,18 @@ of exactly T + P steps, checking
     S_{T-1+P}  != S_{T-1}     when T > 0            (T is minimal)
 
 which suffices: on a deterministic orbit any period is a multiple of the
-minimal one, so a smaller period would survive into some P/q probe.
+minimal one, so a smaller period would survive into some P/q probe.  A
+refuted pair raises PredictionFailed naming the first violated probe.
 
-Both routes report the window S_T the probe pass snapshots as the
-certified entry_window, so a caller that needs the attractor starts from
-it instead of walking the transient again.
+detect_cycle measures (T, P) blind, taking no prediction, with a
+constant-memory search: a teleporting anchor pass recovers the exact
+minimal period, then two offset pointers recover the transient.  The
+measured pair is then certified by the same probe pass, so it is never an
+artifact of the search itself.
+
+Both report the window S_T the probe pass snapshots as the certified
+entry_window, so a caller that needs the attractor starts from it instead
+of walking the transient again.
 """
 
 from __future__ import annotations
@@ -38,27 +39,17 @@ __all__ = ["CycleReport", "detect_cycle", "verify_predicted", "prime_factors"]
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Outcome of one cycle measurement or verification.
+    """A certified minimal (transient, period) of one orbit.
 
-    entry_window is the window S_T at the measured transient: the first
-    window of the attractor, certified by the probe pass.
+    entry_window is the window S_T at the transient: the first window of
+    the attractor, certified by the probe pass.  steps_executed counts the
+    slides taken, probe pass included.
     """
 
     measured_transient: int
     measured_period: int
     entry_window: int
-    predicted_transient: int | None = None
-    predicted_period: int | None = None
-    transient_match: bool | None = None
-    period_match: bool | None = None
-    steps_executed: int = 0
-
-    @property
-    def matches(self) -> bool | None:
-        """Both match flags, or None when no prediction was supplied."""
-        if self.transient_match is None or self.period_match is None:
-            return None
-        return self.transient_match and self.period_match
+    steps_executed: int
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -118,17 +109,14 @@ def _probe_pass(cs: CompiledSystem, word0: int, transient: int, period: int) -> 
     return n, snap[transient]
 
 
-def detect_cycle(
-    cs: CompiledSystem,
-    init: Sequence[int],
-    step_budget: int,
-    predicted: tuple[int, int] | None = None,
-) -> CycleReport:
-    """Measure the minimal (transient, period) of the orbit from init.
+def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> CycleReport:
+    """Measure the minimal (transient, period) of the orbit from init, blind.
 
-    Raises BudgetExceeded if the anchor search has not met a repeat within
-    step_budget slides.  The measured pair is always re-proved by the probe
-    pass, so a buggy search cannot return quietly.
+    It takes no prediction: a caller that has one compares the measured
+    pair itself, or proves it in fewer steps with verify_predicted.  Raises
+    BudgetExceeded if the search has not met a repeat within step_budget
+    slides.  The measured pair is always
+    re-proved by the probe pass, so a buggy search cannot return quietly.
     """
     word0 = _check_init(cs, init)
 
@@ -166,17 +154,7 @@ def detect_cycle(
     probe_steps, entry = _probe_pass(cs, word0, mu, lam)
     steps += probe_steps
 
-    t_pred, p_pred = predicted if predicted is not None else (None, None)
-    return CycleReport(
-        measured_transient=mu,
-        measured_period=lam,
-        entry_window=entry,
-        predicted_transient=t_pred,
-        predicted_period=p_pred,
-        transient_match=None if predicted is None else mu == t_pred,
-        period_match=None if predicted is None else lam == p_pred,
-        steps_executed=steps,
-    )
+    return CycleReport(mu, lam, entry, steps)
 
 
 def verify_predicted(
@@ -196,13 +174,4 @@ def verify_predicted(
         )
     word0 = _check_init(cs, init)
     steps, entry = _probe_pass(cs, word0, predicted_transient, predicted_period)
-    return CycleReport(
-        measured_transient=predicted_transient,
-        measured_period=predicted_period,
-        entry_window=entry,
-        predicted_transient=predicted_transient,
-        predicted_period=predicted_period,
-        transient_match=True,
-        period_match=True,
-        steps_executed=steps,
-    )
+    return CycleReport(predicted_transient, predicted_period, entry, steps)

@@ -11,14 +11,18 @@ loops over the table, on each claim's whole grid or on requested
 bifurcation steps.  It is the one entry point of the test suite and of the
 CLI's verify, chain and basin modes, so no other module knows a claim's
 grid, cutoff or knobs.  attempt is the one place where an instance is
-decided: skipped past its cutoff, failing on a failed search (BudgetExceeded)
-or a refuted prediction (PredictionFailed), or whatever its check returns.
+decided: skipped past its cutoff, failing on a proof or search past its
+budget (BudgetExceeded) or a refuted prediction (PredictionFailed), or
+whatever its check returns.
 
 Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
-period) pairs; measurement is routed through detect_cycle for desk-sized
-orbits and verify_predicted (one certified pass) for the large ones.
+period) pairs.  measure_cycle certifies every predicted pair: it measures
+desk-sized orbits blind with detect_cycle and proves larger ones with
+verify_predicted in one pass of T + P slides, and on either route a wrong
+prediction raises PredictionFailed from verify_predicted's probes, so it
+never comes back as a verdict.
 Cutoffs below bound the work per claim instance.  Each grid lists every
 structurally valid instance, and the table states each claim's predicted
 work and cutoff; skip_detail compares the two, and an instance past its
@@ -26,8 +30,8 @@ cutoff is reported as skipped (passed None) rather than attempted and
 aborted.
 
 A run proves each distinct orbit once.  While run_claims runs, measure_cycle
-remembers every completed proof under its compiled system, init, prediction
-and budget, so the chain reuses the proofs of y_cycle and z_summary, and a
+remembers every completed proof under its compiled system, init and
+prediction, so the chain reuses the proofs of y_cycle and z_summary, and a
 detail's steps is the cost of that one proof.  The memo is dropped when
 run_claims returns.  A certified proof also
 reports its entry window S_T, so v_fixed's and the chain's all-zero
@@ -40,6 +44,7 @@ provably has the same attractor, and only one that does not is searched.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -74,7 +79,7 @@ TRACE_CUTOFF = 2_000_000       # longest trace a phase comparison may record
 BASIN_VARIANTS = 8             # free-prefix variants check_basin checks at most
 
 # Completed proofs of the current run_claims call, keyed by (compiled system,
-# init, predicted, budget); None outside run_claims.
+# init, predicted); None outside run_claims.
 _proofs: dict | None = None
 
 @dataclass
@@ -122,33 +127,40 @@ def measure_cycle(
     system: RecurrenceSystem,
     predicted: tuple[int, int],
     budget: int | None = None,
-) -> tuple[CycleReport, str]:
-    """Measure or certify a system's (T, P) against a prediction.
+) -> CycleReport:
+    """Certify a system's predicted (T, P) as its minimal pair.
 
-    Small orbits are searched blind with detect_cycle; orbits past
-    DETECT_CUTOFF are instead proved in one pass with verify_predicted.
-    An explicit budget forces the search route.
+    Orbits up to DETECT_CUTOFF are measured blind with detect_cycle; larger
+    ones are proved with verify_predicted in exactly T + P slides.  On
+    either route a refuted prediction (a search that disagrees or runs out
+    of its default budget) goes to verify_predicted, which raises
+    PredictionFailed naming the first probe it fails, so a returned report
+    always equals the prediction.  A budget caps the proof: when T + P
+    exceeds it, BudgetExceeded is raised before any step is taken.
 
     Inside run_claims a completed proof is remembered for the rest of that
-    call, keyed by the compiled system, init, prediction and budget, and a
-    repeated request returns the same report and route without walking the
-    orbit again.  A failed proof raises as usual and is not remembered;
-    outside run_claims every call proves afresh.
+    call, keyed by the compiled system, init and prediction, and a repeated
+    request returns the same report without walking the orbit again.  A
+    failed proof raises as usual and is not remembered; outside run_claims
+    every call proves afresh.
     """
+    t_pred, p_pred = predicted
+    if budget is not None and t_pred + p_pred > budget:
+        raise BudgetExceeded(0, budget)
     cs = compile_system(system)
     proofs = _proofs
-    key = (cs, tuple(system.init), predicted, budget)
+    key = (cs, tuple(system.init), predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
-    t_pred, p_pred = predicted
-    if budget is None and t_pred + p_pred > DETECT_CUTOFF:
-        proof = verify_predicted(cs, system.init, t_pred, p_pred), "verify_predicted"
-    else:
-        b = budget if budget is not None else _default_budget(t_pred, p_pred, system.memory)
-        proof = detect_cycle(cs, system.init, b, predicted=predicted), "detect"
+    rep = None
+    if t_pred + p_pred <= DETECT_CUTOFF:
+        with suppress(BudgetExceeded):  # the prediction understates the orbit
+            rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
+    if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
+        rep = verify_predicted(cs, system.init, t_pred, p_pred)
     if proofs is not None:
-        proofs[key] = proof
-    return proof
+        proofs[key] = rep
+    return rep
 
 
 def _frac(x) -> str:
@@ -156,13 +168,12 @@ def _frac(x) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _report_dict(rep: CycleReport, route: str) -> dict:
+def _report_dict(rep: CycleReport, predicted: tuple[int, int]) -> dict:
     return {
         "T": rep.measured_transient,
         "P": rep.measured_period,
-        "T_pred": rep.predicted_transient,
-        "P_pred": rep.predicted_period,
-        "route": route,
+        "T_pred": predicted[0],
+        "P_pred": predicted[1],
         "steps": rep.steps_executed,
     }
 
@@ -299,7 +310,7 @@ def _run_x_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     for i in range(params.rho):
         system = cons.single_system(params, i)
         pred = predicted_cycle(params, "x", i)
-        rep, route = measure_cycle(system, pred, budget)
+        rep = measure_cycle(system, pred, budget)
         cs = compile_system(system)
         horizon = params.k + 2 * params.primes[i]
         trace = run(cs, system.init, horizon - params.k)
@@ -307,9 +318,8 @@ def _run_x_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
             (t for t in range(len(trace)) if trace[t] != cons.x_closed_form(params, i, t)),
             None,
         )
-        lane_ok = bool(rep.matches) and mismatch is None
-        ok = ok and lane_ok
-        per_lane[str(i)] = _report_dict(rep, route) | {"closed_form_mismatch_at": mismatch}
+        ok = ok and mismatch is None
+        per_lane[str(i)] = _report_dict(rep, pred) | {"closed_form_mismatch_at": mismatch}
     return ClaimResult("x_cycle", {"m": m}, ok, {"per_lane": per_lane})
 
 
@@ -321,7 +331,7 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     for i in range(params.rho):
         system = cons.destabilized_system(params, i)
         pred = predicted_cycle(params, "v", i)
-        rep, route = measure_cycle(system, pred, budget)
+        rep = measure_cycle(system, pred, budget)
         cs = compile_system(system)
         attractor_zero = rep.entry_window == 0
         trace = run(cs, system.init, k + 1)
@@ -332,9 +342,8 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         ceiling = cs.scaled_threshold - 2 * cs.denominator
         orbit = walk(cs, word_from_bits(system.init))
         margin_ok = all(s <= ceiling for _, s in islice(orbit, k + 1))
-        lane_ok = bool(rep.matches) and attractor_zero and late_one is None and margin_ok
-        ok = ok and lane_ok
-        per_lane[str(i)] = _report_dict(rep, route) | {
+        ok = ok and attractor_zero and late_one is None and margin_ok
+        per_lane[str(i)] = _report_dict(rep, pred) | {
             "attractor_all_zero": attractor_zero,
             "first_late_one": late_one,
             "sum_margin_ok": margin_ok,
@@ -426,8 +435,8 @@ def _run_y_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     params = window_params(m)
     system = cons.build_y(params)
     pred = predicted_cycle(params, "y")
-    rep, route = measure_cycle(system, pred, budget)
-    return ClaimResult("y_cycle", {"m": m}, bool(rep.matches), _report_dict(rep, route))
+    rep = measure_cycle(system, pred, budget)
+    return ClaimResult("y_cycle", {"m": m}, True, _report_dict(rep, pred))
 
 
 def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
@@ -453,23 +462,23 @@ def _run_w_cycle(m: int, d: int, budget: int | None = None, **_: object) -> Clai
     params = window_params(m)
     system = cons.build_w(params, d)
     pred = predicted_cycle(params, "w", d)
-    rep, route = measure_cycle(system, pred, budget)
-    return ClaimResult("w_cycle", {"m": m, "d": d}, bool(rep.matches), _report_dict(rep, route))
+    rep = measure_cycle(system, pred, budget)
+    return ClaimResult("w_cycle", {"m": m, "d": d}, True, _report_dict(rep, pred))
 
 
 def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> ClaimResult:
     params = window_params(m)
     system = cons.build_z(params, d)
     pred = predicted_cycle(params, "z", d)
-    rep, route = measure_cycle(system, pred, budget)
+    rep = measure_cycle(system, pred, budget)
     plan = cons.perturbation_plan(params, d)
-    detail = _report_dict(rep, route) | {
+    detail = _report_dict(rep, pred) | {
         "tot": plan.tot,
         "beta_d": _frac(plan.beta_d),
         "xi_d": _frac(plan.xi_d),
         "theta2": _frac(plan.theta2),
     }
-    return ClaimResult("z_summary", {"m": m, "d": d}, bool(rep.matches), detail)
+    return ClaimResult("z_summary", {"m": m, "d": d}, True, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +560,16 @@ def check_phases(m: int, d: int) -> ClaimResult:
 def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     """Measure the full period chain y, z(.,0), ..., z(.,rho-1).
 
-    Passes when every period matches its formula, each period divides its
+    Every member's (T, P) is proved against its formula (a refuted one
+    raises PredictionFailed).  Passes when each period divides its
     predecessor, the final period is 1, and the final attractor is the
     all-zero window: the last member's certified entry window is 0.
     """
     params = window_params(m)
     rho = params.rho
-    y_sys = cons.build_y(params)
-    y_rep, y_route = measure_cycle(y_sys, predicted_cycle(params, "y"), budget)
-    steps_detail = {"y": _report_dict(y_rep, y_route)}
-    ok = bool(y_rep.matches)
+    y_pred = predicted_cycle(params, "y")
+    y_rep = measure_cycle(cons.build_y(params), y_pred, budget)
+    steps_detail = {"y": _report_dict(y_rep, y_pred)}
 
     plans = [cons.perturbation_plan(params, d) for d in range(rho)]
     systems = [cons.build_z(params, 0)]
@@ -569,15 +578,15 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
 
     periods = [y_rep.measured_period]
     for d, system in enumerate(systems):
-        rep, route = measure_cycle(system, predicted_cycle(params, "z", d), budget)
-        steps_detail[f"z{d}"] = _report_dict(rep, route)
-        ok = ok and bool(rep.matches)
+        pred = predicted_cycle(params, "z", d)
+        rep = measure_cycle(system, pred, budget)
+        steps_detail[f"z{d}"] = _report_dict(rep, pred)
         periods.append(rep.measured_period)
 
     divides = all(periods[i] % periods[i + 1] == 0 for i in range(len(periods) - 1))
     ends_at_one = periods[-1] == 1
     attractor_zero = rep.entry_window == 0
-    ok = ok and divides and ends_at_one and attractor_zero
+    ok = divides and ends_at_one and attractor_zero
 
     detail = {
         "periods": periods,
@@ -611,7 +620,7 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
 
     system = cons.build_z(params, d)
     pred = predicted_cycle(params, "z", d)
-    ref_rep, route = measure_cycle(system, pred, budget)
+    ref_rep = measure_cycle(system, pred, budget)
     period = ref_rep.measured_period
     cs = compile_system(system)
     merged = advance_word(cs, word_from_bits(system.init), n_free)
@@ -644,10 +653,10 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
         "variants_checked": len(chosen),
         "mode": mode,
         "attractor_size": period,
-        "reference": _report_dict(ref_rep, route),
+        "reference": _report_dict(ref_rep, pred),
         "mismatched_variants": bad,
     }
-    return ClaimResult("basin", {"m": m, "d": d}, bool(ref_rep.matches) and not bad, detail)
+    return ClaimResult("basin", {"m": m, "d": d}, not bad, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +842,7 @@ def attempt(
 
     With a skip detail the result is skipped (passed None) and check is not
     called.  Otherwise it is check(*args, **kwargs), or a failing result
-    when the search ran out of budget or the prediction was refuted.
+    when a proof or search ran past its budget or a prediction was refuted.
     """
     if skip is not None:
         return ClaimResult(claim, ident, None, skip)

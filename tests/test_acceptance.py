@@ -77,7 +77,7 @@ def test_criterion_01_m6_cycle_table(criterion):
         assert len(jobs) == 9
         for system, (fam, idx), want in jobs:
             assert predicted_cycle(p, fam, idx) == want, system.label
-            rep, _ = measure_cycle(system, want)
+            rep = measure_cycle(system, want)
             got = (rep.measured_transient, rep.measured_period)
             assert got == want, (system.label, got, want)
         assert time.perf_counter() - t0 < 1.0
@@ -90,16 +90,16 @@ def test_criterion_02_m11_cycle_table(criterion):
         assert p.primes == (31, 29, 23)
         for i, prime in enumerate(p.primes):
             s = single_system(p, i)
-            rep, _ = measure_cycle(s, (0, prime))
+            rep = measure_cycle(s, (0, prime))
             assert (rep.measured_transient, rep.measured_period) == (0, prime)
         y = build_y(p)
-        rep, _ = measure_cycle(y, (0, 62031))
+        rep = measure_cycle(y, (0, 62031))
         assert (rep.measured_transient, rep.measured_period) == (0, 62031)
         expected = {0: (583, 2001), 1: (3194, 69), 2: (62547, 1)}
         for d, want in expected.items():
             z = build_z(p, d)
             assert predicted_cycle(p, "z", d) == want
-            rep, _ = measure_cycle(z, want)
+            rep = measure_cycle(z, want)
             assert (rep.measured_transient, rep.measured_period) == want, d
         assert time.perf_counter() - t0 < 30.0
 
@@ -203,9 +203,7 @@ def test_criterion_11_m16_full_cycle_proof(criterion):
         assert want_period == 12_263_428
         assert predicted_cycle(p, "y") == (0, want_period)
         y = build_y(p)
-        rep, route = measure_cycle(y, (0, want_period))
-        assert route == "verify_predicted"  # one pass with divisor probes
-        assert rep.matches is True
-        assert rep.measured_period == want_period
+        rep = measure_cycle(y, (0, want_period))  # one pass with divisor probes
+        assert (rep.measured_transient, rep.measured_period) == (0, want_period)
         assert rep.steps_executed == want_period  # T + P slides exactly
         assert time.perf_counter() - t0 < 300.0

@@ -2,7 +2,8 @@
 
 naive_cycle records every window it sees; the first repeat pins (T, P)
 with no cleverness at all.  detect_cycle must agree with it everywhere it
-is feasible to run.
+is feasible to run, and, searching blind, must find the formula-level
+(T, P) of every family member at the desk scales.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from neurec import (
     compile_system,
     destabilized_system,
     detect_cycle,
+    predicted_cycle,
     prime_factors,
     single_system,
     verify_predicted,
@@ -78,19 +80,27 @@ def test_detect_agrees_with_naive_on_m6_families():
         assert naive_cycle(cs, s.init) == (t_want, p_want), name
         rep = detect_cycle(cs, s.init, step_budget=50_000)
         assert (rep.measured_transient, rep.measured_period) == (t_want, p_want), name
-        assert rep.matches is None  # no prediction attached
 
 
-def test_detect_records_prediction_outcome():
-    p = window_params(6)
-    y = build_y(p)
-    cs = compile_system(y)
-    good = detect_cycle(cs, y.init, 50_000, predicted=(0, 442))
-    assert good.matches is True
-    assert good.transient_match and good.period_match
-    bad = detect_cycle(cs, y.init, 50_000, predicted=(1, 442))
-    assert bad.matches is False
-    assert bad.period_match and not bad.transient_match
+def family_members(p):
+    """(family, index, system) for every x, v, y, w(d) and z(d) at one scale."""
+    for i in range(p.rho):
+        yield "x", i, single_system(p, i)
+        yield "v", i, destabilized_system(p, i)
+    yield "y", None, build_y(p)
+    for d in range(p.rho):
+        yield "w", d, build_w(p, d)
+        yield "z", d, build_z(p, d)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_blind_search_finds_every_predicted_cycle(m):
+    # the claims certify the formulas; this measures each orbit with no prediction
+    p = window_params(m)
+    for family, index, s in family_members(p):
+        want = predicted_cycle(p, family, index)
+        rep = detect_cycle(compile_system(s), s.init, step_budget=6 * sum(want) + 4 * s.memory + 64)
+        assert (rep.measured_transient, rep.measured_period) == want, (family, index)
 
 
 def test_budget_exceeded():
@@ -106,12 +116,12 @@ def test_verify_predicted_accepts_true_pair():
     p = window_params(6)
     y = build_y(p)
     rep = verify_predicted(compile_system(y), y.init, 0, 442)
-    assert rep.matches is True
+    assert (rep.measured_transient, rep.measured_period) == (0, 442)
     assert rep.steps_executed == 442  # exactly T + P slides
 
     v = destabilized_system(p, 0)
     rep = verify_predicted(compile_system(v), v.init, 53, 1)
-    assert rep.matches is True
+    assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (53, 1, 0)
     assert rep.steps_executed == 54
 
 

@@ -1,14 +1,17 @@
 """Claim registry behavior: inventory, dispatch, grids, failure capture."""
 
 import dataclasses
+import json
 
 import pytest
 
 import neurec.verify
 from neurec import (
     ALL_CLAIMS,
+    BudgetExceeded,
     HypothesisUnmet,
     IndexOutOfRange,
+    PredictionFailed,
     RecurrenceSystem,
     check_basin,
     check_chain,
@@ -20,6 +23,7 @@ from neurec import (
     single_system,
     window_params,
 )
+from neurec.cli import main
 from neurec.verify import MEASURE_CUTOFF, claim_grid
 
 
@@ -91,12 +95,58 @@ def test_predicted_cycle_guards():
         predicted_cycle(p, "z", -1)
 
 
-def test_measure_cycle_detect_route():
+def test_measure_cycle_certifies_the_prediction(monkeypatch):
     p = window_params(6)
     s = single_system(p, 0)
-    rep, route = measure_cycle(s, predicted_cycle(p, "x", 0))
-    assert route == "detect"
-    assert rep.matches is True
+    rep = measure_cycle(s, predicted_cycle(p, "x", 0))
+    assert (rep.measured_transient, rep.measured_period) == (0, 17)
+    # a wrong pair raises from the probe it fails, whether the blind search
+    # disagrees with it or runs out of budget on it
+    for wrong, check in (((0, 34), "period_minimality"), ((1, 17), "transient_minimality")):
+        with pytest.raises(PredictionFailed) as exc:
+            measure_cycle(s, wrong)
+        assert exc.value.check == check
+    y = neurec.build_y(p)
+    with pytest.raises(PredictionFailed) as exc:
+        measure_cycle(y, (0, 10))  # true period 442
+    assert exc.value.check == "period"
+    # a budget caps the proof before it takes a step
+    with pytest.raises(BudgetExceeded) as exc:
+        measure_cycle(s, (0, 17), budget=16)
+    assert (exc.value.steps, exc.value.budget) == (0, 16)
+    assert measure_cycle(s, (0, 17), budget=17) == rep
+    # past DETECT_CUTOFF the proof is one pass of exactly T + P slides
+    monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
+    assert measure_cycle(s, (0, 17)) == dataclasses.replace(rep, steps_executed=17)
+    with pytest.raises(PredictionFailed):
+        measure_cycle(s, (1, 17))
+
+
+@pytest.fixture
+def z_transient_one_too_large(monkeypatch):
+    """Overstate every z(d) transient by one, in verify and in the CLI,
+    which binds its own copy of predicted_cycle."""
+    original = neurec.verify.predicted_cycle
+
+    def overstated(params, family, index=None):
+        t, p = original(params, family, index)
+        return (t + 1, p) if family == "z" else (t, p)
+
+    for module in ("neurec.verify", "neurec.cli"):
+        monkeypatch.setattr(f"{module}.predicted_cycle", overstated)
+
+
+def test_a_refuted_prediction_fails_in_one_place(z_transient_one_too_large, tmp_path):
+    results = run_claims(ms=(6,), claims=["z_summary", "chain", "basin"])
+    assert [r.claim for r in results] == ["z_summary"] * 2 + ["chain"] + ["basin"] * 2
+    for res in results:
+        assert res.passed is False
+        assert res.detail["error"] == "PredictionFailed", (res.claim, res.detail)
+        assert res.detail["check"] == "transient_minimality"
+    out = tmp_path / "cycle"
+    assert main(["--mode", "cycle", "--m", "6", "--system", "z", "--out", str(out)]) == 1
+    rows = json.loads((out / "report.json").read_text())["cycle_reports"]
+    assert [(row["match"], row["check"]) for row in rows] == [(False, "transient_minimality")] * 2
 
 
 # --- individual checks ------------------------------------------------------
@@ -132,7 +182,8 @@ def test_dynamic_checks_pass_m6():
     ]
     for res in results:
         assert res.passed, (res.claim, res.params, res.detail)
-        assert res.detail["route"] == "detect"
+        assert (res.detail["T"], res.detail["P"]) == (res.detail["T_pred"], res.detail["P_pred"])
+        assert "route" not in res.detail
 
 
 def test_z_summary_detail_shape():
@@ -199,7 +250,12 @@ def test_basin_rotation_reaches_other_attractors(monkeypatch):
         z = original(params, d)
         return RecurrenceSystem(z.memory, (0,) * (z.memory - 1) + (1,), 1, z.init)
 
+    def rotation_cycle(params, family, index=None):
+        # the reference is proved: its true (T, P) is the rotation's, (0, h)
+        return (0, params.h) if family == "z" else predicted_cycle(params, family, index)
+
     monkeypatch.setattr("neurec.verify.cons.build_z", rotation)
+    monkeypatch.setattr("neurec.verify.predicted_cycle", rotation_cycle)
     res = check_basin(6, 0)
     assert res.passed is False
     assert res.detail["mismatched_variants"] == [1, 2, 3]

@@ -35,7 +35,14 @@ from .construction import (
     x_closed_form,
     y_closed_form,
 )
-from .cycles import CycleReport, detect_cycle, prime_factors, verify_predicted
+from .cycles import (
+    CycleReport,
+    detect_cycle,
+    lane_count,
+    prime_factors,
+    verify_lanes,
+    verify_predicted,
+)
 from .engine import (
     CompiledSystem,
     advance_word,

@@ -42,14 +42,13 @@ from .errors import NeurecError, RhoTooSmall
 from .numtheory import WindowParams, window_params
 from .verify import (
     ALL_CLAIMS,
-    MEASURE_CUTOFF,
     ClaimResult,
     _frac,
     attempt,
     measure_cycle,
     predicted_cycle,
+    proof_skip,
     run_claims,
-    skip_detail,
 )
 
 MODES = ("construct", "simulate", "cycle", "verify", "chain", "basin")
@@ -228,7 +227,7 @@ def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
     rows = []
     for fam, idx, system in _family_members(params, config):
         pred = predicted_cycle(params, fam, idx)
-        skip = skip_detail(sum(pred), MEASURE_CUTOFF)
+        skip = proof_skip(params, fam, idx)
         res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget)
         rows.append(
             {

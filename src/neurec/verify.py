@@ -19,10 +19,13 @@ Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
 period) pairs.  measure_cycle certifies every predicted pair: it measures
-desk-sized orbits blind with detect_cycle and proves larger ones with
-verify_predicted in one pass of T + P slides, and on either route a wrong
-prediction raises PredictionFailed from verify_predicted's probes, so it
-never comes back as a verdict.
+desk-sized orbits blind with detect_cycle and proves larger ones either on
+their decimated lanes with verify_lanes (y and every w(d), whose taps all
+sit on multiples of rho) or with verify_predicted in one pass of T + P
+slides.  On every route a wrong prediction raises PredictionFailed from
+the one probe rule in cycles, so it never comes back as a verdict.
+proof_work prices each proof the way it will run, a lane proof at its
+lanes' T + P, for the claim table and the CLI's cycle mode alike.
 Cutoffs below bound the work per claim instance.  Each grid lists every
 structurally valid instance, and the table states each claim's predicted
 work and cutoff; skip_detail compares the two, and an instance past its
@@ -53,7 +56,7 @@ from typing import Callable, Sequence
 
 from . import construction as cons
 from .construction import RecurrenceSystem
-from .cycles import CycleReport, detect_cycle, verify_predicted
+from .cycles import CycleReport, detect_cycle, lane_count, verify_lanes, verify_predicted
 from .engine import advance_word, compile_system, run, walk, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed, RhoTooSmall
 from .numtheory import WindowParams, cycle_lengths, window_params
@@ -63,6 +66,8 @@ __all__ = [
     "ClaimResult",
     "predicted_cycle",
     "measure_cycle",
+    "proof_work",
+    "proof_skip",
     "check_phases",
     "check_chain",
     "check_basin",
@@ -130,13 +135,15 @@ def measure_cycle(
 ) -> CycleReport:
     """Certify a system's predicted (T, P) as its minimal pair.
 
-    Orbits up to DETECT_CUTOFF are measured blind with detect_cycle; larger
-    ones are proved with verify_predicted in exactly T + P slides.  On
-    either route a refuted prediction (a search that disagrees or runs out
-    of its default budget) goes to verify_predicted, which raises
-    PredictionFailed naming the first probe it fails, so a returned report
-    always equals the prediction.  A budget caps the proof: when T + P
-    exceeds it, BudgetExceeded is raised before any step is taken.
+    Orbits up to DETECT_CUTOFF are measured blind with detect_cycle.  Larger
+    ones are proved on their decimated lanes with verify_lanes when the
+    system has more than one lane (y and every w(d)), and otherwise with
+    verify_predicted in exactly T + P slides.  A refuted prediction (a
+    search that disagrees or runs out of its default budget, or a failed
+    proof) raises PredictionFailed naming the first probe it fails, so a
+    returned report always equals the prediction.  A budget caps the
+    proof: when T + P exceeds it, BudgetExceeded is raised before any step
+    is taken.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call, keyed by the compiled system, init and prediction, and a repeated
@@ -156,8 +163,11 @@ def measure_cycle(
     if t_pred + p_pred <= DETECT_CUTOFF:
         with suppress(BudgetExceeded):  # the prediction understates the orbit
             rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
-    if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
-        rep = verify_predicted(cs, system.init, t_pred, p_pred)
+        if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
+            rep = verify_predicted(cs, system.init, t_pred, p_pred)
+    else:
+        prove = verify_lanes if lane_count(cs) > 1 else verify_predicted
+        rep = prove(cs, system.init, t_pred, p_pred)
     if proofs is not None:
         proofs[key] = rep
     return rep
@@ -718,15 +728,40 @@ def _basin_grid(params: WindowParams) -> list[dict]:
     return [{"d": d} for d in range(min(params.rho, min(params.beta_m)))]
 
 
+def proof_work(params: WindowParams, family: str, index: int | None = None) -> int:
+    """Predicted T + P of the orbits measure_cycle proves for a family member.
+
+    This is the one price of a proof, shared by the claim table and the
+    CLI's cycle mode.  It is the member's own T + P, except where
+    measure_cycle proves on decimated lanes: y and w(d) past DETECT_CUTOFF.
+    Their rho lanes are single units, x_i for every lane of y and for the
+    lanes i > d of w(d), v_i for the lanes i <= d, and such a proof is
+    priced at the lanes' predicted T + P summed.
+    """
+    work = sum(predicted_cycle(params, family, index))
+    if family not in ("y", "w") or work <= DETECT_CUTOFF:
+        return work
+    collapsed = index if family == "w" else -1
+    return sum(
+        sum(predicted_cycle(params, "v" if i <= collapsed else "x", i))
+        for i in range(params.rho)
+    )
+
+
+def proof_skip(params: WindowParams, family: str, index: int | None = None) -> dict | None:
+    """Skip detail of one family member's proof: its proof_work against MEASURE_CUTOFF."""
+    return skip_detail(proof_work(params, family, index), MEASURE_CUTOFF)
+
+
 def _proof_work(family: str) -> Callable[..., int]:
-    """Predicted T + P of the family member an instance proves."""
-    return lambda params, **kw: sum(predicted_cycle(params, family, kw.get("d")))
+    """proof_work of the family member an instance proves."""
+    return lambda params, **kw: proof_work(params, family, kw.get("d"))
 
 
 def _chain_work(params: WindowParams) -> int:
     """The largest member proof of the chain: y or one of the z(d)."""
     members = [("y", None)] + [("z", d) for d in range(params.rho)]
-    return max(sum(predicted_cycle(params, fam, d)) for fam, d in members)
+    return max(proof_work(params, fam, d) for fam, d in members)
 
 
 def _phases_work(params: WindowParams, d: int) -> int:

@@ -31,6 +31,7 @@ from neurec import (
     run,
     run_claims,
     single_system,
+    verify_predicted,
     window_params,
 )
 
@@ -203,7 +204,16 @@ def test_criterion_11_m16_full_cycle_proof(criterion):
         assert want_period == 12_263_428
         assert predicted_cycle(p, "y") == (0, want_period)
         y = build_y(p)
-        rep = measure_cycle(y, (0, want_period))  # one pass with divisor probes
-        assert (rep.measured_transient, rep.measured_period) == (0, want_period)
-        assert rep.steps_executed == want_period  # T + P slides exactly
+        # the simulation oracle: one pass with divisor probes
+        sim = verify_predicted(compile_system(y), y.init, 0, want_period)
+        assert (sim.measured_transient, sim.measured_period) == (0, want_period)
+        assert sim.steps_executed == want_period  # T + P slides exactly
         assert time.perf_counter() - t0 < 300.0
+        # the claims' route proves y on its decimated lanes, to the same report
+        rep = measure_cycle(y, (0, want_period))
+        assert rep.steps_executed < 10_000
+        assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (
+            sim.measured_transient,
+            sim.measured_period,
+            sim.entry_window,
+        )

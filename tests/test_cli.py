@@ -154,13 +154,24 @@ def test_cycle_mode_m6(tmp_path):
 
 
 def test_cycle_mode_skips_past_cutoff(tmp_path):
+    # z(4) at m = 21 has T + P = 1.9e9 and no lanes to prove it on
     out = tmp_path / "big"
-    code = main(["--mode", "cycle", "--m", "21", "--system", "y", "--out", str(out)])
+    code = main(["--mode", "cycle", "--m", "21", "--system", "z", "--d", "4", "--out", str(out)])
     assert code == 0  # a skip is not a failure
     report = read_report(out)
     (row,) = report["cycle_reports"]
     assert row["T_measured"] is None
     assert "cutoff" in row["note"]
+
+
+def test_cycle_mode_proves_y_at_m21_on_its_lanes(tmp_path):
+    out = tmp_path / "lanes"
+    code = main(["--mode", "cycle", "--m", "21", "--system", "y", "--out", str(out)])
+    assert code == 0
+    (row,) = read_report(out)["cycle_reports"]
+    assert (row["T_measured"], row["P_measured"]) == (0, 1_927_498_435)
+    assert row["match"] is True
+    assert row["steps"] < 10_000  # lane slides, not the 1.9e9 of a simulation
 
 
 def test_cycle_mode_budget_failure_exits_1(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -120,6 +121,29 @@ def test_measure_cycle_certifies_the_prediction(monkeypatch):
     assert measure_cycle(s, (0, 17)) == dataclasses.replace(rep, steps_executed=17)
     with pytest.raises(PredictionFailed):
         measure_cycle(s, (1, 17))
+
+
+def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
+    monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
+    p = window_params(11)
+    # y decimates into rho = 3 lanes: hundreds of lane slides, not T + P
+    y_pred = predicted_cycle(p, "y")
+    rep = measure_cycle(neurec.build_y(p), y_pred)
+    assert (rep.measured_transient, rep.measured_period) == y_pred
+    assert rep.steps_executed < sum(y_pred) // 100
+    # x_0 has one lane and is simulated
+    x_pred = predicted_cycle(p, "x", 0)
+    assert measure_cycle(single_system(p, 0), x_pred).steps_executed == sum(x_pred)
+
+
+@pytest.mark.long
+def test_long_tier_y_and_w_run_at_m21_and_m26():
+    start = time.perf_counter()
+    results = run_claims(ms=(21, 26), claims=["y_cycle", "w_cycle"])
+    assert [(r.claim, r.passed) for r in results] == (
+        [("y_cycle", True)] * 2 + [("w_cycle", True)] * 11
+    )
+    assert time.perf_counter() - start < 60.0  # simulating y alone takes hours
 
 
 @pytest.fixture
@@ -302,12 +326,15 @@ def test_composition_checks():
 
 
 def test_grid_skips_infeasible_scales():
-    # the full interleaved cycle at m=21 is ~1.9e9 states: never measured blind
-    assert runnable("y_cycle", 21) == []
+    # y and w(d) are priced at their lanes, so they run at m = 21 and 26
+    for m in (21, 26):
+        assert runnable("y_cycle", m) == [{}]
+        assert runnable("w_cycle", m) == [kw for kw, _ in claim_grid("w_cycle", m)]
+    # the chain's z(4) at m = 21 has T + P = 1.9e9 and no lanes
     assert runnable("chain", 21) == []
-    # m=21 w-cycles: d=0 exceeds the cutoff, later steps shrink back in
-    ds = [kw["d"] for kw in runnable("w_cycle", 21)]
-    assert 0 not in ds and ds != []
+    ((_, skip),) = claim_grid("chain", 21)
+    assert skip["work"] == sum(predicted_cycle(window_params(21), "z", 4))
+    assert [kw["d"] for kw in runnable("z_summary", 21)] == [1, 2]
     # basin runs exactly the z(d) proofs of z_summary that lie on its grid
     for m in (16, 21, 26):
         grid = [kw for kw, _ in claim_grid("basin", m)]
@@ -325,12 +352,14 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("a skipped instance was simulated")
 
-    for name in ("compile_system", "measure_cycle", "detect_cycle", "verify_predicted"):
+    provers = ("measure_cycle", "detect_cycle", "verify_predicted", "verify_lanes")
+    for name in ("compile_system", *provers):
         monkeypatch.setattr(f"neurec.verify.{name}", no_simulation)
-    results = run_claims(ms=(21,), claims=["y_cycle", "chain"])
+    results = run_claims(ms=(21,), claims=["chain"])
+    results += run_claims(ms=(21,), claims=["z_summary"], ds=[4])
     assert [(r.claim, r.params, r.passed) for r in results] == [
-        ("y_cycle", {"m": 21}, None),
         ("chain", {"m": 21}, None),
+        ("z_summary", {"m": 21, "d": 4}, None),
     ]
     for res in results:
         assert res.detail["skipped"] == "predicted work exceeds cutoff"
@@ -344,7 +373,7 @@ def test_run_claims_on_requested_steps():
         ({"m": 6, "d": 1}, True),
         ({"m": 6, "d": 0}, True),
     ]
-    (skipped,) = run_claims(ms=(21,), claims=["w_cycle"], ds=[0])
+    (skipped,) = run_claims(ms=(21,), claims=["z_summary"], ds=[4])
     assert skipped.passed is None and skipped.detail["work"] > skipped.detail["cutoff"]
     # a step off the grid, or a claim without steps, is a configuration error
     for m, claim, d in ((6, "w_cycle", 2), (18, "basin", 2), (6, "prop1", 0), (6, "divisor_rule", 0)):
@@ -367,9 +396,9 @@ def test_off_grid_step_at_a_later_scale_runs_nothing(monkeypatch):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every system detect_cycle or verify_predicted is asked to prove."""
+    """Every system detect_cycle, verify_predicted or verify_lanes is asked to prove."""
     calls = []
-    for name in ("detect_cycle", "verify_predicted"):
+    for name in ("detect_cycle", "verify_predicted", "verify_lanes"):
         original = getattr(neurec.verify, name)
 
         def counted(cs, init, *args, _original=original, **kwargs):

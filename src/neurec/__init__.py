@@ -37,9 +37,11 @@ from .construction import (
 )
 from .cycles import (
     CycleReport,
+    Handoff,
     detect_cycle,
     lane_count,
     prime_factors,
+    verify_handoff,
     verify_lanes,
     verify_predicted,
 )
@@ -75,6 +77,7 @@ from .verify import (
     measure_cycle,
     predicted_cycle,
     run_claims,
+    z_handoff,
 )
 
 __version__ = "0.1.0"

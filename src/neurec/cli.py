@@ -30,13 +30,15 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from . import construction as cons
 from .construction import RecurrenceSystem
+from .cycles import Handoff
 from .engine import compile_system, run
 from .errors import NeurecError, RhoTooSmall
 from .numtheory import WindowParams, window_params
@@ -49,6 +51,7 @@ from .verify import (
     predicted_cycle,
     proof_skip,
     run_claims,
+    z_handoff,
 )
 
 MODES = ("construct", "simulate", "cycle", "verify", "chain", "basin")
@@ -212,9 +215,12 @@ def _family_members(
 
 
 def _measured_row(
-    system: RecurrenceSystem, pred: tuple[int, int], budget: int | None
+    system: RecurrenceSystem,
+    pred: tuple[int, int],
+    budget: int | None,
+    handoff: Callable[[], Handoff] | None,
 ) -> ClaimResult:
-    rep = measure_cycle(system, pred, budget)
+    rep = measure_cycle(system, pred, budget, handoff)
     detail = {
         "T_measured": rep.measured_transient,
         "P_measured": rep.measured_period,
@@ -228,7 +234,8 @@ def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
     for fam, idx, system in _family_members(params, config):
         pred = predicted_cycle(params, fam, idx)
         skip = proof_skip(params, fam, idx)
-        res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget)
+        handoff = partial(z_handoff, params, idx) if fam == "z" else None
+        res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget, handoff)
         rows.append(
             {
                 "system": system.label,
@@ -429,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="step cap: a proof whose predicted T+P exceeds it fails unrun; "
-        "also the budget of basin's blind search (default: no cap)",
+        "also the budget of basin's blind search (default: no cap on proofs, "
+        "MEASURE_CUTOFF on basin's search)",
     )
     parser.add_argument(
         "--claims",

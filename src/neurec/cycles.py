@@ -22,6 +22,18 @@ S_n is the exact interleave of the r lane windows at lane time
 ceil((n - i) / r), each read off a lane orbit that detect_cycle certified.
 A proof then costs lane slides, not T + P.
 
+verify_handoff reads them from a Handoff certificate for a system that
+starts on one laned orbit (head) and ends on another (tail), as z(d) starts
+on y's orbit and ends on w(d)'s.  Branch and bound over head's lane phases,
+with the Chinese remainder theorem, finds the first time the system's own
+rule disagrees with head's; explicit steps from there must reach tail's
+init at the handoff time; and the same search over tail's lane phases must
+find no disagreement on tail's orbit.  S_n is then head's window before the
+disagreement, an explicit step before the handoff, and tail's window at
+n - at after it.  A proof costs lane slides, a few explicit steps and
+search nodes; when the certificate cannot close, the windows are
+simulated.
+
 detect_cycle measures (T, P) blind, taking no prediction, with a
 constant-memory search: a teleporting anchor pass recovers the exact
 minimal period, then two offset pointers recover the transient.  The
@@ -36,8 +48,9 @@ transient again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Callable, Sequence
+from itertools import product
+from math import gcd, lcm, prod
+from typing import Callable, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
 from .engine import CompiledSystem, advance_word, compile_system, walk, word_from_bits
@@ -48,6 +61,8 @@ __all__ = [
     "detect_cycle",
     "verify_predicted",
     "verify_lanes",
+    "verify_handoff",
+    "Handoff",
     "lane_count",
     "prime_factors",
 ]
@@ -60,7 +75,8 @@ class CycleReport:
     entry_window is the window S_T at the transient: the first window of
     the attractor, certified by the probes.  steps_executed counts the
     slides taken, probes included; on the lane route (verify_lanes) they
-    are lane slides, searches and reads together.
+    are lane slides, searches and reads together, and on the handoff route
+    (verify_handoff) lane slides, explicit steps and search nodes.
     """
 
     measured_transient: int
@@ -138,51 +154,286 @@ def _lane_system(cs: CompiledSystem, r: int) -> CompiledSystem:
     return compile_system(lane)
 
 
-def _laned(cs: CompiledSystem, init: Sequence[int], r: int, budget: int) -> Reader:
-    """Read S_n exactly from the r decimated lanes of the system.
+class _Lanes(NamedTuple):
+    """The decimated lanes of one orbit, each lane orbit certified.
 
-    Lane i is the trace at times i, i + r, i + 2r, ..., with init init[i::r].
-    Each lane orbit is certified with detect_cycle, and S_n
-    interleaves lane i's window at lane time ceil((n - i) / r), read off
-    its certified orbit, so a read costs at most one lane transient or
-    period per lane.  The lane searches together may take at most budget
-    slides; past it the reader simulates the full system instead, and its
-    slide count includes the searches.
+    cs is the lane recurrence; orbits[i] is lane i's init word and its
+    detect_cycle report.
     """
+
+    cs: CompiledSystem
+    orbits: tuple[tuple[int, CycleReport], ...]
+
+    def read(self, n: int) -> tuple[int, int]:
+        """S_n and the lane slides taken to read it.
+
+        S_n interleaves lane i's window at lane time ceil((n - i) / r), read
+        off its certified orbit, so a read costs at most one lane transient
+        or period per lane.
+        """
+        r = len(self.orbits)
+        memory = self.cs.memory
+        buf = bytearray(r * memory)
+        slides = 0
+        for i, (word0, rep) in enumerate(self.orbits):
+            s = -((i - n) // r)  # ceil((n - i) / r)
+            t, p = rep.measured_transient, rep.measured_period
+            if s < t:
+                word, steps = word0, s
+            else:
+                word, steps = rep.entry_window, (s - t) % p
+            slides += steps
+            word = advance_word(self.cs, word, steps)
+            buf[(i - n) % r :: r] = format(word, f"0{memory}b").encode()
+        return int(buf, 2), slides
+
+
+def _certify_lanes(
+    cs: CompiledSystem, init: Sequence[int], budget: int
+) -> tuple[_Lanes | None, int]:
+    """Certify each of the lane_count(cs) lanes with detect_cycle.
+
+    Lane i is the trace at times i, i + r, i + 2r, ..., with init
+    init[i::r].  Returns the lanes, or None when the searches together would
+    take more than budget slides, and the slides the searches took.
+    """
+    r = lane_count(cs)
     lane_cs = _lane_system(cs, r)
-    memory = lane_cs.memory
-    lanes = []
+    orbits = []
     spent = 0
     for i in range(r):
         lane_init = init[i::r]
         try:
             rep = detect_cycle(lane_cs, lane_init, budget - spent)
         except BudgetExceeded as exc:
-            return _simulated(cs, word_from_bits(init), spent + exc.steps)
+            return None, spent + exc.steps
         spent += rep.steps_executed
         if spent > budget:
-            return _simulated(cs, word_from_bits(init), spent)
-        lanes.append((word_from_bits(lane_init), rep))
+            return None, spent
+        orbits.append((word_from_bits(lane_init), rep))
+    return _Lanes(lane_cs, tuple(orbits)), spent
+
+
+def _laned(cs: CompiledSystem, init: Sequence[int], budget: int) -> Reader:
+    """Read S_n exactly from the decimated lanes of the system.
+
+    The lane searches together may take at most budget slides; past it the
+    reader simulates the full system instead, and its slide count includes
+    the searches.
+    """
+    lanes, spent = _certify_lanes(cs, init, budget)
+    if lanes is None:
+        return _simulated(cs, word_from_bits(init), spent)
 
     def read(times: Sequence[int]) -> tuple[list[int], int]:
         windows = []
         slides = spent
         for n in times:
-            buf = bytearray(cs.memory)
-            for i, (word0, rep) in enumerate(lanes):
-                s = -((i - n) // r)  # ceil((n - i) / r)
-                t, p = rep.measured_transient, rep.measured_period
-                if s < t:
-                    word, steps = word0, s
-                else:
-                    word, steps = rep.entry_window, (s - t) % p
-                slides += steps
-                word = advance_word(lane_cs, word, steps)
-                buf[(i - n) % r :: r] = format(word, f"0{memory}b").encode()
-            windows.append(int(buf, 2))
+            word, steps = lanes.read(n)
+            windows.append(word)
+            slides += steps
         return windows, slides
 
     return read
+
+
+class Handoff(NamedTuple):
+    """The orbit a system is claimed to follow: head's, then tail's.
+
+    The system starts from head's init and runs head's orbit until its own
+    rule first disagrees with head's; from time at on, its window S_n is
+    tail's window at n - at.  head and tail each decimate into lanes (see
+    lane_count).
+    """
+
+    head: RecurrenceSystem
+    tail: RecurrenceSystem
+    at: int
+
+
+def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
+    """The x mod M = prod(moduli) with x = residues[i] mod moduli[i], for
+    pairwise coprime moduli."""
+    x, mod = 0, 1
+    for a, p in zip(residues, moduli):
+        x += mod * ((a - x) * pow(mod, -1, p) % p)
+        mod *= p
+    return x, mod
+
+
+def _lane_terms(table: Sequence[int], masks: dict[int, int], shift: bool) -> list[int]:
+    """One lane's term of an affine sum at every lane phase x: the sum over
+    masks {weight: lane mask} on the lane window at phase x + shift."""
+    p = len(table)
+    return [
+        sum(w * (table[(x + shift) % p] & mask).bit_count() for w, mask in masks.items())
+        for x in range(p)
+    ]
+
+
+def _first_disagreement(
+    cs: CompiledSystem, ref: CompiledSystem, lanes: _Lanes, budget: int
+) -> tuple[int | None, int]:
+    """The first time n at which cs's rule, applied to the window S_n of
+    ref's orbit on lanes, disagrees with ref's next bit, or None when they
+    agree forever; and the steps taken.
+
+    Times before r * q0, where q0 is the longest lane transient, are stepped
+    explicitly.  From there on write n = r*Q + c.  S_n holds lane i's window
+    at lane time Q + [i < c], so cs's affine sum on S_n is a sum of one term
+    per lane, each a function of Q mod P_i, and ref's next bit is lane c's
+    newest bit at lane time Q + 1.  For each slot c and each value of that
+    bit, a branch and bound over boxes of lane phases, bounded by the sum of
+    each lane's least and greatest term, finds every box of phase tuples on
+    which cs's bit differs; the lane periods are pairwise coprime, so the
+    Chinese remainder theorem maps each tuple to one Q mod prod(P_i).
+    steps counts the explicit steps, the lane slides that tabulate the lane
+    cycles, and the nodes and tuples of the search.  Raises BudgetExceeded
+    past budget steps.
+    """
+    r = len(lanes.orbits)
+    q0 = max(rep.measured_transient for _, rep in lanes.orbits)
+    word0, _ = lanes.read(0)
+    if r * q0 > budget:
+        raise BudgetExceeded(r * q0, budget)
+    for n, (word, s) in zip(range(r * q0), walk(ref, word0)):
+        if (s >= ref.scaled_threshold) != (next(walk(cs, word))[1] >= cs.scaled_threshold):
+            return n, n + 1
+    steps = r * q0
+
+    # tables[i][x]: lane i's window at every lane time s >= T_i with s = x mod P_i
+    tables = []
+    for _, rep in lanes.orbits:
+        t, p = rep.measured_transient, rep.measured_period
+        table = [0] * p
+        for s, (word, _) in zip(range(t, t + p), walk(lanes.cs, rep.entry_window)):
+            table[s % p] = word
+        tables.append(table)
+        steps += p
+
+    # masks[c][i]: cs's taps on lane i's window in slot c, as {weight: lane mask}
+    masks: list[list[dict[int, int]]] = [[{} for _ in range(r)] for _ in range(r)]
+    for j, w in cs.taps:
+        for c in range(r):
+            lane = masks[c][(c - j) % r]
+            lane[w] = lane.get(w, 0) | 1 << ((j - 1) // r)
+
+    theta = cs.scaled_threshold
+    best = None
+    for c in range(r):
+        terms = [_lane_terms(table, masks[c][i], i < c) for i, table in enumerate(tables)]
+        by_term = [sorted(range(len(t)), key=t.__getitem__) for t in terms]
+        out_lane = tables[c]
+        for bit in (0, 1):
+            box = list(by_term)
+            box[c] = [x for x in by_term[c] if out_lane[(x + 1) % len(out_lane)] & 1 == bit]
+            stack = [box] if box[c] else []
+            while stack:
+                box = stack.pop()
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceeded(steps, budget)
+                lo = sum(t[xs[0]] for t, xs in zip(terms, box))
+                hi = sum(t[xs[-1]] for t, xs in zip(terms, box))
+                if (lo >= theta) != (hi >= theta):
+                    i = max(range(r), key=lambda i: terms[i][box[i][-1]] - terms[i][box[i][0]])
+                    half = len(box[i]) // 2
+                    stack.append(box[:i] + [box[i][:half]] + box[i + 1 :])
+                    stack.append(box[:i] + [box[i][half:]] + box[i + 1 :])
+                    continue
+                if (lo >= theta) == bit:
+                    continue
+                # every tuple in the box disagrees; a lane with all its
+                # phases in the box constrains nothing
+                fixed = [(xs, len(t)) for xs, t in zip(box, tables) if len(xs) < len(t)]
+                moduli = [p for _, p in fixed]
+                for residues in product(*(xs for xs, _ in fixed)):
+                    steps += 1
+                    if steps > budget:
+                        raise BudgetExceeded(steps, budget)
+                    x, mod = _crt(residues, moduli)
+                    n = r * (q0 + (x - q0) % mod) + c
+                    best = n if best is None else min(best, n)
+    return best, steps
+
+
+def _handoff_reader(
+    cs: CompiledSystem, init: Sequence[int], handoff: Handoff, budget: int
+) -> tuple[Reader | None, int]:
+    """Read S_n of the system from a handoff certificate, when it closes.
+
+    1. Phase 1: the first time the system's rule disagrees with head's on
+       head's orbit (_first_disagreement over head's certified lanes).  Up
+       to then the system's window is head's.
+    2. Handoff: step the system explicitly from there to time at, at most
+       memory slides, and require the window to equal tail's init exactly.
+    3. Tail: require the system's rule to agree with tail's next bit on
+       every window of tail's orbit (_first_disagreement finds none).  From
+       at on, the system's window is then tail's at n - at.
+
+    Returns the reader, or None when the certificate cannot close (head's
+    init differs, a system has one lane, lane periods share a factor, the
+    handoff window differs, tail's orbit meets a disagreement, or the work
+    passes budget slides), with the steps spent either way.
+    """
+    head, tail = compile_system(handoff.head), compile_system(handoff.tail)
+    if (
+        tuple(init) != handoff.head.init
+        or not head.memory == tail.memory == cs.memory
+        or min(lane_count(head), lane_count(tail)) == 1
+    ):
+        return None, 0
+    head_lanes, spent = _certify_lanes(head, init, budget)
+    if head_lanes is None:
+        return None, spent
+    tail_lanes, slides = _certify_lanes(tail, handoff.tail.init, budget - spent)
+    spent += slides
+    if tail_lanes is None:
+        return None, spent
+    for lanes in (head_lanes, tail_lanes):
+        periods = [rep.measured_period for _, rep in lanes.orbits]
+        if lcm(*periods) != prod(periods):  # not pairwise coprime
+            return None, spent
+
+    try:
+        first, steps = _first_disagreement(cs, head, head_lanes, budget - spent)
+    except BudgetExceeded as exc:
+        return None, spent + exc.steps
+    spent += steps
+    at = handoff.at
+    split = at if first is None else min(first, at)
+    if at - split > cs.memory:
+        return None, spent
+    word, slides = head_lanes.read(split)
+    stepped = [word]
+    for _ in range(at - split):
+        stepped.append(advance_word(cs, stepped[-1], 1))
+    spent += slides + at - split
+    if stepped[-1] != word_from_bits(handoff.tail.init):
+        return None, spent
+    try:
+        bad, steps = _first_disagreement(cs, tail, tail_lanes, budget - spent)
+    except BudgetExceeded as exc:
+        return None, spent + exc.steps
+    spent += steps
+    if bad is not None:
+        return None, spent
+
+    def read(times: Sequence[int]) -> tuple[list[int], int]:
+        windows = []
+        slides = spent
+        for n in times:
+            if n >= at:
+                word, steps = tail_lanes.read(n - at)
+            elif n >= split:
+                word, steps = stepped[n - split], 0
+            else:
+                word, steps = head_lanes.read(n)
+            windows.append(word)
+            slides += steps
+        return windows, slides
+
+    return read, spent
 
 
 def _probe_pass(read: Reader, transient: int, period: int) -> tuple[int, int]:
@@ -302,9 +553,34 @@ def verify_lanes(
     """
     _check_pair(predicted_transient, predicted_period)
     _check_init(cs, init)
-    r = lane_count(cs)
-    if r == 1:
+    if lane_count(cs) == 1:
         raise ValueError("the taps and memory share no stride: the system has one lane")
-    read = _laned(cs, init, r, predicted_transient + predicted_period)
+    read = _laned(cs, init, predicted_transient + predicted_period)
+    steps, entry = _probe_pass(read, predicted_transient, predicted_period)
+    return CycleReport(predicted_transient, predicted_period, entry, steps)
+
+
+def verify_handoff(
+    cs: CompiledSystem,
+    init: Sequence[int],
+    predicted_transient: int,
+    predicted_period: int,
+    handoff: Handoff,
+) -> CycleReport:
+    """Prove a predicted (T, P) minimal on a handoff certificate.
+
+    The probes are verify_predicted's, on windows read from head's lanes up
+    to the system's first disagreement with head, from explicit steps up to
+    handoff.at, and from tail's lanes at n - at after it (see
+    _handoff_reader), so a refuted pair raises the same PredictionFailed.
+    steps_executed counts lane slides, explicit steps and search nodes.
+    When the certificate cannot close, or would take more than T + P
+    steps, the windows are simulated instead.
+    """
+    _check_pair(predicted_transient, predicted_period)
+    word0 = _check_init(cs, init)
+    read, spent = _handoff_reader(cs, init, handoff, predicted_transient + predicted_period)
+    if read is None:
+        read = _simulated(cs, word0, spent)
     steps, entry = _probe_pass(read, predicted_transient, predicted_period)
     return CycleReport(predicted_transient, predicted_period, entry, steps)

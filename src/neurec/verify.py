@@ -19,13 +19,16 @@ Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
 period) pairs.  measure_cycle certifies every predicted pair: it measures
-desk-sized orbits blind with detect_cycle and proves larger ones either on
-their decimated lanes with verify_lanes (y and every w(d), whose taps all
-sit on multiples of rho) or with verify_predicted in one pass of T + P
-slides.  On every route a wrong prediction raises PredictionFailed from
-the one probe rule in cycles, so it never comes back as a verdict.
-proof_work prices each proof the way it will run, a lane proof at its
-lanes' T + P, for the claim table and the CLI's cycle mode alike.
+desk-sized orbits blind with detect_cycle and proves larger ones on lanes
+or with verify_predicted in one pass of T + P slides.  y and every w(d),
+whose taps all sit on multiples of rho, are proved on their decimated
+lanes with verify_lanes; every z(d) by lane handoff with verify_handoff,
+its orbit certified as y's up to its first disagreement and w(d)'s from
+L1(d) on (z_handoff).  On every route a wrong prediction raises
+PredictionFailed from the one probe rule in cycles, so it never comes back
+as a verdict.  proof_work prices each proof the way it will run, a lane
+proof at its lanes' T + P, for the claim table and the CLI's cycle mode
+alike.
 Cutoffs below bound the work per claim instance.  Each grid lists every
 structurally valid instance, and the table states each claim's predicted
 work and cutoff; skip_detail compares the two, and an instance past its
@@ -56,7 +59,15 @@ from typing import Callable, Sequence
 
 from . import construction as cons
 from .construction import RecurrenceSystem
-from .cycles import CycleReport, detect_cycle, lane_count, verify_lanes, verify_predicted
+from .cycles import (
+    CycleReport,
+    Handoff,
+    detect_cycle,
+    lane_count,
+    verify_handoff,
+    verify_lanes,
+    verify_predicted,
+)
 from .engine import advance_word, compile_system, run, walk, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed, RhoTooSmall
 from .numtheory import WindowParams, cycle_lengths, window_params
@@ -66,6 +77,7 @@ __all__ = [
     "ClaimResult",
     "predicted_cycle",
     "measure_cycle",
+    "z_handoff",
     "proof_work",
     "proof_skip",
     "check_phases",
@@ -128,17 +140,26 @@ def _default_budget(t: int, p: int, memory: int) -> int:
     return 6 * (t + p) + 4 * memory + 64
 
 
+def z_handoff(params: WindowParams, d: int) -> Handoff:
+    """The orbit z(d) is claimed to follow: y's, then w(d)'s from time L1(d) on."""
+    return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
+
+
 def measure_cycle(
     system: RecurrenceSystem,
     predicted: tuple[int, int],
     budget: int | None = None,
+    handoff: Callable[[], Handoff] | None = None,
 ) -> CycleReport:
     """Certify a system's predicted (T, P) as its minimal pair.
 
     Orbits up to DETECT_CUTOFF are measured blind with detect_cycle.  Larger
-    ones are proved on their decimated lanes with verify_lanes when the
-    system has more than one lane (y and every w(d)), and otherwise with
-    verify_predicted in exactly T + P slides.  A refuted prediction (a
+    ones are proved with verify_handoff when the caller gives a handoff
+    (every z(d), with z_handoff: its orbit is y's, then w(d)'s), on their
+    decimated lanes with verify_lanes when the system has more than one lane
+    (y and every w(d)), and otherwise with verify_predicted in exactly T + P
+    slides.  handoff builds the certificate's data and is called only on the
+    handoff route.  A refuted prediction (a
     search that disagrees or runs out of its default budget, or a failed
     proof) raises PredictionFailed naming the first probe it fails, so a
     returned report always equals the prediction.  A budget caps the
@@ -165,6 +186,8 @@ def measure_cycle(
             rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
         if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
             rep = verify_predicted(cs, system.init, t_pred, p_pred)
+    elif handoff is not None:
+        rep = verify_handoff(cs, system.init, t_pred, p_pred, handoff())
     else:
         prove = verify_lanes if lane_count(cs) > 1 else verify_predicted
         rep = prove(cs, system.init, t_pred, p_pred)
@@ -480,7 +503,7 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
     params = window_params(m)
     system = cons.build_z(params, d)
     pred = predicted_cycle(params, "z", d)
-    rep = measure_cycle(system, pred, budget)
+    rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
     plan = cons.perturbation_plan(params, d)
     detail = _report_dict(rep, pred) | {
         "tot": plan.tot,
@@ -589,7 +612,7 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     periods = [y_rep.measured_period]
     for d, system in enumerate(systems):
         pred = predicted_cycle(params, "z", d)
-        rep = measure_cycle(system, pred, budget)
+        rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
         steps_detail[f"z{d}"] = _report_dict(rep, pred)
         periods.append(rep.measured_period)
 
@@ -618,8 +641,10 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     BASIN_VARIANTS of them.  A variant whose window after beta_e - d slides
     equals the reference's shares its future, so its attractor.  One that
     does not merge is searched blind and shares the attractor iff its period
-    is the reference P and its entry window lies on the reference cycle.
-    Raises HypothesisUnmet when d >= beta_e.
+    is the reference P and its entry window lies on the reference cycle; the
+    search takes at most budget slides, or without one at most the smaller
+    of MEASURE_CUTOFF and six times the reference T + P, and past it raises
+    BudgetExceeded.  Raises HypothesisUnmet when d >= beta_e.
     """
     params = window_params(m)
     params.check_lane(d, "d")
@@ -630,7 +655,7 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
 
     system = cons.build_z(params, d)
     pred = predicted_cycle(params, "z", d)
-    ref_rep = measure_cycle(system, pred, budget)
+    ref_rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
     period = ref_rep.measured_period
     cs = compile_system(system)
     merged = advance_word(cs, word_from_bits(system.init), n_free)
@@ -645,14 +670,16 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
         mode = "sampled"
 
     tail = system.init[n_free:]
+    search_budget = (
+        budget if budget is not None else min(_default_budget(*pred, params.h), MEASURE_CUTOFF)
+    )
     bad: list[int] = []
     for vid in chosen:
         prefix = tuple((vid >> (n_free - 1 - q)) & 1 for q in range(n_free))
         variant = prefix + tail
         if advance_word(cs, word_from_bits(variant), n_free) == merged:
             continue
-        b = budget if budget is not None else _default_budget(*pred, params.h)
-        rep = detect_cycle(cs, variant, b)
+        rep = detect_cycle(cs, variant, search_budget)
         ref_cycle = (w for w, _ in islice(walk(cs, ref_rep.entry_window), period))
         if rep.measured_period != period or rep.entry_window not in ref_cycle:
             bad.append(vid)
@@ -732,20 +759,27 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     """Predicted T + P of the orbits measure_cycle proves for a family member.
 
     This is the one price of a proof, shared by the claim table and the
-    CLI's cycle mode.  It is the member's own T + P, except where
-    measure_cycle proves on decimated lanes: y and w(d) past DETECT_CUTOFF.
-    Their rho lanes are single units, x_i for every lane of y and for the
-    lanes i > d of w(d), v_i for the lanes i <= d, and such a proof is
-    priced at the lanes' predicted T + P summed.
+    CLI's cycle mode.  It is the member's own T + P up to DETECT_CUTOFF.
+    Past it y, w(d) and z(d) are proved on lanes.  The rho lanes of y and
+    w(d) are single units, x_i for every lane of y and for the lanes i > d
+    of w(d), v_i for the lanes i <= d, and such a proof is priced at the
+    lanes' predicted T + P summed.  z(d) is proved on the lanes of y and
+    w(d) with at most h explicit steps between them, and is priced at both
+    lane sums plus h.
     """
     work = sum(predicted_cycle(params, family, index))
-    if family not in ("y", "w") or work <= DETECT_CUTOFF:
+    if family not in ("y", "w", "z") or work <= DETECT_CUTOFF:
         return work
-    collapsed = index if family == "w" else -1
-    return sum(
-        sum(predicted_cycle(params, "v" if i <= collapsed else "x", i))
-        for i in range(params.rho)
-    )
+
+    def lanes(collapsed: int) -> int:
+        return sum(
+            sum(predicted_cycle(params, "v" if i <= collapsed else "x", i))
+            for i in range(params.rho)
+        )
+
+    if family == "z":
+        return lanes(-1) + lanes(index) + params.h
+    return lanes(index if family == "w" else -1)
 
 
 def proof_skip(params: WindowParams, family: str, index: int | None = None) -> dict | None:

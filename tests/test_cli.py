@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurec import build_z, check_basin, window_params
+from neurec import build_z, check_basin, predicted_cycle, window_params
 from neurec.cli import (
     export_trace,
     import_trace,
@@ -26,6 +26,21 @@ def read_report(out_dir):
 def read_csv(out_dir):
     with open(out_dir / "summary.csv", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def priced_as_simulations(monkeypatch):
+    """Price every proof at its own T + P, the cost of simulating it.
+
+    The skip path of the cycle, chain and basin modes needs an instance past
+    MEASURE_CUTOFF, and none is at the scales tested: y, w(d) and z(d) are
+    priced at their lanes.  At this price z(4) at m = 21 (T + P = 1.9e9)
+    and z(0) there (3.2e7) pass the cutoff.
+    """
+    monkeypatch.setattr(
+        "neurec.verify.proof_work",
+        lambda params, family, index=None: sum(predicted_cycle(params, family, index)),
+    )
 
 
 # --- serialization helpers ---------------------------------------------------
@@ -153,8 +168,7 @@ def test_cycle_mode_m6(tmp_path):
     assert len(rows) == 9
 
 
-def test_cycle_mode_skips_past_cutoff(tmp_path):
-    # z(4) at m = 21 has T + P = 1.9e9 and no lanes to prove it on
+def test_cycle_mode_skips_past_cutoff(tmp_path, priced_as_simulations):
     out = tmp_path / "big"
     code = main(["--mode", "cycle", "--m", "21", "--system", "z", "--d", "4", "--out", str(out)])
     assert code == 0  # a skip is not a failure
@@ -172,6 +186,17 @@ def test_cycle_mode_proves_y_at_m21_on_its_lanes(tmp_path):
     assert (row["T_measured"], row["P_measured"]) == (0, 1_927_498_435)
     assert row["match"] is True
     assert row["steps"] < 10_000  # lane slides, not the 1.9e9 of a simulation
+
+
+@pytest.mark.long
+def test_long_tier_cycle_mode_proves_every_z_at_m21(tmp_path):
+    out = tmp_path / "z21"
+    code = main(["--mode", "cycle", "--m", "21", "--system", "z", "--out", str(out)])
+    assert code == 0
+    rows = read_report(out)["cycle_reports"]
+    assert [row["d"] for row in rows] == [0, 1, 2, 3, 4]
+    assert all(row["match"] is True for row in rows)
+    assert (rows[4]["T_measured"], rows[4]["P_measured"]) == (1_927_501_345, 1)
 
 
 def test_cycle_mode_budget_failure_exits_1(tmp_path):
@@ -256,7 +281,7 @@ def test_chain_mode(capsys):
     assert res["detail"]["periods"] == [442, 26, 1]
 
 
-def test_chain_mode_skips_past_cutoff(capsys):
+def test_chain_mode_skips_past_cutoff(capsys, priced_as_simulations):
     code = main(["--mode", "chain", "--m", "21"])
     assert code == 0  # a skip is not a failure
     captured = capsys.readouterr()
@@ -265,7 +290,7 @@ def test_chain_mode_skips_past_cutoff(capsys):
     assert captured.err.splitlines() == ["SKIP chain m=21", "neurec: 0 passed, 0 failed, 1 skipped"]
 
 
-def test_basin_mode_selected_d_past_cutoff_is_skipped(capsys):
+def test_basin_mode_selected_d_past_cutoff_is_skipped(capsys, priced_as_simulations):
     code = main(["--mode", "basin", "--m", "21", "--d", "0"])
     assert code == 0
     assert "SKIP basin m=21 d=0" in capsys.readouterr().err

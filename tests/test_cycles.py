@@ -16,28 +16,34 @@ from hypothesis import strategies as st
 from neurec import (
     BudgetExceeded,
     CycleReport,
+    Handoff,
     PredictionFailed,
     RecurrenceSystem,
     advance_word,
     build_w,
     build_y,
     build_z,
+    chain_perturbation,
     compile_system,
+    cycle_lengths,
     destabilized_system,
     detect_cycle,
     lane_count,
     measure_cycle,
+    perturbation_plan,
     predicted_cycle,
     prime_factors,
     run,
     single_system,
+    verify_handoff,
     verify_lanes,
     verify_predicted,
     walk,
     window_params,
     word_from_bits,
 )
-from neurec.cycles import _laned, _probe_pass
+from neurec.cycles import _handoff_reader, _laned, _probe_pass
+from neurec.verify import z_handoff
 
 
 def naive_cycle(cs, init, cap=200_000):
@@ -216,7 +222,7 @@ def wrong_pairs(t, p):
 
 def lanes_uncapped(cs, init, t, p):
     """The lane proof with no cap on the lane searches, so it never simulates."""
-    steps, entry = _probe_pass(_laned(cs, init, lane_count(cs), budget=10**9), t, p)
+    steps, entry = _probe_pass(_laned(cs, init, budget=10**9), t, p)
     return CycleReport(t, p, entry, steps)
 
 
@@ -229,7 +235,7 @@ def refusal(prove, cs, init, pair):
 def assert_lane_reads_are_exact(cs, init, times):
     # every window the uncapped lane reader assembles is S_n
     times = sorted(times)
-    windows, _ = _laned(cs, init, lane_count(cs), budget=10**9)(times)
+    windows, _ = _laned(cs, init, budget=10**9)(times)
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
 
@@ -341,3 +347,179 @@ def test_lane_route_refuses_y_with_a_raised_threshold():
     with pytest.raises(PredictionFailed) as exc:
         verify_lanes(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
     assert exc.value.check == "period"
+
+
+# --- proofs of z(d) by lane handoff ---------------------------------------------
+
+
+def z_members(p):
+    """(d, system) for every z(d) and every chain_perturbation member at one scale."""
+    plans = [perturbation_plan(p, d) for d in range(p.rho)]
+    chained = build_z(p, 0)
+    for d in range(p.rho):
+        yield d, build_z(p, d)
+        if d > 0:
+            chained = chain_perturbation(chained, plans[d - 1], plans[d])
+            yield d, chained
+
+
+def handoff_uncapped(cs, init, t, p, handoff):
+    """The handoff proof with no cap on its work, so it never simulates;
+    the certificate must close."""
+    read, _ = _handoff_reader(cs, init, handoff, budget=10**9)
+    assert read is not None, "the handoff certificate did not close"
+    steps, entry = _probe_pass(read, t, p)
+    return CycleReport(t, p, entry, steps)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_handoff_route_agrees_with_simulation_on_every_z(m, monkeypatch):
+    monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
+    p = window_params(m)
+    for d, s in z_members(p):
+        cs = compile_system(s)
+        t, period = predicted_cycle(p, "z", d)
+        sim = verify_predicted(cs, s.init, t, period)
+        handoff = z_handoff(p, d)
+        rep = handoff_uncapped(cs, s.init, t, period, handoff)
+        assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
+        assert rep.steps_executed < 10_000
+        routed = measure_cycle(s, (t, period), handoff=lambda: handoff)
+        assert routed == dataclasses.replace(sim, steps_executed=routed.steps_executed), d
+        for pair in wrong_pairs(t, period):
+            want = refusal(verify_predicted, cs, s.init, pair)
+            assert refusal(handoff_uncapped, cs, s.init, (*pair, handoff)) == want, (d, pair)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
+    # negative control: one whole unit more threshold, and z no longer
+    # follows y into w(d); the certificate cannot close and the proof
+    # falls back to the simulated verdict
+    p = window_params(m)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        raised = dataclasses.replace(z, threshold=z.threshold + 1)
+        cs = compile_system(raised)
+        handoff = z_handoff(p, d)
+        read, _ = _handoff_reader(cs, raised.init, handoff, budget=10**9)
+        assert read is None, d
+        pred = predicted_cycle(p, "z", d)
+        want = refusal(verify_predicted, cs, raised.init, pred)
+        assert refusal(verify_handoff, cs, raised.init, (*pred, handoff)) == want, d
+
+
+def test_handoff_falls_back_when_head_is_not_the_start():
+    # a z whose init is not y's cannot follow y's orbit: simulate
+    p = window_params(6)
+    z = build_z(p, 0)
+    flipped = dataclasses.replace(z, init=(1 - z.init[0],) + z.init[1:])
+    cs = compile_system(flipped)
+    assert _handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
+    ref = detect_cycle(cs, flipped.init, step_budget=10**6)
+    pair = (ref.measured_transient, ref.measured_period)
+    rep = verify_handoff(cs, flipped.init, *pair, z_handoff(p, 0))
+    assert rep == dataclasses.replace(ref, steps_executed=sum(pair))
+
+
+def test_handoff_takes_over_at_l1():
+    # z's window is y's up to its first disagreement at l1 - rho, then
+    # build_w(d)'s init at l1 exactly
+    p = window_params(11)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        l1 = cycle_lengths(p, d)[1]
+        cs = compile_system(z)
+        read, _ = _handoff_reader(cs, z.init, z_handoff(p, d), budget=10**9)
+        y_cs = compile_system(build_y(p))
+        word0 = word_from_bits(z.init)
+        times = [l1 - p.rho - 1, l1 - p.rho, l1 - p.rho + 1, l1]
+        windows, _ = read(times)
+        assert windows == [advance_word(cs, word0, n) for n in times]
+        assert windows[:2] == [advance_word(y_cs, word0, n) for n in times[:2]]
+        assert windows[2] != advance_word(y_cs, word0, times[2])
+        assert windows[3] == word_from_bits(build_w(p, d).init)
+
+
+@pytest.mark.long
+def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
+    # z(3) alone is a 12,264,801-slide simulation
+    p = window_params(16)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        cs = compile_system(z)
+        pred = predicted_cycle(p, "z", d)
+        sim = verify_predicted(cs, z.init, *pred)
+        rep = verify_handoff(cs, z.init, *pred, z_handoff(p, d))
+        assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
+        assert rep.steps_executed < 10_000
+    assert (sim.measured_transient, sim.measured_period) == (12_264_800, 1)
+
+
+@st.composite
+def handoff_cases(draw):
+    """A laned head, a system cs that perturbs head's taps and threshold off
+    the lane stride, and a tail on head's taps started from cs's own window
+    at a time at, up to one memory past cs's first disagreement with head.
+
+    Head lanes start either anywhere (lanes with transients) or on their
+    cycle, so the first disagreement is found both by explicit steps and
+    by the search over lane phases.
+    """
+    r = draw(st.integers(2, 3))
+    memory = draw(st.integers(2, 5))
+    weights = [draw(st.integers(-2, 2)) for _ in range(memory)]
+    theta = draw(st.sampled_from([0, 1, 2, Fraction(1, 2)]))
+    lane = compile_system(RecurrenceSystem(memory, tuple(weights), theta, (0,) * memory))
+    bits = st.tuples(*[st.integers(0, 1)] * memory)
+    settled = draw(st.booleans())
+    inits = []
+    for _ in range(r):
+        lane_init = draw(bits)
+        if settled:
+            trace = run(lane, lane_init, 40)
+            lane_init = tuple(trace[40 : 40 + memory])
+        inits.append(lane_init)
+    full = [0] * (r * memory)
+    for j, w in enumerate(weights, start=1):
+        full[r * j - 1] = w
+    init = tuple(inits[i][q] for q in range(memory) for i in range(r))
+    head = RecurrenceSystem(r * memory, tuple(full), theta, init)
+    perturbed = list(full)
+    for j in draw(st.lists(st.integers(0, r * memory - 1), min_size=1, max_size=3)):
+        perturbed[j] += draw(st.sampled_from([Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4)]))
+    nudge = draw(st.sampled_from([Fraction(-1, 8), 0, Fraction(1, 8)]))
+    cs = compile_system(dataclasses.replace(head, weights=tuple(perturbed), threshold=theta + nudge))
+    head_cs = compile_system(head)
+    word0 = word_from_bits(init)
+    first = next(
+        (
+            n
+            for n, ((_, s), (_, z)) in enumerate(zip(walk(head_cs, word0), walk(cs, word0)))
+            if n == 500 or (s >= head_cs.scaled_threshold) != (z >= cs.scaled_threshold)
+        )
+    )
+    at = first + draw(st.integers(0, r * memory))
+    tail_init = tuple(run(cs, init, at)[at:])
+    return cs, init, Handoff(head, dataclasses.replace(head, init=tail_init), at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(handoff_cases())
+def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
+    cs, init, handoff = case
+    read, _ = _handoff_reader(cs, init, handoff, budget=10**7)
+    if read is None:
+        return  # e.g. lane periods that share a factor: the proof simulates
+    ref = detect_cycle(cs, init, step_budget=10**6)
+    t, p = ref.measured_transient, ref.measured_period
+    times = list(range(t + 2 * p + 2 * cs.memory))
+    windows, _ = read(times)
+    word0 = word_from_bits(init)
+    assert windows == [advance_word(cs, word0, n) for n in times]
+    for prove in (verify_handoff, handoff_uncapped):
+        rep = prove(cs, init, t, p, handoff)
+        assert rep == dataclasses.replace(ref, steps_executed=rep.steps_executed)
+    for pair in wrong_pairs(t, p):
+        want = refusal(verify_predicted, cs, init, pair)
+        assert refusal(handoff_uncapped, cs, init, (*pair, handoff)) == want, pair

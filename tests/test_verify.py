@@ -25,7 +25,7 @@ from neurec import (
     window_params,
 )
 from neurec.cli import main
-from neurec.verify import MEASURE_CUTOFF, claim_grid
+from neurec.verify import MEASURE_CUTOFF, TRACE_CUTOFF, claim_grid
 
 
 def runnable(claim, m):
@@ -144,6 +144,27 @@ def test_long_tier_y_and_w_run_at_m21_and_m26():
         [("y_cycle", True)] * 2 + [("w_cycle", True)] * 11
     )
     assert time.perf_counter() - start < 60.0  # simulating y alone takes hours
+
+
+def test_z_chain_and_basin_run_at_m26():
+    results = run_claims(ms=(26,), claims=["z_summary", "chain"])
+    assert [(r.claim, r.passed) for r in results] == [("z_summary", True)] * 6 + [("chain", True)]
+    z5 = results[5].detail
+    assert (z5["T"], z5["P"]) == (397_433_969_064, 1)
+    assert z5["steps"] < 100_000  # simulating it would take 4e11 slides
+
+
+@pytest.mark.long
+def test_long_tier_z_chain_and_basin_run_at_m21():
+    results = run_claims(ms=(21,), claims=["z_summary", "chain", "basin"])
+    assert [(r.claim, r.passed) for r in results] == (
+        [("z_summary", True)] * 5 + [("chain", True)] + [("basin", True)] * 5
+    )
+    z4 = results[4].detail
+    assert (z4["T"], z4["P"]) == (1_927_501_345, 1)
+    chain = results[5].detail
+    assert chain["systems"]["z4"]["T"] == 1_927_501_345
+    assert chain["final_attractor_all_zero"] is True  # the last entry window is 0
 
 
 @pytest.fixture
@@ -299,6 +320,21 @@ def test_basin_fallback_search_agrees_with_the_merge(proof_calls, monkeypatch):
         assert len(proof_calls) == 1 + res.detail["variants_checked"]
 
 
+def test_basin_fallback_search_is_capped_at_the_measure_cutoff(monkeypatch):
+    # a variant that does not merge is searched for at most MEASURE_CUTOFF
+    # slides when no budget is given, and fails as BudgetExceeded past it
+    monkeypatch.setattr("neurec.verify.advance_word", lambda cs, word, steps: object())
+    assert check_basin(6, 0).passed  # the searches take a few hundred slides
+    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 100)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_basin(6, 0)
+    assert exc.value.budget == 100
+    assert check_basin(6, 0, budget=10_000).passed  # a given budget is the cap
+    (res,) = run_claims(ms=(6,), claims=["basin"], ds=[0])
+    assert res.passed is False
+    assert (res.detail["error"], res.detail["budget"]) == ("BudgetExceeded", 100)
+
+
 def test_basin_hypothesis_unmet():
     # m=18 has min beta = 2 with rho = 5, so d = 2 breaks the hypothesis
     p = window_params(18)
@@ -326,15 +362,18 @@ def test_composition_checks():
 
 
 def test_grid_skips_infeasible_scales():
-    # y and w(d) are priced at their lanes, so they run at m = 21 and 26
+    # y, w(d) and z(d) are priced at their lanes, so they run at m = 21 and 26
     for m in (21, 26):
         assert runnable("y_cycle", m) == [{}]
-        assert runnable("w_cycle", m) == [kw for kw, _ in claim_grid("w_cycle", m)]
-    # the chain's z(4) at m = 21 has T + P = 1.9e9 and no lanes
-    assert runnable("chain", 21) == []
-    ((_, skip),) = claim_grid("chain", 21)
-    assert skip["work"] == sum(predicted_cycle(window_params(21), "z", 4))
-    assert [kw["d"] for kw in runnable("z_summary", 21)] == [1, 2]
+        for claim in ("w_cycle", "z_summary", "chain", "basin"):
+            assert runnable(claim, m) == [kw for kw, _ in claim_grid(claim, m)], (claim, m)
+    # z(4) at m = 21 has T + P = 1.9e9, and its proof is priced at y's and
+    # w(4)'s lanes plus h
+    p21 = window_params(21)
+    lanes = sum(p21.primes) + sum(p21.k - p + 1 for p in p21.primes)
+    assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h
+    # phases still records traces of z(d): past TRACE_CUTOFF at m = 21, d = 3, 4
+    assert [kw["d"] for kw in runnable("phases", 21)] == [0, 1, 2]
     # basin runs exactly the z(d) proofs of z_summary that lie on its grid
     for m in (16, 21, 26):
         grid = [kw for kw, _ in claim_grid("basin", m)]
@@ -352,18 +391,20 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("a skipped instance was simulated")
 
-    provers = ("measure_cycle", "detect_cycle", "verify_predicted", "verify_lanes")
-    for name in ("compile_system", *provers):
+    provers = (
+        "measure_cycle", "detect_cycle", "verify_predicted", "verify_lanes", "verify_handoff"
+    )
+    for name in ("compile_system", "run", *provers):
         monkeypatch.setattr(f"neurec.verify.{name}", no_simulation)
-    results = run_claims(ms=(21,), claims=["chain"])
-    results += run_claims(ms=(21,), claims=["z_summary"], ds=[4])
+    results = run_claims(ms=(21,), claims=["phases"], ds=[3])
+    results += run_claims(ms=(21,), claims=["phases"], ds=[4])
     assert [(r.claim, r.params, r.passed) for r in results] == [
-        ("chain", {"m": 21}, None),
-        ("z_summary", {"m": 21, "d": 4}, None),
+        ("phases", {"m": 21, "d": 3}, None),
+        ("phases", {"m": 21, "d": 4}, None),
     ]
     for res in results:
         assert res.detail["skipped"] == "predicted work exceeds cutoff"
-        assert res.detail["work"] > res.detail["cutoff"] == MEASURE_CUTOFF
+        assert res.detail["work"] > res.detail["cutoff"] == TRACE_CUTOFF
 
 
 def test_run_claims_on_requested_steps():
@@ -373,8 +414,10 @@ def test_run_claims_on_requested_steps():
         ({"m": 6, "d": 1}, True),
         ({"m": 6, "d": 0}, True),
     ]
-    (skipped,) = run_claims(ms=(21,), claims=["z_summary"], ds=[4])
-    assert skipped.passed is None and skipped.detail["work"] > skipped.detail["cutoff"]
+    skipped = run_claims(ms=(21,), claims=["phases"], ds=[4, 3])
+    assert [r.params for r in skipped] == [{"m": 21, "d": 4}, {"m": 21, "d": 3}]
+    for res in skipped:
+        assert res.passed is None and res.detail["work"] > res.detail["cutoff"]
     # a step off the grid, or a claim without steps, is a configuration error
     for m, claim, d in ((6, "w_cycle", 2), (18, "basin", 2), (6, "prop1", 0), (6, "divisor_rule", 0)):
         with pytest.raises(ValueError):
@@ -396,9 +439,9 @@ def test_off_grid_step_at_a_later_scale_runs_nothing(monkeypatch):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every system detect_cycle, verify_predicted or verify_lanes is asked to prove."""
+    """Every system detect_cycle or a verify_* prover is asked to prove."""
     calls = []
-    for name in ("detect_cycle", "verify_predicted", "verify_lanes"):
+    for name in ("detect_cycle", "verify_predicted", "verify_lanes", "verify_handoff"):
         original = getattr(neurec.verify, name)
 
         def counted(cs, init, *args, _original=original, **kwargs):

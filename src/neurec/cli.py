@@ -435,9 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="step cap: a proof whose predicted T+P exceeds it fails unrun; "
-        "also the budget of basin's blind search (default: no cap on proofs, "
-        "MEASURE_CUTOFF on basin's search)",
+        help="step cap of a proof on its route: a simulated one whose T+P exceeds it "
+        "fails unrun, a lane or handoff one fails if its certificate cannot close within it; "
+        "also basin's blind search budget (default: no cap on proofs, MEASURE_CUTOFF there)",
     )
     parser.add_argument(
         "--claims",

@@ -22,17 +22,19 @@ S_n is the exact interleave of the r lane windows at lane time
 ceil((n - i) / r), each read off a lane orbit that detect_cycle certified.
 A proof then costs lane slides, not T + P.
 
-verify_handoff reads them from a Handoff certificate for a system that
+verify_handoff reads them from the HandoffCertificate of a system that
 starts on one laned orbit (head) and ends on another (tail), as z(d) starts
-on y's orbit and ends on w(d)'s.  Branch and bound over head's lane phases,
-with the Chinese remainder theorem, finds the first time the system's own
-rule disagrees with head's; explicit steps from there must reach tail's
-init at the handoff time; and the same search over tail's lane phases must
-find no disagreement on tail's orbit.  S_n is then head's window before the
-disagreement, an explicit step before the handoff, and tail's window at
-n - at after it.  A proof costs lane slides, a few explicit steps and
-search nodes; when the certificate cannot close, the windows are
-simulated.
+on y's orbit and ends on w(d)'s; handoff_certificate is the one place it
+is built, and check_phases reads z(d)'s five phases off the same parts.
+Branch and bound over head's lane phases, with the Chinese remainder
+theorem, finds the first time the system's own rule disagrees with head's;
+explicit steps from there reach the handoff time; and the same search over
+tail's lane phases finds any disagreement on tail's orbit.  The
+certificate closes when the stepped window is tail's init and there is
+none: S_n is then head's window before the disagreement, an explicit step
+before the handoff, and tail's window at n - at after it.  A proof costs
+lane slides, a few explicit steps and search nodes; when the certificate
+cannot close, the windows are simulated.
 
 detect_cycle measures (T, P) blind, taking no prediction, with a
 constant-memory search: a teleporting anchor pass recovers the exact
@@ -63,6 +65,8 @@ __all__ = [
     "verify_lanes",
     "verify_handoff",
     "Handoff",
+    "HandoffCertificate",
+    "handoff_certificate",
     "lane_count",
     "prime_factors",
 ]
@@ -112,26 +116,19 @@ def _check_init(cs: CompiledSystem, init: Sequence[int]) -> int:
     return word_from_bits(init)
 
 
-# A reader maps ascending window times n to the windows S_n, and reports the
-# slides it took to get them.
-Reader = Callable[[Sequence[int]], tuple[list[int], int]]
+# A reader maps a window time n, ascending from call to call, to the window
+# S_n and the slides it took to get it.
+Reader = Callable[[int], tuple[int, int]]
 
 
-def _simulated(cs: CompiledSystem, word0: int, spent: int = 0) -> Reader:
-    """Read S_n by advancing the full system from S_0 = word0.
+def _simulated(cs: CompiledSystem, word0: int) -> Reader:
+    """Read S_n by advancing the full system from S_0 = word0."""
+    last = [0, word0]
 
-    spent counts slides already taken on the caller's behalf.
-    """
-
-    def read(times: Sequence[int]) -> tuple[list[int], int]:
-        windows = []
-        word = word0
-        n = 0
-        for target in times:
-            word = advance_word(cs, word, target - n)
-            n = target
-            windows.append(word)
-        return windows, spent + n
+    def read(n: int) -> tuple[int, int]:
+        steps = n - last[0]
+        last[:] = n, advance_word(cs, last[1], steps)
+        return last[1], steps
 
     return read
 
@@ -214,27 +211,13 @@ def _certify_lanes(
     return _Lanes(lane_cs, tuple(orbits)), spent
 
 
-def _laned(cs: CompiledSystem, init: Sequence[int], budget: int) -> Reader:
-    """Read S_n exactly from the decimated lanes of the system.
-
-    The lane searches together may take at most budget slides; past it the
-    reader simulates the full system instead, and its slide count includes
-    the searches.
-    """
-    lanes, spent = _certify_lanes(cs, init, budget)
-    if lanes is None:
-        return _simulated(cs, word_from_bits(init), spent)
-
-    def read(times: Sequence[int]) -> tuple[list[int], int]:
-        windows = []
-        slides = spent
-        for n in times:
-            word, steps = lanes.read(n)
-            windows.append(word)
-            slides += steps
-        return windows, slides
-
-    return read
+def _fallback(
+    cs: CompiledSystem, init: Sequence[int], spent: int, work: int, budget: int | None
+) -> Reader:
+    """Simulate a proof's T + P = work slides after spent, unless that passes budget."""
+    if budget is not None and spent + work > budget:
+        raise BudgetExceeded(spent, budget)
+    return _simulated(cs, word_from_bits(init))
 
 
 class Handoff(NamedTuple):
@@ -357,24 +340,50 @@ def _first_disagreement(
     return best, steps
 
 
-def _handoff_reader(
+class HandoffCertificate(NamedTuple):
+    """A system's orbit against a Handoff, each part exact.
+
+    head and tail are the certified lanes of head's and tail's orbits;
+    first and tail_first are the first times the system's rule disagrees
+    with head's next bit on head's orbit and with tail's on tail's, or None
+    when it never does.  Up to first S_n is head's window; stepped holds
+    S_split .. S_at, stepped with the system's rule from min(first, at).
+    """
+
+    head: _Lanes
+    first: int | None
+    stepped: tuple[int, ...]
+    at: int
+    tail: _Lanes
+    tail_first: int | None
+
+    @property
+    def closes(self) -> bool:
+        """S_at is tail's init and the system never leaves tail's orbit."""
+        return self.stepped[-1] == self.tail.read(0)[0] and self.tail_first is None
+
+    def read(self, n: int) -> tuple[int, int]:
+        """S_n of a closed certificate and the lane slides taken to read it."""
+        split = self.at + 1 - len(self.stepped)
+        if n >= self.at:
+            return self.tail.read(n - self.at)
+        if n >= split:
+            return self.stepped[n - split], 0
+        return self.head.read(n)
+
+
+def handoff_certificate(
     cs: CompiledSystem, init: Sequence[int], handoff: Handoff, budget: int
-) -> tuple[Reader | None, int]:
-    """Read S_n of the system from a handoff certificate, when it closes.
+) -> tuple[HandoffCertificate | None, int]:
+    """The system's HandoffCertificate from init, and the steps it took.
 
-    1. Phase 1: the first time the system's rule disagrees with head's on
-       head's orbit (_first_disagreement over head's certified lanes).  Up
-       to then the system's window is head's.
-    2. Handoff: step the system explicitly from there to time at, at most
-       memory slides, and require the window to equal tail's init exactly.
-    3. Tail: require the system's rule to agree with tail's next bit on
-       every window of tail's orbit (_first_disagreement finds none).  From
-       at on, the system's window is then tail's at n - at.
-
-    Returns the reader, or None when the certificate cannot close (head's
-    init differs, a system has one lane, lane periods share a factor, the
-    handoff window differs, tail's orbit meets a disagreement, or the work
-    passes budget slides), with the steps spent either way.
+    Certify head's and tail's lanes; find the system's first disagreement
+    with head on head's orbit (_first_disagreement); step the system
+    explicitly from there to time at, at most memory slides; and search
+    tail's orbit for a disagreement the same way.  None when head's init
+    differs, a system has one lane, lane periods share a factor, the first
+    disagreement comes more than memory slides before at, or the work
+    passes budget steps.
     """
     head, tail = compile_system(handoff.head), compile_system(handoff.tail)
     if (
@@ -409,31 +418,12 @@ def _handoff_reader(
     for _ in range(at - split):
         stepped.append(advance_word(cs, stepped[-1], 1))
     spent += slides + at - split
-    if stepped[-1] != word_from_bits(handoff.tail.init):
-        return None, spent
     try:
-        bad, steps = _first_disagreement(cs, tail, tail_lanes, budget - spent)
+        tail_first, steps = _first_disagreement(cs, tail, tail_lanes, budget - spent)
     except BudgetExceeded as exc:
         return None, spent + exc.steps
     spent += steps
-    if bad is not None:
-        return None, spent
-
-    def read(times: Sequence[int]) -> tuple[list[int], int]:
-        windows = []
-        slides = spent
-        for n in times:
-            if n >= at:
-                word, steps = tail_lanes.read(n - at)
-            elif n >= split:
-                word, steps = stepped[n - split], 0
-            else:
-                word, steps = head_lanes.read(n)
-            windows.append(word)
-            slides += steps
-        return windows, slides
-
-    return read, spent
+    return HandoffCertificate(head_lanes, first, tuple(stepped), at, tail_lanes, tail_first), spent
 
 
 def _probe_pass(read: Reader, transient: int, period: int) -> tuple[int, int]:
@@ -445,9 +435,9 @@ def _probe_pass(read: Reader, transient: int, period: int) -> tuple[int, int]:
     checkpoints.update(transient + period // q for q in prime_factors(period))
     if transient > 0:
         checkpoints.update((transient - 1, transient - 1 + period))
-    times = sorted(checkpoints)
-    windows, steps = read(times)
-    snap = dict(zip(times, windows))
+    reads = {n: read(n) for n in sorted(checkpoints)}
+    snap = {n: word for n, (word, _) in reads.items()}
+    steps = sum(slides for _, slides in reads.values())
     if snap[transient + period] != snap[transient]:
         raise PredictionFailed(
             "period", {"transient": transient, "period": period, "reason": "window does not recur"}
@@ -541,6 +531,8 @@ def verify_lanes(
     init: Sequence[int],
     predicted_transient: int,
     predicted_period: int,
+    *,
+    budget: int | None = None,
 ) -> CycleReport:
     """Prove a predicted (T, P) minimal on the system's decimated lanes.
 
@@ -548,16 +540,19 @@ def verify_lanes(
     the certified orbits of the lane_count(cs) lanes, so a refuted pair
     raises the same PredictionFailed.  steps_executed counts lane slides:
     the lane searches plus the reads.  When the searches would take more
-    than T + P slides the windows are simulated instead.  Raises ValueError
-    when the system has one lane only.
+    than T + P slides, or more than budget, the windows are simulated
+    instead, or BudgetExceeded is raised when the simulation would pass
+    budget.  Raises ValueError when the system has one lane only.
     """
     _check_pair(predicted_transient, predicted_period)
     _check_init(cs, init)
     if lane_count(cs) == 1:
         raise ValueError("the taps and memory share no stride: the system has one lane")
-    read = _laned(cs, init, predicted_transient + predicted_period)
+    work = predicted_transient + predicted_period
+    lanes, spent = _certify_lanes(cs, init, work if budget is None else min(work, budget))
+    read = _fallback(cs, init, spent, work, budget) if lanes is None else lanes.read
     steps, entry = _probe_pass(read, predicted_transient, predicted_period)
-    return CycleReport(predicted_transient, predicted_period, entry, steps)
+    return CycleReport(predicted_transient, predicted_period, entry, spent + steps)
 
 
 def verify_handoff(
@@ -566,21 +561,26 @@ def verify_handoff(
     predicted_transient: int,
     predicted_period: int,
     handoff: Handoff,
+    *,
+    budget: int | None = None,
 ) -> CycleReport:
     """Prove a predicted (T, P) minimal on a handoff certificate.
 
     The probes are verify_predicted's, on windows read from head's lanes up
     to the system's first disagreement with head, from explicit steps up to
     handoff.at, and from tail's lanes at n - at after it (see
-    _handoff_reader), so a refuted pair raises the same PredictionFailed.
-    steps_executed counts lane slides, explicit steps and search nodes.
-    When the certificate cannot close, or would take more than T + P
-    steps, the windows are simulated instead.
+    handoff_certificate), so a refuted pair raises the same
+    PredictionFailed.  steps_executed counts lane slides, explicit steps
+    and search nodes.  When the certificate does not close within T + P
+    steps, or within budget, the windows are simulated instead, or
+    BudgetExceeded is raised when the simulation would pass budget.
     """
     _check_pair(predicted_transient, predicted_period)
-    word0 = _check_init(cs, init)
-    read, spent = _handoff_reader(cs, init, handoff, predicted_transient + predicted_period)
-    if read is None:
-        read = _simulated(cs, word0, spent)
+    _check_init(cs, init)
+    work = predicted_transient + predicted_period
+    cap = work if budget is None else min(work, budget)
+    cert, spent = handoff_certificate(cs, init, handoff, cap)
+    closed = cert is not None and cert.closes
+    read = cert.read if closed else _fallback(cs, init, spent, work, budget)
     steps, entry = _probe_pass(read, predicted_transient, predicted_period)
-    return CycleReport(predicted_transient, predicted_period, entry, steps)
+    return CycleReport(predicted_transient, predicted_period, entry, spent + steps)

@@ -26,9 +26,10 @@ lanes with verify_lanes; every z(d) by lane handoff with verify_handoff,
 its orbit certified as y's up to its first disagreement and w(d)'s from
 L1(d) on (z_handoff).  On every route a wrong prediction raises
 PredictionFailed from the one probe rule in cycles, so it never comes back
-as a verdict.  proof_work prices each proof the way it will run, a lane
-proof at its lanes' T + P, for the claim table and the CLI's cycle mode
-alike.
+as a verdict.  check_phases reads z(d)'s five phases off the same handoff
+certificate, exact for all time.  proof_work prices each proof the way it
+will run, a lane proof at its lanes' T + P, for the claim table and the
+CLI's cycle mode alike, and phases at z_summary's price.
 Cutoffs below bound the work per claim instance.  Each grid lists every
 structurally valid instance, and the table states each claim's predicted
 work and cutoff; skip_detail compares the two, and an instance past its
@@ -63,12 +64,13 @@ from .cycles import (
     CycleReport,
     Handoff,
     detect_cycle,
+    handoff_certificate,
     lane_count,
     verify_handoff,
     verify_lanes,
     verify_predicted,
 )
-from .engine import advance_word, compile_system, run, walk, word_from_bits
+from .engine import advance_word, bits_from_word, compile_system, run, walk, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed, RhoTooSmall
 from .numtheory import WindowParams, cycle_lengths, window_params
 
@@ -92,7 +94,6 @@ __all__ = [
 # DETECT_CUTOFF; the claim table names which bound skips each claim's instances.
 DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
-TRACE_CUTOFF = 2_000_000       # longest trace a phase comparison may record
 BASIN_VARIANTS = 8             # free-prefix variants check_basin checks at most
 
 # Completed proofs of the current run_claims call, keyed by (compiled system,
@@ -163,8 +164,10 @@ def measure_cycle(
     search that disagrees or runs out of its default budget, or a failed
     proof) raises PredictionFailed naming the first probe it fails, so a
     returned report always equals the prediction.  A budget caps the
-    proof: when T + P exceeds it, BudgetExceeded is raised before any step
-    is taken.
+    steps the proof takes on its route: a search or verify_predicted whose
+    T + P exceeds it raises BudgetExceeded before any step is taken, and a
+    lane or handoff proof raises it when its certificate cannot close
+    within the budget.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call, keyed by the compiled system, init and prediction, and a repeated
@@ -173,24 +176,25 @@ def measure_cycle(
     every call proves afresh.
     """
     t_pred, p_pred = predicted
-    if budget is not None and t_pred + p_pred > budget:
-        raise BudgetExceeded(0, budget)
+    work = t_pred + p_pred
     cs = compile_system(system)
     proofs = _proofs
     key = (cs, tuple(system.init), predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
-    rep = None
-    if t_pred + p_pred <= DETECT_CUTOFF:
-        with suppress(BudgetExceeded):  # the prediction understates the orbit
-            rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
+    if work > DETECT_CUTOFF and handoff is not None:
+        rep = verify_handoff(cs, system.init, t_pred, p_pred, handoff(), budget=budget)
+    elif work > DETECT_CUTOFF and lane_count(cs) > 1:
+        rep = verify_lanes(cs, system.init, t_pred, p_pred, budget=budget)
+    else:
+        if budget is not None and work > budget:
+            raise BudgetExceeded(0, budget)
+        rep = None
+        if work <= DETECT_CUTOFF:
+            with suppress(BudgetExceeded):  # the prediction understates the orbit
+                rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
         if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
             rep = verify_predicted(cs, system.init, t_pred, p_pred)
-    elif handoff is not None:
-        rep = verify_handoff(cs, system.init, t_pred, p_pred, handoff())
-    else:
-        prove = verify_lanes if lane_count(cs) > 1 else verify_predicted
-        rep = prove(cs, system.init, t_pred, p_pred)
     if proofs is not None:
         proofs[key] = rep
     return rep
@@ -519,71 +523,67 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
 
 
 def check_phases(m: int, d: int) -> ClaimResult:
-    """Compare z(., d) bit for bit against y then w across its five phases."""
+    """Read z(., d)'s five phases against y and w off its handoff certificate.
+
+    The certificate (handoff_certificate over z_handoff, capped at
+    MEASURE_CUTOFF steps) is exact for all time.  Phase 1 (z = y) ends at
+    its boundary exactly when z first disagrees with y at L1 - rho.  Phases
+    2-3 are the rho newest bits of z's stepped window at L1 against y's:
+    d + 1 anomalies z = 0, y = 1, then equality.  Phases 4-5 (z from L1 on
+    is w) hold when that window is w's init and z never leaves w's orbit.
+    """
     params = window_params(m)
     params.check_lane(d, "d")
     rho, h, k = params.rho, params.h, params.k
     p_d = params.primes[d]
-    l0, l1, _ = cycle_lengths(params, d)
-    l3 = l1 + 2 * h + d - rho * (1 + p_d)
-    l4 = l3 - h + 1
-
-    phase5_span = min(l0, 10_000) + h
-    z_top = max(l3, l4 + phase5_span)
-    w_top = max(h + rho * (k - 1 - p_d) + d, phase5_span + h + d + 1 - rho * (1 + p_d))
-    y_top = l1 + h - 1
+    l1 = cycle_lengths(params, d)[1]
+    w_shift = h + d + 1 - rho * (1 + p_d)
+    p2_lo, p2_hi = l1 + h - rho, l1 + h - rho + d
+    p3_lo, p3_hi = p2_hi + 1, l1 + h - 1
+    phase3_empty = p3_lo > p3_hi
 
     z_sys = cons.build_z(params, d)
-    z_trace = run(compile_system(z_sys), z_sys.init, z_top + 1 - h)
-    y_sys = cons.build_y(params)
-    y_trace = run(compile_system(y_sys), y_sys.init, y_top + 1 - h)
-    w_sys = cons.build_w(params, d)
-    w_trace = run(compile_system(w_sys), w_sys.init, w_top + 1 - h)
+    handoff = z_handoff(params, d)
+    cert, _ = handoff_certificate(compile_system(z_sys), z_sys.init, handoff, MEASURE_CUTOFF)
 
     bad: list[str] = []
-
-    p1_end = l1 + h - 1 - rho
-    if any(z_trace[t] != y_trace[t] for t in range(0, p1_end + 1)):
-        t = next(t for t in range(0, p1_end + 1) if z_trace[t] != y_trace[t])
-        bad.append(f"phase1 mismatch at t={t}")
-
-    p2_lo, p2_hi = l1 + h - rho, l1 + h - rho + d
     anomalies = 0
-    for t in range(p2_lo, p2_hi + 1):
-        if not (z_trace[t] == 0 and y_trace[t] == 1):
-            bad.append(f"phase2 expected z=0,y=1 at t={t}, got z={z_trace[t]},y={y_trace[t]}")
-        else:
-            anomalies += 1
-    if anomalies != d + 1:
-        bad.append(f"phase2 anomaly count {anomalies} != {d + 1}")
-
-    p3_lo, p3_hi = l1 + h - rho + d + 1, l1 + h - 1
-    phase3_empty = p3_lo > p3_hi
     if phase3_empty != (d == rho - 1):
         bad.append("phase3 emptiness does not track d == rho-1")
-    for t in range(p3_lo, p3_hi + 1):
-        if z_trace[t] != y_trace[t]:
+    if cert is None:
+        bad.append("no handoff certificate of z from y into w")
+    else:
+        if cert.first is not None and cert.first < l1 - rho:
+            bad.append(f"phase1 mismatch at t={cert.first + h}")
+        # the rho newest bits of the windows at L1 are the trace at p2_lo..p3_hi
+        z_bits = bits_from_word(cert.stepped[-1], rho)
+        y_bits = bits_from_word(cert.head.read(l1)[0], rho)
+        bits = list(zip(range(p2_lo, p3_hi + 1), z_bits, y_bits))
+        for t, z, y in bits[: d + 1]:
+            if z == 0 and y == 1:
+                anomalies += 1
+            else:
+                bad.append(f"phase2 expected z=0,y=1 at t={t}, got z={z},y={y}")
+        if anomalies != d + 1:
+            bad.append(f"phase2 anomaly count {anomalies} != {d + 1}")
+        t = next((t for t, z, y in bits[d + 1 :] if z != y), None)
+        if t is not None:
             bad.append(f"phase3 mismatch at t={t}")
-            break
-
-    for t in range(0, rho * (k - 1 - p_d) + d + 1):
-        if z_trace[l1 + h + t] != w_trace[h + t]:
-            bad.append(f"phase4 mismatch at offset t={t}")
-            break
-
-    w_shift = h + d + 1 - rho * (1 + p_d)
-    for t in range(0, phase5_span + 1):
-        if z_trace[t + l4] != w_trace[t + w_shift]:
-            bad.append(f"phase5 mismatch at offset t={t}")
-            break
+        n = cert.tail_first
+        if cert.stepped[-1] != word_from_bits(handoff.tail.init):
+            bad.append(f"phase4 mismatch: z's window at L1 = {l1} is not w's init")
+        elif n is not None and n <= rho * (k - 1 - p_d) + d:
+            bad.append(f"phase4 mismatch at offset t={n}")
+        elif n is not None:
+            bad.append(f"phase5 mismatch at offset t={n + h - w_shift}")
 
     detail = {
-        "phase1": [0, p1_end],
+        "phase1": [0, p2_lo - 1],
         "phase2": [p2_lo, p2_hi],
         "phase3": None if phase3_empty else [p3_lo, p3_hi],
         "phase3_empty": phase3_empty,
-        "phase4_z": [l1 + h, l3],
-        "phase5_start": l4,
+        "phase4_z": [l1 + h, l1 + w_shift + h - 1],
+        "phase5_start": l1 + w_shift,
         "anomalies": anomalies,
         "violations": bad,
     }
@@ -798,14 +798,6 @@ def _chain_work(params: WindowParams) -> int:
     return max(proof_work(params, fam, d) for fam, d in members)
 
 
-def _phases_work(params: WindowParams, d: int) -> int:
-    """Bits of the longest trace check_phases records for z(d)."""
-    rho, h = params.rho, params.h
-    l0, l1, _ = cycle_lengths(params, d)
-    l4 = l1 + h + d + 1 - rho * (1 + params.primes[d])
-    return l4 + min(l0, 10_000) + 2 * h
-
-
 def skip_detail(work: int, cutoff: int) -> dict | None:
     """Why an instance is skipped, or None when it runs.
 
@@ -866,7 +858,7 @@ _TABLE = {
         Claim(
             "phases",
             _every_d,
-            (_phases_work, TRACE_CUTOFF),
+            (_proof_work("z"), MEASURE_CUTOFF),
             lambda m, d, **_: check_phases(m, d),
         ),
         Claim("z_summary", _every_d, (_proof_work("z"), MEASURE_CUTOFF), _run_z_summary),

@@ -188,6 +188,22 @@ def test_cycle_mode_proves_y_at_m21_on_its_lanes(tmp_path):
     assert row["steps"] < 10_000  # lane slides, not the 1.9e9 of a simulation
 
 
+@pytest.mark.parametrize(
+    "system, steps", [(["y"], 1_379), (["z", "--d", "4"], 19_062)], ids=["y", "z4"]
+)
+def test_cycle_mode_budget_caps_the_proof_on_its_route_at_m21(tmp_path, system, steps):
+    # T + P is 1.9e9 for both, but the lane and handoff proofs take far fewer
+    # steps: a budget of 10^6 lets them run, and one below them fails
+    out = tmp_path / "budget"
+    argv = ["--mode", "cycle", "--m", "21", "--system", *system, "--out", str(out)]
+    assert main([*argv, "--budget", "1000000"]) == 0
+    (row,) = read_report(out)["cycle_reports"]
+    assert row["match"] is True and row["steps"] == steps
+    assert main([*argv, "--budget", str(steps // 2)]) == 1
+    (row,) = read_report(out)["cycle_reports"]
+    assert (row["error"], row["budget"]) == ("BudgetExceeded", steps // 2)
+
+
 @pytest.mark.long
 def test_long_tier_cycle_mode_proves_every_z_at_m21(tmp_path):
     out = tmp_path / "z21"

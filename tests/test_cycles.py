@@ -42,7 +42,7 @@ from neurec import (
     window_params,
     word_from_bits,
 )
-from neurec.cycles import _handoff_reader, _laned, _probe_pass
+from neurec.cycles import _certify_lanes, _probe_pass, handoff_certificate
 from neurec.verify import z_handoff
 
 
@@ -220,9 +220,16 @@ def wrong_pairs(t, p):
     return pairs + ([(t - 1, p)] if t > 0 else [])
 
 
+def laned(cs, init):
+    """The reader of the uncapped lane certificate, which must close."""
+    lanes, _ = _certify_lanes(cs, init, budget=10**9)
+    assert lanes is not None, "the lane searches did not close"
+    return lanes.read
+
+
 def lanes_uncapped(cs, init, t, p):
     """The lane proof with no cap on the lane searches, so it never simulates."""
-    steps, entry = _probe_pass(_laned(cs, init, budget=10**9), t, p)
+    steps, entry = _probe_pass(laned(cs, init), t, p)
     return CycleReport(t, p, entry, steps)
 
 
@@ -235,7 +242,8 @@ def refusal(prove, cs, init, pair):
 def assert_lane_reads_are_exact(cs, init, times):
     # every window the uncapped lane reader assembles is S_n
     times = sorted(times)
-    windows, _ = _laned(cs, init, budget=10**9)(times)
+    read = laned(cs, init)
+    windows = [read(n)[0] for n in times]
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
 
@@ -363,10 +371,18 @@ def z_members(p):
             yield d, chained
 
 
+def handoff_reader(cs, init, handoff, budget):
+    """The reader of the handoff certificate when it closes, else None; and
+    the steps the certificate took."""
+    cert, spent = handoff_certificate(cs, init, handoff, budget)
+    closed = cert is not None and cert.closes
+    return (cert.read if closed else None), spent
+
+
 def handoff_uncapped(cs, init, t, p, handoff):
     """The handoff proof with no cap on its work, so it never simulates;
     the certificate must close."""
-    read, _ = _handoff_reader(cs, init, handoff, budget=10**9)
+    read, _ = handoff_reader(cs, init, handoff, budget=10**9)
     assert read is not None, "the handoff certificate did not close"
     steps, entry = _probe_pass(read, t, p)
     return CycleReport(t, p, entry, steps)
@@ -402,7 +418,7 @@ def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
         raised = dataclasses.replace(z, threshold=z.threshold + 1)
         cs = compile_system(raised)
         handoff = z_handoff(p, d)
-        read, _ = _handoff_reader(cs, raised.init, handoff, budget=10**9)
+        read, _ = handoff_reader(cs, raised.init, handoff, budget=10**9)
         assert read is None, d
         pred = predicted_cycle(p, "z", d)
         want = refusal(verify_predicted, cs, raised.init, pred)
@@ -415,7 +431,7 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     z = build_z(p, 0)
     flipped = dataclasses.replace(z, init=(1 - z.init[0],) + z.init[1:])
     cs = compile_system(flipped)
-    assert _handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
+    assert handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
     ref = detect_cycle(cs, flipped.init, step_budget=10**6)
     pair = (ref.measured_transient, ref.measured_period)
     rep = verify_handoff(cs, flipped.init, *pair, z_handoff(p, 0))
@@ -430,11 +446,11 @@ def test_handoff_takes_over_at_l1():
         z = build_z(p, d)
         l1 = cycle_lengths(p, d)[1]
         cs = compile_system(z)
-        read, _ = _handoff_reader(cs, z.init, z_handoff(p, d), budget=10**9)
+        read, _ = handoff_reader(cs, z.init, z_handoff(p, d), budget=10**9)
         y_cs = compile_system(build_y(p))
         word0 = word_from_bits(z.init)
         times = [l1 - p.rho - 1, l1 - p.rho, l1 - p.rho + 1, l1]
-        windows, _ = read(times)
+        windows = [read(n)[0] for n in times]
         assert windows == [advance_word(cs, word0, n) for n in times]
         assert windows[:2] == [advance_word(y_cs, word0, n) for n in times[:2]]
         assert windows[2] != advance_word(y_cs, word0, times[2])
@@ -508,13 +524,13 @@ def handoff_cases(draw):
 @given(handoff_cases())
 def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     cs, init, handoff = case
-    read, _ = _handoff_reader(cs, init, handoff, budget=10**7)
+    read, _ = handoff_reader(cs, init, handoff, budget=10**7)
     if read is None:
         return  # e.g. lane periods that share a factor: the proof simulates
     ref = detect_cycle(cs, init, step_budget=10**6)
     t, p = ref.measured_transient, ref.measured_period
     times = list(range(t + 2 * p + 2 * cs.memory))
-    windows, _ = read(times)
+    windows = [read(n)[0] for n in times]
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
     for prove in (verify_handoff, handoff_uncapped):

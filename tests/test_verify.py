@@ -3,9 +3,11 @@
 import dataclasses
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+import neurec.construction
 import neurec.verify
 from neurec import (
     ALL_CLAIMS,
@@ -14,18 +16,24 @@ from neurec import (
     IndexOutOfRange,
     PredictionFailed,
     RecurrenceSystem,
+    build_w,
+    build_y,
+    build_z,
     check_basin,
     check_chain,
     check_composition,
     check_phases,
+    compile_system,
+    cycle_lengths,
     measure_cycle,
     predicted_cycle,
+    run,
     run_claims,
     single_system,
     window_params,
 )
 from neurec.cli import main
-from neurec.verify import MEASURE_CUTOFF, TRACE_CUTOFF, claim_grid
+from neurec.verify import MEASURE_CUTOFF, claim_grid
 
 
 def runnable(claim, m):
@@ -262,6 +270,98 @@ def test_phases_m6_d1_final_step_shape():
     assert d["phase3"] is None and d["phase3_empty"] is True
 
 
+def phases_by_traces(m, d):
+    """check_phases' verdict and detail from a bit-for-bit comparison of
+    simulated z, y and w traces across the five phases, phase 5 over
+    min(L0, 10,000) + h bits."""
+    params = window_params(m)
+    rho, h, k = params.rho, params.h, params.k
+    p_d = params.primes[d]
+    l0, l1, _ = cycle_lengths(params, d)
+    l3 = l1 + 2 * h + d - rho * (1 + p_d)
+    l4 = l3 - h + 1
+    phase5_span = min(l0, 10_000) + h
+    w_shift = h + d + 1 - rho * (1 + p_d)
+    tops = {
+        "z": max(l3, l4 + phase5_span),
+        "y": l1 + h - 1,
+        "w": max(h + rho * (k - 1 - p_d) + d, phase5_span + w_shift),
+    }
+    # z is looked up on the module, so a test that patches build_z patches both
+    z_sys = neurec.construction.build_z(params, d)
+    systems = {"z": z_sys, "y": build_y(params), "w": build_w(params, d)}
+    z, y, w = (
+        run(compile_system(s), s.init, tops[name] + 1 - h) for name, s in systems.items()
+    )
+    bad = []
+    p1_end = l1 + h - 1 - rho
+    t = next((t for t in range(p1_end + 1) if z[t] != y[t]), None)
+    if t is not None:
+        bad.append(f"phase1 mismatch at t={t}")
+    p2_lo, p2_hi = l1 + h - rho, l1 + h - rho + d
+    anomalies = 0
+    for t in range(p2_lo, p2_hi + 1):
+        if z[t] == 0 and y[t] == 1:
+            anomalies += 1
+        else:
+            bad.append(f"phase2 expected z=0,y=1 at t={t}, got z={z[t]},y={y[t]}")
+    if anomalies != d + 1:
+        bad.append(f"phase2 anomaly count {anomalies} != {d + 1}")
+    p3_lo, p3_hi = p2_hi + 1, l1 + h - 1
+    t = next((t for t in range(p3_lo, p3_hi + 1) if z[t] != y[t]), None)
+    if t is not None:
+        bad.append(f"phase3 mismatch at t={t}")
+    t = next((t for t in range(rho * (k - 1 - p_d) + d + 1) if z[l1 + h + t] != w[h + t]), None)
+    if t is not None:
+        bad.append(f"phase4 mismatch at offset t={t}")
+    t = next((t for t in range(phase5_span + 1) if z[t + l4] != w[t + w_shift]), None)
+    if t is not None:
+        bad.append(f"phase5 mismatch at offset t={t}")
+    detail = {
+        "phase1": [0, p1_end],
+        "phase2": [p2_lo, p2_hi],
+        "phase3": None if p3_lo > p3_hi else [p3_lo, p3_hi],
+        "phase3_empty": p3_lo > p3_hi,
+        "phase4_z": [l1 + h, l3],
+        "phase5_start": l4,
+        "anomalies": anomalies,
+        "violations": bad,
+    }
+    return not bad, detail
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_phases_equal_the_trace_comparison(m):
+    for d in range(window_params(m).rho):
+        res = check_phases(m, d)
+        assert (res.passed, res.detail) == phases_by_traces(m, d), d
+        assert res.passed and res.detail["anomalies"] == d + 1
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_phases_refuse_z_with_a_lowered_threshold(m, monkeypatch):
+    # negative control: 1/16 less threshold, and z no longer runs y, the
+    # anomalies, then w
+    def lowered(params, d):
+        z = build_z(params, d)
+        return dataclasses.replace(z, threshold=z.threshold - Fraction(1, 16))
+
+    monkeypatch.setattr("neurec.construction.build_z", lowered)
+    for d in range(window_params(m).rho):
+        passed, _ = phases_by_traces(m, d)
+        res = check_phases(m, d)
+        assert passed is False and res.passed is False, d
+        assert res.detail["violations"], d
+
+
+@pytest.mark.long
+def test_long_tier_phases_equal_the_trace_comparison_at_m16():
+    for d in range(3):
+        res = check_phases(16, d)
+        assert (res.passed, res.detail) == phases_by_traces(16, d), d
+        assert res.passed
+
+
 def test_chain_m6():
     res = check_chain(6)
     assert res.passed, res.detail
@@ -372,10 +472,10 @@ def test_grid_skips_infeasible_scales():
     p21 = window_params(21)
     lanes = sum(p21.primes) + sum(p21.k - p + 1 for p in p21.primes)
     assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h
-    # phases still records traces of z(d): past TRACE_CUTOFF at m = 21, d = 3, 4
-    assert [kw["d"] for kw in runnable("phases", 21)] == [0, 1, 2]
-    # basin runs exactly the z(d) proofs of z_summary that lie on its grid
+    # phases reads z(d)'s handoff certificate, priced as z_summary's proof,
+    # and basin runs exactly the z(d) proofs of z_summary that lie on its grid
     for m in (16, 21, 26):
+        assert runnable("phases", m) == runnable("z_summary", m)
         grid = [kw for kw, _ in claim_grid("basin", m)]
         assert runnable("basin", m) == [kw for kw in runnable("z_summary", m) if kw in grid]
     # desk scales keep everything
@@ -387,12 +487,20 @@ def test_grid_skips_infeasible_scales():
         claim_grid("divisor_rule", 6)  # scale-free: no grid
 
 
+def priced_past_the_cutoff(monkeypatch):
+    """Price every proof past MEASURE_CUTOFF: no instance at any m <= 200
+    passes it at its true price."""
+    monkeypatch.setattr("neurec.verify.proof_work", lambda *args: MEASURE_CUTOFF + 1)
+
+
 def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("a skipped instance was simulated")
 
+    priced_past_the_cutoff(monkeypatch)
     provers = (
-        "measure_cycle", "detect_cycle", "verify_predicted", "verify_lanes", "verify_handoff"
+        "measure_cycle", "detect_cycle", "verify_predicted", "verify_lanes", "verify_handoff",
+        "handoff_certificate",
     )
     for name in ("compile_system", "run", *provers):
         monkeypatch.setattr(f"neurec.verify.{name}", no_simulation)
@@ -404,16 +512,17 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
     ]
     for res in results:
         assert res.detail["skipped"] == "predicted work exceeds cutoff"
-        assert res.detail["work"] > res.detail["cutoff"] == TRACE_CUTOFF
+        assert res.detail["work"] > res.detail["cutoff"] == MEASURE_CUTOFF
 
 
-def test_run_claims_on_requested_steps():
+def test_run_claims_on_requested_steps(monkeypatch):
     # requested steps run in the order given, each keeping its grid skip detail
     results = run_claims(ms=(6,), claims=["w_cycle"], ds=[1, 0])
     assert [(r.params, r.passed) for r in results] == [
         ({"m": 6, "d": 1}, True),
         ({"m": 6, "d": 0}, True),
     ]
+    priced_past_the_cutoff(monkeypatch)
     skipped = run_claims(ms=(21,), claims=["phases"], ds=[4, 3])
     assert [r.params for r in skipped] == [{"m": 21, "d": 4}, {"m": 21, "d": 3}]
     for res in skipped:

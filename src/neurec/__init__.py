@@ -21,7 +21,6 @@ from .construction import (
     chain_perturbation,
     compute_B0,
     destabilized_system,
-    e_set,
     gamma,
     index_sets,
     initial_config_v,

@@ -31,7 +31,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -142,10 +141,6 @@ def import_trace(path: str | Path) -> list[int]:
     return [int(c) for c in body if c in "01"]
 
 
-def _rational_parse(s: str):
-    return Fraction(s) if "/" in s else int(s)
-
-
 def system_to_json(system: RecurrenceSystem) -> dict:
     """Exact sparse description of one system (weights keyed by offset j)."""
     return {
@@ -161,20 +156,6 @@ def system_to_json(system: RecurrenceSystem) -> dict:
         },
         "init": "".join("1" if b else "0" for b in system.init),
     }
-
-
-def system_from_json(doc: dict) -> RecurrenceSystem:
-    memory = int(doc["memory"])
-    weights = [0] * memory
-    for j_s, w_s in doc["weights"].items():
-        weights[int(j_s) - 1] = _rational_parse(w_s)
-    return RecurrenceSystem(
-        memory=memory,
-        weights=tuple(weights),
-        threshold=_rational_parse(doc["threshold"]),
-        init=tuple(int(c) for c in doc["init"]),
-        label=doc.get("label", ""),
-    )
 
 
 def _slug(label: str) -> str:
@@ -275,10 +256,7 @@ def _claim_dicts(results: Sequence[ClaimResult]) -> list[dict]:
 
 
 def _resolved_ms(config: ExperimentConfig) -> list[int]:
-    ms = list(config.m)
-    if config.long:
-        ms.extend(m for m in LONG_MS if m not in ms)
-    return ms
+    return list(dict.fromkeys(config.m + list(LONG_MS) if config.long else config.m))
 
 
 def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
@@ -437,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="step cap of a proof on its route: a simulated one whose T+P exceeds it "
         "fails unrun, a lane or handoff one fails if its certificate cannot close within it; "
-        "also basin's blind search budget (default: no cap on proofs, MEASURE_CUTOFF there)",
+        "also basin's blind search budget (default: no cap on proofs, and "
+        "min(6(T+P) + 4h + 64, MEASURE_CUTOFF) for basin's search)",
     )
     parser.add_argument(
         "--claims",
@@ -491,6 +470,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         # each flag's dest is the field it overrides
         if getattr(args, name) is not None:
             setattr(config, name, getattr(args, name))
+    # a repeated scale or step runs once, in first-seen order
+    config.m = list(dict.fromkeys(config.m))
+    if config.d is not None:
+        config.d = list(dict.fromkeys(config.d))
     _validate(config)
     return config
 

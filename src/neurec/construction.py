@@ -62,7 +62,6 @@ __all__ = [
     "pos_set",
     "index_sets",
     "q_set",
-    "e_set",
     "build_y",
     "gamma",
     "build_w",
@@ -142,11 +141,6 @@ def q_set(params: WindowParams, i: int, d: int) -> frozenset[int]:
         raise IndexOutOfRange(f"d={d} not in (0, {p}) for lane i={i}")
     top = params.mu[i] if d <= params.beta_m[i] else params.mu[i] - 1
     return frozenset(d + j * p for j in range(top + 1))
-
-
-def e_set(params: WindowParams, i: int, d: int) -> frozenset[int]:
-    """E(alpha_i, d) = Q(alpha_i, d) intersected with the weight support F."""
-    return q_set(params, i, d) & index_sets(params).F
 
 
 def single_weights(params: WindowParams) -> tuple[tuple[int, ...], int]:

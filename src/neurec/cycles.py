@@ -20,7 +20,8 @@ lanes of a system whose memory and tap offsets share a stride r > 1 (see
 lane_count): times i, i + r, i + 2r, ... then obey their own recurrence, so
 S_n is the exact interleave of the r lane windows at lane time
 ceil((n - i) / r), each read off a lane orbit that detect_cycle certified.
-A proof then costs lane slides, not T + P.
+A proof then costs lane slides, not T + P.  certify_lanes builds the
+Lanes, and Lanes.popcount_range reads the window popcount range off them.
 
 verify_handoff reads them from the HandoffCertificate of a system that
 starts on one laned orbit (head) and ends on another (tail), as z(d) starts
@@ -50,7 +51,7 @@ transient again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,6 +65,8 @@ __all__ = [
     "verify_predicted",
     "verify_lanes",
     "verify_handoff",
+    "Lanes",
+    "certify_lanes",
     "Handoff",
     "HandoffCertificate",
     "handoff_certificate",
@@ -151,7 +154,7 @@ def _lane_system(cs: CompiledSystem, r: int) -> CompiledSystem:
     return compile_system(lane)
 
 
-class _Lanes(NamedTuple):
+class Lanes(NamedTuple):
     """The decimated lanes of one orbit, each lane orbit certified.
 
     cs is the lane recurrence; orbits[i] is lane i's init word and its
@@ -184,15 +187,50 @@ class _Lanes(NamedTuple):
             buf[(i - n) % r :: r] = format(word, f"0{memory}b").encode()
         return int(buf, 2), slides
 
+    @property
+    def coprime(self) -> bool:
+        """Whether the lane periods are pairwise coprime."""
+        periods = [rep.measured_period for _, rep in self.orbits]
+        return lcm(*periods) == prod(periods)
 
-def _certify_lanes(
+    def popcount_range(self) -> tuple[int, int] | None:
+        """(min, max) window popcount over S_n for all n >= 0, or None unless the
+        lane periods are coprime.
+
+        S_{r*Q + c} holds lane i at lane time Q + [i < c], so its popcount is
+        a sum over lanes: explicit before r * q0 (q0 the longest lane
+        transient), and past it, where every tuple of lane phases occurs in
+        every slot c, the sum of each lane's extremes over its cycle.
+        """
+        if not self.coprime:
+            return None
+        q0 = max(rep.measured_transient for _, rep in self.orbits)
+
+        def counts(word: int, n: int) -> list[int]:
+            return [w.bit_count() for w, _ in islice(walk(self.cs, word), n)]
+
+        heads = [counts(word0, q0 + 1) for word0, _ in self.orbits]
+        cycles = [counts(rep.entry_window, rep.measured_period) for _, rep in self.orbits]
+        sums = set()
+        for q in range(q0):
+            s = sum(h[q] for h in heads)
+            sums.add(s)
+            for h in heads[:-1]:  # the next slot reads one more lane at q + 1
+                s += h[q + 1] - h[q]
+                sums.add(s)
+        lo, hi = sum(map(min, cycles)), sum(map(max, cycles))
+        return min(sums | {lo}), max(sums | {hi})
+
+
+def certify_lanes(
     cs: CompiledSystem, init: Sequence[int], budget: int
-) -> tuple[_Lanes | None, int]:
+) -> tuple[Lanes | None, int]:
     """Certify each of the lane_count(cs) lanes with detect_cycle.
 
     Lane i is the trace at times i, i + r, i + 2r, ..., with init
-    init[i::r].  Returns the lanes, or None when the searches together would
-    take more than budget slides, and the slides the searches took.
+    init[i::r]; with r = 1 the one lane is the system itself.  Returns the
+    lanes, or None when the searches together would take more than budget
+    slides, and the slides the searches took.
     """
     r = lane_count(cs)
     lane_cs = _lane_system(cs, r)
@@ -208,7 +246,7 @@ def _certify_lanes(
         if spent > budget:
             return None, spent
         orbits.append((word_from_bits(lane_init), rep))
-    return _Lanes(lane_cs, tuple(orbits)), spent
+    return Lanes(lane_cs, tuple(orbits)), spent
 
 
 def _fallback(
@@ -255,7 +293,7 @@ def _lane_terms(table: Sequence[int], masks: dict[int, int], shift: bool) -> lis
 
 
 def _first_disagreement(
-    cs: CompiledSystem, ref: CompiledSystem, lanes: _Lanes, budget: int
+    cs: CompiledSystem, ref: CompiledSystem, lanes: Lanes, budget: int
 ) -> tuple[int | None, int]:
     """The first time n at which cs's rule, applied to the window S_n of
     ref's orbit on lanes, disagrees with ref's next bit, or None when they
@@ -350,11 +388,11 @@ class HandoffCertificate(NamedTuple):
     S_split .. S_at, stepped with the system's rule from min(first, at).
     """
 
-    head: _Lanes
+    head: Lanes
     first: int | None
     stepped: tuple[int, ...]
     at: int
-    tail: _Lanes
+    tail: Lanes
     tail_first: int | None
 
     @property
@@ -392,17 +430,13 @@ def handoff_certificate(
         or min(lane_count(head), lane_count(tail)) == 1
     ):
         return None, 0
-    head_lanes, spent = _certify_lanes(head, init, budget)
+    head_lanes, spent = certify_lanes(head, init, budget)
     if head_lanes is None:
         return None, spent
-    tail_lanes, slides = _certify_lanes(tail, handoff.tail.init, budget - spent)
+    tail_lanes, slides = certify_lanes(tail, handoff.tail.init, budget - spent)
     spent += slides
-    if tail_lanes is None:
+    if tail_lanes is None or not (head_lanes.coprime and tail_lanes.coprime):
         return None, spent
-    for lanes in (head_lanes, tail_lanes):
-        periods = [rep.measured_period for _, rep in lanes.orbits]
-        if lcm(*periods) != prod(periods):  # not pairwise coprime
-            return None, spent
 
     try:
         first, steps = _first_disagreement(cs, head, head_lanes, budget - spent)
@@ -549,7 +583,7 @@ def verify_lanes(
     if lane_count(cs) == 1:
         raise ValueError("the taps and memory share no stride: the system has one lane")
     work = predicted_transient + predicted_period
-    lanes, spent = _certify_lanes(cs, init, work if budget is None else min(work, budget))
+    lanes, spent = certify_lanes(cs, init, work if budget is None else min(work, budget))
     read = _fallback(cs, init, spent, work, budget) if lanes is None else lanes.read
     steps, entry = _probe_pass(read, predicted_transient, predicted_period)
     return CycleReport(predicted_transient, predicted_period, entry, spent + steps)

@@ -27,9 +27,11 @@ its orbit certified as y's up to its first disagreement and w(d)'s from
 L1(d) on (z_handoff).  On every route a wrong prediction raises
 PredictionFailed from the one probe rule in cycles, so it never comes back
 as a verdict.  check_phases reads z(d)'s five phases off the same handoff
-certificate, exact for all time.  proof_work prices each proof the way it
-will run, a lane proof at its lanes' T + P, for the claim table and the
-CLI's cycle mode alike, and phases at z_summary's price.
+certificate, and sum_bounds and y_deshuffle read y and every w(d) off their
+certified lanes (certify_lanes), all exact for all time; lanes that cannot
+be certified within MEASURE_CUTOFF fail the instance.  proof_work prices
+each proof the way it will run, a lane proof at its lanes' T + P, for the
+claim table and the CLI's cycle mode alike, and phases at z_summary's price.
 Cutoffs below bound the work per claim instance.  Each grid lists every
 structurally valid instance, and the table states each claim's predicted
 work and cutoff; skip_detail compares the two, and an instance past its
@@ -63,6 +65,8 @@ from .construction import RecurrenceSystem
 from .cycles import (
     CycleReport,
     Handoff,
+    Lanes,
+    certify_lanes,
     detect_cycle,
     handoff_certificate,
     lane_count,
@@ -340,6 +344,14 @@ def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
 # dynamic claims
 
 
+def _x_mismatch(params: WindowParams, i: int) -> int | None:
+    """The first t < k + p_i where x_i's trace departs from its closed form, or
+    None: then S_{p_i} = S_0, and the two agree for all time."""
+    system = cons.single_system(params, i)
+    trace = run(compile_system(system), system.init, params.primes[i])
+    return next((t for t, bit in enumerate(trace) if bit != cons.x_closed_form(params, i, t)), None)
+
+
 def _run_x_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     params = window_params(m)
     per_lane = {}
@@ -348,13 +360,7 @@ def _run_x_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         system = cons.single_system(params, i)
         pred = predicted_cycle(params, "x", i)
         rep = measure_cycle(system, pred, budget)
-        cs = compile_system(system)
-        horizon = params.k + 2 * params.primes[i]
-        trace = run(cs, system.init, horizon - params.k)
-        mismatch = next(
-            (t for t in range(len(trace)) if trace[t] != cons.x_closed_form(params, i, t)),
-            None,
-        )
+        mismatch = _x_mismatch(params, i)
         ok = ok and mismatch is None
         per_lane[str(i)] = _report_dict(rep, pred) | {"closed_form_mismatch_at": mismatch}
     return ClaimResult("x_cycle", {"m": m}, ok, {"per_lane": per_lane})
@@ -388,48 +394,28 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     return ClaimResult("v_fixed", {"m": m}, ok, {"per_lane": per_lane})
 
 
-def _window_popcounts(system: RecurrenceSystem, horizon: int) -> tuple[int, int]:
-    """(min, max) of the window popcount over times memory..memory+horizon."""
-    orbit = walk(compile_system(system), word_from_bits(system.init))
-    counts = {word.bit_count() for word, _ in islice(orbit, horizon + 1)}
-    return min(counts), max(counts)
+def _lanes(system: RecurrenceSystem) -> Lanes:
+    """system's certified lanes; BudgetExceeded past MEASURE_CUTOFF lane slides."""
+    lanes, spent = certify_lanes(compile_system(system), system.init, MEASURE_CUTOFF)
+    if lanes is None:
+        raise BudgetExceeded(spent, MEASURE_CUTOFF)
+    return lanes
 
 
 def _run_sum_bounds(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
-    rho, k = params.rho, params.k
+    rho, mu = params.rho, params.mu
+    mu_sum = sum(mu)
+    envelopes = [(f"x{i}", cons.single_system(params, i), mu[i], mu[i] + 1) for i in range(rho)]
+    envelopes.append(("y", cons.build_y(params), mu_sum, rho + mu_sum))
+    for d in range(rho):
+        envelopes.append((f"w{d}", cons.build_w(params, d), sum(mu[d + 1 :]), rho - d - 1 + mu_sum))
     detail: dict = {}
     ok = True
-
-    for i in range(params.rho):
-        lo, hi = _window_popcounts(cons.single_system(params, i), 2 * params.primes[i])
-        mu = params.mu[i]
-        lane_ok = mu <= lo and hi <= mu + 1
-        ok = ok and lane_ok
-        detail[f"x{i}"] = {"min": lo, "max": hi, "bounds": [mu, mu + 1]}
-
-    mu_sum = sum(params.mu)
-    l2 = cycle_lengths(params, 0)[2]
-    horizon = min(l2 + 1, 300_000)
-    lo, hi = _window_popcounts(cons.build_y(params), horizon)
-    y_ok = mu_sum <= lo and hi <= rho + mu_sum
-    ok = ok and y_ok
-    detail["y"] = {"min": lo, "max": hi, "bounds": [mu_sum, rho + mu_sum], "horizon": horizon}
-
-    for d in range(rho):
-        t_w, l0 = predicted_cycle(params, "w", d)
-        horizon = min(t_w + 2 * l0 + 1, 300_000)
-        lo, hi = _window_popcounts(cons.build_w(params, d), horizon)
-        low_bound = sum(params.mu[d + 1 :])
-        high_bound = rho - d - 1 + mu_sum
-        w_ok = low_bound <= lo and hi <= high_bound
-        ok = ok and w_ok
-        detail[f"w{d}"] = {
-            "min": lo,
-            "max": hi,
-            "bounds": [low_bound, high_bound],
-            "horizon": horizon,
-        }
+    for name, system, low, high in envelopes:
+        lo, hi = _lanes(system).popcount_range() or (None, None)
+        ok = ok and lo is not None and low <= lo and hi <= high
+        detail[name] = {"min": lo, "max": hi, "bounds": [low, high]}
     return ClaimResult("sum_bounds", {"m": m}, ok, detail)
 
 
@@ -477,22 +463,24 @@ def _run_y_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
 
 
 def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
+    """y(rho*q + i) = x_i(1 + q) for all time: y's lane i obeys x_i's
+    recurrence (so y has rho lanes, of memory k) from x_i's window after one
+    slide, and x_i is its closed form."""
     params = window_params(m)
-    system = cons.build_y(params)
-    cs = compile_system(system)
-    l2 = cycle_lengths(params, 0)[2]
-    horizon = params.h + min(l2, 100_000)
-    trace = run(cs, system.init, horizon - params.h)
-    mismatch = next(
-        (t for t in range(len(trace)) if trace[t] != cons.y_closed_form(params, t)),
-        None,
-    )
-    return ClaimResult(
-        "y_deshuffle",
-        {"m": m},
-        mismatch is None,
-        {"horizon": horizon, "mismatch_at": mismatch},
-    )
+    lanes = _lanes(cons.build_y(params))
+    bad: list[str] = []
+    for i, (word0, _) in zip(range(params.rho), lanes.orbits):
+        x = cons.single_system(params, i)
+        cs = compile_system(x)
+        if lanes.cs != cs:
+            bad.append(f"lane {i} does not obey x_{i}'s recurrence")
+        if word0 != advance_word(cs, word_from_bits(x.init), 1):
+            bad.append(f"lane {i} does not start at x_{i}'s window after one slide")
+        t = _x_mismatch(params, i)
+        if t is not None:
+            bad.append(f"x_{i} departs from its closed form at t={t}")
+    detail = {"lanes": len(lanes.orbits), "violations": bad}
+    return ClaimResult("y_deshuffle", {"m": m}, not bad, detail)
 
 
 def _run_w_cycle(m: int, d: int, budget: int | None = None, **_: object) -> ClaimResult:
@@ -642,9 +630,9 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     equals the reference's shares its future, so its attractor.  One that
     does not merge is searched blind and shares the attractor iff its period
     is the reference P and its entry window lies on the reference cycle; the
-    search takes at most budget slides, or without one at most the smaller
-    of MEASURE_CUTOFF and six times the reference T + P, and past it raises
-    BudgetExceeded.  Raises HypothesisUnmet when d >= beta_e.
+    search takes at most budget slides, or without one at most
+    min(6 (T + P) + 4 h + 64, MEASURE_CUTOFF) for the reference (T, P), and
+    past it raises BudgetExceeded.  Raises HypothesisUnmet when d >= beta_e.
     """
     params = window_params(m)
     params.check_lane(d, "d")

@@ -13,7 +13,6 @@ from neurec.cli import (
     export_trace,
     import_trace,
     main,
-    system_from_json,
     system_to_json,
 )
 
@@ -54,12 +53,12 @@ def test_system_json_roundtrip_exact():
     assert doc["threshold"] == "241/80"
     assert doc["weights"]["34"] == "19/10"
     assert doc["weights"]["26"] == "2"
-    assert len(doc["init"]) == 140
-    back = system_from_json(doc)
-    assert back.memory == z.memory
-    assert back.init == z.init
-    assert back.threshold == z.threshold == Fraction(241, 80)
-    assert tuple(Fraction(w) for w in back.weights) == tuple(Fraction(w) for w in z.weights)
+    assert doc["memory"] == z.memory
+    assert doc["init"] == "".join(map(str, z.init))
+    # the rationals are exact: they parse back to the system's own values
+    assert Fraction(doc["threshold"]) == z.threshold == Fraction(241, 80)
+    weights = {j: Fraction(w) for j, w in enumerate(z.weights, start=1) if w != 0}
+    assert {int(j): Fraction(w) for j, w in doc["weights"].items()} == weights
 
 
 def test_trace_roundtrip_both_formats(tmp_path):
@@ -338,6 +337,31 @@ def test_basin_mode_samples_the_table_variant_count(capsys):
 
 
 # --- configuration ------------------------------------------------------------------
+
+
+def test_repeated_scales_and_steps_run_once(tmp_path, capsys):
+    assert main(["--mode", "verify", "--m", "6", "--m", "6", "--claims", "prop2"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["config"]["m"] == [6]
+    assert captured.err.splitlines() == ["PASS prop2 m=6", "neurec: 1 passed, 0 failed, 0 skipped"]
+    # first-seen order, in every mode, and --long adds only scales not yet named
+    out = tmp_path / "basin"
+    argv = ["--mode", "basin", "--m", "11", "--m", "6", "--m", "11"]
+    assert main([*argv, "--d", "1", "--d", "0", "--d", "1", "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["config"]["m"] == [11, 6] and report["config"]["d"] == [1, 0]
+    assert [r["params"] for r in report["claim_results"]] == [
+        {"m": m, "d": d} for m in (11, 6) for d in (1, 0)
+    ]
+    assert len(read_csv(out)) == 4  # one reference orbit per instance
+    main(["--mode", "cycle", "--m", "6", "--m", "6", "--system", "w", "--d", "0", "--d", "0"])
+    (row,) = json.loads(capsys.readouterr().out)["cycle_reports"]
+    assert (row["system"], row["match"]) == ("w[m=6,d=0]", True)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "construct", "m": [16, 6, 16], "long": True, "system": "y"}))
+    assert main(["--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [s["m"] for s in report["params_summary"]] == [16, 6, 21]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

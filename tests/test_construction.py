@@ -27,7 +27,6 @@ from neurec import (
     compute_B0,
     cycle_lengths,
     destabilized_system,
-    e_set,
     gamma,
     index_sets,
     initial_config_v,
@@ -132,8 +131,9 @@ def test_q_set_m6_examples():
     assert q_set(p, 0, 2) == frozenset({2, 19, 36, 53, 70})
     # d above beta: one fewer
     assert q_set(p, 0, 13) == frozenset({13, 30, 47, 64})
-    assert e_set(p, 0, 13) == frozenset({13})
-    assert e_set(p, 0, 2) == frozenset()
+    # E(alpha_i, d): Q(alpha_i, d) on the weight support F
+    assert q_set(p, 0, 13) & index_sets(p).F == frozenset({13})
+    assert q_set(p, 0, 2) & index_sets(p).F == frozenset()
     with pytest.raises(IndexOutOfRange):
         q_set(p, 0, 0)
     with pytest.raises(IndexOutOfRange):

@@ -8,6 +8,7 @@ is feasible to run, and, searching blind, must find the formula-level
 
 import dataclasses
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +43,7 @@ from neurec import (
     window_params,
     word_from_bits,
 )
-from neurec.cycles import _certify_lanes, _probe_pass, handoff_certificate
+from neurec.cycles import _probe_pass, certify_lanes, handoff_certificate
 from neurec.verify import z_handoff
 
 
@@ -222,7 +223,7 @@ def wrong_pairs(t, p):
 
 def laned(cs, init):
     """The reader of the uncapped lane certificate, which must close."""
-    lanes, _ = _certify_lanes(cs, init, budget=10**9)
+    lanes, _ = certify_lanes(cs, init, budget=10**9)
     assert lanes is not None, "the lane searches did not close"
     return lanes.read
 
@@ -322,6 +323,17 @@ def test_one_lane_systems_never_take_the_lane_route(s):
         mp.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
         mp.setattr("neurec.verify.verify_lanes", no_lanes)
         assert measure_cycle(s, pred) == dataclasses.replace(rep, steps_executed=sum(pred))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(laned_systems(), small_systems()))
+def test_popcount_range_equals_the_walk_over_the_whole_orbit(s):
+    cs = compile_system(s)
+    lanes, _ = certify_lanes(cs, s.init, budget=10**6)
+    t, p = naive_cycle(cs, s.init)
+    counts = {word.bit_count() for word, _ in islice(walk(cs, word_from_bits(s.init)), t + p)}
+    want = (min(counts), max(counts)) if lanes.coprime else None
+    assert lanes.popcount_range() == want
 
 
 @pytest.mark.parametrize(

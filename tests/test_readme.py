@@ -1,9 +1,11 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its claim table is complete."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from neurec import ALL_CLAIMS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -23,3 +25,26 @@ def test_readme_python_block_runs(block):
     offset, source = BLOCKS[block]
     # padding keeps traceback line numbers equal to README.md's
     exec(compile("\n" * offset + source, str(README), "exec"), {})
+
+
+UNITS = (
+    "zero one two three four five six seven eight nine ten eleven twelve thirteen fourteen "
+    "fifteen sixteen seventeen eighteen nineteen"
+).split()
+TENS = "twenty thirty forty fifty sixty seventy eighty ninety".split()
+
+
+def number_word(n):
+    if n < 20:
+        return UNITS[n]
+    tens, units = divmod(n, 10)
+    return TENS[tens - 2] + (f"-{UNITS[units]}" if units else "")
+
+
+def test_claim_registry_table_names_every_claim():
+    section = TEXT.split("## Claim registry", 1)[1].split("\n## ", 1)[0]
+    count = re.search(r"^([\w-]+) claims, each checkable per scale", section, flags=re.M)
+    assert count and count.group(1).lower() == number_word(len(ALL_CLAIMS))
+    rows = re.findall(r"^\| (`.*?) \|", section, flags=re.M)
+    named = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+    assert sorted(named) == sorted(ALL_CLAIMS)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -30,9 +31,14 @@ from neurec import (
     run,
     run_claims,
     single_system,
+    walk,
     window_params,
+    word_from_bits,
+    x_closed_form,
+    y_closed_form,
 )
 from neurec.cli import main
+from neurec.cycles import certify_lanes
 from neurec.verify import MEASURE_CUTOFF, claim_grid
 
 
@@ -147,9 +153,13 @@ def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
 @pytest.mark.long
 def test_long_tier_y_and_w_run_at_m21_and_m26():
     start = time.perf_counter()
-    results = run_claims(ms=(21, 26), claims=["y_cycle", "w_cycle"])
+    claims = ["y_cycle", "w_cycle", "sum_bounds", "y_deshuffle"]
+    results = run_claims(ms=(21, 26), claims=claims)
     assert [(r.claim, r.passed) for r in results] == (
-        [("y_cycle", True)] * 2 + [("w_cycle", True)] * 11
+        [("y_cycle", True)] * 2
+        + [("w_cycle", True)] * 11
+        + [("sum_bounds", True)] * 2
+        + [("y_deshuffle", True)] * 2
     )
     assert time.perf_counter() - start < 60.0  # simulating y alone takes hours
 
@@ -237,6 +247,142 @@ def test_dynamic_checks_pass_m6():
         assert res.passed, (res.claim, res.params, res.detail)
         assert (res.detail["T"], res.detail["P"]) == (res.detail["T_pred"], res.detail["P_pred"])
         assert "route" not in res.detail
+
+
+# --- popcount envelopes and the de-shuffle, read off the lanes ------------------
+
+
+def window_popcounts(system, horizon):
+    """(min, max) of the window popcount over S_0 .. S_horizon, walked."""
+    orbit = walk(compile_system(system), word_from_bits(system.init))
+    counts = {word.bit_count() for word, _ in islice(orbit, horizon + 1)}
+    return min(counts), max(counts)
+
+
+def envelope_orbits(m):
+    """(detail key, system, (T, P), walk horizon) of every orbit sum_bounds
+    reads, the horizon at most 300,000 windows."""
+    p = window_params(m)
+    out = []
+    for i in range(p.rho):
+        pred = predicted_cycle(p, "x", i)
+        out.append((f"x{i}", single_system(p, i), pred, 2 * pred[1]))
+    pred = predicted_cycle(p, "y")
+    out.append(("y", build_y(p), pred, min(pred[1] + 1, 300_000)))
+    for d in range(p.rho):
+        t, l0 = pred = predicted_cycle(p, "w", d)
+        out.append((f"w{d}", build_w(p, d), pred, min(t + 2 * l0 + 1, 300_000)))
+    return out
+
+
+def popcount_range(system):
+    lanes, _ = certify_lanes(compile_system(system), system.init, MEASURE_CUTOFF)
+    return lanes.popcount_range()
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_sum_bounds_equal_the_walk_over_the_whole_orbit(m):
+    (res,) = run_claims(ms=(m,), claims=["sum_bounds"])
+    assert res.passed, res.detail
+    for key, system, (t, period), horizon in envelope_orbits(m):
+        assert horizon >= t + period, key  # the walk sees every window of the orbit
+        want = window_popcounts(system, horizon)
+        assert popcount_range(system) == want, key
+        assert (res.detail[key]["min"], res.detail[key]["max"]) == want, key
+        assert "horizon" not in res.detail[key]
+
+
+@pytest.mark.long
+def test_long_tier_sum_bounds_equal_the_truncated_walk_at_m16():
+    (res,) = run_claims(ms=(16,), claims=["sum_bounds"])
+    assert res.passed, res.detail
+    for key, system, _, horizon in envelope_orbits(16):
+        assert (res.detail[key]["min"], res.detail[key]["max"]) == window_popcounts(system, horizon)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_sum_bounds_see_a_flipped_lane_of_w(m, monkeypatch):
+    # negative control: flip the newest init bit of lane d of w(d); the
+    # prefix walk and the lanes must both see a different orbit
+    p = window_params(m)
+    (clean,) = run_claims(ms=(m,), claims=["sum_bounds"])
+
+    def flipped(params, d):
+        w = build_w(params, d)
+        init = list(w.init)
+        init[params.h - params.rho + d] ^= 1
+        return dataclasses.replace(w, init=tuple(init))
+
+    monkeypatch.setattr("neurec.construction.build_w", flipped)
+    (res,) = run_claims(ms=(m,), claims=["sum_bounds"])
+    for key, system, _, horizon in envelope_orbits(m):
+        if key.startswith("w"):
+            after = window_popcounts(flipped(p, int(key[1:])), horizon)
+            assert after != window_popcounts(system, horizon), key
+            assert res.detail[key] != clean.detail[key], key
+        else:
+            assert res.detail[key] == clean.detail[key], key
+
+
+def test_sum_bounds_fail_lanes_whose_periods_share_a_factor(monkeypatch):
+    # every lane of this y runs x_0's orbit, so all lane periods are p_0
+    def one_orbit(params):
+        init = [x_closed_form(params, 0, 1 + t // params.rho) for t in range(params.h)]
+        return dataclasses.replace(build_y(params), init=tuple(init))
+
+    monkeypatch.setattr("neurec.construction.build_y", one_orbit)
+    (res,) = run_claims(ms=(6,), claims=["sum_bounds"])
+    assert res.passed is False
+    assert (res.detail["y"]["min"], res.detail["y"]["max"]) == (None, None)
+
+
+def test_sum_bounds_and_y_deshuffle_fail_lanes_past_the_cutoff(monkeypatch):
+    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 10)
+    for res in run_claims(ms=(6,), claims=["sum_bounds", "y_deshuffle"]):
+        assert res.passed is False and res.detail["error"] == "BudgetExceeded", res.claim
+        assert res.detail["budget"] == 10
+
+
+def y_by_trace(m, y):
+    """Whether y's trace equals y_closed_form over h + min(L2, 100,000) bits."""
+    p = window_params(m)
+    trace = run(compile_system(y), y.init, min(cycle_lengths(p, 0)[2], 100_000))
+    return all(bit == y_closed_form(p, t) for t, bit in enumerate(trace))
+
+
+def lane_zero_two_slides_in(params):
+    y = build_y(params)
+    init = list(y.init)
+    init[:: params.rho] = [x_closed_form(params, 0, 2 + j) for j in range(params.k)]
+    return dataclasses.replace(y, init=tuple(init))
+
+
+def raised_threshold(params):
+    y = build_y(params)
+    return dataclasses.replace(y, threshold=y.threshold + 1)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_y_deshuffle_equals_the_trace_comparison(m):
+    (res,) = run_claims(ms=(m,), claims=["y_deshuffle"])
+    assert res.detail == {"lanes": window_params(m).rho, "violations": []}
+    assert res.passed and y_by_trace(m, build_y(window_params(m)))
+
+
+@pytest.mark.parametrize("m", [6, 11])
+@pytest.mark.parametrize(
+    "mutant, violation",
+    [
+        (lane_zero_two_slides_in, "lane 0 does not start at x_0's window after one slide"),
+        (raised_threshold, "lane 0 does not obey x_0's recurrence"),
+    ],
+)
+def test_y_deshuffle_refuses_a_y_off_its_lanes(m, mutant, violation, monkeypatch):
+    # negative controls: lane 0 two slides in, or one whole unit more threshold
+    monkeypatch.setattr("neurec.construction.build_y", mutant)
+    (res,) = run_claims(ms=(m,), claims=["y_deshuffle"])
+    assert res.passed is False and violation in res.detail["violations"]
+    assert not y_by_trace(m, mutant(window_params(m)))
 
 
 def test_z_summary_detail_shape():

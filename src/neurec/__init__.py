@@ -40,8 +40,6 @@ from .cycles import (
     detect_cycle,
     lane_count,
     prime_factors,
-    verify_handoff,
-    verify_lanes,
     verify_predicted,
 )
 from .engine import (
@@ -65,7 +63,7 @@ from .errors import (
     RhoTooSmall,
     ShapeMismatch,
 )
-from .numtheory import WindowParams, cycle_lengths, lcm_list, primes_between, window_params
+from .numtheory import WindowParams, cycle_lengths, primes_between, window_params
 from .verify import (
     ALL_CLAIMS,
     ClaimResult,

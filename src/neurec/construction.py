@@ -32,7 +32,7 @@ touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -172,14 +172,19 @@ def single_weights(params: WindowParams) -> tuple[tuple[int, ...], int]:
     return tuple(a[1:]), 2 * rho
 
 
+def _x_window(params: WindowParams, i: int, start: int) -> Bits:
+    """x_i(start + j) for j < k: ones where start + j = beta_i (mod p_i)."""
+    p = params.primes[i]
+    bits = [0] * params.k
+    for j in range((params.beta_m[i] - start) % p, params.k, p):
+        bits[j] = 1
+    return tuple(bits)
+
+
 def initial_config_x(params: WindowParams, i: int) -> Bits:
     """phi_i = 0^{beta_i} (1 0^{p_i - 1})^{mu_i}: ones at beta_i + l*p_i, l < mu_i."""
     params.check_lane(i)
-    p, mu, beta = params.primes[i], params.mu[i], params.beta_m[i]
-    bits = [0] * params.k
-    for l in range(mu):
-        bits[beta + l * p] = 1
-    return tuple(bits)
+    return _x_window(params, i, 0)
 
 
 def initial_config_v(params: WindowParams, i: int) -> Bits:
@@ -189,9 +194,7 @@ def initial_config_v(params: WindowParams, i: int) -> Bits:
     The shape is 0^{beta_i - 1} (1 0^{p_i - 1})^{mu_i} 0.
     """
     params.check_lane(i)
-    bits = [x_closed_form(params, i, j + 1) for j in range(params.k - 1)]
-    bits.append(0)
-    return tuple(bits)
+    return _x_window(params, i, 1)[:-1] + (0,)
 
 
 def x_closed_form(params: WindowParams, i: int, t: int) -> int:
@@ -230,29 +233,21 @@ def destabilized_system(params: WindowParams, i: int) -> RecurrenceSystem:
     )
 
 
+def _shuffle(params: WindowParams, windows: Sequence[Bits], label: str) -> RecurrenceSystem:
+    """shuffle_compose of the single units started from windows, relabelled."""
+    weights, theta = single_weights(params)
+    lanes = [RecurrenceSystem(params.k, weights, theta, init) for init in windows]
+    return replace(shuffle_compose(lanes), label=label)
+
+
 def build_y(params: WindowParams) -> RecurrenceSystem:
-    """The rho-way shuffle of the single units.
+    """The rho-way shuffle of the single units, each started one step in.
 
     Memory h = rho*k; weight b_f = a_j when f = rho*j and 0 otherwise;
-    threshold unchanged; init interleaves the lane traces one step in:
-    y(rho*j + i) = x_i(1 + j).
+    threshold unchanged; init y(rho*j + i) = x_i(1 + j).
     """
-    a, theta = single_weights(params)
-    rho, h = params.rho, params.h
-    weights = [0] * h
-    for j in range(1, params.k + 1):
-        weights[rho * j - 1] = a[j - 1]
-    init = [0] * h
-    for j in range(params.k):
-        for i in range(rho):
-            init[rho * j + i] = x_closed_form(params, i, 1 + j)
-    return RecurrenceSystem(
-        memory=h,
-        weights=tuple(weights),
-        threshold=theta,
-        init=tuple(init),
-        label=f"y[m={params.m}]",
-    )
+    windows = [_x_window(params, i, 1) for i in range(params.rho)]
+    return _shuffle(params, windows, f"y[m={params.m}]")
 
 
 def gamma(params: WindowParams, d: int, i: int) -> int:
@@ -273,24 +268,9 @@ def build_w(params: WindowParams, d: int) -> RecurrenceSystem:
       i >  d:  w(rho*j + i) = x_i(1 + gamma_i(d) + j)
     """
     params.check_lane(d, "d")
-    y = build_y(params)
-    rho = params.rho
-    init = [0] * params.h
-    v_traces = [initial_config_v(params, i) for i in range(d + 1)]
-    shifts = [gamma(params, d, i) for i in range(d + 1, rho)]
-    for j in range(params.k):
-        for i in range(rho):
-            if i <= d:
-                init[rho * j + i] = v_traces[i][j]
-            else:
-                init[rho * j + i] = x_closed_form(params, i, 1 + shifts[i - d - 1] + j)
-    return RecurrenceSystem(
-        memory=params.h,
-        weights=y.weights,
-        threshold=y.threshold,
-        init=tuple(init),
-        label=f"w[m={params.m},d={d}]",
-    )
+    windows = [initial_config_v(params, i) for i in range(d + 1)]
+    windows += [_x_window(params, i, 1 + gamma(params, d, i)) for i in range(d + 1, params.rho)]
+    return _shuffle(params, windows, f"w[m={params.m},d={d}]")
 
 
 def compute_B0(params: WindowParams, d: int, method: str = "definitional") -> frozenset[int]:
@@ -443,18 +423,12 @@ def shuffle_compose(systems: Sequence[RecurrenceSystem]) -> RecurrenceSystem:
         if s.weights != first.weights:
             raise MixedShapes("lane weight profiles differ")
     r = len(systems)
-    kk = first.memory
-    weights: list[Rational] = [0] * (kk * r)
-    for j in range(1, kk + 1):
-        weights[r * j - 1] = first.weights[j - 1]
-    init = [0] * (kk * r)
-    for j in range(kk):
-        for i in range(r):
-            init[r * j + i] = systems[i].init[j]
+    weights: list[Rational] = [0] * (first.memory * r)
+    weights[r - 1 :: r] = first.weights
     return RecurrenceSystem(
-        memory=kk * r,
+        memory=first.memory * r,
         weights=tuple(weights),
         threshold=first.threshold,
-        init=tuple(init),
+        init=tuple(bit for window in zip(*(s.init for s in systems)) for bit in window),
         label=f"shuffle[{','.join(s.label or '?' for s in systems)}]",
     )

@@ -14,28 +14,34 @@ which suffices: on a deterministic orbit any period is a multiple of the
 minimal one, so a smaller period would survive into some P/q probe.  A
 refuted pair raises PredictionFailed naming the first violated probe.
 
-verify_predicted reads the probed windows by simulating, in one forward
-pass of exactly T + P steps.  verify_lanes reads them from the decimated
-lanes of a system whose memory and tap offsets share a stride r > 1 (see
-lane_count): times i, i + r, i + 2r, ... then obey their own recurrence, so
-S_n is the exact interleave of the r lane windows at lane time
-ceil((n - i) / r), each read off a lane orbit that detect_cycle certified.
-A proof then costs lane slides, not T + P.  certify_lanes builds the
-Lanes, and Lanes.popcount_range reads the window popcount range off them.
+verify_predicted is the one prover of a prediction.  It reads the probed
+windows from one of three sources: a simulation, in one forward pass of
+exactly T + P steps, or one of two certificates, which share the closes /
+read protocol and which a caller passes as certify(cap):
 
-verify_handoff reads them from the HandoffCertificate of a system that
-starts on one laned orbit (head) and ends on another (tail), as z(d) starts
-on y's orbit and ends on w(d)'s; handoff_certificate is the one place it
-is built, and check_phases reads z(d)'s five phases off the same parts.
-Branch and bound over head's lane phases, with the Chinese remainder
-theorem, finds the first time the system's own rule disagrees with head's;
-explicit steps from there reach the handoff time; and the same search over
-tail's lane phases finds any disagreement on tail's orbit.  The
-certificate closes when the stepped window is tail's init and there is
-none: S_n is then head's window before the disagreement, an explicit step
-before the handoff, and tail's window at n - at after it.  A proof costs
-lane slides, a few explicit steps and search nodes; when the certificate
-cannot close, the windows are simulated.
+Lanes, built by certify_lanes, decimate a system whose memory and tap
+offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
+then obey their own recurrence, so S_n is the exact interleave of the r
+lane windows at lane time ceil((n - i) / r), each read off a lane orbit
+that detect_cycle certified.  Lanes always close, and a proof then costs
+lane slides, not T + P.  Lanes.popcount_range reads the window popcount
+range off them.
+
+A HandoffCertificate, built by handoff_certificate, covers a system that
+starts on one laned orbit (head) and ends on another (tail), as z(d)
+starts on y's orbit and ends on w(d)'s; check_phases reads z(d)'s five
+phases off the same parts.  Branch and bound over head's lane phases,
+with the Chinese remainder theorem, finds the first time the system's own
+rule disagrees with head's; explicit steps from there reach the handoff
+time; and the same search over tail's lane phases finds any disagreement
+on tail's orbit.  The certificate closes when the stepped window is
+tail's init and there is none: S_n is then head's window before the
+disagreement, an explicit step before the handoff, and tail's window at
+n - at after it.  A proof costs lane slides, a few explicit steps and
+search nodes.
+
+A certificate that cannot be built within min(T + P, budget) steps, or
+that does not close, leaves the proof to the simulation.
 
 detect_cycle measures (T, P) blind, taking no prediction, with a
 constant-memory search: a teleporting anchor pass recovers the exact
@@ -63,8 +69,6 @@ __all__ = [
     "CycleReport",
     "detect_cycle",
     "verify_predicted",
-    "verify_lanes",
-    "verify_handoff",
     "Lanes",
     "certify_lanes",
     "Handoff",
@@ -81,9 +85,9 @@ class CycleReport:
 
     entry_window is the window S_T at the transient: the first window of
     the attractor, certified by the probes.  steps_executed counts the
-    slides taken, probes included; on the lane route (verify_lanes) they
-    are lane slides, searches and reads together, and on the handoff route
-    (verify_handoff) lane slides, explicit steps and search nodes.
+    slides taken, probes included; read off Lanes they are lane slides,
+    searches and reads together, and off a HandoffCertificate lane slides,
+    explicit steps and search nodes.
     """
 
     measured_transient: int
@@ -163,6 +167,8 @@ class Lanes(NamedTuple):
 
     cs: CompiledSystem
     orbits: tuple[tuple[int, CycleReport], ...]
+
+    closes = True  # each lane orbit is certified, so every window is exact
 
     def read(self, n: int) -> tuple[int, int]:
         """S_n and the lane slides taken to read it.
@@ -247,15 +253,6 @@ def certify_lanes(
             return None, spent
         orbits.append((word_from_bits(lane_init), rep))
     return Lanes(lane_cs, tuple(orbits)), spent
-
-
-def _fallback(
-    cs: CompiledSystem, init: Sequence[int], spent: int, work: int, budget: int | None
-) -> Reader:
-    """Simulate a proof's T + P = work slides after spent, unless that passes budget."""
-    if budget is not None and spent + work > budget:
-        raise BudgetExceeded(spent, budget)
-    return _simulated(cs, word_from_bits(init))
 
 
 class Handoff(NamedTuple):
@@ -548,73 +545,32 @@ def verify_predicted(
     init: Sequence[int],
     predicted_transient: int,
     predicted_period: int,
-) -> CycleReport:
-    """Prove a predicted (T, P) minimal in one pass of T + P slides.
-
-    Raises PredictionFailed naming the first violated probe.  On success the
-    measured fields simply echo the now-proved prediction.
-    """
-    _check_pair(predicted_transient, predicted_period)
-    read = _simulated(cs, _check_init(cs, init))
-    steps, entry = _probe_pass(read, predicted_transient, predicted_period)
-    return CycleReport(predicted_transient, predicted_period, entry, steps)
-
-
-def verify_lanes(
-    cs: CompiledSystem,
-    init: Sequence[int],
-    predicted_transient: int,
-    predicted_period: int,
+    certify: Callable[[int], tuple[Lanes | HandoffCertificate | None, int]] | None = None,
     *,
     budget: int | None = None,
 ) -> CycleReport:
-    """Prove a predicted (T, P) minimal on the system's decimated lanes.
+    """Prove a predicted (T, P) minimal: the one prover of a prediction.
 
-    The probes are verify_predicted's, on windows assembled exactly from
-    the certified orbits of the lane_count(cs) lanes, so a refuted pair
-    raises the same PredictionFailed.  steps_executed counts lane slides:
-    the lane searches plus the reads.  When the searches would take more
-    than T + P slides, or more than budget, the windows are simulated
-    instead, or BudgetExceeded is raised when the simulation would pass
-    budget.  Raises ValueError when the system has one lane only.
+    certify(cap), when given, builds a certificate (Lanes or a
+    HandoffCertificate) within cap = min(T + P, budget) steps and returns it,
+    or None, with the steps it took.  A certificate that closes supplies the
+    probed windows; otherwise they are simulated in one pass of T + P
+    slides, or BudgetExceeded is raised when the spent steps plus T + P pass
+    budget.  Raises PredictionFailed naming the first violated probe.  On
+    success the measured fields echo the now-proved prediction, and
+    steps_executed counts the certificate's steps plus the reads.
     """
     _check_pair(predicted_transient, predicted_period)
-    _check_init(cs, init)
-    if lane_count(cs) == 1:
-        raise ValueError("the taps and memory share no stride: the system has one lane")
+    word0 = _check_init(cs, init)
     work = predicted_transient + predicted_period
-    lanes, spent = certify_lanes(cs, init, work if budget is None else min(work, budget))
-    read = _fallback(cs, init, spent, work, budget) if lanes is None else lanes.read
-    steps, entry = _probe_pass(read, predicted_transient, predicted_period)
-    return CycleReport(predicted_transient, predicted_period, entry, spent + steps)
-
-
-def verify_handoff(
-    cs: CompiledSystem,
-    init: Sequence[int],
-    predicted_transient: int,
-    predicted_period: int,
-    handoff: Handoff,
-    *,
-    budget: int | None = None,
-) -> CycleReport:
-    """Prove a predicted (T, P) minimal on a handoff certificate.
-
-    The probes are verify_predicted's, on windows read from head's lanes up
-    to the system's first disagreement with head, from explicit steps up to
-    handoff.at, and from tail's lanes at n - at after it (see
-    handoff_certificate), so a refuted pair raises the same
-    PredictionFailed.  steps_executed counts lane slides, explicit steps
-    and search nodes.  When the certificate does not close within T + P
-    steps, or within budget, the windows are simulated instead, or
-    BudgetExceeded is raised when the simulation would pass budget.
-    """
-    _check_pair(predicted_transient, predicted_period)
-    _check_init(cs, init)
-    work = predicted_transient + predicted_period
-    cap = work if budget is None else min(work, budget)
-    cert, spent = handoff_certificate(cs, init, handoff, cap)
-    closed = cert is not None and cert.closes
-    read = cert.read if closed else _fallback(cs, init, spent, work, budget)
+    cert, spent = None, 0
+    if certify is not None:
+        cert, spent = certify(work if budget is None else min(work, budget))
+    if cert is not None and cert.closes:
+        read = cert.read
+    elif budget is not None and spent + work > budget:
+        raise BudgetExceeded(spent, budget)
+    else:
+        read = _simulated(cs, word0)
     steps, entry = _probe_pass(read, predicted_transient, predicted_period)
     return CycleReport(predicted_transient, predicted_period, entry, spent + steps)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import IndexOutOfRange, RhoTooSmall
 
@@ -27,7 +26,6 @@ __all__ = [
     "WindowParams",
     "window_params",
     "primes_between",
-    "lcm_list",
     "cycle_lengths",
 ]
 
@@ -127,16 +125,6 @@ def window_params(m: int) -> WindowParams:
     )
 
 
-def lcm_list(values: Iterable[int]) -> int:
-    """Least common multiple of positive integers; empty input gives 1."""
-    out = 1
-    for v in values:
-        if v < 1:
-            raise ValueError(f"lcm_list needs positive entries, got {v}")
-        out = math.lcm(out, v)
-    return out
-
-
 def cycle_lengths(params: WindowParams, d: int) -> tuple[int, int, int]:
     """(L0(d), L1(d), L2) for bifurcation step d.
 
@@ -146,7 +134,7 @@ def cycle_lengths(params: WindowParams, d: int) -> tuple[int, int, int]:
     """
     params.check_lane(d, "d")
     rho = params.rho
-    l1 = rho * lcm_list(params.primes[: d + 1])
-    l0 = rho * lcm_list(params.primes[d + 1 :]) if d <= rho - 2 else 1
-    l2 = rho * lcm_list(params.primes)
+    l1 = rho * math.lcm(*params.primes[: d + 1])
+    l0 = rho * math.lcm(*params.primes[d + 1 :]) if d <= rho - 2 else 1
+    l2 = rho * math.lcm(*params.primes)
     return (l0, l1, l2)

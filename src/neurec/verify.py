@@ -3,8 +3,8 @@
 Claims are data: one ordered table holds a Claim(name, grid, cost, run)
 per checkable statement.  grid(params) lists the structurally valid
 instances at one scale (keyword dicts, at most a bifurcation step d each)
-and is None for the scale-free composition claims; cost states an
-instance's predicted work and the cutoff it must stay within; run produces
+and is None for the scale-free composition claims; cost predicts an
+instance's work, which must stay within MEASURE_CUTOFF; run produces
 the ClaimResult of one instance.  ALL_CLAIMS is the table's names in order,
 claim_grid pairs each grid instance with its skip detail, and run_claims
 loops over the table, on each claim's whole grid or on requested
@@ -19,24 +19,24 @@ Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
 period) pairs.  measure_cycle certifies every predicted pair: it measures
-desk-sized orbits blind with detect_cycle and proves larger ones on lanes
-or with verify_predicted in one pass of T + P slides.  y and every w(d),
-whose taps all sit on multiples of rho, are proved on their decimated
-lanes with verify_lanes; every z(d) by lane handoff with verify_handoff,
-its orbit certified as y's up to its first disagreement and w(d)'s from
-L1(d) on (z_handoff).  On every route a wrong prediction raises
-PredictionFailed from the one probe rule in cycles, so it never comes back
-as a verdict.  check_phases reads z(d)'s five phases off the same handoff
-certificate, and sum_bounds and y_deshuffle read y and every w(d) off their
-certified lanes (certify_lanes), all exact for all time; lanes that cannot
-be certified within MEASURE_CUTOFF fail the instance.  proof_work prices
-each proof the way it will run, a lane proof at its lanes' T + P, for the
-claim table and the CLI's cycle mode alike, and phases at z_summary's price.
-Cutoffs below bound the work per claim instance.  Each grid lists every
-structurally valid instance, and the table states each claim's predicted
-work and cutoff; skip_detail compares the two, and an instance past its
-cutoff is reported as skipped (passed None) rather than attempted and
-aborted.
+desk-sized orbits blind with detect_cycle and proves the rest with
+verify_predicted, the one prover, on the windows of a certificate.  y and
+every w(d), whose taps all sit on multiples of rho, are read off their
+certified lanes (certify_lanes); every z(d) off its handoff certificate
+(handoff_certificate), its orbit y's up to its first disagreement and
+w(d)'s from L1(d) on (z_handoff); a system with one lane is simulated.
+On every route a wrong prediction raises PredictionFailed from the one
+probe rule in cycles, so it never comes back as a verdict.  check_phases
+reads z(d)'s five phases off the same handoff certificate, and sum_bounds
+and y_deshuffle read y and every w(d) off their certified lanes, all exact
+for all time; lanes that cannot be certified within MEASURE_CUTOFF fail
+the instance.  proof_work prices each proof the way it will run, a lane
+proof at its lanes' T + P, for the claim table and the CLI's cycle mode
+alike, and phases at z_summary's price.  MEASURE_CUTOFF bounds the work
+per claim instance.  Each grid lists every structurally valid instance,
+and the table states each claim's predicted work; skip_detail compares it
+with the cutoff, and an instance past it is reported as skipped (passed
+None) rather than attempted and aborted.
 
 A run proves each distinct orbit once.  While run_claims runs, measure_cycle
 remembers every completed proof under its compiled system, init and
@@ -70,8 +70,6 @@ from .cycles import (
     detect_cycle,
     handoff_certificate,
     lane_count,
-    verify_handoff,
-    verify_lanes,
     verify_predicted,
 )
 from .engine import advance_word, bits_from_word, compile_system, run, walk, word_from_bits
@@ -95,7 +93,7 @@ __all__ = [
 ]
 
 # Routing and feasibility bounds, in window slides.  measure_cycle routes on
-# DETECT_CUTOFF; the claim table names which bound skips each claim's instances.
+# DETECT_CUTOFF; skip_detail skips every claim instance past MEASURE_CUTOFF.
 DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 BASIN_VARIANTS = 8             # free-prefix variants check_basin checks at most
@@ -159,19 +157,17 @@ def measure_cycle(
     """Certify a system's predicted (T, P) as its minimal pair.
 
     Orbits up to DETECT_CUTOFF are measured blind with detect_cycle.  Larger
-    ones are proved with verify_handoff when the caller gives a handoff
-    (every z(d), with z_handoff: its orbit is y's, then w(d)'s), on their
-    decimated lanes with verify_lanes when the system has more than one lane
-    (y and every w(d)), and otherwise with verify_predicted in exactly T + P
-    slides.  handoff builds the certificate's data and is called only on the
-    handoff route.  A refuted prediction (a
-    search that disagrees or runs out of its default budget, or a failed
-    proof) raises PredictionFailed naming the first probe it fails, so a
-    returned report always equals the prediction.  A budget caps the
-    steps the proof takes on its route: a search or verify_predicted whose
-    T + P exceeds it raises BudgetExceeded before any step is taken, and a
-    lane or handoff proof raises it when its certificate cannot close
-    within the budget.
+    ones, and any the search does not confirm, are proved by
+    verify_predicted on a certificate: z_handoff's handoff certificate when
+    the caller gives a handoff (every z(d): its orbit is y's, then w(d)'s),
+    the certified lanes when the system has more than one lane (y and every
+    w(d)), and otherwise simulated windows.  handoff builds the
+    certificate's data and is called only past DETECT_CUTOFF.  A refuted
+    prediction raises PredictionFailed naming the first probe it fails, so
+    a returned report always equals the prediction.  A budget caps the
+    steps the proof takes: a search or simulation whose T + P exceeds it
+    raises BudgetExceeded before any step is taken, and a lane or handoff
+    proof raises it when its certificate cannot close within the budget.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call, keyed by the compiled system, init and prediction, and a repeated
@@ -186,19 +182,16 @@ def measure_cycle(
     key = (cs, tuple(system.init), predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
+    rep = certify = None
     if work > DETECT_CUTOFF and handoff is not None:
-        rep = verify_handoff(cs, system.init, t_pred, p_pred, handoff(), budget=budget)
+        certify = partial(handoff_certificate, cs, system.init, handoff())
     elif work > DETECT_CUTOFF and lane_count(cs) > 1:
-        rep = verify_lanes(cs, system.init, t_pred, p_pred, budget=budget)
-    else:
-        if budget is not None and work > budget:
-            raise BudgetExceeded(0, budget)
-        rep = None
-        if work <= DETECT_CUTOFF:
-            with suppress(BudgetExceeded):  # the prediction understates the orbit
-                rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
-        if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
-            rep = verify_predicted(cs, system.init, t_pred, p_pred)
+        certify = partial(certify_lanes, cs, system.init)
+    elif work <= DETECT_CUTOFF and (budget is None or work <= budget):
+        with suppress(BudgetExceeded):  # the prediction understates the orbit
+            rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
+    if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
+        rep = verify_predicted(cs, system.init, t_pred, p_pred, certify, budget=budget)
     if proofs is not None:
         proofs[key] = rep
     return rep
@@ -772,7 +765,7 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
 
 def proof_skip(params: WindowParams, family: str, index: int | None = None) -> dict | None:
     """Skip detail of one family member's proof: its proof_work against MEASURE_CUTOFF."""
-    return skip_detail(proof_work(params, family, index), MEASURE_CUTOFF)
+    return skip_detail(proof_work(params, family, index))
 
 
 def _proof_work(family: str) -> Callable[..., int]:
@@ -786,12 +779,15 @@ def _chain_work(params: WindowParams) -> int:
     return max(proof_work(params, fam, d) for fam, d in members)
 
 
-def skip_detail(work: int, cutoff: int) -> dict | None:
+def skip_detail(work: int, cutoff: int = MEASURE_CUTOFF) -> dict | None:
     """Why an instance is skipped, or None when it runs.
 
-    An instance whose predicted work (in window slides) exceeds its cutoff
-    is skipped rather than attempted and aborted.  This is the one place a
-    cutoff is compared.
+    An instance whose predicted work (in window slides) exceeds
+    MEASURE_CUTOFF, the one cutoff of every claim, is skipped rather than
+    attempted and aborted.  This is the one place a cutoff is compared.
+    The cutoff is bound when the module loads, so lowering MEASURE_CUTOFF
+    afterwards tightens the caps of lane certification and basin's search
+    but skips no instance.
     """
     if work <= cutoff:
         return None
@@ -808,15 +804,15 @@ class Claim:
 
     grid(params) lists its structurally valid instances at one scale, or is
     None for a scale-free claim.  cost is None when every instance runs, and
-    otherwise (work, cutoff): work(params, **instance) predicts the work of
-    one instance, which is skipped when that exceeds cutoff.
+    otherwise cost(params, **instance) predicts the work of one instance,
+    which skip_detail compares with MEASURE_CUTOFF.
     run(m, seed=, budget=, **instance) checks one instance; a scale-free
     claim's run takes only seed.
     """
 
     name: str
     grid: Callable[[WindowParams], list[dict]] | None
-    cost: tuple[Callable[..., int], int] | None
+    cost: Callable[..., int] | None
     run: Callable[..., ClaimResult]
 
 
@@ -838,28 +834,28 @@ _TABLE = {
         Claim("v_fixed", _once, None, _run_v_fixed),
         Claim("sum_bounds", _once, None, _run_sum_bounds),
         Claim("s1_range", _once, None, _run_s1_range),
-        Claim("y_cycle", _once, (_proof_work("y"), MEASURE_CUTOFF), _run_y_cycle),
+        Claim("y_cycle", _once, _proof_work("y"), _run_y_cycle),
         Claim("y_deshuffle", _once, None, _run_y_deshuffle),
-        Claim("w_cycle", _every_d, (_proof_work("w"), MEASURE_CUTOFF), _run_w_cycle),
+        Claim("w_cycle", _every_d, _proof_work("w"), _run_w_cycle),
         Claim("b0_methods_agree", _once, None, _run_b0_methods_agree),
         Claim("chain_equals_direct", _once, None, _run_chain_equals_direct),
         Claim(
             "phases",
             _every_d,
-            (_proof_work("z"), MEASURE_CUTOFF),
+            _proof_work("z"),
             lambda m, d, **_: check_phases(m, d),
         ),
-        Claim("z_summary", _every_d, (_proof_work("z"), MEASURE_CUTOFF), _run_z_summary),
+        Claim("z_summary", _every_d, _proof_work("z"), _run_z_summary),
         Claim(
             "chain",
             _once,
-            (_chain_work, MEASURE_CUTOFF),
+            _chain_work,
             lambda m, budget, **_: check_chain(m, budget=budget),
         ),
         Claim(
             "basin",
             _basin_grid,
-            (_proof_work("z"), MEASURE_CUTOFF),
+            _proof_work("z"),
             lambda m, d, seed, budget: check_basin(m, d, seed=seed, budget=budget),
         ),
         _composition("example1_period2"),
@@ -880,8 +876,7 @@ def claim_grid(claim: str, m: int) -> list[tuple[dict, dict | None]]:
     params = window_params(m)
     if entry.cost is None:
         return [(kw, None) for kw in entry.grid(params)]
-    work, cutoff = entry.cost
-    return [(kw, skip_detail(work(params, **kw), cutoff)) for kw in entry.grid(params)]
+    return [(kw, skip_detail(entry.cost(params, **kw))) for kw in entry.grid(params)]
 
 
 def attempt(

@@ -8,6 +8,7 @@ is feasible to run, and, searching blind, must find the formula-level
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -36,8 +37,6 @@ from neurec import (
     prime_factors,
     run,
     single_system,
-    verify_handoff,
-    verify_lanes,
     verify_predicted,
     walk,
     window_params,
@@ -228,6 +227,11 @@ def laned(cs, init):
     return lanes.read
 
 
+def on_lanes(cs, init, t, p, **kwargs):
+    """verify_predicted on the lane certificate, capped at T + P (or budget)."""
+    return verify_predicted(cs, init, t, p, partial(certify_lanes, cs, init), **kwargs)
+
+
 def lanes_uncapped(cs, init, t, p):
     """The lane proof with no cap on the lane searches, so it never simulates."""
     steps, entry = _probe_pass(laned(cs, init), t, p)
@@ -292,7 +296,7 @@ def test_lane_route_agrees_with_detect_cycle(s):
     if s.label == "zero":
         assert p == 1 and ref.entry_window == 0
     # these orbits are short, so the capped route mostly simulates
-    for prove in (verify_lanes, lanes_uncapped):
+    for prove in (on_lanes, lanes_uncapped):
         rep = prove(cs, s.init, t, p)
         assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (
             t,
@@ -301,7 +305,7 @@ def test_lane_route_agrees_with_detect_cycle(s):
         )
     for pair in wrong_pairs(t, p):
         want = refusal(verify_predicted, cs, s.init, pair)
-        assert refusal(verify_lanes, cs, s.init, pair) == want, pair
+        assert refusal(on_lanes, cs, s.init, pair) == want, pair
         assert refusal(lanes_uncapped, cs, s.init, pair) == want, pair
     assert_lane_reads_are_exact(cs, s.init, {t, t + 1, t + p, t + 2 * p, max(t - 1, 0)})
 
@@ -313,15 +317,13 @@ def test_one_lane_systems_never_take_the_lane_route(s):
     assume(lane_count(cs) == 1)
     rep = detect_cycle(cs, s.init, step_budget=20_000)
     pred = (rep.measured_transient, rep.measured_period)
-    with pytest.raises(ValueError):
-        verify_lanes(cs, s.init, *pred)
 
     def no_lanes(*args, **kwargs):
         raise AssertionError("a one-lane system took the lane route")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
-        mp.setattr("neurec.verify.verify_lanes", no_lanes)
+        mp.setattr("neurec.verify.certify_lanes", no_lanes)
         assert measure_cycle(s, pred) == dataclasses.replace(rep, steps_executed=sum(pred))
 
 
@@ -349,7 +351,7 @@ def test_lane_route_agrees_with_simulation_on_y_and_w(m, families):
         assert lane_count(cs) == p.rho
         t, period = predicted_cycle(p, family, index)
         sim = verify_predicted(cs, s.init, t, period)
-        for prove in (verify_lanes, lanes_uncapped):
+        for prove in (on_lanes, lanes_uncapped):
             rep = prove(cs, s.init, t, period)
             assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), (family, index)
         for pair in wrong_pairs(t, period):
@@ -362,10 +364,10 @@ def test_lane_route_refuses_y_with_a_raised_threshold():
     p = window_params(16)
     y = build_y(p)
     cs = compile_system(y)
-    assert verify_lanes(cs, y.init, *predicted_cycle(p, "y")).steps_executed < 10_000
+    assert on_lanes(cs, y.init, *predicted_cycle(p, "y")).steps_executed < 10_000
     raised = dataclasses.replace(y, threshold=y.threshold + 1)
     with pytest.raises(PredictionFailed) as exc:
-        verify_lanes(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
+        on_lanes(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
     assert exc.value.check == "period"
 
 
@@ -389,6 +391,12 @@ def handoff_reader(cs, init, handoff, budget):
     cert, spent = handoff_certificate(cs, init, handoff, budget)
     closed = cert is not None and cert.closes
     return (cert.read if closed else None), spent
+
+
+def on_handoff(cs, init, t, p, handoff, **kwargs):
+    """verify_predicted on the handoff certificate, capped at T + P (or budget)."""
+    certify = partial(handoff_certificate, cs, init, handoff)
+    return verify_predicted(cs, init, t, p, certify, **kwargs)
 
 
 def handoff_uncapped(cs, init, t, p, handoff):
@@ -434,7 +442,7 @@ def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
         assert read is None, d
         pred = predicted_cycle(p, "z", d)
         want = refusal(verify_predicted, cs, raised.init, pred)
-        assert refusal(verify_handoff, cs, raised.init, (*pred, handoff)) == want, d
+        assert refusal(on_handoff, cs, raised.init, (*pred, handoff)) == want, d
 
 
 def test_handoff_falls_back_when_head_is_not_the_start():
@@ -446,7 +454,7 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     assert handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
     ref = detect_cycle(cs, flipped.init, step_budget=10**6)
     pair = (ref.measured_transient, ref.measured_period)
-    rep = verify_handoff(cs, flipped.init, *pair, z_handoff(p, 0))
+    rep = on_handoff(cs, flipped.init, *pair, z_handoff(p, 0))
     assert rep == dataclasses.replace(ref, steps_executed=sum(pair))
 
 
@@ -469,6 +477,33 @@ def test_handoff_takes_over_at_l1():
         assert windows[3] == word_from_bits(build_w(p, d).init)
 
 
+def test_budget_caps_the_certificate_proofs_at_m11():
+    # y on its lanes and every z(d) on its handoff: a budget below both the
+    # certificate's cost and T + P fails with the steps the certificate
+    # spent, and one that covers the whole proof changes nothing
+    p = window_params(11)
+    cases = [(build_y(p), predicted_cycle(p, "y"), None)]
+    cases += [(build_z(p, d), predicted_cycle(p, "z", d), z_handoff(p, d)) for d in range(p.rho)]
+    for s, (t, period), handoff in cases:
+        cs, init = compile_system(s), s.init
+        if handoff is None:
+            certify = partial(certify_lanes, cs, init)
+        else:
+            certify = partial(handoff_certificate, cs, init, handoff)
+        full = verify_predicted(cs, init, t, period, certify)
+        assert full == dataclasses.replace(
+            verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
+        )
+        cert, cost = certify(t + period)
+        assert cert is not None and cert.closes
+        budget = min(cost, t + period) - 1
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_predicted(cs, init, t, period, certify, budget=budget)
+        assert (exc.value.steps, exc.value.budget) == (certify(budget)[1], budget)
+        for budget in (full.steps_executed, 10**9):
+            assert verify_predicted(cs, init, t, period, certify, budget=budget) == full
+
+
 @pytest.mark.long
 def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
     # z(3) alone is a 12,264,801-slide simulation
@@ -478,7 +513,7 @@ def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
         cs = compile_system(z)
         pred = predicted_cycle(p, "z", d)
         sim = verify_predicted(cs, z.init, *pred)
-        rep = verify_handoff(cs, z.init, *pred, z_handoff(p, d))
+        rep = on_handoff(cs, z.init, *pred, z_handoff(p, d))
         assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
     assert (sim.measured_transient, sim.measured_period) == (12_264_800, 1)
@@ -545,7 +580,7 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     windows = [read(n)[0] for n in times]
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
-    for prove in (verify_handoff, handoff_uncapped):
+    for prove in (on_handoff, handoff_uncapped):
         rep = prove(cs, init, t, p, handoff)
         assert rep == dataclasses.replace(ref, steps_executed=rep.steps_executed)
     for pair in wrong_pairs(t, p):

@@ -15,7 +15,6 @@ from neurec import (
     IndexOutOfRange,
     RhoTooSmall,
     cycle_lengths,
-    lcm_list,
     window_params,
 )
 
@@ -135,14 +134,6 @@ def test_cycle_lengths_rejects_bad_d():
         cycle_lengths(p, -1)
     with pytest.raises(IndexOutOfRange):
         cycle_lengths(p, p.rho)
-
-
-def test_lcm_list():
-    assert lcm_list([]) == 1
-    assert lcm_list([4, 6]) == 12
-    assert lcm_list([13, 17]) == 221
-    with pytest.raises(ValueError):
-        lcm_list([0, 3])
 
 
 # --- property checks over the m grid --------------------------------------

@@ -1,11 +1,15 @@
-"""The README's Python examples run as written, and its claim table is complete."""
+"""The README's Python examples run as written, its claim table is complete,
+and every name a module exports exists."""
 
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 from neurec import ALL_CLAIMS
+
+MODULES = ("numtheory", "construction", "engine", "cycles", "verify", "errors", "cli")
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -48,3 +52,11 @@ def test_claim_registry_table_names_every_claim():
     rows = re.findall(r"^\| (`.*?) \|", section, flags=re.M)
     named = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
     assert sorted(named) == sorted(ALL_CLAIMS)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    # a stale __all__ entry would be skipped silently by anything that
+    # walks the exports, such as a tracer that wraps them
+    module = importlib.import_module(f"neurec.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -645,8 +645,7 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
 
     priced_past_the_cutoff(monkeypatch)
     provers = (
-        "measure_cycle", "detect_cycle", "verify_predicted", "verify_lanes", "verify_handoff",
-        "handoff_certificate",
+        "measure_cycle", "detect_cycle", "verify_predicted", "certify_lanes", "handoff_certificate",
     )
     for name in ("compile_system", "run", *provers):
         monkeypatch.setattr(f"neurec.verify.{name}", no_simulation)
@@ -659,6 +658,11 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
     for res in results:
         assert res.detail["skipped"] == "predicted work exceeds cutoff"
         assert res.detail["work"] > res.detail["cutoff"] == MEASURE_CUTOFF
+    # work at the cutoff runs; one slide more is skipped
+    assert neurec.verify.skip_detail(MEASURE_CUTOFF) is None
+    assert neurec.verify.skip_detail(MEASURE_CUTOFF + 1) == {
+        "skipped": "predicted work exceeds cutoff", "work": MEASURE_CUTOFF + 1, "cutoff": MEASURE_CUTOFF,
+    }
 
 
 def test_run_claims_on_requested_steps(monkeypatch):
@@ -694,9 +698,9 @@ def test_off_grid_step_at_a_later_scale_runs_nothing(monkeypatch):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every system detect_cycle or a verify_* prover is asked to prove."""
+    """Every system detect_cycle or verify_predicted is asked to prove."""
     calls = []
-    for name in ("detect_cycle", "verify_predicted", "verify_lanes", "verify_handoff"):
+    for name in ("detect_cycle", "verify_predicted"):
         original = getattr(neurec.verify, name)
 
         def counted(cs, init, *args, _original=original, **kwargs):

@@ -48,6 +48,7 @@ from .engine import (
     bits_from_word,
     compile_system,
     dense_oracle_run,
+    find_repeat,
     run,
     walk,
     word_from_bits,

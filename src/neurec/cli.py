@@ -104,21 +104,18 @@ def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) 
     """Write a trace as text-bits (wrapped every memory symbols) or run-length."""
     path = Path(path)
     if fmt == "text-bits":
-        chars = "".join("1" if b else "0" for b in trace)
+        chars = bytes(trace).translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
         lines = [chars[i : i + memory] for i in range(0, len(chars), memory)]
         path.write_text("\n".join(lines) + "\n")
         return
     if fmt == "run-length":
-        lines = []
-        idx = 0
-        while idx < len(trace):
-            val = trace[idx]
-            end = idx
-            while end < len(trace) and trace[end] == val:
-                end += 1
-            lines.append(f"{1 if val else 0}×{end - idx}")
-            idx = end
-        path.write_text("\n".join(lines) + "\n")
+        runs = re.finditer(rb"\x00+|\x01+", bytes(trace))
+        with path.open("w") as fh:
+            # one line at a time: a list of every line takes several times
+            # the memory of the trace itself
+            fh.writelines(f"{run[0][0]}×{len(run[0])}\n" for run in runs)
+            if not trace:
+                fh.write("\n")
         return
     raise ValueError(f"unknown trace format {fmt!r}")
 
@@ -138,7 +135,8 @@ def import_trace(path: str | Path) -> list[int]:
             val_s, count_s = re.split(r"[×x]", line, maxsplit=1)
             trace.extend([int(val_s)] * int(count_s))
         return trace
-    return [int(c) for c in body if c in "01"]
+    bits = re.sub(r"[^01]+", "", body).encode()
+    return list(bits.translate(bytes.maketrans(b"01", b"\x00\x01")))
 
 
 def system_to_json(system: RecurrenceSystem) -> dict:
@@ -265,7 +263,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     ms = _resolved_ms(config)
     cycle_reports: list[dict] = []
     claim_results: list[ClaimResult] = []
-    traces: list[tuple[str, list[int], int]] = []
+    traces: list[tuple[str, bytes, int]] = []
 
     if config.mode in ("verify", "chain", "basin"):
         # chain and basin each run the claim of the same name
@@ -288,14 +286,14 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
             sim_config = config if config.system is not None else _with_system(config, "y")
             for fam, idx, system in _family_members(params, sim_config):
                 steps = config.steps if config.steps is not None else 2 * system.memory
-                trace = run(compile_system(system), system.init, steps)
+                trace = bytes(run(compile_system(system), system.init, steps))
                 cycle_reports.append(
                     {
                         "system": system.label,
                         "m": m,
                         "steps": steps,
                         "trace_len": len(trace),
-                        "ones": sum(trace),
+                        "ones": trace.count(1),
                     }
                 )
                 if config.emit_traces:

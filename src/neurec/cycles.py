@@ -44,8 +44,9 @@ A certificate that cannot be built within min(T + P, budget) steps, or
 that does not close, leaves the proof to the simulation.
 
 detect_cycle measures (T, P) blind, taking no prediction, with a
-constant-memory search: a teleporting anchor pass recovers the exact
-minimal period, then two offset pointers recover the transient.  The
+constant-memory search: the teleporting anchor pass of
+engine.find_repeat, which run also stops on, recovers the exact minimal
+period, then two offset pointers recover the transient.  The
 measured pair is then certified by the same probe rule, so it is never an
 artifact of the search itself.
 
@@ -62,7 +63,7 @@ from math import gcd, lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
-from .engine import CompiledSystem, advance_word, compile_system, walk, word_from_bits
+from .engine import CompiledSystem, advance_word, compile_system, find_repeat, walk, word_from_bits
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
 
 __all__ = [
@@ -498,25 +499,13 @@ def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> C
     """
     word0 = _check_init(cs, init)
 
-    # Anchor pass: teleport the anchor to the probe at powers of two; the
-    # first probe state equal to the anchor is exactly one minimal period
-    # ahead of it.
-    probes = walk(cs, word0)
-    anchor, _ = next(probes)
-    steps = 1  # the slide to the first probe
-    power = 1
-    lam = 0
-    for probe, _ in probes:
-        lam += 1
-        if probe == anchor:
-            break
-        if power == lam:
-            anchor = probe
-            power *= 2
-            lam = 0
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceeded(steps, step_budget)
+    # Anchor pass: S_steps is the first window equal to the teleporting
+    # anchor, exactly one minimal period lam ahead of it.  The first slide
+    # is taken whatever the budget.
+    limit = max(step_budget, 1)
+    steps, lam = find_repeat(cs, word0, limit)
+    if not lam:
+        raise BudgetExceeded(limit + 1, step_budget)
 
     # Transient pass: two pointers lam apart meet first at S_T.
     steps += lam

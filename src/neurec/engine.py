@@ -11,6 +11,14 @@ Two independent evaluation routes:
              sparsity.  It exists to cross-check the compiled route bit for
              bit and for nothing else.
 
+The compiled route steps in exactly two loops: advance_word slides the
+window, and walk also yields each window with its affine sum.  find_repeat
+walks to the first window equal to Brent's teleporting anchor; it is
+detect_cycle's anchor pass and run's stopping rule.  run records outputs
+only until then and fills the rest of the trace by periodic extension,
+so a trace of an orbit of transient T and period P costs fewer than
+3(T + P) slides, however many steps it asks for.
+
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
 memory bits.  Sign is preserved exactly: sum(D * a_j * x(n-j)) >= D * theta
@@ -33,6 +41,7 @@ __all__ = [
     "compile_system",
     "advance_word",
     "walk",
+    "find_repeat",
     "run",
     "dense_oracle_run",
     "word_from_bits",
@@ -135,26 +144,49 @@ def walk(cs: CompiledSystem, word: int) -> Iterator[tuple[int, int]]:
         word = ((word << 1) | (1 if s >= theta else 0)) & mask
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
+def find_repeat(
+    cs: CompiledSystem, word: int, limit: int, outputs: bytearray | None = None
+) -> tuple[int, int]:
+    """Walk S_0 = word .. S_limit to the first window equal to the anchor.
+
+    Brent's teleporting anchor: the anchor jumps to the current window
+    after 1, 2, 4, ... slides, so the first window equal to it, S_n, is one
+    minimal period lam past it: S_n == S_{n - lam}, and every later window
+    repeats with period lam.  On an orbit of transient T and period P, n is
+    below 2 * max(T + 1, P) + P.  Returns (n, lam), or (limit, 0) when no
+    window up to S_limit is a repeat.  outputs, if given, receives the
+    output x of each window before S_n.
+    """
+    theta = cs.scaled_threshold
+    anchor, power, lam = word, 1, 0
+    for n, (window, s) in zip(range(limit + 1), walk(cs, word)):
+        if window == anchor and lam:
+            return n, lam
+        if lam == power:
+            anchor, power, lam = window, 2 * power, 0
+        lam += 1
+        if outputs is not None:
+            outputs.append(s >= theta)
+    return limit, 0
 
 
 def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> list[int]:
     """Full trace x(0)..x(memory+steps-1); the prefix is the init itself.
 
-    Steps in chunks of at most memory slides: after c <= memory slides the
-    low c bits of the window are exactly the c new outputs, oldest highest.
+    Steps with find_repeat until the window repeats.  Equal windows have
+    equal futures, so once S_n == S_{n - lam} the remaining steps - n
+    outputs are the last lam outputs repeated.  The trace is exact: an
+    orbit that does not repeat within steps slides is walked in full.
     """
     if len(init) != cs.memory:
         raise ShapeMismatch(f"init length {len(init)} != system memory {cs.memory}")
-    trace = list(init)
-    word = word_from_bits(init)
-    remaining = steps
-    while remaining > 0:
-        c = min(cs.memory, remaining)
-        word = advance_word(cs, word, c)
-        trace.extend(format(word & ((1 << c) - 1), f"0{c}b").encode().translate(_BITS))
-        remaining -= c
-    return trace
+    outputs = bytearray()
+    n, lam = find_repeat(cs, word_from_bits(init), steps - 1, outputs)
+    if lam:
+        cycle = outputs[n - lam :]
+        laps, rest = divmod(steps - n, lam)
+        outputs += cycle * laps + cycle[:rest]
+    return [*init, *outputs]
 
 
 def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) -> list[int]:

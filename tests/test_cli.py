@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurec import build_z, check_basin, predicted_cycle, window_params
+from neurec import (
+    advance_word,
+    build_z,
+    check_basin,
+    compile_system,
+    predicted_cycle,
+    window_params,
+    word_from_bits,
+)
 from neurec.cli import (
     export_trace,
     import_trace,
@@ -273,6 +281,25 @@ def test_simulate_mode_with_traces(tmp_path):
     trace = import_trace(out / "y_m_6.rle")
     assert len(trace) == 440
     assert sum(trace) == row["ones"]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text-bits", "txt"), ("run-length", "rle")])
+def test_simulate_traces_read_back_as_stepped(tmp_path, fmt, suffix):
+    # 5000 steps run past every z(d) transient at m = 6, so each file holds
+    # a periodic fill; the reference slides the window one step at a time
+    out = tmp_path / "sim"
+    argv = ["--mode", "simulate", "--m", "6", "--system", "z", "--steps", "5000"]
+    assert main([*argv, "--emit-traces", "--trace-format", fmt, "--out", str(out)]) == 0
+    params = window_params(6)
+    for d in range(params.rho):
+        z = build_z(params, d)
+        cs = compile_system(z)
+        word = word_from_bits(z.init)
+        expect = list(z.init)
+        for _ in range(5000):
+            word = advance_word(cs, word, 1)
+            expect.append(word & 1)
+        assert import_trace(out / f"z_m_6_d_{d}.{suffix}") == expect
 
 
 def test_simulate_defaults_to_y(capsys):

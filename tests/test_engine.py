@@ -23,6 +23,8 @@ from neurec import (
     build_z,
     compile_system,
     dense_oracle_run,
+    find_repeat,
+    predicted_cycle,
     run,
     single_system,
     walk,
@@ -106,7 +108,8 @@ def test_compile_drops_zero_weights():
 
 
 def test_walk_and_run_agree():
-    # 600 steps of memory-140 y cross run's chunk boundaries four times
+    # y at m = 6 has period 442 and its anchor first meets it at 953, so
+    # run steps all 600 without a fill
     p = window_params(6)
     y = build_y(p)
     cs = compile_system(y)
@@ -139,6 +142,53 @@ def test_run_prefix_law():
     assert run(cs, y.init, 0) == list(y.init)
     long = run(cs, y.init, 500)
     assert run(cs, y.init, 120) == long[: y.memory + 120]
+
+
+# --- periodic fill ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_run_fill_matches_the_oracle_on_z1(m):
+    # run stops stepping at the anchor hit and fills the rest, so three
+    # (T + P) cover the transient, the hit and many periods of fill
+    p = window_params(m)
+    z = build_z(p, 1)
+    t, per = predicted_cycle(p, "z", 1)
+    steps = 3 * (t + per)
+    assert run(compile_system(z), z.init, steps) == dense_oracle_run(z, z.init, steps)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_run_fill_around_the_anchor_hit(m):
+    # steps = n stops one window short of the hit and fills nothing;
+    # steps = n + 1 sees the hit and fills one output
+    p = window_params(m)
+    z = build_z(p, 1)
+    cs = compile_system(z)
+    n, lam = find_repeat(cs, word_from_bits(z.init), 10**6)
+    assert lam == predicted_cycle(p, "z", 1)[1]
+    expect = dense_oracle_run(z, z.init, n + 1)
+    for steps in (n - 1, n, n + 1):
+        assert run(cs, z.init, steps) == expect[: z.memory + steps]
+
+
+def test_run_stops_stepping_once_the_orbit_repeats(monkeypatch):
+    p = window_params(11)
+    z = build_z(p, 1)
+    t, per = predicted_cycle(p, "z", 1)
+    drawn = 0
+
+    def counted(cs, word):
+        nonlocal drawn
+        for pair in walk(cs, word):
+            drawn += 1
+            yield pair
+
+    monkeypatch.setattr("neurec.engine.walk", counted)
+    trace = run(compile_system(z), z.init, 10**6)
+    assert len(trace) == z.memory + 10**6
+    assert 0 < drawn <= 2 * (t + per) + 2
+    assert trace[-per:] == trace[-2 * per : -per]
 
 
 # --- cross-route equality ---------------------------------------------------
@@ -187,6 +237,15 @@ def test_three_routes_agree_on_random_systems(s):
     for n, w in enumerate(windows):
         assert bits_from_word(w, s.memory) == tuple(expect[n : n + s.memory])
     assert advance_word(cs, word0, 48) == windows[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems(), st.integers(min_value=0, max_value=300))
+def test_run_fill_on_random_systems(s, steps):
+    # a window of at most 8 bits repeats within 256 slides, and most of
+    # these settle on a fixed point or a short cycle far sooner, so long
+    # traces here are mostly fill
+    assert run(compile_system(s), s.init, steps) == dense_oracle_run(s, s.init, steps)
 
 
 # --- edges -----------------------------------------------------------------

@@ -286,7 +286,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
             sim_config = config if config.system is not None else _with_system(config, "y")
             for fam, idx, system in _family_members(params, sim_config):
                 steps = config.steps if config.steps is not None else 2 * system.memory
-                trace = bytes(run(compile_system(system), system.init, steps))
+                trace = run(compile_system(system), system.init, steps)
                 cycle_reports.append(
                     {
                         "system": system.label,

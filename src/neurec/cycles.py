@@ -45,10 +45,9 @@ that does not close, leaves the proof to the simulation.
 
 detect_cycle measures (T, P) blind, taking no prediction, with a
 constant-memory search: the teleporting anchor pass of
-engine.find_repeat, which run also stops on, recovers the exact minimal
-period, then two offset pointers recover the transient.  The
-measured pair is then certified by the same probe rule, so it is never an
-artifact of the search itself.
+engine.find_repeat recovers the exact minimal period, then two offset
+pointers recover the transient.  The measured pair is then certified by
+the same probe rule, so it is never an artifact of the search itself.
 
 All report the window S_T the probes read as the certified entry_window,
 so a caller that needs the attractor starts from it instead of walking the

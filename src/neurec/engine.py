@@ -12,12 +12,17 @@ Two independent evaluation routes:
              bit and for nothing else.
 
 The compiled route steps in exactly two loops: advance_word slides the
-window, and walk also yields each window with its affine sum.  find_repeat
-walks to the first window equal to Brent's teleporting anchor; it is
-detect_cycle's anchor pass and run's stopping rule.  run records outputs
-only until then and fills the rest of the trace by periodic extension,
-so a trace of an orbit of transient T and period P costs fewer than
-3(T + P) slides, however many steps it asks for.
+window, and walk also yields each window with its affine sum.  run slides
+with advance_word, at most memory slides at a time, and reads the new
+outputs off the low bits of the window.  Its stopping rule: at check
+points spaced max(memory, n // 8) slides apart it looks the newest window
+S_n up in the trace so far, and at the first S_i == S_n with i < n it
+fills the rest of the trace by periodic extension with period n - i.  No
+window repeats before S_{T + P} on an orbit of transient T and period P,
+so a trace of it costs min(steps, T + P) slides at least and
+T + P + max(memory, (T + P) // 8) + memory at most, however many steps it
+asks for.  find_repeat walks to the first window equal to Brent's
+teleporting anchor in constant memory; it is detect_cycle's anchor pass.
 
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
@@ -144,9 +149,7 @@ def walk(cs: CompiledSystem, word: int) -> Iterator[tuple[int, int]]:
         word = ((word << 1) | (1 if s >= theta else 0)) & mask
 
 
-def find_repeat(
-    cs: CompiledSystem, word: int, limit: int, outputs: bytearray | None = None
-) -> tuple[int, int]:
+def find_repeat(cs: CompiledSystem, word: int, limit: int) -> tuple[int, int]:
     """Walk S_0 = word .. S_limit to the first window equal to the anchor.
 
     Brent's teleporting anchor: the anchor jumps to the current window
@@ -154,42 +157,65 @@ def find_repeat(
     minimal period lam past it: S_n == S_{n - lam}, and every later window
     repeats with period lam.  On an orbit of transient T and period P, n is
     below 2 * max(T + 1, P) + P.  Returns (n, lam), or (limit, 0) when no
-    window up to S_limit is a repeat.  outputs, if given, receives the
-    output x of each window before S_n.
+    window up to S_limit is a repeat.  It holds two windows, whatever n.
     """
-    theta = cs.scaled_threshold
     anchor, power, lam = word, 1, 0
-    for n, (window, s) in zip(range(limit + 1), walk(cs, word)):
+    for n, (window, _) in zip(range(limit + 1), walk(cs, word)):
         if window == anchor and lam:
             return n, lam
         if lam == power:
             anchor, power, lam = window, 2 * power, 0
         lam += 1
-        if outputs is not None:
-            outputs.append(s >= theta)
     return limit, 0
 
 
-def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> list[int]:
-    """Full trace x(0)..x(memory+steps-1); the prefix is the init itself.
+def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
+    """Full trace x(0)..x(memory+steps-1), one byte 0/1 each; the prefix is init.
 
-    Steps with find_repeat until the window repeats.  Equal windows have
-    equal futures, so once S_n == S_{n - lam} the remaining steps - n
-    outputs are the last lam outputs repeated.  The trace is exact: an
-    orbit that does not repeat within steps slides is walked in full.
+    Slides advance_word at most memory slides at a time; the outputs of a
+    chunk are the low bits of the window it ends on.  Window S_n is
+    trace[n : n + memory].  At check points max(memory, n // 8) slides
+    apart, the newest window is looked up in the trace so far; equal
+    windows have equal futures, so once S_i == S_n for some i < n the
+    remaining outputs repeat the last n - i.  The trace is exact: an orbit
+    that does not repeat within steps slides is stepped in full.
     """
-    if len(init) != cs.memory:
-        raise ShapeMismatch(f"init length {len(init)} != system memory {cs.memory}")
-    outputs = bytearray()
-    n, lam = find_repeat(cs, word_from_bits(init), steps - 1, outputs)
-    if lam:
-        cycle = outputs[n - lam :]
-        laps, rest = divmod(steps - n, lam)
-        outputs += cycle * laps + cycle[:rest]
-    return [*init, *outputs]
+    memory = cs.memory
+    if len(init) != memory:
+        raise ShapeMismatch(f"init length {len(init)} != system memory {memory}")
+    if not memory:
+        # no window to read outputs off, and every step sees the same empty sum
+        return bytes([cs.scaled_threshold <= 0]) * max(steps, 0)
+    trace = bytearray(memory + max(steps, 0))
+    trace[:memory] = bytes(init)
+    to_bits = bytes.maketrans(b"01", b"\x00\x01")
+    word = word_from_bits(init)
+    n = check = 0
+    while n < steps:
+        c = min(memory, steps - n)
+        word = advance_word(cs, word, c)
+        trace[memory + n : memory + n + c] = (
+            format(word & ((1 << c) - 1), f"0{c}b").encode().translate(to_bits)
+        )
+        n += c
+        if n < check:
+            continue
+        i = trace.find(trace[n : n + memory], 0, n + memory)
+        if i < n:
+            src = memoryview(trace)
+            start, pos, end = i + memory, n + memory, len(trace)
+            while pos < end:
+                # [start, pos) has period n - i and a length that is a
+                # multiple of it, so copying it forward doubles it
+                k = min(pos - start, end - pos)
+                trace[pos : pos + k] = src[start : start + k]
+                pos += k
+            break
+        check = n + max(memory, n // 8)
+    return bytes(trace)
 
 
-def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) -> list[int]:
+def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) -> bytes:
     """Reference trace via a full-length rational dot product every step.
 
     Kept intentionally slow and direct: it touches every weight each step
@@ -209,4 +235,4 @@ def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) 
         out = 1 if s >= theta else 0
         trace.append(out)
         window.append(out)
-    return trace
+    return bytes(trace)

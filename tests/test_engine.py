@@ -1,7 +1,7 @@
 """Engine correctness against a from-scratch list evaluator.
 
 ref_run below is the third, dumbest evaluation route (plain list history,
-rational dot product per step).  Both shipped routes must reproduce it
+rational dot product per step), returned as bytes like the other two.  Both shipped routes must reproduce it
 exactly: the compiled bitmask kernel (run, advance_word, walk) and the
 dense oracle.
 """
@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neurec import (
@@ -23,7 +23,6 @@ from neurec import (
     build_z,
     compile_system,
     dense_oracle_run,
-    find_repeat,
     predicted_cycle,
     run,
     single_system,
@@ -43,7 +42,7 @@ def ref_run(system, steps):
             if w
         )
         hist.append(1 if s - Fraction(system.threshold) >= 0 else 0)
-    return hist
+    return bytes(hist)
 
 
 # --- packing ---------------------------------------------------------------
@@ -108,13 +107,13 @@ def test_compile_drops_zero_weights():
 
 
 def test_walk_and_run_agree():
-    # y at m = 6 has period 442 and its anchor first meets it at 953, so
-    # run steps all 600 without a fill
+    # y at m = 6 is purely periodic with P = 442 and memory 140, so run
+    # steps 560 slides in chunks of 140, finds S_560 == S_118 and fills 40
     p = window_params(6)
     y = build_y(p)
     cs = compile_system(y)
     windows = [w for w, _ in islice(walk(cs, word_from_bits(y.init)), 601)]
-    assert run(cs, y.init, 600) == list(y.init) + [w & 1 for w in windows[1:]]
+    assert run(cs, y.init, 600) == bytes([*y.init, *(w & 1 for w in windows[1:])])
 
 
 def test_walk_matches_advance_word():
@@ -139,7 +138,7 @@ def test_run_prefix_law():
     p = window_params(6)
     y = build_y(p)
     cs = compile_system(y)
-    assert run(cs, y.init, 0) == list(y.init)
+    assert run(cs, y.init, 0) == bytes(y.init)
     long = run(cs, y.init, 500)
     assert run(cs, y.init, 120) == long[: y.memory + 120]
 
@@ -149,8 +148,9 @@ def test_run_prefix_law():
 
 @pytest.mark.parametrize("m", [6, 11])
 def test_run_fill_matches_the_oracle_on_z1(m):
-    # run stops stepping at the anchor hit and fills the rest, so three
-    # (T + P) cover the transient, the hit and many periods of fill
+    # run stops stepping at the first check point past T + P and fills the
+    # rest, so three (T + P) cover the transient, the hit and many periods
+    # of fill
     p = window_params(m)
     z = build_z(p, 1)
     t, per = predicted_cycle(p, "z", 1)
@@ -159,36 +159,62 @@ def test_run_fill_matches_the_oracle_on_z1(m):
 
 
 @pytest.mark.parametrize("m", [6, 11])
-def test_run_fill_around_the_anchor_hit(m):
-    # steps = n stops one window short of the hit and fills nothing;
-    # steps = n + 1 sees the hit and fills one output
+def test_run_fill_around_the_first_repeat(m):
+    # S_{T + P} is the first window that repeats, so steps = T + P - 1 and
+    # T + P leave nothing to fill, and T + P + 1 can fill one output
     p = window_params(m)
     z = build_z(p, 1)
     cs = compile_system(z)
-    n, lam = find_repeat(cs, word_from_bits(z.init), 10**6)
-    assert lam == predicted_cycle(p, "z", 1)[1]
-    expect = dense_oracle_run(z, z.init, n + 1)
-    for steps in (n - 1, n, n + 1):
+    tp = sum(predicted_cycle(p, "z", 1))
+    expect = dense_oracle_run(z, z.init, tp + 1)
+    for steps in (tp - 1, tp, tp + 1):
         assert run(cs, z.init, steps) == expect[: z.memory + steps]
+
+
+def counted_slides(monkeypatch):
+    """Count the slides run asks of advance_word; walk must not be drawn."""
+    slides = []
+
+    def counted(cs, word, steps):
+        slides.append(steps)
+        return advance_word(cs, word, steps)
+
+    def no_walk(cs, word):
+        raise AssertionError("run stepped with walk")
+
+    monkeypatch.setattr("neurec.engine.advance_word", counted)
+    monkeypatch.setattr("neurec.engine.walk", no_walk)
+    return slides
 
 
 def test_run_stops_stepping_once_the_orbit_repeats(monkeypatch):
     p = window_params(11)
     z = build_z(p, 1)
     t, per = predicted_cycle(p, "z", 1)
-    drawn = 0
-
-    def counted(cs, word):
-        nonlocal drawn
-        for pair in walk(cs, word):
-            drawn += 1
-            yield pair
-
-    monkeypatch.setattr("neurec.engine.walk", counted)
+    slides = counted_slides(monkeypatch)
     trace = run(compile_system(z), z.init, 10**6)
     assert len(trace) == z.memory + 10**6
-    assert 0 < drawn <= 2 * (t + per) + 2
+    # no window repeats before S_{T + P}; the first check point past it is
+    # at most one check gap and one chunk later
+    tp = t + per
+    assert tp <= sum(slides) <= tp + max(z.memory, tp // 8) + z.memory
+    assert max(slides) <= z.memory
     assert trace[-per:] == trace[-2 * per : -per]
+
+
+def test_run_fill_past_the_geometric_checks(monkeypatch):
+    # z(2) at m = 11 has T + P = 62,548, over 100 chunks of 585 slides, so
+    # the check points spread to n // 8 apart before the first repeat
+    p = window_params(11)
+    z = build_z(p, 2)
+    cs = compile_system(z)
+    tp = sum(predicted_cycle(p, "z", 2))
+    steps = 2 * tp + 7
+    windows = islice(walk(cs, word_from_bits(z.init)), 1, steps + 1)
+    expect = bytes([*z.init, *(w & 1 for w, _ in windows)])
+    slides = counted_slides(monkeypatch)
+    assert run(cs, z.init, steps) == expect
+    assert tp <= sum(slides) <= tp + tp // 8 + z.memory
 
 
 # --- cross-route equality ---------------------------------------------------
@@ -239,12 +265,38 @@ def test_three_routes_agree_on_random_systems(s):
     assert advance_word(cs, word0, 48) == windows[-1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_systems(), st.integers(min_value=0, max_value=300))
-def test_run_fill_on_random_systems(s, steps):
-    # a window of at most 8 bits repeats within 256 slides, and most of
-    # these settle on a fixed point or a short cycle far sooner, so long
-    # traces here are mostly fill
+@st.composite
+def sparse_systems(draw):
+    # memory 0 and 1, systems with no taps and negative thresholds all come
+    # up often; weights are sparse so both kinds of tap set occur
+    memory = draw(st.integers(min_value=0, max_value=12))
+    tapped = draw(st.booleans())
+    weights = tuple(
+        draw(st.one_of(st.just(Fraction(0)), rationals)) if tapped else Fraction(0)
+        for _ in range(memory)
+    )
+    theta = draw(st.one_of(rationals, st.fractions(min_value=-4, max_value=0, max_denominator=5)))
+    init = tuple(draw(st.integers(0, 1)) for _ in range(memory))
+    return RecurrenceSystem(memory=memory, weights=weights, threshold=theta, init=init)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(small_systems(), sparse_systems()),
+    st.integers(0, 40),
+    st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, 12)),
+)
+@example(RecurrenceSystem(0, (), 0, ()), 5, 0)
+@example(RecurrenceSystem(0, (), Fraction(1, 3), ()), 0, 1)
+@example(RecurrenceSystem(1, (Fraction(-1),), Fraction(-1, 2), (0,)), 3, 1)
+@example(RecurrenceSystem(3, (0, 0, 0), -1, (0, 1, 0)), 1, -1)
+def test_run_fill_on_random_systems(s, laps, offset):
+    # run slides in chunks of memory: steps at a multiple of the chunk, one
+    # either side of it, or part of a chunk put the last partial chunk and
+    # the repeat anywhere in a chunk.  A window of at most 12 bits repeats
+    # within 4096 slides, and most of these settle on a fixed point or a
+    # short cycle far sooner, so long traces here are mostly fill
+    steps = max(laps * max(s.memory, 1) + offset, 0)
     assert run(compile_system(s), s.init, steps) == dense_oracle_run(s, s.init, steps)
 
 
@@ -253,9 +305,9 @@ def test_run_fill_on_random_systems(s, steps):
 
 def test_weightless_system_threshold_sign():
     fire = RecurrenceSystem(memory=2, weights=(0, 0), threshold=0, init=(0, 0))
-    assert run(compile_system(fire), fire.init, 3) == [0, 0, 1, 1, 1]
+    assert run(compile_system(fire), fire.init, 3) == bytes([0, 0, 1, 1, 1])
     mute = RecurrenceSystem(memory=2, weights=(0, 0), threshold=Fraction(1, 7), init=(1, 1))
-    assert run(compile_system(mute), mute.init, 3) == [1, 1, 0, 0, 0]
+    assert run(compile_system(mute), mute.init, 3) == bytes([1, 1, 0, 0, 0])
 
 
 def test_shape_mismatch_guards():

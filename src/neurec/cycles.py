@@ -43,11 +43,13 @@ search nodes.
 A certificate that cannot be built within min(T + P, budget) steps, or
 that does not close, leaves the proof to the simulation.
 
-detect_cycle measures (T, P) blind, taking no prediction, with a
-constant-memory search: the teleporting anchor pass of
-engine.find_repeat recovers the exact minimal period, then two offset
-pointers recover the transient.  The measured pair is then certified by
-the same probe rule, so it is never an artifact of the search itself.
+detect_cycle measures (T, P) blind, taking no prediction.
+engine.find_repeat, which run also stops on, steps a trace to a window
+that already occurred; the period is read off the trace at that window's
+first occurrence, and the transient by bisection over it.  The search
+succeeds exactly when T + P is within its budget and holds about
+9/8 (T + P) + memory bytes.  The measured pair is then certified by the
+same probe rule, so it is never an artifact of the search itself.
 
 All report the window S_T the probes read as the certified entry_window,
 so a caller that needs the attractor starts from it instead of walking the
@@ -56,6 +58,7 @@ transient again.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, product
 from math import gcd, lcm, prod
@@ -491,36 +494,29 @@ def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> C
     """Measure the minimal (transient, period) of the orbit from init, blind.
 
     It takes no prediction: a caller that has one compares the measured
-    pair itself, or proves it in fewer steps with verify_predicted.  Raises
-    BudgetExceeded if the search has not met a repeat within step_budget
-    slides.  The measured pair is always re-proved by the probe rule on
-    simulated windows, so a buggy search cannot return quietly.
+    pair itself, or proves it in fewer steps with verify_predicted.
+    engine.find_repeat steps the trace to a window S_n that already
+    occurred, first at S_i; i lies on the cycle, so the next S_i after i is
+    one minimal period on, and the transient is the first t with
+    S_t == S_{t + P}, found by bisection over the trace.  The search
+    succeeds exactly when T + P <= max(step_budget, 1) and otherwise raises
+    BudgetExceeded.  It holds the trace, about 9/8 (T + P) + memory bytes.
+    The measured pair is always re-proved by the probe rule on simulated
+    windows, so a buggy search cannot return quietly.
     """
     word0 = _check_init(cs, init)
-
-    # Anchor pass: S_steps is the first window equal to the teleporting
-    # anchor, exactly one minimal period lam ahead of it.  The first slide
-    # is taken whatever the budget.
+    memory = cs.memory
+    trace = bytearray(init)
     limit = max(step_budget, 1)
-    steps, lam = find_repeat(cs, word0, limit)
-    if not lam:
+    n, i = find_repeat(cs, trace, limit)
+    if i == n:
         raise BudgetExceeded(limit + 1, step_budget)
-
-    # Transient pass: two pointers lam apart meet first at S_T.
-    steps += lam
-    mu = 0
-    for (trail, _), (lead, _) in zip(walk(cs, word0), walk(cs, advance_word(cs, word0, lam))):
-        if trail == lead:
-            break
-        steps += 2
-        mu += 1
-        if steps > step_budget:
-            raise BudgetExceeded(steps, step_budget)
-
+    lam = trace.find(trace[i : i + memory], i + 1, n + memory) - i
+    mu = bisect_left(
+        range(i + 1), True, key=lambda t: trace[t : t + memory] == trace[t + lam : t + lam + memory]
+    )
     probe_steps, entry = _probe_pass(_simulated(cs, word0), mu, lam)
-    steps += probe_steps
-
-    return CycleReport(mu, lam, entry, steps)
+    return CycleReport(mu, lam, entry, n + probe_steps)
 
 
 def _check_pair(transient: int, period: int) -> None:

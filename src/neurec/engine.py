@@ -12,17 +12,16 @@ Two independent evaluation routes:
              bit and for nothing else.
 
 The compiled route steps in exactly two loops: advance_word slides the
-window, and walk also yields each window with its affine sum.  run slides
-with advance_word, at most memory slides at a time, and reads the new
-outputs off the low bits of the window.  Its stopping rule: at check
-points spaced max(memory, n // 8) slides apart it looks the newest window
-S_n up in the trace so far, and at the first S_i == S_n with i < n it
-fills the rest of the trace by periodic extension with period n - i.  No
-window repeats before S_{T + P} on an orbit of transient T and period P,
-so a trace of it costs min(steps, T + P) slides at least and
-T + P + max(memory, (T + P) // 8) + memory at most, however many steps it
-asks for.  find_repeat walks to the first window equal to Brent's
-teleporting anchor in constant memory; it is detect_cycle's anchor pass.
+window, and walk also yields each window with its affine sum.  find_repeat
+is the one search for a repeated window, used by run and by
+cycles.detect_cycle.  It slides advance_word in chunks of at most memory
+slides, writes each chunk's outputs off the low bits of the window into a
+trace, and at check points spaced max(1, n // 8) slides apart looks the
+newest window S_n up in the trace so far.  No window repeats before
+S_{T + P} on an orbit of transient T and period P, so it stops after
+min(limit, T + P) slides at least and T + P + (T + P) // 8 + memory at
+most.  run fills the rest of its trace by periodic extension from the
+first S_i == S_n with i < n, however many steps it asks for.
 
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
@@ -149,36 +148,48 @@ def walk(cs: CompiledSystem, word: int) -> Iterator[tuple[int, int]]:
         word = ((word << 1) | (1 if s >= theta else 0)) & mask
 
 
-def find_repeat(cs: CompiledSystem, word: int, limit: int) -> tuple[int, int]:
-    """Walk S_0 = word .. S_limit to the first window equal to the anchor.
+def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, int]:
+    """Extend trace from S_0 = trace[:memory] to the first check point n <= limit
+    at which S_n already occurred.
 
-    Brent's teleporting anchor: the anchor jumps to the current window
-    after 1, 2, 4, ... slides, so the first window equal to it, S_n, is one
-    minimal period lam past it: S_n == S_{n - lam}, and every later window
-    repeats with period lam.  On an orbit of transient T and period P, n is
-    below 2 * max(T + 1, P) + P.  Returns (n, lam), or (limit, 0) when no
-    window up to S_limit is a repeat.  It holds two windows, whatever n.
+    Window S_n is trace[n : n + memory].  advance_word slides in chunks of
+    min(memory, limit - n, max(1, n // 8)) and writes each chunk's outputs,
+    the low bits of the window it ends on, to trace[memory + n ...]; writing
+    past the end of trace grows it.  At check points max(1, n // 8) slides
+    apart, and always at limit, S_n is looked up in trace[: n + memory].
+    Returns (n, i) for the first check point n at which S_n == S_i for some
+    i < n, with i the first such time, or (n, n) at n = limit when there is
+    none.  On an orbit of transient T and period P, a repeat is found
+    exactly when T + P <= limit, after at most T + P + (T + P) // 8 + memory
+    slides, and then T <= i < T + P.  A memory-0 system has empty windows,
+    so S_1 repeats S_0.
     """
-    anchor, power, lam = word, 1, 0
-    for n, (window, _) in zip(range(limit + 1), walk(cs, word)):
-        if window == anchor and lam:
-            return n, lam
-        if lam == power:
-            anchor, power, lam = window, 2 * power, 0
-        lam += 1
-    return limit, 0
+    memory = cs.memory
+    to_bits = bytes.maketrans(b"01", b"\x00\x01")
+    word = word_from_bits(trace[:memory])
+    n = check = 0
+    while True:
+        if n >= check or n == limit:
+            i = trace.find(trace[n : n + memory], 0, n + memory)
+            if i < n or n == limit:
+                return n, i
+            check = n + max(1, n // 8)
+        c = max(1, min(memory, limit - n, n // 8))
+        word = advance_word(cs, word, c)
+        trace[memory + n : memory + n + c] = (
+            format(word & ((1 << c) - 1), f"0{c}b").encode().translate(to_bits)
+        )
+        n += c
 
 
 def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
     """Full trace x(0)..x(memory+steps-1), one byte 0/1 each; the prefix is init.
 
-    Slides advance_word at most memory slides at a time; the outputs of a
-    chunk are the low bits of the window it ends on.  Window S_n is
-    trace[n : n + memory].  At check points max(memory, n // 8) slides
-    apart, the newest window is looked up in the trace so far; equal
-    windows have equal futures, so once S_i == S_n for some i < n the
-    remaining outputs repeat the last n - i.  The trace is exact: an orbit
-    that does not repeat within steps slides is stepped in full.
+    find_repeat steps the trace to the first check point n at which the
+    newest window S_n already occurred at some i < n; equal windows have
+    equal futures, so the remaining outputs repeat the last n - i.  The
+    trace is exact: an orbit that does not repeat within steps slides is
+    stepped in full.
     """
     memory = cs.memory
     if len(init) != memory:
@@ -188,30 +199,15 @@ def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
         return bytes([cs.scaled_threshold <= 0]) * max(steps, 0)
     trace = bytearray(memory + max(steps, 0))
     trace[:memory] = bytes(init)
-    to_bits = bytes.maketrans(b"01", b"\x00\x01")
-    word = word_from_bits(init)
-    n = check = 0
-    while n < steps:
-        c = min(memory, steps - n)
-        word = advance_word(cs, word, c)
-        trace[memory + n : memory + n + c] = (
-            format(word & ((1 << c) - 1), f"0{c}b").encode().translate(to_bits)
-        )
-        n += c
-        if n < check:
-            continue
-        i = trace.find(trace[n : n + memory], 0, n + memory)
-        if i < n:
-            src = memoryview(trace)
-            start, pos, end = i + memory, n + memory, len(trace)
-            while pos < end:
-                # [start, pos) has period n - i and a length that is a
-                # multiple of it, so copying it forward doubles it
-                k = min(pos - start, end - pos)
-                trace[pos : pos + k] = src[start : start + k]
-                pos += k
-            break
-        check = n + max(memory, n // 8)
+    n, i = find_repeat(cs, trace, max(steps, 0))
+    src = memoryview(trace)
+    start, pos, end = i + memory, n + memory, len(trace)
+    while pos < end:
+        # [start, pos) has period n - i and a length that is a multiple of
+        # it, so copying it forward doubles it
+        k = min(pos - start, end - pos)
+        trace[pos : pos + k] = src[start : start + k]
+        pos += k
     return bytes(trace)
 
 

@@ -139,10 +139,6 @@ def predicted_cycle(params: WindowParams, family: str, index: int | None = None)
     raise ValueError(f"unknown family {family!r}")
 
 
-def _default_budget(t: int, p: int, memory: int) -> int:
-    return 6 * (t + p) + 4 * memory + 64
-
-
 def z_handoff(params: WindowParams, d: int) -> Handoff:
     """The orbit z(d) is claimed to follow: y's, then w(d)'s from time L1(d) on."""
     return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
@@ -156,12 +152,13 @@ def measure_cycle(
 ) -> CycleReport:
     """Certify a system's predicted (T, P) as its minimal pair.
 
-    Orbits up to DETECT_CUTOFF are measured blind with detect_cycle.  Larger
-    ones, and any the search does not confirm, are proved by
-    verify_predicted on a certificate: z_handoff's handoff certificate when
-    the caller gives a handoff (every z(d): its orbit is y's, then w(d)'s),
-    the certified lanes when the system has more than one lane (y and every
-    w(d)), and otherwise simulated windows.  handoff builds the
+    Orbits up to DETECT_CUTOFF are measured blind with detect_cycle, whose
+    search is given exactly the predicted T + P slides.  Larger ones, and
+    any the search does not confirm, are proved by verify_predicted on a
+    certificate: z_handoff's handoff certificate when the caller gives a
+    handoff (every z(d): its orbit is y's, then w(d)'s), the certified
+    lanes when the system has more than one lane (y and every w(d)), and
+    otherwise simulated windows.  handoff builds the
     certificate's data and is called only past DETECT_CUTOFF.  A refuted
     prediction raises PredictionFailed naming the first probe it fails, so
     a returned report always equals the prediction.  A budget caps the
@@ -189,7 +186,7 @@ def measure_cycle(
         certify = partial(certify_lanes, cs, system.init)
     elif work <= DETECT_CUTOFF and (budget is None or work <= budget):
         with suppress(BudgetExceeded):  # the prediction understates the orbit
-            rep = detect_cycle(cs, system.init, _default_budget(t_pred, p_pred, system.memory))
+            rep = detect_cycle(cs, system.init, work)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
         rep = verify_predicted(cs, system.init, t_pred, p_pred, certify, budget=budget)
     if proofs is not None:
@@ -652,7 +649,7 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
 
     tail = system.init[n_free:]
     search_budget = (
-        budget if budget is not None else min(_default_budget(*pred, params.h), MEASURE_CUTOFF)
+        budget if budget is not None else min(6 * sum(pred) + 4 * params.h + 64, MEASURE_CUTOFF)
     )
     bad: list[int] = []
     for vid in chosen:

@@ -44,6 +44,7 @@ from neurec import (
 )
 from neurec.cycles import _probe_pass, certify_lanes, handoff_certificate
 from neurec.verify import z_handoff
+from test_engine import sparse_systems
 
 
 def naive_cycle(cs, init, cap=200_000):
@@ -123,6 +124,19 @@ def test_budget_exceeded():
         detect_cycle(compile_system(y), y.init, step_budget=50)
     assert exc.value.budget == 50
     assert exc.value.steps > 50
+
+
+@pytest.mark.parametrize("name", ["y", "z0", "z1", "w0"])
+def test_search_succeeds_exactly_within_t_plus_p(name):
+    # the search needs T + P slides to meet the first repeat, and no more
+    s = m6_systems()[name]
+    want = next((t, p) for n, t, p in M6_EXPECTED if n == name)
+    cs = compile_system(s)
+    rep = detect_cycle(cs, s.init, step_budget=sum(want))
+    assert (rep.measured_transient, rep.measured_period) == want
+    with pytest.raises(BudgetExceeded) as exc:
+        detect_cycle(cs, s.init, step_budget=sum(want) - 1)
+    assert exc.value.steps > exc.value.budget == sum(want) - 1
 
 
 def test_verify_predicted_accepts_true_pair():
@@ -209,6 +223,17 @@ def test_detect_agrees_with_naive_on_random_systems(s):
     # both routes certify the same entry window S_T
     entry = advance_word(cs, word_from_bits(s.init), t_ref)
     assert rep.entry_window == proof.entry_window == entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_detect_agrees_with_naive_on_sparse_systems(s):
+    # memory 0 to 12, tapless systems and negative thresholds
+    cs = compile_system(s)
+    t, p = naive_cycle(cs, s.init)
+    rep = detect_cycle(cs, s.init, step_budget=t + p)
+    entry = advance_word(cs, word_from_bits(s.init), t)
+    assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (t, p, entry)
 
 
 # --- proofs on decimated lanes -------------------------------------------------

@@ -108,7 +108,7 @@ def test_compile_drops_zero_weights():
 
 def test_walk_and_run_agree():
     # y at m = 6 is purely periodic with P = 442 and memory 140, so run
-    # steps 560 slides in chunks of 140, finds S_560 == S_118 and fills 40
+    # steps 461 slides, finds S_461 == S_19 and fills the last 139
     p = window_params(6)
     y = build_y(p)
     cs = compile_system(y)
@@ -197,7 +197,7 @@ def test_run_stops_stepping_once_the_orbit_repeats(monkeypatch):
     # no window repeats before S_{T + P}; the first check point past it is
     # at most one check gap and one chunk later
     tp = t + per
-    assert tp <= sum(slides) <= tp + max(z.memory, tp // 8) + z.memory
+    assert tp <= sum(slides) <= tp + tp // 8 + z.memory
     assert max(slides) <= z.memory
     assert trace[-per:] == trace[-2 * per : -per]
 
@@ -291,8 +291,8 @@ def sparse_systems(draw):
 @example(RecurrenceSystem(1, (Fraction(-1),), Fraction(-1, 2), (0,)), 3, 1)
 @example(RecurrenceSystem(3, (0, 0, 0), -1, (0, 1, 0)), 1, -1)
 def test_run_fill_on_random_systems(s, laps, offset):
-    # run slides in chunks of memory: steps at a multiple of the chunk, one
-    # either side of it, or part of a chunk put the last partial chunk and
+    # run slides in chunks of at most memory: steps at a multiple of memory,
+    # one either side of it, or part of it put the last partial chunk and
     # the repeat anywhere in a chunk.  A window of at most 12 bits repeats
     # within 4096 slides, and most of these settle on a fixed point or a
     # short cycle far sooner, so long traces here are mostly fill

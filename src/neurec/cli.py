@@ -17,7 +17,7 @@ measured orbit).
 Reports are deterministic for fixed (m, d, seed, budget) apart from the
 wall_clock_s field.  An instance whose predicted work exceeds its cutoff
 is skipped, which neither passes nor fails.  Exit status: 0 no check failed,
-1 some claim or prediction failed, 2 configuration or I/O trouble.
+1 some claim or prediction failed, 2 configuration, I/O or memory trouble.
 """
 
 from __future__ import annotations
@@ -412,9 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="step cap of a proof on its route: a simulated one whose T+P exceeds it "
-        "fails unrun, a lane or handoff one fails if its certificate cannot close within it; "
-        "also basin's blind search budget (default: no cap on proofs, and "
-        "min(6(T+P) + 4h + 64, MEASURE_CUTOFF) for basin's search)",
+        "fails unrun, a lane or handoff one fails if its certificate cannot close within it "
+        "(default: no cap)",
     )
     parser.add_argument(
         "--claims",
@@ -432,7 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-format", choices=TRACE_FORMATS, default=None, help="trace file format"
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="seed of divisor_rule's random shuffles"
+    )
     parser.add_argument(
         "--long",
         action=argparse.BooleanOptionalAction,
@@ -518,6 +519,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         report, code = cmd_run(_merge_config(args))
     except (NeurecError, ValueError, OSError) as exc:
         print(f"neurec: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("neurec: out of memory; try a smaller --m", file=sys.stderr)
         return 2
     tags = {True: "PASS", False: "FAIL", None: "SKIP"}
     for res in report.claim_results:

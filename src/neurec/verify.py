@@ -45,9 +45,8 @@ detail's steps is the cost of that one proof.  The memo is dropped when
 run_claims returns.  A certified proof also
 reports its entry window S_T, so v_fixed's and the chain's all-zero
 attractors are read from it rather than walking the transient again.
-basin shares its reference proof with z_summary; each free-prefix variant
-that merges into the reference window once its free bits slide out
-provably has the same attractor, and only one that does not is searched.
+basin shares its reference proof with z_summary, and one interval pass
+proves that every free prefix merges into the reference window.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ __all__ = [
 # DETECT_CUTOFF; skip_detail skips every claim instance past MEASURE_CUTOFF.
 DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
-BASIN_VARIANTS = 8             # free-prefix variants check_basin checks at most
 
 # Completed proofs of the current run_claims call, keyed by (compiled system,
 # init, predicted); None outside run_claims.
@@ -609,20 +607,44 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     return ClaimResult("chain", {"m": m}, ok, detail)
 
 
-def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> ClaimResult:
-    """Free-prefix insensitivity of z(., d).
+def _first_unforced_slide(system: RecurrenceSystem, n_free: int) -> int | None:
+    """The first of n_free slides whose output the oldest n_free init bits
+    can change, or None when every output is forced.
+
+    At slide s the taps at offsets j > memory - n_free + s read unknown
+    bits.  Known bits count exactly; an unknown tap of scaled weight w adds
+    min(0, w) to the sum's lower bound and max(0, w) to its upper bound.
+    The free bits are independent and reach both bounds, so the pass is
+    exact: at the first unforced slide two prefixes output different bits.
+    """
+    cs = compile_system(system)
+    theta = cs.scaled_threshold
+    known = cs.mask >> n_free
+    word = word_from_bits(system.init) & known
+    for s in range(n_free):
+        lo = hi = 0
+        for w, gm in cs.groups:
+            exact = w * (word & gm).bit_count()
+            free = w * (gm & ~known).bit_count()
+            lo += exact + min(0, free)
+            hi += exact + max(0, free)
+        if lo < theta <= hi:
+            return s
+        word = ((word << 1) | (lo >= theta)) & cs.mask
+        known = known << 1 | 1
+    return None
+
+
+def check_basin(m: int, d: int, budget: int | None = None) -> ClaimResult:
+    """Free-prefix insensitivity of z(., d), exact over every prefix.
 
     With e the lane minimizing beta_i and d < beta_e, the first
-    beta_e - d window bits of z(., d) are free: every assignment must fall
-    into the basin of the same attractor.  Enumerates all 2^(beta_e - d)
-    assignments when there are at most BASIN_VARIANTS, otherwise samples
-    BASIN_VARIANTS of them.  A variant whose window after beta_e - d slides
-    equals the reference's shares its future, so its attractor.  One that
-    does not merge is searched blind and shares the attractor iff its period
-    is the reference P and its entry window lies on the reference cycle; the
-    search takes at most budget slides, or without one at most
-    min(6 (T + P) + 4 h + 64, MEASURE_CUTOFF) for the reference (T, P), and
-    past it raises BudgetExceeded.  Raises HypothesisUnmet when d >= beta_e.
+    n_free = beta_e - d window bits of z(., d) are free.  The instance
+    passes when _first_unforced_slide forces every output: then all
+    2^n_free prefixes reach one window after n_free slides, so they share
+    the reference's future and attractor.  Otherwise it fails, naming
+    unforced_slide.  The reference z(d) is proved by measure_cycle within
+    budget.  Raises HypothesisUnmet when d >= beta_e.
     """
     params = window_params(m)
     params.check_lane(d, "d")
@@ -634,44 +656,14 @@ def check_basin(m: int, d: int, seed: int = 0, budget: int | None = None) -> Cla
     system = cons.build_z(params, d)
     pred = predicted_cycle(params, "z", d)
     ref_rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
-    period = ref_rep.measured_period
-    cs = compile_system(system)
-    merged = advance_word(cs, word_from_bits(system.init), n_free)
-
-    total = 2**n_free
-    if total <= BASIN_VARIANTS:
-        chosen = list(range(total))
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(range(total), BASIN_VARIANTS))
-        mode = "sampled"
-
-    tail = system.init[n_free:]
-    search_budget = (
-        budget if budget is not None else min(6 * sum(pred) + 4 * params.h + 64, MEASURE_CUTOFF)
-    )
-    bad: list[int] = []
-    for vid in chosen:
-        prefix = tuple((vid >> (n_free - 1 - q)) & 1 for q in range(n_free))
-        variant = prefix + tail
-        if advance_word(cs, word_from_bits(variant), n_free) == merged:
-            continue
-        rep = detect_cycle(cs, variant, search_budget)
-        ref_cycle = (w for w, _ in islice(walk(cs, ref_rep.entry_window), period))
-        if rep.measured_period != period or rep.entry_window not in ref_cycle:
-            bad.append(vid)
-
+    unforced = _first_unforced_slide(system, n_free)
     detail = {
         "free_bits": n_free,
-        "variants_total": total,
-        "variants_checked": len(chosen),
-        "mode": mode,
-        "attractor_size": period,
+        "variants_total": 2**n_free,
+        "unforced_slide": unforced,
         "reference": _report_dict(ref_rep, pred),
-        "mismatched_variants": bad,
     }
-    return ClaimResult("basin", {"m": m, "d": d}, not bad, detail)
+    return ClaimResult("basin", {"m": m, "d": d}, unforced is None, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +775,8 @@ def skip_detail(work: int, cutoff: int = MEASURE_CUTOFF) -> dict | None:
     MEASURE_CUTOFF, the one cutoff of every claim, is skipped rather than
     attempted and aborted.  This is the one place a cutoff is compared.
     The cutoff is bound when the module loads, so lowering MEASURE_CUTOFF
-    afterwards tightens the caps of lane certification and basin's search
-    but skips no instance.
+    afterwards tightens the cap of lane certification but skips no
+    instance.
     """
     if work <= cutoff:
         return None
@@ -853,7 +845,7 @@ _TABLE = {
             "basin",
             _basin_grid,
             _proof_work("z"),
-            lambda m, d, seed, budget: check_basin(m, d, seed=seed, budget=budget),
+            lambda m, d, budget, **_: check_basin(m, d, budget=budget),
         ),
         _composition("example1_period2"),
         _composition("example1_period3"),

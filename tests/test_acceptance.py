@@ -179,9 +179,8 @@ def test_criterion_09_basin_exhaustive_m6(criterion):
         for d in (0, 1):
             res = check_basin(6, d)
             assert res.passed, (d, res.detail)
-            assert res.detail["mode"] == "exhaustive"
-            assert res.detail["variants_checked"] == 2 ** (2 - d)
-            assert res.detail["mismatched_variants"] == []
+            assert res.detail["variants_total"] == 2 ** (2 - d)
+            assert res.detail["unforced_slide"] is None
 
 
 def test_criterion_10_composition_divisor_rule(criterion):

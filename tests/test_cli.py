@@ -150,11 +150,12 @@ def test_verify_mode_stdout_json_when_no_out(capsys):
 
 def test_verify_mode_budget_failure_exits_1(tmp_path, capsys):
     code = main(
-        ["--mode", "verify", "--m", "6", "--claims", "z_summary", "--budget", "50"]
+        ["--mode", "verify", "--m", "6", "--claims", "z_summary,basin", "--budget", "50"]
     )
     assert code == 1
     err = capsys.readouterr().err
     assert "FAIL z_summary m=6" in err
+    assert "FAIL basin m=6 d=0" in err  # the budget caps basin's reference proof
 
 
 # --- cycle mode ----------------------------------------------------------------
@@ -351,16 +352,18 @@ def test_basin_mode_selected_d(capsys):
     report = json.loads(capsys.readouterr().out)
     (res,) = report["claim_results"]
     assert res["params"] == {"m": 6, "d": 1}
-    assert res["passed"] and res["detail"]["mode"] == "exhaustive"
+    assert res["passed"] and res["detail"]["unforced_slide"] is None
 
 
-def test_basin_mode_samples_the_table_variant_count(capsys):
-    code = main(["--mode", "basin", "--m", "11", "--d", "0", "--seed", "5"])
-    assert code == 0
-    (res,) = json.loads(capsys.readouterr().out)["claim_results"]
-    assert res["detail"]["mode"] == "sampled"
-    assert res["detail"]["variants_checked"] == 8
-    assert res["detail"] == check_basin(11, 0, seed=5).detail
+def test_basin_mode_covers_every_free_prefix(capsys):
+    # 2^9 prefixes at m = 11, d = 0, all of them forced; --seed changes nothing
+    for seed in ("5", "6"):
+        code = main(["--mode", "basin", "--m", "11", "--d", "0", "--seed", seed])
+        assert code == 0
+        (res,) = json.loads(capsys.readouterr().out)["claim_results"]
+        assert res["detail"]["variants_total"] == 2 ** res["detail"]["free_bits"] == 512
+        assert res["detail"]["unforced_slide"] is None
+        assert res["detail"] == check_basin(11, 0).detail
 
 
 # --- configuration ------------------------------------------------------------------
@@ -468,6 +471,19 @@ def test_scale_rejection_paths(capsys):
     for mode in ("chain", "basin"):
         assert main(["--mode", mode, "--m", "4"]) == 1
         assert f"FAIL {mode} m=4" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys):
+    # a scale too large to build: the builder's MemoryError is configuration
+    # trouble, not a crash (raised here without allocating anything)
+    def too_large(params):
+        raise MemoryError
+
+    monkeypatch.setattr("neurec.construction.single_weights", too_large)
+    assert main(["--mode", "construct", "--m", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("neurec: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_bad_mode_is_an_argparse_error():

@@ -4,9 +4,11 @@ import dataclasses
 import json
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neurec.construction
 import neurec.verify
@@ -17,6 +19,7 @@ from neurec import (
     IndexOutOfRange,
     PredictionFailed,
     RecurrenceSystem,
+    advance_word,
     build_w,
     build_y,
     build_z,
@@ -26,6 +29,7 @@ from neurec import (
     check_phases,
     compile_system,
     cycle_lengths,
+    detect_cycle,
     measure_cycle,
     predicted_cycle,
     run,
@@ -165,11 +169,16 @@ def test_long_tier_y_and_w_run_at_m21_and_m26():
 
 
 def test_z_chain_and_basin_run_at_m26():
-    results = run_claims(ms=(26,), claims=["z_summary", "chain"])
-    assert [(r.claim, r.passed) for r in results] == [("z_summary", True)] * 6 + [("chain", True)]
+    results = run_claims(ms=(26,), claims=["z_summary", "chain", "basin"])
+    assert [(r.claim, r.passed) for r in results] == (
+        [("z_summary", True)] * 6 + [("chain", True)] + [("basin", True)] * 6
+    )
     z5 = results[5].detail
     assert (z5["T"], z5["P"]) == (397_433_969_064, 1)
     assert z5["steps"] < 100_000  # simulating it would take 4e11 slides
+    for res in results[7:]:
+        assert res.detail["unforced_slide"] is None
+        assert res.detail["variants_total"] == 2 ** res.detail["free_bits"]
 
 
 @pytest.mark.long
@@ -183,6 +192,10 @@ def test_long_tier_z_chain_and_basin_run_at_m21():
     chain = results[5].detail
     assert chain["systems"]["z4"]["T"] == 1_927_501_345
     assert chain["final_attractor_all_zero"] is True  # the last entry window is 0
+    for res in results[6:]:
+        # every one of up to 2^14 free prefixes merges, none sampled
+        assert res.detail["unforced_slide"] is None
+        assert res.detail["variants_total"] == 2 ** res.detail["free_bits"]
 
 
 @pytest.fixture
@@ -522,9 +535,7 @@ def test_basin_m6_exhaustive():
     assert res.passed
     assert res.detail["free_bits"] == 2
     assert res.detail["variants_total"] == 4
-    assert res.detail["variants_checked"] == 4
-    assert res.detail["mode"] == "exhaustive"
-    assert res.detail["mismatched_variants"] == []
+    assert res.detail["unforced_slide"] is None
 
     res = check_basin(6, 1)
     assert res.passed
@@ -532,9 +543,53 @@ def test_basin_m6_exhaustive():
     assert res.detail["variants_total"] == 2
 
 
+def _windows_after_free_slides(system, n_free):
+    """Every free prefix's window after n_free slides, by brute force."""
+    cs = compile_system(system)
+    tail = tuple(system.init[n_free:])
+    return {
+        advance_word(cs, word_from_bits(prefix + tail), n_free)
+        for prefix in product((0, 1), repeat=n_free)
+    }
+
+
+def test_basin_fails_at_the_slide_a_raised_free_tap_leaves_unforced(monkeypatch):
+    # negative control: z(0) at m = 6 has two free bits and zero weight on
+    # both free taps; raise the oldest tap's weight until the interval pass
+    # finds a slide it does not force
+    z = build_z(window_params(6), 0)
+    n_free = 2
+    assert neurec.verify._first_unforced_slide(z, n_free) is None
+    assert len(_windows_after_free_slides(z, n_free)) == 1
+    for raised in range(1, 20):
+        weights = z.weights[:-1] + (Fraction(raised),)
+        bumped = RecurrenceSystem(z.memory, weights, z.threshold, z.init, z.label)
+        slide = neurec.verify._first_unforced_slide(bumped, n_free)
+        if slide is not None:
+            break
+    assert (raised, slide) == (4, 1)
+    # the failure is real: two prefixes end on different windows
+    assert len(_windows_after_free_slides(bumped, n_free)) == 2
+
+    # the reference is proved: predict the bumped system's true (T, P)
+    rep = detect_cycle(compile_system(bumped), bumped.init, 10_000)
+    true = (rep.measured_transient, rep.measured_period)
+
+    def bumped_cycle(params, family, index=None):
+        return true if family == "z" else predicted_cycle(params, family, index)
+
+    monkeypatch.setattr("neurec.verify.cons.build_z", lambda params, d: bumped)
+    monkeypatch.setattr("neurec.verify.predicted_cycle", bumped_cycle)
+    res = check_basin(6, 0)
+    assert res.passed is False
+    assert res.detail["unforced_slide"] == 1
+    assert res.detail["variants_total"] == 4
+
+
 def test_basin_rotation_reaches_other_attractors(monkeypatch):
     # negative control: x(n) = x(n - h) rotates every window, so no variant
-    # merges and each free prefix lands on a cycle of its own
+    # merges and each free prefix lands on a cycle of its own; the oldest
+    # free bit decides the very first output
     original = neurec.verify.cons.build_z
 
     def rotation(params, d):
@@ -549,36 +604,28 @@ def test_basin_rotation_reaches_other_attractors(monkeypatch):
     monkeypatch.setattr("neurec.verify.predicted_cycle", rotation_cycle)
     res = check_basin(6, 0)
     assert res.passed is False
-    assert res.detail["mismatched_variants"] == [1, 2, 3]
+    assert res.detail["unforced_slide"] == 0
+    assert len(_windows_after_free_slides(rotation(window_params(6), 0), 2)) == 4
 
 
-def test_basin_fallback_search_agrees_with_the_merge(proof_calls, monkeypatch):
-    # a merge step that never merges leaves every variant to the blind search
-    cases = [((6, 0), {}), ((11, 1), {"seed": 3})]
-    merged = [check_basin(*args, **kw) for args, kw in cases]
-    monkeypatch.setattr("neurec.verify.advance_word", lambda cs, word, steps: object())
-    for (args, kw), expected in zip(cases, merged):
-        proof_calls.clear()
-        res = check_basin(*args, **kw)
-        assert res.passed
-        assert res == expected
-        # the reference proof, then one search per variant
-        assert len(proof_calls) == 1 + res.detail["variants_checked"]
-
-
-def test_basin_fallback_search_is_capped_at_the_measure_cutoff(monkeypatch):
-    # a variant that does not merge is searched for at most MEASURE_CUTOFF
-    # slides when no budget is given, and fails as BudgetExceeded past it
-    monkeypatch.setattr("neurec.verify.advance_word", lambda cs, word, steps: object())
-    assert check_basin(6, 0).passed  # the searches take a few hundred slides
-    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 100)
-    with pytest.raises(BudgetExceeded) as exc:
-        check_basin(6, 0)
-    assert exc.value.budget == 100
-    assert check_basin(6, 0, budget=10_000).passed  # a given budget is the cap
-    (res,) = run_claims(ms=(6,), claims=["basin"], ds=[0])
-    assert res.passed is False
-    assert (res.detail["error"], res.detail["budget"]) == ("BudgetExceeded", 100)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda memory: st.tuples(
+            st.lists(st.integers(-3, 3), min_size=memory, max_size=memory),
+            st.integers(-4, 4),
+            st.lists(st.integers(0, 1), min_size=memory, max_size=memory),
+            st.integers(1, min(4, memory)),
+        )
+    )
+)
+def test_basin_interval_pass_agrees_with_brute_force(case):
+    weights, threshold, init, n_free = case
+    system = RecurrenceSystem(len(weights), tuple(weights), threshold, tuple(init))
+    slide = neurec.verify._first_unforced_slide(system, n_free)
+    # forced everywhere iff every prefix reaches one window: at the first
+    # unforced slide the free bits reach both bounds, so two outputs differ
+    assert (slide is None) == (len(_windows_after_free_slides(system, n_free)) == 1)
 
 
 def test_basin_hypothesis_unmet():

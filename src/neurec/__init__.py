@@ -39,7 +39,6 @@ from .cycles import (
     Handoff,
     detect_cycle,
     lane_count,
-    prime_factors,
     verify_predicted,
 )
 from .engine import (
@@ -64,7 +63,7 @@ from .errors import (
     RhoTooSmall,
     ShapeMismatch,
 )
-from .numtheory import WindowParams, cycle_lengths, primes_between, window_params
+from .numtheory import WindowParams, cycle_lengths, prime_factors, primes_between, window_params
 from .verify import (
     ALL_CLAIMS,
     ClaimResult,

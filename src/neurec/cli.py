@@ -101,11 +101,13 @@ class RunReport:
 
 
 def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) -> None:
-    """Write a trace as text-bits (wrapped every memory symbols) or run-length."""
+    """Write a trace as text-bits (wrapped every memory symbols, on one line
+    when memory is 0) or run-length."""
     path = Path(path)
     if fmt == "text-bits":
         chars = bytes(trace).translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
-        lines = [chars[i : i + memory] for i in range(0, len(chars), memory)]
+        width = memory or len(chars) or 1
+        lines = [chars[i : i + width] for i in range(0, len(chars), width)]
         path.write_text("\n".join(lines) + "\n")
         return
     if fmt == "run-length":

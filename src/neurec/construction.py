@@ -24,6 +24,8 @@ parameterized by the scale m through WindowParams:
          the threshold lowered by xi(d); it sheds lanes 0..d and lands on
          w(d)'s cycle, so its period divides y's and successive steps
          d -> d+1 form a divisor chain ending at the all-zero fixed point.
+         A(d) is the union of the shifts B_0(d) + s for s <= d, and
+         compute_B0 builds B_0(d) from its residue classes mod rho * p_i.
 
 Weights and thresholds are exact rationals: plain ints everywhere except the
 z-systems, whose perturbations live in (1/(8*Tot(d)))Z.  Nothing here ever
@@ -273,33 +275,23 @@ def build_w(params: WindowParams, d: int) -> RecurrenceSystem:
     return _shuffle(params, windows, f"w[m={params.m},d={d}]")
 
 
-def compute_B0(params: WindowParams, d: int, method: str = "definitional") -> frozenset[int]:
-    """The base perturbation index set B_0(d), by either of two routes.
+def compute_B0(params: WindowParams, d: int) -> frozenset[int]:
+    """The base perturbation index set B_0(d): the union over lanes of the
+    residue class f = L1(d) - i (mod rho * p_i), intersected with [1, h].
 
-    definitional: scan f in [1, h - d] and keep the indices where the
-    closed-form y puts a 1 at time h + L1(d) - rho - f.
-
-    algebraic: union over lanes of the residue class
-    f = L1(d) - i (mod rho * p_i) intersected with [1, h].  Reading the class
-    as a full congruence class is what matches the definitional scan; one
-    representative per lane gives a far smaller set.  The b0_methods_agree
-    claim compares both routes.
+    These are the f at which the closed-form y puts a 1 at time
+    h + L1(d) - rho - f.  Reading each class as a full congruence class is
+    what matches that definition; one representative per lane gives a far
+    smaller set.  The b0_methods_agree claim scans the definition and
+    compares.
     """
     params.check_lane(d, "d")
     l1 = cycle_lengths(params, d)[1]
-    h, rho = params.h, params.rho
-    if method == "definitional":
-        base = h + l1 - rho
-        return frozenset(f for f in range(1, h - d + 1) if y_closed_form(params, base - f) == 1)
-    if method == "algebraic":
-        out: set[int] = set()
-        for i, p in enumerate(params.primes):
-            mod = rho * p
-            r = (l1 - i) % mod
-            start = r if r >= 1 else mod
-            out.update(range(start, h + 1, mod))
-        return frozenset(out)
-    raise ValueError(f"unknown method {method!r}")
+    out: set[int] = set()
+    for i, p in enumerate(params.primes):
+        mod = params.rho * p
+        out.update(range((l1 - i - 1) % mod + 1, params.h + 1, mod))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -317,7 +309,6 @@ class PerturbationPlan:
     B0: frozenset[int]
     A: frozenset[int]
     tot: int
-    lam: Fraction
     beta_d: Fraction
     xi_d: Fraction
     theta2: Fraction
@@ -325,7 +316,7 @@ class PerturbationPlan:
 
 def perturbation_plan(params: WindowParams, d: int) -> PerturbationPlan:
     params.check_lane(d, "d")
-    b0 = compute_B0(params, d, "definitional")
+    b0 = compute_B0(params, d)
     if not b0:
         raise PlanInvariantViolated(f"empty B0 at m={params.m}, d={d}")
     if max(b0) + d > params.h:
@@ -341,7 +332,6 @@ def perturbation_plan(params: WindowParams, d: int) -> PerturbationPlan:
         B0=b0,
         A=a,
         tot=tot,
-        lam=LAMBDA,
         beta_d=beta_d,
         xi_d=xi_d,
         theta2=params.theta_single + xi_d,

@@ -30,14 +30,16 @@ range off them.
 A HandoffCertificate, built by handoff_certificate, covers a system that
 starts on one laned orbit (head) and ends on another (tail), as z(d)
 starts on y's orbit and ends on w(d)'s; check_phases reads z(d)'s five
-phases off the same parts.  Branch and bound over head's lane phases,
-with the Chinese remainder theorem, finds the first time the system's own
-rule disagrees with head's; explicit steps from there reach the handoff
-time; and the same search over tail's lane phases finds any disagreement
-on tail's orbit.  The certificate closes when the stepped window is
-tail's init and there is none: S_n is then head's window before the
-disagreement, an explicit step before the handoff, and tail's window at
-n - at after it.  A proof costs lane slides, a few explicit steps and
+phases off the same parts.  One search over head's lanes finds the first
+time the system's own rule disagrees with head's: it reads the system's
+sum and head's next bit off the lane windows, steps the lanes together
+through their transients, and past them runs a branch and bound over the
+lane phases with the Chinese remainder theorem.  Explicit steps from
+there reach the handoff time, and the same search over tail's lanes finds
+any disagreement on tail's orbit.  The certificate closes when the
+stepped window is tail's init and there is none: S_n is then head's
+window before the disagreement, an explicit step before the handoff, and
+tail's window at n - at after it.  A proof costs lane slides, a few explicit steps and
 search nodes.
 
 A certificate that cannot be built within min(T + P, budget) steps, or
@@ -65,8 +67,10 @@ from math import gcd, lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
-from .engine import CompiledSystem, advance_word, compile_system, find_repeat, walk, word_from_bits
+from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, find_repeat
+from .engine import walk, word_from_bits
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
+from .numtheory import prime_factors
 
 __all__ = [
     "CycleReport",
@@ -78,7 +82,6 @@ __all__ = [
     "HandoffCertificate",
     "handoff_certificate",
     "lane_count",
-    "prime_factors",
 ]
 
 
@@ -97,27 +100,6 @@ class CycleReport:
     measured_period: int
     entry_window: int
     steps_executed: int
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors, ascending.
-
-    Trial division: fast for the periods proved here, whose prime factors
-    are all small.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _check_init(cs: CompiledSystem, init: Sequence[int]) -> int:
@@ -193,8 +175,8 @@ class Lanes(NamedTuple):
                 word, steps = rep.entry_window, (s - t) % p
             slides += steps
             word = advance_word(self.cs, word, steps)
-            buf[(i - n) % r :: r] = format(word, f"0{memory}b").encode()
-        return int(buf, 2), slides
+            buf[(i - n) % r :: r] = bits_from_word(word, memory)
+        return word_from_bits(buf), slides
 
     @property
     def coprime(self) -> bool:
@@ -292,34 +274,49 @@ def _lane_terms(table: Sequence[int], masks: dict[int, int], shift: bool) -> lis
     ]
 
 
-def _first_disagreement(
-    cs: CompiledSystem, ref: CompiledSystem, lanes: Lanes, budget: int
-) -> tuple[int | None, int]:
+def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[int | None, int]:
     """The first time n at which cs's rule, applied to the window S_n of
-    ref's orbit on lanes, disagrees with ref's next bit, or None when they
-    agree forever; and the steps taken.
+    the orbit on lanes, disagrees with the orbit's next bit, or None when
+    they agree forever; and the steps taken.
 
-    Times before r * q0, where q0 is the longest lane transient, are stepped
-    explicitly.  From there on write n = r*Q + c.  S_n holds lane i's window
-    at lane time Q + [i < c], so cs's affine sum on S_n is a sum of one term
-    per lane, each a function of Q mod P_i, and ref's next bit is lane c's
-    newest bit at lane time Q + 1.  For each slot c and each value of that
-    bit, a branch and bound over boxes of lane phases, bounded by the sum of
-    each lane's least and greatest term, finds every box of phase tuples on
-    which cs's bit differs; the lane periods are pairwise coprime, so the
-    Chinese remainder theorem maps each tuple to one Q mod prod(P_i).
-    steps counts the explicit steps, the lane slides that tabulate the lane
-    cycles, and the nodes and tuples of the search.  Raises BudgetExceeded
-    past budget steps.
+    Write n = r*Q + c.  S_n holds lane i's window at lane time Q + [i < c],
+    so cs's affine sum on S_n is a sum of one term per lane, and the
+    orbit's next bit is lane c's newest bit at lane time Q + 1.  Before
+    r * q0, where q0 is the longest lane transient, the lane windows are
+    stepped together and each time is checked in turn.  From there on each
+    lane's term is a function of Q mod P_i.  For each slot c and each value
+    of the next bit, a branch and bound over boxes of lane phases, bounded
+    by the sum of each lane's least and greatest term, finds every box of
+    phase tuples on which cs's bit differs; the lane periods are pairwise
+    coprime, so the Chinese remainder theorem maps each tuple to one
+    Q mod prod(P_i).  steps counts the times checked before r * q0, the lane
+    slides that tabulate the lane cycles, and the nodes and tuples of the
+    search.  Raises BudgetExceeded past budget steps.
     """
     r = len(lanes.orbits)
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
-    word0, _ = lanes.read(0)
+    theta = cs.scaled_threshold
     if r * q0 > budget:
         raise BudgetExceeded(r * q0, budget)
-    for n, (word, s) in zip(range(r * q0), walk(ref, word0)):
-        if (s >= ref.scaled_threshold) != (next(walk(cs, word))[1] >= cs.scaled_threshold):
-            return n, n + 1
+
+    # masks[c][i]: cs's taps on lane i's window in slot c, as {weight: lane mask}
+    masks: list[list[dict[int, int]]] = [[{} for _ in range(r)] for _ in range(r)]
+    for j, w in cs.taps:
+        for c in range(r):
+            lane = masks[c][(c - j) % r]
+            lane[w] = lane.get(w, 0) | 1 << ((j - 1) // r)
+
+    # the same taps flat per slot, as (lane, weight, lane mask)
+    flat = [[(i, w, m) for i, lane in enumerate(row) for w, m in lane.items()] for row in masks]
+    windows = [word0 for word0, _ in lanes.orbits]
+    for q in range(q0):
+        for c in range(r):
+            # windows holds lanes i < c at lane time q + 1 and the rest at q
+            later = advance_word(lanes.cs, windows[c], 1)
+            s = sum(w * (windows[i] & mask).bit_count() for i, w, mask in flat[c])
+            if (s >= theta) != later & 1:
+                return r * q + c, r * q + c + 1
+            windows[c] = later
     steps = r * q0
 
     # tables[i][x]: lane i's window at every lane time s >= T_i with s = x mod P_i
@@ -332,14 +329,6 @@ def _first_disagreement(
         tables.append(table)
         steps += p
 
-    # masks[c][i]: cs's taps on lane i's window in slot c, as {weight: lane mask}
-    masks: list[list[dict[int, int]]] = [[{} for _ in range(r)] for _ in range(r)]
-    for j, w in cs.taps:
-        for c in range(r):
-            lane = masks[c][(c - j) % r]
-            lane[w] = lane.get(w, 0) | 1 << ((j - 1) // r)
-
-    theta = cs.scaled_threshold
     best = None
     for c in range(r):
         terms = [_lane_terms(table, masks[c][i], i < c) for i, table in enumerate(tables)]
@@ -439,7 +428,7 @@ def handoff_certificate(
         return None, spent
 
     try:
-        first, steps = _first_disagreement(cs, head, head_lanes, budget - spent)
+        first, steps = _first_disagreement(cs, head_lanes, budget - spent)
     except BudgetExceeded as exc:
         return None, spent + exc.steps
     spent += steps
@@ -453,7 +442,7 @@ def handoff_certificate(
         stepped.append(advance_word(cs, stepped[-1], 1))
     spent += slides + at - split
     try:
-        tail_first, steps = _first_disagreement(cs, tail, tail_lanes, budget - spent)
+        tail_first, steps = _first_disagreement(cs, tail_lanes, budget - spent)
     except BudgetExceeded as exc:
         return None, spent + exc.steps
     spent += steps

@@ -15,18 +15,22 @@ The compiled route steps in exactly two loops: advance_word slides the
 window, and walk also yields each window with its affine sum.  find_repeat
 is the one search for a repeated window, used by run and by
 cycles.detect_cycle.  It slides advance_word in chunks of at most memory
-slides, writes each chunk's outputs off the low bits of the window into a
-trace, and at check points spaced max(1, n // 8) slides apart looks the
-newest window S_n up in the trace so far.  No window repeats before
-S_{T + P} on an orbit of transient T and period P, so it stops after
-min(limit, T + P) slides at least and T + P + (T + P) // 8 + memory at
-most.  run fills the rest of its trace by periodic extension from the
-first S_i == S_n with i < n, however many steps it asks for.
+slides, writes each chunk's outputs, the low bits of the window, into a
+trace with bits_from_word, and at check points spaced max(1, n // 8)
+slides apart looks the newest window S_n up in the trace so far.  No
+window repeats before S_{T + P} on an orbit of transient T and period P,
+so it stops after min(limit, T + P) slides at least and
+T + P + (T + P) // 8 + memory at most.  run fills the rest of its trace by
+periodic extension from the first S_i == S_n with i < n, however many
+steps it asks for.
 
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
 memory bits.  Sign is preserved exactly: sum(D * a_j * x(n-j)) >= D * theta
-iff the rational affine form is >= theta, because D > 0.
+iff the rational affine form is >= theta, because D > 0.  word_from_bits
+and bits_from_word are the one codec between words and bytes of 0/1,
+oldest bit first; both go through a base-2 literal, in time linear in the
+memory.
 """
 
 from __future__ import annotations
@@ -53,17 +57,24 @@ __all__ = [
 ]
 
 
+# translate tables between bit bytes and the digits of a base-2 literal
+_DIGITS = b"01" * 128  # any byte -> b"0" or b"1" by its low bit
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def word_from_bits(bits: Sequence[int]) -> int:
-    """Pack x(t-memory)..x(t-1) into an int; bits[0] is the oldest."""
-    w = 0
-    for b in bits:
-        w = (w << 1) | (b & 1)
-    return w
+    """Pack x(t-memory)..x(t-1) into an int; bits[0] is the oldest.
+
+    Only the low bit of each byte value counts; no bits pack to 0.
+    """
+    return int(bytes(bits).translate(_DIGITS) or b"0", 2)
 
 
-def bits_from_word(word: int, memory: int) -> tuple[int, ...]:
-    """Unpack to the same oldest-first order word_from_bits consumes."""
-    return tuple((word >> (memory - 1 - q)) & 1 for q in range(memory))
+def bits_from_word(word: int, memory: int) -> bytes:
+    """The low memory bits of word as bytes 0/1, in the oldest-first order
+    word_from_bits consumes."""
+    # a guard bit at position memory keeps the leading zeros, and leaves no digits at memory 0
+    return format(word & ((1 << memory) - 1) | 1 << memory, "b")[1:].encode().translate(_BITS)
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,6 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
     so S_1 repeats S_0.
     """
     memory = cs.memory
-    to_bits = bytes.maketrans(b"01", b"\x00\x01")
     word = word_from_bits(trace[:memory])
     n = check = 0
     while True:
@@ -176,9 +186,7 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
             check = n + max(1, n // 8)
         c = max(1, min(memory, limit - n, n // 8))
         word = advance_word(cs, word, c)
-        trace[memory + n : memory + n + c] = (
-            format(word & ((1 << c) - 1), f"0{c}b").encode().translate(to_bits)
-        )
+        trace[memory + n : memory + n + c] = bits_from_word(word, c)
         n += c
 
 

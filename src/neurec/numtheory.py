@@ -13,6 +13,8 @@ descending, p_0 > p_1 > ... > p_{rho-1}, and derive
 Bertrand-style bounds give 2*rho <= mu_i <= 3*rho and
 rho(m) <= ceil((m - 1) / 2); both are enforced eagerly so downstream code can
 rely on them.  All arithmetic is exact integer work, no dependencies.
+prime_factors is the one trial division, for the primes and for the probes
+in cycles that prove a period minimal.
 """
 
 from __future__ import annotations
@@ -26,26 +28,32 @@ __all__ = [
     "WindowParams",
     "window_params",
     "primes_between",
+    "prime_factors",
     "cycle_lengths",
 ]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes p with lo < p < hi, ascending.  Trial division is fine at this scale."""
-    return [p for p in range(lo + 1, hi) if _is_prime(p)]
+    """Primes p with lo < p < hi, ascending: the p >= 2 that are their own
+    only prime factor."""
+    return [p for p in range(max(lo + 1, 2), hi) if prime_factors(p) == (p,)]
 
 
 @dataclass(frozen=True)

@@ -292,15 +292,17 @@ def _run_pos_disjoint(m: int, **_: object) -> ClaimResult:
 
 
 def _run_b0_methods_agree(m: int, **_: object) -> ClaimResult:
+    """compute_B0's residue classes against B_0(d)'s definition: the f in
+    [1, h - d] at which the closed-form y puts a 1 at time h + L1(d) - rho - f."""
     params = window_params(m)
     per_d = {}
     ok = True
     for d in range(params.rho):
-        definitional = cons.compute_B0(params, d, "definitional")
-        algebraic = cons.compute_B0(params, d, "algebraic")
-        agree = definitional == algebraic
+        base = params.h + cycle_lengths(params, d)[1] - params.rho
+        scan = {f for f in range(1, params.h - d + 1) if cons.y_closed_form(params, base - f)}
+        agree = scan == cons.compute_B0(params, d)
         ok = ok and agree
-        per_d[str(d)] = {"tot": len(definitional), "agree": agree}
+        per_d[str(d)] = {"tot": len(scan), "agree": agree}
     return ClaimResult("b0_methods_agree", {"m": m}, ok, {"per_d": per_d})
 
 

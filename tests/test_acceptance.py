@@ -34,6 +34,7 @@ from neurec import (
     verify_predicted,
     window_params,
 )
+from test_construction import scanned_B0, simulated_B0
 
 
 @pytest.fixture
@@ -139,13 +140,11 @@ def test_criterion_05_weight_combinatorics(criterion):
 
 
 def test_criterion_06_base_set_routes_agree(criterion):
-    with criterion(6, "base index set: scan equals residue classes; card 10 at m=6"):
+    with criterion(6, "base index set: residue classes equal scan and dynamics; card 10 at m=6"):
         for m in (6, 11):
             p = window_params(m)
             for d in range(p.rho):
-                scan = compute_B0(p, d, "definitional")
-                residues = compute_B0(p, d, "algebraic")
-                assert scan == residues, (m, d)
+                assert compute_B0(p, d) == scanned_B0(p, d) == simulated_B0(p, d), (m, d)
         assert len(compute_B0(window_params(6), 0)) == 10
 
 

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurec import (
+    RecurrenceSystem,
     advance_word,
     build_z,
     check_basin,
     compile_system,
     predicted_cycle,
+    run,
     window_params,
     word_from_bits,
 )
@@ -80,6 +82,15 @@ def test_trace_roundtrip_both_formats(tmp_path):
     assert lines[0] == "00111" and len(lines) == 3
     # run-length compresses the constant stretches
     assert (tmp_path / "t.rle").read_text().splitlines()[0] == "0×2"
+
+
+def test_memory_zero_text_trace_is_one_line(tmp_path):
+    # a memory-0 system has no window to wrap at: the whole trace is one line
+    trace = run(compile_system(RecurrenceSystem(0, (), 0, ())), (), 5)
+    path = tmp_path / "t.txt"
+    export_trace(trace, path, "text-bits", 0)
+    assert path.read_text() == "11111\n"
+    assert import_trace(path) == list(trace)
 
 
 def test_import_trace_accepts_ascii_x(tmp_path):

@@ -286,27 +286,35 @@ def simulated_B0(params, d):
     )
 
 
+def scanned_B0(params, d):
+    """Oracle by definition: the f in [1, h - d] at which the closed-form y
+    puts a 1 at time h + L1(d) - rho - f."""
+    base = params.h + cycle_lengths(params, d)[1] - params.rho
+    return frozenset(
+        f for f in range(1, params.h - d + 1) if y_closed_form(params, base - f) == 1
+    )
+
+
 @pytest.mark.parametrize("m", [6, 11])
 def test_b0_routes_agree_with_simulation(m):
     p = window_params(m)
     for d in range(p.rho):
-        by_scan = compute_B0(p, d, "definitional")
-        by_residues = compute_B0(p, d, "algebraic")
-        by_dynamics = simulated_B0(p, d)
-        assert by_scan == by_residues == by_dynamics
+        assert compute_B0(p, d) == scanned_B0(p, d) == simulated_B0(p, d)
 
 
-def test_compute_b0_rejects_unknown_method():
-    p = window_params(6)
-    with pytest.raises(ValueError):
-        compute_B0(p, 0, method="guesswork")
+@pytest.mark.long
+@pytest.mark.parametrize("m", [21, 26, 36, 50])
+def test_long_tier_b0_residue_classes_equal_the_scan(m):
+    p = window_params(m)
+    for d in range(p.rho):
+        assert compute_B0(p, d) == scanned_B0(p, d), d
 
 
 def test_plan_m6_d0_frozen():
     p = window_params(6)
     plan = perturbation_plan(p, 0)
     assert plan.tot == 10
-    assert plan.lam == LAMBDA == Fraction(-1)
+    assert LAMBDA == Fraction(-1)
     assert plan.beta_d == Fraction(-1, 10)
     assert plan.xi_d == Fraction(-79, 80)
     assert plan.theta2 == Fraction(241, 80)

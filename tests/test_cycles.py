@@ -10,6 +10,7 @@ import dataclasses
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +43,7 @@ from neurec import (
     window_params,
     word_from_bits,
 )
-from neurec.cycles import _probe_pass, certify_lanes, handoff_certificate
+from neurec.cycles import _first_disagreement, _probe_pass, certify_lanes, handoff_certificate
 from neurec.verify import z_handoff
 from test_engine import sparse_systems
 
@@ -481,6 +482,73 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     pair = (ref.measured_transient, ref.measured_period)
     rep = on_handoff(cs, flipped.init, *pair, z_handoff(p, 0))
     assert rep == dataclasses.replace(ref, steps_executed=sum(pair))
+
+
+def full_window_first_disagreement(cs, ref, lanes):
+    """Oracle: walk ref's orbit on lanes window by window from S_0, and apply
+    cs's rule to each full window.
+
+    Past r * q0 a window is fixed by its slot and the lane phases, so every
+    window of the orbit occurs before r * (q0 + prod(P_i)).  Returns the
+    first disagreement n and n + 1, the steps of an explicit loop that stops
+    there, or (None, None).
+    """
+    r = len(lanes.orbits)
+    q0 = max(rep.measured_transient for _, rep in lanes.orbits)
+    horizon = r * (q0 + prod(rep.measured_period for _, rep in lanes.orbits))
+    for n, (word, s) in zip(range(horizon), walk(ref, lanes.read(0)[0])):
+        if (s >= ref.scaled_threshold) != (next(walk(cs, word))[1] >= cs.scaled_threshold):
+            return n, n + 1
+    return None, None
+
+
+def test_lane_prefix_finds_a_disagreement_inside_the_lane_transients():
+    # negative control: z(d) never leaves w(d)'s orbit, so perturb it, one
+    # tap weight or the threshold at a time, until it does; wherever it
+    # first disagrees before r * q0 the lane-stepped prefix must find the
+    # same time, at the same cost, as the full-window loop
+    p = window_params(6)
+    inside = 0
+    for d in range(p.rho):
+        z, w = build_z(p, d), build_w(p, d)
+        ref = compile_system(w)
+        lanes, _ = certify_lanes(ref, w.init, 10**9)
+        r = len(lanes.orbits)
+        q0 = max(rep.measured_transient for _, rep in lanes.orbits)
+        assert q0 > 0
+        shifts = (Fraction(t, 8) for t in range(-16, 17))
+        perturbed = [dataclasses.replace(z, threshold=z.threshold + t) for t in shifts]
+        for j in range(z.memory):
+            weights = list(z.weights)
+            weights[j] -= 1
+            perturbed.append(dataclasses.replace(z, weights=tuple(weights)))
+        for system in perturbed:
+            cs = compile_system(system)
+            first, steps = _first_disagreement(cs, lanes, 10**9)
+            want = full_window_first_disagreement(cs, ref, lanes)
+            assert first == want[0]
+            if first is not None and first < r * q0:
+                assert steps == want[1]
+                inside += 0 < first
+    assert inside >= 10
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_handoff_certificate_parts_equal_the_full_window_loop(m):
+    p = window_params(m)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        cs = compile_system(z)
+        handoff = z_handoff(p, d)
+        cert, _ = handoff_certificate(cs, z.init, handoff, 10**9)
+        head, tail = compile_system(handoff.head), compile_system(handoff.tail)
+        first, _ = full_window_first_disagreement(cs, head, cert.head)
+        split = handoff.at if first is None else min(first, handoff.at)
+        stepped = [advance_word(head, word_from_bits(z.init), split)]
+        for _ in range(handoff.at - split):
+            stepped.append(advance_word(cs, stepped[-1], 1))
+        tail_first, _ = full_window_first_disagreement(cs, tail, cert.tail)
+        assert (cert.first, cert.stepped, cert.tail_first) == (first, tuple(stepped), tail_first), d
 
 
 def test_handoff_takes_over_at_l1():

@@ -52,7 +52,7 @@ def test_word_packing_orientation():
     # oldest bit lands highest so the newest output is bit 0
     assert word_from_bits([1, 0, 0]) == 4
     assert word_from_bits([0, 0, 1]) == 1
-    assert bits_from_word(4, 3) == (1, 0, 0)
+    assert bits_from_word(4, 3) == bytes([1, 0, 0])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
@@ -60,6 +60,34 @@ def test_word_roundtrip(bits):
     w = word_from_bits(bits)
     assert list(bits_from_word(w, len(bits))) == bits
     assert 0 <= w < (1 << len(bits))
+
+
+def loop_word_from_bits(bits):
+    """Oracle: shift the bits in one at a time, keeping each low bit."""
+    w = 0
+    for b in bits:
+        w = (w << 1) | (b & 1)
+    return w
+
+
+def loop_bits_from_word(word, memory):
+    """Oracle: read bit memory - 1 - q of word for each q, oldest first."""
+    return tuple((word >> (memory - 1 - q)) & 1 for q in range(memory))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=300), st.integers(0, 2**320))
+@example([], 5)
+@example([255, 0, 2, 3] * 75, 2**320)
+def test_codec_matches_the_per_bit_loops(values, high):
+    memory = len(values)
+    word = word_from_bits(values)
+    assert word == loop_word_from_bits(values)  # only the low bit of a byte counts
+    wide = word | high << memory  # bits at memory and above are not read
+    assert bits_from_word(wide, memory) == bytes(loop_bits_from_word(wide, memory))
+    assert bits_from_word(wide, memory) == bytes(b & 1 for b in values)
+    assert word_from_bits(bits_from_word(wide, memory)) == word
+    assert bits_from_word(high, 0) == b"" and word_from_bits(b"") == 0
 
 
 # --- compilation -----------------------------------------------------------
@@ -261,7 +289,7 @@ def test_three_routes_agree_on_random_systems(s):
     word0 = word_from_bits(s.init)
     windows = [w for w, _ in islice(walk(cs, word0), 49)]
     for n, w in enumerate(windows):
-        assert bits_from_word(w, s.memory) == tuple(expect[n : n + s.memory])
+        assert bits_from_word(w, s.memory) == expect[n : n + s.memory]
     assert advance_word(cs, word0, 48) == windows[-1]
 
 

@@ -15,6 +15,7 @@ from neurec import (
     IndexOutOfRange,
     RhoTooSmall,
     cycle_lengths,
+    primes_between,
     window_params,
 )
 
@@ -32,6 +33,9 @@ def test_reference_sieve_sanity():
     assert reference_primes(1, 20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert reference_primes(12, 18) == [13, 17]
     assert reference_primes(8, 12) == [11]
+    for lo in range(-3, 40):
+        for hi in range(lo, 60):
+            assert primes_between(lo, hi) == reference_primes(lo, hi), (lo, hi)
 
 
 # --- frozen desk-scale parameter sets -------------------------------------

@@ -47,11 +47,8 @@ that does not close, leaves the proof to the simulation.
 
 detect_cycle measures (T, P) blind, taking no prediction.
 engine.find_repeat, which run also stops on, steps a trace to a window
-that already occurred; the period is read off the trace at that window's
-first occurrence, and the transient by bisection over it.  The search
-succeeds exactly when T + P is within its budget and holds about
-9/8 (T + P) + memory bytes.  The measured pair is then certified by the
-same probe rule, so it is never an artifact of the search itself.
+that already occurred; the pair read off the trace is certified by the
+same probe rule on the trace's own windows, so no slide is taken twice.
 
 All report the window S_T the probes read as the certified entry_window,
 so a caller that needs the attractor starts from it instead of walking the
@@ -91,9 +88,9 @@ class CycleReport:
 
     entry_window is the window S_T at the transient: the first window of
     the attractor, certified by the probes.  steps_executed counts the
-    slides taken, probes included; read off Lanes they are lane slides,
-    searches and reads together, and off a HandoffCertificate lane slides,
-    explicit steps and search nodes.
+    slides taken: a blind search's own, whose probes read its trace; read
+    off Lanes, lane slides, searches and reads together, and off a
+    HandoffCertificate lane slides, explicit steps and search nodes.
     """
 
     measured_transient: int
@@ -489,11 +486,11 @@ def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> C
     one minimal period on, and the transient is the first t with
     S_t == S_{t + P}, found by bisection over the trace.  The search
     succeeds exactly when T + P <= max(step_budget, 1) and otherwise raises
-    BudgetExceeded.  It holds the trace, about 9/8 (T + P) + memory bytes.
-    The measured pair is always re-proved by the probe rule on simulated
-    windows, so a buggy search cannot return quietly.
+    BudgetExceeded.  It takes n slides and holds the trace, about
+    9/8 (T + P) + memory bytes; the probe rule re-proves the measured pair
+    on the trace's windows, so a buggy lookup or bisection cannot return.
     """
-    word0 = _check_init(cs, init)
+    _check_init(cs, init)
     memory = cs.memory
     trace = bytearray(init)
     limit = max(step_budget, 1)
@@ -504,8 +501,10 @@ def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> C
     mu = bisect_left(
         range(i + 1), True, key=lambda t: trace[t : t + memory] == trace[t + lam : t + lam + memory]
     )
-    probe_steps, entry = _probe_pass(_simulated(cs, word0), mu, lam)
-    return CycleReport(mu, lam, entry, n + probe_steps)
+    if not 0 < lam <= len(trace) - memory - mu:  # a probe would read past the trace
+        raise PredictionFailed("period", {"transient": mu, "period": lam, "reason": "off the trace"})
+    _, entry = _probe_pass(lambda t: (word_from_bits(trace[t : t + memory]), 0), mu, lam)
+    return CycleReport(mu, lam, entry, n)
 
 
 def _check_pair(transient: int, period: int) -> None:

@@ -7,6 +7,7 @@ is feasible to run, and, searching blind, must find the formula-level
 """
 
 import dataclasses
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -31,6 +32,7 @@ from neurec import (
     cycle_lengths,
     destabilized_system,
     detect_cycle,
+    find_repeat,
     lane_count,
     measure_cycle,
     perturbation_plan,
@@ -138,6 +140,51 @@ def test_search_succeeds_exactly_within_t_plus_p(name):
     with pytest.raises(BudgetExceeded) as exc:
         detect_cycle(cs, s.init, step_budget=sum(want) - 1)
     assert exc.value.steps > exc.value.budget == sum(want) - 1
+
+
+def test_a_blind_search_steps_its_orbit_once(monkeypatch):
+    # the probes read the search's own trace, so the only slides are the
+    # search's: find_repeat's bound, and well short of a second T + P pass
+    slides = [0]
+
+    def counting(cs, word, steps):
+        slides[0] += max(steps, 0)
+        return advance_word(cs, word, steps)
+
+    for module in ("neurec.engine", "neurec.cycles"):
+        monkeypatch.setattr(f"{module}.advance_word", counting)
+    p = window_params(6)
+    for family, index, s in family_members(p):
+        want = predicted_cycle(p, family, index)
+        work = sum(want)
+        slides[0] = 0
+        rep = detect_cycle(compile_system(s), s.init, step_budget=50_000)
+        assert (rep.measured_transient, rep.measured_period) == want
+        assert slides[0] == rep.steps_executed, (family, index)
+        assert work <= slides[0] <= work + work // 8 + s.memory, (family, index)
+        assert slides[0] < 2 * work, (family, index)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_the_probe_rule_guards_a_corrupted_search(monkeypatch, shift):
+    # find_repeat reports a repeat index off the true first occurrence: the
+    # period lookup and the bisection then read the wrong windows, and the
+    # probes on the trace must refute the pair or find it true anyway
+    def corrupted(cs, trace, limit):
+        n, i = find_repeat(cs, trace, limit)
+        return n, i + shift
+
+    monkeypatch.setattr("neurec.cycles.find_repeat", corrupted)
+    refuted = 0
+    for family, index, s in family_members(window_params(6)):
+        cs = compile_system(s)
+        try:
+            rep = detect_cycle(cs, s.init, step_budget=50_000)
+        except PredictionFailed:
+            refuted += 1
+            continue
+        assert (rep.measured_transient, rep.measured_period) == naive_cycle(cs, s.init)
+    assert refuted > 0
 
 
 def test_verify_predicted_accepts_true_pair():
@@ -571,9 +618,12 @@ def test_handoff_takes_over_at_l1():
 
 
 def test_budget_caps_the_certificate_proofs_at_m11():
-    # y on its lanes and every z(d) on its handoff: a budget below both the
-    # certificate's cost and T + P fails with the steps the certificate
-    # spent, and one that covers the whole proof changes nothing
+    # y on its lanes and every z(d) on its handoff: one below the least
+    # budget the certificate closes within fails with the steps the
+    # certificate spent, and one that covers the whole proof changes nothing.
+    # A search may overshoot T + P between its check points and still close
+    # on a lower limit, so the least budget is found by bisection, not read
+    # off the certificate's cost.
     p = window_params(11)
     cases = [(build_y(p), predicted_cycle(p, "y"), None)]
     cases += [(build_z(p, d), predicted_cycle(p, "z", d), z_handoff(p, d)) for d in range(p.rho)]
@@ -587,9 +637,15 @@ def test_budget_caps_the_certificate_proofs_at_m11():
         assert full == dataclasses.replace(
             verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
         )
-        cert, cost = certify(t + period)
-        assert cert is not None and cert.closes
-        budget = min(cost, t + period) - 1
+        def closes(budget):
+            cert, _ = certify(budget)
+            return cert is not None and cert.closes
+
+        assert closes(t + period)
+        # bisect_left returns a b that closes with b - 1 not closing, or b = 0
+        least = bisect_left(range(t + period + 1), True, key=closes)
+        assert 0 < least <= t + period and closes(least) and not closes(least - 1)
+        budget = least - 1
         with pytest.raises(BudgetExceeded) as exc:
             verify_predicted(cs, init, t, period, certify, budget=budget)
         assert (exc.value.steps, exc.value.budget) == (certify(budget)[1], budget)

@@ -19,10 +19,11 @@ Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
 period) pairs.  measure_cycle certifies every predicted pair: it measures
-desk-sized orbits blind with detect_cycle and proves the rest with
-verify_predicted, the one prover, on the windows of a certificate.  y and
-every w(d), whose taps all sit on multiples of rho, are read off their
-certified lanes (certify_lanes); every z(d) off its handoff certificate
+orbits of a few thousand slides, where a search is the cheaper prover,
+blind with detect_cycle and proves the rest with verify_predicted, the one
+prover, on the windows of a certificate.  y and every w(d), whose taps all
+sit on multiples of rho, are read off their certified lanes
+(certify_lanes); every z(d) off its handoff certificate
 (handoff_certificate), its orbit y's up to its first disagreement and
 w(d)'s from L1(d) on (z_handoff); a system with one lane is simulated.
 On every route a wrong prediction raises PredictionFailed from the one
@@ -93,7 +94,13 @@ __all__ = [
 
 # Routing and feasibility bounds, in window slides.  measure_cycle routes on
 # DETECT_CUTOFF; skip_detail skips every claim instance past MEASURE_CUTOFF.
-DETECT_CUTOFF = 1_000_000      # above this predicted T+P, verify instead of search
+# DETECT_CUTOFF sits at the measured crossover of the two provers: a blind
+# search costs T + P full-window slides, a lane or handoff certificate about
+# sum(p_i) + h, and the search is the faster only up to a few thousand
+# slides (m = 6 z(0), T + P = 165: 0.4 ms blind, 1.2 ms certified; m = 16
+# w(1), 7,414: 7 ms blind, 2.5 ms certified).  It stays above 557, the
+# largest m = 6 orbit, so every m = 6 orbit is searched blind.
+DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
 # Completed proofs of the current run_claims call, keyed by (compiled system,
@@ -150,7 +157,8 @@ def measure_cycle(
 ) -> CycleReport:
     """Certify a system's predicted (T, P) as its minimal pair.
 
-    Orbits up to DETECT_CUTOFF are measured blind with detect_cycle, whose
+    Orbits up to DETECT_CUTOFF, the measured point past which a certificate
+    is cheaper than a search, are measured blind with detect_cycle, whose
     search is given exactly the predicted T + P slides.  Larger ones, and
     any the search does not confirm, are proved by verify_predicted on a
     certificate: z_handoff's handoff certificate when the caller gives a

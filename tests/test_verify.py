@@ -40,6 +40,7 @@ from neurec import (
     word_from_bits,
     x_closed_form,
     y_closed_form,
+    z_handoff,
 )
 from neurec.cli import main
 from neurec.cycles import certify_lanes
@@ -152,6 +153,32 @@ def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
     # x_0 has one lane and is simulated
     x_pred = predicted_cycle(p, "x", 0)
     assert measure_cycle(single_system(p, 0), x_pred).steps_executed == sum(x_pred)
+
+
+@pytest.mark.long
+def test_long_tier_blind_search_agrees_with_the_certificates_past_the_cutoff():
+    # the orbits past DETECT_CUTOFF that one search of 10^6 slides can still
+    # reach: each is proved on a certificate, and simulated here to check it
+    # (m = 16 z(d) are simulated in test_cycles against the handoff route)
+    checked = []
+    for m in (16, 21):
+        p = window_params(m)
+        members = [("y", None, build_y(p))] + [("w", d, build_w(p, d)) for d in range(p.rho)]
+        if m == 21:
+            members += [("z", d, build_z(p, d)) for d in range(p.rho)]
+        for family, d, s in members:
+            pred = predicted_cycle(p, family, d)
+            if not neurec.verify.DETECT_CUTOFF < sum(pred) <= 10**6:
+                continue
+            handoff = (lambda d=d: z_handoff(p, d)) if family == "z" else None
+            rep = measure_cycle(s, pred, handoff=handoff)
+            assert rep.steps_executed < sum(pred), (m, family, d)  # a search takes T + P
+            sim = detect_cycle(compile_system(s), s.init, sum(pred))
+            assert dataclasses.replace(rep, steps_executed=sim.steps_executed) == sim, (m, family, d)
+            checked.append((m, family, d))
+    assert checked == [
+        (16, "w", 0), (16, "w", 1), (21, "w", 1), (21, "w", 2), (21, "z", 1), (21, "z", 2)
+    ]
 
 
 @pytest.mark.long
@@ -745,13 +772,13 @@ def test_off_grid_step_at_a_later_scale_runs_nothing(monkeypatch):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every system detect_cycle or verify_predicted is asked to prove."""
+    """Every (route, system, init) detect_cycle or verify_predicted is asked to prove."""
     calls = []
     for name in ("detect_cycle", "verify_predicted"):
         original = getattr(neurec.verify, name)
 
-        def counted(cs, init, *args, _original=original, **kwargs):
-            calls.append((cs, tuple(init)))
+        def counted(cs, init, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, cs, tuple(init)))
             return _original(cs, init, *args, **kwargs)
 
         monkeypatch.setattr(f"neurec.verify.{name}", counted)
@@ -759,6 +786,22 @@ def proof_calls(monkeypatch):
 
 
 CHAIN_CLAIMS = ["y_cycle", "z_summary", "chain"]
+
+
+def test_only_orbits_of_a_few_thousand_slides_are_searched_blind(proof_calls):
+    # chain at m = 6 proves y, z(0) and z(1), all under DETECT_CUTOFF
+    assert all(r.passed for r in run_claims(ms=(6,), claims=["chain"]))
+    assert [route for route, _, _ in proof_calls] == ["detect_cycle"] * 3
+    proof_calls.clear()
+    # y and z(2) at m = 11, T + P = 62,031 and 62,548, are past it: each is
+    # proved on its certificate in a fraction of the slides a search takes
+    results = run_claims(ms=(11,), claims=["y_cycle"]) + run_claims(
+        ms=(11,), claims=["z_summary"], ds=[2]
+    )
+    assert [route for route, _, _ in proof_calls] == ["verify_predicted"] * 2
+    for res in results:
+        assert res.passed
+        assert res.detail["steps"] < (res.detail["T"] + res.detail["P"]) // 10, res.claim
 
 
 def test_run_proves_each_orbit_once(proof_calls):
@@ -792,7 +835,7 @@ def test_chain_member_unlike_the_direct_build_is_proved_afresh(proof_calls, monk
     assert len(proof_calls) == 4
     z1 = neurec.build_z(window_params(6), 1)
     altered = (1 - z1.init[0],) + z1.init[1:]
-    assert [init for _, init in proof_calls].count(altered) == 1
+    assert [init for _, _, init in proof_calls].count(altered) == 1
 
 
 @pytest.mark.long

@@ -3,7 +3,7 @@
 One batch entry point with six modes:
 
   construct   build the requested systems and emit their exact descriptions
-  simulate    run one system for a fixed number of steps
+  simulate    trace one system for a fixed number of steps, off its certificate if it closes
   cycle       measure (transient, period) for the standard family members
   verify      run the claim registry over a scale grid
   chain       the full period chain claim per scale
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_
 from . import __version__
 from . import construction as cons
 from .construction import RecurrenceSystem
-from .cycles import Handoff
+from .cycles import Handoff, HandoffCertificate
 from .engine import compile_system, run
 from .errors import NeurecError, RhoTooSmall
 from .numtheory import WindowParams, window_params
@@ -46,6 +46,7 @@ from .verify import (
     ClaimResult,
     _frac,
     attempt,
+    certifier,
     measure_cycle,
     predicted_cycle,
     proof_skip,
@@ -104,14 +105,15 @@ def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) 
     """Write a trace as text-bits (wrapped every memory symbols, on one line
     when memory is 0) or run-length."""
     path = Path(path)
+    trace = trace if isinstance(trace, (bytes, bytearray)) else bytes(trace)
     if fmt == "text-bits":
-        chars = bytes(trace).translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
+        chars = trace.translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
         width = memory or len(chars) or 1
         lines = [chars[i : i + width] for i in range(0, len(chars), width)]
         path.write_text("\n".join(lines) + "\n")
         return
     if fmt == "run-length":
-        runs = re.finditer(rb"\x00+|\x01+", bytes(trace))
+        runs = re.finditer(rb"\x00+|\x01+", trace)
         with path.open("w") as fh:
             # one line at a time: a list of every line takes several times
             # the memory of the trace itself
@@ -210,12 +212,30 @@ def _measured_row(
     return ClaimResult(system.label, {}, True, detail)
 
 
+def _handoff(params: WindowParams, fam: str, idx: int | None) -> Callable[[], Handoff] | None:
+    return partial(z_handoff, params, idx) if fam == "z" else None
+
+
+def _simulated_trace(
+    system: RecurrenceSystem, steps: int, handoff: Callable[[], Handoff] | None
+) -> tuple[bytes | bytearray, str, int]:
+    """x(0..memory+steps-1), its route and the certificate's steps: read off
+    certifier's certificate if it closes within steps slides, else run."""
+    cs = compile_system(system)
+    certify = certifier(cs, system.init, handoff)
+    cert, spent = certify(steps) if certify is not None else (None, 0)
+    if cert is None or not cert.closes:
+        return run(cs, system.init, steps), "simulated", 0
+    route = "handoff" if isinstance(cert, HandoffCertificate) else "lanes"
+    return cert.trace(system.memory + steps), route, spent
+
+
 def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
     rows = []
     for fam, idx, system in _family_members(params, config):
         pred = predicted_cycle(params, fam, idx)
         skip = proof_skip(params, fam, idx)
-        handoff = partial(z_handoff, params, idx) if fam == "z" else None
+        handoff = _handoff(params, fam, idx)
         res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget, handoff)
         rows.append(
             {
@@ -288,7 +308,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
             sim_config = config if config.system is not None else _with_system(config, "y")
             for fam, idx, system in _family_members(params, sim_config):
                 steps = config.steps if config.steps is not None else 2 * system.memory
-                trace = run(compile_system(system), system.init, steps)
+                trace, route, spent = _simulated_trace(system, steps, _handoff(params, fam, idx))
                 cycle_reports.append(
                     {
                         "system": system.label,
@@ -296,6 +316,8 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
                         "steps": steps,
                         "trace_len": len(trace),
                         "ones": trace.count(1),
+                        "route": route,
+                        "certificate_steps": spent,
                     }
                 )
                 if config.emit_traces:

@@ -17,7 +17,8 @@ refuted pair raises PredictionFailed naming the first violated probe.
 verify_predicted is the one prover of a prediction.  It reads the probed
 windows from one of three sources: a simulation, in one forward pass of
 exactly T + P steps, or one of two certificates, which share the closes /
-read protocol and which a caller passes as certify(cap):
+read / trace protocol and which a caller passes as certify(cap); trace
+writes the outputs x(n) lane by lane, for lane slides, not steps:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
@@ -39,7 +40,8 @@ there reach the handoff time, and the same search over tail's lanes finds
 any disagreement on tail's orbit.  The certificate closes when the
 stepped window is tail's init and there is none: S_n is then head's
 window before the disagreement, an explicit step before the handoff, and
-tail's window at n - at after it.  A proof costs lane slides, a few explicit steps and
+tail's window at n - at after it, and x(n) is head's before at and tail's
+x(n - at) from at on.  A proof costs lane slides, a few explicit steps and
 search nodes.
 
 A certificate that cannot be built within min(T + P, budget) steps, or
@@ -65,7 +67,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
 from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, find_repeat
-from .engine import walk, word_from_bits
+from .engine import run, walk, word_from_bits
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
 from .numtheory import prime_factors
 
@@ -175,6 +177,12 @@ class Lanes(NamedTuple):
             buf[(i - n) % r :: r] = bits_from_word(word, memory)
         return word_from_bits(buf), slides
 
+    def trace(self, length: int) -> bytearray:
+        """The orbit's outputs x(0..length-1), one byte 0/1 each."""
+        buf = bytearray(length)
+        _fill(self, memoryview(buf))
+        return buf
+
     @property
     def coprime(self) -> bool:
         """Whether the lane periods are pairwise coprime."""
@@ -208,6 +216,14 @@ class Lanes(NamedTuple):
                 sums.add(s)
         lo, hi = sum(map(min, cycles)), sum(map(max, cycles))
         return min(sums | {lo}), max(sums | {hi})
+
+
+def _fill(lanes: Lanes, out: memoryview) -> None:
+    """Write x(0), x(1), ... over out, lane i's into out[i::r] by engine.run."""
+    r, memory = len(lanes.orbits), lanes.cs.memory
+    for i, (word0, _) in enumerate(lanes.orbits):
+        count = len(range(i, len(out), r))
+        out[i::r] = run(lanes.cs, bits_from_word(word0, memory), max(count - memory, 0))[:count]
 
 
 def certify_lanes(
@@ -394,6 +410,14 @@ class HandoffCertificate(NamedTuple):
         if n >= split:
             return self.stepped[n - split], 0
         return self.head.read(n)
+
+    def trace(self, length: int) -> bytearray:
+        """x(0..length-1) of a closed certificate: head's before at, tail's on."""
+        buf = bytearray(length)
+        cut = min(self.at, length)
+        _fill(self.head, memoryview(buf)[:cut])
+        _fill(self.tail, memoryview(buf)[cut:])
+        return buf
 
 
 def handoff_certificate(

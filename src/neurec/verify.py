@@ -65,6 +65,7 @@ from .construction import RecurrenceSystem
 from .cycles import (
     CycleReport,
     Handoff,
+    HandoffCertificate,
     Lanes,
     certify_lanes,
     detect_cycle,
@@ -72,7 +73,8 @@ from .cycles import (
     lane_count,
     verify_predicted,
 )
-from .engine import advance_word, bits_from_word, compile_system, run, walk, word_from_bits
+from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, run, walk
+from .engine import word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed, RhoTooSmall
 from .numtheory import WindowParams, cycle_lengths, window_params
 
@@ -81,6 +83,7 @@ __all__ = [
     "ClaimResult",
     "predicted_cycle",
     "measure_cycle",
+    "certifier",
     "z_handoff",
     "proof_work",
     "proof_skip",
@@ -149,6 +152,19 @@ def z_handoff(params: WindowParams, d: int) -> Handoff:
     return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
 
 
+def certifier(
+    cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None
+) -> Callable[[int], tuple[Lanes | HandoffCertificate | None, int]] | None:
+    """verify_predicted's certify(cap) for a system: the handoff certificate
+    when a handoff is given (every z(d), via z_handoff), else its lanes when
+    it has more than one (y and every w(d)), else None."""
+    if handoff is not None:
+        return partial(handoff_certificate, cs, init, handoff())
+    if lane_count(cs) > 1:
+        return partial(certify_lanes, cs, init)
+    return None
+
+
 def measure_cycle(
     system: RecurrenceSystem,
     predicted: tuple[int, int],
@@ -159,13 +175,13 @@ def measure_cycle(
 
     Orbits up to DETECT_CUTOFF, the measured point past which a certificate
     is cheaper than a search, are measured blind with detect_cycle, whose
-    search is given exactly the predicted T + P slides.  Larger ones, and
-    any the search does not confirm, are proved by verify_predicted on a
-    certificate: z_handoff's handoff certificate when the caller gives a
-    handoff (every z(d): its orbit is y's, then w(d)'s), the certified
-    lanes when the system has more than one lane (y and every w(d)), and
-    otherwise simulated windows.  handoff builds the
-    certificate's data and is called only past DETECT_CUTOFF.  A refuted
+    search is given exactly the predicted T + P slides, and any it does not
+    confirm are simulated.  Larger ones are proved by verify_predicted on
+    the certificate certifier picks, as the CLI's simulate mode reads
+    traces off it: z_handoff's handoff certificate when the caller gives a
+    handoff (every z(d)), the certified lanes when the system has more than
+    one lane (y and every w(d)), else simulated windows.  handoff builds
+    the certificate's data and is called only past DETECT_CUTOFF.  A refuted
     prediction raises PredictionFailed naming the first probe it fails, so
     a returned report always equals the prediction.  A budget caps the
     steps the proof takes: a search or simulation whose T + P exceeds it
@@ -186,11 +202,9 @@ def measure_cycle(
     if proofs is not None and key in proofs:
         return proofs[key]
     rep = certify = None
-    if work > DETECT_CUTOFF and handoff is not None:
-        certify = partial(handoff_certificate, cs, system.init, handoff())
-    elif work > DETECT_CUTOFF and lane_count(cs) > 1:
-        certify = partial(certify_lanes, cs, system.init)
-    elif work <= DETECT_CUTOFF and (budget is None or work <= budget):
+    if work > DETECT_CUTOFF:
+        certify = certifier(cs, system.init, handoff)
+    elif budget is None or work <= budget:
         with suppress(BudgetExceeded):  # the prediction understates the orbit
             rep = detect_cycle(cs, system.init, work)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:

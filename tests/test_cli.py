@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +12,27 @@ from hypothesis import strategies as st
 from neurec import (
     RecurrenceSystem,
     advance_word,
+    build_w,
+    build_y,
     build_z,
     check_basin,
     compile_system,
+    dense_oracle_run,
     predicted_cycle,
     run,
     window_params,
     word_from_bits,
+    z_handoff,
 )
 from neurec.cli import (
+    _simulated_trace,
     export_trace,
     import_trace,
     main,
     system_to_json,
 )
+from neurec.cycles import Lanes
+from neurec.verify import certifier
 
 
 def read_report(out_dir):
@@ -321,6 +329,149 @@ def test_simulate_defaults_to_y(capsys):
     (row,) = report["cycle_reports"]
     assert row["system"] == "y[m=6]"
     assert row["steps"] == 2 * 140
+
+
+# --- simulate traces read off certificates ----------------------------------------
+
+
+def laned_members(p):
+    """(family, index, system, handoff) for y, every w(d) and every z(d);
+    handoff builds z(d)'s Handoff and is None for the others."""
+    yield "y", None, build_y(p), None
+    for d in range(p.rho):
+        yield "w", d, build_w(p, d), None
+    for d in range(p.rho):
+        yield "z", d, build_z(p, d), partial(z_handoff, p, d)
+
+
+def step_counts(p, family, index, handoff):
+    """Simulations that end at S_0, S_1, past T + P, and for z(d) just
+    before, exactly at and one past its handoff time at."""
+    t, period = predicted_cycle(p, family, index)
+    counts = {0, 1, t + period + 1}
+    if handoff is not None:
+        at = handoff().at
+        counts |= {at - 1, at, at + 1}
+    return sorted(counts)
+
+
+def assert_simulate_traces_equal_run(m, oracle_steps):
+    # each trace, whether read off the uncapped certificate or as simulate
+    # takes it, equals run's; run's equals the dense oracle on its first
+    # oracle_steps steps
+    p = window_params(m)
+    for family, index, s, handoff in laned_members(p):
+        cs = compile_system(s)
+        oracle = dense_oracle_run(s, s.init, oracle_steps)
+        for steps in step_counts(p, family, index, handoff):
+            want = run(cs, s.init, steps)
+            n = min(len(want), len(oracle))
+            assert want[:n] == oracle[:n], (s.label, steps)
+            assert _simulated_trace(s, steps, handoff)[0] == want, (s.label, steps)
+            cert, _ = certifier(cs, s.init, handoff)(10**9)
+            assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_simulate_traces_equal_run_and_the_oracle(m):
+    # m = 6 is checked against the oracle in full, m = 11 on its first
+    # 4,096 steps, which pass z(0)'s and z(1)'s handoffs
+    assert_simulate_traces_equal_run(m, oracle_steps=4096)
+
+
+def test_a_wrong_lane_trace_fails_the_equality_check(monkeypatch):
+    # negative control: one flipped byte in every lane trace is seen
+    exact = Lanes.trace
+
+    def flipped(self, length):
+        buf = exact(self, length)
+        buf[-1] ^= 1
+        return buf
+
+    monkeypatch.setattr(Lanes, "trace", flipped)
+    with pytest.raises(AssertionError):
+        assert_simulate_traces_equal_run(6, oracle_steps=0)
+
+
+ROUTES = {"x": "simulated", "v": "simulated", "y": "lanes", "w": "lanes", "z": "handoff"}
+
+
+@pytest.mark.parametrize(
+    "m, steps, routes",
+    [
+        (6, "5000", ROUTES),
+        (11, "5000", ROUTES),
+        # the default 2 * memory = 1,170 steps are fewer than z(1)'s and
+        # z(2)'s handoff certificates take
+        (11, None, {"y": "lanes", "z": ("handoff", "simulated", "simulated")}),
+    ],
+)
+def test_simulate_rows_report_their_route(tmp_path, m, steps, routes):
+    for family, want in routes.items():
+        out = tmp_path / family
+        argv = ["--mode", "simulate", "--m", str(m), "--system", family, "--out", str(out)]
+        assert main(argv + (["--steps", steps] if steps else [])) == 0
+        rows = read_report(out)["cycle_reports"]
+        got = tuple(row["route"] for row in rows)
+        assert got == (want if isinstance(want, tuple) else (want,) * len(rows)), family
+        for row in rows:
+            assert (row["certificate_steps"] > 0) == (row["route"] != "simulated")
+            assert row["certificate_steps"] <= row["steps"]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_an_off_by_one_handoff_simulates_the_same_trace(tmp_path, monkeypatch, shift):
+    # negative control: a handoff time off by one cannot close, so the row
+    # is simulated and its trace is still run's
+    def shifted(p, d):
+        handoff = z_handoff(p, d)
+        return handoff._replace(at=handoff.at + shift)
+
+    monkeypatch.setattr("neurec.cli.z_handoff", shifted)
+    out = tmp_path / "sim"
+    argv = ["--mode", "simulate", "--m", "6", "--system", "z", "--steps", "5000"]
+    assert main([*argv, "--emit-traces", "--trace-format", "run-length", "--out", str(out)]) == 0
+    rows = read_report(out)["cycle_reports"]
+    assert [row["route"] for row in rows] == ["simulated", "simulated"]
+    p = window_params(6)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        cs = compile_system(z)
+        cert, _ = certifier(cs, z.init, partial(shifted, p, d))(10**9)
+        assert not cert.closes
+        assert import_trace(out / f"z_m_6_d_{d}.rle") == list(run(cs, z.init, 5000))
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_simulate_below_the_certificate_cost_runs_the_same_trace(m):
+    # negative control: steps too few for the certificate fall back to run;
+    # a z(d) handoff certificate closes at exactly its uncapped cost
+    p = window_params(m)
+    for family, _, s, handoff in laned_members(p):
+        cs = compile_system(s)
+        _, cost = certifier(cs, s.init, handoff)(10**9)
+        for steps in (cost // 2, cost - 1) if family == "z" else (cost // 2,):
+            trace, route, spent = _simulated_trace(s, steps, handoff)
+            assert (route, spent) == ("simulated", 0), (s.label, steps)
+            assert trace == run(cs, s.init, steps), (s.label, steps)
+        if family == "z":
+            assert _simulated_trace(s, cost, handoff)[1:] == ("handoff", cost), s.label
+
+
+@pytest.mark.long
+def test_long_tier_simulated_z_traces_at_m16_equal_run(tmp_path):
+    # the traces16 benchmark command: 10^6 steps of every z(d) at m = 16,
+    # whose transients run to 12,264,800 slides
+    out = tmp_path / "z16"
+    argv = ["--mode", "simulate", "--m", "16", "--system", "z", "--steps", "1000000"]
+    assert main([*argv, "--emit-traces", "--trace-format", "run-length", "--out", str(out)]) == 0
+    rows = read_report(out)["cycle_reports"]
+    assert [row["route"] for row in rows] == ["handoff"] * 4
+    p = window_params(16)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        want = run(compile_system(z), z.init, 1_000_000)
+        assert bytes(import_trace(out / f"z_m_16_d_{d}.rle")) == want, d
 
 
 # --- chain and basin modes --------------------------------------------------------

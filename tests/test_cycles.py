@@ -7,6 +7,7 @@ is feasible to run, and, searching blind, must find the formula-level
 """
 
 import dataclasses
+import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
@@ -617,6 +618,31 @@ def test_handoff_takes_over_at_l1():
         assert windows[3] == word_from_bits(build_w(p, d).init)
 
 
+@pytest.mark.parametrize("m", [6, 11])
+def test_certificate_traces_agree_with_their_reads(m):
+    # the window at n of a certificate's trace is the window read(n) gives,
+    # on y's and every w(d)'s lanes and on every z(d)'s handoff certificate
+    p = window_params(m)
+    rng = random.Random(m)
+    members = [("y", None, build_y(p), None)]
+    members += [("w", d, build_w(p, d), None) for d in range(p.rho)]
+    members += [("z", d, build_z(p, d), z_handoff(p, d)) for d in range(p.rho)]
+    for family, index, s, handoff in members:
+        cs = compile_system(s)
+        if handoff is None:
+            cert, _ = certify_lanes(cs, s.init, budget=10**9)
+            times = {0, 1}
+        else:
+            cert, _ = handoff_certificate(cs, s.init, handoff, 10**9)
+            times = {0, handoff.at - 1, handoff.at, handoff.at + 1}
+        assert cert.closes
+        horizon = sum(predicted_cycle(p, family, index)) + s.memory
+        times |= set(rng.sample(range(horizon), 40))
+        trace = cert.trace(max(times) + s.memory)
+        for n in sorted(times):
+            assert cert.read(n)[0] == word_from_bits(trace[n : n + s.memory]), (s.label, n)
+
+
 def test_budget_caps_the_certificate_proofs_at_m11():
     # y on its lanes and every z(d) on its handoff: one below the least
     # budget the certificate closes within fails with the steps the
@@ -714,6 +740,21 @@ def handoff_cases(draw):
     at = first + draw(st.integers(0, r * memory))
     tail_init = tuple(run(cs, init, at)[at:])
     return cs, init, Handoff(head, dataclasses.replace(head, init=tail_init), at)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(laned_systems(), handoff_cases()), st.integers(0, 60))
+def test_a_certificate_traces_the_true_orbit(case, steps):
+    # a laned system's lanes, or a closed handoff certificate
+    if isinstance(case, RecurrenceSystem):
+        cs, init = compile_system(case), case.init
+        cert, _ = certify_lanes(cs, init, budget=10**6)
+    else:
+        cs, init, handoff = case
+        cert, _ = handoff_certificate(cs, init, handoff, budget=10**7)
+        if cert is None or not cert.closes:
+            return  # e.g. lane periods that share a factor
+    assert cert.trace(cs.memory + steps) == run(cs, init, steps)
 
 
 @settings(max_examples=300, deadline=None)

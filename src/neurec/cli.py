@@ -3,7 +3,7 @@
 One batch entry point with six modes:
 
   construct   build the requested systems and emit their exact descriptions
-  simulate    trace one system for a fixed number of steps, off its certificate if it closes
+  simulate    trace one system for a fixed number of steps, off its certificate if cheaper
   cycle       measure (transient, period) for the standard family members
   verify      run the claim registry over a scale grid
   chain       the full period chain claim per scale
@@ -46,6 +46,7 @@ from .verify import (
     ClaimResult,
     _frac,
     attempt,
+    DETECT_CUTOFF,
     certifier,
     measure_cycle,
     predicted_cycle,
@@ -217,12 +218,14 @@ def _handoff(params: WindowParams, fam: str, idx: int | None) -> Callable[[], Ha
 
 
 def _simulated_trace(
-    system: RecurrenceSystem, steps: int, handoff: Callable[[], Handoff] | None
+    system: RecurrenceSystem, steps: int, work: int, handoff: Callable[[], Handoff] | None
 ) -> tuple[bytes | bytearray, str, int]:
-    """x(0..memory+steps-1), its route and the certificate's steps: read off
-    certifier's certificate if it closes within steps slides, else run."""
+    """x(0..memory+steps-1), its route and the certificate's steps.  run stops
+    at the first repeat, so it takes min(work, steps) slides for a predicted
+    T + P of work; past DETECT_CUTOFF, where a certificate is the cheaper,
+    the trace is read off certifier's if it closes within steps slides."""
     cs = compile_system(system)
-    certify = certifier(cs, system.init, handoff)
+    certify = certifier(cs, system.init, handoff) if min(work, steps) > DETECT_CUTOFF else None
     cert, spent = certify(steps) if certify is not None else (None, 0)
     if cert is None or not cert.closes:
         return run(cs, system.init, steps), "simulated", 0
@@ -285,7 +288,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     ms = _resolved_ms(config)
     cycle_reports: list[dict] = []
     claim_results: list[ClaimResult] = []
-    traces: list[tuple[str, bytes, int]] = []
+    traces: list[tuple[str, bytes | bytearray, int]] = []
 
     if config.mode in ("verify", "chain", "basin"):
         # chain and basin each run the claim of the same name
@@ -308,7 +311,9 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
             sim_config = config if config.system is not None else _with_system(config, "y")
             for fam, idx, system in _family_members(params, sim_config):
                 steps = config.steps if config.steps is not None else 2 * system.memory
-                trace, route, spent = _simulated_trace(system, steps, _handoff(params, fam, idx))
+                work = sum(predicted_cycle(params, fam, idx))
+                handoff = _handoff(params, fam, idx)
+                trace, route, spent = _simulated_trace(system, steps, work, handoff)
                 cycle_reports.append(
                     {
                         "system": system.label,

@@ -177,16 +177,16 @@ def measure_cycle(
     is cheaper than a search, are measured blind with detect_cycle, whose
     search is given exactly the predicted T + P slides, and any it does not
     confirm are simulated.  Larger ones are proved by verify_predicted on
-    the certificate certifier picks, as the CLI's simulate mode reads
-    traces off it: z_handoff's handoff certificate when the caller gives a
-    handoff (every z(d)), the certified lanes when the system has more than
-    one lane (y and every w(d)), else simulated windows.  handoff builds
-    the certificate's data and is called only past DETECT_CUTOFF.  A refuted
-    prediction raises PredictionFailed naming the first probe it fails, so
-    a returned report always equals the prediction.  A budget caps the
-    steps the proof takes: a search or simulation whose T + P exceeds it
-    raises BudgetExceeded before any step is taken, and a lane or handoff
-    proof raises it when its certificate cannot close within the budget.
+    the certificate certifier picks: z_handoff's handoff certificate when
+    the caller gives a handoff (every z(d)), the certified lanes when the
+    system has more than one lane (y and every w(d)), else simulated
+    windows.  handoff builds the certificate's data and is called only
+    past DETECT_CUTOFF.  A refuted prediction raises PredictionFailed
+    naming the first probe it fails, so a returned report always equals
+    the prediction.  A budget caps the steps the proof takes: a search or
+    simulation whose T + P exceeds it raises BudgetExceeded before any step
+    is taken, and a lane or handoff proof raises it when its certificate
+    cannot close within the budget.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call, keyed by the compiled system, init and prediction, and a repeated

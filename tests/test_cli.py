@@ -362,12 +362,13 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
     p = window_params(m)
     for family, index, s, handoff in laned_members(p):
         cs = compile_system(s)
+        work = sum(predicted_cycle(p, family, index))
         oracle = dense_oracle_run(s, s.init, oracle_steps)
         for steps in step_counts(p, family, index, handoff):
             want = run(cs, s.init, steps)
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
-            assert _simulated_trace(s, steps, handoff)[0] == want, (s.label, steps)
+            assert _simulated_trace(s, steps, work, handoff)[0] == want, (s.label, steps)
             cert, _ = certifier(cs, s.init, handoff)(10**9)
             assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
 
@@ -393,17 +394,24 @@ def test_a_wrong_lane_trace_fails_the_equality_check(monkeypatch):
         assert_simulate_traces_equal_run(6, oracle_steps=0)
 
 
-ROUTES = {"x": "simulated", "v": "simulated", "y": "lanes", "w": "lanes", "z": "handoff"}
+SIMULATED = dict.fromkeys("xvywz", "simulated")
+# at m = 11 only y (T + P = 62,031) and z(2) (62,548) pass DETECT_CUTOFF
+PAST_CUTOFF = SIMULATED | {"y": "lanes", "z": ("simulated", "simulated", "handoff")}
 
 
 @pytest.mark.parametrize(
     "m, steps, routes",
     [
-        (6, "5000", ROUTES),
-        (11, "5000", ROUTES),
-        # the default 2 * memory = 1,170 steps are fewer than z(1)'s and
-        # z(2)'s handoff certificates take
-        (11, None, {"y": "lanes", "z": ("handoff", "simulated", "simulated")}),
+        # every m = 6 orbit is shorter than DETECT_CUTOFF = 4,096 slides,
+        # so run takes at most that many however many steps are asked
+        (6, "5000", SIMULATED),
+        # run would take min(T + P, steps) slides: the certificate is read
+        # only when that exceeds 4,096, as with the default 2 * 585 steps
+        # it does not
+        (11, None, SIMULATED),
+        (11, "4096", SIMULATED),
+        (11, "4097", PAST_CUTOFF),
+        (11, "70000", PAST_CUTOFF),
     ],
 )
 def test_simulate_rows_report_their_route(tmp_path, m, steps, routes):
@@ -421,41 +429,44 @@ def test_simulate_rows_report_their_route(tmp_path, m, steps, routes):
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_an_off_by_one_handoff_simulates_the_same_trace(tmp_path, monkeypatch, shift):
-    # negative control: a handoff time off by one cannot close, so the row
-    # is simulated and its trace is still run's
+    # negative control: z(2) at m = 11 is past DETECT_CUTOFF and reads
+    # "handoff" with its own handoff time, but one off by one cannot close,
+    # so the row is simulated and its trace is still run's
     def shifted(p, d):
         handoff = z_handoff(p, d)
         return handoff._replace(at=handoff.at + shift)
 
     monkeypatch.setattr("neurec.cli.z_handoff", shifted)
     out = tmp_path / "sim"
-    argv = ["--mode", "simulate", "--m", "6", "--system", "z", "--steps", "5000"]
+    argv = ["--mode", "simulate", "--m", "11", "--system", "z", "--d", "2", "--steps", "5000"]
     assert main([*argv, "--emit-traces", "--trace-format", "run-length", "--out", str(out)]) == 0
     rows = read_report(out)["cycle_reports"]
-    assert [row["route"] for row in rows] == ["simulated", "simulated"]
-    p = window_params(6)
-    for d in range(p.rho):
-        z = build_z(p, d)
-        cs = compile_system(z)
-        cert, _ = certifier(cs, z.init, partial(shifted, p, d))(10**9)
-        assert not cert.closes
-        assert import_trace(out / f"z_m_6_d_{d}.rle") == list(run(cs, z.init, 5000))
+    assert [(row["route"], row["certificate_steps"]) for row in rows] == [("simulated", 0)]
+    p = window_params(11)
+    z = build_z(p, 2)
+    cs = compile_system(z)
+    cert, _ = certifier(cs, z.init, partial(shifted, p, 2))(10**9)
+    assert not cert.closes
+    assert import_trace(out / "z_m_11_d_2.rle") == list(run(cs, z.init, 5000))
 
 
 @pytest.mark.parametrize("m", [6, 11])
-def test_simulate_below_the_certificate_cost_runs_the_same_trace(m):
-    # negative control: steps too few for the certificate fall back to run;
-    # a z(d) handoff certificate closes at exactly its uncapped cost
+def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m):
+    # negative control: with the cutoff at 0 every certificate is tried,
+    # and steps too few for it fall back to run; a z(d) handoff
+    # certificate closes at exactly its uncapped cost
+    monkeypatch.setattr("neurec.cli.DETECT_CUTOFF", 0)
     p = window_params(m)
-    for family, _, s, handoff in laned_members(p):
+    for family, index, s, handoff in laned_members(p):
         cs = compile_system(s)
+        work = sum(predicted_cycle(p, family, index))
         _, cost = certifier(cs, s.init, handoff)(10**9)
         for steps in (cost // 2, cost - 1) if family == "z" else (cost // 2,):
-            trace, route, spent = _simulated_trace(s, steps, handoff)
+            trace, route, spent = _simulated_trace(s, steps, work, handoff)
             assert (route, spent) == ("simulated", 0), (s.label, steps)
             assert trace == run(cs, s.init, steps), (s.label, steps)
         if family == "z":
-            assert _simulated_trace(s, cost, handoff)[1:] == ("handoff", cost), s.label
+            assert _simulated_trace(s, cost, work, handoff)[1:] == ("handoff", cost), s.label
 
 
 @pytest.mark.long

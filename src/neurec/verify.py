@@ -19,34 +19,34 @@ Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
 period) pairs.  measure_cycle certifies every predicted pair: it measures
-orbits of a few thousand slides, where a search is the cheaper prover,
-blind with detect_cycle and proves the rest with verify_predicted, the one
-prover, on the windows of a certificate.  y and every w(d), whose taps all
-sit on multiples of rho, are read off their certified lanes
-(certify_lanes); every z(d) off its handoff certificate
-(handoff_certificate), its orbit y's up to its first disagreement and
-w(d)'s from L1(d) on (z_handoff); a system with one lane is simulated.
-On every route a wrong prediction raises PredictionFailed from the one
-probe rule in cycles, so it never comes back as a verdict.  check_phases
-reads z(d)'s five phases off the same handoff certificate, and sum_bounds
-and y_deshuffle read y and every w(d) off their certified lanes, all exact
-for all time; lanes that cannot be certified within MEASURE_CUTOFF fail
-the instance.  proof_work prices each proof the way it will run, a lane
-proof at its lanes' T + P, for the claim table and the CLI's cycle mode
-alike, and phases at z_summary's price.  MEASURE_CUTOFF bounds the work
-per claim instance.  Each grid lists every structurally valid instance,
-and the table states each claim's predicted work; skip_detail compares it
-with the cutoff, and an instance past it is reported as skipped (passed
-None) rather than attempted and aborted.
+orbits of a few thousand slides, where a search is the cheaper prover, blind
+with detect_cycle and proves the rest with verify_predicted, the one prover,
+on the windows of a certificate.  y and every w(d), whose taps all sit on
+multiples of rho, are read off their certified lanes (certify_lanes); every
+z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
+its first disagreement and w(d)'s from L1(d) on (z_handoff); a system with
+one lane is simulated.  On every route a wrong prediction raises
+PredictionFailed from the one probe rule in cycles, so it never comes back
+as a verdict.  check_phases reads z(d)'s five phases off the same handoff
+certificate, and sum_bounds and y_deshuffle read y and every w(d) off the
+same lanes, all exact for all time; lanes that cannot be certified within
+MEASURE_CUTOFF fail the instance.  proof_work prices each proof the way it
+will run, a lane proof at its lanes' T + P, for the claim table and the
+CLI's cycle mode alike, and phases at z_summary's price.  MEASURE_CUTOFF
+bounds the work per claim instance.  Each grid lists every structurally
+valid instance, and the table states each claim's predicted work;
+skip_detail compares it with the cutoff, and an instance past it is reported
+as skipped (passed None) rather than attempted and aborted.
 
-A run proves each distinct orbit once.  While run_claims runs, measure_cycle
-remembers every completed proof under its compiled system, init and
-prediction, so the chain reuses the proofs of y_cycle and z_summary, and a
-detail's steps is the cost of that one proof.  The memo is dropped when
-run_claims returns.  A certified proof also
-reports its entry window S_T, so v_fixed's and the chain's all-zero
-attractors are read from it rather than walking the transient again.
-basin shares its reference proof with z_summary, and one interval pass
+A run proves each distinct orbit once and certifies it once: while
+run_claims runs, _proofs keeps every completed proof and every certificate
+that closes (_certificate), so the chain reuses the proofs of y_cycle and
+z_summary, phases and z_summary share each z(d)'s certificate, sum_bounds,
+y_cycle and y_deshuffle y's lanes, and a detail's steps do not depend on
+which claim ran first.  The memo is dropped when run_claims returns.  A
+certified proof also reports its entry window S_T, so v_fixed's and the
+chain's all-zero attractors are read from it rather than walking the
+transient again.  basin shares z_summary's proof, and one interval pass
 proves that every free prefix merges into the reference window.
 """
 
@@ -106,8 +106,8 @@ __all__ = [
 DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
-# Completed proofs of the current run_claims call, keyed by (compiled system,
-# init, predicted); None outside run_claims.
+# run_claims' memo: completed proofs under (compiled system, init, predicted)
+# and closed certificates under (compiled system, init, handoff); else None.
 _proofs: dict | None = None
 
 @dataclass
@@ -152,16 +152,32 @@ def z_handoff(params: WindowParams, d: int) -> Handoff:
     return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
 
 
+def _certificate(
+    cs: CompiledSystem, init: Sequence[int], handoff: Handoff | None, cap: int
+) -> tuple[Lanes | HandoffCertificate | None, int]:
+    """The one builder of a certificate, handoff's or else cs's lanes, within
+    cap steps, with its steps.  Inside run_claims one that closes is kept in
+    _proofs and reused while its steps fit cap, so a hit changes no result."""
+    key = (cs, tuple(init), handoff)
+    hit = _proofs.get(key) if _proofs is not None else None
+    if hit is not None and hit[1] <= cap:
+        return hit
+    built = certify_lanes(cs, init, cap) if handoff is None else handoff_certificate(cs, init, handoff, cap)
+    if _proofs is not None and built[0] is not None and built[0].closes:
+        _proofs[key] = built
+    return built
+
+
 def certifier(
     cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None
 ) -> Callable[[int], tuple[Lanes | HandoffCertificate | None, int]] | None:
-    """verify_predicted's certify(cap) for a system: the handoff certificate
-    when a handoff is given (every z(d), via z_handoff), else its lanes when
-    it has more than one (y and every w(d)), else None."""
+    """verify_predicted's certify(cap) for a system, by _certificate: the
+    handoff certificate when a handoff is given (every z(d), via z_handoff),
+    else its lanes when it has more than one (y and every w(d)), else None."""
     if handoff is not None:
-        return partial(handoff_certificate, cs, init, handoff())
+        return partial(_certificate, cs, init, handoff())
     if lane_count(cs) > 1:
-        return partial(certify_lanes, cs, init)
+        return partial(_certificate, cs, init, None)
     return None
 
 
@@ -189,10 +205,10 @@ def measure_cycle(
     cannot close within the budget.
 
     Inside run_claims a completed proof is remembered for the rest of that
-    call, keyed by the compiled system, init and prediction, and a repeated
-    request returns the same report without walking the orbit again.  A
-    failed proof raises as usual and is not remembered; outside run_claims
-    every call proves afresh.
+    call under the compiled system, init and prediction, and a repeat returns
+    the same report without walking the orbit again; so is each certificate
+    (_certificate).  A failed proof raises as usual and is not remembered;
+    outside run_claims every call proves afresh.
     """
     t_pred, p_pred = predicted
     work = t_pred + p_pred
@@ -408,7 +424,7 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
 
 def _lanes(system: RecurrenceSystem) -> Lanes:
     """system's certified lanes; BudgetExceeded past MEASURE_CUTOFF lane slides."""
-    lanes, spent = certify_lanes(compile_system(system), system.init, MEASURE_CUTOFF)
+    lanes, spent = _certificate(compile_system(system), system.init, None, MEASURE_CUTOFF)
     if lanes is None:
         raise BudgetExceeded(spent, MEASURE_CUTOFF)
     return lanes
@@ -525,12 +541,13 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
 def check_phases(m: int, d: int) -> ClaimResult:
     """Read z(., d)'s five phases against y and w off its handoff certificate.
 
-    The certificate (handoff_certificate over z_handoff, capped at
-    MEASURE_CUTOFF steps) is exact for all time.  Phase 1 (z = y) ends at
-    its boundary exactly when z first disagrees with y at L1 - rho.  Phases
-    2-3 are the rho newest bits of z's stepped window at L1 against y's:
-    d + 1 anomalies z = 0, y = 1, then equality.  Phases 4-5 (z from L1 on
-    is w) hold when that window is w's init and z never leaves w's orbit.
+    The certificate (z_handoff's, capped at MEASURE_CUTOFF steps; inside
+    run_claims the one z(d) is proved on) is exact for all time.  Phase 1
+    (z = y) ends at its boundary exactly when z first disagrees with y at
+    L1 - rho.  Phases 2-3 are the rho newest bits of z's stepped window at
+    L1 against y's: d + 1 anomalies z = 0, y = 1, then equality.  Phases 4-5
+    (z from L1 on is w) hold when z's window there is w's init and z never
+    leaves w's orbit.
     """
     params = window_params(m)
     params.check_lane(d, "d")
@@ -544,7 +561,7 @@ def check_phases(m: int, d: int) -> ClaimResult:
 
     z_sys = cons.build_z(params, d)
     handoff = z_handoff(params, d)
-    cert, _ = handoff_certificate(compile_system(z_sys), z_sys.init, handoff, MEASURE_CUTOFF)
+    cert, _ = _certificate(compile_system(z_sys), z_sys.init, handoff, MEASURE_CUTOFF)
 
     bad: list[str] = []
     anomalies = 0

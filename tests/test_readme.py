@@ -1,5 +1,6 @@
 """The README's Python examples run as written, its claim table is complete,
-and every name a module exports exists."""
+every name a module exports exists, and its results table is the
+predicted period chain."""
 
 import importlib
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from neurec import ALL_CLAIMS
+from neurec import ALL_CLAIMS, predicted_cycle, window_params
 
 MODULES = ("numtheory", "construction", "engine", "cycles", "verify", "errors", "cli")
 
@@ -60,3 +61,17 @@ def test_every_exported_name_exists(name):
     # walks the exports, such as a tracer that wraps them
     module = importlib.import_module(f"neurec.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_results_table_equals_the_predicted_chain():
+    section = TEXT.split("## Results", 1)[1].split("\n## ", 1)[0]
+    assert "`neurec --mode chain --long`" in section
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| (\d+) \| (\d+) \| (.+) \|$", section, flags=re.M)
+    assert [int(row[0]) for row in rows] == [6, 11, 16, 21]
+    for m, rho, h, y_period, pairs in rows:
+        params = window_params(int(m))
+        assert (int(rho), int(h)) == (params.rho, params.h), m
+        assert (0, int(y_period)) == predicted_cycle(params, "y"), m
+        chain = [predicted_cycle(params, "z", d) for d in range(params.rho)]
+        assert [tuple(map(int, pair)) for pair in re.findall(r"\((\d+), (\d+)\)", pairs)] == chain, m
+        assert re.sub(r"\(\d+, \d+\)(, )?", "", pairs) == "", m

@@ -868,6 +868,60 @@ def test_long_tier_basin_proves_no_orbit_of_its_own(proof_calls):
     assert len(proof_calls) == 4
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Every (builder, compiled system, init) verify asks to certify."""
+    calls = []
+    for name in ("certify_lanes", "handoff_certificate"):
+        original = getattr(neurec.verify, name)
+
+        def counted(cs, init, *args, _name=name, _original=original):
+            calls.append((_name, cs, tuple(init)))
+            return _original(cs, init, *args)
+
+        monkeypatch.setattr(f"neurec.verify.{name}", counted)
+    return calls
+
+
+def test_run_builds_each_certificate_once(builds):
+    # at m = 21 phases, z_summary, chain and basin read one handoff
+    # certificate per z(d), and sum_bounds, y_cycle, y_deshuffle and w_cycle
+    # one set of lanes per orbit: x_0..x_4, y and w(0..4)
+    assert all(r.passed for r in run_claims(ms=(21,)))
+    handoffs = [build for build in builds if build[0] == "handoff_certificate"]
+    lanes = [build for build in builds if build[0] == "certify_lanes"]
+    assert len(handoffs) == len(set(handoffs)) == 5
+    assert len(lanes) == len(set(lanes)) == 11
+    # outside run_claims nothing is remembered
+    builds.clear()
+    assert check_phases(21, 0).passed and check_phases(21, 0).passed
+    assert [name for name, _, _ in builds] == ["handoff_certificate"] * 2
+
+
+def test_remembered_certificates_change_no_result():
+    # every result of a full run, steps included, equals its claim run
+    # alone, whichever order the claims run in
+    alone = {claim: run_claims(ms=(11,), claims=[claim]) for claim in ALL_CLAIMS}
+    for order in (ALL_CLAIMS, ALL_CLAIMS[::-1]):
+        assert run_claims(ms=(11,), claims=order) == [res for c in order for res in alone[c]]
+
+
+def test_a_remembered_certificate_past_a_later_cap_is_built_again(builds):
+    # phases certifies z(2) at m = 11 within MEASURE_CUTOFF; z_summary's cap
+    # is the budget, which that certificate's steps pass, so z_summary builds
+    # its own and fails as it does alone
+    want = {"error": "BudgetExceeded", "steps": 501, "budget": 500}
+    phases, z_summary = run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[2], budget=500)
+    assert phases.passed and z_summary.detail == want
+    assert [name for name, _, _ in builds] == ["handoff_certificate"] * 2
+    (alone,) = run_claims(ms=(11,), claims=["z_summary"], ds=[2], budget=500)
+    assert alone.detail == want
+    # without a budget z_summary reads phases' certificate
+    builds.clear()
+    assert all(r.passed for r in run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[2]))
+    assert [name for name, _, _ in builds] == ["handoff_certificate"]
+
+
 # --- the shared entry point --------------------------------------------------
 
 
@@ -877,6 +931,22 @@ def test_run_claims_m6_all_green():
     bad = [r for r in results if not r.passed]
     assert bad == [], [(r.claim, r.params, r.detail) for r in bad]
     assert {r.claim for r in results} == set(ALL_CLAIMS)
+
+
+def test_every_claim_passes_at_every_scale_from_5_to_20():
+    # each m brings its own primes, beta, mu and basin grid
+    results = run_claims(ms=range(5, 21))
+    assert len(results) == 409
+    bad = [(r.claim, r.params, r.detail) for r in results if r.passed is not True]
+    assert bad == []
+
+
+@pytest.mark.long
+def test_long_tier_every_claim_passes_at_m50():
+    results = run_claims(ms=(50,))
+    assert len(results) == 49
+    bad = [(r.claim, r.params, r.detail) for r in results if r.passed is not True]
+    assert bad == []
 
 
 def test_run_claims_rejects_unknown():

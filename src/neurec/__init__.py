@@ -36,7 +36,6 @@ from .construction import (
 )
 from .cycles import (
     CycleReport,
-    Handoff,
     detect_cycle,
     lane_count,
     verify_predicted,
@@ -67,6 +66,7 @@ from .numtheory import WindowParams, cycle_lengths, prime_factors, primes_betwee
 from .verify import (
     ALL_CLAIMS,
     ClaimResult,
+    Handoff,
     check_basin,
     check_chain,
     check_composition,

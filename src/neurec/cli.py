@@ -10,14 +10,15 @@ One batch entry point with six modes:
   basin       the free-prefix basin claim per scale and step
 
 The verify, chain and basin modes hand their claims to verify.run_claims,
-which alone knows each claim's grid, cutoff and knobs; this module handles
-arguments and output.  Every run produces one JSON report (printed to
-stdout, or written to --out/report.json together with a summary.csv of every
-measured orbit).
-Reports are deterministic for fixed (m, d, seed, budget) apart from the
-wall_clock_s field.  An instance whose predicted work exceeds its cutoff
-is skipped, which neither passes nor fails.  Exit status: 0 no check failed,
-1 some claim or prediction failed, 2 configuration, I/O or memory trouble.
+which alone knows each claim's grid, cutoff and knobs, and simulate hands each
+system to verify.simulated_trace, which picks its route; this module handles
+arguments and output.  Every run produces one JSON report (printed to stdout,
+or written to --out/report.json together with a summary.csv of every measured
+orbit).  Reports are deterministic for fixed (m, d, seed, budget) apart from
+the wall_clock_s field.  An instance whose predicted work exceeds its cutoff
+is skipped, which neither passes nor fails.  Exit status: 0 no check failed, 1
+some claim or prediction failed, 2 configuration, scale, I/O or memory trouble
+in every mode.
 """
 
 from __future__ import annotations
@@ -37,21 +38,19 @@ from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_
 from . import __version__
 from . import construction as cons
 from .construction import RecurrenceSystem
-from .cycles import Handoff, HandoffCertificate
-from .engine import compile_system, run
-from .errors import NeurecError, RhoTooSmall
+from .errors import NeurecError
 from .numtheory import WindowParams, window_params
 from .verify import (
     ALL_CLAIMS,
     ClaimResult,
+    Handoff,
     _frac,
     attempt,
-    DETECT_CUTOFF,
-    certifier,
     measure_cycle,
     predicted_cycle,
     proof_skip,
     run_claims,
+    simulated_trace,
     z_handoff,
 )
 
@@ -217,22 +216,6 @@ def _handoff(params: WindowParams, fam: str, idx: int | None) -> Callable[[], Ha
     return partial(z_handoff, params, idx) if fam == "z" else None
 
 
-def _simulated_trace(
-    system: RecurrenceSystem, steps: int, work: int, handoff: Callable[[], Handoff] | None
-) -> tuple[bytes | bytearray, str, int]:
-    """x(0..memory+steps-1), its route and the certificate's steps.  run stops
-    at the first repeat, so it takes min(work, steps) slides for a predicted
-    T + P of work; past DETECT_CUTOFF, where a certificate is the cheaper,
-    the trace is read off certifier's if it closes within steps slides."""
-    cs = compile_system(system)
-    certify = certifier(cs, system.init, handoff) if min(work, steps) > DETECT_CUTOFF else None
-    cert, spent = certify(steps) if certify is not None else (None, 0)
-    if cert is None or not cert.closes:
-        return run(cs, system.init, steps), "simulated", 0
-    route = "handoff" if isinstance(cert, HandoffCertificate) else "lanes"
-    return cert.trace(system.memory + steps), route, spent
-
-
 def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
     rows = []
     for fam, idx, system in _family_members(params, config):
@@ -261,16 +244,6 @@ def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
 # mode implementations
 
 
-def _params_summary(ms: Sequence[int]) -> list[dict]:
-    out = []
-    for m in ms:
-        try:
-            out.append({"m": m} | window_params(m).summary())
-        except RhoTooSmall as exc:
-            out.append({"m": m, "error": str(exc)})
-    return out
-
-
 def _claim_dicts(results: Sequence[ClaimResult]) -> list[dict]:
     return [
         {"claim": r.claim, "params": r.params, "passed": r.passed, "detail": r.detail}
@@ -286,6 +259,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     """Execute one configured run and assemble its report."""
     start = time.perf_counter()
     ms = _resolved_ms(config)
+    params_summary = [{"m": m} | window_params(m).summary() for m in ms]
     cycle_reports: list[dict] = []
     claim_results: list[ClaimResult] = []
     traces: list[tuple[str, bytes | bytearray, int]] = []
@@ -313,7 +287,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
                 steps = config.steps if config.steps is not None else 2 * system.memory
                 work = sum(predicted_cycle(params, fam, idx))
                 handoff = _handoff(params, fam, idx)
-                trace, route, spent = _simulated_trace(system, steps, work, handoff)
+                trace, route, spent = simulated_trace(system, steps, work, handoff)
                 cycle_reports.append(
                     {
                         "system": system.label,
@@ -334,7 +308,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         version=__version__,
         mode=config.mode,
         config=asdict(config),
-        params_summary=_params_summary(ms),
+        params_summary=params_summary,
         cycle_reports=cycle_reports,
         claim_results=_claim_dicts(claim_results),
         wall_clock_s=round(time.perf_counter() - start, 3),

@@ -28,21 +28,22 @@ that detect_cycle certified.  Lanes always close, and a proof then costs
 lane slides, not T + P.  Lanes.popcount_range reads the window popcount
 range off them.
 
-A HandoffCertificate, built by handoff_certificate, covers a system that
-starts on one laned orbit (head) and ends on another (tail), as z(d)
-starts on y's orbit and ends on w(d)'s; check_phases reads z(d)'s five
-phases off the same parts.  One search over head's lanes finds the first
-time the system's own rule disagrees with head's: it reads the system's
-sum and head's next bit off the lane windows, steps the lanes together
-through their transients, and past them runs a branch and bound over the
-lane phases with the Chinese remainder theorem.  Explicit steps from
-there reach the handoff time, and the same search over tail's lanes finds
-any disagreement on tail's orbit.  The certificate closes when the
-stepped window is tail's init and there is none: S_n is then head's
-window before the disagreement, an explicit step before the handoff, and
-tail's window at n - at after it, and x(n) is head's before at and tail's
-x(n - at) from at on.  A proof costs lane slides, a few explicit steps and
-search nodes.
+A HandoffCertificate covers a system that starts on one laned orbit (head)
+and ends on another (tail) from a time at on, as z(d) starts on y's orbit
+and ends on w(d)'s.  handoff_certificate builds it from head's and tail's
+certified Lanes, which it is handed and does not build itself;
+check_phases reads z(d)'s five phases off the same parts.  One search over
+head's lanes finds the first time the system's own rule disagrees with
+head's: it reads the system's sum and head's next bit off the lane
+windows, steps the lanes together through their transients, and past them
+runs a branch and bound over the lane phases with the Chinese remainder
+theorem.  Explicit steps from there reach the handoff time, and the same
+search over tail's lanes finds any disagreement on tail's orbit.  The
+certificate closes when the stepped window is tail's init and there is
+none: S_n is then head's window before the disagreement, an explicit step
+before the handoff, and tail's window at n - at after it, and x(n) is
+head's before at and tail's x(n - at) from at on.  A proof costs lane
+slides, a few explicit steps and search nodes.
 
 A certificate that cannot be built within min(T + P, budget) steps, or
 that does not close, leaves the proof to the simulation.
@@ -77,7 +78,6 @@ __all__ = [
     "verify_predicted",
     "Lanes",
     "certify_lanes",
-    "Handoff",
     "HandoffCertificate",
     "handoff_certificate",
     "lane_count",
@@ -253,20 +253,6 @@ def certify_lanes(
     return Lanes(lane_cs, tuple(orbits)), spent
 
 
-class Handoff(NamedTuple):
-    """The orbit a system is claimed to follow: head's, then tail's.
-
-    The system starts from head's init and runs head's orbit until its own
-    rule first disagrees with head's; from time at on, its window S_n is
-    tail's window at n - at.  head and tail each decimate into lanes (see
-    lane_count).
-    """
-
-    head: RecurrenceSystem
-    tail: RecurrenceSystem
-    at: int
-
-
 def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     """The x mod M = prod(moduli) with x = residues[i] mod moduli[i], for
     pairwise coprime moduli."""
@@ -381,12 +367,12 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
 
 
 class HandoffCertificate(NamedTuple):
-    """A system's orbit against a Handoff, each part exact.
+    """A system's orbit on head's orbit and then tail's, each part exact.
 
-    head and tail are the certified lanes of head's and tail's orbits;
-    first and tail_first are the first times the system's rule disagrees
-    with head's next bit on head's orbit and with tail's on tail's, or None
-    when it never does.  Up to first S_n is head's window; stepped holds
+    head and tail are the certified lanes of the two orbits; first and
+    tail_first are the first times the system's rule disagrees with head's
+    next bit on head's orbit and with tail's on tail's, or None when it
+    never does.  Up to first S_n is head's window; stepped holds
     S_split .. S_at, stepped with the system's rule from min(first, at).
     """
 
@@ -421,53 +407,37 @@ class HandoffCertificate(NamedTuple):
 
 
 def handoff_certificate(
-    cs: CompiledSystem, init: Sequence[int], handoff: Handoff, budget: int
+    cs: CompiledSystem, init: Sequence[int], head: Lanes, tail: Lanes, at: int, budget: int
 ) -> tuple[HandoffCertificate | None, int]:
-    """The system's HandoffCertificate from init, and the steps it took.
-
-    Certify head's and tail's lanes; find the system's first disagreement
-    with head on head's orbit (_first_disagreement); step the system
-    explicitly from there to time at, at most memory slides; and search
-    tail's orbit for a disagreement the same way.  None when head's init
-    differs, a system has one lane, lane periods share a factor, the first
-    disagreement comes more than memory slides before at, or the work
-    passes budget steps.
-    """
-    head, tail = compile_system(handoff.head), compile_system(handoff.tail)
-    if (
-        tuple(init) != handoff.head.init
-        or not head.memory == tail.memory == cs.memory
-        or min(lane_count(head), lane_count(tail)) == 1
-    ):
+    """The system's HandoffCertificate from init, on head's orbit and from
+    time at on tail's, and the steps it took: the first disagreement with
+    head on head's orbit (_first_disagreement), explicit steps from there to
+    at, at most memory of them, and the same search on tail's orbit.  None
+    with 0 steps when init is not head's S_0, the lanes do not cover the
+    system's memory or their periods share a factor; None when the first
+    disagreement comes more than memory slides before at or the work passes
+    budget steps."""
+    covered = {len(lanes.orbits) * lanes.cs.memory for lanes in (head, tail)}
+    coprime = head.coprime and tail.coprime
+    if head.read(0)[0] != _check_init(cs, init) or covered != {cs.memory} or not coprime:
         return None, 0
-    head_lanes, spent = certify_lanes(head, init, budget)
-    if head_lanes is None:
-        return None, spent
-    tail_lanes, slides = certify_lanes(tail, handoff.tail.init, budget - spent)
-    spent += slides
-    if tail_lanes is None or not (head_lanes.coprime and tail_lanes.coprime):
-        return None, spent
-
     try:
-        first, steps = _first_disagreement(cs, head_lanes, budget - spent)
+        first, spent = _first_disagreement(cs, head, budget)
     except BudgetExceeded as exc:
-        return None, spent + exc.steps
-    spent += steps
-    at = handoff.at
+        return None, exc.steps
     split = at if first is None else min(first, at)
     if at - split > cs.memory:
         return None, spent
-    word, slides = head_lanes.read(split)
+    word, slides = head.read(split)
     stepped = [word]
     for _ in range(at - split):
         stepped.append(advance_word(cs, stepped[-1], 1))
     spent += slides + at - split
     try:
-        tail_first, steps = _first_disagreement(cs, tail_lanes, budget - spent)
+        tail_first, steps = _first_disagreement(cs, tail, budget - spent)
     except BudgetExceeded as exc:
         return None, spent + exc.steps
-    spent += steps
-    return HandoffCertificate(head_lanes, first, tuple(stepped), at, tail_lanes, tail_first), spent
+    return HandoffCertificate(head, first, tuple(stepped), at, tail, tail_first), spent + steps
 
 
 def _probe_pass(read: Reader, transient: int, period: int) -> tuple[int, int]:

@@ -24,30 +24,33 @@ with detect_cycle and proves the rest with verify_predicted, the one prover,
 on the windows of a certificate.  y and every w(d), whose taps all sit on
 multiples of rho, are read off their certified lanes (certify_lanes); every
 z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
-its first disagreement and w(d)'s from L1(d) on (z_handoff); a system with
-one lane is simulated.  On every route a wrong prediction raises
-PredictionFailed from the one probe rule in cycles, so it never comes back
-as a verdict.  check_phases reads z(d)'s five phases off the same handoff
-certificate, and sum_bounds and y_deshuffle read y and every w(d) off the
-same lanes, all exact for all time; lanes that cannot be certified within
-MEASURE_CUTOFF fail the instance.  proof_work prices each proof the way it
-will run, a lane proof at its lanes' T + P, for the claim table and the
-CLI's cycle mode alike, and phases at z_summary's price.  MEASURE_CUTOFF
-bounds the work per claim instance.  Each grid lists every structurally
-valid instance, and the table states each claim's predicted work;
-skip_detail compares it with the cutoff, and an instance past it is reported
-as skipped (passed None) rather than attempted and aborted.
+its first disagreement and w(d)'s from L1(d) on (z_handoff), proved on the
+lanes of y and w(d); a system with one lane is simulated.  _certificate
+builds every certificate, and simulated_trace routes the CLI's simulate the
+same way.  On every route a wrong prediction raises PredictionFailed from
+the one probe rule in cycles, so it never comes back as a verdict.
+check_phases reads z(d)'s five phases off the same handoff certificate, and
+sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
+exact for all time; lanes that cannot be certified within MEASURE_CUTOFF
+fail the instance.  proof_work prices each proof the way it will run, a lane
+proof at its lanes' T + P, for the claim table and the CLI's cycle mode
+alike, and phases at z_summary's price.  MEASURE_CUTOFF bounds the work per
+claim instance.  Each grid lists every structurally valid instance, and the
+table states each claim's predicted work; skip_detail compares it with the
+cutoff, and an instance past it is reported as skipped (passed None) rather
+than attempted and aborted.
 
 A run proves each distinct orbit once and certifies it once: while
 run_claims runs, _proofs keeps every completed proof and every certificate
 that closes (_certificate), so the chain reuses the proofs of y_cycle and
 z_summary, phases and z_summary share each z(d)'s certificate, sum_bounds,
-y_cycle and y_deshuffle y's lanes, and a detail's steps do not depend on
-which claim ran first.  The memo is dropped when run_claims returns.  A
-certified proof also reports its entry window S_T, so v_fixed's and the
-chain's all-zero attractors are read from it rather than walking the
-transient again.  basin shares z_summary's proof, and one interval pass
-proves that every free prefix merges into the reference window.
+y_cycle, y_deshuffle and every z(d)'s certificate y's lanes, and a
+detail's steps do not depend on which claim ran first.  The memo is
+dropped when run_claims returns.  A certified proof also reports its entry
+window S_T, so v_fixed's and the chain's all-zero attractors are read from
+it rather than walking the transient again.  basin shares z_summary's
+proof, and one interval pass proves that every free prefix merges into the
+reference window.
 """
 
 from __future__ import annotations
@@ -58,13 +61,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import construction as cons
 from .construction import RecurrenceSystem
 from .cycles import (
     CycleReport,
-    Handoff,
     HandoffCertificate,
     Lanes,
     certify_lanes,
@@ -75,7 +77,7 @@ from .cycles import (
 )
 from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, run, walk
 from .engine import word_from_bits
-from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed, RhoTooSmall
+from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed
 from .numtheory import WindowParams, cycle_lengths, window_params
 
 __all__ = [
@@ -84,6 +86,8 @@ __all__ = [
     "predicted_cycle",
     "measure_cycle",
     "certifier",
+    "simulated_trace",
+    "Handoff",
     "z_handoff",
     "proof_work",
     "proof_skip",
@@ -147,6 +151,16 @@ def predicted_cycle(params: WindowParams, family: str, index: int | None = None)
     raise ValueError(f"unknown family {family!r}")
 
 
+class Handoff(NamedTuple):
+    """The orbit a system is claimed to follow from head's init: head's, then
+    from time at on tail's, S_n being tail's window at n - at.  head and tail
+    each decimate into lanes (see lane_count)."""
+
+    head: RecurrenceSystem
+    tail: RecurrenceSystem
+    at: int
+
+
 def z_handoff(params: WindowParams, d: int) -> Handoff:
     """The orbit z(d) is claimed to follow: y's, then w(d)'s from time L1(d) on."""
     return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
@@ -156,13 +170,29 @@ def _certificate(
     cs: CompiledSystem, init: Sequence[int], handoff: Handoff | None, cap: int
 ) -> tuple[Lanes | HandoffCertificate | None, int]:
     """The one builder of a certificate, handoff's or else cs's lanes, within
-    cap steps, with its steps.  Inside run_claims one that closes is kept in
-    _proofs and reused while its steps fit cap, so a hit changes no result."""
+    cap steps, with its steps, which count a handoff's lanes, built here
+    first.  A handoff whose init is not head's, or with a one-lane part, is
+    refused unbuilt.  Inside run_claims one that closes is kept in _proofs
+    and reused while its steps fit cap, so a hit changes no result."""
     key = (cs, tuple(init), handoff)
     hit = _proofs.get(key) if _proofs is not None else None
     if hit is not None and hit[1] <= cap:
         return hit
-    built = certify_lanes(cs, init, cap) if handoff is None else handoff_certificate(cs, init, handoff, cap)
+    if handoff is None:
+        built = certify_lanes(cs, init, cap)
+    else:
+        parts = [(compile_system(part), part.init) for part in (handoff.head, handoff.tail)]
+        if tuple(init) != handoff.head.init or any(lane_count(part) == 1 for part, _ in parts):
+            return None, 0
+        lanes, spent = [], 0
+        for part, part_init in parts:
+            lane, steps = _certificate(part, part_init, None, cap - spent)
+            spent += steps
+            if lane is None:
+                return None, spent
+            lanes.append(lane)
+        cert, steps = handoff_certificate(cs, init, *lanes, handoff.at, cap - spent)
+        built = cert, spent + steps
     if _proofs is not None and built[0] is not None and built[0].closes:
         _proofs[key] = built
     return built
@@ -174,11 +204,24 @@ def certifier(
     """verify_predicted's certify(cap) for a system, by _certificate: the
     handoff certificate when a handoff is given (every z(d), via z_handoff),
     else its lanes when it has more than one (y and every w(d)), else None."""
-    if handoff is not None:
-        return partial(_certificate, cs, init, handoff())
-    if lane_count(cs) > 1:
-        return partial(_certificate, cs, init, None)
-    return None
+    if handoff is None and lane_count(cs) == 1:
+        return None
+    return partial(_certificate, cs, init, handoff() if handoff else None)
+
+
+def simulated_trace(
+    system: RecurrenceSystem, steps: int, work: int, handoff: Callable[[], Handoff] | None
+) -> tuple[bytes | bytearray, str, int]:
+    """x(0..memory+steps-1), its route and the certificate's steps.  run stops
+    at the first repeat, so it takes min(work, steps) slides for a predicted
+    T + P of work; past DETECT_CUTOFF, where a certificate is the cheaper,
+    the trace is read off certifier's if it closes within steps slides."""
+    cs = compile_system(system)
+    certify = certifier(cs, system.init, handoff) if min(work, steps) > DETECT_CUTOFF else None
+    cert, spent = certify(steps) if certify is not None else (None, 0)
+    if cert is None or not cert.closes:
+        return run(cs, system.init, steps), "simulated", 0
+    return cert.trace(system.memory + steps), "handoff" if handoff else "lanes", spent
 
 
 def measure_cycle(
@@ -405,14 +448,15 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         rep = measure_cycle(system, pred, budget)
         cs = compile_system(system)
         attractor_zero = rep.entry_window == 0
-        trace = run(cs, system.init, k + 1)
+        # one walk of k + 1 windows: x(k + n) = [s_n >= theta]
+        sums = [s for _, s in islice(walk(cs, word_from_bits(system.init)), k + 1)]
+        trace = system.init + tuple(s >= cs.scaled_threshold for s in sums)
         dead_from = k - params.primes[i]
         late_one = next((t for t in range(dead_from, len(trace)) if trace[t]), None)
         # After the window clears the initial pattern the affine sum must sit
         # at least two whole units below the threshold.
         ceiling = cs.scaled_threshold - 2 * cs.denominator
-        orbit = walk(cs, word_from_bits(system.init))
-        margin_ok = all(s <= ceiling for _, s in islice(orbit, k + 1))
+        margin_ok = all(s <= ceiling for s in sums)
         ok = ok and attractor_zero and late_one is None and margin_ok
         per_lane[str(i)] = _report_dict(rep, pred) | {
             "attractor_all_zero": attractor_zero,
@@ -940,12 +984,12 @@ def run_claims(
 
     Composition claims are scale-free and run once.  Every grid instance
     yields one result: an instance past its cutoff is skipped (passed None)
-    and nothing runs for it, while a scale the window parameters reject, a
-    failed search and a refuted prediction become failing results rather
-    than exceptions, so one bad instance cannot take down a whole report.
-    With ds, a claim's instances are the requested bifurcation steps, in
-    that order; a step off the claim's grid, or a claim without steps,
-    raises ValueError before any instance runs.  Each distinct orbit is
+    and nothing runs for it, while a failed search and a refuted prediction
+    become failing results rather than exceptions, so one bad instance
+    cannot take down a whole report.  A scale the window parameters reject
+    raises RhoTooSmall, and with ds a step off a claim's grid, or a claim
+    without steps, raises ValueError, both before any instance runs; with
+    ds, a claim's instances are the requested steps, in that order.  Each distinct orbit is
     proved once per call (see measure_cycle).
     """
     global _proofs
@@ -961,11 +1005,7 @@ def run_claims(
             jobs.append(partial(claim.run, seed=seed))
             continue
         for m in ms:
-            try:
-                grid = claim_grid(claim.name, m)
-            except RhoTooSmall as exc:
-                jobs.append(partial(ClaimResult, claim.name, {"m": m}, False, {"error": str(exc)}))
-                continue
+            grid = claim_grid(claim.name, m)
             if ds is not None:
                 by_d = {kw.get("d"): (kw, skip) for kw, skip in grid}
                 off_grid = [d for d in ds if d not in by_d]

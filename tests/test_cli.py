@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +29,14 @@ from neurec import (
     z_handoff,
 )
 from neurec.cli import (
-    _simulated_trace,
+    MODES,
     export_trace,
     import_trace,
     main,
     system_to_json,
 )
 from neurec.cycles import Lanes
-from neurec.verify import certifier
+from neurec.verify import certifier, simulated_trace
 
 
 def read_report(out_dir):
@@ -368,7 +372,7 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
             want = run(cs, s.init, steps)
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
-            assert _simulated_trace(s, steps, work, handoff)[0] == want, (s.label, steps)
+            assert simulated_trace(s, steps, work, handoff)[0] == want, (s.label, steps)
             cert, _ = certifier(cs, s.init, handoff)(10**9)
             assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
 
@@ -455,18 +459,18 @@ def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m)
     # negative control: with the cutoff at 0 every certificate is tried,
     # and steps too few for it fall back to run; a z(d) handoff
     # certificate closes at exactly its uncapped cost
-    monkeypatch.setattr("neurec.cli.DETECT_CUTOFF", 0)
+    monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
     p = window_params(m)
     for family, index, s, handoff in laned_members(p):
         cs = compile_system(s)
         work = sum(predicted_cycle(p, family, index))
         _, cost = certifier(cs, s.init, handoff)(10**9)
         for steps in (cost // 2, cost - 1) if family == "z" else (cost // 2,):
-            trace, route, spent = _simulated_trace(s, steps, work, handoff)
+            trace, route, spent = simulated_trace(s, steps, work, handoff)
             assert (route, spent) == ("simulated", 0), (s.label, steps)
             assert trace == run(cs, s.init, steps), (s.label, steps)
         if family == "z":
-            assert _simulated_trace(s, cost, work, handoff)[1:] == ("handoff", cost), s.label
+            assert simulated_trace(s, cost, work, handoff)[1:] == ("handoff", cost), s.label
 
 
 @pytest.mark.long
@@ -635,15 +639,44 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
 
 
 def test_scale_rejection_paths(capsys):
-    # cycle mode hits the constructor directly: configuration-level failure
-    assert main(["--mode", "cycle", "--m", "4"]) == 2
-    capsys.readouterr()
-    # the claim modes fold the same rejection into a failing claim instead
-    assert main(["--mode", "verify", "--m", "4", "--claims", "prop1"]) == 1
-    assert "FAIL prop1 m=4" in capsys.readouterr().err
-    for mode in ("chain", "basin"):
-        assert main(["--mode", mode, "--m", "4"]) == 1
-        assert f"FAIL {mode} m=4" in capsys.readouterr().err
+    # a scale the construction rejects (rho = 1 at m = 2..4) is
+    # configuration trouble in every mode, the claim modes included: exit 2
+    # with one neurec: line and no claim lines
+    for mode in MODES:
+        for m in (2, 3, 4):
+            assert main(["--mode", mode, "--m", str(m)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("neurec: ") and len(err.splitlines()) == 1, (mode, m, err)
+    # a claim subset, a scale-free claim and a valid scale beside it change nothing
+    for argv in (["--claims", "prop1"], ["--claims", "divisor_rule"], ["--m", "6"]):
+        assert main(["--mode", "verify", "--m", "4", *argv]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--mode", "verify", "--m", "6", "--claims", "prop2"], 0),
+        (["--mode", "verify", "--m", "6", "--claims", "z_summary", "--budget", "50"], 1),
+        (["--mode", "verify", "--m", "4"], 2),
+    ],
+)
+def test_exit_contract_through_the_module_entry_point(tmp_path, argv, code):
+    # python -m neurec.cli in a fresh interpreter, as a user runs it
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "neurec.cli", *argv],
+        cwd=tmp_path,
+        env=os.environ | {"PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys):

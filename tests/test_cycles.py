@@ -47,7 +47,7 @@ from neurec import (
     word_from_bits,
 )
 from neurec.cycles import _first_disagreement, _probe_pass, certify_lanes, handoff_certificate
-from neurec.verify import z_handoff
+from neurec.verify import _certificate, certifier, z_handoff
 from test_engine import sparse_systems
 
 
@@ -461,15 +461,17 @@ def z_members(p):
 
 def handoff_reader(cs, init, handoff, budget):
     """The reader of the handoff certificate when it closes, else None; and
-    the steps the certificate took."""
-    cert, spent = handoff_certificate(cs, init, handoff, budget)
+    the steps the certificate took.  The certificate is built as verify
+    builds it: head's and tail's lanes certified first, then
+    handoff_certificate on them, their steps counted in."""
+    cert, spent = _certificate(cs, init, handoff, budget)
     closed = cert is not None and cert.closes
     return (cert.read if closed else None), spent
 
 
 def on_handoff(cs, init, t, p, handoff, **kwargs):
     """verify_predicted on the handoff certificate, capped at T + P (or budget)."""
-    certify = partial(handoff_certificate, cs, init, handoff)
+    certify = partial(_certificate, cs, init, handoff)
     return verify_predicted(cs, init, t, p, certify, **kwargs)
 
 
@@ -532,6 +534,47 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     assert rep == dataclasses.replace(ref, steps_executed=sum(pair))
 
 
+def test_handoff_certificate_refuses_lanes_it_cannot_prove_on():
+    # negative controls: handoff_certificate proves only on lanes that
+    # start at init, cover the system's memory and have coprime periods,
+    # and refuses any other at no cost
+    p = window_params(6)
+    z, y, w = build_z(p, 0), build_y(p), build_w(p, 0)
+    cs = compile_system(z)
+    head, _ = certify_lanes(compile_system(y), y.init, 10**9)
+    tail, _ = certify_lanes(compile_system(w), w.init, 10**9)
+    at = z_handoff(p, 0).at
+    cert, spent = handoff_certificate(cs, z.init, head, tail, at, 10**9)
+    assert cert.closes and spent > 0
+    flipped = (1 - z.init[0],) + z.init[1:]
+    assert handoff_certificate(cs, flipped, head, tail, at, 10**9) == (None, 0)
+    w11 = build_w(window_params(11), 0)
+    wider, _ = certify_lanes(compile_system(w11), w11.init, 10**9)
+    assert handoff_certificate(cs, z.init, head, wider, at, 10**9) == (None, 0)
+    shared = head._replace(orbits=(head.orbits[0],) * len(head.orbits))
+    assert not shared.coprime
+    assert handoff_certificate(cs, z.init, head, shared, at, 10**9) == (None, 0)
+
+
+def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monkeypatch):
+    # verify refuses a handoff with a one-lane part, or an init that is not
+    # head's, before it certifies any lanes
+    p = window_params(6)
+    z = build_z(p, 0)
+    cs = compile_system(z)
+    handoff = z_handoff(p, 0)
+    assert lane_count(cs) == 1
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a lane search ran")
+
+    monkeypatch.setattr("neurec.cycles.detect_cycle", no_search)
+    flipped = (1 - z.init[0],) + z.init[1:]
+    cases = [(z.init, handoff._replace(head=z)), (z.init, handoff._replace(tail=z)), (flipped, handoff)]
+    for init, refused in cases:
+        assert certifier(cs, init, lambda: refused)(10**9) == (None, 0)
+
+
 def full_window_first_disagreement(cs, ref, lanes):
     """Oracle: walk ref's orbit on lanes window by window from S_0, and apply
     cs's rule to each full window.
@@ -588,7 +631,7 @@ def test_handoff_certificate_parts_equal_the_full_window_loop(m):
         z = build_z(p, d)
         cs = compile_system(z)
         handoff = z_handoff(p, d)
-        cert, _ = handoff_certificate(cs, z.init, handoff, 10**9)
+        cert, _ = _certificate(cs, z.init, handoff, 10**9)
         head, tail = compile_system(handoff.head), compile_system(handoff.tail)
         first, _ = full_window_first_disagreement(cs, head, cert.head)
         split = handoff.at if first is None else min(first, handoff.at)
@@ -633,7 +676,7 @@ def test_certificate_traces_agree_with_their_reads(m):
             cert, _ = certify_lanes(cs, s.init, budget=10**9)
             times = {0, 1}
         else:
-            cert, _ = handoff_certificate(cs, s.init, handoff, 10**9)
+            cert, _ = _certificate(cs, s.init, handoff, 10**9)
             times = {0, handoff.at - 1, handoff.at, handoff.at + 1}
         assert cert.closes
         horizon = sum(predicted_cycle(p, family, index)) + s.memory
@@ -658,7 +701,7 @@ def test_budget_caps_the_certificate_proofs_at_m11():
         if handoff is None:
             certify = partial(certify_lanes, cs, init)
         else:
-            certify = partial(handoff_certificate, cs, init, handoff)
+            certify = partial(_certificate, cs, init, handoff)
         full = verify_predicted(cs, init, t, period, certify)
         assert full == dataclasses.replace(
             verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
@@ -751,7 +794,7 @@ def test_a_certificate_traces_the_true_orbit(case, steps):
         cert, _ = certify_lanes(cs, init, budget=10**6)
     else:
         cs, init, handoff = case
-        cert, _ = handoff_certificate(cs, init, handoff, budget=10**7)
+        cert, _ = _certificate(cs, init, handoff, 10**7)
         if cert is None or not cert.closes:
             return  # e.g. lane periods that share a factor
     assert cert.trace(cs.memory + steps) == run(cs, init, steps)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neurec.construction
+import neurec.cycles
 import neurec.verify
 from neurec import (
     ALL_CLAIMS,
@@ -19,6 +20,7 @@ from neurec import (
     IndexOutOfRange,
     PredictionFailed,
     RecurrenceSystem,
+    RhoTooSmall,
     advance_word,
     build_w,
     build_y,
@@ -870,32 +872,39 @@ def test_long_tier_basin_proves_no_orbit_of_its_own(proof_calls):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Every (builder, compiled system, init) verify asks to certify."""
+    """Every (builder, compiled system, init) certified: certify_lanes under
+    both its names, so a lane set built inside cycles counts too, and
+    handoff_certificate as verify calls it."""
     calls = []
-    for name in ("certify_lanes", "handoff_certificate"):
-        original = getattr(neurec.verify, name)
+    bindings = [("verify", "certify_lanes"), ("cycles", "certify_lanes"), ("verify", "handoff_certificate")]
+    for module, name in bindings:
+        original = getattr(neurec.cycles, name)
 
         def counted(cs, init, *args, _name=name, _original=original):
             calls.append((_name, cs, tuple(init)))
             return _original(cs, init, *args)
 
-        monkeypatch.setattr(f"neurec.verify.{name}", counted)
+        monkeypatch.setattr(f"neurec.{module}.{name}", counted)
     return calls
 
 
 def test_run_builds_each_certificate_once(builds):
     # at m = 21 phases, z_summary, chain and basin read one handoff
     # certificate per z(d), and sum_bounds, y_cycle, y_deshuffle and w_cycle
-    # one set of lanes per orbit: x_0..x_4, y and w(0..4)
+    # one set of lanes per orbit: x_0..x_4, y and w(0..4); each handoff
+    # certificate is proved on the lanes of y and w(d) built for those, so
+    # no lane set is built twice, in verify or in cycles
     assert all(r.passed for r in run_claims(ms=(21,)))
     handoffs = [build for build in builds if build[0] == "handoff_certificate"]
     lanes = [build for build in builds if build[0] == "certify_lanes"]
     assert len(handoffs) == len(set(handoffs)) == 5
     assert len(lanes) == len(set(lanes)) == 11
-    # outside run_claims nothing is remembered
+    # outside run_claims nothing is remembered: y's and w(0)'s lanes, then
+    # the certificate on them, each time
     builds.clear()
     assert check_phases(21, 0).passed and check_phases(21, 0).passed
-    assert [name for name, _, _ in builds] == ["handoff_certificate"] * 2
+    once = ["certify_lanes", "certify_lanes", "handoff_certificate"]
+    assert [name for name, _, _ in builds] == once * 2
 
 
 def test_remembered_certificates_change_no_result():
@@ -909,17 +918,20 @@ def test_remembered_certificates_change_no_result():
 def test_a_remembered_certificate_past_a_later_cap_is_built_again(builds):
     # phases certifies z(2) at m = 11 within MEASURE_CUTOFF; z_summary's cap
     # is the budget, which that certificate's steps pass, so z_summary builds
-    # its own and fails as it does alone
+    # its own and fails as it does alone: y's lanes (87 steps) fit the cap
+    # and are reused, w(2)'s (546) do not and are built again, and their
+    # search passes what is left of the cap
     want = {"error": "BudgetExceeded", "steps": 501, "budget": 500}
     phases, z_summary = run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[2], budget=500)
     assert phases.passed and z_summary.detail == want
-    assert [name for name, _, _ in builds] == ["handoff_certificate"] * 2
+    once = ["certify_lanes", "certify_lanes", "handoff_certificate"]
+    assert [name for name, _, _ in builds] == once + ["certify_lanes"]
     (alone,) = run_claims(ms=(11,), claims=["z_summary"], ds=[2], budget=500)
     assert alone.detail == want
     # without a budget z_summary reads phases' certificate
     builds.clear()
     assert all(r.passed for r in run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[2]))
-    assert [name for name, _, _ in builds] == ["handoff_certificate"]
+    assert [name for name, _, _ in builds] == once
 
 
 # --- the shared entry point --------------------------------------------------
@@ -961,8 +973,11 @@ def test_run_claims_turns_budget_blowups_into_failures():
     assert all(r.detail.get("error") == "BudgetExceeded" for r in results)
 
 
-def test_run_claims_reports_scale_rejection():
-    results = run_claims(ms=(4,), claims=["prop1"])
-    assert len(results) == 1
-    assert not results[0].passed
-    assert "error" in results[0].detail
+def test_run_claims_reports_scale_rejection(monkeypatch):
+    # rho = 1 is a scale the window parameters reject: it raises before any
+    # instance runs, even beside a valid scale
+    ran = []
+    monkeypatch.setattr(neurec.verify, "attempt", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(RhoTooSmall):
+        run_claims(ms=(6, 4), claims=["prop1"])
+    assert ran == []

@@ -31,6 +31,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -44,7 +45,6 @@ from .verify import (
     ALL_CLAIMS,
     ClaimResult,
     Handoff,
-    _frac,
     attempt,
     measure_cycle,
     predicted_cycle,
@@ -150,9 +150,9 @@ def system_to_json(system: RecurrenceSystem) -> dict:
         "version": 1,
         "label": system.label,
         "memory": system.memory,
-        "threshold": _frac(system.threshold),
+        "threshold": str(Fraction(system.threshold)),
         "weights": {
-            str(j): _frac(w)
+            str(j): str(Fraction(w))
             for j, w in enumerate(system.weights, start=1)
             if w != 0
         },

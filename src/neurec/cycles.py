@@ -14,11 +14,11 @@ which suffices: on a deterministic orbit any period is a multiple of the
 minimal one, so a smaller period would survive into some P/q probe.  A
 refuted pair raises PredictionFailed naming the first violated probe.
 
-verify_predicted is the one prover of a prediction.  It reads the probed
-windows from one of three sources: a simulation, in one forward pass of
-exactly T + P steps, or one of two certificates, which share the closes /
-read / trace protocol and which a caller passes as certify(cap); trace
-writes the outputs x(n) lane by lane, for lane slides, not steps:
+verify_predicted is the one prover of a prediction.  It probes the
+windows a reader supplies: a closed certificate's read, or with none a
+simulation in one forward pass of exactly T + P steps.  The two
+certificates share the closes / read / trace protocol; read costs lane
+slides, not steps, and trace writes the outputs x(n) lane by lane:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
@@ -44,9 +44,6 @@ none: S_n is then head's window before the disagreement, an explicit step
 before the handoff, and tail's window at n - at after it, and x(n) is
 head's before at and tail's x(n - at) from at on.  A proof costs lane
 slides, a few explicit steps and search nodes.
-
-A certificate that cannot be built within min(T + P, budget) steps, or
-that does not close, leaves the proof to the simulation.
 
 detect_cycle measures (T, P) blind, taking no prediction.
 engine.find_repeat, which run also stops on, steps a trace to a window
@@ -90,9 +87,8 @@ class CycleReport:
 
     entry_window is the window S_T at the transient: the first window of
     the attractor, certified by the probes.  steps_executed counts the
-    slides taken: a blind search's own, whose probes read its trace; read
-    off Lanes, lane slides, searches and reads together, and off a
-    HandoffCertificate lane slides, explicit steps and search nodes.
+    slides taken: a blind search's own, whose probes read its trace, or a
+    proof's reads, to which verify.measure_cycle adds its certificate's.
     """
 
     measured_transient: int
@@ -511,32 +507,18 @@ def verify_predicted(
     init: Sequence[int],
     predicted_transient: int,
     predicted_period: int,
-    certify: Callable[[int], tuple[Lanes | HandoffCertificate | None, int]] | None = None,
-    *,
-    budget: int | None = None,
+    read: Reader | None = None,
 ) -> CycleReport:
     """Prove a predicted (T, P) minimal: the one prover of a prediction.
 
-    certify(cap), when given, builds a certificate (Lanes or a
-    HandoffCertificate) within cap = min(T + P, budget) steps and returns it,
-    or None, with the steps it took.  A certificate that closes supplies the
-    probed windows; otherwise they are simulated in one pass of T + P
-    slides, or BudgetExceeded is raised when the spent steps plus T + P pass
-    budget.  Raises PredictionFailed naming the first violated probe.  On
-    success the measured fields echo the now-proved prediction, and
-    steps_executed counts the certificate's steps plus the reads.
+    The probes read the windows read supplies (a closed certificate's read),
+    or with none a simulation of one pass of T + P slides.  Raises
+    PredictionFailed naming the first violated probe.  On success the
+    measured fields echo the now-proved prediction, and steps_executed
+    counts the slides the reads took.
     """
     _check_pair(predicted_transient, predicted_period)
     word0 = _check_init(cs, init)
-    work = predicted_transient + predicted_period
-    cert, spent = None, 0
-    if certify is not None:
-        cert, spent = certify(work if budget is None else min(work, budget))
-    if cert is not None and cert.closes:
-        read = cert.read
-    elif budget is not None and spent + work > budget:
-        raise BudgetExceeded(spent, budget)
-    else:
-        read = _simulated(cs, word0)
+    read = read or _simulated(cs, word0)
     steps, entry = _probe_pass(read, predicted_transient, predicted_period)
-    return CycleReport(predicted_transient, predicted_period, entry, spent + steps)
+    return CycleReport(predicted_transient, predicted_period, entry, steps)

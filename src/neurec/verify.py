@@ -18,7 +18,7 @@ whatever its check returns.
 Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
-period) pairs.  measure_cycle certifies every predicted pair: it measures
+period) pairs.  measure_cycle is the one router of a proof: it measures
 orbits of a few thousand slides, where a search is the cheaper prover, blind
 with detect_cycle and proves the rest with verify_predicted, the one prover,
 on the windows of a certificate.  y and every w(d), whose taps all sit on
@@ -26,15 +26,16 @@ multiples of rho, are read off their certified lanes (certify_lanes); every
 z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
 its first disagreement and w(d)'s from L1(d) on (z_handoff), proved on the
 lanes of y and w(d); a system with one lane is simulated.  _certificate
-builds every certificate, and simulated_trace routes the CLI's simulate the
-same way.  On every route a wrong prediction raises PredictionFailed from
-the one probe rule in cycles, so it never comes back as a verdict.
+builds every certificate, within the budget or else MEASURE_CUTOFF, and
+simulated_trace routes the CLI's simulate the same way.  On every route a
+wrong prediction raises PredictionFailed from the one probe rule in
+cycles, so it never comes back as a verdict.
 check_phases reads z(d)'s five phases off the same handoff certificate, and
 sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
 exact for all time; lanes that cannot be certified within MEASURE_CUTOFF
-fail the instance.  proof_work prices each proof the way it will run, a lane
-proof at its lanes' T + P, for the claim table and the CLI's cycle mode
-alike, and phases at z_summary's price.  MEASURE_CUTOFF bounds the work per
+fail the instance.  proof_work prices each proof of y, w(d) and z(d) at its
+lanes' T + P, for the claim table and the CLI's cycle mode alike, and
+phases at z_summary's price.  MEASURE_CUTOFF bounds the work per
 claim instance.  Each grid lists every structurally valid instance, and the
 table states each claim's predicted work; skip_detail compares it with the
 cutoff, and an instance past it is reported as skipped (passed None) rather
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -85,7 +86,6 @@ __all__ = [
     "ClaimResult",
     "predicted_cycle",
     "measure_cycle",
-    "certifier",
     "simulated_trace",
     "Handoff",
     "z_handoff",
@@ -198,15 +198,16 @@ def _certificate(
     return built
 
 
-def certifier(
-    cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None
-) -> Callable[[int], tuple[Lanes | HandoffCertificate | None, int]] | None:
-    """verify_predicted's certify(cap) for a system, by _certificate: the
-    handoff certificate when a handoff is given (every z(d), via z_handoff),
-    else its lanes when it has more than one (y and every w(d)), else None."""
+def _proof_certificate(
+    cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None, cap: int
+) -> tuple[Lanes | HandoffCertificate | None, int]:
+    """The certificate a proof or trace of cs reads, by _certificate within
+    cap steps: the handoff certificate when a handoff is given (every z(d),
+    via z_handoff), else cs's lanes when it has more than one (y and every
+    w(d)), else None."""
     if handoff is None and lane_count(cs) == 1:
-        return None
-    return partial(_certificate, cs, init, handoff() if handoff else None)
+        return None, 0
+    return _certificate(cs, init, handoff() if handoff else None, cap)
 
 
 def simulated_trace(
@@ -215,10 +216,12 @@ def simulated_trace(
     """x(0..memory+steps-1), its route and the certificate's steps.  run stops
     at the first repeat, so it takes min(work, steps) slides for a predicted
     T + P of work; past DETECT_CUTOFF, where a certificate is the cheaper,
-    the trace is read off certifier's if it closes within steps slides."""
+    the trace is read off _proof_certificate's if it closes within steps
+    slides."""
     cs = compile_system(system)
-    certify = certifier(cs, system.init, handoff) if min(work, steps) > DETECT_CUTOFF else None
-    cert, spent = certify(steps) if certify is not None else (None, 0)
+    cert, spent = None, 0
+    if min(work, steps) > DETECT_CUTOFF:
+        cert, spent = _proof_certificate(cs, system.init, handoff, steps)
     if cert is None or not cert.closes:
         return run(cs, system.init, steps), "simulated", 0
     return cert.trace(system.memory + steps), "handoff" if handoff else "lanes", spent
@@ -236,16 +239,16 @@ def measure_cycle(
     is cheaper than a search, are measured blind with detect_cycle, whose
     search is given exactly the predicted T + P slides, and any it does not
     confirm are simulated.  Larger ones are proved by verify_predicted on
-    the certificate certifier picks: z_handoff's handoff certificate when
-    the caller gives a handoff (every z(d)), the certified lanes when the
+    the certificate _proof_certificate builds within budget steps, or
+    MEASURE_CUTOFF without one: z_handoff's handoff certificate when the
+    caller gives a handoff (every z(d)), the certified lanes when the
     system has more than one lane (y and every w(d)), else simulated
-    windows.  handoff builds the certificate's data and is called only
-    past DETECT_CUTOFF.  A refuted prediction raises PredictionFailed
-    naming the first probe it fails, so a returned report always equals
-    the prediction.  A budget caps the steps the proof takes: a search or
-    simulation whose T + P exceeds it raises BudgetExceeded before any step
-    is taken, and a lane or handoff proof raises it when its certificate
-    cannot close within the budget.
+    windows.  handoff builds the certificate's data and is called only past
+    DETECT_CUTOFF.  A refuted prediction raises PredictionFailed naming the
+    first probe it fails, so a returned report always equals the
+    prediction; its steps are the certificate's plus the reads.  A search
+    or simulation whose T + P, plus the steps of a certificate that did not
+    close, exceeds the budget raises BudgetExceeded before it starts.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call under the compiled system, init and prediction, and a repeat returns
@@ -260,22 +263,22 @@ def measure_cycle(
     key = (cs, tuple(system.init), predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
-    rep = certify = None
+    rep, cert, spent = None, None, 0
     if work > DETECT_CUTOFF:
-        certify = certifier(cs, system.init, handoff)
+        cap = MEASURE_CUTOFF if budget is None else budget
+        cert, spent = _proof_certificate(cs, system.init, handoff, cap)
     elif budget is None or work <= budget:
         with suppress(BudgetExceeded):  # the prediction understates the orbit
             rep = detect_cycle(cs, system.init, work)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
-        rep = verify_predicted(cs, system.init, t_pred, p_pred, certify, budget=budget)
+        read = cert.read if cert is not None and cert.closes else None
+        if read is None and budget is not None and spent + work > budget:
+            raise BudgetExceeded(spent, budget)
+        rep = verify_predicted(cs, system.init, t_pred, p_pred, read)
+        rep = replace(rep, steps_executed=spent + rep.steps_executed)
     if proofs is not None:
         proofs[key] = rep
     return rep
-
-
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _report_dict(rep: CycleReport, predicted: tuple[int, int]) -> dict:
@@ -405,7 +408,7 @@ def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
         per_step[f"{d}->{d + 1}"] = {
             "weights_equal": chained.weights == direct.weights,
             "threshold_equal": chained.threshold == direct.threshold,
-            "theta2": _frac(direct.threshold),
+            "theta2": str(Fraction(direct.threshold)),
         }
         current = direct
     return ClaimResult("chain_equals_direct", {"m": m}, ok, {"per_step": per_step})
@@ -571,9 +574,9 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
     plan = cons.perturbation_plan(params, d)
     detail = _report_dict(rep, pred) | {
         "tot": plan.tot,
-        "beta_d": _frac(plan.beta_d),
-        "xi_d": _frac(plan.xi_d),
-        "theta2": _frac(plan.theta2),
+        "beta_d": str(Fraction(plan.beta_d)),
+        "xi_d": str(Fraction(plan.xi_d)),
+        "theta2": str(Fraction(plan.theta2)),
     }
     return ClaimResult("z_summary", {"m": m, "d": d}, True, detail)
 
@@ -814,17 +817,16 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     """Predicted T + P of the orbits measure_cycle proves for a family member.
 
     This is the one price of a proof, shared by the claim table and the
-    CLI's cycle mode.  It is the member's own T + P up to DETECT_CUTOFF.
-    Past it y, w(d) and z(d) are proved on lanes.  The rho lanes of y and
-    w(d) are single units, x_i for every lane of y and for the lanes i > d
-    of w(d), v_i for the lanes i <= d, and such a proof is priced at the
-    lanes' predicted T + P summed.  z(d) is proved on the lanes of y and
-    w(d) with at most h explicit steps between them, and is priced at both
-    lane sums plus h.
+    CLI's cycle mode.  x_i and v_i are priced at their own T + P, and y,
+    w(d) and z(d) at their lanes on every route, far below MEASURE_CUTOFF
+    wherever a blind search is the cheaper.  The rho lanes of y and w(d)
+    are single units, x_i for every lane of y and for the lanes i > d of
+    w(d), v_i for the lanes i <= d, summed at their predicted T + P.  z(d)
+    is proved on the lanes of y and w(d) with at most h explicit steps
+    between them, and is priced at both lane sums plus h.
     """
-    work = sum(predicted_cycle(params, family, index))
-    if family not in ("y", "w", "z") or work <= DETECT_CUTOFF:
-        return work
+    if family not in ("y", "w", "z"):
+        return sum(predicted_cycle(params, family, index))
 
     def lanes(collapsed: int) -> int:
         return sum(

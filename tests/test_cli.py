@@ -36,7 +36,7 @@ from neurec.cli import (
     system_to_json,
 )
 from neurec.cycles import Lanes
-from neurec.verify import certifier, simulated_trace
+from neurec.verify import _proof_certificate, simulated_trace
 
 
 def read_report(out_dir):
@@ -373,7 +373,7 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
             assert simulated_trace(s, steps, work, handoff)[0] == want, (s.label, steps)
-            cert, _ = certifier(cs, s.init, handoff)(10**9)
+            cert, _ = _proof_certificate(cs, s.init, handoff, 10**9)
             assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
 
 
@@ -449,7 +449,7 @@ def test_an_off_by_one_handoff_simulates_the_same_trace(tmp_path, monkeypatch, s
     p = window_params(11)
     z = build_z(p, 2)
     cs = compile_system(z)
-    cert, _ = certifier(cs, z.init, partial(shifted, p, 2))(10**9)
+    cert, _ = _proof_certificate(cs, z.init, partial(shifted, p, 2), 10**9)
     assert not cert.closes
     assert import_trace(out / "z_m_11_d_2.rle") == list(run(cs, z.init, 5000))
 
@@ -464,7 +464,7 @@ def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m)
     for family, index, s, handoff in laned_members(p):
         cs = compile_system(s)
         work = sum(predicted_cycle(p, family, index))
-        _, cost = certifier(cs, s.init, handoff)(10**9)
+        _, cost = _proof_certificate(cs, s.init, handoff, 10**9)
         for steps in (cost // 2, cost - 1) if family == "z" else (cost // 2,):
             trace, route, spent = simulated_trace(s, steps, work, handoff)
             assert (route, spent) == ("simulated", 0), (s.label, steps)

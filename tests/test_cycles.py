@@ -24,6 +24,7 @@ from neurec import (
     Handoff,
     PredictionFailed,
     RecurrenceSystem,
+    ShapeMismatch,
     advance_word,
     build_w,
     build_y,
@@ -47,7 +48,7 @@ from neurec import (
     word_from_bits,
 )
 from neurec.cycles import _first_disagreement, _probe_pass, certify_lanes, handoff_certificate
-from neurec.verify import _certificate, certifier, z_handoff
+from neurec.verify import MEASURE_CUTOFF, _certificate, _proof_certificate, z_handoff
 from test_engine import sparse_systems
 
 
@@ -233,6 +234,12 @@ def test_verify_predicted_argument_guards():
         verify_predicted(cy, y.init, -1, 442)
     with pytest.raises(ValueError):
         verify_predicted(cy, y.init, 0, 0)
+    # an init of the wrong length is refused, as detect_cycle refuses it
+    for init in (y.init[1:], y.init + (0,)):
+        with pytest.raises(ShapeMismatch):
+            verify_predicted(cy, init, 0, 442)
+        with pytest.raises(ShapeMismatch):
+            detect_cycle(cy, init, step_budget=1_000)
 
 
 def test_prime_factors():
@@ -301,9 +308,14 @@ def laned(cs, init):
     return lanes.read
 
 
-def on_lanes(cs, init, t, p, **kwargs):
-    """verify_predicted on the lane certificate, capped at T + P (or budget)."""
-    return verify_predicted(cs, init, t, p, partial(certify_lanes, cs, init), **kwargs)
+def on_certificate(cs, init, t, p, handoff=None):
+    """verify_predicted on the certificate verify builds, handoff's or else
+    cs's lanes, capped at MEASURE_CUTOFF: on its read when it closes, else
+    simulated.  Its steps count the certificate's and the reads."""
+    cert, spent = _certificate(cs, init, handoff, MEASURE_CUTOFF)
+    read = cert.read if cert is not None and cert.closes else None
+    rep = verify_predicted(cs, init, t, p, read)
+    return dataclasses.replace(rep, steps_executed=spent + rep.steps_executed)
 
 
 def lanes_uncapped(cs, init, t, p):
@@ -369,8 +381,7 @@ def test_lane_route_agrees_with_detect_cycle(s):
     t, p = ref.measured_transient, ref.measured_period
     if s.label == "zero":
         assert p == 1 and ref.entry_window == 0
-    # these orbits are short, so the capped route mostly simulates
-    for prove in (on_lanes, lanes_uncapped):
+    for prove in (on_certificate, lanes_uncapped):
         rep = prove(cs, s.init, t, p)
         assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (
             t,
@@ -379,7 +390,7 @@ def test_lane_route_agrees_with_detect_cycle(s):
         )
     for pair in wrong_pairs(t, p):
         want = refusal(verify_predicted, cs, s.init, pair)
-        assert refusal(on_lanes, cs, s.init, pair) == want, pair
+        assert refusal(on_certificate, cs, s.init, pair) == want, pair
         assert refusal(lanes_uncapped, cs, s.init, pair) == want, pair
     assert_lane_reads_are_exact(cs, s.init, {t, t + 1, t + p, t + 2 * p, max(t - 1, 0)})
 
@@ -425,7 +436,7 @@ def test_lane_route_agrees_with_simulation_on_y_and_w(m, families):
         assert lane_count(cs) == p.rho
         t, period = predicted_cycle(p, family, index)
         sim = verify_predicted(cs, s.init, t, period)
-        for prove in (on_lanes, lanes_uncapped):
+        for prove in (on_certificate, lanes_uncapped):
             rep = prove(cs, s.init, t, period)
             assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), (family, index)
         for pair in wrong_pairs(t, period):
@@ -438,10 +449,10 @@ def test_lane_route_refuses_y_with_a_raised_threshold():
     p = window_params(16)
     y = build_y(p)
     cs = compile_system(y)
-    assert on_lanes(cs, y.init, *predicted_cycle(p, "y")).steps_executed < 10_000
+    assert on_certificate(cs, y.init, *predicted_cycle(p, "y")).steps_executed < 10_000
     raised = dataclasses.replace(y, threshold=y.threshold + 1)
     with pytest.raises(PredictionFailed) as exc:
-        on_lanes(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
+        on_certificate(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
     assert exc.value.check == "period"
 
 
@@ -467,12 +478,6 @@ def handoff_reader(cs, init, handoff, budget):
     cert, spent = _certificate(cs, init, handoff, budget)
     closed = cert is not None and cert.closes
     return (cert.read if closed else None), spent
-
-
-def on_handoff(cs, init, t, p, handoff, **kwargs):
-    """verify_predicted on the handoff certificate, capped at T + P (or budget)."""
-    certify = partial(_certificate, cs, init, handoff)
-    return verify_predicted(cs, init, t, p, certify, **kwargs)
 
 
 def handoff_uncapped(cs, init, t, p, handoff):
@@ -518,7 +523,7 @@ def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
         assert read is None, d
         pred = predicted_cycle(p, "z", d)
         want = refusal(verify_predicted, cs, raised.init, pred)
-        assert refusal(on_handoff, cs, raised.init, (*pred, handoff)) == want, d
+        assert refusal(on_certificate, cs, raised.init, (*pred, handoff)) == want, d
 
 
 def test_handoff_falls_back_when_head_is_not_the_start():
@@ -530,7 +535,7 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     assert handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
     ref = detect_cycle(cs, flipped.init, step_budget=10**6)
     pair = (ref.measured_transient, ref.measured_period)
-    rep = on_handoff(cs, flipped.init, *pair, z_handoff(p, 0))
+    rep = on_certificate(cs, flipped.init, *pair, z_handoff(p, 0))
     assert rep == dataclasses.replace(ref, steps_executed=sum(pair))
 
 
@@ -572,7 +577,7 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
     flipped = (1 - z.init[0],) + z.init[1:]
     cases = [(z.init, handoff._replace(head=z)), (z.init, handoff._replace(tail=z)), (flipped, handoff)]
     for init, refused in cases:
-        assert certifier(cs, init, lambda: refused)(10**9) == (None, 0)
+        assert _proof_certificate(cs, init, lambda: refused, 10**9) == (None, 0)
 
 
 def full_window_first_disagreement(cs, ref, lanes):
@@ -622,6 +627,25 @@ def test_lane_prefix_finds_a_disagreement_inside_the_lane_transients():
                 assert steps == want[1]
                 inside += 0 < first
     assert inside >= 10
+
+
+def test_first_disagreement_budget_counts_search_nodes_and_crt_tuples():
+    # a rule that always fires, on y's lanes, which start on their cycles
+    # (q0 = 0): once the lane cycles are tabulated, slot 0's first box,
+    # lane 0's phases before a 0, disagrees whole, and each of its phases
+    # is one CRT tuple; the budget is checked at the node and at each tuple
+    p = window_params(6)
+    y = build_y(p)
+    lanes, _ = certify_lanes(compile_system(y), y.init, 10**9)
+    assert max(rep.measured_transient for _, rep in lanes.orbits) == 0
+    fires = compile_system(dataclasses.replace(y, weights=(0,) * y.memory, threshold=-1))
+    trace = run(compile_system(y), y.init, y.memory)
+    assert _first_disagreement(fires, lanes, 10**9)[0] == trace.index(0, y.memory) - y.memory
+    tables = sum(rep.measured_period for _, rep in lanes.orbits)
+    for budget in (tables, tables + 1):  # stopped at the node, then at the first tuple
+        with pytest.raises(BudgetExceeded) as exc:
+            _first_disagreement(fires, lanes, budget)
+        assert (exc.value.steps, exc.value.budget) == (budget + 1, budget)
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -686,26 +710,27 @@ def test_certificate_traces_agree_with_their_reads(m):
             assert cert.read(n)[0] == word_from_bits(trace[n : n + s.memory]), (s.label, n)
 
 
-def test_budget_caps_the_certificate_proofs_at_m11():
-    # y on its lanes and every z(d) on its handoff: one below the least
-    # budget the certificate closes within fails with the steps the
-    # certificate spent, and one that covers the whole proof changes nothing.
-    # A search may overshoot T + P between its check points and still close
-    # on a lower limit, so the least budget is found by bisection, not read
-    # off the certificate's cost.
+def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
+    # y on its lanes and every z(d) on its handoff, through measure_cycle:
+    # one below the least budget the certificate closes within fails with
+    # the steps the certificate spent, and one that covers the whole proof
+    # changes nothing.  A search may overshoot T + P between its check
+    # points and still close on a lower limit, so the least budget is found
+    # by bisection, not read off the certificate's cost.
+    monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
     p = window_params(11)
     cases = [(build_y(p), predicted_cycle(p, "y"), None)]
-    cases += [(build_z(p, d), predicted_cycle(p, "z", d), z_handoff(p, d)) for d in range(p.rho)]
+    cases += [
+        (build_z(p, d), predicted_cycle(p, "z", d), partial(z_handoff, p, d)) for d in range(p.rho)
+    ]
     for s, (t, period), handoff in cases:
         cs, init = compile_system(s), s.init
-        if handoff is None:
-            certify = partial(certify_lanes, cs, init)
-        else:
-            certify = partial(_certificate, cs, init, handoff)
-        full = verify_predicted(cs, init, t, period, certify)
+        certify = partial(_certificate, cs, init, None if handoff is None else handoff())
+        full = measure_cycle(s, (t, period), handoff=handoff)
         assert full == dataclasses.replace(
             verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
         )
+
         def closes(budget):
             cert, _ = certify(budget)
             return cert is not None and cert.closes
@@ -716,10 +741,10 @@ def test_budget_caps_the_certificate_proofs_at_m11():
         assert 0 < least <= t + period and closes(least) and not closes(least - 1)
         budget = least - 1
         with pytest.raises(BudgetExceeded) as exc:
-            verify_predicted(cs, init, t, period, certify, budget=budget)
+            measure_cycle(s, (t, period), budget, handoff)
         assert (exc.value.steps, exc.value.budget) == (certify(budget)[1], budget)
         for budget in (full.steps_executed, 10**9):
-            assert verify_predicted(cs, init, t, period, certify, budget=budget) == full
+            assert measure_cycle(s, (t, period), budget, handoff) == full
 
 
 @pytest.mark.long
@@ -731,7 +756,7 @@ def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
         cs = compile_system(z)
         pred = predicted_cycle(p, "z", d)
         sim = verify_predicted(cs, z.init, *pred)
-        rep = on_handoff(cs, z.init, *pred, z_handoff(p, d))
+        rep = on_certificate(cs, z.init, *pred, z_handoff(p, d))
         assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
     assert (sim.measured_transient, sim.measured_period) == (12_264_800, 1)
@@ -813,7 +838,7 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     windows = [read(n)[0] for n in times]
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
-    for prove in (on_handoff, handoff_uncapped):
+    for prove in (on_certificate, handoff_uncapped):
         rep = prove(cs, init, t, p, handoff)
         assert rep == dataclasses.replace(ref, steps_executed=rep.steps_executed)
     for pair in wrong_pairs(t, p):

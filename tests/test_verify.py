@@ -157,6 +157,21 @@ def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
     assert measure_cycle(single_system(p, 0), x_pred).steps_executed == sum(x_pred)
 
 
+def test_w_whose_lane_searches_outrun_its_orbit_is_proved_on_its_lanes(monkeypatch):
+    # w(rho - 1)'s lane searches take more lane slides than its T + P; the
+    # certificate is capped at MEASURE_CUTOFF, so they close and the full
+    # window is never simulated
+    def no_simulation(*args):
+        raise AssertionError("the full window was simulated")
+
+    monkeypatch.setattr("neurec.cycles._simulated", no_simulation)
+    p = window_params(26)
+    pred = predicted_cycle(p, "w", p.rho - 1)
+    rep = measure_cycle(build_w(p, p.rho - 1), pred)
+    assert (rep.measured_transient, rep.measured_period) == pred
+    assert neurec.verify.DETECT_CUTOFF < sum(pred) < rep.steps_executed
+
+
 @pytest.mark.long
 def test_long_tier_blind_search_agrees_with_the_certificates_past_the_cutoff():
     # the orbits past DETECT_CUTOFF that one search of 10^6 slides can still
@@ -540,6 +555,20 @@ def test_phases_refuse_z_with_a_lowered_threshold(m, monkeypatch):
         res = check_phases(m, d)
         assert passed is False and res.passed is False, d
         assert res.detail["violations"], d
+
+
+def test_phases_fail_without_a_handoff_certificate(monkeypatch):
+    # negative control: a handoff whose head does not start at z's init is
+    # refused unbuilt, and phases names the missing certificate
+    def misstarted(params, d):
+        handoff = z_handoff(params, d)
+        init = handoff.head.init
+        return handoff._replace(head=dataclasses.replace(handoff.head, init=(1 - init[0],) + init[1:]))
+
+    monkeypatch.setattr("neurec.verify.z_handoff", misstarted)
+    res = check_phases(6, 0)
+    assert res.passed is False
+    assert res.detail["violations"] == ["no handoff certificate of z from y into w"]
 
 
 @pytest.mark.long

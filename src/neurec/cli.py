@@ -10,9 +10,11 @@ One batch entry point with six modes:
   basin       the free-prefix basin claim per scale and step
 
 The verify, chain and basin modes hand their claims to verify.run_claims,
-which alone knows each claim's grid, cutoff and knobs, and simulate hands each
-system to verify.simulated_trace, which picks its route; this module handles
-arguments and output.  Every run produces one JSON report (printed to stdout,
+which alone knows each claim's grid, cutoff and knobs.  The member modes
+(construct, cycle, simulate) share one loop over the selected family members
+of every scale and build one row per member; simulate hands each system to
+verify.simulated_trace, which picks its route.  This module handles arguments
+and output.  Every run produces one JSON report (printed to stdout,
 or written to --out/report.json together with a summary.csv of every measured
 orbit).  Reports are deterministic for fixed (m, d, seed, budget) apart from
 the wall_clock_s field.  An instance whose predicted work exceeds its cutoff
@@ -93,9 +95,6 @@ class RunReport:
     claim_results: list[dict]
     wall_clock_s: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # trace and system serialization
@@ -165,7 +164,7 @@ def _slug(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# family enumeration shared by construct and cycle modes
+# the member modes: construct, cycle and simulate
 
 
 def _selected_ds(params: WindowParams, config: ExperimentConfig) -> list[int]:
@@ -179,7 +178,9 @@ def _selected_ds(params: WindowParams, config: ExperimentConfig) -> list[int]:
 def _family_members(
     params: WindowParams, config: ExperimentConfig
 ) -> Iterable[tuple[str, int | None, RecurrenceSystem]]:
-    families = FAMILIES if config.system is None else (config.system,)
+    """(family, lane or step, system) of each selected member; simulate defaults to y."""
+    default = ("y",) if config.mode == "simulate" else FAMILIES
+    families = default if config.system is None else (config.system,)
     lanes = range(params.rho) if config.lane is None else (config.lane,)
     for fam in families:
         if fam in ("x", "v"):
@@ -212,43 +213,45 @@ def _measured_row(
     return ClaimResult(system.label, {}, True, detail)
 
 
-def _handoff(params: WindowParams, fam: str, idx: int | None) -> Callable[[], Handoff] | None:
-    return partial(z_handoff, params, idx) if fam == "z" else None
-
-
-def _cycle_rows(params: WindowParams, config: ExperimentConfig) -> list[dict]:
-    rows = []
-    for fam, idx, system in _family_members(params, config):
-        pred = predicted_cycle(params, fam, idx)
+def _member_row(
+    config: ExperimentConfig, params: WindowParams, fam: str, idx: int | None, system: RecurrenceSystem
+) -> tuple[dict, bytes | bytearray | None]:
+    """A member's row: its description, proof or trace row, and simulate's trace."""
+    pred = predicted_cycle(params, fam, idx)
+    handoff = partial(z_handoff, params, idx) if fam == "z" else None
+    if config.mode == "construct":
+        doc = system_to_json(system)
+        doc["predicted_transient"], doc["predicted_period"] = pred
+        return doc, None
+    if config.mode == "cycle":
         skip = proof_skip(params, fam, idx)
-        handoff = _handoff(params, fam, idx)
         res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget, handoff)
-        rows.append(
-            {
-                "system": system.label,
-                "m": params.m,
-                "d": idx if fam in ("w", "z") else None,
-                "lane": idx if fam in ("x", "v") else None,
-                "T_predicted": pred[0],
-                "P_predicted": pred[1],
-                "T_measured": None,
-                "P_measured": None,
-                "match": res.passed,
-            }
-            | ({"note": f"skipped: {skip['skipped']}"} if skip else res.detail)
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# mode implementations
-
-
-def _claim_dicts(results: Sequence[ClaimResult]) -> list[dict]:
-    return [
-        {"claim": r.claim, "params": r.params, "passed": r.passed, "detail": r.detail}
-        for r in results
-    ]
+        row = {
+            "system": system.label,
+            "m": params.m,
+            "d": idx if fam in ("w", "z") else None,
+            "lane": idx if fam in ("x", "v") else None,
+            "T_predicted": pred[0],
+            "P_predicted": pred[1],
+            "T_measured": None,
+            "P_measured": None,
+            "match": res.passed,
+        }
+        return row | ({"note": f"skipped: {skip['skipped']}"} if skip else res.detail), None
+    if config.mode != "simulate":
+        raise ValueError(f"unknown mode {config.mode!r}")
+    steps = config.steps if config.steps is not None else 2 * system.memory
+    trace, route, spent = simulated_trace(system, steps, sum(pred), handoff)
+    row = {
+        "system": system.label,
+        "m": params.m,
+        "steps": steps,
+        "trace_len": len(trace),
+        "ones": trace.count(1),
+        "route": route,
+        "certificate_steps": spent,
+    }
+    return row, trace
 
 
 def _resolved_ms(config: ExperimentConfig) -> list[int]:
@@ -268,41 +271,14 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         # chain and basin each run the claim of the same name
         claims = config.claims if config.mode == "verify" else [config.mode]
         claim_results = run_claims(ms, claims, config.seed, config.budget, ds=config.d)
-    elif config.mode == "cycle":
-        for m in ms:
-            cycle_reports.extend(_cycle_rows(window_params(m), config))
-    elif config.mode == "construct":
+    else:
         for m in ms:
             params = window_params(m)
             for fam, idx, system in _family_members(params, config):
-                doc = system_to_json(system)
-                pred = predicted_cycle(params, fam, idx)
-                doc["predicted_transient"], doc["predicted_period"] = pred
-                cycle_reports.append(doc)
-    elif config.mode == "simulate":
-        for m in ms:
-            params = window_params(m)
-            sim_config = config if config.system is not None else _with_system(config, "y")
-            for fam, idx, system in _family_members(params, sim_config):
-                steps = config.steps if config.steps is not None else 2 * system.memory
-                work = sum(predicted_cycle(params, fam, idx))
-                handoff = _handoff(params, fam, idx)
-                trace, route, spent = simulated_trace(system, steps, work, handoff)
-                cycle_reports.append(
-                    {
-                        "system": system.label,
-                        "m": m,
-                        "steps": steps,
-                        "trace_len": len(trace),
-                        "ones": trace.count(1),
-                        "route": route,
-                        "certificate_steps": spent,
-                    }
-                )
-                if config.emit_traces:
+                row, trace = _member_row(config, params, fam, idx, system)
+                cycle_reports.append(row)
+                if config.emit_traces and trace is not None:
                     traces.append((system.label, trace, system.memory))
-    else:
-        raise ValueError(f"unknown mode {config.mode!r}")
 
     report = RunReport(
         version=__version__,
@@ -310,7 +286,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         config=asdict(config),
         params_summary=params_summary,
         cycle_reports=cycle_reports,
-        claim_results=_claim_dicts(claim_results),
+        claim_results=[asdict(r) for r in claim_results],
         wall_clock_s=round(time.perf_counter() - start, 3),
     )
 
@@ -319,12 +295,6 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     code = 1 if (failed_claims or failed_cycles) else 0
     _write_outputs(report, traces, config)
     return report, code
-
-
-def _with_system(config: ExperimentConfig, system: str) -> ExperimentConfig:
-    clone = ExperimentConfig(**asdict(config))
-    clone.system = system
-    return clone
 
 
 def _orbits(record: dict, key: str | None = None) -> Iterable[tuple[str | None, dict]]:
@@ -366,7 +336,7 @@ def _csv_rows(report: RunReport) -> list[dict]:
 
 
 def _write_outputs(report: RunReport, traces, config: ExperimentConfig) -> None:
-    doc = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    doc = json.dumps(asdict(report), indent=2, sort_keys=True)
     if config.out is None:
         print(doc)
         return
@@ -499,6 +469,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError("need at least one claim")
     if config.d is not None and config.mode in ("verify", "chain"):
         raise ValueError(f"--d does not apply to --mode {config.mode}")
+    if config.claims is not None and config.mode != "verify":
+        raise ValueError(f"--claims does not apply to --mode {config.mode}")
     if config.claims:
         unknown = sorted(set(config.claims) - set(ALL_CLAIMS))
         if unknown:

@@ -765,9 +765,9 @@ def _constant_lane(bit: int) -> RecurrenceSystem:
     )
 
 
-def _composed_cycle(bits: Sequence[int], budget: int = 10_000) -> CycleReport:
+def _composed_cycle(bits: Sequence[int]) -> CycleReport:
     composed = cons.shuffle_compose([_constant_lane(b) for b in bits])
-    return detect_cycle(compile_system(composed), composed.init, budget)
+    return detect_cycle(compile_system(composed), composed.init, 10_000)
 
 
 def check_composition(claim: str, seed: int = 0, rounds: int = 100) -> ClaimResult:
@@ -855,19 +855,16 @@ def _chain_work(params: WindowParams) -> int:
     return max(proof_work(params, fam, d) for fam, d in members)
 
 
-def skip_detail(work: int, cutoff: int = MEASURE_CUTOFF) -> dict | None:
+def skip_detail(work: int) -> dict | None:
     """Why an instance is skipped, or None when it runs.
 
     An instance whose predicted work (in window slides) exceeds
     MEASURE_CUTOFF, the one cutoff of every claim, is skipped rather than
     attempted and aborted.  This is the one place a cutoff is compared.
-    The cutoff is bound when the module loads, so lowering MEASURE_CUTOFF
-    afterwards tightens the cap of lane certification but skips no
-    instance.
     """
-    if work <= cutoff:
+    if work <= MEASURE_CUTOFF:
         return None
-    return {"skipped": "predicted work exceeds cutoff", "work": work, "cutoff": cutoff}
+    return {"skipped": "predicted work exceeds cutoff", "work": work, "cutoff": MEASURE_CUTOFF}
 
 
 # ---------------------------------------------------------------------------

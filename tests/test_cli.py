@@ -111,6 +111,20 @@ def test_import_trace_accepts_ascii_x(tmp_path):
     assert import_trace(path) == [1, 1, 1, 0, 0]
 
 
+def test_import_trace_skips_blank_lines_between_runs(tmp_path):
+    path = tmp_path / "gap.rle"
+    path.write_text("1×3\n\n0×2\n")
+    assert import_trace(path) == [1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("fmt", ["text-bits", "run-length"])
+def test_empty_trace_is_one_newline(tmp_path, fmt):
+    path = tmp_path / "empty"
+    export_trace(b"", path, fmt, memory=5)
+    assert path.read_text() == "\n"
+    assert import_trace(path) == []
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(0, 1), min_size=1, max_size=200),
@@ -333,6 +347,31 @@ def test_simulate_defaults_to_y(capsys):
     (row,) = report["cycle_reports"]
     assert row["system"] == "y[m=6]"
     assert row["steps"] == 2 * 140
+
+
+@pytest.mark.parametrize(
+    "selection, labels",
+    [
+        (["--system", "x", "--lane", "1"], ["x[m=6,i=1]"]),
+        (["--system", "w", "--d", "1"], ["w[m=6,d=1]"]),
+        (["--system", "z"], ["z[m=6,d=0]", "z[m=6,d=1]"]),
+        (
+            [],
+            [
+                "x[m=6,i=0]", "x[m=6,i=1]", "v[m=6,i=0]", "v[m=6,i=1]", "y[m=6]",
+                "w[m=6,d=0]", "w[m=6,d=1]", "z[m=6,d=0]", "z[m=6,d=1]",
+            ],
+        ),
+    ],
+)
+def test_member_modes_list_the_same_members(capsys, selection, labels):
+    for mode in ("construct", "cycle", "simulate"):
+        assert main(["--mode", mode, "--m", "6", *selection]) == 0
+        rows = json.loads(capsys.readouterr().out)["cycle_reports"]
+        # without --system, simulate traces y alone
+        expect = ["y[m=6]"] if mode == "simulate" and not selection else labels
+        assert [row.get("label", row.get("system")) for row in rows] == expect, mode
+        assert all(row.get("m", 6) == 6 for row in rows), mode
 
 
 # --- simulate traces read off certificates ----------------------------------------
@@ -626,6 +665,15 @@ def test_reports_are_deterministic(tmp_path):
         # verify and chain do not read --d
         ["--mode", "verify", "--m", "6", "--claims", "prop2", "--d", "7"],
         ["--mode", "chain", "--m", "6", "--d", "0"],
+        # only verify reads --claims
+        ["--mode", "chain", "--m", "6", "--claims", "prop1"],
+        ["--mode", "basin", "--m", "6", "--claims", "basin"],
+        ["--mode", "cycle", "--m", "6", "--claims", "prop1"],
+        ["--config", {"mode": "cycle", "m": [6], "claims": ["prop1"]}],
+        # config values no flag can give
+        ["--config", {"mode": "bogus"}],
+        ["--config", {"trace_format": "bogus"}],
+        ["--config", {"m": []}],
     ],
 )
 def test_config_errors_exit_2(argv, tmp_path, capsys):

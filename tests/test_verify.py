@@ -290,6 +290,54 @@ def test_static_checks_pass_m6_m11():
             assert res.passed, (res.claim, m, res.detail)
 
 
+def test_pos_disjoint_fails_when_two_lanes_share_a_position(monkeypatch):
+    pos_set = neurec.construction.pos_set
+
+    def shared(params, i):
+        return pos_set(params, i) | ({params.primes[0]} if i == 1 else set())
+
+    monkeypatch.setattr("neurec.construction.pos_set", shared)
+    (res,) = run_claims(ms=(6,), claims=["pos_disjoint"])
+    assert res.passed is False
+    assert "Pos(0) and Pos(1) share [17]" in res.detail["violations"]
+
+
+def test_prop1_fails_when_the_support_is_the_whole_window(monkeypatch):
+    index_sets = neurec.construction.index_sets
+
+    def whole(params):
+        return dataclasses.replace(index_sets(params), F=frozenset(range(1, params.k + 1)))
+
+    monkeypatch.setattr("neurec.construction.index_sets", whole)
+    (res,) = run_claims(ms=(6,), claims=["prop1"])
+    assert res.passed is False
+    assert (res.detail["worst_observed"], res.detail["bound"]) == (6, 1)
+
+
+def test_window_param_bounds_fail_on_ascending_primes(monkeypatch):
+    original = neurec.verify.window_params
+
+    def ascending(m):
+        params = original(m)
+        return dataclasses.replace(params, primes=tuple(sorted(params.primes)))
+
+    monkeypatch.setattr("neurec.verify.window_params", ascending)
+    (res,) = run_claims(ms=(6,), claims=["window_param_bounds"])
+    assert res.passed is False
+    assert "primes not descending" in res.detail["violations"]
+
+
+def test_divisor_rule_fails_on_lanes_of_period_two(monkeypatch):
+    # x(n) = x(n-2) from (b, 1 - b) alternates, so r lanes compose to period 2r
+    def flip(bit):
+        return RecurrenceSystem(memory=2, weights=(0, 2), threshold=1, init=(bit, 1 - bit))
+
+    monkeypatch.setattr("neurec.verify._constant_lane", flip)
+    (res,) = run_claims(ms=(6,), claims=["divisor_rule"])
+    assert res.passed is False and res.detail["violations"]
+    assert all(len(v["bits"]) % v["P"] for v in res.detail["violations"])
+
+
 def test_dynamic_checks_pass_m6():
     claims = ["x_cycle", "v_fixed", "sum_bounds", "s1_range", "y_cycle", "y_deshuffle"]
     results = run_claims(ms=(6,), claims=claims)

@@ -67,11 +67,13 @@ from .verify import (
     ALL_CLAIMS,
     ClaimResult,
     Handoff,
+    Member,
     check_basin,
     check_chain,
     check_composition,
     check_phases,
     measure_cycle,
+    member,
     predicted_cycle,
     run_claims,
     z_handoff,

@@ -12,13 +12,15 @@ One batch entry point with six modes:
 The verify, chain and basin modes hand their claims to verify.run_claims,
 which alone knows each claim's grid, cutoff and knobs.  The member modes
 (construct, cycle, simulate) share one loop over the selected family members
-of every scale and build one row per member; simulate hands each system to
-verify.simulated_trace, which picks its route.  This module handles arguments
-and output.  Every run produces one JSON report (printed to stdout,
-or written to --out/report.json together with a summary.csv of every measured
-orbit).  Reports are deterministic for fixed (m, d, seed, budget) apart from
-the wall_clock_s field.  An instance whose predicted work exceeds its cutoff
-is skipped, which neither passes nor fails.  Exit status: 0 no check failed, 1
+of every scale, each a verify.member, and build one row per member; cycle
+proves it with Member.prove and simulate traces it with
+verify.simulated_trace, which picks its route.  This module builds no system:
+it handles arguments and output, and rejects a setting the mode does not read.
+Every run produces one JSON report (printed to stdout, or written to
+--out/report.json together with a summary.csv of every measured orbit).
+Reports are deterministic for fixed (m, d, seed, budget) apart from the
+wall_clock_s field.  An instance whose predicted work exceeds its cutoff is
+skipped, which neither passes nor fails.  Exit status: 0 no check failed, 1
 some claim or prediction failed, 2 configuration, scale, I/O or memory trouble
 in every mode.
 """
@@ -34,26 +36,23 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
-from . import construction as cons
 from .construction import RecurrenceSystem
 from .errors import NeurecError
 from .numtheory import WindowParams, window_params
 from .verify import (
     ALL_CLAIMS,
     ClaimResult,
-    Handoff,
+    Member,
     attempt,
-    measure_cycle,
-    predicted_cycle,
-    proof_skip,
+    member,
+    proof_work,
     run_claims,
     simulated_trace,
-    z_handoff,
+    skip_detail,
 )
 
 MODES = ("construct", "simulate", "cycle", "verify", "chain", "basin")
@@ -167,81 +166,56 @@ def _slug(label: str) -> str:
 # the member modes: construct, cycle and simulate
 
 
-def _selected_ds(params: WindowParams, config: ExperimentConfig) -> list[int]:
-    if config.d is None:
-        return list(range(params.rho))
-    for d in config.d:
-        params.check_lane(d, "d")
-    return list(config.d)
-
-
-def _family_members(
-    params: WindowParams, config: ExperimentConfig
-) -> Iterable[tuple[str, int | None, RecurrenceSystem]]:
-    """(family, lane or step, system) of each selected member; simulate defaults to y."""
+def _family_members(params: WindowParams, config: ExperimentConfig) -> Iterable[Member]:
+    """Each selected family member; simulate defaults to y."""
     default = ("y",) if config.mode == "simulate" else FAMILIES
-    families = default if config.system is None else (config.system,)
-    lanes = range(params.rho) if config.lane is None else (config.lane,)
-    for fam in families:
+    for fam in default if config.system is None else (config.system,):
         if fam in ("x", "v"):
-            for i in lanes:
-                params.check_lane(i)
-                builder = cons.single_system if fam == "x" else cons.destabilized_system
-                yield fam, i, builder(params, i)
-        elif fam == "y":
-            yield fam, None, cons.build_y(params)
+            indices = range(params.rho) if config.lane is None else (config.lane,)
         elif fam in ("w", "z"):
-            builder = cons.build_w if fam == "w" else cons.build_z
-            for d in _selected_ds(params, config):
-                yield fam, d, builder(params, d)
+            indices = range(params.rho) if config.d is None else config.d
         else:
-            raise ValueError(f"unknown family {fam!r}")
+            indices = (None,)
+        for idx in indices:
+            yield member(params, fam, idx)
 
 
-def _measured_row(
-    system: RecurrenceSystem,
-    pred: tuple[int, int],
-    budget: int | None,
-    handoff: Callable[[], Handoff] | None,
-) -> ClaimResult:
-    rep = measure_cycle(system, pred, budget, handoff)
+def _measured_row(mem: Member, budget: int | None) -> ClaimResult:
+    rep = mem.prove(budget)
     detail = {
         "T_measured": rep.measured_transient,
         "P_measured": rep.measured_period,
         "steps": rep.steps_executed,
     }
-    return ClaimResult(system.label, {}, True, detail)
+    return ClaimResult(mem.system.label, {}, True, detail)
 
 
 def _member_row(
-    config: ExperimentConfig, params: WindowParams, fam: str, idx: int | None, system: RecurrenceSystem
+    config: ExperimentConfig, params: WindowParams, mem: Member
 ) -> tuple[dict, bytes | bytearray | None]:
     """A member's row: its description, proof or trace row, and simulate's trace."""
-    pred = predicted_cycle(params, fam, idx)
-    handoff = partial(z_handoff, params, idx) if fam == "z" else None
+    fam, idx, system = mem.family, mem.index, mem.system
     if config.mode == "construct":
         doc = system_to_json(system)
-        doc["predicted_transient"], doc["predicted_period"] = pred
+        doc["predicted_transient"], doc["predicted_period"] = mem.predicted
         return doc, None
     if config.mode == "cycle":
-        skip = proof_skip(params, fam, idx)
-        res = attempt(system.label, {}, skip, _measured_row, system, pred, config.budget, handoff)
+        skip = skip_detail(proof_work(params, fam, idx))
+        res = attempt(system.label, {}, skip, _measured_row, mem, config.budget)
         row = {
             "system": system.label,
             "m": params.m,
             "d": idx if fam in ("w", "z") else None,
             "lane": idx if fam in ("x", "v") else None,
-            "T_predicted": pred[0],
-            "P_predicted": pred[1],
+            "T_predicted": mem.predicted[0],
+            "P_predicted": mem.predicted[1],
             "T_measured": None,
             "P_measured": None,
             "match": res.passed,
         }
         return row | ({"note": f"skipped: {skip['skipped']}"} if skip else res.detail), None
-    if config.mode != "simulate":
-        raise ValueError(f"unknown mode {config.mode!r}")
     steps = config.steps if config.steps is not None else 2 * system.memory
-    trace, route, spent = simulated_trace(system, steps, sum(pred), handoff)
+    trace, route, spent = simulated_trace(mem, steps)
     row = {
         "system": system.label,
         "m": params.m,
@@ -274,11 +248,11 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     else:
         for m in ms:
             params = window_params(m)
-            for fam, idx, system in _family_members(params, config):
-                row, trace = _member_row(config, params, fam, idx, system)
+            for mem in _family_members(params, config):
+                row, trace = _member_row(config, params, mem)
                 cycle_reports.append(row)
                 if config.emit_traces and trace is not None:
-                    traces.append((system.label, trace, system.memory))
+                    traces.append((mem.system.label, trace, mem.system.memory))
 
     report = RunReport(
         version=__version__,
@@ -461,16 +435,23 @@ def _has_type(value, hint) -> bool:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    if config.mode not in MODES:
-        raise ValueError(f"mode must be one of {', '.join(MODES)}")
-    if config.trace_format not in TRACE_FORMATS:
-        raise ValueError(f"trace format must be one of {', '.join(TRACE_FORMATS)}")
+    for name, choices in (("mode", MODES), ("trace_format", TRACE_FORMATS), ("system", FAMILIES)):
+        if getattr(config, name) not in (None, *choices):
+            raise ValueError(f"{name.replace('_', ' ')} must be one of {', '.join(choices)}")
     if config.claims is not None and not config.claims:
         raise ValueError("need at least one claim")
-    if config.d is not None and config.mode in ("verify", "chain"):
-        raise ValueError(f"--d does not apply to --mode {config.mode}")
-    if config.claims is not None and config.mode != "verify":
-        raise ValueError(f"--claims does not apply to --mode {config.mode}")
+    # the modes that read each setting; the others reject it off its default,
+    # which a dataclass keeps as a class attribute
+    for names, modes in (
+        (("d",), ("construct", "simulate", "cycle", "basin")),
+        (("system", "lane"), ("construct", "simulate", "cycle")),
+        (("steps", "emit_traces", "trace_format"), ("simulate",)),
+        (("budget",), ("cycle", "verify", "chain", "basin")),
+        (("claims",), ("verify",)),
+    ):
+        for name in names:
+            if config.mode not in modes and getattr(config, name) != getattr(ExperimentConfig, name):
+                raise ValueError(f"--{name.replace('_', '-')} does not apply to --mode {config.mode}")
     if config.claims:
         unknown = sorted(set(config.claims) - set(ALL_CLAIMS))
         if unknown:

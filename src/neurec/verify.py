@@ -24,12 +24,14 @@ with detect_cycle and proves the rest with verify_predicted, the one prover,
 on the windows of a certificate.  y and every w(d), whose taps all sit on
 multiples of rho, are read off their certified lanes (certify_lanes); every
 z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
-its first disagreement and w(d)'s from L1(d) on (z_handoff), proved on the
-lanes of y and w(d); a system with one lane is simulated.  _certificate
-builds every certificate, within the budget or else MEASURE_CUTOFF, and
-simulated_trace routes the CLI's simulate the same way.  On every route a
-wrong prediction raises PredictionFailed from the one probe rule in
-cycles, so it never comes back as a verdict.
+its first disagreement and w(d)'s from L1(d) on, proved on the lanes of y
+and w(d); a system with one lane is simulated.  _certificate builds every
+certificate, within the budget or else MEASURE_CUTOFF, and simulated_trace
+routes the CLI's simulate the same way.  On every route a wrong prediction
+raises PredictionFailed from the one probe rule in cycles, so it never
+comes back as a verdict.  member wires each family member in one place,
+its system, predicted_cycle pair and, for z(d), handoff, so no caller of
+Member.prove or simulated_trace can leave the handoff out.
 check_phases reads z(d)'s five phases off the same handoff certificate, and
 sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
 exact for all time; lanes that cannot be certified within MEASURE_CUTOFF
@@ -85,12 +87,13 @@ __all__ = [
     "ALL_CLAIMS",
     "ClaimResult",
     "predicted_cycle",
+    "Member",
+    "member",
     "measure_cycle",
     "simulated_trace",
     "Handoff",
     "z_handoff",
     "proof_work",
-    "proof_skip",
     "check_phases",
     "check_chain",
     "check_basin",
@@ -166,6 +169,42 @@ def z_handoff(params: WindowParams, d: int) -> Handoff:
     return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
 
 
+class Member(NamedTuple):
+    """One family member: its system, its predicted (T, P) and, for z(d)
+    only, the zero-argument builder of its Handoff, called only when a proof
+    or trace asks for the handoff certificate."""
+
+    family: str
+    index: int | None
+    system: RecurrenceSystem
+    predicted: tuple[int, int]
+    handoff: Callable[[], Handoff] | None
+
+    def prove(self, budget: int | None = None) -> CycleReport:
+        """measure_cycle on the member's own prediction and handoff."""
+        return measure_cycle(self.system, self.predicted, budget, self.handoff)
+
+
+def member(
+    params: WindowParams, family: str, index: int | None = None, system: RecurrenceSystem | None = None
+) -> Member:
+    """The member family(index), "x"/"v" taking a lane i and "w"/"z" a step d.
+
+    predicted_cycle raises on an unknown family or an index off its range.
+    system replaces the built one (the chain's incremental z(d)).  Builders
+    and z_handoff are looked up per call, so a rebound name is seen.
+    """
+    predicted = predicted_cycle(params, family, index)
+    if system is None:
+        build = {
+            "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
+            "w": cons.build_w, "z": cons.build_z,
+        }[family]
+        system = build(params) if family == "y" else build(params, index)
+    handoff = partial(z_handoff, params, index) if family == "z" else None
+    return Member(family, index, system, predicted, handoff)
+
+
 def _certificate(
     cs: CompiledSystem, init: Sequence[int], handoff: Handoff | None, cap: int
 ) -> tuple[Lanes | HandoffCertificate | None, int]:
@@ -203,28 +242,26 @@ def _proof_certificate(
 ) -> tuple[Lanes | HandoffCertificate | None, int]:
     """The certificate a proof or trace of cs reads, by _certificate within
     cap steps: the handoff certificate when a handoff is given (every z(d),
-    via z_handoff), else cs's lanes when it has more than one (y and every
+    by member), else cs's lanes when it has more than one (y and every
     w(d)), else None."""
     if handoff is None and lane_count(cs) == 1:
         return None, 0
     return _certificate(cs, init, handoff() if handoff else None, cap)
 
 
-def simulated_trace(
-    system: RecurrenceSystem, steps: int, work: int, handoff: Callable[[], Handoff] | None
-) -> tuple[bytes | bytearray, str, int]:
-    """x(0..memory+steps-1), its route and the certificate's steps.  run stops
-    at the first repeat, so it takes min(work, steps) slides for a predicted
-    T + P of work; past DETECT_CUTOFF, where a certificate is the cheaper,
-    the trace is read off _proof_certificate's if it closes within steps
-    slides."""
-    cs = compile_system(system)
+def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, int]:
+    """x(0..memory+steps-1) of a member, its route and the certificate's
+    steps.  run stops at the first repeat, so it takes min(T + P, steps)
+    slides for the member's predicted T + P; past DETECT_CUTOFF, where a
+    certificate is the cheaper, the trace is read off _proof_certificate's
+    if it closes within steps slides."""
+    cs = compile_system(mem.system)
     cert, spent = None, 0
-    if min(work, steps) > DETECT_CUTOFF:
-        cert, spent = _proof_certificate(cs, system.init, handoff, steps)
+    if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
+        cert, spent = _proof_certificate(cs, mem.system.init, mem.handoff, steps)
     if cert is None or not cert.closes:
-        return run(cs, system.init, steps), "simulated", 0
-    return cert.trace(system.memory + steps), "handoff" if handoff else "lanes", spent
+        return run(cs, mem.system.init, steps), "simulated", 0
+    return cert.trace(mem.system.memory + steps), "handoff" if mem.handoff else "lanes", spent
 
 
 def measure_cycle(
@@ -240,15 +277,15 @@ def measure_cycle(
     search is given exactly the predicted T + P slides, and any it does not
     confirm are simulated.  Larger ones are proved by verify_predicted on
     the certificate _proof_certificate builds within budget steps, or
-    MEASURE_CUTOFF without one: z_handoff's handoff certificate when the
-    caller gives a handoff (every z(d)), the certified lanes when the
-    system has more than one lane (y and every w(d)), else simulated
-    windows.  handoff builds the certificate's data and is called only past
-    DETECT_CUTOFF.  A refuted prediction raises PredictionFailed naming the
-    first probe it fails, so a returned report always equals the
-    prediction; its steps are the certificate's plus the reads.  A search
-    or simulation whose T + P, plus the steps of a certificate that did not
-    close, exceeds the budget raises BudgetExceeded before it starts.
+    MEASURE_CUTOFF without one: the handoff certificate when the caller
+    gives a handoff (every z(d)), the certified lanes when the system has
+    more than one lane (y and every w(d)), else simulated windows.  handoff
+    builds the certificate's data and is called only past DETECT_CUTOFF.  A
+    refuted prediction raises PredictionFailed naming the first probe it
+    fails, so a returned report always equals the prediction; its steps are
+    the certificate's plus the reads.  A search or simulation whose T + P,
+    plus the steps of a certificate that did not close, exceeds the budget
+    raises BudgetExceeded before it starts.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call under the compiled system, init and prediction, and a repeat returns
@@ -418,10 +455,9 @@ def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
 # dynamic claims
 
 
-def _x_mismatch(params: WindowParams, i: int) -> int | None:
-    """The first t < k + p_i where x_i's trace departs from its closed form, or
-    None: then S_{p_i} = S_0, and the two agree for all time."""
-    system = cons.single_system(params, i)
+def _x_mismatch(params: WindowParams, i: int, system: RecurrenceSystem) -> int | None:
+    """The first t < k + p_i where x_i's trace (system's) departs from its
+    closed form, or None: then S_{p_i} = S_0, and the two agree for all time."""
     trace = run(compile_system(system), system.init, params.primes[i])
     return next((t for t, bit in enumerate(trace) if bit != cons.x_closed_form(params, i, t)), None)
 
@@ -431,12 +467,11 @@ def _run_x_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     per_lane = {}
     ok = True
     for i in range(params.rho):
-        system = cons.single_system(params, i)
-        pred = predicted_cycle(params, "x", i)
-        rep = measure_cycle(system, pred, budget)
-        mismatch = _x_mismatch(params, i)
+        x = member(params, "x", i)
+        rep = x.prove(budget)
+        mismatch = _x_mismatch(params, i, x.system)
         ok = ok and mismatch is None
-        per_lane[str(i)] = _report_dict(rep, pred) | {"closed_form_mismatch_at": mismatch}
+        per_lane[str(i)] = _report_dict(rep, x.predicted) | {"closed_form_mismatch_at": mismatch}
     return ClaimResult("x_cycle", {"m": m}, ok, {"per_lane": per_lane})
 
 
@@ -446,14 +481,13 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     per_lane = {}
     ok = True
     for i in range(params.rho):
-        system = cons.destabilized_system(params, i)
-        pred = predicted_cycle(params, "v", i)
-        rep = measure_cycle(system, pred, budget)
-        cs = compile_system(system)
+        v = member(params, "v", i)
+        rep = v.prove(budget)
+        cs = compile_system(v.system)
         attractor_zero = rep.entry_window == 0
         # one walk of k + 1 windows: x(k + n) = [s_n >= theta]
-        sums = [s for _, s in islice(walk(cs, word_from_bits(system.init)), k + 1)]
-        trace = system.init + tuple(s >= cs.scaled_threshold for s in sums)
+        sums = [s for _, s in islice(walk(cs, word_from_bits(v.system.init)), k + 1)]
+        trace = v.system.init + tuple(s >= cs.scaled_threshold for s in sums)
         dead_from = k - params.primes[i]
         late_one = next((t for t in range(dead_from, len(trace)) if trace[t]), None)
         # After the window clears the initial pattern the affine sum must sit
@@ -461,7 +495,7 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         ceiling = cs.scaled_threshold - 2 * cs.denominator
         margin_ok = all(s <= ceiling for s in sums)
         ok = ok and attractor_zero and late_one is None and margin_ok
-        per_lane[str(i)] = _report_dict(rep, pred) | {
+        per_lane[str(i)] = _report_dict(rep, v.predicted) | {
             "attractor_all_zero": attractor_zero,
             "first_late_one": late_one,
             "sum_margin_ok": margin_ok,
@@ -530,11 +564,8 @@ def _run_s1_range(m: int, **_: object) -> ClaimResult:
 
 
 def _run_y_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
-    params = window_params(m)
-    system = cons.build_y(params)
-    pred = predicted_cycle(params, "y")
-    rep = measure_cycle(system, pred, budget)
-    return ClaimResult("y_cycle", {"m": m}, True, _report_dict(rep, pred))
+    y = member(window_params(m), "y")
+    return ClaimResult("y_cycle", {"m": m}, True, _report_dict(y.prove(budget), y.predicted))
 
 
 def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
@@ -551,7 +582,7 @@ def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
             bad.append(f"lane {i} does not obey x_{i}'s recurrence")
         if word0 != advance_word(cs, word_from_bits(x.init), 1):
             bad.append(f"lane {i} does not start at x_{i}'s window after one slide")
-        t = _x_mismatch(params, i)
+        t = _x_mismatch(params, i, x)
         if t is not None:
             bad.append(f"x_{i} departs from its closed form at t={t}")
     detail = {"lanes": len(lanes.orbits), "violations": bad}
@@ -559,20 +590,17 @@ def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
 
 
 def _run_w_cycle(m: int, d: int, budget: int | None = None, **_: object) -> ClaimResult:
-    params = window_params(m)
-    system = cons.build_w(params, d)
-    pred = predicted_cycle(params, "w", d)
-    rep = measure_cycle(system, pred, budget)
-    return ClaimResult("w_cycle", {"m": m, "d": d}, True, _report_dict(rep, pred))
+    w = member(window_params(m), "w", d)
+    detail = _report_dict(w.prove(budget), w.predicted)
+    return ClaimResult("w_cycle", {"m": m, "d": d}, True, detail)
 
 
 def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> ClaimResult:
     params = window_params(m)
-    system = cons.build_z(params, d)
-    pred = predicted_cycle(params, "z", d)
-    rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
+    z = member(params, "z", d)
+    rep = z.prove(budget)
     plan = cons.perturbation_plan(params, d)
-    detail = _report_dict(rep, pred) | {
+    detail = _report_dict(rep, z.predicted) | {
         "tot": plan.tot,
         "beta_d": str(Fraction(plan.beta_d)),
         "xi_d": str(Fraction(plan.xi_d)),
@@ -588,8 +616,8 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
 def check_phases(m: int, d: int) -> ClaimResult:
     """Read z(., d)'s five phases against y and w off its handoff certificate.
 
-    The certificate (z_handoff's, capped at MEASURE_CUTOFF steps; inside
-    run_claims the one z(d) is proved on) is exact for all time.  Phase 1
+    The certificate (member's handoff, capped at MEASURE_CUTOFF steps;
+    inside run_claims the one z(d) is proved on) is exact for all time.  Phase 1
     (z = y) ends at its boundary exactly when z first disagrees with y at
     L1 - rho.  Phases 2-3 are the rho newest bits of z's stepped window at
     L1 against y's: d + 1 anomalies z = 0, y = 1, then equality.  Phases 4-5
@@ -597,7 +625,7 @@ def check_phases(m: int, d: int) -> ClaimResult:
     leaves w's orbit.
     """
     params = window_params(m)
-    params.check_lane(d, "d")
+    z = member(params, "z", d)
     rho, h, k = params.rho, params.h, params.k
     p_d = params.primes[d]
     l1 = cycle_lengths(params, d)[1]
@@ -606,9 +634,8 @@ def check_phases(m: int, d: int) -> ClaimResult:
     p3_lo, p3_hi = p2_hi + 1, l1 + h - 1
     phase3_empty = p3_lo > p3_hi
 
-    z_sys = cons.build_z(params, d)
-    handoff = z_handoff(params, d)
-    cert, _ = _certificate(compile_system(z_sys), z_sys.init, handoff, MEASURE_CUTOFF)
+    handoff = z.handoff()
+    cert, _ = _certificate(compile_system(z.system), z.system.init, handoff, MEASURE_CUTOFF)
 
     bad: list[str] = []
     anomalies = 0
@@ -664,20 +691,17 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     """
     params = window_params(m)
     rho = params.rho
-    y_pred = predicted_cycle(params, "y")
-    y_rep = measure_cycle(cons.build_y(params), y_pred, budget)
-    steps_detail = {"y": _report_dict(y_rep, y_pred)}
-
     plans = [cons.perturbation_plan(params, d) for d in range(rho)]
     systems = [cons.build_z(params, 0)]
     for d in range(rho - 1):
         systems.append(cons.chain_perturbation(systems[d], plans[d], plans[d + 1]))
+    chain = {"y": member(params, "y")}
+    chain |= {f"z{d}": member(params, "z", d, system) for d, system in enumerate(systems)}
 
-    periods = [y_rep.measured_period]
-    for d, system in enumerate(systems):
-        pred = predicted_cycle(params, "z", d)
-        rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
-        steps_detail[f"z{d}"] = _report_dict(rep, pred)
+    steps_detail, periods = {}, []
+    for name, mem in chain.items():
+        rep = mem.prove(budget)
+        steps_detail[name] = _report_dict(rep, mem.predicted)
         periods.append(rep.measured_period)
 
     divides = all(periods[i] % periods[i + 1] == 0 for i in range(len(periods) - 1))
@@ -741,15 +765,14 @@ def check_basin(m: int, d: int, budget: int | None = None) -> ClaimResult:
         raise HypothesisUnmet(f"d={d} >= min beta = {beta_e} at m={m}")
     n_free = beta_e - d
 
-    system = cons.build_z(params, d)
-    pred = predicted_cycle(params, "z", d)
-    ref_rep = measure_cycle(system, pred, budget, partial(z_handoff, params, d))
-    unforced = _first_unforced_slide(system, n_free)
+    z = member(params, "z", d)
+    ref_rep = z.prove(budget)
+    unforced = _first_unforced_slide(z.system, n_free)
     detail = {
         "free_bits": n_free,
         "variants_total": 2**n_free,
         "unforced_slide": unforced,
-        "reference": _report_dict(ref_rep, pred),
+        "reference": _report_dict(ref_rep, z.predicted),
     }
     return ClaimResult("basin", {"m": m, "d": d}, unforced is None, detail)
 
@@ -770,7 +793,7 @@ def _composed_cycle(bits: Sequence[int]) -> CycleReport:
     return detect_cycle(compile_system(composed), composed.init, 10_000)
 
 
-def check_composition(claim: str, seed: int = 0, rounds: int = 100) -> ClaimResult:
+def check_composition(claim: str, seed: int = 0) -> ClaimResult:
     """Shuffles of fixed-point lanes: alternating patterns and the divisor rule."""
     if claim == "example1_period2":
         rep = _composed_cycle((0, 1, 0, 1, 0, 1))
@@ -784,14 +807,14 @@ def check_composition(claim: str, seed: int = 0, rounds: int = 100) -> ClaimResu
         rng = random.Random(seed)
         bad: list[dict] = []
         periods_seen: set[int] = set()
-        for _ in range(rounds):
+        for _ in range(100):
             r = rng.randint(2, 8)
             bits = tuple(rng.randint(0, 1) for _ in range(r))
             rep = _composed_cycle(bits)
             periods_seen.add(rep.measured_period)
             if rep.measured_transient != 0 or r % rep.measured_period != 0:
                 bad.append({"bits": list(bits), "T": rep.measured_transient, "P": rep.measured_period})
-        detail = {"rounds": rounds, "seed": seed, "periods_seen": sorted(periods_seen), "violations": bad}
+        detail = {"rounds": 100, "seed": seed, "periods_seen": sorted(periods_seen), "violations": bad}
         return ClaimResult(claim, {"seed": seed}, not bad, detail)
     raise ValueError(f"unknown composition claim {claim!r}")
 
@@ -837,11 +860,6 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     if family == "z":
         return lanes(-1) + lanes(index) + params.h
     return lanes(index if family == "w" else -1)
-
-
-def proof_skip(params: WindowParams, family: str, index: int | None = None) -> dict | None:
-    """Skip detail of one family member's proof: its proof_work against MEASURE_CUTOFF."""
-    return skip_detail(proof_work(params, family, index))
 
 
 def _proof_work(family: str) -> Callable[..., int]:

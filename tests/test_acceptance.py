@@ -189,7 +189,7 @@ def test_criterion_10_composition_divisor_rule(criterion):
         res = check_composition("example1_period3")
         assert res.passed and res.detail["P"] == 3
         for seed in range(100):
-            res = check_composition("divisor_rule", seed=seed, rounds=1)
+            res = check_composition("divisor_rule", seed=seed)
             assert res.passed, (seed, res.detail["violations"])
 
 

@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from neurec import (
     RecurrenceSystem,
     advance_word,
-    build_w,
-    build_y,
     build_z,
     check_basin,
     compile_system,
     dense_oracle_run,
+    member,
     predicted_cycle,
     run,
     window_params,
@@ -56,12 +55,14 @@ def priced_as_simulations(monkeypatch):
     The skip path of the cycle, chain and basin modes needs an instance past
     MEASURE_CUTOFF, and none is at the scales tested: y, w(d) and z(d) are
     priced at their lanes.  At this price z(4) at m = 21 (T + P = 1.9e9)
-    and z(0) there (3.2e7) pass the cutoff.
+    and z(0) there (3.2e7) pass the cutoff.  The CLI binds its own copy of
+    proof_work.
     """
-    monkeypatch.setattr(
-        "neurec.verify.proof_work",
-        lambda params, family, index=None: sum(predicted_cycle(params, family, index)),
-    )
+    for module in ("neurec.verify", "neurec.cli"):
+        monkeypatch.setattr(
+            f"{module}.proof_work",
+            lambda params, family, index=None: sum(predicted_cycle(params, family, index)),
+        )
 
 
 # --- serialization helpers ---------------------------------------------------
@@ -378,22 +379,19 @@ def test_member_modes_list_the_same_members(capsys, selection, labels):
 
 
 def laned_members(p):
-    """(family, index, system, handoff) for y, every w(d) and every z(d);
-    handoff builds z(d)'s Handoff and is None for the others."""
-    yield "y", None, build_y(p), None
-    for d in range(p.rho):
-        yield "w", d, build_w(p, d), None
-    for d in range(p.rho):
-        yield "z", d, build_z(p, d), partial(z_handoff, p, d)
+    """y, every w(d) and every z(d); only z(d)'s handoff is not None."""
+    yield member(p, "y")
+    for family in "wz":
+        for d in range(p.rho):
+            yield member(p, family, d)
 
 
-def step_counts(p, family, index, handoff):
+def step_counts(mem):
     """Simulations that end at S_0, S_1, past T + P, and for z(d) just
     before, exactly at and one past its handoff time at."""
-    t, period = predicted_cycle(p, family, index)
-    counts = {0, 1, t + period + 1}
-    if handoff is not None:
-        at = handoff().at
+    counts = {0, 1, sum(mem.predicted) + 1}
+    if mem.handoff is not None:
+        at = mem.handoff().at
         counts |= {at - 1, at, at + 1}
     return sorted(counts)
 
@@ -403,16 +401,16 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
     # takes it, equals run's; run's equals the dense oracle on its first
     # oracle_steps steps
     p = window_params(m)
-    for family, index, s, handoff in laned_members(p):
+    for mem in laned_members(p):
+        s = mem.system
         cs = compile_system(s)
-        work = sum(predicted_cycle(p, family, index))
         oracle = dense_oracle_run(s, s.init, oracle_steps)
-        for steps in step_counts(p, family, index, handoff):
+        for steps in step_counts(mem):
             want = run(cs, s.init, steps)
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
-            assert simulated_trace(s, steps, work, handoff)[0] == want, (s.label, steps)
-            cert, _ = _proof_certificate(cs, s.init, handoff, 10**9)
+            assert simulated_trace(mem, steps)[0] == want, (s.label, steps)
+            cert, _ = _proof_certificate(cs, s.init, mem.handoff, 10**9)
             assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
 
 
@@ -479,7 +477,7 @@ def test_an_off_by_one_handoff_simulates_the_same_trace(tmp_path, monkeypatch, s
         handoff = z_handoff(p, d)
         return handoff._replace(at=handoff.at + shift)
 
-    monkeypatch.setattr("neurec.cli.z_handoff", shifted)
+    monkeypatch.setattr("neurec.verify.z_handoff", shifted)
     out = tmp_path / "sim"
     argv = ["--mode", "simulate", "--m", "11", "--system", "z", "--d", "2", "--steps", "5000"]
     assert main([*argv, "--emit-traces", "--trace-format", "run-length", "--out", str(out)]) == 0
@@ -500,16 +498,16 @@ def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m)
     # certificate closes at exactly its uncapped cost
     monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
     p = window_params(m)
-    for family, index, s, handoff in laned_members(p):
+    for mem in laned_members(p):
+        s = mem.system
         cs = compile_system(s)
-        work = sum(predicted_cycle(p, family, index))
-        _, cost = _proof_certificate(cs, s.init, handoff, 10**9)
-        for steps in (cost // 2, cost - 1) if family == "z" else (cost // 2,):
-            trace, route, spent = simulated_trace(s, steps, work, handoff)
+        _, cost = _proof_certificate(cs, s.init, mem.handoff, 10**9)
+        for steps in (cost // 2, cost - 1) if mem.family == "z" else (cost // 2,):
+            trace, route, spent = simulated_trace(mem, steps)
             assert (route, spent) == ("simulated", 0), (s.label, steps)
             assert trace == run(cs, s.init, steps), (s.label, steps)
-        if family == "z":
-            assert simulated_trace(s, cost, work, handoff)[1:] == ("handoff", cost), s.label
+        if mem.family == "z":
+            assert simulated_trace(mem, cost)[1:] == ("handoff", cost), s.label
 
 
 @pytest.mark.long
@@ -670,6 +668,26 @@ def test_reports_are_deterministic(tmp_path):
         ["--mode", "basin", "--m", "6", "--claims", "basin"],
         ["--mode", "cycle", "--m", "6", "--claims", "prop1"],
         ["--config", {"mode": "cycle", "m": [6], "claims": ["prop1"]}],
+        # only simulate reads --steps, --emit-traces and --trace-format
+        ["--mode", "verify", "--claims", "prop2", "--m", "6", "--system", "x", "--lane", "7",
+         "--budget", "3", "--steps", "4"],
+        ["--mode", "cycle", "--m", "6", "--steps", "4"],
+        ["--mode", "cycle", "--m", "6", "--emit-traces", "--out", "OUT"],
+        ["--mode", "construct", "--m", "6", "--trace-format", "run-length"],
+        ["--config", {"mode": "basin", "m": [6], "steps": 4}],
+        ["--config", {"mode": "chain", "m": [6], "emit_traces": True, "out": "OUT"}],
+        ["--config", {"mode": "verify", "m": [6], "trace_format": "run-length"}],
+        # only construct, cycle and simulate read --system and --lane
+        ["--mode", "verify", "--m", "6", "--claims", "prop2", "--system", "x"],
+        ["--mode", "basin", "--m", "6", "--lane", "0"],
+        ["--config", {"mode": "verify", "system": "q"}],
+        ["--config", {"mode": "chain", "m": [6], "lane": 0}],
+        # construct and simulate do not read --budget
+        ["--mode", "construct", "--m", "6", "--budget", "10"],
+        ["--mode", "simulate", "--m", "6", "--budget", "10"],
+        ["--config", {"mode": "simulate", "m": [6], "budget": 10}],
+        # a family outside x, v, y, w, z
+        ["--config", {"mode": "cycle", "m": [6], "system": "q"}],
         # config values no flag can give
         ["--config", {"mode": "bogus"}],
         ["--config", {"trace_format": "bogus"}],
@@ -677,13 +695,33 @@ def test_reports_are_deterministic(tmp_path):
     ],
 )
 def test_config_errors_exit_2(argv, tmp_path, capsys):
+    # OUT stands for a fresh output directory, which no rejected run writes
+    out = tmp_path / "out"
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
         if not isinstance(arg, str):
-            cfg.write_text(json.dumps(arg))
+            cfg.write_text(json.dumps(arg).replace('"OUT"', json.dumps(str(out))))
             argv = argv[:i] + [str(cfg)] + argv[i + 1 :]
     assert main(argv) == 2
-    assert "neurec:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("neurec: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --seed and --long apply in every mode; the benchmark passes --seed to simulate
+        ["--mode", "simulate", "--m", "6", "--system", "x", "--lane", "0", "--steps", "4",
+         "--seed", "3", "--trace-format", "run-length"],
+        ["--mode", "construct", "--m", "6", "--system", "v", "--lane", "1", "--seed", "3"],
+        ["--mode", "cycle", "--m", "6", "--system", "w", "--d", "0", "--budget", "10000"],
+        ["--mode", "verify", "--m", "6", "--claims", "prop2", "--no-emit-traces", "--seed", "3"],
+    ],
+)
+def test_settings_a_mode_reads_are_accepted(argv, capsys):
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_scale_rejection_paths(capsys):

@@ -31,8 +31,10 @@ from neurec import (
     check_phases,
     compile_system,
     cycle_lengths,
+    destabilized_system,
     detect_cycle,
     measure_cycle,
+    member,
     predicted_cycle,
     run,
     run_claims,
@@ -115,6 +117,35 @@ def test_predicted_cycle_guards():
         predicted_cycle(p, "x", 2)
     with pytest.raises(IndexOutOfRange):
         predicted_cycle(p, "z", -1)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_member_proves_what_the_hand_wired_call_proves(m):
+    # the same report, steps included, as measure_cycle on the member's
+    # system and prediction, with z_handoff's handoff for every z(d)
+    p = window_params(m)
+    wired = [("x", i, single_system(p, i), None) for i in range(p.rho)]
+    wired += [("v", i, destabilized_system(p, i), None) for i in range(p.rho)]
+    wired += [("y", None, build_y(p), None)]
+    wired += [("w", d, build_w(p, d), None) for d in range(p.rho)]
+    wired += [("z", d, build_z(p, d), lambda d=d: z_handoff(p, d)) for d in range(p.rho)]
+    for family, index, system, handoff in wired:
+        want = measure_cycle(system, predicted_cycle(p, family, index), handoff=handoff)
+        assert member(p, family, index).prove() == want, (family, index)
+
+
+def test_member_guards_and_hands_off_z():
+    p = window_params(6)
+    with pytest.raises(ValueError, match="unknown family"):
+        member(p, "q", 0)
+    for family in "xvwz":
+        with pytest.raises(IndexOutOfRange):
+            member(p, family, p.rho)
+    # z(4) at m = 21 has one lane: without its handoff the proof would
+    # simulate 1.9e9 slides, and under this budget raise BudgetExceeded unrun
+    rep = member(window_params(21), "z", 4).prove(budget=10**5)
+    assert (rep.measured_transient, rep.measured_period) == (1_927_501_345, 1)
+    assert rep.steps_executed < 10**5
 
 
 def test_measure_cycle_certifies_the_prediction(monkeypatch):
@@ -244,16 +275,15 @@ def test_long_tier_z_chain_and_basin_run_at_m21():
 
 @pytest.fixture
 def z_transient_one_too_large(monkeypatch):
-    """Overstate every z(d) transient by one, in verify and in the CLI,
-    which binds its own copy of predicted_cycle."""
+    """Overstate every z(d) transient by one, for the claims and the CLI
+    alike: both take their predictions from verify.member."""
     original = neurec.verify.predicted_cycle
 
     def overstated(params, family, index=None):
         t, p = original(params, family, index)
         return (t + 1, p) if family == "z" else (t, p)
 
-    for module in ("neurec.verify", "neurec.cli"):
-        monkeypatch.setattr(f"{module}.predicted_cycle", overstated)
+    monkeypatch.setattr("neurec.verify.predicted_cycle", overstated)
 
 
 def test_a_refuted_prediction_fails_in_one_place(z_transient_one_too_large, tmp_path):
@@ -749,7 +779,7 @@ def test_composition_checks():
     assert res.passed and res.detail == {"T": 0, "P": 2}
     res = check_composition("example1_period3")
     assert res.passed and res.detail == {"T": 0, "P": 3}
-    res = check_composition("divisor_rule", seed=1, rounds=30)
+    res = check_composition("divisor_rule", seed=1)
     assert res.passed
     assert res.detail["violations"] == []
     assert set(res.detail["periods_seen"]) <= set(range(1, 9))
@@ -1026,6 +1056,14 @@ def test_every_claim_passes_at_every_scale_from_5_to_20():
     # each m brings its own primes, beta, mu and basin grid
     results = run_claims(ms=range(5, 21))
     assert len(results) == 409
+    bad = [(r.claim, r.params, r.detail) for r in results if r.passed is not True]
+    assert bad == []
+
+
+@pytest.mark.long
+def test_long_tier_every_claim_passes_at_every_scale_from_21_to_45():
+    results = run_claims(ms=range(21, 46))
+    assert len(results) == 984
     bad = [(r.claim, r.params, r.detail) for r in results if r.passed is not True]
     assert bad == []
 

@@ -17,16 +17,17 @@ refuted pair raises PredictionFailed naming the first violated probe.
 verify_predicted is the one prover of a prediction.  It probes the
 windows a reader supplies: a closed certificate's read, or with none a
 simulation in one forward pass of exactly T + P steps.  The two
-certificates share the closes / read / trace protocol; read costs lane
-slides, not steps, and trace writes the outputs x(n) lane by lane:
+certificates share the closes / read / trace protocol; read takes no
+step, and trace writes the outputs x(n) lane by lane:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
 then obey their own recurrence, so S_n is the exact interleave of the r
-lane windows at lane time ceil((n - i) / r), each read off a lane orbit
-that detect_cycle certified.  Lanes always close, and a proof then costs
-lane slides, not T + P.  Lanes.popcount_range reads the window popcount
-range off them.
+lane windows at lane time ceil((n - i) / r).  Each lane orbit is stepped
+once, by the detect_cycle search that certifies it, whose trace it keeps:
+every later lane window, output or popcount is a slice of that trace.
+Lanes always close, and a proof then costs the lane searches, not T + P.
+Lanes.popcount_range reads the window popcount range off them.
 
 A HandoffCertificate covers a system that starts on one laned orbit (head)
 and ends on another (tail) from a time at on, as z(d) starts on y's orbit
@@ -35,15 +36,15 @@ certified Lanes, which it is handed and does not build itself;
 check_phases reads z(d)'s five phases off the same parts.  One search over
 head's lanes finds the first time the system's own rule disagrees with
 head's: it reads the system's sum and head's next bit off the lane
-windows, steps the lanes together through their transients, and past them
+windows, shifts stored lane bits through their transients, and past them
 runs a branch and bound over the lane phases with the Chinese remainder
 theorem.  Explicit steps from there reach the handoff time, and the same
 search over tail's lanes finds any disagreement on tail's orbit.  The
 certificate closes when the stepped window is tail's init and there is
 none: S_n is then head's window before the disagreement, an explicit step
 before the handoff, and tail's window at n - at after it, and x(n) is
-head's before at and tail's x(n - at) from at on.  A proof costs lane
-slides, a few explicit steps and search nodes.
+head's before at and tail's x(n - at) from at on.  A proof costs a few
+explicit steps and search nodes.
 
 detect_cycle measures (T, P) blind, taking no prediction.
 engine.find_repeat, which run also stops on, steps a trace to a window
@@ -59,13 +60,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import accumulate, product
 from math import gcd, lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
-from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, find_repeat
-from .engine import run, walk, word_from_bits
+from .engine import CompiledSystem, advance_word, compile_system, find_repeat, word_from_bits
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
 from .numtheory import prime_factors
 
@@ -88,7 +88,8 @@ class CycleReport:
     entry_window is the window S_T at the transient: the first window of
     the attractor, certified by the probes.  steps_executed counts the
     slides taken: a blind search's own, whose probes read its trace, or a
-    proof's reads, to which verify.measure_cycle adds its certificate's.
+    proof's, T + P when it simulates and 0 when it reads a certificate, to
+    which verify.measure_cycle adds the certificate's.
     """
 
     measured_transient: int
@@ -103,19 +104,17 @@ def _check_init(cs: CompiledSystem, init: Sequence[int]) -> int:
     return word_from_bits(init)
 
 
-# A reader maps a window time n, ascending from call to call, to the window
-# S_n and the slides it took to get it.
-Reader = Callable[[int], tuple[int, int]]
+# A reader maps a window time n, ascending from call to call, to the window S_n.
+Reader = Callable[[int], int]
 
 
 def _simulated(cs: CompiledSystem, word0: int) -> Reader:
     """Read S_n by advancing the full system from S_0 = word0."""
     last = [0, word0]
 
-    def read(n: int) -> tuple[int, int]:
-        steps = n - last[0]
-        last[:] = n, advance_word(cs, last[1], steps)
-        return last[1], steps
+    def read(n: int) -> int:
+        last[:] = n, advance_word(cs, last[1], n - last[0])
+        return last[1]
 
     return read
 
@@ -138,40 +137,37 @@ def _lane_system(cs: CompiledSystem, r: int) -> CompiledSystem:
     return compile_system(lane)
 
 
+def _outputs(orbit: tuple[bytes, CycleReport], count: int) -> bytes:
+    """A lane's outputs x(0..count-1): its trace to T, then trace[T : T + P] repeated."""
+    trace, rep = orbit
+    t, p = rep.measured_transient, rep.measured_period
+    return (trace[:t] + trace[t : t + p] * -((t - count) // p))[:count]
+
+
 class Lanes(NamedTuple):
     """The decimated lanes of one orbit, each lane orbit certified.
 
-    cs is the lane recurrence; orbits[i] is lane i's init word and its
-    detect_cycle report.
+    cs is the lane recurrence; orbits[i] is lane i's trace, the first
+    T + P + memory bytes its detect_cycle search wrote, and its report.
     """
 
     cs: CompiledSystem
-    orbits: tuple[tuple[int, CycleReport], ...]
+    orbits: tuple[tuple[bytes, CycleReport], ...]
 
     closes = True  # each lane orbit is certified, so every window is exact
 
-    def read(self, n: int) -> tuple[int, int]:
-        """S_n and the lane slides taken to read it.
-
-        S_n interleaves lane i's window at lane time ceil((n - i) / r), read
-        off its certified orbit, so a read costs at most one lane transient
-        or period per lane.
-        """
-        r = len(self.orbits)
-        memory = self.cs.memory
+    def read(self, n: int) -> int:
+        """S_n: lane i's window at lane time s = ceil((n - i) / r), sliced off
+        its trace at s, or past T at T + (s - T) mod P."""
+        r, memory = len(self.orbits), self.cs.memory
         buf = bytearray(r * memory)
-        slides = 0
-        for i, (word0, rep) in enumerate(self.orbits):
+        for i, (trace, rep) in enumerate(self.orbits):
             s = -((i - n) // r)  # ceil((n - i) / r)
-            t, p = rep.measured_transient, rep.measured_period
-            if s < t:
-                word, steps = word0, s
-            else:
-                word, steps = rep.entry_window, (s - t) % p
-            slides += steps
-            word = advance_word(self.cs, word, steps)
-            buf[(i - n) % r :: r] = bits_from_word(word, memory)
-        return word_from_bits(buf), slides
+            t = rep.measured_transient
+            if s >= t:
+                s = t + (s - t) % rep.measured_period
+            buf[(i - n) % r :: r] = trace[s : s + memory]
+        return word_from_bits(buf)
 
     def trace(self, length: int) -> bytearray:
         """The orbit's outputs x(0..length-1), one byte 0/1 each."""
@@ -196,13 +192,16 @@ class Lanes(NamedTuple):
         """
         if not self.coprime:
             return None
+        memory = self.cs.memory
         q0 = max(rep.measured_transient for _, rep in self.orbits)
 
-        def counts(word: int, n: int) -> list[int]:
-            return [w.bit_count() for w, _ in islice(walk(self.cs, word), n)]
+        def counts(orbit: tuple[bytes, CycleReport], s: int, n: int) -> list[int]:
+            # the popcounts at lane times s .. s + n - 1, by prefix sums of the outputs
+            pre = list(accumulate(_outputs(orbit, s + n + memory - 1)[s:], initial=0))
+            return [b - a for a, b in zip(pre, pre[memory:])]
 
-        heads = [counts(word0, q0 + 1) for word0, _ in self.orbits]
-        cycles = [counts(rep.entry_window, rep.measured_period) for _, rep in self.orbits]
+        heads = [counts(orbit, 0, q0 + 1) for orbit in self.orbits]
+        cycles = [counts(o, o[1].measured_transient, o[1].measured_period) for o in self.orbits]
         sums = set()
         for q in range(q0):
             s = sum(h[q] for h in heads)
@@ -215,17 +214,17 @@ class Lanes(NamedTuple):
 
 
 def _fill(lanes: Lanes, out: memoryview) -> None:
-    """Write x(0), x(1), ... over out, lane i's into out[i::r] by engine.run."""
-    r, memory = len(lanes.orbits), lanes.cs.memory
-    for i, (word0, _) in enumerate(lanes.orbits):
-        count = len(range(i, len(out), r))
-        out[i::r] = run(lanes.cs, bits_from_word(word0, memory), max(count - memory, 0))[:count]
+    """Write x(0), x(1), ... over out, lane i's outputs into out[i::r]."""
+    r = len(lanes.orbits)
+    for i, orbit in enumerate(lanes.orbits):
+        out[i::r] = _outputs(orbit, len(range(i, len(out), r)))
 
 
 def certify_lanes(
     cs: CompiledSystem, init: Sequence[int], budget: int
 ) -> tuple[Lanes | None, int]:
-    """Certify each of the lane_count(cs) lanes with detect_cycle.
+    """Certify each of the lane_count(cs) lanes with detect_cycle's search,
+    keeping the first T + P + memory bytes of its trace.
 
     Lane i is the trace at times i, i + r, i + 2r, ..., with init
     init[i::r]; with r = 1 the one lane is the system itself.  Returns the
@@ -237,15 +236,15 @@ def certify_lanes(
     orbits = []
     spent = 0
     for i in range(r):
-        lane_init = init[i::r]
         try:
-            rep = detect_cycle(lane_cs, lane_init, budget - spent)
+            rep, trace = _search(lane_cs, init[i::r], budget - spent)
         except BudgetExceeded as exc:
             return None, spent + exc.steps
         spent += rep.steps_executed
         if spent > budget:
             return None, spent
-        orbits.append((word_from_bits(lane_init), rep))
+        kept = rep.measured_transient + rep.measured_period + lane_cs.memory
+        orbits.append((bytes(trace[:kept]), rep))
     return Lanes(lane_cs, tuple(orbits)), spent
 
 
@@ -277,18 +276,18 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
     Write n = r*Q + c.  S_n holds lane i's window at lane time Q + [i < c],
     so cs's affine sum on S_n is a sum of one term per lane, and the
     orbit's next bit is lane c's newest bit at lane time Q + 1.  Before
-    r * q0, where q0 is the longest lane transient, the lane windows are
-    stepped together and each time is checked in turn.  From there on each
-    lane's term is a function of Q mod P_i.  For each slot c and each value
-    of the next bit, a branch and bound over boxes of lane phases, bounded
-    by the sum of each lane's least and greatest term, finds every box of
-    phase tuples on which cs's bit differs; the lane periods are pairwise
-    coprime, so the Chinese remainder theorem maps each tuple to one
-    Q mod prod(P_i).  steps counts the times checked before r * q0, the lane
-    slides that tabulate the lane cycles, and the nodes and tuples of the
-    search.  Raises BudgetExceeded past budget steps.
+    r * q0, where q0 is the longest lane transient, the lane windows shift
+    in their stored bits and each time is checked in turn.  From there on
+    each lane's term is a function of Q mod P_i.  For each slot c and each
+    value of the next bit, a branch and bound over boxes of lane phases,
+    bounded by the sum of each lane's least and greatest term, finds every
+    box of phase tuples on which cs's bit differs; the lane periods are
+    pairwise coprime, so the Chinese remainder theorem maps each tuple to
+    one Q mod prod(P_i).  steps counts the times checked before r * q0, the
+    lane cycle windows tabulated, and the nodes and tuples of the search.
+    Raises BudgetExceeded past budget steps.
     """
-    r = len(lanes.orbits)
+    r, memory, lane_mask = len(lanes.orbits), lanes.cs.memory, lanes.cs.mask
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
     theta = cs.scaled_threshold
     if r * q0 > budget:
@@ -303,24 +302,26 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
 
     # the same taps flat per slot, as (lane, weight, lane mask)
     flat = [[(i, w, m) for i, lane in enumerate(row) for w, m in lane.items()] for row in masks]
-    windows = [word0 for word0, _ in lanes.orbits]
+    outs = [_outputs(orbit, q0 + memory) for orbit in lanes.orbits]
+    windows = [word_from_bits(out[:memory]) for out in outs]
     for q in range(q0):
         for c in range(r):
             # windows holds lanes i < c at lane time q + 1 and the rest at q
-            later = advance_word(lanes.cs, windows[c], 1)
+            bit = outs[c][q + memory]
             s = sum(w * (windows[i] & mask).bit_count() for i, w, mask in flat[c])
-            if (s >= theta) != later & 1:
+            if (s >= theta) != bit:
                 return r * q + c, r * q + c + 1
-            windows[c] = later
+            windows[c] = (windows[c] << 1 | bit) & lane_mask
     steps = r * q0
 
     # tables[i][x]: lane i's window at every lane time s >= T_i with s = x mod P_i
     tables = []
-    for _, rep in lanes.orbits:
+    for trace, rep in lanes.orbits:
         t, p = rep.measured_transient, rep.measured_period
-        table = [0] * p
-        for s, (word, _) in zip(range(t, t + p), walk(lanes.cs, rep.entry_window)):
+        table, word = [0] * p, rep.entry_window
+        for s in range(t, t + p):
             table[s % p] = word
+            word = (word << 1 | trace[s + memory]) & lane_mask
         tables.append(table)
         steps += p
 
@@ -382,15 +383,15 @@ class HandoffCertificate(NamedTuple):
     @property
     def closes(self) -> bool:
         """S_at is tail's init and the system never leaves tail's orbit."""
-        return self.stepped[-1] == self.tail.read(0)[0] and self.tail_first is None
+        return self.stepped[-1] == self.tail.read(0) and self.tail_first is None
 
-    def read(self, n: int) -> tuple[int, int]:
-        """S_n of a closed certificate and the lane slides taken to read it."""
+    def read(self, n: int) -> int:
+        """S_n of a closed certificate."""
         split = self.at + 1 - len(self.stepped)
         if n >= self.at:
             return self.tail.read(n - self.at)
         if n >= split:
-            return self.stepped[n - split], 0
+            return self.stepped[n - split]
         return self.head.read(n)
 
     def trace(self, length: int) -> bytearray:
@@ -415,7 +416,7 @@ def handoff_certificate(
     budget steps."""
     covered = {len(lanes.orbits) * lanes.cs.memory for lanes in (head, tail)}
     coprime = head.coprime and tail.coprime
-    if head.read(0)[0] != _check_init(cs, init) or covered != {cs.memory} or not coprime:
+    if head.read(0) != _check_init(cs, init) or covered != {cs.memory} or not coprime:
         return None, 0
     try:
         first, spent = _first_disagreement(cs, head, budget)
@@ -424,11 +425,10 @@ def handoff_certificate(
     split = at if first is None else min(first, at)
     if at - split > cs.memory:
         return None, spent
-    word, slides = head.read(split)
-    stepped = [word]
+    stepped = [head.read(split)]
     for _ in range(at - split):
         stepped.append(advance_word(cs, stepped[-1], 1))
-    spent += slides + at - split
+    spent += at - split
     try:
         tail_first, steps = _first_disagreement(cs, tail, budget - spent)
     except BudgetExceeded as exc:
@@ -436,18 +436,14 @@ def handoff_certificate(
     return HandoffCertificate(head, first, tuple(stepped), at, tail, tail_first), spent + steps
 
 
-def _probe_pass(read: Reader, transient: int, period: int) -> tuple[int, int]:
-    """Run the certification probes on the windows read supplies.
-
-    Returns the slides read took and the window S_T.
-    """
+def _probe_pass(read: Reader, transient: int, period: int) -> int:
+    """Run the certification probes on the windows read supplies, and
+    return the window S_T."""
     checkpoints: set[int] = {transient, transient + period}
     checkpoints.update(transient + period // q for q in prime_factors(period))
     if transient > 0:
         checkpoints.update((transient - 1, transient - 1 + period))
-    reads = {n: read(n) for n in sorted(checkpoints)}
-    snap = {n: word for n, (word, _) in reads.items()}
-    steps = sum(slides for _, slides in reads.values())
+    snap = {n: read(n) for n in sorted(checkpoints)}
     if snap[transient + period] != snap[transient]:
         raise PredictionFailed(
             "period", {"transient": transient, "period": period, "reason": "window does not recur"}
@@ -463,7 +459,7 @@ def _probe_pass(read: Reader, transient: int, period: int) -> tuple[int, int]:
             "transient_minimality",
             {"transient": transient, "period": period},
         )
-    return steps, snap[transient]
+    return snap[transient]
 
 
 def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> CycleReport:
@@ -480,21 +476,26 @@ def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> C
     9/8 (T + P) + memory bytes; the probe rule re-proves the measured pair
     on the trace's windows, so a buggy lookup or bisection cannot return.
     """
+    return _search(cs, init, step_budget)[0]
+
+
+def _search(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[CycleReport, bytearray]:
+    """detect_cycle's report and the trace it probed, at least T + P + memory bytes."""
     _check_init(cs, init)
     memory = cs.memory
     trace = bytearray(init)
-    limit = max(step_budget, 1)
+    limit = max(budget, 1)
     n, i = find_repeat(cs, trace, limit)
     if i == n:
-        raise BudgetExceeded(limit + 1, step_budget)
+        raise BudgetExceeded(limit + 1, budget)
     lam = trace.find(trace[i : i + memory], i + 1, n + memory) - i
     mu = bisect_left(
         range(i + 1), True, key=lambda t: trace[t : t + memory] == trace[t + lam : t + lam + memory]
     )
     if not 0 < lam <= len(trace) - memory - mu:  # a probe would read past the trace
         raise PredictionFailed("period", {"transient": mu, "period": lam, "reason": "off the trace"})
-    _, entry = _probe_pass(lambda t: (word_from_bits(trace[t : t + memory]), 0), mu, lam)
-    return CycleReport(mu, lam, entry, n)
+    entry = _probe_pass(lambda t: word_from_bits(trace[t : t + memory]), mu, lam)
+    return CycleReport(mu, lam, entry, n), trace
 
 
 def _check_pair(transient: int, period: int) -> None:
@@ -514,11 +515,11 @@ def verify_predicted(
     The probes read the windows read supplies (a closed certificate's read),
     or with none a simulation of one pass of T + P slides.  Raises
     PredictionFailed naming the first violated probe.  On success the
-    measured fields echo the now-proved prediction, and steps_executed
-    counts the slides the reads took.
+    measured fields echo the now-proved prediction, and steps_executed is
+    T + P when it simulates and 0 when it reads a certificate.
     """
     _check_pair(predicted_transient, predicted_period)
     word0 = _check_init(cs, init)
-    read = read or _simulated(cs, word0)
-    steps, entry = _probe_pass(read, predicted_transient, predicted_period)
+    steps = predicted_transient + predicted_period if read is None else 0
+    entry = _probe_pass(read or _simulated(cs, word0), predicted_transient, predicted_period)
     return CycleReport(predicted_transient, predicted_period, entry, steps)

@@ -283,9 +283,9 @@ def measure_cycle(
     builds the certificate's data and is called only past DETECT_CUTOFF.  A
     refuted prediction raises PredictionFailed naming the first probe it
     fails, so a returned report always equals the prediction; its steps are
-    the certificate's plus the reads.  A search or simulation whose T + P,
-    plus the steps of a certificate that did not close, exceeds the budget
-    raises BudgetExceeded before it starts.
+    the certificate's, plus T + P when simulated.  A search or simulation
+    whose T + P, plus the steps of a certificate that did not close,
+    exceeds the budget raises BudgetExceeded before it starts.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call under the compiled system, init and prediction, and a repeat returns
@@ -575,12 +575,12 @@ def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
     lanes = _lanes(cons.build_y(params))
     bad: list[str] = []
-    for i, (word0, _) in zip(range(params.rho), lanes.orbits):
+    for i, (trace, _) in zip(range(params.rho), lanes.orbits):
         x = cons.single_system(params, i)
         cs = compile_system(x)
         if lanes.cs != cs:
             bad.append(f"lane {i} does not obey x_{i}'s recurrence")
-        if word0 != advance_word(cs, word_from_bits(x.init), 1):
+        if word_from_bits(trace[: cs.memory]) != advance_word(cs, word_from_bits(x.init), 1):
             bad.append(f"lane {i} does not start at x_{i}'s window after one slide")
         t = _x_mismatch(params, i, x)
         if t is not None:
@@ -648,7 +648,7 @@ def check_phases(m: int, d: int) -> ClaimResult:
             bad.append(f"phase1 mismatch at t={cert.first + h}")
         # the rho newest bits of the windows at L1 are the trace at p2_lo..p3_hi
         z_bits = bits_from_word(cert.stepped[-1], rho)
-        y_bits = bits_from_word(cert.head.read(l1)[0], rho)
+        y_bits = bits_from_word(cert.head.read(l1), rho)
         bits = list(zip(range(p2_lo, p3_hi + 1), z_bits, y_bits))
         for t, z, y in bits[: d + 1]:
             if z == 0 and y == 1:

@@ -320,8 +320,7 @@ def on_certificate(cs, init, t, p, handoff=None):
 
 def lanes_uncapped(cs, init, t, p):
     """The lane proof with no cap on the lane searches, so it never simulates."""
-    steps, entry = _probe_pass(laned(cs, init), t, p)
-    return CycleReport(t, p, entry, steps)
+    return CycleReport(t, p, _probe_pass(laned(cs, init), t, p), 0)
 
 
 def refusal(prove, cs, init, pair):
@@ -334,7 +333,7 @@ def assert_lane_reads_are_exact(cs, init, times):
     # every window the uncapped lane reader assembles is S_n
     times = sorted(times)
     read = laned(cs, init)
-    windows = [read(n)[0] for n in times]
+    windows = [read(n) for n in times]
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
 
@@ -485,8 +484,7 @@ def handoff_uncapped(cs, init, t, p, handoff):
     the certificate must close."""
     read, _ = handoff_reader(cs, init, handoff, budget=10**9)
     assert read is not None, "the handoff certificate did not close"
-    steps, entry = _probe_pass(read, t, p)
-    return CycleReport(t, p, entry, steps)
+    return CycleReport(t, p, _probe_pass(read, t, p), 0)
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -573,7 +571,7 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
     def no_search(*args, **kwargs):
         raise AssertionError("a lane search ran")
 
-    monkeypatch.setattr("neurec.cycles.detect_cycle", no_search)
+    monkeypatch.setattr("neurec.cycles._search", no_search)  # under detect_cycle too
     flipped = (1 - z.init[0],) + z.init[1:]
     cases = [(z.init, handoff._replace(head=z)), (z.init, handoff._replace(tail=z)), (flipped, handoff)]
     for init, refused in cases:
@@ -592,7 +590,7 @@ def full_window_first_disagreement(cs, ref, lanes):
     r = len(lanes.orbits)
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
     horizon = r * (q0 + prod(rep.measured_period for _, rep in lanes.orbits))
-    for n, (word, s) in zip(range(horizon), walk(ref, lanes.read(0)[0])):
+    for n, (word, s) in zip(range(horizon), walk(ref, lanes.read(0))):
         if (s >= ref.scaled_threshold) != (next(walk(cs, word))[1] >= cs.scaled_threshold):
             return n, n + 1
     return None, None
@@ -678,7 +676,7 @@ def test_handoff_takes_over_at_l1():
         y_cs = compile_system(build_y(p))
         word0 = word_from_bits(z.init)
         times = [l1 - p.rho - 1, l1 - p.rho, l1 - p.rho + 1, l1]
-        windows = [read(n)[0] for n in times]
+        windows = [read(n) for n in times]
         assert windows == [advance_word(cs, word0, n) for n in times]
         assert windows[:2] == [advance_word(y_cs, word0, n) for n in times[:2]]
         assert windows[2] != advance_word(y_cs, word0, times[2])
@@ -707,7 +705,50 @@ def test_certificate_traces_agree_with_their_reads(m):
         times |= set(rng.sample(range(horizon), 40))
         trace = cert.trace(max(times) + s.memory)
         for n in sorted(times):
-            assert cert.read(n)[0] == word_from_bits(trace[n : n + s.memory]), (s.label, n)
+            assert cert.read(n) == word_from_bits(trace[n : n + s.memory]), (s.label, n)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch):
+    # certify_lanes slides each lane exactly as far as its searches report;
+    # reads, traces, popcounts and disagreement searches on the lanes then
+    # slice the kept traces, and take no slide of any kind
+    slides = [0]
+
+    def counted_advance(cs, word, steps):
+        slides[0] += max(steps, 0)
+        return advance_word(cs, word, steps)
+
+    def counted_run(cs, init, steps):
+        slides[0] += max(steps, 0)
+        return run(cs, init, steps)
+
+    def counted_walk(cs, word):
+        for item in walk(cs, word):
+            slides[0] += 1
+            yield item
+
+    for module in ("neurec.engine", "neurec.cycles"):
+        # raising=False: a module that does not import a name gets the wrapper anyway
+        monkeypatch.setattr(f"{module}.advance_word", counted_advance)
+        monkeypatch.setattr(f"{module}.run", counted_run, raising=False)
+        monkeypatch.setattr(f"{module}.walk", counted_walk, raising=False)
+    p = window_params(m)
+    for d in range(p.rho):
+        z = compile_system(build_z(p, d))
+        for s in (build_y(p), build_w(p, d)):
+            slides[0] = 0
+            lanes, spent = certify_lanes(compile_system(s), s.init, 10**9)
+            assert slides[0] == spent, (s.label, d)
+            slides[0] = 0
+            lane_horizon = max(rep.measured_transient + 2 * rep.measured_period for _, rep in lanes.orbits)
+            horizon = len(lanes.orbits) * lane_horizon
+            for n in range(0, horizon, 7):
+                lanes.read(n)
+            lanes.trace(horizon + s.memory)
+            lanes.popcount_range()
+            _first_disagreement(z, lanes, 10**9)
+            assert slides[0] == 0, (s.label, d)
 
 
 def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
@@ -835,7 +876,7 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     ref = detect_cycle(cs, init, step_budget=10**6)
     t, p = ref.measured_transient, ref.measured_period
     times = list(range(t + 2 * p + 2 * cs.memory))
-    windows = [read(n)[0] for n in times]
+    windows = [read(n) for n in times]
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
     for prove in (on_certificate, handoff_uncapped):
@@ -844,3 +885,28 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     for pair in wrong_pairs(t, p):
         want = refusal(verify_predicted, cs, init, pair)
         assert refusal(handoff_uncapped, cs, init, (*pair, handoff)) == want, pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(laned_systems(), handoff_cases()))
+def test_certificate_reads_and_traces_equal_the_stepped_full_system(case):
+    # the oracle steps the full system, advance_word for S_n and run for
+    # x(0..length-1), out to T + 3P + memory: past every lane transient and
+    # over more than one period of each lane's stored cycle
+    if isinstance(case, RecurrenceSystem):
+        cs, init = compile_system(case), case.init
+        cert, _ = certify_lanes(cs, init, budget=10**6)
+    else:
+        cs, init, handoff = case
+        cert, _ = _certificate(cs, init, handoff, 10**7)
+        if cert is None or not cert.closes:
+            return  # e.g. lane periods that share a factor
+    ref = detect_cycle(cs, init, step_budget=10**6)
+    horizon = ref.measured_transient + 3 * ref.measured_period + cs.memory
+    word = word_from_bits(init)
+    for n in range(horizon + 1):
+        assert cert.read(n) == word, n
+        word = advance_word(cs, word, 1)
+    full = run(cs, init, horizon)
+    for length in range(horizon + 1):
+        assert cert.trace(length) == full[:length], length

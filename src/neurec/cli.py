@@ -275,12 +275,12 @@ def _orbits(record: dict, key: str | None = None) -> Iterable[tuple[str | None, 
     """(key, orbit) for every measured orbit in a claim detail.
 
     An orbit is any dict holding T_pred: the detail itself (key None) or a
-    record nested in it, keyed as it is filed, with lanes as i=<lane>.
+    record nested in it, in filing order, keyed as filed, lanes as i=<lane>.
     """
     if "T_pred" in record:
         yield key, record
         return
-    for name, value in sorted(record.items()):
+    for name, value in record.items():
         if isinstance(value, dict):
             yield from _orbits(value, f"i={name}" if key == "per_lane" else name)
 
@@ -358,9 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="step cap of a proof on its route: a simulated one whose T+P exceeds it "
+        help="step cap of a proof on its route: a search or simulation whose T+P exceeds it "
         "fails unrun, a lane or handoff one fails if its certificate cannot close within it "
-        "(default: no cap)",
+        "(default: MEASURE_CUTOFF, 20,000,000)",
     )
     parser.add_argument(
         "--claims",

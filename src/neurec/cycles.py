@@ -223,8 +223,8 @@ def _fill(lanes: Lanes, out: memoryview) -> None:
 def certify_lanes(
     cs: CompiledSystem, init: Sequence[int], budget: int
 ) -> tuple[Lanes | None, int]:
-    """Certify each of the lane_count(cs) lanes with detect_cycle's search,
-    keeping the first T + P + memory bytes of its trace.
+    """Certify each of the lane_count(cs) lanes with _search, the search
+    detect_cycle wraps, keeping the first T + P + memory bytes of its trace.
 
     Lane i is the trace at times i, i + r, i + 2r, ..., with init
     init[i::r]; with r = 1 the one lane is the system itself.  Returns the

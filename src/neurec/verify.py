@@ -25,23 +25,22 @@ on the windows of a certificate.  y and every w(d), whose taps all sit on
 multiples of rho, are read off their certified lanes (certify_lanes); every
 z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
 its first disagreement and w(d)'s from L1(d) on, proved on the lanes of y
-and w(d); a system with one lane is simulated.  _certificate builds every
-certificate, within the budget or else MEASURE_CUTOFF, and simulated_trace
-routes the CLI's simulate the same way.  On every route a wrong prediction
-raises PredictionFailed from the one probe rule in cycles, so it never
-comes back as a verdict.  member wires each family member in one place,
-its system, predicted_cycle pair and, for z(d), handoff, so no caller of
-Member.prove or simulated_trace can leave the handoff out.
-check_phases reads z(d)'s five phases off the same handoff certificate, and
-sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
-exact for all time; lanes that cannot be certified within MEASURE_CUTOFF
-fail the instance.  proof_work prices each proof of y, w(d) and z(d) at its
-lanes' T + P, for the claim table and the CLI's cycle mode alike, and
-phases at z_summary's price.  MEASURE_CUTOFF bounds the work per
-claim instance.  Each grid lists every structurally valid instance, and the
-table states each claim's predicted work; skip_detail compares it with the
-cutoff, and an instance past it is reported as skipped (passed None) rather
-than attempted and aborted.
+and w(d); a system with one lane is simulated.  One cap, the budget or else
+MEASURE_CUTOFF, bounds the search, the certificate (built by _certificate)
+and the simulation; simulated_trace routes the CLI's simulate the same way.
+On every route a wrong prediction raises PredictionFailed from the one probe
+rule in cycles, so it never comes back as a verdict.  member wires each
+family member in one place, its system, predicted_cycle pair and, for z(d),
+handoff, so no caller of Member.prove or simulated_trace can leave the
+handoff out.  check_phases reads z(d)'s five phases off the same handoff
+certificate, and sum_bounds and y_deshuffle read y and every w(d) off the
+same lanes, all exact for all time; lanes that cannot be certified within
+MEASURE_CUTOFF fail the instance.  proof_work prices each proof of y, w(d)
+and z(d) at its lanes' T + P, for the claim table and the CLI's cycle mode
+alike, and phases at z_summary's price.  MEASURE_CUTOFF bounds the work per
+claim instance: each grid lists every structurally valid instance, the table
+states each claim's predicted work, and skip_detail skips (passed None) an
+instance past the cutoff rather than attempt and abort it.
 
 A run proves each distinct orbit once and certifies it once: while
 run_claims runs, _proofs keeps every completed proof and every certificate
@@ -104,12 +103,12 @@ __all__ = [
 
 # Routing and feasibility bounds, in window slides.  measure_cycle routes on
 # DETECT_CUTOFF; skip_detail skips every claim instance past MEASURE_CUTOFF.
-# DETECT_CUTOFF sits at the measured crossover of the two provers: a blind
-# search costs T + P full-window slides, a lane or handoff certificate about
-# sum(p_i) + h, and the search is the faster only up to a few thousand
-# slides (m = 6 z(0), T + P = 165: 0.4 ms blind, 1.2 ms certified; m = 16
-# w(1), 7,414: 7 ms blind, 2.5 ms certified).  It stays above 557, the
-# largest m = 6 orbit, so every m = 6 orbit is searched blind.
+# A search costs T + P slides, a certificate about sum(p_i) + h.  Best of 15
+# on 2 cores, CPython 3.11 (python3 tools/route_crossover.py): lanes win from
+# a few hundred slides (m = 6 y, 442: 0.54 ms blind, 0.34 ms certified), a
+# handoff only from a few thousand (m = 11 z(1), 3,263: 2.7 / 3.2 ms; m = 16
+# z(1), 15,498: 14.7 / 7.0 ms), where DETECT_CUTOFF sits, above 557, the
+# largest m = 6 orbit, as bench/test_harness.py pins m = 6 chain's 3 searches.
 DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
@@ -252,9 +251,10 @@ def _proof_certificate(
 def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, int]:
     """x(0..memory+steps-1) of a member, its route and the certificate's
     steps.  run stops at the first repeat, so it takes min(T + P, steps)
-    slides for the member's predicted T + P; past DETECT_CUTOFF, where a
-    certificate is the cheaper, the trace is read off _proof_certificate's
-    if it closes within steps slides."""
+    slides; past DETECT_CUTOFF the trace is read off _proof_certificate's
+    if it closes within steps slides.  Below it run is the cheaper for a
+    handoff (tools/route_crossover.py, default steps: m = 6 z(0) 0.40 ms by
+    run, 1.37 ms by certificate; m = 11 z(1) 1.64 / 3.67 ms)."""
     cs = compile_system(mem.system)
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
@@ -272,20 +272,20 @@ def measure_cycle(
 ) -> CycleReport:
     """Certify a system's predicted (T, P) as its minimal pair.
 
-    Orbits up to DETECT_CUTOFF, the measured point past which a certificate
-    is cheaper than a search, are measured blind with detect_cycle, whose
-    search is given exactly the predicted T + P slides, and any it does not
-    confirm are simulated.  Larger ones are proved by verify_predicted on
-    the certificate _proof_certificate builds within budget steps, or
-    MEASURE_CUTOFF without one: the handoff certificate when the caller
-    gives a handoff (every z(d)), the certified lanes when the system has
-    more than one lane (y and every w(d)), else simulated windows.  handoff
-    builds the certificate's data and is called only past DETECT_CUTOFF.  A
-    refuted prediction raises PredictionFailed naming the first probe it
-    fails, so a returned report always equals the prediction; its steps are
-    the certificate's, plus T + P when simulated.  A search or simulation
-    whose T + P, plus the steps of a certificate that did not close,
-    exceeds the budget raises BudgetExceeded before it starts.
+    One cap, budget or else MEASURE_CUTOFF, bounds every route.  Orbits up
+    to DETECT_CUTOFF, past which a certificate is the cheaper, are measured
+    blind with detect_cycle, whose search is given exactly the predicted
+    T + P slides, and any it does not confirm are simulated.  Larger ones
+    are proved by verify_predicted on the certificate _proof_certificate
+    builds within the cap: the handoff certificate when the caller gives a
+    handoff (every z(d)), the certified lanes when the system has more than
+    one lane (y and every w(d)), else simulated windows.  handoff builds the
+    certificate's data and is called only past DETECT_CUTOFF.  A refuted
+    prediction raises PredictionFailed naming the first probe it fails, so a
+    returned report always equals the prediction; its steps are the
+    certificate's, plus T + P when simulated.  A search or simulation whose
+    T + P, plus the steps of a certificate that did not close, passes the
+    cap raises BudgetExceeded before it starts.
 
     Inside run_claims a completed proof is remembered for the rest of that
     call under the compiled system, init and prediction, and a repeat returns
@@ -295,6 +295,7 @@ def measure_cycle(
     """
     t_pred, p_pred = predicted
     work = t_pred + p_pred
+    cap = MEASURE_CUTOFF if budget is None else budget
     cs = compile_system(system)
     proofs = _proofs
     key = (cs, tuple(system.init), predicted)
@@ -302,15 +303,14 @@ def measure_cycle(
         return proofs[key]
     rep, cert, spent = None, None, 0
     if work > DETECT_CUTOFF:
-        cap = MEASURE_CUTOFF if budget is None else budget
         cert, spent = _proof_certificate(cs, system.init, handoff, cap)
-    elif budget is None or work <= budget:
+    elif work <= cap:
         with suppress(BudgetExceeded):  # the prediction understates the orbit
             rep = detect_cycle(cs, system.init, work)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
         read = cert.read if cert is not None and cert.closes else None
-        if read is None and budget is not None and spent + work > budget:
-            raise BudgetExceeded(spent, budget)
+        if read is None and spent + work > cap:
+            raise BudgetExceeded(spent, cap)
         rep = verify_predicted(cs, system.init, t_pred, p_pred, read)
         rep = replace(rep, steps_executed=spent + rep.steps_executed)
     if proofs is not None:

@@ -17,3 +17,36 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def capped_simulation(monkeypatch):
+    """Fail the test at once, rather than hang, when cycles asks advance_word
+    for more than MEASURE_CUTOFF slides in one call."""
+    import neurec.cycles
+    from neurec.verify import MEASURE_CUTOFF
+
+    advance = neurec.cycles.advance_word
+
+    def guarded(cs, word, steps):
+        if steps > MEASURE_CUTOFF:
+            pytest.fail(f"advance_word asked for {steps:,} slides, past MEASURE_CUTOFF")
+        return advance(cs, word, steps)
+
+    monkeypatch.setattr("neurec.cycles.advance_word", guarded)
+
+
+@pytest.fixture
+def misplaced_handoff(monkeypatch):
+    """z_handoff with its handoff time shifted by one: z(4)'s handoff
+    certificate at m = 21 then does not close, and its proof falls back to
+    a simulation."""
+    import neurec.verify
+
+    z_handoff = neurec.verify.z_handoff
+
+    def shifted(params, d):
+        handoff = z_handoff(params, d)
+        return handoff._replace(at=handoff.at + 1)
+
+    monkeypatch.setattr("neurec.verify.z_handoff", shifted)

@@ -35,7 +35,7 @@ from neurec.cli import (
     system_to_json,
 )
 from neurec.cycles import Lanes
-from neurec.verify import _proof_certificate, simulated_trace
+from neurec.verify import MEASURE_CUTOFF, _proof_certificate, simulated_trace
 
 
 def read_report(out_dir):
@@ -178,6 +178,14 @@ def test_summary_csv_holds_the_basin_reference_orbit(tmp_path):
     assert ref["match"] == ""  # the verdict belongs to the claim, not to its reference orbit
 
 
+def test_summary_csv_lists_lanes_in_lane_order_past_ten_lanes(tmp_path):
+    # m = 60 has rho = 11 lanes, so lane 10 sorts before lane 2 as a string
+    out = tmp_path / "m60"
+    assert main(["--mode", "verify", "--m", "60", "--claims", "x_cycle", "--out", str(out)]) == 0
+    systems = [row["system"] for row in read_csv(out)]
+    assert systems == [f"x_cycle[i={i}]" for i in range(11)]
+
+
 def test_verify_mode_stdout_json_when_no_out(capsys):
     code = main(["--mode", "verify", "--m", "6", "--claims", "prop2"])
     assert code == 0
@@ -259,6 +267,20 @@ def test_long_tier_cycle_mode_proves_every_z_at_m21(tmp_path):
     assert [row["d"] for row in rows] == [0, 1, 2, 3, 4]
     assert all(row["match"] is True for row in rows)
     assert (rows[4]["T_measured"], rows[4]["P_measured"]) == (1_927_501_345, 1)
+
+
+def test_cycle_mode_without_a_budget_caps_the_fallback_at_the_cutoff(
+    tmp_path, capped_simulation, misplaced_handoff
+):
+    # z(4)'s certificate does not close, and simulating its T + P = 1.9e9
+    # would pass MEASURE_CUTOFF: the row fails at once rather than hang
+    out = tmp_path / "fallback"
+    argv = ["--mode", "cycle", "--m", "21", "--system", "z", "--d", "4", "--out", str(out)]
+    assert main(argv) == 1
+    (row,) = read_report(out)["cycle_reports"]
+    assert row["match"] is False and row["T_measured"] is None
+    assert (row["error"], row["budget"]) == ("BudgetExceeded", MEASURE_CUTOFF)
+    assert 0 < row["steps"] < 10**5
 
 
 def test_cycle_mode_budget_failure_exits_1(tmp_path):

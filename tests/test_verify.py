@@ -134,18 +134,45 @@ def test_member_proves_what_the_hand_wired_call_proves(m):
         assert member(p, family, index).prove() == want, (family, index)
 
 
-def test_member_guards_and_hands_off_z():
+def test_member_guards_and_hands_off_z(capped_simulation):
     p = window_params(6)
     with pytest.raises(ValueError, match="unknown family"):
         member(p, "q", 0)
     for family in "xvwz":
         with pytest.raises(IndexOutOfRange):
             member(p, family, p.rho)
-    # z(4) at m = 21 has one lane: without its handoff the proof would
-    # simulate 1.9e9 slides, and under this budget raise BudgetExceeded unrun
-    rep = member(window_params(21), "z", 4).prove(budget=10**5)
+    # z(4) at m = 21 has one lane: its member proves it on the handoff, and
+    # without the handoff the proof, T + P = 1.9e9, passes the cap unrun
+    p21 = window_params(21)
+    rep = member(p21, "z", 4).prove(budget=10**5)
     assert (rep.measured_transient, rep.measured_period) == (1_927_501_345, 1)
     assert rep.steps_executed < 10**5
+    with pytest.raises(BudgetExceeded) as exc:
+        member(p21, "z", 4)._replace(handoff=None).prove()
+    assert (exc.value.steps, exc.value.budget) == (0, MEASURE_CUTOFF)
+
+
+def test_a_raw_one_lane_proof_past_the_cap_raises_unrun(capped_simulation):
+    # no budget: the cap is MEASURE_CUTOFF, and z(4)'s T + P passes it
+    p = window_params(21)
+    with pytest.raises(BudgetExceeded) as exc:
+        measure_cycle(build_z(p, 4), predicted_cycle(p, "z", 4))
+    assert (exc.value.steps, exc.value.budget) == (0, MEASURE_CUTOFF)
+
+
+def test_a_certificate_that_does_not_close_falls_back_within_the_cap(
+    capped_simulation, misplaced_handoff
+):
+    # the handoff certificate is built and does not close; simulating 1.9e9
+    # slides would pass the cap, so the proof raises with the certificate's steps
+    z = member(window_params(21), "z", 4)
+    cert, spent = neurec.verify._proof_certificate(
+        compile_system(z.system), z.system.init, z.handoff, MEASURE_CUTOFF
+    )
+    assert not cert.closes and spent > 0
+    with pytest.raises(BudgetExceeded) as exc:
+        z.prove()
+    assert (exc.value.steps, exc.value.budget) == (spent, MEASURE_CUTOFF)
 
 
 def test_measure_cycle_certifies_the_prediction(monkeypatch):

@@ -12,8 +12,8 @@ One batch entry point with six modes:
 The verify, chain and basin modes hand their claims to verify.run_claims,
 which alone knows each claim's grid, cutoff and knobs.  The member modes
 (construct, cycle, simulate) share one loop over the selected family members
-of every scale, each a verify.member, and build one row per member; cycle
-proves it with Member.prove and simulate traces it with
+of every scale, each a verify.member, inside one verify.proof_memo, one row
+per member; cycle proves it with Member.prove and simulate traces it with
 verify.simulated_trace, which picks its route.  This module builds no system:
 it handles arguments and output, and rejects a setting the mode does not read.
 Every run produces one JSON report (printed to stdout, or written to
@@ -49,6 +49,7 @@ from .verify import (
     Member,
     attempt,
     member,
+    proof_memo,
     proof_work,
     run_claims,
     simulated_trace,
@@ -246,13 +247,14 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         claims = config.claims if config.mode == "verify" else [config.mode]
         claim_results = run_claims(ms, claims, config.seed, config.budget, ds=config.d)
     else:
-        for m in ms:
-            params = window_params(m)
-            for mem in _family_members(params, config):
-                row, trace = _member_row(config, params, mem)
-                cycle_reports.append(row)
-                if config.emit_traces and trace is not None:
-                    traces.append((mem.system.label, trace, mem.system.memory))
+        with proof_memo():
+            for m in ms:
+                params = window_params(m)
+                for mem in _family_members(params, config):
+                    row, trace = _member_row(config, params, mem)
+                    cycle_reports.append(row)
+                    if config.emit_traces and trace is not None:
+                        traces.append((mem.system.label, trace, mem.system.memory))
 
     report = RunReport(
         version=__version__,
@@ -358,9 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="step cap of a proof on its route: a search or simulation whose T+P exceeds it "
-        "fails unrun, a lane or handoff one fails if its certificate cannot close within it "
-        "(default: MEASURE_CUTOFF, 20,000,000)",
+        help="one step cap for every proof and every certificate a claim reads: a search runs "
+        "blind only within it, a certificate that cannot be built within it fails, and a "
+        "simulation past it fails unrun (default: MEASURE_CUTOFF, 20,000,000)",
     )
     parser.add_argument(
         "--claims",

@@ -25,30 +25,30 @@ on the windows of a certificate.  y and every w(d), whose taps all sit on
 multiples of rho, are read off their certified lanes (certify_lanes); every
 z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
 its first disagreement and w(d)'s from L1(d) on, proved on the lanes of y
-and w(d); a system with one lane is simulated.  One cap, the budget or else
-MEASURE_CUTOFF, bounds the search, the certificate (built by _certificate)
-and the simulation; simulated_trace routes the CLI's simulate the same way.
-On every route a wrong prediction raises PredictionFailed from the one probe
-rule in cycles, so it never comes back as a verdict.  member wires each
-family member in one place, its system, predicted_cycle pair and, for z(d),
-handoff, so no caller of Member.prove or simulated_trace can leave the
-handoff out.  check_phases reads z(d)'s five phases off the same handoff
-certificate, and sum_bounds and y_deshuffle read y and every w(d) off the
-same lanes, all exact for all time; lanes that cannot be certified within
-MEASURE_CUTOFF fail the instance.  proof_work prices each proof of y, w(d)
-and z(d) at its lanes' T + P, for the claim table and the CLI's cycle mode
-alike, and phases at z_summary's price.  MEASURE_CUTOFF bounds the work per
-claim instance: each grid lists every structurally valid instance, the table
-states each claim's predicted work, and skip_detail skips (passed None) an
-instance past the cutoff rather than attempt and abort it.
+and w(d); a system with one lane is simulated.  On every route a wrong
+prediction raises PredictionFailed from the one probe rule in cycles, so it
+never comes back as a verdict.  member wires each family member in one place,
+its system, predicted_cycle pair and, for z(d), handoff, so no caller of
+Member.prove or simulated_trace can leave the handoff out.  check_phases
+reads z(d)'s five phases off the same handoff certificate, and sum_bounds
+and y_deshuffle read y and every w(d) off the same lanes, all exact for all
+time.  One cap, the budget or else MEASURE_CUTOFF (_cap), picks a proof's
+route, blind only when T + P fits both it and DETECT_CUTOFF, and bounds
+every certificate a claim reads (_certificate): one past it raises
+BudgetExceeded, as a simulation does unrun.  simulated_trace routes simulate
+alike, capped at its steps.  _priced prices a claim instance at the largest
+proof_work of the members it proves or certifies, and MEASURE_CUTOFF bounds
+the work per instance: each grid lists every structurally valid instance,
+and skip_detail skips (passed None) one past the cutoff rather than attempt
+and abort it.
 
-A run proves each distinct orbit once and certifies it once: while
-run_claims runs, _proofs keeps every completed proof and every certificate
-that closes (_certificate), so the chain reuses the proofs of y_cycle and
+A run proves each distinct orbit once and certifies it once: proof_memo,
+open for one run_claims call or CLI run, keeps every completed proof and
+closed certificate (_certificate), so the chain reuses the proofs of y_cycle and
 z_summary, phases and z_summary share each z(d)'s certificate, sum_bounds,
 y_cycle, y_deshuffle and every z(d)'s certificate y's lanes, and a
 detail's steps do not depend on which claim ran first.  The memo is
-dropped when run_claims returns.  A certified proof also reports its entry
+dropped when the run ends.  A certified proof also reports its entry
 window S_T, so v_fixed's and the chain's all-zero attractors are read from
 it rather than walking the transient again.  basin shares z_summary's
 proof, and one interval pass proves that every free prefix merges into the
@@ -58,12 +58,12 @@ reference window.
 from __future__ import annotations
 
 import random
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import construction as cons
 from .construction import RecurrenceSystem
@@ -102,7 +102,7 @@ __all__ = [
 ]
 
 # Routing and feasibility bounds, in window slides.  measure_cycle routes on
-# DETECT_CUTOFF; skip_detail skips every claim instance past MEASURE_CUTOFF.
+# DETECT_CUTOFF and the cap; skip_detail skips instances past MEASURE_CUTOFF.
 # A search costs T + P slides, a certificate about sum(p_i) + h.  Best of 15
 # on 2 cores, CPython 3.11 (python3 tools/route_crossover.py): lanes win from
 # a few hundred slides (m = 6 y, 442: 0.54 ms blind, 0.34 ms certified), a
@@ -112,9 +112,20 @@ __all__ = [
 DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
-# run_claims' memo: completed proofs under (compiled system, init, predicted)
-# and closed certificates under (compiled system, init, handoff); else None.
 _proofs: dict | None = None
+
+
+@contextmanager
+def proof_memo() -> Iterator[None]:
+    """Open _proofs for one run: completed proofs under (compiled system, init,
+    predicted), closed certificates under (compiled system, init, handoff)."""
+    global _proofs
+    _proofs = {}
+    try:
+        yield
+    finally:
+        _proofs = None
+
 
 @dataclass
 class ClaimResult:
@@ -204,13 +215,17 @@ def member(
     return Member(family, index, system, predicted, handoff)
 
 
+def _cap(budget: int | None) -> int:
+    return MEASURE_CUTOFF if budget is None else budget
+
+
 def _certificate(
     cs: CompiledSystem, init: Sequence[int], handoff: Handoff | None, cap: int
 ) -> tuple[Lanes | HandoffCertificate | None, int]:
     """The one builder of a certificate, handoff's or else cs's lanes, within
     cap steps, with its steps, which count a handoff's lanes, built here
     first.  A handoff whose init is not head's, or with a one-lane part, is
-    refused unbuilt.  Inside run_claims one that closes is kept in _proofs
+    refused unbuilt.  Inside proof_memo one that closes is kept in _proofs
     and reused while its steps fit cap, so a hit changes no result."""
     key = (cs, tuple(init), handoff)
     hit = _proofs.get(key) if _proofs is not None else None
@@ -272,41 +287,41 @@ def measure_cycle(
 ) -> CycleReport:
     """Certify a system's predicted (T, P) as its minimal pair.
 
-    One cap, budget or else MEASURE_CUTOFF, bounds every route.  Orbits up
-    to DETECT_CUTOFF, past which a certificate is the cheaper, are measured
-    blind with detect_cycle, whose search is given exactly the predicted
-    T + P slides, and any it does not confirm are simulated.  Larger ones
-    are proved by verify_predicted on the certificate _proof_certificate
-    builds within the cap: the handoff certificate when the caller gives a
-    handoff (every z(d)), the certified lanes when the system has more than
-    one lane (y and every w(d)), else simulated windows.  handoff builds the
-    certificate's data and is called only past DETECT_CUTOFF.  A refuted
+    One cap, budget or else MEASURE_CUTOFF (_cap), picks the route and
+    bounds it.  Orbits whose T + P fits both the cap and DETECT_CUTOFF, past
+    which a certificate is the cheaper, are measured blind with detect_cycle
+    in exactly T + P slides, and any it does not confirm are simulated.  All
+    others are proved by verify_predicted on the certificate
+    _proof_certificate builds within the cap: the handoff certificate when
+    the caller gives a handoff (every z(d)), the certified lanes when the
+    system has more than one lane (y and every w(d)), else simulated
+    windows.  handoff is called only off the blind route.  A refuted
     prediction raises PredictionFailed naming the first probe it fails, so a
     returned report always equals the prediction; its steps are the
     certificate's, plus T + P when simulated.  A search or simulation whose
     T + P, plus the steps of a certificate that did not close, passes the
     cap raises BudgetExceeded before it starts.
 
-    Inside run_claims a completed proof is remembered for the rest of that
-    call under the compiled system, init and prediction, and a repeat returns
+    Inside proof_memo a completed proof is remembered for the rest of the
+    run under the compiled system, init and prediction, and a repeat returns
     the same report without walking the orbit again; so is each certificate
     (_certificate).  A failed proof raises as usual and is not remembered;
-    outside run_claims every call proves afresh.
+    outside proof_memo every call proves afresh.
     """
     t_pred, p_pred = predicted
     work = t_pred + p_pred
-    cap = MEASURE_CUTOFF if budget is None else budget
+    cap = _cap(budget)
     cs = compile_system(system)
     proofs = _proofs
     key = (cs, tuple(system.init), predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
     rep, cert, spent = None, None, 0
-    if work > DETECT_CUTOFF:
-        cert, spent = _proof_certificate(cs, system.init, handoff, cap)
-    elif work <= cap:
+    if work <= min(DETECT_CUTOFF, cap):
         with suppress(BudgetExceeded):  # the prediction understates the orbit
             rep = detect_cycle(cs, system.init, work)
+    else:
+        cert, spent = _proof_certificate(cs, system.init, handoff, cap)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
         read = cert.read if cert is not None and cert.closes else None
         if read is None and spent + work > cap:
@@ -503,15 +518,19 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     return ClaimResult("v_fixed", {"m": m}, ok, {"per_lane": per_lane})
 
 
-def _lanes(system: RecurrenceSystem) -> Lanes:
-    """system's certified lanes; BudgetExceeded past MEASURE_CUTOFF lane slides."""
-    lanes, spent = _certificate(compile_system(system), system.init, None, MEASURE_CUTOFF)
-    if lanes is None:
-        raise BudgetExceeded(spent, MEASURE_CUTOFF)
-    return lanes
+def _certified(
+    system: RecurrenceSystem, budget: int | None, handoff: Handoff | None = None
+) -> Lanes | HandoffCertificate | None:
+    """system's certificate, handoff's or else its lanes, by _certificate within
+    the cap; BudgetExceeded when it cannot be built within it, None if refused."""
+    cap = _cap(budget)
+    cert, spent = _certificate(compile_system(system), system.init, handoff, cap)
+    if spent > cap:
+        raise BudgetExceeded(spent, cap)
+    return cert
 
 
-def _run_sum_bounds(m: int, **_: object) -> ClaimResult:
+def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     params = window_params(m)
     rho, mu = params.rho, params.mu
     mu_sum = sum(mu)
@@ -522,7 +541,7 @@ def _run_sum_bounds(m: int, **_: object) -> ClaimResult:
     detail: dict = {}
     ok = True
     for name, system, low, high in envelopes:
-        lo, hi = _lanes(system).popcount_range() or (None, None)
+        lo, hi = _certified(system, budget).popcount_range() or (None, None)
         ok = ok and lo is not None and low <= lo and hi <= high
         detail[name] = {"min": lo, "max": hi, "bounds": [low, high]}
     return ClaimResult("sum_bounds", {"m": m}, ok, detail)
@@ -568,12 +587,12 @@ def _run_y_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     return ClaimResult("y_cycle", {"m": m}, True, _report_dict(y.prove(budget), y.predicted))
 
 
-def _run_y_deshuffle(m: int, **_: object) -> ClaimResult:
+def _run_y_deshuffle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     """y(rho*q + i) = x_i(1 + q) for all time: y's lane i obeys x_i's
     recurrence (so y has rho lanes, of memory k) from x_i's window after one
     slide, and x_i is its closed form."""
     params = window_params(m)
-    lanes = _lanes(cons.build_y(params))
+    lanes = _certified(cons.build_y(params), budget)
     bad: list[str] = []
     for i, (trace, _) in zip(range(params.rho), lanes.orbits):
         x = cons.single_system(params, i)
@@ -613,11 +632,11 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
 # phase structure, chain, basin
 
 
-def check_phases(m: int, d: int) -> ClaimResult:
+def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
     """Read z(., d)'s five phases against y and w off its handoff certificate.
 
-    The certificate (member's handoff, capped at MEASURE_CUTOFF steps;
-    inside run_claims the one z(d) is proved on) is exact for all time.  Phase 1
+    The certificate, the one z_summary proves z(d) on, is exact for all time
+    and built within the same cap, budget or else MEASURE_CUTOFF.  Phase 1
     (z = y) ends at its boundary exactly when z first disagrees with y at
     L1 - rho.  Phases 2-3 are the rho newest bits of z's stepped window at
     L1 against y's: d + 1 anomalies z = 0, y = 1, then equality.  Phases 4-5
@@ -635,7 +654,7 @@ def check_phases(m: int, d: int) -> ClaimResult:
     phase3_empty = p3_lo > p3_hi
 
     handoff = z.handoff()
-    cert, _ = _certificate(compile_system(z.system), z.system.init, handoff, MEASURE_CUTOFF)
+    cert = _certified(z.system, budget, handoff)
 
     bad: list[str] = []
     anomalies = 0
@@ -862,15 +881,15 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     return lanes(index if family == "w" else -1)
 
 
-def _proof_work(family: str) -> Callable[..., int]:
-    """proof_work of the family member an instance proves."""
-    return lambda params, **kw: proof_work(params, family, kw.get("d"))
+def _priced(families: str) -> Callable[..., int]:
+    """The one price of an instance: the largest proof_work among the members
+    of families it proves or certifies, at its step d or else every index."""
 
+    def work(params: WindowParams, d: int | None = None) -> int:
+        indices = range(params.rho) if d is None else (d,)
+        return max(proof_work(params, f, i) for f in families for i in ((None,) if f == "y" else indices))
 
-def _chain_work(params: WindowParams) -> int:
-    """The largest member proof of the chain: y or one of the z(d)."""
-    members = [("y", None)] + [("z", d) for d in range(params.rho)]
-    return max(proof_work(params, fam, d) for fam, d in members)
+    return work
 
 
 def skip_detail(work: int) -> dict | None:
@@ -921,32 +940,32 @@ _TABLE = {
         Claim("prop1", _once, None, _run_prop1),
         Claim("prop2", _once, None, _run_prop2),
         Claim("pos_disjoint", _once, None, _run_pos_disjoint),
-        Claim("x_cycle", _once, None, _run_x_cycle),
-        Claim("v_fixed", _once, None, _run_v_fixed),
-        Claim("sum_bounds", _once, None, _run_sum_bounds),
+        Claim("x_cycle", _once, _priced("x"), _run_x_cycle),
+        Claim("v_fixed", _once, _priced("v"), _run_v_fixed),
+        Claim("sum_bounds", _once, _priced("xyw"), _run_sum_bounds),
         Claim("s1_range", _once, None, _run_s1_range),
-        Claim("y_cycle", _once, _proof_work("y"), _run_y_cycle),
-        Claim("y_deshuffle", _once, None, _run_y_deshuffle),
-        Claim("w_cycle", _every_d, _proof_work("w"), _run_w_cycle),
+        Claim("y_cycle", _once, _priced("y"), _run_y_cycle),
+        Claim("y_deshuffle", _once, _priced("y"), _run_y_deshuffle),
+        Claim("w_cycle", _every_d, _priced("w"), _run_w_cycle),
         Claim("b0_methods_agree", _once, None, _run_b0_methods_agree),
         Claim("chain_equals_direct", _once, None, _run_chain_equals_direct),
         Claim(
             "phases",
             _every_d,
-            _proof_work("z"),
-            lambda m, d, **_: check_phases(m, d),
+            _priced("z"),
+            lambda m, d, budget, **_: check_phases(m, d, budget=budget),
         ),
-        Claim("z_summary", _every_d, _proof_work("z"), _run_z_summary),
+        Claim("z_summary", _every_d, _priced("z"), _run_z_summary),
         Claim(
             "chain",
             _once,
-            _chain_work,
+            _priced("yz"),
             lambda m, budget, **_: check_chain(m, budget=budget),
         ),
         Claim(
             "basin",
             _basin_grid,
-            _proof_work("z"),
+            _priced("z"),
             lambda m, d, budget, **_: check_basin(m, d, budget=budget),
         ),
         _composition("example1_period2"),
@@ -1009,7 +1028,6 @@ def run_claims(
     ds, a claim's instances are the requested steps, in that order.  Each distinct orbit is
     proved once per call (see measure_cycle).
     """
-    global _proofs
     selected = list(claims) if claims is not None else list(ALL_CLAIMS)
     unknown = sorted(set(selected) - set(ALL_CLAIMS))
     if unknown:
@@ -1036,8 +1054,5 @@ def run_claims(
                 )
                 for kw, skip in grid
             )
-    _proofs = {}
-    try:
+    with proof_memo():
         return [job() for job in jobs]
-    finally:
-        _proofs = None

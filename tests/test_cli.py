@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neurec.verify
 from neurec import (
     RecurrenceSystem,
     advance_word,
@@ -294,6 +295,29 @@ def test_cycle_mode_budget_failure_exits_1(tmp_path):
     for row in rows:
         assert row["match"] is False and row["T_measured"] is None
         assert (row["error"], row["budget"]) == ("BudgetExceeded", 50)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "simulate", "--m", "16", "--system", "z", "--steps", "1000000"],
+        ["--mode", "cycle", "--m", "16"],
+    ],
+)
+def test_member_modes_certify_each_lane_set_once_per_run(argv, monkeypatch):
+    # one memo per run: every z(d) certificate reads the one set of y's
+    # lanes, and w(d)'s are shared with w(d)'s own row, so a run at m = 16
+    # certifies y and w(0..3) once each
+    built = []
+    original = neurec.verify.certify_lanes
+
+    def counted(cs, init, *args):
+        built.append((cs, tuple(init)))
+        return original(cs, init, *args)
+
+    monkeypatch.setattr("neurec.verify.certify_lanes", counted)
+    assert main(argv) == 0
+    assert len(built) == len(set(built)) == 5
 
 
 def test_cycle_mode_lane_filter(tmp_path):

@@ -4,6 +4,7 @@ predicted period chain."""
 
 import importlib
 import re
+from math import log10
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,21 @@ def test_results_table_equals_the_predicted_chain():
         chain = [predicted_cycle(params, "z", d) for d in range(params.rho)]
         assert [tuple(map(int, pair)) for pair in re.findall(r"\((\d+), (\d+)\)", pairs)] == chain, m
         assert re.sub(r"\(\d+, \d+\)(, )?", "", pairs) == "", m
+
+
+def test_results_rows_past_m21_equal_the_predicted_chain():
+    # rho, h, and log10 of y's period and of z(rho - 1)'s transient, each
+    # row naming the command that certifies it and its wall time
+    section = TEXT.split("## Results", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(
+        r"^\| (\d+) \| (\d+) \| (\d+) \| ([\d.]+) \| ([\d.]+) \| `([^`]+)` \| [\d.]+(?:–[\d.]+)? s \|$",
+        section,
+        flags=re.M,
+    )
+    assert [int(row[0]) for row in rows] == [50, 100]
+    for m, rho, h, log_period, log_transient, command in rows:
+        params = window_params(int(m))
+        assert (int(rho), int(h)) == (params.rho, params.h), m
+        assert log_period == f"{log10(predicted_cycle(params, 'y')[1]):.2f}", m
+        assert log_transient == f"{log10(predicted_cycle(params, 'z', params.rho - 1)[0]):.2f}", m
+        assert command == f"neurec --mode chain --m {m}", m

@@ -48,7 +48,7 @@ from neurec import (
 )
 from neurec.cli import main
 from neurec.cycles import certify_lanes
-from neurec.verify import MEASURE_CUTOFF, claim_grid
+from neurec.verify import MEASURE_CUTOFF, claim_grid, proof_work
 
 
 def runnable(claim, m):
@@ -499,7 +499,10 @@ def test_sum_bounds_fail_lanes_whose_periods_share_a_factor(monkeypatch):
 
 
 def test_sum_bounds_and_y_deshuffle_fail_lanes_past_the_cutoff(monkeypatch):
+    # priced within the cutoff, so attempted: lanes that cannot be certified
+    # within it fail the instance rather than truncate
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 10)
+    monkeypatch.setattr("neurec.verify.proof_work", lambda *args: 0)
     for res in run_claims(ms=(6,), claims=["sum_bounds", "y_deshuffle"]):
         assert res.passed is False and res.detail["error"] == "BudgetExceeded", res.claim
         assert res.detail["budget"] == 10
@@ -1050,22 +1053,23 @@ def test_remembered_certificates_change_no_result():
 
 
 def test_a_remembered_certificate_past_a_later_cap_is_built_again(builds):
-    # phases certifies z(2) at m = 11 within MEASURE_CUTOFF; z_summary's cap
-    # is the budget, which that certificate's steps pass, so z_summary builds
-    # its own and fails as it does alone: y's lanes (87 steps) fit the cap
-    # and are reused, w(2)'s (546) do not and are built again, and their
-    # search passes what is left of the cap
-    want = {"error": "BudgetExceeded", "steps": 501, "budget": 500}
-    phases, z_summary = run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[2], budget=500)
-    assert phases.passed and z_summary.detail == want
-    once = ["certify_lanes", "certify_lanes", "handoff_certificate"]
-    assert [name for name, _, _ in builds] == once + ["certify_lanes"]
-    (alone,) = run_claims(ms=(11,), claims=["z_summary"], ds=[2], budget=500)
+    # one cap for every claim: sum_bounds certifies w(2)'s lanes at m = 11 in
+    # 546 steps, within the budget; z_summary's d = 2 certificate reuses y's
+    # lanes (87 steps), so 513 are left for w(2)'s, which it builds again,
+    # and their search passes that rest: z_summary fails as it does alone
+    want = {"error": "BudgetExceeded", "steps": 601, "budget": 600}
+    results = run_claims(ms=(11,), claims=["sum_bounds", "z_summary"], budget=600)
+    assert results[0].passed and results[-1].detail == want
+    w2 = build_w(window_params(11), 2)
+    lanes = [(cs, init) for name, cs, init in builds if name == "certify_lanes"]
+    assert len(lanes) == 8 and lanes.count((compile_system(w2), w2.init)) == 2
+    (alone,) = run_claims(ms=(11,), claims=["z_summary"], ds=[2], budget=600)
     assert alone.detail == want
-    # without a budget z_summary reads phases' certificate
+    # without a budget z(2)'s certificate, the one past DETECT_CUTOFF, reads
+    # sum_bounds' lanes
     builds.clear()
-    assert all(r.passed for r in run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[2]))
-    assert [name for name, _, _ in builds] == once
+    assert all(r.passed for r in run_claims(ms=(11,), claims=["sum_bounds", "z_summary"]))
+    assert [name for name, _, _ in builds] == ["certify_lanes"] * 7 + ["handoff_certificate"]
 
 
 # --- the shared entry point --------------------------------------------------
@@ -1113,6 +1117,50 @@ def test_run_claims_turns_budget_blowups_into_failures():
     assert results, "expected instances"
     assert all(not r.passed for r in results)
     assert all(r.detail.get("error") == "BudgetExceeded" for r in results)
+
+
+def test_one_budget_routes_every_proof_and_caps_every_certificate():
+    # a blind search runs only within both DETECT_CUTOFF and the budget, so
+    # each orbit past the budget is proved on its certificate, and the
+    # default grid passes at 1,298, the steps of m = 11 z(2)'s certificate
+    assert all(r.passed for r in run_claims(ms=(6, 11), budget=1298))
+    failed = [(r.claim, r.params) for r in run_claims(ms=(6, 11), budget=1297) if not r.passed]
+    assert failed == [
+        (claim, {"m": 11, "d": 2} if claim != "chain" else {"m": 11})
+        for claim in ("phases", "z_summary", "chain", "basin")
+    ]
+
+
+def test_the_budget_caps_the_certificates_claims_read():
+    # sum_bounds, y_deshuffle and phases read their certificates within the
+    # budget too: y's lanes at m = 11 take 87 steps
+    want = {"error": "BudgetExceeded", "steps": 81, "budget": 80}
+    results = run_claims(ms=(11,), claims=["sum_bounds", "y_deshuffle", "phases"], budget=80)
+    assert [(r.claim, r.detail) for r in results] == [
+        (claim, want) for claim in ("sum_bounds", "y_deshuffle", "phases", "phases", "phases")
+    ]
+    # phases and z_summary read one certificate per z(d), and fail alike
+    for d in range(3):
+        phases, z_summary = run_claims(ms=(11,), claims=["phases", "z_summary"], ds=[d], budget=500)
+        assert phases.passed is False and phases.detail == z_summary.detail, d
+        assert phases.detail["error"] == "BudgetExceeded", d
+
+
+def test_every_claim_that_proves_or_certifies_members_is_priced(monkeypatch):
+    # each instance is priced at the largest proof_work among the members it
+    # proves or certifies, so under a low cutoff it runs and passes, or is
+    # skipped; none is attempted and aborted
+    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 60)
+    results = run_claims(ms=(6,))
+    assert [r for r in results if r.passed is False] == []
+    skipped = [(r.claim, r.detail["work"]) for r in results if r.passed is None]
+    assert skipped == [
+        ("sum_bounds", 112), ("w_cycle", 67), ("w_cycle", 112), ("phases", 237), ("phases", 282),
+        ("z_summary", 237), ("z_summary", 282), ("chain", 282), ("basin", 237), ("basin", 282),
+    ]
+    p = window_params(6)
+    assert [claim_grid(c, 6)[0][1] for c in ("x_cycle", "v_fixed", "y_cycle", "y_deshuffle")] == [None] * 4
+    assert proof_work(p, "v", 1) == 58 and proof_work(p, "y") == 30
 
 
 def test_run_claims_reports_scale_rejection(monkeypatch):

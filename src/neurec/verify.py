@@ -36,11 +36,11 @@ time.  One cap, the budget or else MEASURE_CUTOFF (_cap), picks a proof's
 route, blind only when T + P fits both it and DETECT_CUTOFF, and bounds
 every certificate a claim reads (_certificate): one past it raises
 BudgetExceeded, as a simulation does unrun.  simulated_trace routes simulate
-alike, capped at its steps.  _priced prices a claim instance at the largest
-proof_work of the members it proves or certifies, and MEASURE_CUTOFF bounds
-the work per instance: each grid lists every structurally valid instance,
-and skip_detail skips (passed None) one past the cutoff rather than attempt
-and abort it.
+alike, capped at its steps.  _priced prices an instance at the largest
+proof_work (predicted T + P, summed over lanes) of the members it proves or
+certifies, and skip_detail skips (passed None) one past MEASURE_CUTOFF
+rather than attempt it.  A lane search may take an eighth more plus its
+memory (find_repeat), so one priced just within a cap can still fail.
 
 A run proves each distinct orbit once and certifies it once: proof_memo,
 open for one run_claims call or CLI run, keeps every completed proof and

@@ -1,18 +1,17 @@
 """Find the smallest --budget under which the default grid passes.
 
-    python3 tools/least_budget.py [--m 6 --m 11]
+    python3 tools/least_budget.py
 
-Bisects the least budget b for which run_claims(ms, budget=b) passes every
-instance, over the scales given (default 6 and 11, the CLI's default grid),
-and prints it.  Every route proves the same predicted pairs and reads the
-same certificates, so a grid that passes at b passes at every larger b, and
-one bisection between 0 and MEASURE_CUTOFF, the cap without --budget, finds
-it.  It uses only the standard library and src/.
+Bisects the least budget b for which run_claims(budget=b), the CLI's
+default grid, passes every instance, and prints it.  Every route proves the
+same predicted pairs and reads the same certificates, so a grid that passes
+at b passes at every larger b, and one bisection between 0 and
+MEASURE_CUTOFF, the cap without --budget, finds it.  It uses only the
+standard library and src/.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -21,27 +20,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from neurec.verify import MEASURE_CUTOFF, run_claims  # noqa: E402
 
 
-def passes(ms: list[int], budget: int) -> bool:
-    return all(res.passed for res in run_claims(ms, budget=budget))
+def passes(budget: int) -> bool:
+    return all(res.passed for res in run_claims(budget=budget))
 
 
-def least_budget(ms: list[int]) -> int:
-    """The least budget at which every instance at ms passes."""
-    if not passes(ms, MEASURE_CUTOFF):
-        raise SystemExit(f"the grid at m = {ms} does not pass at MEASURE_CUTOFF")
+def least_budget() -> int:
+    """The least budget at which every instance of the default grid passes."""
+    if not passes(MEASURE_CUTOFF):
+        raise SystemExit("the default grid does not pass at MEASURE_CUTOFF")
     lo, hi = 0, MEASURE_CUTOFF  # lo fails (a budget is positive), hi passes
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(ms, mid) else (mid, hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
     return hi
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--m", action="append", type=int, help="scale; repeatable (default 6 and 11)")
-    ms = parser.parse_args().m or [6, 11]
-    print(f"least --budget passing every instance at m = {', '.join(map(str, ms))}: {least_budget(ms):,}")
-
-
 if __name__ == "__main__":
-    main()
+    print(f"least --budget passing every instance of the default grid: {least_budget():,}")

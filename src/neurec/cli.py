@@ -100,32 +100,48 @@ class RunReport:
 # trace and system serialization
 
 
+# a run-length line is "<bit>×<count>\n" in UTF-8; export_trace writes runs in
+# blocks of about _RUN_BLOCK trace bytes, each extended to a whole run
+_RUNS = re.compile(rb"\x00+|\x01+")
+_RUN_LINES = tuple(f"{bit}×%d\n".encode() for bit in (0, 1))
+_RUN_BLOCK = 1 << 14
+
+
 def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) -> None:
     """Write a trace as text-bits (wrapped every memory symbols, on one line
-    when memory is 0) or run-length."""
+    when memory is 0) or run-length, in UTF-8."""
     path = Path(path)
     trace = trace if isinstance(trace, (bytes, bytearray)) else bytes(trace)
     if fmt == "text-bits":
         chars = trace.translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
         width = memory or len(chars) or 1
         lines = [chars[i : i + width] for i in range(0, len(chars), width)]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return
     if fmt == "run-length":
-        runs = re.finditer(rb"\x00+|\x01+", trace)
-        with path.open("w") as fh:
-            # one line at a time: a list of every line takes several times
-            # the memory of the trace itself
-            fh.writelines(f"{run[0][0]}×{len(run[0])}\n" for run in runs)
+        with path.open("wb") as fh:
+            # one block at a time, so memory stays flat: the lines of a whole
+            # trace take several times the trace itself
+            start, size = 0, len(trace)
+            while start < size:
+                end = min(start + _RUN_BLOCK, size)
+                if end < size:  # on to the next change of bit, or the end
+                    end = trace.find(1 - trace[end - 1], end)
+                    end = size if end < 0 else end
+                counts = tuple(map(len, _RUNS.findall(trace, start, end)))
+                first, other = _RUN_LINES[trace[start]], _RUN_LINES[1 - trace[start]]
+                lines = (first + other) * (len(counts) // 2) + first * (len(counts) % 2)
+                fh.write(lines % counts)
+                start = end
             if not trace:
-                fh.write("\n")
+                fh.write(b"\n")
         return
     raise ValueError(f"unknown trace format {fmt!r}")
 
 
 def import_trace(path: str | Path) -> list[int]:
     """Read either trace format back; the round trip is exact."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     body = text.strip()
     if not body:
         return []

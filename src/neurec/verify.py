@@ -37,10 +37,9 @@ route, blind only when T + P fits both it and DETECT_CUTOFF, and bounds
 every certificate a claim reads (_certificate): one past it raises
 BudgetExceeded, as a simulation does unrun.  simulated_trace routes simulate
 alike, capped at its steps.  _priced prices an instance at the largest
-proof_work (predicted T + P, summed over lanes) of the members it proves or
-certifies, and skip_detail skips (passed None) one past MEASURE_CUTOFF
-rather than attempt it.  A lane search may take an eighth more plus its
-memory (find_repeat), so one priced just within a cap can still fail.
+proof_work (predicted T + P, each lane at the bound of its search) of the
+members it proves or certifies, and skip_detail skips (passed None) one
+past MEASURE_CUTOFF rather than attempt it.
 
 A run proves each distinct orbit once and certifies it once: proof_memo,
 open for one run_claims call or CLI run, keeps every completed proof and
@@ -268,8 +267,9 @@ def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, in
     steps.  run stops at the first repeat, so it takes min(T + P, steps)
     slides; past DETECT_CUTOFF the trace is read off _proof_certificate's
     if it closes within steps slides.  Below it run is the cheaper for a
-    handoff (tools/route_crossover.py, default steps: m = 6 z(0) 0.40 ms by
-    run, 1.37 ms by certificate; m = 11 z(1) 1.64 / 3.67 ms)."""
+    handoff (tools/route_crossover.py, default steps, 3 runs: m = 6 z(0)
+    0.23-0.35 ms by run, 0.90-1.16 ms by certificate; m = 11 z(1)
+    1.49-2.08 / 2.92-5.03 ms)."""
     cs = compile_system(mem.system)
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
@@ -862,19 +862,21 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     CLI's cycle mode.  x_i and v_i are priced at their own T + P, and y,
     w(d) and z(d) at their lanes on every route, far below MEASURE_CUTOFF
     wherever a blind search is the cheaper.  The rho lanes of y and w(d)
-    are single units, x_i for every lane of y and for the lanes i > d of
-    w(d), v_i for the lanes i <= d, summed at their predicted T + P.  z(d)
-    is proved on the lanes of y and w(d) with at most h explicit steps
-    between them, and is priced at both lane sums plus h.
+    are single units of memory k, x_i for every lane of y and for the lanes
+    i > d of w(d), v_i for the lanes i <= d, each priced at the most slides
+    its search takes (find_repeat): T + P + (T + P) // 8 + k.  z(d) is
+    proved on the lanes of y and w(d) with at most h explicit steps between
+    them, and is priced at both lane sums plus h.
     """
     if family not in ("y", "w", "z"):
         return sum(predicted_cycle(params, family, index))
 
     def lanes(collapsed: int) -> int:
-        return sum(
+        orbits = (
             sum(predicted_cycle(params, "v" if i <= collapsed else "x", i))
             for i in range(params.rho)
         )
+        return sum(tp + tp // 8 + params.k for tp in orbits)
 
     if family == "z":
         return lanes(-1) + lanes(index) + params.h

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,13 +11,14 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurec.verify
 from neurec import (
     RecurrenceSystem,
     advance_word,
+    build_y,
     build_z,
     check_basin,
     compile_system,
@@ -29,6 +31,7 @@ from neurec import (
     z_handoff,
 )
 from neurec.cli import (
+    _RUN_BLOCK,
     MODES,
     export_trace,
     import_trace,
@@ -788,6 +791,33 @@ def test_scale_rejection_paths(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def per_run_lines(trace: bytes) -> bytes:
+    """The run-length file written one formatted line per run."""
+    lines = "".join(f"{run[0][0]}×{len(run[0])}\n" for run in re.finditer(rb"\x00+|\x01+", trace))
+    return (lines or "\n").encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 1),
+    st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2 * _RUN_BLOCK)), max_size=40),
+)
+@example(0, [])
+@example(0, [3 * _RUN_BLOCK])
+@example(1, [3 * _RUN_BLOCK])
+@example(0, [1] * (2 * _RUN_BLOCK + 5))
+@example(1, [_RUN_BLOCK, _RUN_BLOCK, 1])
+@example(0, [_RUN_BLOCK - 1, 2, _RUN_BLOCK])
+def test_run_length_blocks_write_every_run_once(tmp_path_factory, first, runs):
+    # export_trace cuts the trace into blocks of whole runs; runs that cross
+    # a block's nominal edge extend it, and the file equals one line per run
+    trace = b"".join(bytes([(first + i) % 2]) * n for i, n in enumerate(runs))
+    path = tmp_path_factory.mktemp("blocks") / "t.rle"
+    export_trace(trace, path, "run-length", 5)
+    assert path.read_bytes() == per_run_lines(trace)
+    assert import_trace(path) == list(trace)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -809,6 +839,31 @@ def test_exit_contract_through_the_module_entry_point(tmp_path, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_run_length_traces_are_utf8_in_an_ascii_locale(tmp_path):
+    # the C locale with no UTF-8 coercion encodes text as ASCII; trace files
+    # are written and read as UTF-8 regardless
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = os.environ | {
+        "PYTHONPATH": path, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+    }
+    argv = ["--mode", "simulate", "--m", "6", "--emit-traces", "--trace-format", "run-length"]
+
+    def python(*args):
+        proc = subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    python("-m", "neurec.cli", *argv, "--out", "out")
+    assert b"\xc3\x97" in (tmp_path / "out" / "y_m_6.rle").read_bytes()
+    read = "from neurec.cli import import_trace; print(bytes(import_trace('out/y_m_6.rle')).hex())"
+    (row,) = read_report(tmp_path / "out")["cycle_reports"]
+    y = build_y(window_params(6))
+    assert bytes.fromhex(python("-c", read)) == run(compile_system(y), y.init, row["steps"])
 
 
 def test_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys):

@@ -708,6 +708,27 @@ def test_certificate_traces_agree_with_their_reads(m):
             assert cert.read(n) == word_from_bits(trace[n : n + s.memory]), (s.label, n)
 
 
+def test_certificate_traces_cut_off_the_lane_stride():
+    # each lane is written through a stride from the cut on, so a handoff
+    # at a time off the stride, and lengths off it, before at or past it,
+    # still trace the orbit: here y at m = 11 (3 lanes) hands off to itself
+    p = window_params(11)
+    y = build_y(p)
+    cs = compile_system(y)
+    full = run(cs, y.init, 3 * p.h)
+    lanes, _ = certify_lanes(cs, y.init, budget=10**6)
+    lengths = (1, 50, 98, 101, 2 * p.h + 1)
+    assert all(length % 3 for length in lengths)
+    for length in lengths:
+        assert lanes.trace(length) == full[:length], length
+    for at in (100, 101):
+        tail = dataclasses.replace(y, init=tuple(full[at : at + y.memory]))
+        cert, _ = _certificate(cs, y.init, Handoff(y, tail, at), 10**7)
+        assert cert.closes and cert.at == at
+        for length in lengths:
+            assert cert.trace(length) == full[:length], (at, length)
+
+
 @pytest.mark.parametrize("m", [6, 11])
 def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch):
     # certify_lanes slides each lane exactly as far as its searches report;

@@ -827,10 +827,11 @@ def test_grid_skips_infeasible_scales():
         for claim in ("w_cycle", "z_summary", "chain", "basin"):
             assert runnable(claim, m) == [kw for kw, _ in claim_grid(claim, m)], (claim, m)
     # z(4) at m = 21 has T + P = 1.9e9, and its proof is priced at y's and
-    # w(4)'s lanes plus h
+    # w(4)'s lanes, each at the bound of its search, plus h
     p21 = window_params(21)
-    lanes = sum(p21.primes) + sum(p21.k - p + 1 for p in p21.primes)
-    assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h
+    orbits = [*p21.primes, *(p21.k - p + 1 for p in p21.primes)]
+    lanes = sum(tp + tp // 8 + p21.k for tp in orbits)
+    assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h == 12_890
     # phases reads z(d)'s handoff certificate, priced as z_summary's proof,
     # and basin runs exactly the z(d) proofs of z_summary that lie on its grid
     for m in (16, 21, 26):
@@ -1148,19 +1149,29 @@ def test_the_budget_caps_the_certificates_claims_read():
 
 def test_every_claim_that_proves_or_certifies_members_is_priced(monkeypatch):
     # each instance is priced at the largest proof_work among the members it
-    # proves or certifies, so under a low cutoff it runs and passes, or is
-    # skipped; none is attempted and aborted
+    # proves or certifies, each lane at the bound of its search, so under a
+    # low cutoff it runs and passes, or is skipped; none is attempted and aborted
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 60)
     results = run_claims(ms=(6,))
     assert [r for r in results if r.passed is False] == []
     skipped = [(r.claim, r.detail["work"]) for r in results if r.passed is None]
     assert skipped == [
-        ("sum_bounds", 112), ("w_cycle", 67), ("w_cycle", 112), ("phases", 237), ("phases", 282),
-        ("z_summary", 237), ("z_summary", 282), ("chain", 282), ("basin", 237), ("basin", 282),
+        ("sum_bounds", 265), ("y_cycle", 173), ("y_deshuffle", 173), ("w_cycle", 214),
+        ("w_cycle", 265), ("phases", 527), ("phases", 578), ("z_summary", 527),
+        ("z_summary", 578), ("chain", 578), ("basin", 527), ("basin", 578),
     ]
     p = window_params(6)
-    assert [claim_grid(c, 6)[0][1] for c in ("x_cycle", "v_fixed", "y_cycle", "y_deshuffle")] == [None] * 4
-    assert proof_work(p, "v", 1) == 58 and proof_work(p, "y") == 30
+    assert [claim_grid(c, 6)[0][1] for c in ("x_cycle", "v_fixed")] == [None] * 2
+    assert proof_work(p, "v", 1) == 58 and proof_work(p, "y") == 173
+    # m = 11 y's lane searches take 87 slides for a summed lane T + P of 83:
+    # under a cutoff between the two it is skipped, and at its price it passes
+    y_claims = ["y_cycle", "y_deshuffle"]
+    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 85)
+    assert [(r.passed, r.detail["work"]) for r in run_claims(ms=(11,), claims=y_claims)] == [
+        (None, 676), (None, 676),
+    ]
+    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", proof_work(window_params(11), "y"))
+    assert [r.passed for r in run_claims(ms=(11,), claims=y_claims)] == [True, True]
 
 
 def test_run_claims_reports_scale_rejection(monkeypatch):

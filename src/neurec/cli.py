@@ -10,7 +10,7 @@ One batch entry point with six modes:
   basin       the free-prefix basin claim per scale and step
 
 The verify, chain and basin modes hand their claims to verify.run_claims,
-which alone knows each claim's grid, cutoff and knobs.  The member modes
+which alone knows each claim's name, grid, cutoff and knobs.  The member modes
 (construct, cycle, simulate) share one loop over the selected family members
 of every scale, each a verify.member, inside one verify.proof_memo, one row
 per member; cycle proves it with Member.prove and simulate traces it with
@@ -44,7 +44,6 @@ from .construction import RecurrenceSystem
 from .errors import NeurecError
 from .numtheory import WindowParams, window_params
 from .verify import (
-    ALL_CLAIMS,
     ClaimResult,
     Member,
     attempt,
@@ -470,10 +469,6 @@ def _validate(config: ExperimentConfig) -> None:
         for name in names:
             if config.mode not in modes and getattr(config, name) != getattr(ExperimentConfig, name):
                 raise ValueError(f"--{name.replace('_', '-')} does not apply to --mode {config.mode}")
-    if config.claims:
-        unknown = sorted(set(config.claims) - set(ALL_CLAIMS))
-        if unknown:
-            raise ValueError(f"unknown claims: {', '.join(unknown)}")
     if not config.m:
         raise ValueError("need at least one m")
     if any(m < 2 for m in config.m):

@@ -19,10 +19,10 @@ slides, writes each chunk's outputs, the low bits of the window, into a
 trace with bits_from_word, and at check points spaced max(1, n // 8)
 slides apart looks the newest window S_n up in the trace so far.  No
 window repeats before S_{T + P} on an orbit of transient T and period P,
-so it stops after min(limit, T + P) slides at least and
-T + P + (T + P) // 8 + memory at most.  run fills the rest of its trace by
-periodic extension from the first S_i == S_n with i < n, however many
-steps it asks for.
+so it stops after min(limit, T + P) slides at least and M + M // 8 at
+most, M = T + P + (T + P) // 8, whatever the memory.  run fills the rest
+of its trace by periodic extension from the first S_i == S_n with i < n,
+however many steps it asks for.
 
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
@@ -171,9 +171,15 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
     Returns (n, i) for the first check point n at which S_n == S_i for some
     i < n, with i the first such time, or (n, n) at n = limit when there is
     none.  On an orbit of transient T and period P, a repeat is found
-    exactly when T + P <= limit, after at most T + P + (T + P) // 8 + memory
-    slides, and then T <= i < T + P.  A memory-0 system has empty windows,
-    so S_1 repeats S_0.
+    exactly when T + P <= limit, and then T <= i < T + P.  A memory-0 system
+    has empty windows, so S_1 repeats S_0.
+
+    It stops within M + M // 8 slides, M = N + N // 8, N = T + P, whatever
+    the memory.  Each n >= N repeats S_{n - P}, so it stops at the first
+    check point n1 >= N.  With g(x) = x + max(1, x // 8), nondecreasing, the
+    last check point n0 < N set the next at g(n0) <= g(N - 1), and n1 ends a
+    chunk from some n < g(N - 1), so n1 <= g(g(N - 1) - 1).  Every n <= 16
+    is a check point, and for N > 16, g(g(N - 1) - 1) <= g(M - 2) <= M + M // 8.
     """
     memory = cs.memory
     word = word_from_bits(trace[:memory])

@@ -29,29 +29,31 @@ and w(d); a system with one lane is simulated.  On every route a wrong
 prediction raises PredictionFailed from the one probe rule in cycles, so it
 never comes back as a verdict.  member wires each family member in one place,
 its system, predicted_cycle pair and, for z(d), handoff, so no caller of
-Member.prove or simulated_trace can leave the handoff out.  check_phases
-reads z(d)'s five phases off the same handoff certificate, and sum_bounds
-and y_deshuffle read y and every w(d) off the same lanes, all exact for all
-time.  One cap, the budget or else MEASURE_CUTOFF (_cap), picks a proof's
-route, blind only when T + P fits both it and DETECT_CUTOFF, and bounds
-every certificate a claim reads (_certificate): one past it raises
-BudgetExceeded, as a simulation does unrun.  simulated_trace routes simulate
-alike, capped at its steps.  _priced prices an instance at the largest
+Member.prove or simulated_trace can leave the handoff out; no claim but
+chain_equals_direct, about the builders, builds a family system otherwise.
+check_phases reads z(d)'s five phases off the same handoff certificate, and
+sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
+exact for all time.  One cap, the budget or else MEASURE_CUTOFF (_cap),
+picks a proof's route, blind only when T + P fits both it and
+DETECT_CUTOFF, and bounds every certificate a claim reads (_certificate):
+one past it raises BudgetExceeded, as a simulation does unrun.
+simulated_trace routes simulate alike, capped at its steps.  _priced prices an instance at the largest
 proof_work (predicted T + P, each lane at the bound of its search) of the
 members it proves or certifies, and skip_detail skips (passed None) one
 past MEASURE_CUTOFF rather than attempt it.
 
-A run proves each distinct orbit once and certifies it once: proof_memo,
-open for one run_claims call or CLI run, keeps every completed proof and
-closed certificate (_certificate), so the chain reuses the proofs of y_cycle and
-z_summary, phases and z_summary share each z(d)'s certificate, sum_bounds,
-y_cycle, y_deshuffle and every z(d)'s certificate y's lanes, and a
-detail's steps do not depend on which claim ran first.  The memo is
-dropped when the run ends.  A certified proof also reports its entry
-window S_T, so v_fixed's and the chain's all-zero attractors are read from
-it rather than walking the transient again.  basin shares z_summary's
-proof, and one interval pass proves that every free prefix merges into the
-reference window.
+A run builds each member once, proves each distinct orbit once and
+certifies it once: proof_memo, open for one run_claims call or CLI run,
+keeps every member built, completed proof and closed certificate
+(_certificate), so z(d)'s handoff reads the run's y and w(d), the chain
+reuses the proofs of y_cycle and z_summary, phases and z_summary share each
+z(d)'s certificate, sum_bounds, y_cycle, y_deshuffle and every z(d)'s
+certificate y's lanes, and a detail's steps do not depend on which claim
+ran first.  The memo is dropped when the run ends.  A certified proof also
+reports its entry window S_T, so v_fixed's and the chain's all-zero
+attractors are read from it rather than walking the transient again.  basin
+shares z_summary's proof, and one interval pass proves that every free
+prefix merges into the reference window.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ _proofs: dict | None = None
 @contextmanager
 def proof_memo() -> Iterator[None]:
     """Open _proofs for one run: completed proofs under (compiled system, init,
-    predicted), closed certificates under (compiled system, init, handoff)."""
+    predicted), closed certificates under (compiled system, init, handoff)
+    and built members under ("member", m, family, index)."""
     global _proofs
     _proofs = {}
     try:
@@ -175,13 +178,14 @@ class Handoff(NamedTuple):
 
 def z_handoff(params: WindowParams, d: int) -> Handoff:
     """The orbit z(d) is claimed to follow: y's, then w(d)'s from time L1(d) on."""
-    return Handoff(cons.build_y(params), cons.build_w(params, d), cycle_lengths(params, d)[1])
+    y, w = member(params, "y").system, member(params, "w", d).system
+    return Handoff(y, w, cycle_lengths(params, d)[1])
 
 
 class Member(NamedTuple):
     """One family member: its system, its predicted (T, P) and, for z(d)
     only, the zero-argument builder of its Handoff, called only when a proof
-    or trace asks for the handoff certificate."""
+    or trace asks for the handoff certificate, on the run's y and w(d)."""
 
     family: str
     index: int | None
@@ -199,19 +203,26 @@ def member(
 ) -> Member:
     """The member family(index), "x"/"v" taking a lane i and "w"/"z" a step d.
 
-    predicted_cycle raises on an unknown family or an index off its range.
-    system replaces the built one (the chain's incremental z(d)).  Builders
-    and z_handoff are looked up per call, so a rebound name is seen.
+    The one place verify builds a family system.  predicted_cycle raises on
+    an unknown family or an index off its range.  system replaces the built
+    one (the chain's incremental z(d)) and is never kept.  Inside proof_memo
+    a built member is kept, so a run builds each one once; outside it every
+    call builds afresh.  Builders and z_handoff are looked up at each build,
+    so a rebound name is seen.
     """
-    predicted = predicted_cycle(params, family, index)
-    if system is None:
-        build = {
-            "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
-            "w": cons.build_w, "z": cons.build_z,
-        }[family]
-        system = build(params) if family == "y" else build(params, index)
-    handoff = partial(z_handoff, params, index) if family == "z" else None
-    return Member(family, index, system, predicted, handoff)
+    memo = _proofs if system is None and _proofs is not None else {}
+    key = ("member", params.m, family, index)
+    if key not in memo:
+        predicted = predicted_cycle(params, family, index)
+        if system is None:
+            build = {
+                "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
+                "w": cons.build_w, "z": cons.build_z,
+            }[family]
+            system = build(params) if family == "y" else build(params, index)
+        handoff = partial(z_handoff, params, index) if family == "z" else None
+        memo[key] = Member(family, index, system, predicted, handoff)
+    return memo[key]
 
 
 def _cap(budget: int | None) -> int:
@@ -534,14 +545,14 @@ def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResu
     params = window_params(m)
     rho, mu = params.rho, params.mu
     mu_sum = sum(mu)
-    envelopes = [(f"x{i}", cons.single_system(params, i), mu[i], mu[i] + 1) for i in range(rho)]
-    envelopes.append(("y", cons.build_y(params), mu_sum, rho + mu_sum))
+    envelopes = [(f"x{i}", member(params, "x", i), mu[i], mu[i] + 1) for i in range(rho)]
+    envelopes.append(("y", member(params, "y"), mu_sum, rho + mu_sum))
     for d in range(rho):
-        envelopes.append((f"w{d}", cons.build_w(params, d), sum(mu[d + 1 :]), rho - d - 1 + mu_sum))
+        envelopes.append((f"w{d}", member(params, "w", d), sum(mu[d + 1 :]), rho - d - 1 + mu_sum))
     detail: dict = {}
     ok = True
-    for name, system, low, high in envelopes:
-        lo, hi = _certified(system, budget).popcount_range() or (None, None)
+    for name, mem, low, high in envelopes:
+        lo, hi = _certified(mem.system, budget).popcount_range() or (None, None)
         ok = ok and lo is not None and low <= lo and hi <= high
         detail[name] = {"min": lo, "max": hi, "bounds": [low, high]}
     return ClaimResult("sum_bounds", {"m": m}, ok, detail)
@@ -554,7 +565,7 @@ def _run_s1_range(m: int, **_: object) -> ClaimResult:
     ok = True
     worst_gap = None
     for i in range(params.rho):
-        system = cons.single_system(params, i)
+        system = member(params, "x", i).system
         orbit = walk(compile_system(system), word_from_bits(system.init))
         low = -2 * (1 + params.mu[i])
         lane_ok = True
@@ -592,10 +603,10 @@ def _run_y_deshuffle(m: int, budget: int | None = None, **_: object) -> ClaimRes
     recurrence (so y has rho lanes, of memory k) from x_i's window after one
     slide, and x_i is its closed form."""
     params = window_params(m)
-    lanes = _certified(cons.build_y(params), budget)
+    lanes = _certified(member(params, "y").system, budget)
     bad: list[str] = []
     for i, (trace, _) in zip(range(params.rho), lanes.orbits):
-        x = cons.single_system(params, i)
+        x = member(params, "x", i).system
         cs = compile_system(x)
         if lanes.cs != cs:
             bad.append(f"lane {i} does not obey x_{i}'s recurrence")
@@ -711,7 +722,7 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     params = window_params(m)
     rho = params.rho
     plans = [cons.perturbation_plan(params, d) for d in range(rho)]
-    systems = [cons.build_z(params, 0)]
+    systems = [member(params, "z", 0).system]
     for d in range(rho - 1):
         systems.append(cons.chain_perturbation(systems[d], plans[d], plans[d + 1]))
     chain = {"y": member(params, "y")}
@@ -864,9 +875,9 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     wherever a blind search is the cheaper.  The rho lanes of y and w(d)
     are single units of memory k, x_i for every lane of y and for the lanes
     i > d of w(d), v_i for the lanes i <= d, each priced at the most slides
-    its search takes (find_repeat): T + P + (T + P) // 8 + k.  z(d) is
-    proved on the lanes of y and w(d) with at most h explicit steps between
-    them, and is priced at both lane sums plus h.
+    its search takes (find_repeat): M + M // 8, M = T + P + (T + P) // 8.
+    z(d) is proved on the lanes of y and w(d) with at most h explicit steps
+    between them, and is priced at both lane sums plus h.
     """
     if family not in ("y", "w", "z"):
         return sum(predicted_cycle(params, family, index))
@@ -876,7 +887,7 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
             sum(predicted_cycle(params, "v" if i <= collapsed else "x", i))
             for i in range(params.rho)
         )
-        return sum(tp + tp // 8 + params.k for tp in orbits)
+        return sum(n + n // 8 for n in (tp + tp // 8 for tp in orbits))
 
     if family == "z":
         return lanes(-1) + lanes(index) + params.h
@@ -951,25 +962,10 @@ _TABLE = {
         Claim("w_cycle", _every_d, _priced("w"), _run_w_cycle),
         Claim("b0_methods_agree", _once, None, _run_b0_methods_agree),
         Claim("chain_equals_direct", _once, None, _run_chain_equals_direct),
-        Claim(
-            "phases",
-            _every_d,
-            _priced("z"),
-            lambda m, d, budget, **_: check_phases(m, d, budget=budget),
-        ),
+        Claim("phases", _every_d, _priced("z"), lambda m, d, budget, **_: check_phases(m, d, budget)),
         Claim("z_summary", _every_d, _priced("z"), _run_z_summary),
-        Claim(
-            "chain",
-            _once,
-            _priced("yz"),
-            lambda m, budget, **_: check_chain(m, budget=budget),
-        ),
-        Claim(
-            "basin",
-            _basin_grid,
-            _priced("z"),
-            lambda m, d, budget, **_: check_basin(m, d, budget=budget),
-        ),
+        Claim("chain", _once, _priced("yz"), lambda m, budget, **_: check_chain(m, budget)),
+        Claim("basin", _basin_grid, _priced("z"), lambda m, d, budget, **_: check_basin(m, d, budget)),
         _composition("example1_period2"),
         _composition("example1_period3"),
         _composition("divisor_rule"),

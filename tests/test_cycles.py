@@ -422,6 +422,38 @@ def test_popcount_range_equals_the_walk_over_the_whole_orbit(s):
     assert lanes.popcount_range() == want
 
 
+@st.composite
+def rotating_systems(draw):
+    """x(n) = [x(n - memory) + x(n - j) >= theta], theta 1 or 2: a rotation
+    when j = memory, else the OR or AND of two taps, with orbits of up to a
+    few hundred slides and transients."""
+    memory = draw(st.integers(1, 160))
+    j = draw(st.integers(1, memory))
+    weights = [0] * memory
+    weights[memory - 1] += 1
+    weights[j - 1] += 1
+    init = tuple(draw(st.lists(st.integers(0, 1), min_size=memory, max_size=memory)))
+    return RecurrenceSystem(memory, tuple(weights), draw(st.integers(1, 2)), init)
+
+
+def search_bound(tp):
+    """The most slides find_repeat takes on an orbit of T + P = tp, whatever
+    the memory: the price verify.proof_work puts on each lane."""
+    n = tp + tp // 8
+    return n + n // 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_systems(), laned_systems(), rotating_systems()))
+def test_searches_stay_within_the_bound_a_lane_is_priced_at(s):
+    cs = compile_system(s)
+    rep = detect_cycle(cs, s.init, step_budget=10**6)
+    assert rep.steps_executed <= search_bound(rep.measured_transient + rep.measured_period)
+    lanes, steps = certify_lanes(cs, s.init, budget=10**6)
+    orbits = [lane.measured_transient + lane.measured_period for _, lane in lanes.orbits]
+    assert steps <= sum(search_bound(tp) for tp in orbits)
+
+
 @pytest.mark.parametrize(
     "m, families",
     [(6, ("y", "w")), (11, ("y", "w")), (16, ("w",))],

@@ -49,6 +49,7 @@ from neurec import (
 from neurec.cli import main
 from neurec.cycles import certify_lanes
 from neurec.verify import MEASURE_CUTOFF, claim_grid, proof_work
+from test_cycles import search_bound
 
 
 def runnable(claim, m):
@@ -830,8 +831,8 @@ def test_grid_skips_infeasible_scales():
     # w(4)'s lanes, each at the bound of its search, plus h
     p21 = window_params(21)
     orbits = [*p21.primes, *(p21.k - p + 1 for p in p21.primes)]
-    lanes = sum(tp + tp // 8 + p21.k for tp in orbits)
-    assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h == 12_890
+    lanes = sum(search_bound(tp) for tp in orbits)
+    assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h == 7_075
     # phases reads z(d)'s handoff certificate, priced as z_summary's proof,
     # and basin runs exactly the z(d) proofs of z_summary that lie on its grid
     for m in (16, 21, 26):
@@ -976,6 +977,48 @@ def test_chain_member_unlike_the_direct_build_is_proved_afresh(proof_calls, monk
     z1 = neurec.build_z(window_params(6), 1)
     altered = (1 - z1.init[0],) + z1.init[1:]
     assert [init for _, _, init in proof_calls].count(altered) == 1
+
+
+@pytest.fixture
+def member_builds(monkeypatch):
+    """Every (builder, m, index) the x_i, v_i and w(d) builders are asked for."""
+    calls = []
+    for name in ("single_system", "destabilized_system", "build_w"):
+        original = getattr(neurec.construction, name)
+
+        def counted(params, index, _name=name, _original=original):
+            calls.append((_name, params.m, index))
+            return _original(params, index)
+
+        monkeypatch.setattr(f"neurec.construction.{name}", counted)
+    return calls
+
+
+def test_a_run_builds_each_member_once(member_builds):
+    results = run_claims(ms=(6, 11))
+    assert all(res.passed for res in results)
+    want = [
+        (name, m, i)
+        for name in ("single_system", "destabilized_system", "build_w")
+        for m in (6, 11)
+        for i in range(window_params(m).rho)
+    ]
+    assert sorted(member_builds) == sorted(want)
+    # the memo lives for one run: a second run builds every member again
+    run_claims(ms=(6, 11))
+    assert sorted(member_builds) == sorted(want * 2)
+
+
+def test_z_hands_off_from_the_runs_own_y_and_w():
+    p = window_params(6)
+    with neurec.verify.proof_memo():
+        handoff = member(p, "z", 1).handoff()
+        assert handoff.head is member(p, "y").system
+        assert handoff.tail is member(p, "w", 1).system
+        assert member(p, "z", 1) is member(p, "z", 1)
+    # outside a run every call builds afresh
+    assert member(p, "y").system is not member(p, "y").system
+    assert z_handoff(p, 1).head is not z_handoff(p, 1).head
 
 
 @pytest.mark.long
@@ -1156,19 +1199,20 @@ def test_every_claim_that_proves_or_certifies_members_is_priced(monkeypatch):
     assert [r for r in results if r.passed is False] == []
     skipped = [(r.claim, r.detail["work"]) for r in results if r.passed is None]
     assert skipped == [
-        ("sum_bounds", 265), ("y_cycle", 173), ("y_deshuffle", 173), ("w_cycle", 214),
-        ("w_cycle", 265), ("phases", 527), ("phases", 578), ("z_summary", 527),
-        ("z_summary", 578), ("chain", 578), ("basin", 527), ("basin", 578),
+        ("sum_bounds", 140), ("w_cycle", 82), ("w_cycle", 140), ("phases", 258),
+        ("phases", 316), ("z_summary", 258), ("z_summary", 316), ("chain", 316),
+        ("basin", 258), ("basin", 316),
     ]
     p = window_params(6)
-    assert [claim_grid(c, 6)[0][1] for c in ("x_cycle", "v_fixed")] == [None] * 2
-    assert proof_work(p, "v", 1) == 58 and proof_work(p, "y") == 173
-    # m = 11 y's lane searches take 87 slides for a summed lane T + P of 83:
-    # under a cutoff between the two it is skipped, and at its price it passes
+    assert [claim_grid(c, 6)[0][1] for c in ("x_cycle", "v_fixed", "y_cycle")] == [None] * 3
+    assert proof_work(p, "v", 1) == 58 and proof_work(p, "y") == 36
+    # m = 11 y's lane searches take 87 slides for a summed lane T + P of 83,
+    # priced 102: under a cutoff below the price it is skipped, and at its
+    # price it passes
     y_claims = ["y_cycle", "y_deshuffle"]
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", 85)
     assert [(r.passed, r.detail["work"]) for r in run_claims(ms=(11,), claims=y_claims)] == [
-        (None, 676), (None, 676),
+        (None, 102), (None, 102),
     ]
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", proof_work(window_params(11), "y"))
     assert [r.passed for r in run_claims(ms=(11,), claims=y_claims)] == [True, True]

@@ -11,9 +11,9 @@ or run) and to 0 (certified), and prints the best of --repeats wall times
 of Member.prove() and of simulated_trace at the CLI's default steps (twice
 the memory).  A certificate that cannot close within those steps falls
 back to run, so the simulate table names the route the certified column
-took.  Everything runs in this one process, outside run_claims, so no proof
-or certificate is remembered between calls; members are built before the
-clock starts.  It uses only the standard library and src/.
+took.  Everything runs in this one process, outside run_claims, so no
+member, proof or certificate is remembered between calls; members are built
+before the clock starts.  It uses only the standard library and src/.
 """
 
 from __future__ import annotations

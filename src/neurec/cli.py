@@ -12,9 +12,11 @@ One batch entry point with six modes:
 The verify, chain and basin modes hand their claims to verify.run_claims,
 which alone knows each claim's name, grid, cutoff and knobs.  The member modes
 (construct, cycle, simulate) share one loop over the selected family members
-of every scale, each a verify.member, inside one verify.proof_memo, one row
-per member; cycle proves it with Member.prove and simulate traces it with
-verify.simulated_trace, which picks its route.  This module builds no system:
+of every scale, each a verify.member, one row per member; cycle proves it
+with Member.prove and simulate traces it with verify.simulated_trace, which
+picks its route, both inside one verify.proof_memo, which keeps every member
+built.  construct proves nothing and opens none, so each member is freed
+after its row.  This module builds no system:
 it handles arguments and output, and rejects a setting the mode does not read.
 Every run produces one JSON report (printed to stdout, or written to
 --out/report.json together with a summary.csv of every measured orbit).
@@ -34,6 +36,7 @@ import re
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -262,7 +265,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         claims = config.claims if config.mode == "verify" else [config.mode]
         claim_results = run_claims(ms, claims, config.seed, config.budget, ds=config.d)
     else:
-        with proof_memo():
+        with nullcontext() if config.mode == "construct" else proof_memo():
             for m in ms:
                 params = window_params(m)
                 for mem in _family_members(params, config):

@@ -37,23 +37,25 @@ exact for all time.  One cap, the budget or else MEASURE_CUTOFF (_cap),
 picks a proof's route, blind only when T + P fits both it and
 DETECT_CUTOFF, and bounds every certificate a claim reads (_certificate):
 one past it raises BudgetExceeded, as a simulation does unrun.
-simulated_trace routes simulate alike, capped at its steps.  _priced prices an instance at the largest
-proof_work (predicted T + P, each lane at the bound of its search) of the
-members it proves or certifies, and skip_detail skips (passed None) one
-past MEASURE_CUTOFF rather than attempt it.
+simulated_trace routes simulate alike, capped at its steps.  _priced
+prices an instance at the largest proof_work (predicted T + P, each lane
+at the bound of its search, a handoff at its tables, explicit steps and an
+allowance for its nodes) of the members it proves or certifies, and
+skip_detail skips (passed None) one past MEASURE_CUTOFF rather than
+attempt it.
 
 A run builds each member once, proves each distinct orbit once and
-certifies it once: proof_memo, open for one run_claims call or CLI run,
-keeps every member built, completed proof and closed certificate
-(_certificate), so z(d)'s handoff reads the run's y and w(d), the chain
-reuses the proofs of y_cycle and z_summary, phases and z_summary share each
-z(d)'s certificate, sum_bounds, y_cycle, y_deshuffle and every z(d)'s
-certificate y's lanes, and a detail's steps do not depend on which claim
-ran first.  The memo is dropped when the run ends.  A certified proof also
-reports its entry window S_T, so v_fixed's and the chain's all-zero
-attractors are read from it rather than walking the transient again.  basin
-shares z_summary's proof, and one interval pass proves that every free
-prefix merges into the reference window.
+certifies it once: proof_memo, open for one run_claims call or a CLI cycle
+or simulate run, keeps every member built, completed proof and closed
+certificate (_certificate), so z(d)'s handoff reads the run's y and w(d),
+the chain reuses the proofs of y_cycle and z_summary, phases and z_summary
+share each z(d)'s certificate, sum_bounds, y_cycle, y_deshuffle and every
+z(d)'s certificate y's lanes, and a detail's steps do not depend on which
+claim ran first.  The memo is dropped when the run ends.  A certified proof
+also reports its entry window S_T, so v_fixed's and the chain's all-zero
+attractors are read from it rather than walking the transient again.
+basin shares z_summary's proof, and one interval pass proves that every
+free prefix merges into the reference window.
 """
 
 from __future__ import annotations
@@ -876,22 +878,26 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     are single units of memory k, x_i for every lane of y and for the lanes
     i > d of w(d), v_i for the lanes i <= d, each priced at the most slides
     its search takes (find_repeat): M + M // 8, M = T + P + (T + P) // 8.
-    z(d) is proved on the lanes of y and w(d) with at most h explicit steps
-    between them, and is priced at both lane sums plus h.
+    z(d) is proved on the lanes of y and w(d) (handoff_certificate) and is
+    priced at both lane prices plus what each search for a disagreement
+    counts before its branch and bound (_first_disagreement): rho times the
+    longest lane transient and the sum of the lane periods.  Between the
+    two searches come at most h explicit steps, priced at h, and the branch
+    and bound's nodes, which have no proven bound and are allowed another h;
+    at m = 5 to 40 they take at most 0.17 h (m = 5 z(1): 20 nodes, h = 116).
     """
     if family not in ("y", "w", "z"):
         return sum(predicted_cycle(params, family, index))
 
-    def lanes(collapsed: int) -> int:
-        orbits = (
-            sum(predicted_cycle(params, "v" if i <= collapsed else "x", i))
-            for i in range(params.rho)
-        )
-        return sum(n + n // 8 for n in (tp + tp // 8 for tp in orbits))
+    def lanes(collapsed: int) -> tuple[int, int]:
+        """The price of the lane searches and of their table, v_i on lanes i <= collapsed."""
+        orbits = [predicted_cycle(params, "v" if i <= collapsed else "x", i) for i in range(params.rho)]
+        searched = sum(n + n // 8 for n in (t + p + (t + p) // 8 for t, p in orbits))
+        return searched, params.rho * max(t for t, _ in orbits) + sum(p for _, p in orbits)
 
     if family == "z":
-        return lanes(-1) + lanes(index) + params.h
-    return lanes(index if family == "w" else -1)
+        return sum(lanes(-1)) + sum(lanes(index)) + 2 * params.h
+    return lanes(index if family == "w" else -1)[0]
 
 
 def _priced(families: str) -> Callable[..., int]:
@@ -962,10 +968,25 @@ _TABLE = {
         Claim("w_cycle", _every_d, _priced("w"), _run_w_cycle),
         Claim("b0_methods_agree", _once, None, _run_b0_methods_agree),
         Claim("chain_equals_direct", _once, None, _run_chain_equals_direct),
-        Claim("phases", _every_d, _priced("z"), lambda m, d, budget, **_: check_phases(m, d, budget)),
+        Claim(
+            "phases",
+            _every_d,
+            _priced("z"),
+            lambda m, d, budget, **_: check_phases(m, d, budget=budget),
+        ),
         Claim("z_summary", _every_d, _priced("z"), _run_z_summary),
-        Claim("chain", _once, _priced("yz"), lambda m, budget, **_: check_chain(m, budget)),
-        Claim("basin", _basin_grid, _priced("z"), lambda m, d, budget, **_: check_basin(m, d, budget)),
+        Claim(
+            "chain",
+            _once,
+            _priced("yz"),
+            lambda m, budget, **_: check_chain(m, budget=budget),
+        ),
+        Claim(
+            "basin",
+            _basin_grid,
+            _priced("z"),
+            lambda m, d, budget, **_: check_basin(m, d, budget=budget),
+        ),
         _composition("example1_period2"),
         _composition("example1_period3"),
         _composition("divisor_rule"),

@@ -348,6 +348,16 @@ def test_construct_mode_emits_descriptions(capsys):
     assert doc["predicted_period"] == 26
 
 
+def test_construct_mode_keeps_no_member(monkeypatch, capsys):
+    # construct proves nothing, so it opens no run memo to keep members in
+    def no_memo():
+        raise AssertionError("construct opened proof_memo")
+
+    monkeypatch.setattr("neurec.cli.proof_memo", no_memo)
+    assert main(["--mode", "construct", "--m", "6"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cycle_reports"]) == 9
+
+
 def test_simulate_mode_with_traces(tmp_path):
     out = tmp_path / "sim"
     code = main(

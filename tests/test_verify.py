@@ -48,7 +48,7 @@ from neurec import (
 )
 from neurec.cli import main
 from neurec.cycles import certify_lanes
-from neurec.verify import MEASURE_CUTOFF, claim_grid, proof_work
+from neurec.verify import MEASURE_CUTOFF, _proof_certificate, claim_grid, proof_work
 from test_cycles import search_bound
 
 
@@ -828,11 +828,15 @@ def test_grid_skips_infeasible_scales():
         for claim in ("w_cycle", "z_summary", "chain", "basin"):
             assert runnable(claim, m) == [kw for kw, _ in claim_grid(claim, m)], (claim, m)
     # z(4) at m = 21 has T + P = 1.9e9, and its proof is priced at y's and
-    # w(4)'s lanes, each at the bound of its search, plus h
+    # w(4)'s lanes, each at the bound of its search, plus each part's
+    # tabulation, rho times its longest lane transient and its lane periods,
+    # plus h explicit steps and h search nodes
     p21 = window_params(21)
-    orbits = [*p21.primes, *(p21.k - p + 1 for p in p21.primes)]
-    lanes = sum(search_bound(tp) for tp in orbits)
-    assert neurec.verify.proof_work(p21, "z", 4) == lanes + p21.h == 7_075
+    assert p21.rho == 5  # w(4) has every lane collapsed
+    parts = ([(0, p) for p in p21.primes], [(p21.k - p, 1) for p in p21.primes])
+    lanes = sum(search_bound(t + p) for part in parts for t, p in part)
+    tables = sum(p21.rho * max(t for t, _ in part) + sum(p for _, p in part) for part in parts)
+    assert neurec.verify.proof_work(p21, "z", 4) == lanes + tables + 2 * p21.h == 13_378
     # phases reads z(d)'s handoff certificate, priced as z_summary's proof,
     # and basin runs exactly the z(d) proofs of z_summary that lie on its grid
     for m in (16, 21, 26):
@@ -1199,9 +1203,9 @@ def test_every_claim_that_proves_or_certifies_members_is_priced(monkeypatch):
     assert [r for r in results if r.passed is False] == []
     skipped = [(r.claim, r.detail["work"]) for r in results if r.passed is None]
     assert skipped == [
-        ("sum_bounds", 140), ("w_cycle", 82), ("w_cycle", 140), ("phases", 258),
-        ("phases", 316), ("z_summary", 258), ("z_summary", 316), ("chain", 316),
-        ("basin", 258), ("basin", 316),
+        ("sum_bounds", 140), ("w_cycle", 82), ("w_cycle", 140), ("phases", 548),
+        ("phases", 602), ("z_summary", 548), ("z_summary", 602), ("chain", 602),
+        ("basin", 548), ("basin", 602),
     ]
     p = window_params(6)
     assert [claim_grid(c, 6)[0][1] for c in ("x_cycle", "v_fixed", "y_cycle")] == [None] * 3
@@ -1216,6 +1220,27 @@ def test_every_claim_that_proves_or_certifies_members_is_priced(monkeypatch):
     ]
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", proof_work(window_params(11), "y"))
     assert [r.passed for r in run_claims(ms=(11,), claims=y_claims)] == [True, True]
+    # m = 6 z(1)'s handoff certificate takes 322 steps, its price 602: at
+    # the z claims' price, z(1)'s, they pass
+    monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", proof_work(p, "z", 1))
+    results = run_claims(ms=(6,), claims=["phases", "z_summary", "chain", "basin"])
+    assert [(r.claim, r.passed) for r in results] == [
+        ("phases", True), ("phases", True), ("z_summary", True), ("z_summary", True),
+        ("chain", True), ("basin", True), ("basin", True),
+    ]
+
+
+def test_every_certificate_takes_at_most_its_price():
+    # the lane searches are bounded by find_repeat's proven bound, and a
+    # handoff's tabulation, explicit steps and search nodes by the rest of
+    # z(d)'s price
+    for m in range(5, 21):
+        p = window_params(m)
+        for family, index in [("y", None), *((f, d) for f in "wz" for d in range(p.rho))]:
+            mem = member(p, family, index)
+            cs = compile_system(mem.system)
+            cert, steps = _proof_certificate(cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+            assert cert.closes and steps <= proof_work(p, family, index), (m, family, index, steps)
 
 
 def test_run_claims_reports_scale_rejection(monkeypatch):

@@ -107,6 +107,7 @@ class RunReport:
 _RUNS = re.compile(rb"\x00+|\x01+")
 _RUN_LINES = tuple(f"{bit}×%d\n".encode() for bit in (0, 1))
 _RUN_BLOCK = 1 << 14
+_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> "0"/"1"
 
 
 def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) -> None:
@@ -115,7 +116,7 @@ def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) 
     path = Path(path)
     trace = trace if isinstance(trace, (bytes, bytearray)) else bytes(trace)
     if fmt == "text-bits":
-        chars = trace.translate(bytes.maketrans(b"\x00\x01", b"01")).decode()
+        chars = trace.translate(_CHARS).decode()
         width = memory or len(chars) or 1
         lines = [chars[i : i + width] for i in range(0, len(chars), width)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -161,19 +162,15 @@ def import_trace(path: str | Path) -> list[int]:
 
 
 def system_to_json(system: RecurrenceSystem) -> dict:
-    """Exact sparse description of one system (weights keyed by offset j)."""
+    """Exact sparse description of one system: its taps as "weights", keyed by offset j."""
     return {
         "format": "neurec-system",
         "version": 1,
         "label": system.label,
         "memory": system.memory,
         "threshold": str(Fraction(system.threshold)),
-        "weights": {
-            str(j): str(Fraction(w))
-            for j, w in enumerate(system.weights, start=1)
-            if w != 0
-        },
-        "init": "".join("1" if b else "0" for b in system.init),
+        "weights": {str(j): str(Fraction(w)) for j, w in system.taps},
+        "init": system.init.translate(_CHARS).decode(),
     }
 
 

@@ -27,9 +27,12 @@ parameterized by the scale m through WindowParams:
          A(d) is the union of the shifts B_0(d) + s for s <= d, and
          compute_B0 builds B_0(d) from its residue classes mod rho * p_i.
 
-Weights and thresholds are exact rationals: plain ints everywhere except the
-z-systems, whose perturbations live in (1/(8*Tot(d)))Z.  Nothing here ever
-touches floating point.
+A RecurrenceSystem stores only its nonzero weights, as taps: (j, a_j) pairs
+sorted by the offset j, so a system of memory h = rho*k costs its support,
+not h.  Its init is bytes of 0/1, x(0) first, the form of every trace and
+window in engine and cycles.  Weights and thresholds are exact rationals:
+plain ints everywhere except the z-systems, whose perturbations live in
+(1/(8*Tot(d)))Z.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import IndexOutOfRange, MixedShapes, PlanInvariantViolated, ShapeMi
 from .numtheory import WindowParams, cycle_lengths
 
 Rational = Union[int, Fraction]
-Bits = tuple[int, ...]
+Taps = tuple[tuple[int, Rational], ...]
 
 # The perturbation depth: the largest admissible value, since every
 # sub-threshold affine sum of the single units sits at least one whole unit
@@ -79,26 +82,28 @@ __all__ = [
 class RecurrenceSystem:
     """One threshold unit plus its initial window.
 
-    weights[j-1] multiplies x(n-j); init lists x(0)..x(memory-1).
+    taps lists (j, a_j) for the nonzero weights, by rising offset j in
+    1..memory; a_j multiplies x(n-j), and every other weight is 0.  init is
+    x(0)..x(memory-1), bytes of 0/1.
     """
 
     memory: int
-    weights: tuple[Rational, ...]
+    taps: Taps
     threshold: Rational
-    init: Bits
+    init: bytes
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.memory:
-            raise ShapeMismatch(
-                f"{self.label or 'system'}: {len(self.weights)} weights for memory {self.memory}"
-            )
-        if len(self.init) != self.memory:
-            raise ShapeMismatch(
-                f"{self.label or 'system'}: init length {len(self.init)} for memory {self.memory}"
-            )
-        if any(b not in (0, 1) for b in self.init):
-            raise ShapeMismatch(f"{self.label or 'system'}: init must be 0/1 bits")
+        name = self.label or "system"
+        offsets = [0, *(j for j, _ in self.taps), self.memory + 1]
+        if any(a >= b for a, b in zip(offsets, offsets[1:])):
+            raise ShapeMismatch(f"{name}: tap offsets must rise within 1..{self.memory}")
+        if any(w == 0 for _, w in self.taps):
+            raise ShapeMismatch(f"{name}: a tap has weight 0")
+        if not isinstance(self.init, bytes) or len(self.init) != self.memory:
+            raise ShapeMismatch(f"{name}: init must be {self.memory} bytes")
+        if self.init.translate(None, b"\x00\x01"):
+            raise ShapeMismatch(f"{name}: init must be 0/1 bits")
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ def q_set(params: WindowParams, i: int, d: int) -> frozenset[int]:
     return frozenset(d + j * p for j in range(top + 1))
 
 
-def single_weights(params: WindowParams) -> tuple[tuple[int, ...], int]:
-    """Integer weight profile (a_1..a_k) and threshold 2*rho for the single units.
+def single_weights(params: WindowParams) -> tuple[Taps, int]:
+    """Integer weight profile, as taps (j, a_j), and threshold 2*rho for the single units.
 
     Weights are zero off F.  On Pos(alpha_i) they split into bands by the
     multiple l in j = l * p_i:
@@ -158,7 +163,7 @@ def single_weights(params: WindowParams) -> tuple[tuple[int, ...], int]:
     Either way each lane's weights over its own Pos sum to 2*rho.
     """
     rho = params.rho
-    a = [0] * (params.k + 1)
+    a: dict[int, int] = {}
     for p in params.primes:
         for l in range(1, 2 * rho + 1):
             j = l * p
@@ -171,32 +176,32 @@ def single_weights(params: WindowParams) -> tuple[tuple[int, ...], int]:
                     a[j] = -2
                 else:
                     a[j] = -1
-    return tuple(a[1:]), 2 * rho
+    return tuple(sorted(a.items())), 2 * rho
 
 
-def _x_window(params: WindowParams, i: int, start: int) -> Bits:
+def _x_window(params: WindowParams, i: int, start: int) -> bytes:
     """x_i(start + j) for j < k: ones where start + j = beta_i (mod p_i)."""
     p = params.primes[i]
-    bits = [0] * params.k
+    bits = bytearray(params.k)
     for j in range((params.beta_m[i] - start) % p, params.k, p):
         bits[j] = 1
-    return tuple(bits)
+    return bytes(bits)
 
 
-def initial_config_x(params: WindowParams, i: int) -> Bits:
+def initial_config_x(params: WindowParams, i: int) -> bytes:
     """phi_i = 0^{beta_i} (1 0^{p_i - 1})^{mu_i}: ones at beta_i + l*p_i, l < mu_i."""
     params.check_lane(i)
     return _x_window(params, i, 0)
 
 
-def initial_config_v(params: WindowParams, i: int) -> Bits:
+def initial_config_v(params: WindowParams, i: int) -> bytes:
     """x_i's trace advanced one step, with the final bit complemented to 0.
 
     v(j) = x_i(j + 1) for j < k - 1 and v(k - 1) = 0 (x_i(k) would be 1).
     The shape is 0^{beta_i - 1} (1 0^{p_i - 1})^{mu_i} 0.
     """
     params.check_lane(i)
-    return _x_window(params, i, 1)[:-1] + (0,)
+    return _x_window(params, i, 1)[:-1] + b"\x00"
 
 
 def x_closed_form(params: WindowParams, i: int, t: int) -> int:
@@ -213,10 +218,10 @@ def y_closed_form(params: WindowParams, t: int) -> int:
 
 def single_system(params: WindowParams, i: int) -> RecurrenceSystem:
     """The periodic single unit x_i."""
-    weights, theta = single_weights(params)
+    taps, theta = single_weights(params)
     return RecurrenceSystem(
         memory=params.k,
-        weights=weights,
+        taps=taps,
         threshold=theta,
         init=initial_config_x(params, i),
         label=f"x[m={params.m},i={i}]",
@@ -225,20 +230,20 @@ def single_system(params: WindowParams, i: int) -> RecurrenceSystem:
 
 def destabilized_system(params: WindowParams, i: int) -> RecurrenceSystem:
     """The same unit started from the collapsing configuration v_i."""
-    weights, theta = single_weights(params)
+    taps, theta = single_weights(params)
     return RecurrenceSystem(
         memory=params.k,
-        weights=weights,
+        taps=taps,
         threshold=theta,
         init=initial_config_v(params, i),
         label=f"v[m={params.m},i={i}]",
     )
 
 
-def _shuffle(params: WindowParams, windows: Sequence[Bits], label: str) -> RecurrenceSystem:
+def _shuffle(params: WindowParams, windows: Sequence[bytes], label: str) -> RecurrenceSystem:
     """shuffle_compose of the single units started from windows, relabelled."""
-    weights, theta = single_weights(params)
-    lanes = [RecurrenceSystem(params.k, weights, theta, init) for init in windows]
+    taps, theta = single_weights(params)
+    lanes = [RecurrenceSystem(params.k, taps, theta, init) for init in windows]
     return replace(shuffle_compose(lanes), label=label)
 
 
@@ -338,16 +343,26 @@ def perturbation_plan(params: WindowParams, d: int) -> PerturbationPlan:
     )
 
 
-def build_z(params: WindowParams, d: int) -> RecurrenceSystem:
-    """y with weights depressed by beta(d) on A(d) and threshold 2*rho + xi(d)."""
-    y = build_y(params)
+def _shifted(taps: Taps, *moves: tuple[frozenset[int], Rational]) -> Taps:
+    """taps with delta added at every offset of each (offsets, delta) in
+    moves, in turn, dropping every weight that becomes 0."""
+    weights = dict(taps)
+    for offsets, delta in moves:
+        for f in offsets:
+            w = weights.pop(f, 0) + delta
+            if w:
+                weights[f] = w
+    return tuple(sorted(weights.items()))
+
+
+def build_z(params: WindowParams, d: int, y: RecurrenceSystem | None = None) -> RecurrenceSystem:
+    """y, build_y(params) unless given, with weights depressed by beta(d) on
+    A(d) and threshold 2*rho + xi(d)."""
+    y = build_y(params) if y is None else y
     plan = perturbation_plan(params, d)
-    weights: list[Rational] = list(y.weights)
-    for f in plan.A:
-        weights[f - 1] = weights[f - 1] + plan.beta_d
     return RecurrenceSystem(
         memory=params.h,
-        weights=tuple(weights),
+        taps=_shifted(y.taps, (plan.A, plan.beta_d)),
         threshold=plan.theta2,
         init=y.init,
         label=f"z[m={params.m},d={d}]",
@@ -371,21 +386,12 @@ def chain_perturbation(
         raise IndexOutOfRange(
             f"plans must be consecutive, got d={plan_prev.d} then d={plan_next.d}"
         )
-    weights: list[Rational] = list(z_prev.weights)
-    for f in plan_prev.A | plan_next.A:
-        in_prev = f in plan_prev.A
-        in_next = f in plan_next.A
-        if in_prev and in_next:
-            weights[f - 1] = weights[f - 1] - plan_prev.beta_d + plan_next.beta_d
-        elif in_prev:
-            weights[f - 1] = weights[f - 1] - plan_prev.beta_d
-        else:
-            weights[f - 1] = weights[f - 1] + plan_next.beta_d
+    moves = (plan_prev.A, -plan_prev.beta_d), (plan_next.A, plan_next.beta_d)
     threshold = z_prev.threshold - plan_prev.xi_d + plan_next.xi_d
     label = z_prev.label.replace(f"d={plan_prev.d}", f"d={plan_next.d}")
     return RecurrenceSystem(
         memory=z_prev.memory,
-        weights=tuple(weights),
+        taps=_shifted(z_prev.taps, *moves),
         threshold=threshold,
         init=z_prev.init,
         label=label or f"z[d={plan_next.d}]",
@@ -395,11 +401,10 @@ def chain_perturbation(
 def shuffle_compose(systems: Sequence[RecurrenceSystem]) -> RecurrenceSystem:
     """Interleave r systems sharing one weight profile into one unit.
 
-    The composed unit has memory k*r, weight a_j copied to position r*j and
-    zero elsewhere, the common threshold, and init c(r*j + i) =
-    systems[i].init[j].  Lane i of the composed trace then replays lane i's
-    own trace, so the composed period is determined by the lane periods
-    (lcm times r when some lane period exceeds 1, a divisor of r when every
+    The composed unit has memory k*r, taps (r*j, a_j), the common
+    threshold, and init c(r*j + i) = systems[i].init[j].  Lane i of the
+    composed trace then replays lane i's own trace, so the composed period
+    is determined by the lane periods (lcm times r when some lane period exceeds 1, a divisor of r when every
     lane is a fixed point).
     """
     if not systems:
@@ -410,15 +415,16 @@ def shuffle_compose(systems: Sequence[RecurrenceSystem]) -> RecurrenceSystem:
             raise MixedShapes(f"memory {s.memory} != {first.memory}")
         if s.threshold != first.threshold:
             raise MixedShapes(f"threshold {s.threshold} != {first.threshold}")
-        if s.weights != first.weights:
+        if s.taps != first.taps:
             raise MixedShapes("lane weight profiles differ")
     r = len(systems)
-    weights: list[Rational] = [0] * (first.memory * r)
-    weights[r - 1 :: r] = first.weights
+    init = bytearray(first.memory * r)
+    for i, s in enumerate(systems):
+        init[i::r] = s.init
     return RecurrenceSystem(
         memory=first.memory * r,
-        weights=tuple(weights),
+        taps=tuple((r * j, w) for j, w in first.taps),
         threshold=first.threshold,
-        init=tuple(bit for window in zip(*(s.init for s in systems)) for bit in window),
+        init=bytes(init),
         label=f"shuffle[{','.join(s.label or '?' for s in systems)}]",
     )

@@ -130,11 +130,8 @@ def lane_count(cs: CompiledSystem) -> int:
 
 def _lane_system(cs: CompiledSystem, r: int) -> CompiledSystem:
     memory = cs.memory // r
-    weights = [0] * memory
-    for j, w in cs.taps:
-        weights[j // r - 1] = w
-    lane = RecurrenceSystem(memory, tuple(weights), cs.scaled_threshold, (0,) * memory)
-    return compile_system(lane)
+    lane_taps = tuple((j // r, w) for j, w in cs.taps)
+    return compile_system(RecurrenceSystem(memory, lane_taps, cs.scaled_threshold, bytes(memory)))
 
 
 def _outputs(orbit: tuple[bytes, CycleReport], count: int) -> bytes:

@@ -2,14 +2,16 @@
 
 Two independent evaluation routes:
 
-  compiled   weights are scaled by the lcm D of their denominators so the
-             affine form becomes an integer; taps with equal scaled weight
-             are fused into one bitmask, so a step is a handful of
-             big-int AND / popcount operations on the packed window.
-  oracle     a deliberately naive evaluator that walks the full dense weight
-             vector with Fraction arithmetic every step.  No scaling, no
-             sparsity.  It exists to cross-check the compiled route bit for
-             bit and for nothing else.
+  compiled   the system's taps are scaled by the lcm D of their
+             denominators so the affine form becomes an integer; taps with
+             equal scaled weight are fused into one bitmask, so a step is a
+             handful of big-int AND / popcount operations on the packed
+             window.
+  oracle     a deliberately naive evaluator that expands the taps into the
+             full dense weight vector itself and walks all of it with
+             Fraction arithmetic every step.  No scaling, no sparsity.  It
+             exists to cross-check the compiled route bit for bit and for
+             nothing else.
 
 The compiled route steps in exactly two loops: advance_word slides the
 window, and walk also yields each window with its affine sum.  find_repeat
@@ -35,7 +37,7 @@ memory.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -81,7 +83,7 @@ def bits_from_word(word: int, memory: int) -> bytes:
 class CompiledSystem:
     """Scaled-integer form of a RecurrenceSystem.
 
-    taps lists (offset j, scaled weight) for the nonzero weights only;
+    taps lists (offset j, scaled weight) for the system's taps, in order;
     groups fuses taps of equal scaled weight into (weight, or-mask) pairs;
     denominator is the common scale D (8 * Tot(d) for z-systems, 1 for the
     integer-weight families).
@@ -101,26 +103,23 @@ def _scaled(value, d: int) -> int:
 
 
 def compile_system(system: RecurrenceSystem) -> CompiledSystem:
-    """Clear denominators and fuse equal-weight taps into bitmasks."""
-    denoms = [Fraction(w).denominator for w in system.weights if w != 0]
-    denoms.append(Fraction(system.threshold).denominator)
-    d = lcm(*denoms) if denoms else 1
-    taps = tuple(
-        (j, _scaled(w, d))
-        for j, w in enumerate(system.weights, start=1)
-        if w != 0
-    )
-    by_weight: dict[int, int] = {}
+    """Clear denominators and fuse equal-weight taps into bitmasks, each
+    set in one bytearray, offset j at index memory - j, and packed once."""
+    memory = system.memory
+    denoms = [Fraction(w).denominator for _, w in system.taps]
+    d = lcm(Fraction(system.threshold).denominator, *denoms)
+    taps = tuple((j, _scaled(w, d)) for j, w in system.taps)
+    by_weight: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(memory))
     for j, w in taps:
-        by_weight[w] = by_weight.get(w, 0) | (1 << (j - 1))
-    groups = tuple(sorted(by_weight.items()))
+        by_weight[w][memory - j] = 1
+    groups = tuple(sorted((w, word_from_bits(bits)) for w, bits in by_weight.items()))
     return CompiledSystem(
-        memory=system.memory,
+        memory=memory,
         taps=taps,
         scaled_threshold=_scaled(system.threshold, d),
         denominator=d,
         groups=groups,
-        mask=(1 << system.memory) - 1,
+        mask=(1 << memory) - 1,
     )
 
 
@@ -228,14 +227,17 @@ def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
 def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) -> bytes:
     """Reference trace via a full-length rational dot product every step.
 
-    Kept intentionally slow and direct: it touches every weight each step
-    and compares against the threshold in Fraction arithmetic.
+    Kept intentionally slow and direct: it expands the taps into the dense
+    weight list, touches every weight each step and compares against the
+    threshold in Fraction arithmetic.
     """
     if len(init) != system.memory:
         raise ShapeMismatch(f"init length {len(init)} != system memory {system.memory}")
     trace = list(init)
     window = deque(init, maxlen=system.memory)
-    weights = system.weights
+    weights = [0] * system.memory
+    for j, w in system.taps:
+        weights[j - 1] = w
     theta = Fraction(system.threshold)
     for _ in range(steps):
         s = Fraction(0)

@@ -208,9 +208,9 @@ def member(
     The one place verify builds a family system.  predicted_cycle raises on
     an unknown family or an index off its range.  system replaces the built
     one (the chain's incremental z(d)) and is never kept.  Inside proof_memo
-    a built member is kept, so a run builds each one once; outside it every
-    call builds afresh.  Builders and z_handoff are looked up at each build,
-    so a rebound name is seen.
+    a built member is kept, so a run builds each one once, z(d) on the run's
+    y; outside it every call builds afresh.  Builders and z_handoff are
+    looked up at each build, so a rebound name is seen.
     """
     memo = _proofs if system is None and _proofs is not None else {}
     key = ("member", params.m, family, index)
@@ -221,7 +221,8 @@ def member(
                 "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
                 "w": cons.build_w, "z": cons.build_z,
             }[family]
-            system = build(params) if family == "y" else build(params, index)
+            extra = (member(params, "y").system,) if family == "z" else ()
+            system = build(params) if family == "y" else build(params, index, *extra)
         handoff = partial(z_handoff, params, index) if family == "z" else None
         memo[key] = Member(family, index, system, predicted, handoff)
     return memo[key]
@@ -239,7 +240,7 @@ def _certificate(
     first.  A handoff whose init is not head's, or with a one-lane part, is
     refused unbuilt.  Inside proof_memo one that closes is kept in _proofs
     and reused while its steps fit cap, so a hit changes no result."""
-    key = (cs, tuple(init), handoff)
+    key = (cs, bytes(init), handoff)
     hit = _proofs.get(key) if _proofs is not None else None
     if hit is not None and hit[1] <= cap:
         return hit
@@ -247,7 +248,7 @@ def _certificate(
         built = certify_lanes(cs, init, cap)
     else:
         parts = [(compile_system(part), part.init) for part in (handoff.head, handoff.tail)]
-        if tuple(init) != handoff.head.init or any(lane_count(part) == 1 for part, _ in parts):
+        if bytes(init) != handoff.head.init or any(lane_count(part) == 1 for part, _ in parts):
             return None, 0
         lanes, spent = [], 0
         for part, part_init in parts:
@@ -326,7 +327,7 @@ def measure_cycle(
     cap = _cap(budget)
     cs = compile_system(system)
     proofs = _proofs
-    key = (cs, tuple(system.init), predicted)
+    key = (cs, system.init, predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
     rep, cert, spent = None, None, 0
@@ -409,11 +410,9 @@ def _run_prop1(m: int, **_: object) -> ClaimResult:
 
 def _run_prop2(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
-    weights, theta = cons.single_weights(params)
-    sums = []
-    for i in range(params.rho):
-        s = sum(weights[j - 1] for j in cons.pos_set(params, i))
-        sums.append(s)
+    taps, theta = cons.single_weights(params)
+    weights = dict(taps)
+    sums = [sum(weights.get(j, 0) for j in cons.pos_set(params, i)) for i in range(params.rho)]
     ok = all(s == theta for s in sums)
     return ClaimResult("prop2", {"m": m}, ok, {"per_lane_sums": sums, "threshold": theta})
 
@@ -421,7 +420,7 @@ def _run_prop2(m: int, **_: object) -> ClaimResult:
 def _run_pos_disjoint(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
     sets = cons.index_sets(params)
-    weights, _ = cons.single_weights(params)
+    taps, _ = cons.single_weights(params)
     bad: list[str] = []
     for i in range(params.rho):
         for j in range(i + 1, params.rho):
@@ -431,7 +430,7 @@ def _run_pos_disjoint(m: int, **_: object) -> ClaimResult:
     union = frozenset().union(*sets.pos)
     if union != sets.F:
         bad.append("F is not the union of the Pos sets")
-    support = frozenset(j for j, w in enumerate(weights, start=1) if w != 0)
+    support = frozenset(j for j, _ in taps)
     if support != sets.F:
         bad.append("weight support differs from F")
     if sets.G != frozenset(range(1, params.k + 1)) - sets.F:
@@ -458,21 +457,19 @@ def _run_b0_methods_agree(m: int, **_: object) -> ClaimResult:
 def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
     plans = [cons.perturbation_plan(params, d) for d in range(params.rho)]
-    current = cons.build_z(params, 0)
+    y = member(params, "y").system
+    current = cons.build_z(params, 0, y)
     per_step = {}
     ok = True
     for d in range(params.rho - 1):
         chained = cons.chain_perturbation(current, plans[d], plans[d + 1])
-        direct = cons.build_z(params, d + 1)
-        same = (
-            chained.weights == direct.weights
-            and chained.threshold == direct.threshold
-            and chained.init == direct.init
-        )
-        ok = ok and same
+        direct = cons.build_z(params, d + 1, y)
+        taps_equal = chained.taps == direct.taps
+        threshold_equal = chained.threshold == direct.threshold
+        ok = ok and taps_equal and threshold_equal and chained.init == direct.init
         per_step[f"{d}->{d + 1}"] = {
-            "weights_equal": chained.weights == direct.weights,
-            "threshold_equal": chained.threshold == direct.threshold,
+            "weights_equal": taps_equal,
+            "threshold_equal": threshold_equal,
             "theta2": str(Fraction(direct.threshold)),
         }
         current = direct
@@ -515,7 +512,7 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         attractor_zero = rep.entry_window == 0
         # one walk of k + 1 windows: x(k + n) = [s_n >= theta]
         sums = [s for _, s in islice(walk(cs, word_from_bits(v.system.init)), k + 1)]
-        trace = v.system.init + tuple(s >= cs.scaled_threshold for s in sums)
+        trace = v.system.init + bytes(s >= cs.scaled_threshold for s in sums)
         dead_from = k - params.primes[i]
         late_one = next((t for t in range(dead_from, len(trace)) if trace[t]), None)
         # After the window clears the initial pattern the affine sum must sit
@@ -816,7 +813,7 @@ def check_basin(m: int, d: int, budget: int | None = None) -> ClaimResult:
 def _constant_lane(bit: int) -> RecurrenceSystem:
     """Memory-1 unit fixed at its own output: x(n) = 1[2 x(n-1) - 1]."""
     return RecurrenceSystem(
-        memory=1, weights=(2,), threshold=1, init=(bit,), label=f"const{bit}"
+        memory=1, taps=((1, 2),), threshold=1, init=bytes([bit]), label=f"const{bit}"
     )
 
 

@@ -157,7 +157,7 @@ def test_criterion_07_chain_update_equals_direct_build(criterion):
             for d in range(1, p.rho):
                 z = chain_perturbation(z, plans[d - 1], plans[d])
                 direct = build_z(p, d)
-                assert z.weights == direct.weights, (m, d)
+                assert z.taps == direct.taps, (m, d)
                 assert z.threshold == direct.threshold, (m, d)
 
 

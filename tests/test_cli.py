@@ -84,8 +84,7 @@ def test_system_json_roundtrip_exact():
     assert doc["init"] == "".join(map(str, z.init))
     # the rationals are exact: they parse back to the system's own values
     assert Fraction(doc["threshold"]) == z.threshold == Fraction(241, 80)
-    weights = {j: Fraction(w) for j, w in enumerate(z.weights, start=1) if w != 0}
-    assert {int(j): Fraction(w) for j, w in doc["weights"].items()} == weights
+    assert tuple((int(j), Fraction(w)) for j, w in doc["weights"].items()) == z.taps
 
 
 def test_trace_roundtrip_both_formats(tmp_path):
@@ -103,7 +102,7 @@ def test_trace_roundtrip_both_formats(tmp_path):
 
 def test_memory_zero_text_trace_is_one_line(tmp_path):
     # a memory-0 system has no window to wrap at: the whole trace is one line
-    trace = run(compile_system(RecurrenceSystem(0, (), 0, ())), (), 5)
+    trace = run(compile_system(RecurrenceSystem(0, (), 0, b"")), b"", 5)
     path = tmp_path / "t.txt"
     export_trace(trace, path, "text-bits", 0)
     assert path.read_text() == "11111\n"

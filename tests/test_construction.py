@@ -58,15 +58,14 @@ def test_m6_weights_frozen():
     a, theta = single_weights(p)
     assert theta == 4
     expect = {13: 2, 17: 2, 26: 2, 34: 2, 39: 2, 51: 2, 52: -2, 68: -2}
-    got = {j: w for j, w in enumerate(a, start=1) if w}
-    assert got == expect
+    assert a == tuple(sorted(expect.items()))
 
 
 def test_m11_weights_frozen():
     p = window_params(11)
     a, theta = single_weights(p)
     assert theta == 6
-    got = {j: w for j, w in enumerate(a, start=1) if w}
+    got = dict(a)
     expect = {}
     for prime in (31, 29, 23):
         for ell in (1, 2, 3, 4):
@@ -79,25 +78,26 @@ def test_m11_weights_frozen():
 def test_m16_weight_bands():
     # even rho=4: +2 up to l=6, -2 at l=7,8
     p = window_params(16)
-    a, theta = single_weights(p)
+    taps, theta = single_weights(p)
+    a = dict(taps)
     assert theta == 8
     for prime in p.primes:
         for ell in range(1, 9):
-            assert a[ell * prime - 1] == (2 if ell <= 6 else -2)
+            assert a[ell * prime] == (2 if ell <= 6 else -2)
 
 
 def test_m21_weight_bands():
     # odd rho=5: +2 up to l=7, -2 at l=8, -1 at l=9,10
     p = window_params(21)
-    a, _ = single_weights(p)
+    a = dict(single_weights(p)[0])
     for prime in p.primes:
         for ell in range(1, 11):
             if ell <= 7:
-                assert a[ell * prime - 1] == 2
+                assert a[ell * prime] == 2
             elif ell == 8:
-                assert a[ell * prime - 1] == -2
+                assert a[ell * prime] == -2
             else:
-                assert a[ell * prime - 1] == -1
+                assert a[ell * prime] == -1
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,15 +107,16 @@ def test_lane_sums_and_support(m):
         p = window_params(m)
     except RhoTooSmall:
         return
-    a, theta = single_weights(p)
+    taps, theta = single_weights(p)
+    a = dict(taps)
     assert theta == 2 * p.rho
     sets = index_sets(p)
     # each lane's weights add to the threshold
     for i in range(p.rho):
-        assert sum(a[j - 1] for j in pos_set(p, i)) == 2 * p.rho
+        assert sum(a.get(j, 0) for j in pos_set(p, i)) == 2 * p.rho
     # support is exactly F, zero on G
-    assert {j for j, w in enumerate(a, start=1) if w} == set(sets.F)
-    assert all(a[j - 1] == 0 for j in sets.G)
+    assert set(a) == set(sets.F)
+    assert not set(a) & sets.G
     # lanes never collide
     for i in range(p.rho):
         for j in range(i + 1, p.rho):
@@ -230,8 +231,8 @@ def test_build_y_frozen():
     y = build_y(p)
     assert y.memory == 140
     assert y.threshold == 4
-    got = {j: w for j, w in enumerate(y.weights, start=1) if w}
-    assert got == {26: 2, 34: 2, 52: 2, 68: 2, 78: 2, 102: 2, 104: -2, 136: -2}
+    expect = {26: 2, 34: 2, 52: 2, 68: 2, 78: 2, 102: 2, 104: -2, 136: -2}
+    assert y.taps == tuple(sorted(expect.items()))
     for t in range(p.h):
         q, i = divmod(t, p.rho)
         assert y.init[t] == ref_lane_bit(p, i, 1 + q)
@@ -255,7 +256,7 @@ def test_build_w_init_layout():
         p = window_params(m)
         w = build_w(p, d)
         y = build_y(p)
-        assert w.weights == y.weights and w.threshold == y.threshold
+        assert w.taps == y.taps and w.threshold == y.threshold
         for j in range(p.k):
             for i in range(p.rho):
                 bit = w.init[p.rho * j + i]
@@ -338,11 +339,13 @@ def test_plan_shift_union():
 def test_build_z_m6_d0_coefficients():
     p = window_params(6)
     z = build_z(p, 0)
+    weights = dict(z.taps)
     assert z.threshold == Fraction(241, 80)
-    assert z.weights[7 - 1] == Fraction(-1, 10)  # touched zero weight
-    assert z.weights[34 - 1] == Fraction(19, 10)  # touched +2
-    assert z.weights[136 - 1] == Fraction(-21, 10)  # touched -2
-    assert z.weights[26 - 1] == 2  # untouched
+    assert weights[7] == Fraction(-1, 10)  # touched zero weight
+    assert weights[34] == Fraction(19, 10)  # touched +2
+    assert weights[136] == Fraction(-21, 10)  # touched -2
+    assert weights[26] == 2  # untouched
+    assert len(weights) == 14
     assert z.init == build_y(p).init
 
 
@@ -354,7 +357,7 @@ def test_chain_matches_direct_build(m):
     for d in range(1, p.rho):
         z = chain_perturbation(z, plans[d - 1], plans[d])
         direct = build_z(p, d)
-        assert z.weights == direct.weights  # exact rational equality
+        assert z.taps == direct.taps  # exact rational equality
         assert z.threshold == direct.threshold
         assert z.init == direct.init
         assert z.label == direct.label
@@ -373,7 +376,7 @@ def test_chain_rejects_non_consecutive():
 
 def constant_lane(bit):
     return RecurrenceSystem(
-        memory=1, weights=(2,), threshold=1, init=(bit,), label=f"const{bit}"
+        memory=1, taps=((1, 2),), threshold=1, init=bytes([bit]), label=f"const{bit}"
     )
 
 
@@ -381,9 +384,9 @@ def test_shuffle_compose_layout():
     lanes = [constant_lane(0), constant_lane(1), constant_lane(0)]
     c = shuffle_compose(lanes)
     assert c.memory == 3
-    assert c.weights == (0, 0, 2)
+    assert c.taps == ((3, 2),)
     assert c.threshold == 1
-    assert c.init == (0, 1, 0)
+    assert c.init == bytes([0, 1, 0])
 
 
 def test_shuffle_compose_single_units_period():
@@ -391,7 +394,7 @@ def test_shuffle_compose_single_units_period():
     lanes = [single_system(p, 0), single_system(p, 1)]
     c = shuffle_compose(lanes)
     assert c.memory == 2 * p.k
-    assert c.weights[2 * 17 - 1] == 2 and c.weights[2 * 13 - 1] == 2
+    assert dict(c.taps)[2 * 17] == 2 and dict(c.taps)[2 * 13] == 2
     trace = run(compile_system(c), c.init, 3 * 442)
     assert trace[: len(trace) - 442] == trace[442:]
     assert trace[: len(trace) - 221] != trace[221:]
@@ -401,21 +404,35 @@ def test_shuffle_compose_rejections():
     with pytest.raises(MixedShapes):
         shuffle_compose([])
     a = constant_lane(0)
-    b = RecurrenceSystem(memory=1, weights=(2,), threshold=0, init=(0,))
+    b = RecurrenceSystem(memory=1, taps=((1, 2),), threshold=0, init=bytes(1))
     with pytest.raises(MixedShapes):
         shuffle_compose([a, b])
-    c = RecurrenceSystem(memory=2, weights=(0, 2), threshold=1, init=(0, 0))
+    c = RecurrenceSystem(memory=2, taps=((2, 2),), threshold=1, init=bytes(2))
     with pytest.raises(MixedShapes):
         shuffle_compose([a, c])
-    d = RecurrenceSystem(memory=1, weights=(1,), threshold=1, init=(0,))
+    d = RecurrenceSystem(memory=1, taps=((1, 1),), threshold=1, init=bytes(1))
     with pytest.raises(MixedShapes):
         shuffle_compose([a, d])
 
 
-def test_recurrence_system_validation():
+MALFORMED = {
+    "tap-offset-0": {"taps": ((0, 1), (3, 1))},
+    "tap-offset-past-memory": {"taps": ((1, 1), (4, 1))},
+    "repeated-offset": {"taps": ((1, 1), (1, 2))},
+    "unsorted-offsets": {"taps": ((3, 1), (1, 1))},
+    "zero-weight": {"taps": ((1, 1), (2, 0))},
+    "zero-rational-weight": {"taps": ((2, Fraction(0)),)},
+    "short-init": {"init": bytes(2)},
+    "long-init": {"init": bytes(4)},
+    "init-byte-2": {"init": bytes([0, 2, 0])},
+    "init-not-bytes": {"init": (0, 1, 0)},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED)
+def test_recurrence_system_validation(fields):
+    # each case breaks one field of a well-formed system
+    good = dict(memory=3, taps=((1, 1), (3, Fraction(-1, 2))), threshold=0, init=bytes([0, 1, 0]))
+    RecurrenceSystem(**good)
     with pytest.raises(ShapeMismatch):
-        RecurrenceSystem(memory=3, weights=(1, 1), threshold=0, init=(0, 0, 0))
-    with pytest.raises(ShapeMismatch):
-        RecurrenceSystem(memory=2, weights=(1, 1), threshold=0, init=(0,))
-    with pytest.raises(ShapeMismatch):
-        RecurrenceSystem(memory=2, weights=(1, 1), threshold=0, init=(0, 2))
+        RecurrenceSystem(**good | fields)

@@ -49,7 +49,7 @@ from neurec import (
 )
 from neurec.cycles import _first_disagreement, _probe_pass, certify_lanes, handoff_certificate
 from neurec.verify import MEASURE_CUTOFF, _certificate, _proof_certificate, z_handoff
-from test_engine import sparse_systems
+from test_engine import dense_system, sparse_systems, taps_of, weights_of
 
 
 def naive_cycle(cs, init, cap=200_000):
@@ -235,7 +235,7 @@ def test_verify_predicted_argument_guards():
     with pytest.raises(ValueError):
         verify_predicted(cy, y.init, 0, 0)
     # an init of the wrong length is refused, as detect_cycle refuses it
-    for init in (y.init[1:], y.init + (0,)):
+    for init in (y.init[1:], y.init + b"\x00"):
         with pytest.raises(ShapeMismatch):
             verify_predicted(cy, init, 0, 442)
         with pytest.raises(ShapeMismatch):
@@ -258,12 +258,10 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @st.composite
 def small_systems(draw):
     memory = draw(st.integers(min_value=1, max_value=9))
-    weights = tuple(draw(rationals) for _ in range(memory))
+    weights = [draw(rationals) for _ in range(memory)]
     theta = draw(rationals)
-    init = tuple(draw(st.integers(0, 1)) for _ in range(memory))
-    return RecurrenceSystem(
-        memory=memory, weights=weights, threshold=theta, init=init, label="rand"
-    )
+    init = [draw(st.integers(0, 1)) for _ in range(memory)]
+    return dense_system(weights, theta, init, label="rand")
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,7 +351,7 @@ def laned_systems(draw):
     theta = draw(rationals)
     if kind == "zero":
         theta = sum(w for w in weights if w > 0) + draw(st.fractions(1, 3, max_denominator=4))
-    lane = RecurrenceSystem(memory, tuple(weights), theta, (0,) * memory)
+    lane = dense_system(weights, theta, [0] * memory)
     bits = st.tuples(*[st.integers(0, 1)] * memory)
     if kind == "identical":
         inits = [draw(bits)] * r
@@ -364,11 +362,9 @@ def laned_systems(draw):
         inits = [tuple(trace[s : s + memory]) for s in shifts]
     else:
         inits = [draw(bits) for _ in range(r)]
-    full = [0] * (r * memory)
-    for j, w in enumerate(weights, start=1):
-        full[r * j - 1] = w
-    init = tuple(inits[i][q] for q in range(memory) for i in range(r))
-    return RecurrenceSystem(r * memory, tuple(full), theta, init, label=kind)
+    taps = tuple((r * j, w) for j, w in lane.taps)
+    init = bytes(inits[i][q] for q in range(memory) for i in range(r))
+    return RecurrenceSystem(r * memory, taps, theta, init, label=kind)
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,8 +428,8 @@ def rotating_systems(draw):
     weights = [0] * memory
     weights[memory - 1] += 1
     weights[j - 1] += 1
-    init = tuple(draw(st.lists(st.integers(0, 1), min_size=memory, max_size=memory)))
-    return RecurrenceSystem(memory, tuple(weights), draw(st.integers(1, 2)), init)
+    init = draw(st.lists(st.integers(0, 1), min_size=memory, max_size=memory))
+    return dense_system(weights, draw(st.integers(1, 2)), init)
 
 
 def search_bound(tp):
@@ -560,7 +556,7 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     # a z whose init is not y's cannot follow y's orbit: simulate
     p = window_params(6)
     z = build_z(p, 0)
-    flipped = dataclasses.replace(z, init=(1 - z.init[0],) + z.init[1:])
+    flipped = dataclasses.replace(z, init=bytes([1 - z.init[0]]) + z.init[1:])
     cs = compile_system(flipped)
     assert handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
     ref = detect_cycle(cs, flipped.init, step_budget=10**6)
@@ -581,7 +577,7 @@ def test_handoff_certificate_refuses_lanes_it_cannot_prove_on():
     at = z_handoff(p, 0).at
     cert, spent = handoff_certificate(cs, z.init, head, tail, at, 10**9)
     assert cert.closes and spent > 0
-    flipped = (1 - z.init[0],) + z.init[1:]
+    flipped = bytes([1 - z.init[0]]) + z.init[1:]
     assert handoff_certificate(cs, flipped, head, tail, at, 10**9) == (None, 0)
     w11 = build_w(window_params(11), 0)
     wider, _ = certify_lanes(compile_system(w11), w11.init, 10**9)
@@ -604,7 +600,7 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
         raise AssertionError("a lane search ran")
 
     monkeypatch.setattr("neurec.cycles._search", no_search)  # under detect_cycle too
-    flipped = (1 - z.init[0],) + z.init[1:]
+    flipped = bytes([1 - z.init[0]]) + z.init[1:]
     cases = [(z.init, handoff._replace(head=z)), (z.init, handoff._replace(tail=z)), (flipped, handoff)]
     for init, refused in cases:
         assert _proof_certificate(cs, init, lambda: refused, 10**9) == (None, 0)
@@ -645,9 +641,9 @@ def test_lane_prefix_finds_a_disagreement_inside_the_lane_transients():
         shifts = (Fraction(t, 8) for t in range(-16, 17))
         perturbed = [dataclasses.replace(z, threshold=z.threshold + t) for t in shifts]
         for j in range(z.memory):
-            weights = list(z.weights)
+            weights = weights_of(z)
             weights[j] -= 1
-            perturbed.append(dataclasses.replace(z, weights=tuple(weights)))
+            perturbed.append(dataclasses.replace(z, taps=taps_of(weights)))
         for system in perturbed:
             cs = compile_system(system)
             first, steps = _first_disagreement(cs, lanes, 10**9)
@@ -668,7 +664,7 @@ def test_first_disagreement_budget_counts_search_nodes_and_crt_tuples():
     y = build_y(p)
     lanes, _ = certify_lanes(compile_system(y), y.init, 10**9)
     assert max(rep.measured_transient for _, rep in lanes.orbits) == 0
-    fires = compile_system(dataclasses.replace(y, weights=(0,) * y.memory, threshold=-1))
+    fires = compile_system(dataclasses.replace(y, taps=(), threshold=-1))
     trace = run(compile_system(y), y.init, y.memory)
     assert _first_disagreement(fires, lanes, 10**9)[0] == trace.index(0, y.memory) - y.memory
     tables = sum(rep.measured_period for _, rep in lanes.orbits)
@@ -754,7 +750,7 @@ def test_certificate_traces_cut_off_the_lane_stride():
     for length in lengths:
         assert lanes.trace(length) == full[:length], length
     for at in (100, 101):
-        tail = dataclasses.replace(y, init=tuple(full[at : at + y.memory]))
+        tail = dataclasses.replace(y, init=full[at : at + y.memory])
         cert, _ = _certificate(cs, y.init, Handoff(y, tail, at), 10**7)
         assert cert.closes and cert.at == at
         for length in lengths:
@@ -870,7 +866,7 @@ def handoff_cases(draw):
     memory = draw(st.integers(2, 5))
     weights = [draw(st.integers(-2, 2)) for _ in range(memory)]
     theta = draw(st.sampled_from([0, 1, 2, Fraction(1, 2)]))
-    lane = compile_system(RecurrenceSystem(memory, tuple(weights), theta, (0,) * memory))
+    lane = compile_system(dense_system(weights, theta, [0] * memory))
     bits = st.tuples(*[st.integers(0, 1)] * memory)
     settled = draw(st.booleans())
     inits = []
@@ -880,16 +876,14 @@ def handoff_cases(draw):
             trace = run(lane, lane_init, 40)
             lane_init = tuple(trace[40 : 40 + memory])
         inits.append(lane_init)
-    full = [0] * (r * memory)
-    for j, w in enumerate(weights, start=1):
-        full[r * j - 1] = w
-    init = tuple(inits[i][q] for q in range(memory) for i in range(r))
-    head = RecurrenceSystem(r * memory, tuple(full), theta, init)
-    perturbed = list(full)
+    taps = tuple((r * j, w) for j, w in taps_of(weights))
+    init = bytes(inits[i][q] for q in range(memory) for i in range(r))
+    head = RecurrenceSystem(r * memory, taps, theta, init)
+    perturbed = weights_of(head)
     for j in draw(st.lists(st.integers(0, r * memory - 1), min_size=1, max_size=3)):
         perturbed[j] += draw(st.sampled_from([Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4)]))
     nudge = draw(st.sampled_from([Fraction(-1, 8), 0, Fraction(1, 8)]))
-    cs = compile_system(dataclasses.replace(head, weights=tuple(perturbed), threshold=theta + nudge))
+    cs = compile_system(dataclasses.replace(head, taps=taps_of(perturbed), threshold=theta + nudge))
     head_cs = compile_system(head)
     word0 = word_from_bits(init)
     first = next(
@@ -900,7 +894,7 @@ def handoff_cases(draw):
         )
     )
     at = first + draw(st.integers(0, r * memory))
-    tail_init = tuple(run(cs, init, at)[at:])
+    tail_init = run(cs, init, at)[at:]
     return cs, init, Handoff(head, dataclasses.replace(head, init=tail_init), at)
 
 

@@ -34,15 +34,29 @@ from neurec import (
 
 def ref_run(system, steps):
     """x(n) = 1 exactly when sum_j a_j x(n-j) - theta >= 0."""
-    hist = [b & 1 for b in system.init]
+    hist = list(system.init)
     for _ in range(steps):
-        s = sum(
-            Fraction(w) * hist[-j]
-            for j, w in enumerate(system.weights, start=1)
-            if w
-        )
+        s = sum(Fraction(w) * hist[-j] for j, w in system.taps)
         hist.append(1 if s - Fraction(system.threshold) >= 0 else 0)
     return bytes(hist)
+
+
+def taps_of(weights):
+    """The taps of a dense weight list, weights[j-1] multiplying x(n-j)."""
+    return tuple((j, w) for j, w in enumerate(weights, start=1) if w)
+
+
+def weights_of(system):
+    """The dense weight list of a system, weights[j-1] multiplying x(n-j)."""
+    weights = [0] * system.memory
+    for j, w in system.taps:
+        weights[j - 1] = w
+    return weights
+
+
+def dense_system(weights, threshold, init, label=""):
+    """The RecurrenceSystem of a dense weight list and a sequence of init bits."""
+    return RecurrenceSystem(len(weights), taps_of(weights), threshold, bytes(init), label)
 
 
 # --- packing ---------------------------------------------------------------
@@ -121,14 +135,14 @@ def test_compile_structure():
     assert covered == sum(1 << (j - 1) for j, _ in cs.taps)
     for j, w in cs.taps:
         assert 1 <= j <= z.memory
-        assert Fraction(w, cs.denominator) == Fraction(z.weights[j - 1])
+    assert cs.taps == tuple((j, w * cs.denominator) for j, w in z.taps)
     assert Fraction(cs.scaled_threshold, cs.denominator) == z.threshold
 
 
 def test_compile_drops_zero_weights():
-    s = RecurrenceSystem(memory=4, weights=(0, 3, 0, -1), threshold=1, init=(1, 0, 0, 1))
+    s = dense_system((0, 3, 0, -1), 1, (1, 0, 0, 1))
     cs = compile_system(s)
-    assert {j for j, _ in cs.taps} == {2, 4}
+    assert cs.taps == ((2, 3), (4, -1))
 
 
 # --- stepping --------------------------------------------------------------
@@ -270,12 +284,10 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 @st.composite
 def small_systems(draw):
     memory = draw(st.integers(min_value=1, max_value=8))
-    weights = tuple(draw(rationals) for _ in range(memory))
+    weights = [draw(rationals) for _ in range(memory)]
     theta = draw(rationals)
-    init = tuple(draw(st.integers(0, 1)) for _ in range(memory))
-    return RecurrenceSystem(
-        memory=memory, weights=weights, threshold=theta, init=init, label="rand"
-    )
+    init = [draw(st.integers(0, 1)) for _ in range(memory)]
+    return dense_system(weights, theta, init, label="rand")
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,13 +311,13 @@ def sparse_systems(draw):
     # up often; weights are sparse so both kinds of tap set occur
     memory = draw(st.integers(min_value=0, max_value=12))
     tapped = draw(st.booleans())
-    weights = tuple(
+    weights = [
         draw(st.one_of(st.just(Fraction(0)), rationals)) if tapped else Fraction(0)
         for _ in range(memory)
-    )
+    ]
     theta = draw(st.one_of(rationals, st.fractions(min_value=-4, max_value=0, max_denominator=5)))
-    init = tuple(draw(st.integers(0, 1)) for _ in range(memory))
-    return RecurrenceSystem(memory=memory, weights=weights, threshold=theta, init=init)
+    init = [draw(st.integers(0, 1)) for _ in range(memory)]
+    return dense_system(weights, theta, init)
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,10 +326,10 @@ def sparse_systems(draw):
     st.integers(0, 40),
     st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, 12)),
 )
-@example(RecurrenceSystem(0, (), 0, ()), 5, 0)
-@example(RecurrenceSystem(0, (), Fraction(1, 3), ()), 0, 1)
-@example(RecurrenceSystem(1, (Fraction(-1),), Fraction(-1, 2), (0,)), 3, 1)
-@example(RecurrenceSystem(3, (0, 0, 0), -1, (0, 1, 0)), 1, -1)
+@example(RecurrenceSystem(0, (), 0, b""), 5, 0)
+@example(RecurrenceSystem(0, (), Fraction(1, 3), b""), 0, 1)
+@example(RecurrenceSystem(1, ((1, Fraction(-1)),), Fraction(-1, 2), bytes(1)), 3, 1)
+@example(RecurrenceSystem(3, (), -1, bytes([0, 1, 0])), 1, -1)
 def test_run_fill_on_random_systems(s, laps, offset):
     # run slides in chunks of at most memory: steps at a multiple of memory,
     # one either side of it, or part of it put the last partial chunk and
@@ -332,9 +344,9 @@ def test_run_fill_on_random_systems(s, laps, offset):
 
 
 def test_weightless_system_threshold_sign():
-    fire = RecurrenceSystem(memory=2, weights=(0, 0), threshold=0, init=(0, 0))
+    fire = RecurrenceSystem(memory=2, taps=(), threshold=0, init=bytes([0, 0]))
     assert run(compile_system(fire), fire.init, 3) == bytes([0, 0, 1, 1, 1])
-    mute = RecurrenceSystem(memory=2, weights=(0, 0), threshold=Fraction(1, 7), init=(1, 1))
+    mute = RecurrenceSystem(memory=2, taps=(), threshold=Fraction(1, 7), init=bytes([1, 1]))
     assert run(compile_system(mute), mute.init, 3) == bytes([1, 1, 0, 0, 0])
 
 

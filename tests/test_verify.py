@@ -50,6 +50,7 @@ from neurec.cli import main
 from neurec.cycles import certify_lanes
 from neurec.verify import MEASURE_CUTOFF, _proof_certificate, claim_grid, proof_work
 from test_cycles import search_bound
+from test_engine import dense_system
 
 
 def runnable(claim, m):
@@ -388,7 +389,7 @@ def test_window_param_bounds_fail_on_ascending_primes(monkeypatch):
 def test_divisor_rule_fails_on_lanes_of_period_two(monkeypatch):
     # x(n) = x(n-2) from (b, 1 - b) alternates, so r lanes compose to period 2r
     def flip(bit):
-        return RecurrenceSystem(memory=2, weights=(0, 2), threshold=1, init=(bit, 1 - bit))
+        return RecurrenceSystem(memory=2, taps=((2, 2),), threshold=1, init=bytes([bit, 1 - bit]))
 
     monkeypatch.setattr("neurec.verify._constant_lane", flip)
     (res,) = run_claims(ms=(6,), claims=["divisor_rule"])
@@ -472,9 +473,9 @@ def test_sum_bounds_see_a_flipped_lane_of_w(m, monkeypatch):
 
     def flipped(params, d):
         w = build_w(params, d)
-        init = list(w.init)
+        init = bytearray(w.init)
         init[params.h - params.rho + d] ^= 1
-        return dataclasses.replace(w, init=tuple(init))
+        return dataclasses.replace(w, init=bytes(init))
 
     monkeypatch.setattr("neurec.construction.build_w", flipped)
     (res,) = run_claims(ms=(m,), claims=["sum_bounds"])
@@ -491,7 +492,7 @@ def test_sum_bounds_fail_lanes_whose_periods_share_a_factor(monkeypatch):
     # every lane of this y runs x_0's orbit, so all lane periods are p_0
     def one_orbit(params):
         init = [x_closed_form(params, 0, 1 + t // params.rho) for t in range(params.h)]
-        return dataclasses.replace(build_y(params), init=tuple(init))
+        return dataclasses.replace(build_y(params), init=bytes(init))
 
     monkeypatch.setattr("neurec.construction.build_y", one_orbit)
     (res,) = run_claims(ms=(6,), claims=["sum_bounds"])
@@ -518,9 +519,9 @@ def y_by_trace(m, y):
 
 def lane_zero_two_slides_in(params):
     y = build_y(params)
-    init = list(y.init)
-    init[:: params.rho] = [x_closed_form(params, 0, 2 + j) for j in range(params.k)]
-    return dataclasses.replace(y, init=tuple(init))
+    init = bytearray(y.init)
+    init[:: params.rho] = bytes(x_closed_form(params, 0, 2 + j) for j in range(params.k))
+    return dataclasses.replace(y, init=bytes(init))
 
 
 def raised_threshold(params):
@@ -654,8 +655,8 @@ def test_phases_equal_the_trace_comparison(m):
 def test_phases_refuse_z_with_a_lowered_threshold(m, monkeypatch):
     # negative control: 1/16 less threshold, and z no longer runs y, the
     # anomalies, then w
-    def lowered(params, d):
-        z = build_z(params, d)
+    def lowered(params, d, y=None):
+        z = build_z(params, d, y)
         return dataclasses.replace(z, threshold=z.threshold - Fraction(1, 16))
 
     monkeypatch.setattr("neurec.construction.build_z", lowered)
@@ -672,7 +673,8 @@ def test_phases_fail_without_a_handoff_certificate(monkeypatch):
     def misstarted(params, d):
         handoff = z_handoff(params, d)
         init = handoff.head.init
-        return handoff._replace(head=dataclasses.replace(handoff.head, init=(1 - init[0],) + init[1:]))
+        head = dataclasses.replace(handoff.head, init=bytes([1 - init[0]]) + init[1:])
+        return handoff._replace(head=head)
 
     monkeypatch.setattr("neurec.verify.z_handoff", misstarted)
     res = check_phases(6, 0)
@@ -713,9 +715,9 @@ def test_basin_m6_exhaustive():
 def _windows_after_free_slides(system, n_free):
     """Every free prefix's window after n_free slides, by brute force."""
     cs = compile_system(system)
-    tail = tuple(system.init[n_free:])
+    tail = system.init[n_free:]
     return {
-        advance_word(cs, word_from_bits(prefix + tail), n_free)
+        advance_word(cs, word_from_bits(bytes(prefix) + tail), n_free)
         for prefix in product((0, 1), repeat=n_free)
     }
 
@@ -729,8 +731,8 @@ def test_basin_fails_at_the_slide_a_raised_free_tap_leaves_unforced(monkeypatch)
     assert neurec.verify._first_unforced_slide(z, n_free) is None
     assert len(_windows_after_free_slides(z, n_free)) == 1
     for raised in range(1, 20):
-        weights = z.weights[:-1] + (Fraction(raised),)
-        bumped = RecurrenceSystem(z.memory, weights, z.threshold, z.init, z.label)
+        taps = z.taps + ((z.memory, Fraction(raised)),)
+        bumped = RecurrenceSystem(z.memory, taps, z.threshold, z.init, z.label)
         slide = neurec.verify._first_unforced_slide(bumped, n_free)
         if slide is not None:
             break
@@ -745,7 +747,7 @@ def test_basin_fails_at_the_slide_a_raised_free_tap_leaves_unforced(monkeypatch)
     def bumped_cycle(params, family, index=None):
         return true if family == "z" else predicted_cycle(params, family, index)
 
-    monkeypatch.setattr("neurec.verify.cons.build_z", lambda params, d: bumped)
+    monkeypatch.setattr("neurec.verify.cons.build_z", lambda params, d, y=None: bumped)
     monkeypatch.setattr("neurec.verify.predicted_cycle", bumped_cycle)
     res = check_basin(6, 0)
     assert res.passed is False
@@ -759,9 +761,9 @@ def test_basin_rotation_reaches_other_attractors(monkeypatch):
     # free bit decides the very first output
     original = neurec.verify.cons.build_z
 
-    def rotation(params, d):
-        z = original(params, d)
-        return RecurrenceSystem(z.memory, (0,) * (z.memory - 1) + (1,), 1, z.init)
+    def rotation(params, d, y=None):
+        z = original(params, d, y)
+        return RecurrenceSystem(z.memory, ((z.memory, 1),), 1, z.init)
 
     def rotation_cycle(params, family, index=None):
         # the reference is proved: its true (T, P) is the rotation's, (0, h)
@@ -788,7 +790,7 @@ def test_basin_rotation_reaches_other_attractors(monkeypatch):
 )
 def test_basin_interval_pass_agrees_with_brute_force(case):
     weights, threshold, init, n_free = case
-    system = RecurrenceSystem(len(weights), tuple(weights), threshold, tuple(init))
+    system = dense_system(weights, threshold, init)
     slide = neurec.verify._first_unforced_slide(system, n_free)
     # forced everywhere iff every prefix reaches one window: at the first
     # unforced slide the free bits reach both bounds, so two outputs differ
@@ -923,7 +925,7 @@ def proof_calls(monkeypatch):
         original = getattr(neurec.verify, name)
 
         def counted(cs, init, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, cs, tuple(init)))
+            calls.append((_name, cs, bytes(init)))
             return _original(cs, init, *args, **kwargs)
 
         monkeypatch.setattr(f"neurec.verify.{name}", counted)
@@ -972,27 +974,28 @@ def test_chain_member_unlike_the_direct_build_is_proved_afresh(proof_calls, monk
 
     def flip_first_init_bit(current, plan, next_plan):
         system = original(current, plan, next_plan)
-        return dataclasses.replace(system, init=(1 - system.init[0],) + system.init[1:])
+        return dataclasses.replace(system, init=bytes([1 - system.init[0]]) + system.init[1:])
 
     monkeypatch.setattr("neurec.verify.cons.chain_perturbation", flip_first_init_bit)
     run_claims(ms=(6,), claims=["z_summary", "chain"])
     # z(0), z(1) for z_summary; y and the altered z(1) for chain
     assert len(proof_calls) == 4
     z1 = neurec.build_z(window_params(6), 1)
-    altered = (1 - z1.init[0],) + z1.init[1:]
+    altered = bytes([1 - z1.init[0]]) + z1.init[1:]
     assert [init for _, _, init in proof_calls].count(altered) == 1
 
 
 @pytest.fixture
 def member_builds(monkeypatch):
-    """Every (builder, m, index) the x_i, v_i and w(d) builders are asked for."""
+    """Every (builder, m, index) the x_i, v_i and w(d) builders are asked for,
+    and every (builder, m) build_y is."""
     calls = []
-    for name in ("single_system", "destabilized_system", "build_w"):
+    for name in ("single_system", "destabilized_system", "build_w", "build_y"):
         original = getattr(neurec.construction, name)
 
-        def counted(params, index, _name=name, _original=original):
-            calls.append((_name, params.m, index))
-            return _original(params, index)
+        def counted(params, *index, _name=name, _original=original):
+            calls.append((_name, params.m, *index))
+            return _original(params, *index)
 
         monkeypatch.setattr(f"neurec.construction.{name}", counted)
     return calls
@@ -1007,6 +1010,8 @@ def test_a_run_builds_each_member_once(member_builds):
         for m in (6, 11)
         for i in range(window_params(m).rho)
     ]
+    # z(d)'s builds and chain_equals_direct's reuse the run's y
+    want += [("build_y", m) for m in (6, 11)]
     assert sorted(member_builds) == sorted(want)
     # the memo lives for one run: a second run builds every member again
     run_claims(ms=(6, 11))
@@ -1066,7 +1071,7 @@ def builds(monkeypatch):
         original = getattr(neurec.cycles, name)
 
         def counted(cs, init, *args, _name=name, _original=original):
-            calls.append((_name, cs, tuple(init)))
+            calls.append((_name, cs, bytes(init)))
             return _original(cs, init, *args)
 
         monkeypatch.setattr(f"neurec.{module}.{name}", counted)

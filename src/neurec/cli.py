@@ -40,7 +40,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import IO, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .construction import RecurrenceSystem
@@ -326,14 +326,22 @@ def _csv_rows(report: RunReport) -> list[dict]:
     return rows
 
 
+def _write_json(report: RunReport, fh: IO[str]) -> None:
+    """Stream the report into fh as indented JSON and a newline.  Its fields
+    already hold plain dicts and lists, so they are written as they stand,
+    with no deep copy and no whole document in memory."""
+    json.dump(vars(report), fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _write_outputs(report: RunReport, traces, config: ExperimentConfig) -> None:
-    doc = json.dumps(asdict(report), indent=2, sort_keys=True)
     if config.out is None:
-        print(doc)
+        _write_json(report, sys.stdout)
         return
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(doc + "\n")
+    with (out_dir / "report.json").open("w") as fh:
+        _write_json(report, fh)
     rows = _csv_rows(report)
     with (out_dir / "summary.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")

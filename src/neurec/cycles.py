@@ -38,8 +38,14 @@ head's lanes finds the first time the system's own rule disagrees with
 head's: it reads the system's sum and head's next bit off the lane
 windows, shifts stored lane bits through their transients, and past them
 runs a branch and bound over the lane phases with the Chinese remainder
-theorem.  Explicit steps from there reach the handoff time, and the same
-search over tail's lanes finds any disagreement on tail's orbit.  The
+theorem.  It first checks the paper's margin argument in exact integers
+(_fires_only_with): each of the system's weights at most the part's, and
+its threshold less than one of the part's integer units below the part's.
+Where these premises hold, as for z(d) on y and on w(d), the system cannot
+fire where the part's next bit is 0, so only the times whose next bit is
+1 are checked; where one fails every time is, the exact scan a generic
+handoff needs.  Explicit steps from there reach the handoff time, and the
+same search over tail's lanes finds any disagreement on tail's orbit.  The
 certificate closes when the stepped window is tail's init and there is
 none: S_n is then head's window before the disagreement, an explicit step
 before the handoff, and tail's window at n - at after it, and x(n) is
@@ -59,6 +65,7 @@ transient again.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import gcd, lcm, prod
@@ -259,12 +266,36 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
 
 def _lane_terms(table: Sequence[int], masks: dict[int, int], shift: bool) -> list[int]:
     """One lane's term of an affine sum at every lane phase x: the sum over
-    masks {weight: lane mask} on the lane window at phase x + shift."""
-    p = len(table)
-    return [
-        sum(w * (table[(x + shift) % p] & mask).bit_count() for w, mask in masks.items())
-        for x in range(p)
-    ]
+    masks {weight: lane mask} on the lane window at phase x + shift, one
+    pass over the phases per weight."""
+    words = table[shift:] + table[:shift]  # words[x] = table[(x + shift) % p]
+    terms = [0] * len(table)
+    for w, mask in masks.items():
+        terms = [t + w * (word & mask).bit_count() for t, word in zip(terms, words)]
+    return terms
+
+
+def _fires_only_with(cs: CompiledSystem, lanes: Lanes) -> bool:
+    """Whether cs's rule fires only where the orbit on lanes does: the
+    paper's margin argument behind s1_range, checked in exact integers.
+
+    With D = cs.denominator and the lane rule's integer taps at offsets
+    j * r, it holds when each of cs's scaled weights is at most D times
+    the lane rule's at the same offset, over both tap sets with a missing
+    tap 0, and cs.scaled_threshold > D * (lane threshold - 1).  Where the
+    orbit's next bit is 0 its lane sum is at most the lane threshold less
+    one, so cs's sum, at most D times it on a window of 0/1 bits, falls
+    below cs's threshold: cs does not fire either.
+    """
+    d, r = cs.denominator, len(lanes.orbits)
+    margin: Counter[int] = Counter()  # D * lane weight - cs's weight, by offset
+    for j, w in lanes.cs.taps:
+        margin[r * j] += d * w
+    for j, w in cs.taps:
+        margin[j] -= w
+    return min(margin.values(), default=0) >= 0 and cs.scaled_threshold > d * (
+        lanes.cs.scaled_threshold - 1
+    )
 
 
 def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[int | None, int]:
@@ -282,22 +313,34 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
     bounded by the sum of each lane's least and greatest term, finds every
     box of phase tuples on which cs's bit differs; the lane periods are
     pairwise coprime, so the Chinese remainder theorem maps each tuple to
-    one Q mod prod(P_i).  steps counts the times checked before r * q0, the
-    lane cycle windows tabulated, and the nodes and tuples of the search.
-    Raises BudgetExceeded past budget steps.
+    one Q mod prod(P_i).
+
+    Where _fires_only_with holds (every z(d) on y's and w(d)'s lanes), cs
+    cannot fire where the next bit is 0, so only the times whose next bit
+    is 1 are checked: the prefix takes cs's sum only there, though it still
+    shifts every window, and the branch and bound runs only its bit = 1
+    half.  Where a premise fails every time is checked, the exact scan.
+
+    steps counts the r * q0 times of the prefix, each window shifted
+    whether or not its sum is taken, the lane cycle windows tabulated, and
+    the nodes and tuples of the search.  Raises BudgetExceeded past budget
+    steps, checked before the prefix, after the tables and at each node
+    and tuple.
     """
     r, memory, lane_mask = len(lanes.orbits), lanes.cs.memory, lanes.cs.mask
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
     theta = cs.scaled_threshold
     if r * q0 > budget:
         raise BudgetExceeded(r * q0, budget)
+    checked = (1,) if _fires_only_with(cs, lanes) else (0, 1)  # the next bits to check
 
-    # masks[c][i]: cs's taps on lane i's window in slot c, as {weight: lane mask}
-    masks: list[list[dict[int, int]]] = [[{} for _ in range(r)] for _ in range(r)]
+    # masks[c][i]: cs's taps on lane i's window in slot c, as {weight: lane mask};
+    # tap j reads lane (c - j) mod r, so slot c's lanes are slot 0's rotated by c
+    slot0: list[dict[int, int]] = [{} for _ in range(r)]
     for j, w in cs.taps:
-        for c in range(r):
-            lane = masks[c][(c - j) % r]
-            lane[w] = lane.get(w, 0) | 1 << ((j - 1) // r)
+        lane = slot0[-j % r]
+        lane[w] = lane.get(w, 0) | 1 << ((j - 1) // r)
+    masks = [[slot0[(i - c) % r] for i in range(r)] for c in range(r)]
 
     # the same taps flat per slot, as (lane, weight, lane mask)
     flat = [[(i, w, m) for i, lane in enumerate(row) for w, m in lane.items()] for row in masks]
@@ -307,9 +350,10 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
         for c in range(r):
             # windows holds lanes i < c at lane time q + 1 and the rest at q
             bit = outs[c][q + memory]
-            s = sum(w * (windows[i] & mask).bit_count() for i, w, mask in flat[c])
-            if (s >= theta) != bit:
-                return r * q + c, r * q + c + 1
+            if bit in checked:
+                s = sum(w * (windows[i] & mask).bit_count() for i, w, mask in flat[c])
+                if (s >= theta) != bit:
+                    return r * q + c, r * q + c + 1
             windows[c] = (windows[c] << 1 | bit) & lane_mask
     steps = r * q0
 
@@ -323,13 +367,15 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
             word = (word << 1 | trace[s + memory]) & lane_mask
         tables.append(table)
         steps += p
+    if steps > budget:
+        raise BudgetExceeded(steps, budget)
 
     best = None
     for c in range(r):
         terms = [_lane_terms(table, masks[c][i], i < c) for i, table in enumerate(tables)]
         by_term = [sorted(range(len(t)), key=t.__getitem__) for t in terms]
         out_lane = tables[c]
-        for bit in (0, 1):
+        for bit in checked:
             box = list(by_term)
             box[c] = [x for x in by_term[c] if out_lane[(x + 1) % len(out_lane)] & 1 == bit]
             stack = [box] if box[c] else []

@@ -881,7 +881,7 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
     longest lane transient and the sum of the lane periods.  Between the
     two searches come at most h explicit steps, priced at h, and the branch
     and bound's nodes, which have no proven bound and are allowed another h;
-    at m = 5 to 40 they take at most 0.17 h (m = 5 z(1): 20 nodes, h = 116).
+    at m = 5 to 40 they take at most 0.14 h (m = 5 z(1): 16 nodes, h = 116).
     """
     if family not in ("y", "w", "z"):
         return sum(predicted_cycle(params, family, index))

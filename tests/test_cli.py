@@ -246,7 +246,7 @@ def test_cycle_mode_proves_y_at_m21_on_its_lanes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "system, steps", [(["y"], 282), (["z", "--d", "4"], 6_667)], ids=["y", "z4"]
+    "system, steps", [(["y"], 282), (["z", "--d", "4"], 6_657)], ids=["y", "z4"]
 )
 def test_cycle_mode_budget_caps_the_proof_on_its_route_at_m21(tmp_path, system, steps):
     # T + P is 1.9e9 for both, but the lane and handoff proofs take far fewer

@@ -47,8 +47,14 @@ from neurec import (
     window_params,
     word_from_bits,
 )
-from neurec.cycles import _first_disagreement, _probe_pass, certify_lanes, handoff_certificate
-from neurec.verify import MEASURE_CUTOFF, _certificate, _proof_certificate, z_handoff
+from neurec.cycles import (
+    _fires_only_with,
+    _first_disagreement,
+    _probe_pass,
+    certify_lanes,
+    handoff_certificate,
+)
+from neurec.verify import MEASURE_CUTOFF, _certificate, _proof_certificate, member, proof_memo, z_handoff
 from test_engine import dense_system, sparse_systems, taps_of, weights_of
 
 
@@ -675,6 +681,57 @@ def test_first_disagreement_budget_counts_search_nodes_and_crt_tuples():
 
 
 @pytest.mark.parametrize("m", [6, 11])
+def test_a_handoff_certificate_capped_one_step_below_its_cost_is_refused(m):
+    # the lane tables count against the budget as soon as they are built:
+    # a search that runs only its bit = 1 half may run no node to catch an
+    # overrun (m = 6 z(1) costs 318 steps)
+    p = window_params(m)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        cs, handoff = compile_system(z), z_handoff(p, d)
+        cert, cost = _certificate(cs, z.init, handoff, MEASURE_CUTOFF)
+        assert cert.closes
+        assert _certificate(cs, z.init, handoff, cost)[0] == cert
+        assert _certificate(cs, z.init, handoff, cost - 1)[0] is None, d
+
+
+def test_every_z_fires_only_with_both_its_parts_at_every_scale_from_5_to_20():
+    # the family never falls back to the exact scan: the margin premises
+    # hold for z(d) on y's lanes and on w(d)'s
+    with proof_memo():
+        for m in range(5, 21):
+            p = window_params(m)
+            for d in range(p.rho):
+                mem = member(p, "z", d)
+                cs = compile_system(mem.system)
+                cert, _ = _proof_certificate(cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+                assert _fires_only_with(cs, cert.head) and _fires_only_with(cs, cert.tail), (m, d)
+
+
+def test_the_margin_premises_are_checked_at_their_boundaries():
+    # z(0) on w(0)'s lanes at m = 6, its threshold and one weight moved to
+    # the edge of each premise and one scaled unit past it
+    p = window_params(6)
+    w = build_w(p, 0)
+    lanes, _ = certify_lanes(compile_system(w), w.init, 10**9)
+    cs = compile_system(build_z(p, 0))
+    r, d = len(lanes.orbits), cs.denominator
+    assert _fires_only_with(cs, lanes)
+    floor = d * (lanes.cs.scaled_threshold - 1)
+    assert _fires_only_with(dataclasses.replace(cs, scaled_threshold=floor + 1), lanes)
+    assert not _fires_only_with(dataclasses.replace(cs, scaled_threshold=floor), lanes)
+    j, weight = lanes.cs.taps[0]
+    others = tuple(tap for tap in cs.taps if tap[0] != r * j)
+    for extra, fires_only in ((0, True), (1, False)):
+        taps = ((r * j, d * weight + extra), *others)
+        assert _fires_only_with(dataclasses.replace(cs, taps=taps), lanes) is fires_only
+    off_stride = next(j for j in range(1, cs.memory + 1) if j % r)  # no lane tap: weight 0
+    for weight, fires_only in ((0, True), (-1, True), (1, False)):
+        taps = (*cs.taps, (off_stride, weight))
+        assert _fires_only_with(dataclasses.replace(cs, taps=taps), lanes) is fires_only
+
+
+@pytest.mark.parametrize("m", [6, 11])
 def test_handoff_certificate_parts_equal_the_full_window_loop(m):
     p = window_params(m)
     for d in range(p.rho):
@@ -932,6 +989,27 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     for pair in wrong_pairs(t, p):
         want = refusal(verify_predicted, cs, init, pair)
         assert refusal(handoff_uncapped, cs, init, (*pair, handoff)) == want, pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(handoff_cases())
+def test_the_margin_filter_finds_the_exact_scans_first_disagreement(case):
+    # on each part of a generic handoff, _first_disagreement finds the same
+    # time whether it checks the margin premises or always scans every time;
+    # the system with its threshold a whole unit lower also fires where the
+    # part's next bit is 0, which only the exact scan sees
+    cs, _, handoff = case
+    lowered = dataclasses.replace(cs, scaled_threshold=cs.scaled_threshold - cs.denominator)
+    for part in (handoff.head, handoff.tail):
+        lanes, _ = certify_lanes(compile_system(part), part.init, 10**6)
+        if not lanes.coprime:
+            continue  # the branch and bound needs coprime lane periods
+        for system in (cs, lowered):
+            filtered, _ = _first_disagreement(system, lanes, 10**9)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("neurec.cycles._fires_only_with", lambda cs, lanes: False)
+                exact, _ = _first_disagreement(system, lanes, 10**9)
+            assert filtered == exact
 
 
 @settings(max_examples=200, deadline=None)

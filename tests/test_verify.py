@@ -1175,9 +1175,9 @@ def test_run_claims_turns_budget_blowups_into_failures():
 def test_one_budget_routes_every_proof_and_caps_every_certificate():
     # a blind search runs only within both DETECT_CUTOFF and the budget, so
     # each orbit past the budget is proved on its certificate, and the
-    # default grid passes at 1,298, the steps of m = 11 z(2)'s certificate
-    assert all(r.passed for r in run_claims(ms=(6, 11), budget=1298))
-    failed = [(r.claim, r.params) for r in run_claims(ms=(6, 11), budget=1297) if not r.passed]
+    # default grid passes at 1,292, the steps of m = 11 z(2)'s certificate
+    assert all(r.passed for r in run_claims(ms=(6, 11), budget=1292))
+    failed = [(r.claim, r.params) for r in run_claims(ms=(6, 11), budget=1291) if not r.passed]
     assert failed == [
         (claim, {"m": 11, "d": 2} if claim != "chain" else {"m": 11})
         for claim in ("phases", "z_summary", "chain", "basin")
@@ -1225,7 +1225,7 @@ def test_every_claim_that_proves_or_certifies_members_is_priced(monkeypatch):
     ]
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", proof_work(window_params(11), "y"))
     assert [r.passed for r in run_claims(ms=(11,), claims=y_claims)] == [True, True]
-    # m = 6 z(1)'s handoff certificate takes 322 steps, its price 602: at
+    # m = 6 z(1)'s handoff certificate takes 318 steps, its price 602: at
     # the z claims' price, z(1)'s, they pass
     monkeypatch.setattr("neurec.verify.MEASURE_CUTOFF", proof_work(p, "z", 1))
     results = run_claims(ms=(6,), claims=["phases", "z_summary", "chain", "basin"])

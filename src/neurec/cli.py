@@ -15,8 +15,8 @@ which alone knows each claim's name, grid, cutoff and knobs.  The member modes
 of every scale, each a verify.member, one row per member; cycle proves it
 with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
-built.  construct proves nothing and opens none, so each member is freed
-after its row.  This module builds no system:
+built.  construct proves and compiles nothing and opens none, so each member
+is freed after its row.  This module builds no system:
 it handles arguments and output, and rejects a setting the mode does not read.
 Every run produces one JSON report (printed to stdout, or written to
 --out/report.json together with a summary.csv of every measured orbit).

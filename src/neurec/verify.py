@@ -28,9 +28,10 @@ its first disagreement and w(d)'s from L1(d) on, proved on the lanes of y
 and w(d); a system with one lane is simulated.  On every route a wrong
 prediction raises PredictionFailed from the one probe rule in cycles, so it
 never comes back as a verdict.  member wires each family member in one place,
-its system, predicted_cycle pair and, for z(d), handoff, so no caller of
-Member.prove or simulated_trace can leave the handoff out; no claim but
-chain_equals_direct, about the builders, builds a family system otherwise.
+its system, compiled on first use (Member.cs), predicted_cycle pair and, for
+z(d), handoff, so no caller of Member.prove or simulated_trace compiles a
+member or leaves the handoff out; no claim but chain_equals_direct, about
+the builders, builds a family system otherwise.
 check_phases reads z(d)'s five phases off the same handoff certificate, and
 sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
 exact for all time.  One cap, the budget or else MEASURE_CUTOFF (_cap),
@@ -44,8 +45,8 @@ allowance for its nodes) of the members it proves or certifies, and
 skip_detail skips (passed None) one past MEASURE_CUTOFF rather than
 attempt it.
 
-A run builds each member once, proves each distinct orbit once and
-certifies it once: proof_memo, open for one run_claims call or a CLI cycle
+A run builds and compiles each member once, proves each distinct orbit once
+and certifies it once: proof_memo, open for one run_claims call or a CLI cycle
 or simulate run, keeps every member built, completed proof and closed
 certificate (_certificate), so z(d)'s handoff reads the run's y and w(d),
 the chain reuses the proofs of y_cycle and z_summary, phases and z_summary
@@ -64,7 +65,7 @@ import random
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -106,12 +107,12 @@ __all__ = [
 
 # Routing and feasibility bounds, in window slides.  measure_cycle routes on
 # DETECT_CUTOFF and the cap; skip_detail skips instances past MEASURE_CUTOFF.
-# A search costs T + P slides, a certificate about sum(p_i) + h.  Best of 15
-# on 2 cores, CPython 3.11 (python3 tools/route_crossover.py): lanes win from
-# a few hundred slides (m = 6 y, 442: 0.54 ms blind, 0.34 ms certified), a
-# handoff only from a few thousand (m = 11 z(1), 3,263: 2.7 / 3.2 ms; m = 16
-# z(1), 15,498: 14.7 / 7.0 ms), where DETECT_CUTOFF sits, above 557, the
-# largest m = 6 orbit, as bench/test_harness.py pins m = 6 chain's 3 searches.
+# A search costs T + P slides, a certificate about sum(p_i) + h.  Best of 3,
+# 3 runs, 2 cores, CPython 3.11 (tools/route_crossover.py --repeats 3): lanes
+# win from a few hundred slides (m = 6 y, 442: 0.29 ms blind, 0.18 certified),
+# a handoff from between 557 (m = 6 z(1): 0.38 / 0.78 ms) and 2,584 (m = 11
+# z(0): 1.92 / 1.61 ms).  DETECT_CUTOFF stays above 557, the largest m = 6
+# orbit, as bench/test_harness.py pins m = 6 chain's 3 searches.
 DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
@@ -171,23 +172,23 @@ def predicted_cycle(params: WindowParams, family: str, index: int | None = None)
 class Handoff(NamedTuple):
     """The orbit a system is claimed to follow from head's init: head's, then
     from time at on tail's, S_n being tail's window at n - at.  head and tail
-    each decimate into lanes (see lane_count)."""
+    are Members, each decimating into lanes (see lane_count)."""
 
-    head: RecurrenceSystem
-    tail: RecurrenceSystem
+    head: Member
+    tail: Member
     at: int
 
 
 def z_handoff(params: WindowParams, d: int) -> Handoff:
     """The orbit z(d) is claimed to follow: y's, then w(d)'s from time L1(d) on."""
-    y, w = member(params, "y").system, member(params, "w", d).system
-    return Handoff(y, w, cycle_lengths(params, d)[1])
+    return Handoff(member(params, "y"), member(params, "w", d), cycle_lengths(params, d)[1])
 
 
-class Member(NamedTuple):
-    """One family member: its system, its predicted (T, P) and, for z(d)
-    only, the zero-argument builder of its Handoff, called only when a proof
-    or trace asks for the handoff certificate, on the run's y and w(d)."""
+@dataclass(frozen=True, eq=False)
+class Member:
+    """One family member, equal only to itself: its system, compiled once on
+    first use (cs), its predicted (T, P) and, for z(d) only, its Handoff's
+    builder, called only when a proof or trace needs the handoff certificate."""
 
     family: str
     index: int | None
@@ -195,9 +196,13 @@ class Member(NamedTuple):
     predicted: tuple[int, int]
     handoff: Callable[[], Handoff] | None
 
+    @cached_property
+    def cs(self) -> CompiledSystem:
+        return compile_system(self.system)
+
     def prove(self, budget: int | None = None) -> CycleReport:
-        """measure_cycle on the member's own prediction and handoff."""
-        return measure_cycle(self.system, self.predicted, budget, self.handoff)
+        """measure_cycle on the member's compiled system, prediction and handoff."""
+        return measure_cycle(self.cs, self.system.init, self.predicted, budget, self.handoff)
 
 
 def member(
@@ -208,9 +213,9 @@ def member(
     The one place verify builds a family system.  predicted_cycle raises on
     an unknown family or an index off its range.  system replaces the built
     one (the chain's incremental z(d)) and is never kept.  Inside proof_memo
-    a built member is kept, so a run builds each one once, z(d) on the run's
-    y; outside it every call builds afresh.  Builders and z_handoff are
-    looked up at each build, so a rebound name is seen.
+    a built member is kept, so a run builds and compiles each one once, z(d)
+    on the run's y; outside it every call builds afresh.  Builders and
+    z_handoff are looked up at each build, so a rebound name is seen.
     """
     memo = _proofs if system is None and _proofs is not None else {}
     key = ("member", params.m, family, index)
@@ -247,12 +252,12 @@ def _certificate(
     if handoff is None:
         built = certify_lanes(cs, init, cap)
     else:
-        parts = [(compile_system(part), part.init) for part in (handoff.head, handoff.tail)]
-        if bytes(init) != handoff.head.init or any(lane_count(part) == 1 for part, _ in parts):
+        parts = (handoff.head, handoff.tail)
+        if bytes(init) != handoff.head.system.init or any(lane_count(part.cs) == 1 for part in parts):
             return None, 0
         lanes, spent = [], 0
-        for part, part_init in parts:
-            lane, steps = _certificate(part, part_init, None, cap - spent)
+        for part in parts:
+            lane, steps = _certificate(part.cs, part.system.init, None, cap - spent)
             spent += steps
             if lane is None:
                 return None, spent
@@ -281,25 +286,24 @@ def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, in
     steps.  run stops at the first repeat, so it takes min(T + P, steps)
     slides; past DETECT_CUTOFF the trace is read off _proof_certificate's
     if it closes within steps slides.  Below it run is the cheaper for a
-    handoff (tools/route_crossover.py, default steps, 3 runs: m = 6 z(0)
-    0.23-0.35 ms by run, 0.90-1.16 ms by certificate; m = 11 z(1)
-    1.49-2.08 / 2.92-5.03 ms)."""
-    cs = compile_system(mem.system)
+    handoff (tools/route_crossover.py --repeats 3, default steps, 3 runs:
+    m = 11 z(1) 0.96-1.05 ms by run, 1.63-2.47 by certificate)."""
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
-        cert, spent = _proof_certificate(cs, mem.system.init, mem.handoff, steps)
+        cert, spent = _proof_certificate(mem.cs, mem.system.init, mem.handoff, steps)
     if cert is None or not cert.closes:
-        return run(cs, mem.system.init, steps), "simulated", 0
+        return run(mem.cs, mem.system.init, steps), "simulated", 0
     return cert.trace(mem.system.memory + steps), "handoff" if mem.handoff else "lanes", spent
 
 
 def measure_cycle(
-    system: RecurrenceSystem,
+    cs: CompiledSystem,
+    init: Sequence[int],
     predicted: tuple[int, int],
     budget: int | None = None,
     handoff: Callable[[], Handoff] | None = None,
 ) -> CycleReport:
-    """Certify a system's predicted (T, P) as its minimal pair.
+    """Certify cs's predicted (T, P) from init as its minimal pair.
 
     One cap, budget or else MEASURE_CUTOFF (_cap), picks the route and
     bounds it.  Orbits whose T + P fits both the cap and DETECT_CUTOFF, past
@@ -317,7 +321,7 @@ def measure_cycle(
     cap raises BudgetExceeded before it starts.
 
     Inside proof_memo a completed proof is remembered for the rest of the
-    run under the compiled system, init and prediction, and a repeat returns
+    run under cs, init and the prediction, and a repeat returns
     the same report without walking the orbit again; so is each certificate
     (_certificate).  A failed proof raises as usual and is not remembered;
     outside proof_memo every call proves afresh.
@@ -325,22 +329,21 @@ def measure_cycle(
     t_pred, p_pred = predicted
     work = t_pred + p_pred
     cap = _cap(budget)
-    cs = compile_system(system)
     proofs = _proofs
-    key = (cs, system.init, predicted)
+    key = (cs, bytes(init), predicted)
     if proofs is not None and key in proofs:
         return proofs[key]
     rep, cert, spent = None, None, 0
     if work <= min(DETECT_CUTOFF, cap):
         with suppress(BudgetExceeded):  # the prediction understates the orbit
-            rep = detect_cycle(cs, system.init, work)
+            rep = detect_cycle(cs, init, work)
     else:
-        cert, spent = _proof_certificate(cs, system.init, handoff, cap)
+        cert, spent = _proof_certificate(cs, init, handoff, cap)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
         read = cert.read if cert is not None and cert.closes else None
         if read is None and spent + work > cap:
             raise BudgetExceeded(spent, cap)
-        rep = verify_predicted(cs, system.init, t_pred, p_pred, read)
+        rep = verify_predicted(cs, init, t_pred, p_pred, read)
         rep = replace(rep, steps_executed=spent + rep.steps_executed)
     if proofs is not None:
         proofs[key] = rep
@@ -480,10 +483,10 @@ def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
 # dynamic claims
 
 
-def _x_mismatch(params: WindowParams, i: int, system: RecurrenceSystem) -> int | None:
-    """The first t < k + p_i where x_i's trace (system's) departs from its
-    closed form, or None: then S_{p_i} = S_0, and the two agree for all time."""
-    trace = run(compile_system(system), system.init, params.primes[i])
+def _x_mismatch(params: WindowParams, i: int, x: Member) -> int | None:
+    """The first t < k + p_i where x_i's trace departs from its closed form,
+    or None: then S_{p_i} = S_0, and the two agree for all time."""
+    trace = run(x.cs, x.system.init, params.primes[i])
     return next((t for t, bit in enumerate(trace) if bit != cons.x_closed_form(params, i, t)), None)
 
 
@@ -494,7 +497,7 @@ def _run_x_cycle(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     for i in range(params.rho):
         x = member(params, "x", i)
         rep = x.prove(budget)
-        mismatch = _x_mismatch(params, i, x.system)
+        mismatch = _x_mismatch(params, i, x)
         ok = ok and mismatch is None
         per_lane[str(i)] = _report_dict(rep, x.predicted) | {"closed_form_mismatch_at": mismatch}
     return ClaimResult("x_cycle", {"m": m}, ok, {"per_lane": per_lane})
@@ -508,7 +511,7 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     for i in range(params.rho):
         v = member(params, "v", i)
         rep = v.prove(budget)
-        cs = compile_system(v.system)
+        cs = v.cs
         attractor_zero = rep.entry_window == 0
         # one walk of k + 1 windows: x(k + n) = [s_n >= theta]
         sums = [s for _, s in islice(walk(cs, word_from_bits(v.system.init)), k + 1)]
@@ -529,12 +532,12 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
 
 
 def _certified(
-    system: RecurrenceSystem, budget: int | None, handoff: Handoff | None = None
+    mem: Member, budget: int | None, handoff: Handoff | None = None
 ) -> Lanes | HandoffCertificate | None:
-    """system's certificate, handoff's or else its lanes, by _certificate within
+    """mem's certificate, handoff's or else its lanes, by _certificate within
     the cap; BudgetExceeded when it cannot be built within it, None if refused."""
     cap = _cap(budget)
-    cert, spent = _certificate(compile_system(system), system.init, handoff, cap)
+    cert, spent = _certificate(mem.cs, mem.system.init, handoff, cap)
     if spent > cap:
         raise BudgetExceeded(spent, cap)
     return cert
@@ -551,7 +554,7 @@ def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResu
     detail: dict = {}
     ok = True
     for name, mem, low, high in envelopes:
-        lo, hi = _certified(mem.system, budget).popcount_range() or (None, None)
+        lo, hi = _certified(mem, budget).popcount_range() or (None, None)
         ok = ok and lo is not None and low <= lo and hi <= high
         detail[name] = {"min": lo, "max": hi, "bounds": [low, high]}
     return ClaimResult("sum_bounds", {"m": m}, ok, detail)
@@ -564,8 +567,8 @@ def _run_s1_range(m: int, **_: object) -> ClaimResult:
     ok = True
     worst_gap = None
     for i in range(params.rho):
-        system = member(params, "x", i).system
-        orbit = walk(compile_system(system), word_from_bits(system.init))
+        x = member(params, "x", i)
+        orbit = walk(x.cs, word_from_bits(x.system.init))
         low = -2 * (1 + params.mu[i])
         lane_ok = True
         max_sub = None
@@ -602,14 +605,13 @@ def _run_y_deshuffle(m: int, budget: int | None = None, **_: object) -> ClaimRes
     recurrence (so y has rho lanes, of memory k) from x_i's window after one
     slide, and x_i is its closed form."""
     params = window_params(m)
-    lanes = _certified(member(params, "y").system, budget)
+    lanes = _certified(member(params, "y"), budget)
     bad: list[str] = []
     for i, (trace, _) in zip(range(params.rho), lanes.orbits):
-        x = member(params, "x", i).system
-        cs = compile_system(x)
-        if lanes.cs != cs:
+        x = member(params, "x", i)
+        if lanes.cs != x.cs:
             bad.append(f"lane {i} does not obey x_{i}'s recurrence")
-        if word_from_bits(trace[: cs.memory]) != advance_word(cs, word_from_bits(x.init), 1):
+        if word_from_bits(trace[: x.cs.memory]) != advance_word(x.cs, word_from_bits(x.system.init), 1):
             bad.append(f"lane {i} does not start at x_{i}'s window after one slide")
         t = _x_mismatch(params, i, x)
         if t is not None:
@@ -664,7 +666,7 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
     phase3_empty = p3_lo > p3_hi
 
     handoff = z.handoff()
-    cert = _certified(z.system, budget, handoff)
+    cert = _certified(z, budget, handoff)
 
     bad: list[str] = []
     anomalies = 0
@@ -690,7 +692,7 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
         if t is not None:
             bad.append(f"phase3 mismatch at t={t}")
         n = cert.tail_first
-        if cert.stepped[-1] != word_from_bits(handoff.tail.init):
+        if cert.stepped[-1] != word_from_bits(handoff.tail.system.init):
             bad.append(f"phase4 mismatch: z's window at L1 = {l1} is not w's init")
         elif n is not None and n <= rho * (k - 1 - p_d) + d:
             bad.append(f"phase4 mismatch at offset t={n}")
@@ -721,11 +723,10 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     params = window_params(m)
     rho = params.rho
     plans = [cons.perturbation_plan(params, d) for d in range(rho)]
-    systems = [member(params, "z", 0).system]
+    chain = {"y": member(params, "y"), "z0": member(params, "z", 0)}
     for d in range(rho - 1):
-        systems.append(cons.chain_perturbation(systems[d], plans[d], plans[d + 1]))
-    chain = {"y": member(params, "y")}
-    chain |= {f"z{d}": member(params, "z", d, system) for d, system in enumerate(systems)}
+        system = cons.chain_perturbation(chain[f"z{d}"].system, plans[d], plans[d + 1])
+        chain[f"z{d + 1}"] = member(params, "z", d + 1, system)
 
     steps_detail, periods = {}, []
     for name, mem in chain.items():
@@ -748,9 +749,9 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     return ClaimResult("chain", {"m": m}, ok, detail)
 
 
-def _first_unforced_slide(system: RecurrenceSystem, n_free: int) -> int | None:
-    """The first of n_free slides whose output the oldest n_free init bits
-    can change, or None when every output is forced.
+def _first_unforced_slide(mem: Member, n_free: int) -> int | None:
+    """The first of n_free slides whose output the oldest n_free bits of
+    mem's init can change, or None when every output is forced.
 
     At slide s the taps at offsets j > memory - n_free + s read unknown
     bits.  Known bits count exactly; an unknown tap of scaled weight w adds
@@ -758,10 +759,10 @@ def _first_unforced_slide(system: RecurrenceSystem, n_free: int) -> int | None:
     The free bits are independent and reach both bounds, so the pass is
     exact: at the first unforced slide two prefixes output different bits.
     """
-    cs = compile_system(system)
+    cs = mem.cs
     theta = cs.scaled_threshold
     known = cs.mask >> n_free
-    word = word_from_bits(system.init) & known
+    word = word_from_bits(mem.system.init) & known
     for s in range(n_free):
         lo = hi = 0
         for w, gm in cs.groups:
@@ -796,7 +797,7 @@ def check_basin(m: int, d: int, budget: int | None = None) -> ClaimResult:
 
     z = member(params, "z", d)
     ref_rep = z.prove(budget)
-    unforced = _first_unforced_slide(z.system, n_free)
+    unforced = _first_unforced_slide(z, n_free)
     detail = {
         "free_bits": n_free,
         "variants_total": 2**n_free,

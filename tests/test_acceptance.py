@@ -79,7 +79,7 @@ def test_criterion_01_m6_cycle_table(criterion):
         assert len(jobs) == 9
         for system, (fam, idx), want in jobs:
             assert predicted_cycle(p, fam, idx) == want, system.label
-            rep = measure_cycle(system, want)
+            rep = measure_cycle(compile_system(system), system.init, want)
             got = (rep.measured_transient, rep.measured_period)
             assert got == want, (system.label, got, want)
         assert time.perf_counter() - t0 < 1.0
@@ -92,16 +92,16 @@ def test_criterion_02_m11_cycle_table(criterion):
         assert p.primes == (31, 29, 23)
         for i, prime in enumerate(p.primes):
             s = single_system(p, i)
-            rep = measure_cycle(s, (0, prime))
+            rep = measure_cycle(compile_system(s), s.init, (0, prime))
             assert (rep.measured_transient, rep.measured_period) == (0, prime)
         y = build_y(p)
-        rep = measure_cycle(y, (0, 62031))
+        rep = measure_cycle(compile_system(y), y.init, (0, 62031))
         assert (rep.measured_transient, rep.measured_period) == (0, 62031)
         expected = {0: (583, 2001), 1: (3194, 69), 2: (62547, 1)}
         for d, want in expected.items():
             z = build_z(p, d)
             assert predicted_cycle(p, "z", d) == want
-            rep = measure_cycle(z, want)
+            rep = measure_cycle(compile_system(z), z.init, want)
             assert (rep.measured_transient, rep.measured_period) == want, d
         assert time.perf_counter() - t0 < 30.0
 
@@ -208,7 +208,7 @@ def test_criterion_11_m16_full_cycle_proof(criterion):
         assert sim.steps_executed == want_period  # T + P slides exactly
         assert time.perf_counter() - t0 < 300.0
         # the claims' route proves y on its decimated lanes, to the same report
-        rep = measure_cycle(y, (0, want_period))
+        rep = measure_cycle(compile_system(y), y.init, (0, want_period))
         assert rep.steps_executed < 10_000
         assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (
             sim.measured_transient,

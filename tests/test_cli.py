@@ -357,6 +357,17 @@ def test_construct_mode_keeps_no_member(monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)["cycle_reports"]) == 9
 
 
+def test_construct_mode_compiles_nothing(monkeypatch, capsys):
+    # a member compiles its system on first use, and construct uses none
+    def no_compile(system):
+        raise AssertionError(f"construct compiled {system.label}")
+
+    monkeypatch.setattr("neurec.verify.compile_system", no_compile)
+    monkeypatch.setattr("neurec.cycles.compile_system", no_compile)
+    assert main(["--mode", "construct", "--m", "6", "--m", "11"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cycle_reports"]) == 9 + 13
+
+
 def test_simulate_mode_with_traces(tmp_path):
     out = tmp_path / "sim"
     code = main(

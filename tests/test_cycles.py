@@ -22,6 +22,7 @@ from neurec import (
     BudgetExceeded,
     CycleReport,
     Handoff,
+    Member,
     PredictionFailed,
     RecurrenceSystem,
     ShapeMismatch,
@@ -56,6 +57,11 @@ from neurec.cycles import (
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _proof_certificate, member, proof_memo, z_handoff
 from test_engine import dense_system, sparse_systems, taps_of, weights_of
+
+
+def as_part(system):
+    """A handoff part on any system: a Member that carries system alone."""
+    return Member("part", None, system, (0, 0), None)
 
 
 def naive_cycle(cs, init, cap=200_000):
@@ -410,7 +416,7 @@ def test_one_lane_systems_never_take_the_lane_route(s):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
         mp.setattr("neurec.verify.certify_lanes", no_lanes)
-        assert measure_cycle(s, pred) == dataclasses.replace(rep, steps_executed=sum(pred))
+        assert measure_cycle(cs, s.init, pred) == dataclasses.replace(rep, steps_executed=sum(pred))
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,7 +539,7 @@ def test_handoff_route_agrees_with_simulation_on_every_z(m, monkeypatch):
         rep = handoff_uncapped(cs, s.init, t, period, handoff)
         assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
-        routed = measure_cycle(s, (t, period), handoff=lambda: handoff)
+        routed = measure_cycle(cs, s.init, (t, period), handoff=lambda: handoff)
         assert routed == dataclasses.replace(sim, steps_executed=routed.steps_executed), d
         for pair in wrong_pairs(t, period):
             want = refusal(verify_predicted, cs, s.init, pair)
@@ -607,7 +613,12 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
 
     monkeypatch.setattr("neurec.cycles._search", no_search)  # under detect_cycle too
     flipped = bytes([1 - z.init[0]]) + z.init[1:]
-    cases = [(z.init, handoff._replace(head=z)), (z.init, handoff._replace(tail=z)), (flipped, handoff)]
+    one_lane = as_part(z)
+    cases = [
+        (z.init, handoff._replace(head=one_lane)),
+        (z.init, handoff._replace(tail=one_lane)),
+        (flipped, handoff),
+    ]
     for init, refused in cases:
         assert _proof_certificate(cs, init, lambda: refused, 10**9) == (None, 0)
 
@@ -739,7 +750,7 @@ def test_handoff_certificate_parts_equal_the_full_window_loop(m):
         cs = compile_system(z)
         handoff = z_handoff(p, d)
         cert, _ = _certificate(cs, z.init, handoff, 10**9)
-        head, tail = compile_system(handoff.head), compile_system(handoff.tail)
+        head, tail = handoff.head.cs, handoff.tail.cs
         first, _ = full_window_first_disagreement(cs, head, cert.head)
         split = handoff.at if first is None else min(first, handoff.at)
         stepped = [advance_word(head, word_from_bits(z.init), split)]
@@ -808,7 +819,7 @@ def test_certificate_traces_cut_off_the_lane_stride():
         assert lanes.trace(length) == full[:length], length
     for at in (100, 101):
         tail = dataclasses.replace(y, init=full[at : at + y.memory])
-        cert, _ = _certificate(cs, y.init, Handoff(y, tail, at), 10**7)
+        cert, _ = _certificate(cs, y.init, Handoff(as_part(y), as_part(tail), at), 10**7)
         assert cert.closes and cert.at == at
         for length in lengths:
             assert cert.trace(length) == full[:length], (at, length)
@@ -873,7 +884,7 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
     for s, (t, period), handoff in cases:
         cs, init = compile_system(s), s.init
         certify = partial(_certificate, cs, init, None if handoff is None else handoff())
-        full = measure_cycle(s, (t, period), handoff=handoff)
+        full = measure_cycle(cs, init, (t, period), handoff=handoff)
         assert full == dataclasses.replace(
             verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
         )
@@ -888,10 +899,10 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
         assert 0 < least <= t + period and closes(least) and not closes(least - 1)
         budget = least - 1
         with pytest.raises(BudgetExceeded) as exc:
-            measure_cycle(s, (t, period), budget, handoff)
+            measure_cycle(cs, init, (t, period), budget, handoff)
         assert (exc.value.steps, exc.value.budget) == (certify(budget)[1], budget)
         for budget in (full.steps_executed, 10**9):
-            assert measure_cycle(s, (t, period), budget, handoff) == full
+            assert measure_cycle(cs, init, (t, period), budget, handoff) == full
 
 
 @pytest.mark.long
@@ -952,7 +963,7 @@ def handoff_cases(draw):
     )
     at = first + draw(st.integers(0, r * memory))
     tail_init = run(cs, init, at)[at:]
-    return cs, init, Handoff(head, dataclasses.replace(head, init=tail_init), at)
+    return cs, init, Handoff(as_part(head), as_part(dataclasses.replace(head, init=tail_init)), at)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1001,7 +1012,7 @@ def test_the_margin_filter_finds_the_exact_scans_first_disagreement(case):
     cs, _, handoff = case
     lowered = dataclasses.replace(cs, scaled_threshold=cs.scaled_threshold - cs.denominator)
     for part in (handoff.head, handoff.tail):
-        lanes, _ = certify_lanes(compile_system(part), part.init, 10**6)
+        lanes, _ = certify_lanes(part.cs, part.system.init, 10**6)
         if not lanes.coprime:
             continue  # the branch and bound needs coprime lane periods
         for system in (cs, lowered):

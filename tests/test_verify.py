@@ -132,7 +132,8 @@ def test_member_proves_what_the_hand_wired_call_proves(m):
     wired += [("w", d, build_w(p, d), None) for d in range(p.rho)]
     wired += [("z", d, build_z(p, d), lambda d=d: z_handoff(p, d)) for d in range(p.rho)]
     for family, index, system, handoff in wired:
-        want = measure_cycle(system, predicted_cycle(p, family, index), handoff=handoff)
+        pred = predicted_cycle(p, family, index)
+        want = measure_cycle(compile_system(system), system.init, pred, handoff=handoff)
         assert member(p, family, index).prove() == want, (family, index)
 
 
@@ -150,15 +151,16 @@ def test_member_guards_and_hands_off_z(capped_simulation):
     assert (rep.measured_transient, rep.measured_period) == (1_927_501_345, 1)
     assert rep.steps_executed < 10**5
     with pytest.raises(BudgetExceeded) as exc:
-        member(p21, "z", 4)._replace(handoff=None).prove()
+        dataclasses.replace(member(p21, "z", 4), handoff=None).prove()
     assert (exc.value.steps, exc.value.budget) == (0, MEASURE_CUTOFF)
 
 
 def test_a_raw_one_lane_proof_past_the_cap_raises_unrun(capped_simulation):
     # no budget: the cap is MEASURE_CUTOFF, and z(4)'s T + P passes it
     p = window_params(21)
+    z = build_z(p, 4)
     with pytest.raises(BudgetExceeded) as exc:
-        measure_cycle(build_z(p, 4), predicted_cycle(p, "z", 4))
+        measure_cycle(compile_system(z), z.init, predicted_cycle(p, "z", 4))
     assert (exc.value.steps, exc.value.budget) == (0, MEASURE_CUTOFF)
 
 
@@ -168,9 +170,7 @@ def test_a_certificate_that_does_not_close_falls_back_within_the_cap(
     # the handoff certificate is built and does not close; simulating 1.9e9
     # slides would pass the cap, so the proof raises with the certificate's steps
     z = member(window_params(21), "z", 4)
-    cert, spent = neurec.verify._proof_certificate(
-        compile_system(z.system), z.system.init, z.handoff, MEASURE_CUTOFF
-    )
+    cert, spent = neurec.verify._proof_certificate(z.cs, z.system.init, z.handoff, MEASURE_CUTOFF)
     assert not cert.closes and spent > 0
     with pytest.raises(BudgetExceeded) as exc:
         z.prove()
@@ -180,28 +180,29 @@ def test_a_certificate_that_does_not_close_falls_back_within_the_cap(
 def test_measure_cycle_certifies_the_prediction(monkeypatch):
     p = window_params(6)
     s = single_system(p, 0)
-    rep = measure_cycle(s, predicted_cycle(p, "x", 0))
+    cs = compile_system(s)
+    rep = measure_cycle(cs, s.init, predicted_cycle(p, "x", 0))
     assert (rep.measured_transient, rep.measured_period) == (0, 17)
     # a wrong pair raises from the probe it fails, whether the blind search
     # disagrees with it or runs out of budget on it
     for wrong, check in (((0, 34), "period_minimality"), ((1, 17), "transient_minimality")):
         with pytest.raises(PredictionFailed) as exc:
-            measure_cycle(s, wrong)
+            measure_cycle(cs, s.init, wrong)
         assert exc.value.check == check
     y = neurec.build_y(p)
     with pytest.raises(PredictionFailed) as exc:
-        measure_cycle(y, (0, 10))  # true period 442
+        measure_cycle(compile_system(y), y.init, (0, 10))  # true period 442
     assert exc.value.check == "period"
     # a budget caps the proof before it takes a step
     with pytest.raises(BudgetExceeded) as exc:
-        measure_cycle(s, (0, 17), budget=16)
+        measure_cycle(cs, s.init, (0, 17), budget=16)
     assert (exc.value.steps, exc.value.budget) == (0, 16)
-    assert measure_cycle(s, (0, 17), budget=17) == rep
+    assert measure_cycle(cs, s.init, (0, 17), budget=17) == rep
     # past DETECT_CUTOFF the proof is one pass of exactly T + P slides
     monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
-    assert measure_cycle(s, (0, 17)) == dataclasses.replace(rep, steps_executed=17)
+    assert measure_cycle(cs, s.init, (0, 17)) == dataclasses.replace(rep, steps_executed=17)
     with pytest.raises(PredictionFailed):
-        measure_cycle(s, (1, 17))
+        measure_cycle(cs, s.init, (1, 17))
 
 
 def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
@@ -209,12 +210,14 @@ def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
     p = window_params(11)
     # y decimates into rho = 3 lanes: hundreds of lane slides, not T + P
     y_pred = predicted_cycle(p, "y")
-    rep = measure_cycle(neurec.build_y(p), y_pred)
+    y = neurec.build_y(p)
+    rep = measure_cycle(compile_system(y), y.init, y_pred)
     assert (rep.measured_transient, rep.measured_period) == y_pred
     assert rep.steps_executed < sum(y_pred) // 100
     # x_0 has one lane and is simulated
     x_pred = predicted_cycle(p, "x", 0)
-    assert measure_cycle(single_system(p, 0), x_pred).steps_executed == sum(x_pred)
+    x = single_system(p, 0)
+    assert measure_cycle(compile_system(x), x.init, x_pred).steps_executed == sum(x_pred)
 
 
 def test_w_whose_lane_searches_outrun_its_orbit_is_proved_on_its_lanes(monkeypatch):
@@ -227,7 +230,8 @@ def test_w_whose_lane_searches_outrun_its_orbit_is_proved_on_its_lanes(monkeypat
     monkeypatch.setattr("neurec.cycles._simulated", no_simulation)
     p = window_params(26)
     pred = predicted_cycle(p, "w", p.rho - 1)
-    rep = measure_cycle(build_w(p, p.rho - 1), pred)
+    w = build_w(p, p.rho - 1)
+    rep = measure_cycle(compile_system(w), w.init, pred)
     assert (rep.measured_transient, rep.measured_period) == pred
     assert neurec.verify.DETECT_CUTOFF < sum(pred) < rep.steps_executed
 
@@ -248,7 +252,7 @@ def test_long_tier_blind_search_agrees_with_the_certificates_past_the_cutoff():
             if not neurec.verify.DETECT_CUTOFF < sum(pred) <= 10**6:
                 continue
             handoff = (lambda d=d: z_handoff(p, d)) if family == "z" else None
-            rep = measure_cycle(s, pred, handoff=handoff)
+            rep = measure_cycle(compile_system(s), s.init, pred, handoff=handoff)
             assert rep.steps_executed < sum(pred), (m, family, d)  # a search takes T + P
             sim = detect_cycle(compile_system(s), s.init, sum(pred))
             assert dataclasses.replace(rep, steps_executed=sim.steps_executed) == sim, (m, family, d)
@@ -672,9 +676,9 @@ def test_phases_fail_without_a_handoff_certificate(monkeypatch):
     # refused unbuilt, and phases names the missing certificate
     def misstarted(params, d):
         handoff = z_handoff(params, d)
-        init = handoff.head.init
-        head = dataclasses.replace(handoff.head, init=bytes([1 - init[0]]) + init[1:])
-        return handoff._replace(head=head)
+        y = handoff.head.system
+        flipped = dataclasses.replace(y, init=bytes([1 - y.init[0]]) + y.init[1:])
+        return handoff._replace(head=member(params, "y", system=flipped))
 
     monkeypatch.setattr("neurec.verify.z_handoff", misstarted)
     res = check_phases(6, 0)
@@ -712,6 +716,11 @@ def test_basin_m6_exhaustive():
     assert res.detail["variants_total"] == 2
 
 
+def _first_unforced_slide(system, n_free):
+    """verify's interval pass on system, wired as z(0) at m = 6."""
+    return neurec.verify._first_unforced_slide(member(window_params(6), "z", 0, system), n_free)
+
+
 def _windows_after_free_slides(system, n_free):
     """Every free prefix's window after n_free slides, by brute force."""
     cs = compile_system(system)
@@ -728,12 +737,12 @@ def test_basin_fails_at_the_slide_a_raised_free_tap_leaves_unforced(monkeypatch)
     # finds a slide it does not force
     z = build_z(window_params(6), 0)
     n_free = 2
-    assert neurec.verify._first_unforced_slide(z, n_free) is None
+    assert _first_unforced_slide(z, n_free) is None
     assert len(_windows_after_free_slides(z, n_free)) == 1
     for raised in range(1, 20):
         taps = z.taps + ((z.memory, Fraction(raised)),)
         bumped = RecurrenceSystem(z.memory, taps, z.threshold, z.init, z.label)
-        slide = neurec.verify._first_unforced_slide(bumped, n_free)
+        slide = _first_unforced_slide(bumped, n_free)
         if slide is not None:
             break
     assert (raised, slide) == (4, 1)
@@ -791,7 +800,7 @@ def test_basin_rotation_reaches_other_attractors(monkeypatch):
 def test_basin_interval_pass_agrees_with_brute_force(case):
     weights, threshold, init, n_free = case
     system = dense_system(weights, threshold, init)
-    slide = neurec.verify._first_unforced_slide(system, n_free)
+    slide = _first_unforced_slide(system, n_free)
     # forced everywhere iff every prefix reaches one window: at the first
     # unforced slide the free bits reach both bounds, so two outputs differ
     assert (slide is None) == (len(_windows_after_free_slides(system, n_free)) == 1)
@@ -1018,16 +1027,34 @@ def test_a_run_builds_each_member_once(member_builds):
     assert sorted(member_builds) == sorted(want * 2)
 
 
+def test_a_run_compiles_each_system_once(monkeypatch):
+    # every compile in verify and cycles is recorded by the system's id, with
+    # the system held alive so no id is reused
+    compiled: dict[int, list] = {}
+
+    def recording(system):
+        compiled.setdefault(id(system), []).append(system)
+        return compile_system(system)
+
+    monkeypatch.setattr("neurec.verify.compile_system", recording)
+    monkeypatch.setattr("neurec.cycles.compile_system", recording)
+    results = run_claims(ms=(6, 11))
+    assert all(res.passed for res in results)
+    assert compiled
+    assert [calls[0].label for calls in compiled.values() if len(calls) > 1] == []
+
+
 def test_z_hands_off_from_the_runs_own_y_and_w():
     p = window_params(6)
     with neurec.verify.proof_memo():
         handoff = member(p, "z", 1).handoff()
-        assert handoff.head is member(p, "y").system
-        assert handoff.tail is member(p, "w", 1).system
+        assert handoff.head is member(p, "y")
+        assert handoff.tail is member(p, "w", 1)
         assert member(p, "z", 1) is member(p, "z", 1)
     # outside a run every call builds afresh
     assert member(p, "y").system is not member(p, "y").system
     assert z_handoff(p, 1).head is not z_handoff(p, 1).head
+    assert z_handoff(p, 1).tail is not z_handoff(p, 1).tail
 
 
 @pytest.mark.long
@@ -1243,8 +1270,7 @@ def test_every_certificate_takes_at_most_its_price():
         p = window_params(m)
         for family, index in [("y", None), *((f, d) for f in "wz" for d in range(p.rho))]:
             mem = member(p, family, index)
-            cs = compile_system(mem.system)
-            cert, steps = _proof_certificate(cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+            cert, steps = _proof_certificate(mem.cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
             assert cert.closes and steps <= proof_work(p, family, index), (m, family, index, steps)
 
 

@@ -13,7 +13,7 @@ the memory).  A certificate that cannot close within those steps falls
 back to run, so the simulate table names the route the certified column
 took.  Everything runs in this one process, outside run_claims, so no
 member, proof or certificate is remembered between calls; members are built
-before the clock starts.  It uses only the standard library and src/.
+and compiled (Member.cs) before the clock starts.  It uses only the standard library and src/.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--repeats", type=int, default=15, help="runs per orbit and route")
     repeats = parser.parse_args(argv).repeats
     members = [(m, member(window_params(m), fam, idx)) for m, fam, idx in ORBITS]
+    for _, mem in members:
+        mem.cs  # compiled here, once, before the clock starts
     print(f"proofs: Member.prove, best of {repeats}, ms (DETECT_CUTOFF = {verify.DETECT_CUTOFF:,})")
     print(f"{'m':>3} {'orbit':<6} {'T + P':>10} {'blind':>8} {'certified':>10}")
     for m, mem in members:

@@ -18,45 +18,44 @@ whatever its check returns.
 Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
-period) pairs.  measure_cycle is the one router of a proof: it measures
-orbits of a few thousand slides, where a search is the cheaper prover, blind
-with detect_cycle and proves the rest with verify_predicted, the one prover,
-on the windows of a certificate.  y and every w(d), whose taps all sit on
-multiples of rho, are read off their certified lanes (certify_lanes); every
-z(d) off its handoff certificate (handoff_certificate), its orbit y's up to
-its first disagreement and w(d)'s from L1(d) on, proved on the lanes of y
-and w(d); a system with one lane is simulated.  On every route a wrong
-prediction raises PredictionFailed from the one probe rule in cycles, so it
-never comes back as a verdict.  member wires each family member in one place,
-its system, compiled on first use (Member.cs), predicted_cycle pair and, for
-z(d), handoff, so no caller of Member.prove or simulated_trace compiles a
-member or leaves the handoff out; no claim but chain_equals_direct, about
-the builders, builds a family system otherwise.
-check_phases reads z(d)'s five phases off the same handoff certificate, and
-sum_bounds and y_deshuffle read y and every w(d) off the same lanes, all
-exact for all time.  One cap, the budget or else MEASURE_CUTOFF (_cap),
-picks a proof's route, blind only when T + P fits both it and
-DETECT_CUTOFF, and bounds every certificate a claim reads (_certificate):
-one past it raises BudgetExceeded, as a simulation does unrun.
-simulated_trace routes simulate alike, capped at its steps.  _priced
-prices an instance at the largest proof_work (predicted T + P, each lane
-at the bound of its search, a handoff at its tables, explicit steps and an
-allowance for its nodes) of the members it proves or certifies, and
-skip_detail skips (passed None) one past MEASURE_CUTOFF rather than
-attempt it.
+period) pairs.  measure_cycle is the one router of a proof: it searches
+orbits of predicted T + P up to DETECT_CUTOFF, which bench/test_harness.py
+pins, blind with detect_cycle, and proves the rest with verify_predicted,
+the one prover, on the windows of a certificate.  _certificate is the one
+place a certificate is picked, capped and kept.  Every z(d) reads its
+handoff certificate (handoff_certificate), its orbit y's up to its first
+disagreement and w(d)'s from L1(d) on, proved on the lanes of y and w(d).
+Any other system with more than one lane reads its lanes (certify_lanes),
+as y and every w(d), rho-way shuffles of single units, do.  A single unit,
+x_i or v_i, reads none and is searched or simulated.  On every route a
+wrong prediction raises PredictionFailed from the one probe rule in cycles.
+member wires each family member in one place, its system, compiled on
+first use (Member.cs), predicted_cycle pair and, for z(d), handoff builder;
+no claim but chain_equals_direct, about the builders, builds a family
+system otherwise.  check_phases reads z(d)'s five phases off its handoff
+certificate, sum_bounds and y_deshuffle read y and every w(d) off their
+lanes, all exact for all time, and sum_bounds reads each x_i off the T + P
+windows of its proof.  One cap, the budget or else MEASURE_CUTOFF (_cap),
+picks a proof's route and bounds every certificate: past it _certificate
+raises BudgetExceeded, as a simulation does unrun.  simulated_trace routes
+simulate alike, capped at its steps.  _priced prices an instance at the
+largest proof_work (predicted T + P, each lane at the bound of its search,
+a handoff at its tables, explicit steps and an allowance for its nodes) of
+the members it proves or certifies, and skip_detail skips (passed None)
+one past MEASURE_CUTOFF rather than attempt it.
 
 A run builds and compiles each member once, proves each distinct orbit once
 and certifies it once: proof_memo, open for one run_claims call or a CLI cycle
 or simulate run, keeps every member built, completed proof and closed
-certificate (_certificate), so z(d)'s handoff reads the run's y and w(d),
-the chain reuses the proofs of y_cycle and z_summary, phases and z_summary
-share each z(d)'s certificate, sum_bounds, y_cycle, y_deshuffle and every
-z(d)'s certificate y's lanes, and a detail's steps do not depend on which
-claim ran first.  The memo is dropped when the run ends.  A certified proof
-also reports its entry window S_T, so v_fixed's and the chain's all-zero
-attractors are read from it rather than walking the transient again.
-basin shares z_summary's proof, and one interval pass proves that every
-free prefix merges into the reference window.
+certificate, so z(d)'s handoff reads the run's y and w(d), the chain and
+sum_bounds reuse the proofs of earlier claims, phases and z_summary share
+each z(d)'s certificate, y_cycle, y_deshuffle, sum_bounds and every z(d)
+share y's lanes, and a detail's steps do not depend on which claim ran
+first.  The memo is dropped when the run ends.  A certified proof also
+reports its entry window S_T, so v_fixed's and the chain's all-zero
+attractors are read from it rather than walking the transient again.  basin
+shares z_summary's proof, and one interval pass proves that every free
+prefix merges into the reference window.
 """
 
 from __future__ import annotations
@@ -238,59 +237,58 @@ def _cap(budget: int | None) -> int:
 
 
 def _certificate(
-    cs: CompiledSystem, init: Sequence[int], handoff: Handoff | None, cap: int
+    cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None, cap: int
 ) -> tuple[Lanes | HandoffCertificate | None, int]:
-    """The one builder of a certificate, handoff's or else cs's lanes, within
-    cap steps, with its steps, which count a handoff's lanes, built here
-    first.  A handoff whose init is not head's, or with a one-lane part, is
-    refused unbuilt.  Inside proof_memo one that closes is kept in _proofs
-    and reused while its steps fit cap, so a hit changes no result."""
-    key = (cs, bytes(init), handoff)
+    """The certificate cs reads from init and its steps, within cap: with
+    handoff, a builder of the orbit cs follows (every z(d)), the handoff
+    certificate on head's and tail's lanes, built here first; without, cs's
+    lanes when it has more than one (y and every w(d)).  A single unit, or a
+    handoff whose init is not head's or with a one-lane part, gets (None, 0)
+    unbuilt.  Raises BudgetExceeded when the steps, every part's counted,
+    pass cap.  Inside proof_memo one that closes is kept in _proofs and
+    reused while its steps fit cap, so a hit changes no result."""
+    plan = None if handoff is None else handoff()
+    if plan is None and lane_count(cs) == 1:
+        return None, 0
+    key = (cs, bytes(init), plan)
     hit = _proofs.get(key) if _proofs is not None else None
     if hit is not None and hit[1] <= cap:
         return hit
-    if handoff is None:
-        built = certify_lanes(cs, init, cap)
+    if plan is None:
+        cert, spent = certify_lanes(cs, init, cap)
     else:
-        parts = (handoff.head, handoff.tail)
-        if bytes(init) != handoff.head.system.init or any(lane_count(part.cs) == 1 for part in parts):
+        parts = (plan.head, plan.tail)
+        if bytes(init) != plan.head.system.init or any(lane_count(part.cs) == 1 for part in parts):
             return None, 0
         lanes, spent = [], 0
         for part in parts:
-            lane, steps = _certificate(part.cs, part.system.init, None, cap - spent)
-            spent += steps
-            if lane is None:
-                return None, spent
+            try:
+                lane, steps = _certificate(part.cs, part.system.init, None, cap - spent)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(spent + exc.steps, cap) from None
             lanes.append(lane)
-        cert, steps = handoff_certificate(cs, init, *lanes, handoff.at, cap - spent)
-        built = cert, spent + steps
-    if _proofs is not None and built[0] is not None and built[0].closes:
-        _proofs[key] = built
-    return built
-
-
-def _proof_certificate(
-    cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None, cap: int
-) -> tuple[Lanes | HandoffCertificate | None, int]:
-    """The certificate a proof or trace of cs reads, by _certificate within
-    cap steps: the handoff certificate when a handoff is given (every z(d),
-    by member), else cs's lanes when it has more than one (y and every
-    w(d)), else None."""
-    if handoff is None and lane_count(cs) == 1:
-        return None, 0
-    return _certificate(cs, init, handoff() if handoff else None, cap)
+            spent += steps
+        cert, steps = handoff_certificate(cs, init, *lanes, plan.at, cap - spent)
+        spent += steps
+    if spent > cap:
+        raise BudgetExceeded(spent, cap)
+    if _proofs is not None and cert is not None and cert.closes:
+        _proofs[key] = cert, spent
+    return cert, spent
 
 
 def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, int]:
     """x(0..memory+steps-1) of a member, its route and the certificate's
     steps.  run stops at the first repeat, so it takes min(T + P, steps)
-    slides; past DETECT_CUTOFF the trace is read off _proof_certificate's
-    if it closes within steps slides.  Below it run is the cheaper for a
-    handoff (tools/route_crossover.py --repeats 3, default steps, 3 runs:
-    m = 11 z(1) 0.96-1.05 ms by run, 1.63-2.47 by certificate)."""
+    slides; past DETECT_CUTOFF the trace is read off mem's certificate
+    (_certificate) if it closes within steps slides.  Below it run is the
+    cheaper for a handoff (tools/route_crossover.py --repeats 3, default
+    steps, 3 runs: m = 11 z(1) 0.96-1.05 ms by run, 1.63-2.47 by
+    certificate)."""
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
-        cert, spent = _proof_certificate(mem.cs, mem.system.init, mem.handoff, steps)
+        with suppress(BudgetExceeded):
+            cert, spent = _certificate(mem.cs, mem.system.init, mem.handoff, steps)
     if cert is None or not cert.closes:
         return run(mem.cs, mem.system.init, steps), "simulated", 0
     return cert.trace(mem.system.memory + steps), "handoff" if mem.handoff else "lanes", spent
@@ -306,25 +304,20 @@ def measure_cycle(
     """Certify cs's predicted (T, P) from init as its minimal pair.
 
     One cap, budget or else MEASURE_CUTOFF (_cap), picks the route and
-    bounds it.  Orbits whose T + P fits both the cap and DETECT_CUTOFF, past
-    which a certificate is the cheaper, are measured blind with detect_cycle
-    in exactly T + P slides, and any it does not confirm are simulated.  All
-    others are proved by verify_predicted on the certificate
-    _proof_certificate builds within the cap: the handoff certificate when
-    the caller gives a handoff (every z(d)), the certified lanes when the
-    system has more than one lane (y and every w(d)), else simulated
-    windows.  handoff is called only off the blind route.  A refuted
-    prediction raises PredictionFailed naming the first probe it fails, so a
-    returned report always equals the prediction; its steps are the
-    certificate's, plus T + P when simulated.  A search or simulation whose
-    T + P, plus the steps of a certificate that did not close, passes the
-    cap raises BudgetExceeded before it starts.
+    bounds it.  An orbit whose T + P fits both the cap and DETECT_CUTOFF is
+    measured blind with detect_cycle in exactly T + P slides.  Any other,
+    or one the search does not confirm, is proved by verify_predicted on
+    the certificate _certificate picks for cs and handoff, or else on
+    simulated windows, unless their T + P plus the certificate's steps pass
+    the cap: then BudgetExceeded is raised before a step.  A refuted
+    prediction raises PredictionFailed naming the first probe it fails, so
+    a returned report always equals the prediction; its steps are the
+    certificate's, plus T + P when simulated.
 
     Inside proof_memo a completed proof is remembered for the rest of the
-    run under cs, init and the prediction, and a repeat returns
-    the same report without walking the orbit again; so is each certificate
-    (_certificate).  A failed proof raises as usual and is not remembered;
-    outside proof_memo every call proves afresh.
+    run under cs, init and the prediction, and a repeat returns the same
+    report without walking the orbit again.  A failed proof raises as usual
+    and is not remembered; outside proof_memo every call proves afresh.
     """
     t_pred, p_pred = predicted
     work = t_pred + p_pred
@@ -338,7 +331,7 @@ def measure_cycle(
         with suppress(BudgetExceeded):  # the prediction understates the orbit
             rep = detect_cycle(cs, init, work)
     else:
-        cert, spent = _proof_certificate(cs, init, handoff, cap)
+        cert, spent = _certificate(cs, init, handoff, cap)
     if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
         read = cert.read if cert is not None and cert.closes else None
         if read is None and spent + work > cap:
@@ -531,18 +524,6 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     return ClaimResult("v_fixed", {"m": m}, ok, {"per_lane": per_lane})
 
 
-def _certified(
-    mem: Member, budget: int | None, handoff: Handoff | None = None
-) -> Lanes | HandoffCertificate | None:
-    """mem's certificate, handoff's or else its lanes, by _certificate within
-    the cap; BudgetExceeded when it cannot be built within it, None if refused."""
-    cap = _cap(budget)
-    cert, spent = _certificate(mem.cs, mem.system.init, handoff, cap)
-    if spent > cap:
-        raise BudgetExceeded(spent, cap)
-    return cert
-
-
 def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResult:
     params = window_params(m)
     rho, mu = params.rho, params.mu
@@ -554,7 +535,14 @@ def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResu
     detail: dict = {}
     ok = True
     for name, mem, low, high in envelopes:
-        lo, hi = _certified(mem, budget).popcount_range() or (None, None)
+        lanes, _ = _certificate(mem.cs, mem.system.init, None, _cap(budget))
+        if lanes is None:  # a single unit: its proved T + P windows are all of them
+            mem.prove(budget)
+            orbit = islice(walk(mem.cs, word_from_bits(mem.system.init)), sum(mem.predicted))
+            counts = [word.bit_count() for word, _ in orbit]
+            lo, hi = min(counts), max(counts)
+        else:
+            lo, hi = lanes.popcount_range() or (None, None)
         ok = ok and lo is not None and low <= lo and hi <= high
         detail[name] = {"min": lo, "max": hi, "bounds": [low, high]}
     return ClaimResult("sum_bounds", {"m": m}, ok, detail)
@@ -605,7 +593,8 @@ def _run_y_deshuffle(m: int, budget: int | None = None, **_: object) -> ClaimRes
     recurrence (so y has rho lanes, of memory k) from x_i's window after one
     slide, and x_i is its closed form."""
     params = window_params(m)
-    lanes = _certified(member(params, "y"), budget)
+    y = member(params, "y")
+    lanes, _ = _certificate(y.cs, y.system.init, None, _cap(budget))
     bad: list[str] = []
     for i, (trace, _) in zip(range(params.rho), lanes.orbits):
         x = member(params, "x", i)
@@ -665,8 +654,7 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
     p3_lo, p3_hi = p2_hi + 1, l1 + h - 1
     phase3_empty = p3_lo > p3_hi
 
-    handoff = z.handoff()
-    cert = _certified(z, budget, handoff)
+    cert, _ = _certificate(z.cs, z.system.init, z.handoff, _cap(budget))
 
     bad: list[str] = []
     anomalies = 0
@@ -692,7 +680,7 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
         if t is not None:
             bad.append(f"phase3 mismatch at t={t}")
         n = cert.tail_first
-        if cert.stepped[-1] != word_from_bits(handoff.tail.system.init):
+        if cert.stepped[-1] != cert.tail.read(0):
             bad.append(f"phase4 mismatch: z's window at L1 = {l1} is not w's init")
         elif n is not None and n <= rho * (k - 1 - p_d) + d:
             bad.append(f"phase4 mismatch at offset t={n}")
@@ -723,15 +711,15 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     params = window_params(m)
     rho = params.rho
     plans = [cons.perturbation_plan(params, d) for d in range(rho)]
-    chain = {"y": member(params, "y"), "z0": member(params, "z", 0)}
-    for d in range(rho - 1):
-        system = cons.chain_perturbation(chain[f"z{d}"].system, plans[d], plans[d + 1])
-        chain[f"z{d + 1}"] = member(params, "z", d + 1, system)
-
-    steps_detail, periods = {}, []
-    for name, mem in chain.items():
+    y = member(params, "y")
+    rep = y.prove(budget)
+    steps_detail, periods = {"y": _report_dict(rep, y.predicted)}, [rep.measured_period]
+    mem = member(params, "z", 0)
+    for d in range(rho):
+        if d:  # chained from z(d - 1) once that is proved, and then dropped
+            mem = member(params, "z", d, cons.chain_perturbation(mem.system, plans[d - 1], plans[d]))
         rep = mem.prove(budget)
-        steps_detail[name] = _report_dict(rep, mem.predicted)
+        steps_detail[f"z{d}"] = _report_dict(rep, mem.predicted)
         periods.append(rep.measured_period)
 
     divides = all(periods[i] % periods[i + 1] == 0 for i in range(len(periods) - 1))

@@ -39,7 +39,7 @@ from neurec.cli import (
     system_to_json,
 )
 from neurec.cycles import Lanes
-from neurec.verify import MEASURE_CUTOFF, _proof_certificate, simulated_trace
+from neurec.verify import MEASURE_CUTOFF, _certificate, simulated_trace
 
 
 def read_report(out_dir):
@@ -479,7 +479,7 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
             assert simulated_trace(mem, steps)[0] == want, (s.label, steps)
-            cert, _ = _proof_certificate(cs, s.init, mem.handoff, 10**9)
+            cert, _ = _certificate(cs, s.init, mem.handoff, 10**9)
             assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
 
 
@@ -555,7 +555,7 @@ def test_an_off_by_one_handoff_simulates_the_same_trace(tmp_path, monkeypatch, s
     p = window_params(11)
     z = build_z(p, 2)
     cs = compile_system(z)
-    cert, _ = _proof_certificate(cs, z.init, partial(shifted, p, 2), 10**9)
+    cert, _ = _certificate(cs, z.init, partial(shifted, p, 2), 10**9)
     assert not cert.closes
     assert import_trace(out / "z_m_11_d_2.rle") == list(run(cs, z.init, 5000))
 
@@ -570,7 +570,7 @@ def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m)
     for mem in laned_members(p):
         s = mem.system
         cs = compile_system(s)
-        _, cost = _proof_certificate(cs, s.init, mem.handoff, 10**9)
+        _, cost = _certificate(cs, s.init, mem.handoff, 10**9)
         for steps in (cost // 2, cost - 1) if mem.family == "z" else (cost // 2,):
             trace, route, spent = simulated_trace(mem, steps)
             assert (route, spent) == ("simulated", 0), (s.label, steps)

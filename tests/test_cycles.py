@@ -55,7 +55,7 @@ from neurec.cycles import (
     certify_lanes,
     handoff_certificate,
 )
-from neurec.verify import MEASURE_CUTOFF, _certificate, _proof_certificate, member, proof_memo, z_handoff
+from neurec.verify import MEASURE_CUTOFF, _certificate, member, proof_memo, z_handoff
 from test_engine import dense_system, sparse_systems, taps_of, weights_of
 
 
@@ -322,7 +322,7 @@ def on_certificate(cs, init, t, p, handoff=None):
     """verify_predicted on the certificate verify builds, handoff's or else
     cs's lanes, capped at MEASURE_CUTOFF: on its read when it closes, else
     simulated.  Its steps count the certificate's and the reads."""
-    cert, spent = _certificate(cs, init, handoff, MEASURE_CUTOFF)
+    cert, spent = _certificate(cs, init, None if handoff is None else lambda: handoff, MEASURE_CUTOFF)
     read = cert.read if cert is not None and cert.closes else None
     rep = verify_predicted(cs, init, t, p, read)
     return dataclasses.replace(rep, steps_executed=spent + rep.steps_executed)
@@ -514,7 +514,7 @@ def handoff_reader(cs, init, handoff, budget):
     the steps the certificate took.  The certificate is built as verify
     builds it: head's and tail's lanes certified first, then
     handoff_certificate on them, their steps counted in."""
-    cert, spent = _certificate(cs, init, handoff, budget)
+    cert, spent = _certificate(cs, init, lambda: handoff, budget)
     closed = cert is not None and cert.closes
     return (cert.read if closed else None), spent
 
@@ -620,7 +620,7 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
         (flipped, handoff),
     ]
     for init, refused in cases:
-        assert _proof_certificate(cs, init, lambda: refused, 10**9) == (None, 0)
+        assert _certificate(cs, init, lambda: refused, 10**9) == (None, 0)
 
 
 def full_window_first_disagreement(cs, ref, lanes):
@@ -699,11 +699,13 @@ def test_a_handoff_certificate_capped_one_step_below_its_cost_is_refused(m):
     p = window_params(m)
     for d in range(p.rho):
         z = build_z(p, d)
-        cs, handoff = compile_system(z), z_handoff(p, d)
+        cs, handoff = compile_system(z), partial(z_handoff, p, d)
         cert, cost = _certificate(cs, z.init, handoff, MEASURE_CUTOFF)
         assert cert.closes
         assert _certificate(cs, z.init, handoff, cost)[0] == cert
-        assert _certificate(cs, z.init, handoff, cost - 1)[0] is None, d
+        with pytest.raises(BudgetExceeded) as exc:
+            _certificate(cs, z.init, handoff, cost - 1)
+        assert exc.value.steps > exc.value.budget == cost - 1, d
 
 
 def test_every_z_fires_only_with_both_its_parts_at_every_scale_from_5_to_20():
@@ -715,7 +717,7 @@ def test_every_z_fires_only_with_both_its_parts_at_every_scale_from_5_to_20():
             for d in range(p.rho):
                 mem = member(p, "z", d)
                 cs = compile_system(mem.system)
-                cert, _ = _proof_certificate(cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+                cert, _ = _certificate(cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
                 assert _fires_only_with(cs, cert.head) and _fires_only_with(cs, cert.tail), (m, d)
 
 
@@ -749,7 +751,7 @@ def test_handoff_certificate_parts_equal_the_full_window_loop(m):
         z = build_z(p, d)
         cs = compile_system(z)
         handoff = z_handoff(p, d)
-        cert, _ = _certificate(cs, z.init, handoff, 10**9)
+        cert, _ = _certificate(cs, z.init, lambda: handoff, 10**9)
         head, tail = handoff.head.cs, handoff.tail.cs
         first, _ = full_window_first_disagreement(cs, head, cert.head)
         split = handoff.at if first is None else min(first, handoff.at)
@@ -794,7 +796,7 @@ def test_certificate_traces_agree_with_their_reads(m):
             cert, _ = certify_lanes(cs, s.init, budget=10**9)
             times = {0, 1}
         else:
-            cert, _ = _certificate(cs, s.init, handoff, 10**9)
+            cert, _ = _certificate(cs, s.init, lambda: handoff, 10**9)
             times = {0, handoff.at - 1, handoff.at, handoff.at + 1}
         assert cert.closes
         horizon = sum(predicted_cycle(p, family, index)) + s.memory
@@ -819,7 +821,8 @@ def test_certificate_traces_cut_off_the_lane_stride():
         assert lanes.trace(length) == full[:length], length
     for at in (100, 101):
         tail = dataclasses.replace(y, init=full[at : at + y.memory])
-        cert, _ = _certificate(cs, y.init, Handoff(as_part(y), as_part(tail), at), 10**7)
+        handoff = Handoff(as_part(y), as_part(tail), at)
+        cert, _ = _certificate(cs, y.init, lambda: handoff, 10**7)
         assert cert.closes and cert.at == at
         for length in lengths:
             assert cert.trace(length) == full[:length], (at, length)
@@ -883,14 +886,16 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
     ]
     for s, (t, period), handoff in cases:
         cs, init = compile_system(s), s.init
-        certify = partial(_certificate, cs, init, None if handoff is None else handoff())
         full = measure_cycle(cs, init, (t, period), handoff=handoff)
         assert full == dataclasses.replace(
             verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
         )
 
         def closes(budget):
-            cert, _ = certify(budget)
+            try:
+                cert, _ = _certificate(cs, init, handoff, budget)
+            except BudgetExceeded:
+                return False
             return cert is not None and cert.closes
 
         assert closes(t + period)
@@ -898,9 +903,11 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
         least = bisect_left(range(t + period + 1), True, key=closes)
         assert 0 < least <= t + period and closes(least) and not closes(least - 1)
         budget = least - 1
+        with pytest.raises(BudgetExceeded) as capped:
+            _certificate(cs, init, handoff, budget)
         with pytest.raises(BudgetExceeded) as exc:
             measure_cycle(cs, init, (t, period), budget, handoff)
-        assert (exc.value.steps, exc.value.budget) == (certify(budget)[1], budget)
+        assert (exc.value.steps, exc.value.budget) == (capped.value.steps, budget)
         for budget in (full.steps_executed, 10**9):
             assert measure_cycle(cs, init, (t, period), budget, handoff) == full
 
@@ -975,7 +982,7 @@ def test_a_certificate_traces_the_true_orbit(case, steps):
         cert, _ = certify_lanes(cs, init, budget=10**6)
     else:
         cs, init, handoff = case
-        cert, _ = _certificate(cs, init, handoff, 10**7)
+        cert, _ = _certificate(cs, init, lambda: handoff, 10**7)
         if cert is None or not cert.closes:
             return  # e.g. lane periods that share a factor
     assert cert.trace(cs.memory + steps) == run(cs, init, steps)
@@ -1034,7 +1041,7 @@ def test_certificate_reads_and_traces_equal_the_stepped_full_system(case):
         cert, _ = certify_lanes(cs, init, budget=10**6)
     else:
         cs, init, handoff = case
-        cert, _ = _certificate(cs, init, handoff, 10**7)
+        cert, _ = _certificate(cs, init, lambda: handoff, 10**7)
         if cert is None or not cert.closes:
             return  # e.g. lane periods that share a factor
     ref = detect_cycle(cs, init, step_budget=10**6)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -47,8 +48,8 @@ from neurec import (
     z_handoff,
 )
 from neurec.cli import main
-from neurec.cycles import certify_lanes
-from neurec.verify import MEASURE_CUTOFF, _proof_certificate, claim_grid, proof_work
+from neurec.cycles import certify_lanes, lane_count
+from neurec.verify import MEASURE_CUTOFF, _certificate, claim_grid, proof_work
 from test_cycles import search_bound
 from test_engine import dense_system
 
@@ -170,7 +171,7 @@ def test_a_certificate_that_does_not_close_falls_back_within_the_cap(
     # the handoff certificate is built and does not close; simulating 1.9e9
     # slides would pass the cap, so the proof raises with the certificate's steps
     z = member(window_params(21), "z", 4)
-    cert, spent = neurec.verify._proof_certificate(z.cs, z.system.init, z.handoff, MEASURE_CUTOFF)
+    cert, spent = _certificate(z.cs, z.system.init, z.handoff, MEASURE_CUTOFF)
     assert not cert.closes and spent > 0
     with pytest.raises(BudgetExceeded) as exc:
         z.prove()
@@ -1108,20 +1109,47 @@ def builds(monkeypatch):
 def test_run_builds_each_certificate_once(builds):
     # at m = 21 phases, z_summary, chain and basin read one handoff
     # certificate per z(d), and sum_bounds, y_cycle, y_deshuffle and w_cycle
-    # one set of lanes per orbit: x_0..x_4, y and w(0..4); each handoff
-    # certificate is proved on the lanes of y and w(d) built for those, so
-    # no lane set is built twice, in verify or in cycles
+    # one set of lanes per laned orbit: y and w(0..4); a single unit x_i
+    # gets none; each handoff certificate is proved on the lanes of y and
+    # w(d) built for those, so no lane set is built twice, in verify or in
+    # cycles
     assert all(r.passed for r in run_claims(ms=(21,)))
     handoffs = [build for build in builds if build[0] == "handoff_certificate"]
     lanes = [build for build in builds if build[0] == "certify_lanes"]
     assert len(handoffs) == len(set(handoffs)) == 5
-    assert len(lanes) == len(set(lanes)) == 11
+    assert len(lanes) == len(set(lanes)) == 6
+    assert all(lane_count(cs) > 1 for _, cs, _ in lanes)
     # outside run_claims nothing is remembered: y's and w(0)'s lanes, then
     # the certificate on them, each time
     builds.clear()
     assert check_phases(21, 0).passed and check_phases(21, 0).passed
     once = ["certify_lanes", "certify_lanes", "handoff_certificate"]
     assert [name for name, _, _ in builds] == once * 2
+
+
+def test_a_run_searches_each_single_unit_orbit_once(monkeypatch):
+    # _search is the search under detect_cycle and every lane of
+    # certify_lanes.  x_cycle's search is the only one of each x_i orbit:
+    # sum_bounds reads x_i off that proof, and no lane of y or w(d) starts
+    # on it.  Only the v_i orbits recur: v_fixed searches v_i, and so does
+    # every w(d) with d >= i, whose lane i is v_i (ROADMAP item 2)
+    searched = Counter()
+    search = neurec.cycles._search
+
+    def counted(cs, init, budget):
+        searched[cs, bytes(init)] += 1
+        return search(cs, init, budget)
+
+    monkeypatch.setattr("neurec.cycles._search", counted)
+    gridded = [claim for claim in ALL_CLAIMS if neurec.verify._TABLE[claim].grid is not None]
+    assert all(r.passed for r in run_claims(ms=(6, 11), claims=gridded))
+    want = {}
+    for m in (6, 11):
+        p = window_params(m)
+        for i in range(p.rho):
+            v = member(p, "v", i)
+            want[v.cs, v.system.init] = 1 + p.rho - i
+    assert {key: n for key, n in searched.items() if n > 1} == want
 
 
 def test_remembered_certificates_change_no_result():
@@ -1142,14 +1170,14 @@ def test_a_remembered_certificate_past_a_later_cap_is_built_again(builds):
     assert results[0].passed and results[-1].detail == want
     w2 = build_w(window_params(11), 2)
     lanes = [(cs, init) for name, cs, init in builds if name == "certify_lanes"]
-    assert len(lanes) == 8 and lanes.count((compile_system(w2), w2.init)) == 2
+    assert len(lanes) == 5 and lanes.count((compile_system(w2), w2.init)) == 2
     (alone,) = run_claims(ms=(11,), claims=["z_summary"], ds=[2], budget=600)
     assert alone.detail == want
     # without a budget z(2)'s certificate, the one past DETECT_CUTOFF, reads
     # sum_bounds' lanes
     builds.clear()
     assert all(r.passed for r in run_claims(ms=(11,), claims=["sum_bounds", "z_summary"]))
-    assert [name for name, _, _ in builds] == ["certify_lanes"] * 7 + ["handoff_certificate"]
+    assert [name for name, _, _ in builds] == ["certify_lanes"] * 4 + ["handoff_certificate"]
 
 
 # --- the shared entry point --------------------------------------------------
@@ -1270,7 +1298,7 @@ def test_every_certificate_takes_at_most_its_price():
         p = window_params(m)
         for family, index in [("y", None), *((f, d) for f in "wz" for d in range(p.rho))]:
             mem = member(p, family, index)
-            cert, steps = _proof_certificate(mem.cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+            cert, steps = _certificate(mem.cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
             assert cert.closes and steps <= proof_work(p, family, index), (m, family, index, steps)
 
 

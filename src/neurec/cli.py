@@ -182,10 +182,15 @@ def _slug(label: str) -> str:
 # the member modes: construct, cycle and simulate
 
 
-def _family_members(params: WindowParams, config: ExperimentConfig) -> Iterable[Member]:
-    """Each selected family member; simulate defaults to y."""
+def _families(config: ExperimentConfig) -> tuple[str, ...]:
+    """The selected families: --system, else y for simulate and all for the rest."""
     default = ("y",) if config.mode == "simulate" else FAMILIES
-    for fam in default if config.system is None else (config.system,):
+    return default if config.system is None else (config.system,)
+
+
+def _family_members(params: WindowParams, config: ExperimentConfig) -> Iterable[Member]:
+    """Each selected family member."""
+    for fam in _families(config):
         if fam in ("x", "v"):
             indices = range(params.rho) if config.lane is None else (config.lane,)
         elif fam in ("w", "z"):
@@ -441,10 +446,12 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         # each flag's dest is the field it overrides
         if getattr(args, name) is not None:
             setattr(config, name, getattr(args, name))
-    # a repeated scale or step runs once, in first-seen order
+    # a repeated scale, step or claim runs once, in first-seen order
     config.m = list(dict.fromkeys(config.m))
     if config.d is not None:
         config.d = list(dict.fromkeys(config.d))
+    if config.claims is not None:
+        config.claims = list(dict.fromkeys(config.claims))
     _validate(config)
     return config
 
@@ -477,6 +484,11 @@ def _validate(config: ExperimentConfig) -> None:
         for name in names:
             if config.mode not in modes and getattr(config, name) != getattr(ExperimentConfig, name):
                 raise ValueError(f"--{name.replace('_', '-')} does not apply to --mode {config.mode}")
+    if config.mode in ("construct", "simulate", "cycle"):  # x and v read --lane, w and z --d
+        families = _families(config)
+        for name, readers in (("lane", {"x", "v"}), ("d", {"w", "z"})):
+            if getattr(config, name) is not None and not readers.intersection(families):
+                raise ValueError(f"--{name} applies to no selected family ({', '.join(families)})")
     if not config.m:
         raise ValueError("need at least one m")
     if any(m < 2 for m in config.m):

@@ -38,19 +38,15 @@ head's lanes finds the first time the system's own rule disagrees with
 head's: it reads the system's sum and head's next bit off the lane
 windows, shifts stored lane bits through their transients, and past them
 runs a branch and bound over the lane phases with the Chinese remainder
-theorem.  It first checks the paper's margin argument in exact integers
-(_fires_only_with): each of the system's weights at most the part's, and
-its threshold less than one of the part's integer units below the part's.
-Where these premises hold, as for z(d) on y and on w(d), the system cannot
-fire where the part's next bit is 0, so only the times whose next bit is
-1 are checked; where one fails every time is, the exact scan a generic
-handoff needs.  Explicit steps from there reach the handoff time, and the
-same search over tail's lanes finds any disagreement on tail's orbit.  The
-certificate closes when the stepped window is tail's init and there is
-none: S_n is then head's window before the disagreement, an explicit step
-before the handoff, and tail's window at n - at after it, and x(n) is
-head's before at and tail's x(n - at) from at on.  A proof costs a few
-explicit steps and search nodes.
+theorem.  Where the paper's margin premises hold (_fires_only_with), as
+for z(d) on y and on w(d), only the times whose next bit is 1 are
+checked, and otherwise every time is.  Explicit steps from there reach the
+handoff time, and the same search over tail's lanes finds any disagreement
+on tail's orbit.  The certificate closes when the stepped window is tail's
+init and there is none: S_n is then head's window before the
+disagreement, an explicit step before the handoff, and tail's window at
+n - at after it, and x(n) is head's before at and tail's x(n - at) from at
+on.  A proof costs a few explicit steps and search nodes.
 
 detect_cycle measures (T, P) blind, taking no prediction.
 engine.find_repeat, which run also stops on, steps a trace to a window
@@ -60,6 +56,11 @@ same probe rule on the trace's own windows, so no slide is taken twice.
 All report the window S_T the probes read as the certified entry_window,
 so a caller that needs the attractor starts from it instead of walking the
 transient again.
+
+The budget contract: a function here that takes a step budget returns
+within it or raises BudgetExceeded(steps, budget), every part's steps
+counted, save that a search takes one slide even at budget 0.  A None
+certificate is a structural refusal, never a spent budget.
 """
 
 from __future__ import annotations
@@ -226,29 +227,26 @@ def _fill(lanes: Lanes, buf: bytearray, start: int, stop: int) -> None:
         buf[start + i : stop : r] = _outputs(orbit, len(range(start + i, stop, r)))
 
 
-def certify_lanes(
-    cs: CompiledSystem, init: Sequence[int], budget: int
-) -> tuple[Lanes | None, int]:
+def certify_lanes(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[Lanes, int]:
     """Certify each of the lane_count(cs) lanes with _search, the search
     detect_cycle wraps, keeping the first T + P + memory bytes of its trace.
 
     Lane i is the trace at times i, i + r, i + 2r, ..., with init
     init[i::r]; with r = 1 the one lane is the system itself.  Returns the
-    lanes, or None when the searches together would take more than budget
-    slides, and the slides the searches took.
+    lanes and the slides the searches took, or raises BudgetExceeded past
+    budget (the budget contract), as when a lane left no budget takes a slide.
     """
     r = lane_count(cs)
     lane_cs = _lane_system(cs, r)
-    orbits = []
-    spent = 0
+    orbits, spent = [], 0
     for i in range(r):
         try:
             rep, trace = _search(lane_cs, init[i::r], budget - spent)
         except BudgetExceeded as exc:
-            return None, spent + exc.steps
+            raise BudgetExceeded(spent + exc.steps, budget) from None
         spent += rep.steps_executed
         if spent > budget:
-            return None, spent
+            raise BudgetExceeded(spent, budget)
         kept = rep.measured_transient + rep.measured_period + lane_cs.memory
         orbits.append((bytes(trace[:kept]), rep))
     return Lanes(lane_cs, tuple(orbits)), spent
@@ -456,17 +454,14 @@ def handoff_certificate(
     head on head's orbit (_first_disagreement), explicit steps from there to
     at, at most memory of them, and the same search on tail's orbit.  None
     with 0 steps when init is not head's S_0, the lanes do not cover the
-    system's memory or their periods share a factor; None when the first
-    disagreement comes more than memory slides before at or the work passes
-    budget steps."""
+    system's memory or their periods share a factor, and with the head
+    search's when the first disagreement comes more than memory slides
+    before at.  Past budget it raises BudgetExceeded (the budget contract)."""
     covered = {len(lanes.orbits) * lanes.cs.memory for lanes in (head, tail)}
     coprime = head.coprime and tail.coprime
     if head.read(0) != _check_init(cs, init) or covered != {cs.memory} or not coprime:
         return None, 0
-    try:
-        first, spent = _first_disagreement(cs, head, budget)
-    except BudgetExceeded as exc:
-        return None, exc.steps
+    first, spent = _first_disagreement(cs, head, budget)
     split = at if first is None else min(first, at)
     if at - split > cs.memory:
         return None, spent
@@ -477,7 +472,7 @@ def handoff_certificate(
     try:
         tail_first, steps = _first_disagreement(cs, tail, budget - spent)
     except BudgetExceeded as exc:
-        return None, spent + exc.steps
+        raise BudgetExceeded(spent + exc.steps, budget) from None
     return HandoffCertificate(head, first, tuple(stepped), at, tail, tail_first), spent + steps
 
 
@@ -543,11 +538,6 @@ def _search(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[Cycle
     return CycleReport(mu, lam, entry, n), trace
 
 
-def _check_pair(transient: int, period: int) -> None:
-    if transient < 0 or period < 1:
-        raise ValueError(f"need T >= 0 and P >= 1, got ({transient}, {period})")
-
-
 def verify_predicted(
     cs: CompiledSystem,
     init: Sequence[int],
@@ -563,7 +553,8 @@ def verify_predicted(
     measured fields echo the now-proved prediction, and steps_executed is
     T + P when it simulates and 0 when it reads a certificate.
     """
-    _check_pair(predicted_transient, predicted_period)
+    if predicted_transient < 0 or predicted_period < 1:
+        raise ValueError(f"need T >= 0 and P >= 1, got ({predicted_transient}, {predicted_period})")
     word0 = _check_init(cs, init)
     steps = predicted_transient + predicted_period if read is None else 0
     entry = _probe_pass(read or _simulated(cs, word0), predicted_transient, predicted_period)

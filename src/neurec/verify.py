@@ -244,8 +244,9 @@ def _certificate(
     certificate on head's and tail's lanes, built here first; without, cs's
     lanes when it has more than one (y and every w(d)).  A single unit, or a
     handoff whose init is not head's or with a one-lane part, gets (None, 0)
-    unbuilt.  Raises BudgetExceeded when the steps, every part's counted,
-    pass cap.  Inside proof_memo one that closes is kept in _proofs and
+    unbuilt.  Its builders keep the budget contract of cycles, so it returns
+    within cap or raises BudgetExceeded, adding the steps of the parts
+    already built.  Inside proof_memo one that closes is kept in _proofs and
     reused while its steps fit cap, so a hit changes no result."""
     plan = None if handoff is None else handoff()
     if plan is None and lane_count(cs) == 1:
@@ -261,17 +262,15 @@ def _certificate(
         if bytes(init) != plan.head.system.init or any(lane_count(part.cs) == 1 for part in parts):
             return None, 0
         lanes, spent = [], 0
-        for part in parts:
-            try:
+        try:
+            for part in parts:
                 lane, steps = _certificate(part.cs, part.system.init, None, cap - spent)
-            except BudgetExceeded as exc:
-                raise BudgetExceeded(spent + exc.steps, cap) from None
-            lanes.append(lane)
-            spent += steps
-        cert, steps = handoff_certificate(cs, init, *lanes, plan.at, cap - spent)
+                lanes.append(lane)
+                spent += steps
+            cert, steps = handoff_certificate(cs, init, *lanes, plan.at, cap - spent)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(spent + exc.steps, cap) from None
         spent += steps
-    if spent > cap:
-        raise BudgetExceeded(spent, cap)
     if _proofs is not None and cert is not None and cert.closes:
         _proofs[key] = cert, spent
     return cert, spent
@@ -813,13 +812,11 @@ def _composed_cycle(bits: Sequence[int]) -> CycleReport:
 
 def check_composition(claim: str, seed: int = 0) -> ClaimResult:
     """Shuffles of fixed-point lanes: alternating patterns and the divisor rule."""
-    if claim == "example1_period2":
-        rep = _composed_cycle((0, 1, 0, 1, 0, 1))
-        ok = rep.measured_transient == 0 and rep.measured_period == 2
-        return ClaimResult(claim, {}, ok, {"T": rep.measured_transient, "P": rep.measured_period})
-    if claim == "example1_period3":
-        rep = _composed_cycle((0, 0, 1, 0, 0, 1))
-        ok = rep.measured_transient == 0 and rep.measured_period == 3
+    examples = {"example1_period2": ((0, 1) * 3, 2), "example1_period3": ((0, 0, 1) * 2, 3)}
+    if claim in examples:
+        bits, period = examples[claim]
+        rep = _composed_cycle(bits)
+        ok = rep.measured_transient == 0 and rep.measured_period == period
         return ClaimResult(claim, {}, ok, {"T": rep.measured_transient, "P": rep.measured_period})
     if claim == "divisor_rule":
         rng = random.Random(seed)

@@ -657,6 +657,12 @@ def test_repeated_scales_and_steps_run_once(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["config"]["m"] == [6]
     assert captured.err.splitlines() == ["PASS prop2 m=6", "neurec: 1 passed, 0 failed, 0 skipped"]
+    assert main(["--mode", "verify", "--m", "6", "--claims", "prop1,prop2,prop1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["config"]["claims"] == ["prop1", "prop2"]
+    assert captured.err.splitlines() == [
+        "PASS prop1 m=6", "PASS prop2 m=6", "neurec: 2 passed, 0 failed, 0 skipped"
+    ]
     # first-seen order, in every mode, and --long adds only scales not yet named
     out = tmp_path / "basin"
     argv = ["--mode", "basin", "--m", "11", "--m", "6", "--m", "11"]
@@ -755,6 +761,12 @@ def test_reports_are_deterministic(tmp_path):
         ["--mode", "construct", "--m", "6", "--budget", "10"],
         ["--mode", "simulate", "--m", "6", "--budget", "10"],
         ["--config", {"mode": "simulate", "m": [6], "budget": 10}],
+        # in the member modes only x and v read --lane and only w and z read --d
+        ["--mode", "cycle", "--m", "6", "--system", "x", "--d", "1"],
+        ["--mode", "cycle", "--m", "6", "--system", "y", "--lane", "1"],
+        ["--mode", "construct", "--m", "6", "--system", "z", "--lane", "0"],
+        ["--mode", "simulate", "--m", "6", "--lane", "0", "--steps", "3"],  # simulate selects y
+        ["--config", {"mode": "simulate", "m": [6], "system": "v", "d": [0]}],
         # a family outside x, v, y, w, z
         ["--config", {"mode": "cycle", "m": [6], "system": "q"}],
         # config values no flag can give
@@ -786,6 +798,9 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
          "--seed", "3", "--trace-format", "run-length"],
         ["--mode", "construct", "--m", "6", "--system", "v", "--lane", "1", "--seed", "3"],
         ["--mode", "cycle", "--m", "6", "--system", "w", "--d", "0", "--budget", "10000"],
+        # without --system every family is selected, so some family reads each
+        ["--mode", "cycle", "--m", "6", "--lane", "0"],
+        ["--mode", "cycle", "--m", "6", "--d", "0"],
         ["--mode", "verify", "--m", "6", "--claims", "prop2", "--no-emit-traces", "--seed", "3"],
     ],
 )

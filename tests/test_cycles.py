@@ -42,6 +42,7 @@ from neurec import (
     predicted_cycle,
     prime_factors,
     run,
+    shuffle_compose,
     single_system,
     verify_predicted,
     walk,
@@ -55,7 +56,7 @@ from neurec.cycles import (
     certify_lanes,
     handoff_certificate,
 )
-from neurec.verify import MEASURE_CUTOFF, _certificate, member, proof_memo, z_handoff
+from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
 from test_engine import dense_system, sparse_systems, taps_of, weights_of
 
 
@@ -691,6 +692,32 @@ def test_first_disagreement_budget_counts_search_nodes_and_crt_tuples():
         assert (exc.value.steps, exc.value.budget) == (budget + 1, budget)
 
 
+def test_a_handoff_past_its_budget_raises_with_every_part_counted():
+    # each search raises with its own steps at one below them, and the
+    # handoff adds the head search's steps and the explicit ones before the
+    # tail's: on w(d)'s lanes, which start with transients, the tail search
+    # raises at its prefix (r * q0 times) and past it at its end
+    p = window_params(6)
+    y = build_y(p)
+    head, _ = certify_lanes(compile_system(y), y.init, 10**9)
+    for d in range(p.rho):
+        z, w = build_z(p, d), build_w(p, d)
+        cs, at = compile_system(z), z_handoff(p, d).at
+        tail, _ = certify_lanes(compile_system(w), w.init, 10**9)
+        cert, cost = handoff_certificate(cs, z.init, head, tail, at, 10**9)
+        head_steps = _first_disagreement(cs, head, 10**9)[1]
+        prefix = len(tail.orbits) * max(rep.measured_transient for _, rep in tail.orbits)
+        before_tail = head_steps + len(cert.stepped) - 1
+        assert prefix > 0, d
+        for steps in (head_steps, before_tail + prefix, cost):
+            with pytest.raises(BudgetExceeded) as exc:
+                handoff_certificate(cs, z.init, head, tail, at, steps - 1)
+            assert (exc.value.steps, exc.value.budget) == (steps, steps - 1), d
+        with pytest.raises(BudgetExceeded) as exc:
+            _first_disagreement(cs, tail, prefix - 1)
+        assert (exc.value.steps, exc.value.budget) == (prefix, prefix - 1), d
+
+
 @pytest.mark.parametrize("m", [6, 11])
 def test_a_handoff_certificate_capped_one_step_below_its_cost_is_refused(m):
     # the lane tables count against the budget as soon as they are built:
@@ -706,6 +733,51 @@ def test_a_handoff_certificate_capped_one_step_below_its_cost_is_refused(m):
         with pytest.raises(BudgetExceeded) as exc:
             _certificate(cs, z.init, handoff, cost - 1)
         assert exc.value.steps > exc.value.budget == cost - 1, d
+
+
+def test_lanes_past_their_budget_raise_with_every_lane_counted():
+    # two constant lanes take one slide each; at budget 1 the second search,
+    # left no budget, still takes its one slide, and the pair raises
+    composed = shuffle_compose([_constant_lane(0), _constant_lane(1)])
+    cs = compile_system(composed)
+    with pytest.raises(BudgetExceeded) as exc:
+        certify_lanes(cs, composed.init, 1)
+    assert (exc.value.steps, exc.value.budget) == (2, 1)
+    lanes, steps = certify_lanes(cs, composed.init, 2)
+    assert (len(lanes.orbits), steps) == (2, 2)
+
+
+def test_every_certificate_returns_within_its_cap_or_raises_past_it():
+    # y, every w(d) and every z(d): every cap from 0 past the cost at m = 6,
+    # a spread at m = 11.  A certificate returns within its cap, or raises
+    # with more steps than a budget equal to the cap, and it returns from a
+    # least cap on.  A handoff's least cap is its cost.  Lanes can close
+    # below theirs: find_repeat always checks at its limit, so the last lane
+    # search closes once its limit reaches its T + P, short of the slides it
+    # takes uncapped
+    for m in (6, 11):
+        p = window_params(m)
+        for family, index in [("y", None), *((f, d) for f in "wz" for d in range(p.rho))]:
+            mem = member(p, family, index)
+            cs, init = mem.cs, mem.system.init
+            cert, cost = _certificate(cs, init, mem.handoff, MEASURE_CUTOFF)
+            least = cost
+            if mem.handoff is None:
+                last = cert.orbits[-1][1]
+                least -= last.steps_executed - last.measured_transient - last.measured_period
+            if m == 6:
+                caps = range(cost + 2)
+            else:
+                caps = sorted({*range(0, cost, cost // 16), least - 1, least, cost - 1, cost})
+            for cap in caps:
+                try:
+                    got, steps = _certificate(cs, init, mem.handoff, cap)
+                except BudgetExceeded as exc:
+                    assert exc.steps > exc.budget == cap < least, (m, family, index, cap)
+                    continue
+                assert got.closes and steps <= cap and cap >= least, (m, family, index, cap)
+                if cap >= cost:
+                    assert (got, steps) == (cert, cost), (m, family, index, cap)
 
 
 def test_every_z_fires_only_with_both_its_parts_at_every_scale_from_5_to_20():

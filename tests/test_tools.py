@@ -1,7 +1,10 @@
 """The scripts in tools/ run against today's verify: route_crossover's two
-tables and least_budget's bisection, pinned at the number README gives."""
+tables, least_budget's bisection, pinned at the number README gives, and
+budget_mutants' mutants."""
 
+import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -32,3 +35,19 @@ def test_least_budget_is_the_one_readme_gives():
     # README: the default grid passes under --budget 1292 and no less
     passes = load("least_budget").passes
     assert passes(1292) and not passes(1291)
+
+
+def test_budget_mutants_change_only_their_function_each_in_one_way():
+    tool = load("budget_mutants")
+    found = tool.mutants("src/neurec/cycles.py", ["certify_lanes"])
+    # the sum check's if (dropped, or its comparison shifted) and its raise's
+    # steps; the re-raise of a lane search's overrun, dropped or shifted
+    assert Counter(m.change for m in found) == {
+        "drop if": 1, "shift comparison +1": 1, "shift comparison -1": 1,
+        "drop raise": 1, "shift raised steps +1": 2, "shift raised steps -1": 2,
+    }
+    original = ast.parse((TOOLS.parent / "src/neurec/cycles.py").read_text()).body
+    for m in found:
+        body = ast.parse(m.source).body
+        changed = [a.name for a, b in zip(original, body) if ast.dump(a) != ast.dump(b)]
+        assert len(body) == len(original) and changed == ["certify_lanes"], m.change

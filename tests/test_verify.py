@@ -1180,6 +1180,22 @@ def test_a_remembered_certificate_past_a_later_cap_is_built_again(builds):
     assert [name for name, _, _ in builds] == ["certify_lanes"] * 4 + ["handoff_certificate"]
 
 
+def test_a_remembered_certificate_is_read_exactly_while_its_steps_fit_the_cap(builds):
+    # inside a run, m = 6 z(0)'s certificate is read again at a cap equal to
+    # its steps, and one below it is built again, on the remembered lanes,
+    # and raises with the same steps
+    with neurec.verify.proof_memo():
+        z = member(window_params(6), "z", 0)
+        cert, cost = _certificate(z.cs, z.system.init, z.handoff, MEASURE_CUTOFF)
+        builds.clear()
+        assert _certificate(z.cs, z.system.init, z.handoff, cost) == (cert, cost)
+        assert builds == []
+        with pytest.raises(BudgetExceeded) as exc:
+            _certificate(z.cs, z.system.init, z.handoff, cost - 1)
+        assert (exc.value.steps, exc.value.budget) == (cost, cost - 1)
+        assert [name for name, _, _ in builds] == ["handoff_certificate"]
+
+
 # --- the shared entry point --------------------------------------------------
 
 

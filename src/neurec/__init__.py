@@ -48,7 +48,6 @@ from .engine import (
     dense_oracle_run,
     find_repeat,
     run,
-    walk,
     word_from_bits,
 )
 from .errors import (

@@ -470,8 +470,9 @@ def _validate(config: ExperimentConfig) -> None:
     for name, choices in (("mode", MODES), ("trace_format", TRACE_FORMATS), ("system", FAMILIES)):
         if getattr(config, name) not in (None, *choices):
             raise ValueError(f"{name.replace('_', ' ')} must be one of {', '.join(choices)}")
-    if config.claims is not None and not config.claims:
-        raise ValueError("need at least one claim")
+    for name, given in (("m", config.m), ("claim", config.claims), ("d", config.d)):
+        if given == []:
+            raise ValueError(f"need at least one {name}")
     # the modes that read each setting; the others reject it off its default,
     # which a dataclass keeps as a class attribute
     for names, modes in (
@@ -489,8 +490,6 @@ def _validate(config: ExperimentConfig) -> None:
         for name, readers in (("lane", {"x", "v"}), ("d", {"w", "z"})):
             if getattr(config, name) is not None and not readers.intersection(families):
                 raise ValueError(f"--{name} applies to no selected family ({', '.join(families)})")
-    if not config.m:
-        raise ValueError("need at least one m")
     if any(m < 2 for m in config.m):
         raise ValueError("m must be at least 2")
     if config.emit_traces and config.out is None:

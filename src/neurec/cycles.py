@@ -35,12 +35,13 @@ and ends on w(d)'s.  handoff_certificate builds it from head's and tail's
 certified Lanes, which it is handed and does not build itself;
 check_phases reads z(d)'s five phases off the same parts.  One search over
 head's lanes finds the first time the system's own rule disagrees with
-head's: it reads the system's sum and head's next bit off the lane
-windows, shifts stored lane bits through their transients, and past them
-runs a branch and bound over the lane phases with the Chinese remainder
-theorem.  Where the paper's margin premises hold (_fires_only_with), as
-for z(d) on y and on w(d), only the times whose next bit is 1 are
-checked, and otherwise every time is.  Explicit steps from there reach the
+head's.  Through the lane transients it reads the system's sum and head's
+next bit off the lane windows, each shifted to a checked time in one
+shift.  Past them it scatters each lane's term of the sum from the 1s of
+one period of the lane's outputs, and runs a branch and bound over the
+lane phases with the Chinese remainder theorem.  Where the paper's margin
+premises hold (_fires_only_with), as for z(d) on y and on w(d), only the
+times whose next bit is 1 are checked, and otherwise every time is.  Explicit steps from there reach the
 handoff time, and the same search over tail's lanes finds any disagreement
 on tail's orbit.  The certificate closes when the stepped window is tail's
 init and there is none: S_n is then head's window before the
@@ -70,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import gcd, lcm, prod
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
 from .engine import CompiledSystem, advance_word, compile_system, find_repeat, word_from_bits
@@ -262,15 +263,43 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     return x, mod
 
 
-def _lane_terms(table: Sequence[int], masks: dict[int, int], shift: bool) -> list[int]:
-    """One lane's term of an affine sum at every lane phase x: the sum over
-    masks {weight: lane mask} on the lane window at phase x + shift, one
-    pass over the phases per weight."""
-    words = table[shift:] + table[:shift]  # words[x] = table[(x + shift) % p]
-    terms = [0] * len(table)
-    for w, mask in masks.items():
-        terms = [t + w * (word & mask).bit_count() for t, word in zip(terms, words)]
-    return terms
+def _ones(bits: bytes, start: int = 0, stop: int | None = None) -> Iterator[int]:
+    """The indices of the 1s of bits[start:stop], ascending, by bytes.find."""
+    i = bits.find(1, start, stop)
+    while i >= 0:
+        yield i
+        i = bits.find(1, i + 1, stop)
+
+
+def _lane_terms(cs: CompiledSystem, lanes: Lanes) -> Iterator[tuple[list[list[int]], bytes]]:
+    """Slot by slot, each lane's term of cs's affine sum on S_{r*Q + c} past
+    the lane transients, terms[i][x] at Q = x mod P_i, and the orbit's next
+    bit there, bits[x]: lane c's output at lane time Q.
+
+    From T_i - memory on, lane i's outputs repeat cycle[x] at the lane times
+    = x mod P_i.  Tap j reads lane l = -j mod r lag = (j + l) / r lane times
+    back in slot 0, and lane (l + c) mod r in slot c, at lane time Q + [i < c].
+    So each 1 of lane i's cycle, at phase u, adds w to its term at phase
+    u + lag - [i < c] for each such tap (lag, w).
+    """
+    r, memory = len(lanes.orbits), lanes.cs.memory
+    lags: list[list[tuple[int, int]]] = [[] for _ in range(r)]  # slot 0's taps by lane
+    for j, w in cs.taps:
+        lags[-j % r].append(((j - 1) // r + 1, w))
+    cycles = []
+    for trace, rep in lanes.orbits:
+        t, p = rep.measured_transient, rep.measured_period
+        cycles.append(bytes(trace[memory + t + (x - t) % p] for x in range(p)))
+    ones = [list(_ones(cyc)) for cyc in cycles]
+    for c in range(r):
+        terms = [[0] * len(cyc) for cyc in cycles]
+        for i, lane in enumerate(terms):
+            p = len(lane)
+            for u in ones[i]:
+                u -= i < c
+                for lag, w in lags[(i - c) % r]:
+                    lane[(u + lag) % p] += w
+        yield terms, cycles[c]
 
 
 def _fires_only_with(cs: CompiledSystem, lanes: Lanes) -> bool:
@@ -303,27 +332,28 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
 
     Write n = r*Q + c.  S_n holds lane i's window at lane time Q + [i < c],
     so cs's affine sum on S_n is a sum of one term per lane, and the
-    orbit's next bit is lane c's newest bit at lane time Q + 1.  Before
-    r * q0, where q0 is the longest lane transient, the lane windows shift
-    in their stored bits and each time is checked in turn.  From there on
-    each lane's term is a function of Q mod P_i.  For each slot c and each
-    value of the next bit, a branch and bound over boxes of lane phases,
-    bounded by the sum of each lane's least and greatest term, finds every
-    box of phase tuples on which cs's bit differs; the lane periods are
-    pairwise coprime, so the Chinese remainder theorem maps each tuple to
-    one Q mod prod(P_i).
+    orbit's next bit is lane c's output at lane time Q.  Before r * q0,
+    where q0 is the longest lane transient, the times are checked in turn,
+    each lane window brought to its lane time in one shift by the gap.
+    From there on each lane's term is a function of Q mod P_i, scattered
+    from the 1s of one period of the lane's outputs (_lane_terms).  For
+    each slot c and each value of the next bit, a branch and bound over
+    boxes of lane phases, bounded by the sum of each lane's least and
+    greatest term, finds every box of phase tuples on which cs's bit
+    differs; the lane periods are pairwise coprime, so the Chinese
+    remainder theorem maps each tuple to one Q mod prod(P_i).
 
     Where _fires_only_with holds (every z(d) on y's and w(d)'s lanes), cs
     cannot fire where the next bit is 0, so only the times whose next bit
-    is 1 are checked: the prefix takes cs's sum only there, though it still
-    shifts every window, and the branch and bound runs only its bit = 1
+    is 1 are checked: the prefix finds them with bytes.find and shifts no
+    window for any other, and the branch and bound runs only its bit = 1
     half.  Where a premise fails every time is checked, the exact scan.
 
-    steps counts the r * q0 times of the prefix, each window shifted
-    whether or not its sum is taken, the lane cycle windows tabulated, and
-    the nodes and tuples of the search.  Raises BudgetExceeded past budget
-    steps, checked before the prefix, after the tables and at each node
-    and tuple.
+    steps counts the r * q0 times of the prefix, checked or not, the P_i
+    phases of each lane, and the nodes and tuples of the search, so it
+    does not depend on how a time is reached.  Raises BudgetExceeded past
+    budget steps, checked before the prefix, after the phases and at each
+    node and tuple.
     """
     r, memory, lane_mask = len(lanes.orbits), lanes.cs.memory, lanes.cs.mask
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
@@ -332,50 +362,42 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
         raise BudgetExceeded(r * q0, budget)
     checked = (1,) if _fires_only_with(cs, lanes) else (0, 1)  # the next bits to check
 
-    # masks[c][i]: cs's taps on lane i's window in slot c, as {weight: lane mask};
-    # tap j reads lane (c - j) mod r, so slot c's lanes are slot 0's rotated by c
+    # flat[c]: cs's taps on the lane windows in slot c, as (lane, weight, lane
+    # mask); tap j reads lane (c - j) mod r, so slot c's lanes are slot 0's rotated
     slot0: list[dict[int, int]] = [{} for _ in range(r)]
     for j, w in cs.taps:
         lane = slot0[-j % r]
         lane[w] = lane.get(w, 0) | 1 << ((j - 1) // r)
-    masks = [[slot0[(i - c) % r] for i in range(r)] for c in range(r)]
+    flat = [[(i, w, m) for i in range(r) for w, m in slot0[(i - c) % r].items()] for c in range(r)]
 
-    # the same taps flat per slot, as (lane, weight, lane mask)
-    flat = [[(i, w, m) for i, lane in enumerate(row) for w, m in lane.items()] for row in masks]
+    # lane i's outputs through the prefix, and its window at lane time at[i]
     outs = [_outputs(orbit, q0 + memory) for orbit in lanes.orbits]
-    windows = [word_from_bits(out[:memory]) for out in outs]
-    for q in range(q0):
-        for c in range(r):
-            # windows holds lanes i < c at lane time q + 1 and the rest at q
-            bit = outs[c][q + memory]
-            if bit in checked:
-                s = sum(w * (windows[i] & mask).bit_count() for i, w, mask in flat[c])
-                if (s >= theta) != bit:
-                    return r * q + c, r * q + c + 1
-            windows[c] = (windows[c] << 1 | bit) & lane_mask
-    steps = r * q0
+    windows, at = [word_from_bits(out[:memory]) for out in outs], [0] * r
+    # every time, or the n = r*q + c whose next bit, lane c's output at lane time q, is 1
+    times = range(r * q0) if 0 in checked else sorted(
+        r * (u - memory) + c for c, out in enumerate(outs) for u in _ones(out, memory, memory + q0)
+    )
+    for n in times:
+        q, c = divmod(n, r)
+        for i, out in enumerate(outs):
+            gap = q + (i < c) - at[i]
+            if gap:
+                fresh = word_from_bits(out[memory + at[i] : memory + at[i] + gap])
+                windows[i], at[i] = (windows[i] << gap | fresh) & lane_mask, at[i] + gap
+        s = sum(w * (windows[i] & mask).bit_count() for i, w, mask in flat[c])
+        if (s >= theta) != outs[c][q + memory]:
+            return n, n + 1
 
-    # tables[i][x]: lane i's window at every lane time s >= T_i with s = x mod P_i
-    tables = []
-    for trace, rep in lanes.orbits:
-        t, p = rep.measured_transient, rep.measured_period
-        table, word = [0] * p, rep.entry_window
-        for s in range(t, t + p):
-            table[s % p] = word
-            word = (word << 1 | trace[s + memory]) & lane_mask
-        tables.append(table)
-        steps += p
+    steps = r * q0 + sum(rep.measured_period for _, rep in lanes.orbits)  # and each lane phase
     if steps > budget:
         raise BudgetExceeded(steps, budget)
 
     best = None
-    for c in range(r):
-        terms = [_lane_terms(table, masks[c][i], i < c) for i, table in enumerate(tables)]
+    for c, (terms, bits) in enumerate(_lane_terms(cs, lanes)):
         by_term = [sorted(range(len(t)), key=t.__getitem__) for t in terms]
-        out_lane = tables[c]
         for bit in checked:
             box = list(by_term)
-            box[c] = [x for x in by_term[c] if out_lane[(x + 1) % len(out_lane)] & 1 == bit]
+            box[c] = [x for x in by_term[c] if bits[x] == bit]
             stack = [box] if box[c] else []
             while stack:
                 box = stack.pop()
@@ -394,7 +416,7 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
                     continue
                 # every tuple in the box disagrees; a lane with all its
                 # phases in the box constrains nothing
-                fixed = [(xs, len(t)) for xs, t in zip(box, tables) if len(xs) < len(t)]
+                fixed = [(xs, len(t)) for xs, t in zip(box, terms) if len(xs) < len(t)]
                 moduli = [p for _, p in fixed]
                 for residues in product(*(xs for xs, _ in fixed)):
                     steps += 1

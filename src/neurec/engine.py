@@ -13,8 +13,9 @@ Two independent evaluation routes:
              exists to cross-check the compiled route bit for bit and for
              nothing else.
 
-The compiled route steps in exactly two loops: advance_word slides the
-window, and walk also yields each window with its affine sum.  find_repeat
+The compiled route steps in one loop, advance_word, which slides the
+window; a caller that needs the affine sums of an orbit's windows adds
+them up from the 1s of its trace instead of stepping again.  find_repeat
 is the one search for a repeated window, used by run and by
 cycles.detect_cycle.  It slides advance_word in chunks of at most memory
 slides, writes each chunk's outputs, the low bits of the window, into a
@@ -41,7 +42,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .construction import RecurrenceSystem
 from .errors import ShapeMismatch
@@ -50,7 +51,6 @@ __all__ = [
     "CompiledSystem",
     "compile_system",
     "advance_word",
-    "walk",
     "find_repeat",
     "run",
     "dense_oracle_run",
@@ -136,26 +136,6 @@ def advance_word(cs: CompiledSystem, word: int, steps: int) -> int:
                 s += w * hit.bit_count()
         word = ((word << 1) | (1 if s >= theta else 0)) & mask
     return word
-
-
-def walk(cs: CompiledSystem, word: int) -> Iterator[tuple[int, int]]:
-    """Yield (window, D * sum_j a_j x(n-j)) from word on, forever.
-
-    The sum decides the next output: it is 1 iff the sum is at least the
-    scaled threshold.  advance_word is the same step with the loop inlined,
-    for callers that only need where the window ends up.
-    """
-    groups = cs.groups
-    theta = cs.scaled_threshold
-    mask = cs.mask
-    while True:
-        s = 0
-        for w, gm in groups:
-            hit = word & gm
-            if hit:
-                s += w * hit.bit_count()
-        yield word, s
-        word = ((word << 1) | (1 if s >= theta else 0)) & mask
 
 
 def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, int]:

@@ -34,13 +34,14 @@ first use (Member.cs), predicted_cycle pair and, for z(d), handoff builder;
 no claim but chain_equals_direct, about the builders, builds a family
 system otherwise.  check_phases reads z(d)'s five phases off its handoff
 certificate, sum_bounds and y_deshuffle read y and every w(d) off their
-lanes, all exact for all time, and sum_bounds reads each x_i off the T + P
-windows of its proof.  One cap, the budget or else MEASURE_CUTOFF (_cap),
+lanes, all exact for all time, and sum_bounds reads each x_i as one lane,
+its run trace to T + P; v_fixed and s1_range scatter their sums from run's
+trace (_window_sums).  One cap, the budget or else MEASURE_CUTOFF (_cap),
 picks a proof's route and bounds every certificate: past it _certificate
 raises BudgetExceeded, as a simulation does unrun.  simulated_trace routes
 simulate alike, capped at its steps.  _priced prices an instance at the
 largest proof_work (predicted T + P, each lane at the bound of its search,
-a handoff at its tables, explicit steps and an allowance for its nodes) of
+a handoff at its prefix, phases, steps and an allowance for its nodes) of
 the members it proves or certifies, and skip_detail skips (passed None)
 one past MEASURE_CUTOFF rather than attempt it.
 
@@ -65,7 +66,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import construction as cons
@@ -80,7 +80,7 @@ from .cycles import (
     lane_count,
     verify_predicted,
 )
-from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, run, walk
+from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, run
 from .engine import word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed
 from .numtheory import WindowParams, cycle_lengths, window_params
@@ -475,6 +475,18 @@ def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
 # dynamic claims
 
 
+def _window_sums(cs: CompiledSystem, trace: bytes, count: int) -> list[int]:
+    """D times the affine sum on each window S_0 .. S_{count-1} of trace,
+    scattered from its 1s: S_n reads x(n + memory - j) at tap (j, w), so a
+    1 at x(t) adds w to S_{t - memory + j}."""
+    sums = [0] * (count + 2 * cs.memory)  # S_n at sums[memory + n]
+    for t, bit in enumerate(trace[: cs.memory + count - 1]):
+        if bit:
+            for j, w in cs.taps:
+                sums[t + j] += w
+    return sums[cs.memory : cs.memory + count]
+
+
 def _x_mismatch(params: WindowParams, i: int, x: Member) -> int | None:
     """The first t < k + p_i where x_i's trace departs from its closed form,
     or None: then S_{p_i} = S_0, and the two agree for all time."""
@@ -505,15 +517,12 @@ def _run_v_fixed(m: int, budget: int | None = None, **_: object) -> ClaimResult:
         rep = v.prove(budget)
         cs = v.cs
         attractor_zero = rep.entry_window == 0
-        # one walk of k + 1 windows: x(k + n) = [s_n >= theta]
-        sums = [s for _, s in islice(walk(cs, word_from_bits(v.system.init)), k + 1)]
-        trace = v.system.init + bytes(s >= cs.scaled_threshold for s in sums)
-        dead_from = k - params.primes[i]
-        late_one = next((t for t in range(dead_from, len(trace)) if trace[t]), None)
+        trace = run(cs, v.system.init, k + 1)
+        late_one = next((t for t in range(k - params.primes[i], len(trace)) if trace[t]), None)
         # After the window clears the initial pattern the affine sum must sit
         # at least two whole units below the threshold.
         ceiling = cs.scaled_threshold - 2 * cs.denominator
-        margin_ok = all(s <= ceiling for s in sums)
+        margin_ok = all(s <= ceiling for s in _window_sums(cs, trace, k + 1))
         ok = ok and attractor_zero and late_one is None and margin_ok
         per_lane[str(i)] = _report_dict(rep, v.predicted) | {
             "attractor_all_zero": attractor_zero,
@@ -535,13 +544,10 @@ def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResu
     ok = True
     for name, mem, low, high in envelopes:
         lanes, _ = _certificate(mem.cs, mem.system.init, None, _cap(budget))
-        if lanes is None:  # a single unit: its proved T + P windows are all of them
-            mem.prove(budget)
-            orbit = islice(walk(mem.cs, word_from_bits(mem.system.init)), sum(mem.predicted))
-            counts = [word.bit_count() for word, _ in orbit]
-            lo, hi = min(counts), max(counts)
-        else:
-            lo, hi = lanes.popcount_range() or (None, None)
+        if lanes is None:  # a single unit: one lane, its trace to its proved T + P
+            rep = mem.prove(budget)
+            lanes = Lanes(mem.cs, ((run(mem.cs, mem.system.init, sum(mem.predicted)), rep),))
+        lo, hi = lanes.popcount_range() or (None, None)
         ok = ok and lo is not None and low <= lo and hi <= high
         detail[name] = {"min": lo, "max": hi, "bounds": [low, high]}
     return ClaimResult("sum_bounds", {"m": m}, ok, detail)
@@ -552,26 +558,21 @@ def _run_s1_range(m: int, **_: object) -> ClaimResult:
     theta = params.theta_single
     per_lane = {}
     ok = True
-    worst_gap = None
+    subthreshold = []  # every lane's sums below the threshold
     for i in range(params.rho):
         x = member(params, "x", i)
-        orbit = walk(x.cs, word_from_bits(x.system.init))
+        windows = 2 * params.primes[i] + 1
+        sums = _window_sums(x.cs, run(x.cs, x.system.init, windows), windows)
         low = -2 * (1 + params.mu[i])
-        lane_ok = True
-        max_sub = None
-        for _, s in islice(orbit, 2 * params.primes[i] + 1):
-            if s >= theta:
-                lane_ok = lane_ok and s == theta
-            else:
-                lane_ok = lane_ok and low <= s <= theta - 1
-                max_sub = s if max_sub is None else max(max_sub, s)
-        gap = None if max_sub is None else theta - max_sub
-        if gap is not None:
-            worst_gap = gap if worst_gap is None else min(worst_gap, gap)
+        sub = [s for s in sums if s < theta]  # integers, so each at most theta - 1
+        lane_ok = all(s == theta for s in sums if s >= theta) and all(low <= s for s in sub)
+        max_sub = max(sub, default=None)
+        subthreshold += sub
         ok = ok and lane_ok
         per_lane[str(i)] = {"range": [low, theta - 1], "max_subthreshold": max_sub, "ok": lane_ok}
     # The perturbation depth -1 is admissible iff every sub-threshold sum
     # sits at least one whole unit below the threshold.
+    worst_gap = theta - max(subthreshold) if subthreshold else None
     lambda_ok = worst_gap is None or worst_gap >= 1
     ok = ok and lambda_ok
     return ClaimResult(
@@ -873,7 +874,7 @@ def proof_work(params: WindowParams, family: str, index: int | None = None) -> i
         return sum(predicted_cycle(params, family, index))
 
     def lanes(collapsed: int) -> tuple[int, int]:
-        """The price of the lane searches and of their table, v_i on lanes i <= collapsed."""
+        """The price of the lane searches and of a search on them, v_i on lanes i <= collapsed."""
         orbits = [predicted_cycle(params, "v" if i <= collapsed else "x", i) for i in range(params.rho)]
         searched = sum(n + n // 8 for n in (t + p + (t + p) // 8 for t, p in orbits))
         return searched, params.rho * max(t for t, _ in orbits) + sum(p for _, p in orbits)

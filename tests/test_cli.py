@@ -773,6 +773,9 @@ def test_reports_are_deterministic(tmp_path):
         ["--config", {"mode": "bogus"}],
         ["--config", {"trace_format": "bogus"}],
         ["--config", {"m": []}],
+        # an empty d list selects nothing to run
+        ["--config", {"mode": "cycle", "m": [6], "system": "w", "d": []}],
+        ["--config", {"mode": "basin", "m": [6], "d": []}],
     ],
 )
 def test_config_errors_exit_2(argv, tmp_path, capsys):

@@ -11,7 +11,6 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from math import prod
 
 import pytest
@@ -45,19 +44,19 @@ from neurec import (
     shuffle_compose,
     single_system,
     verify_predicted,
-    walk,
     window_params,
     word_from_bits,
 )
 from neurec.cycles import (
     _fires_only_with,
     _first_disagreement,
+    _lane_terms,
     _probe_pass,
     certify_lanes,
     handoff_certificate,
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
-from test_engine import dense_system, sparse_systems, taps_of, weights_of
+from test_engine import affine_sum, dense_system, sparse_systems, taps_of, weights_of
 
 
 def as_part(system):
@@ -66,14 +65,14 @@ def as_part(system):
 
 
 def naive_cycle(cs, init, cap=200_000):
-    seen = {}
-    for n, (word, _) in enumerate(walk(cs, word_from_bits(init))):
+    seen, word = {}, word_from_bits(init)
+    for n in range(cap + 1):
         if word in seen:
             first = seen[word]
             return first, n - first
-        if n == cap:
-            raise AssertionError("no repeat within cap")
         seen[word] = n
+        word = advance_word(cs, word, 1)
+    raise AssertionError("no repeat within cap")
 
 
 M6_EXPECTED = [
@@ -426,7 +425,8 @@ def test_popcount_range_equals_the_walk_over_the_whole_orbit(s):
     cs = compile_system(s)
     lanes, _ = certify_lanes(cs, s.init, budget=10**6)
     t, p = naive_cycle(cs, s.init)
-    counts = {word.bit_count() for word, _ in islice(walk(cs, word_from_bits(s.init)), t + p)}
+    trace = run(cs, s.init, t + p)
+    counts = {sum(trace[n : n + s.memory]) for n in range(t + p)}
     want = (min(counts), max(counts)) if lanes.coprime else None
     assert lanes.popcount_range() == want
 
@@ -625,7 +625,7 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
 
 
 def full_window_first_disagreement(cs, ref, lanes):
-    """Oracle: walk ref's orbit on lanes window by window from S_0, and apply
+    """Oracle: step ref's orbit on lanes window by window from S_0, and apply
     cs's rule to each full window.
 
     Past r * q0 a window is fixed by its slot and the lane phases, so every
@@ -636,9 +636,12 @@ def full_window_first_disagreement(cs, ref, lanes):
     r = len(lanes.orbits)
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
     horizon = r * (q0 + prod(rep.measured_period for _, rep in lanes.orbits))
-    for n, (word, s) in zip(range(horizon), walk(ref, lanes.read(0))):
-        if (s >= ref.scaled_threshold) != (next(walk(cs, word))[1] >= cs.scaled_threshold):
+    word = lanes.read(0)
+    for n in range(horizon):
+        fires = affine_sum(cs, word) >= cs.scaled_threshold
+        if (affine_sum(ref, word) >= ref.scaled_threshold) != fires:
             return n, n + 1
+        word = advance_word(ref, word, 1)
     return None, None
 
 
@@ -915,16 +918,10 @@ def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch)
         slides[0] += max(steps, 0)
         return run(cs, init, steps)
 
-    def counted_walk(cs, word):
-        for item in walk(cs, word):
-            slides[0] += 1
-            yield item
-
     for module in ("neurec.engine", "neurec.cycles"):
         # raising=False: a module that does not import a name gets the wrapper anyway
         monkeypatch.setattr(f"{module}.advance_word", counted_advance)
         monkeypatch.setattr(f"{module}.run", counted_run, raising=False)
-        monkeypatch.setattr(f"{module}.walk", counted_walk, raising=False)
     p = window_params(m)
     for d in range(p.rho):
         z = compile_system(build_z(p, d))
@@ -1032,14 +1029,11 @@ def handoff_cases(draw):
     nudge = draw(st.sampled_from([Fraction(-1, 8), 0, Fraction(1, 8)]))
     cs = compile_system(dataclasses.replace(head, taps=taps_of(perturbed), threshold=theta + nudge))
     head_cs = compile_system(head)
-    word0 = word_from_bits(init)
-    first = next(
-        (
-            n
-            for n, ((_, s), (_, z)) in enumerate(zip(walk(head_cs, word0), walk(cs, word0)))
-            if n == 500 or (s >= head_cs.scaled_threshold) != (z >= cs.scaled_threshold)
-        )
-    )
+    word, first = word_from_bits(init), 0
+    while first < 500 and (affine_sum(head_cs, word) >= head_cs.scaled_threshold) == (
+        affine_sum(cs, word) >= cs.scaled_threshold
+    ):
+        word, first = advance_word(head_cs, word, 1), first + 1
     at = first + draw(st.integers(0, r * memory))
     tail_init = run(cs, init, at)[at:]
     return cs, init, Handoff(as_part(head), as_part(dataclasses.replace(head, init=tail_init)), at)
@@ -1100,6 +1094,52 @@ def test_the_margin_filter_finds_the_exact_scans_first_disagreement(case):
                 patch.setattr("neurec.cycles._fires_only_with", lambda cs, lanes: False)
                 exact, _ = _first_disagreement(system, lanes, 10**9)
             assert filtered == exact
+
+
+def assert_lane_terms_are_window_popcounts(cs, lanes):
+    """Each slot c's scattered term on each lane i at each phase x is the
+    weighted popcount of cs's taps on lane i's window at lane time
+    Q + [i < c], Q = x mod P_i past the transients, read off the lane trace;
+    and the next bit is lane c's output at lane time Q."""
+    r, memory = len(lanes.orbits), lanes.cs.memory
+    for c, (terms, bits) in enumerate(_lane_terms(cs, lanes)):
+        assert len(terms) == r
+        for i, (trace, rep) in enumerate(lanes.orbits):
+            t, p = rep.measured_transient, rep.measured_period
+            masks = {}  # cs's taps on lane i's window in slot c, by weight
+            for j, w in cs.taps:
+                if (c - j) % r == i:
+                    masks[w] = masks.get(w, 0) | 1 << (j - 1) // r
+            assert len(terms[i]) == p
+            for x in range(p):
+                s = t + (x + (i < c) - t) % p
+                word = word_from_bits(trace[s : s + memory])
+                want = sum(w * (word & mask).bit_count() for w, mask in masks.items())
+                assert terms[i][x] == want, (c, i, x)
+        trace, rep = lanes.orbits[c]
+        t, p = rep.measured_transient, rep.measured_period
+        assert bits == bytes(trace[memory + t + (x - t) % p] for x in range(p)), c
+
+
+@settings(max_examples=200, deadline=None)
+@given(handoff_cases())
+def test_scattered_lane_terms_are_the_lane_window_popcounts(case):
+    cs, _, handoff = case
+    for part in (handoff.head, handoff.tail):
+        lanes, _ = certify_lanes(part.cs, part.system.init, 10**6)
+        assert_lane_terms_are_window_popcounts(cs, lanes)
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_scattered_lane_terms_of_every_z_on_y_and_w(m):
+    p = window_params(m)
+    y = build_y(p)
+    y_lanes, _ = certify_lanes(compile_system(y), y.init, 10**9)
+    for d in range(p.rho):
+        z, w = compile_system(build_z(p, d)), build_w(p, d)
+        w_lanes, _ = certify_lanes(compile_system(w), w.init, 10**9)
+        for lanes in (y_lanes, w_lanes):
+            assert_lane_terms_are_window_popcounts(z, lanes)
 
 
 @settings(max_examples=200, deadline=None)

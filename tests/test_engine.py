@@ -2,13 +2,11 @@
 
 ref_run below is the third, dumbest evaluation route (plain list history,
 rational dot product per step), returned as bytes like the other two.  Both shipped routes must reproduce it
-exactly: the compiled bitmask kernel (run, advance_word, walk) and the
-dense oracle.
+exactly: the compiled bitmask kernel (run, advance_word) and the dense
+oracle.
 """
 
 from fractions import Fraction
-from itertools import islice
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +24,6 @@ from neurec import (
     predicted_cycle,
     run,
     single_system,
-    walk,
     window_params,
     word_from_bits,
 )
@@ -52,6 +49,11 @@ def weights_of(system):
     for j, w in system.taps:
         weights[j - 1] = w
     return weights
+
+
+def affine_sum(cs, word):
+    """D times the affine form on the window word, one popcount per weight group."""
+    return sum(w * (word & mask).bit_count() for w, mask in cs.groups)
 
 
 def dense_system(weights, threshold, init, label=""):
@@ -148,32 +150,36 @@ def test_compile_drops_zero_weights():
 # --- stepping --------------------------------------------------------------
 
 
-def test_walk_and_run_agree():
+def stepped_outputs(cs, init, steps):
+    """init and the newest bit of each window, advance_word one slide at a time."""
+    word, outs = word_from_bits(init), bytearray(init)
+    for _ in range(steps):
+        word = advance_word(cs, word, 1)
+        outs.append(word & 1)
+    return bytes(outs)
+
+
+def test_advance_word_and_run_agree():
     # y at m = 6 is purely periodic with P = 442 and memory 140, so run
     # steps 461 slides, finds S_461 == S_19 and fills the last 139
     p = window_params(6)
     y = build_y(p)
     cs = compile_system(y)
-    windows = [w for w, _ in islice(walk(cs, word_from_bits(y.init)), 601)]
-    assert run(cs, y.init, 600) == bytes([*y.init, *(w & 1 for w in windows[1:])])
-
-
-def test_walk_matches_advance_word():
-    p = window_params(6)
-    cs = compile_system(build_z(p, 1))
-    w0 = word_from_bits(build_z(p, 1).init)
-    for n, (w, _) in enumerate(islice(walk(cs, w0), 201)):
-        assert w == advance_word(cs, w0, n)
+    assert run(cs, y.init, 600) == stepped_outputs(cs, y.init, 600)
 
 
 def test_affine_sum_sign_drives_output():
     p = window_params(6)
     z = build_z(p, 0)
     cs = compile_system(z)
-    orbit = list(islice(walk(cs, word_from_bits(z.init)), 301))
-    for (word, s), (nxt, _) in zip(orbit, orbit[1:]):
+    trace = run(cs, z.init, 300)
+    word = word_from_bits(z.init)
+    for n in range(1, 301):
+        nxt = advance_word(cs, word, 1)
         assert nxt == ((word << 1) | (nxt & 1)) & cs.mask
-        assert (nxt & 1) == (1 if s >= cs.scaled_threshold else 0)
+        assert nxt == word_from_bits(trace[n : n + z.memory])
+        assert (nxt & 1) == (1 if affine_sum(cs, word) >= cs.scaled_threshold else 0)
+        word = nxt
 
 
 def test_run_prefix_law():
@@ -214,18 +220,14 @@ def test_run_fill_around_the_first_repeat(m):
 
 
 def counted_slides(monkeypatch):
-    """Count the slides run asks of advance_word; walk must not be drawn."""
+    """Count the slides run asks of advance_word."""
     slides = []
 
     def counted(cs, word, steps):
         slides.append(steps)
         return advance_word(cs, word, steps)
 
-    def no_walk(cs, word):
-        raise AssertionError("run stepped with walk")
-
     monkeypatch.setattr("neurec.engine.advance_word", counted)
-    monkeypatch.setattr("neurec.engine.walk", no_walk)
     return slides
 
 
@@ -252,8 +254,7 @@ def test_run_fill_past_the_geometric_checks(monkeypatch):
     cs = compile_system(z)
     tp = sum(predicted_cycle(p, "z", 2))
     steps = 2 * tp + 7
-    windows = islice(walk(cs, word_from_bits(z.init)), 1, steps + 1)
-    expect = bytes([*z.init, *(w & 1 for w, _ in windows)])
+    expect = stepped_outputs(cs, z.init, steps)
     slides = counted_slides(monkeypatch)
     assert run(cs, z.init, steps) == expect
     assert tp <= sum(slides) <= tp + tp // 8 + z.memory
@@ -299,10 +300,8 @@ def test_three_routes_agree_on_random_systems(s):
     assert dense_oracle_run(s, s.init, 48) == expect
     # window n is the memory outputs ending at x(memory + n - 1)
     word0 = word_from_bits(s.init)
-    windows = [w for w, _ in islice(walk(cs, word0), 49)]
-    for n, w in enumerate(windows):
-        assert bits_from_word(w, s.memory) == expect[n : n + s.memory]
-    assert advance_word(cs, word0, 48) == windows[-1]
+    for n in range(49):
+        assert bits_from_word(advance_word(cs, word0, n), s.memory) == expect[n : n + s.memory]
 
 
 @st.composite

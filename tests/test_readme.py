@@ -87,7 +87,7 @@ def test_results_rows_past_m21_equal_the_predicted_chain():
         section,
         flags=re.M,
     )
-    assert [int(row[0]) for row in rows] == [50, 100]
+    assert [int(row[0]) for row in rows] == [50, 100, 200]
     for m, rho, h, log_period, log_transient, command in rows:
         params = window_params(int(m))
         assert (int(rho), int(h)) == (params.rho, params.h), m

@@ -5,7 +5,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from neurec import (
     check_phases,
     compile_system,
     cycle_lengths,
+    dense_oracle_run,
     destabilized_system,
     detect_cycle,
     measure_cycle,
@@ -40,7 +41,6 @@ from neurec import (
     run,
     run_claims,
     single_system,
-    walk,
     window_params,
     word_from_bits,
     x_closed_form,
@@ -49,9 +49,9 @@ from neurec import (
 )
 from neurec.cli import main
 from neurec.cycles import certify_lanes, lane_count
-from neurec.verify import MEASURE_CUTOFF, _certificate, claim_grid, proof_work
+from neurec.verify import MEASURE_CUTOFF, _certificate, _window_sums, claim_grid, proof_work
 from test_cycles import search_bound
-from test_engine import dense_system
+from test_engine import dense_system, weights_of
 
 
 def runnable(claim, m):
@@ -421,10 +421,44 @@ def test_dynamic_checks_pass_m6():
 # --- popcount envelopes and the de-shuffle, read off the lanes ------------------
 
 
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def scatter_systems(draw):
+    """Dense systems with negative weights, zero or fractional thresholds,
+    and inits that are often all ones."""
+    memory = draw(st.integers(1, 8))
+    weights = [draw(small_fractions) for _ in range(memory)]
+    theta = draw(st.one_of(st.just(0), small_fractions))
+    bits = st.lists(st.integers(0, 1), min_size=memory, max_size=memory)
+    init = draw(st.one_of(st.just([1] * memory), bits))
+    return dense_system(weights, theta, init)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scatter_systems(), st.integers(0, 40))
+def test_window_sums_are_the_oracles_fraction_sums_scaled(s, steps):
+    cs = compile_system(s)
+    trace = run(cs, s.init, steps)
+    assert trace == dense_oracle_run(s, s.init, steps)
+    sums = _window_sums(cs, trace, steps + 1)
+    weights = weights_of(s)
+    for n, total in enumerate(sums):
+        window = trace[n : n + s.memory]  # dense_oracle_run's sum: newest bit first
+        want = sum((a for a, bit in zip(weights, reversed(window)) if bit), Fraction(0))
+        assert total == cs.denominator * want, n
+    assert [total >= cs.scaled_threshold for total in sums[:steps]] == [bool(b) for b in trace[s.memory :]]
+
+
 def window_popcounts(system, horizon):
-    """(min, max) of the window popcount over S_0 .. S_horizon, walked."""
-    orbit = walk(compile_system(system), word_from_bits(system.init))
-    counts = {word.bit_count() for word, _ in islice(orbit, horizon + 1)}
+    """(min, max) of the window popcount over S_0 .. S_horizon, slid over run's trace."""
+    trace, memory = run(compile_system(system), system.init, horizon), system.memory
+    count = sum(trace[:memory])
+    counts = {count}
+    for n in range(horizon):
+        count += trace[n + memory] - trace[n]
+        counts.add(count)
     return min(counts), max(counts)
 
 

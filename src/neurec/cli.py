@@ -15,9 +15,11 @@ which alone knows each claim's name, grid, cutoff and knobs.  The member modes
 of every scale, each a verify.member, one row per member; cycle proves it
 with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
-built.  construct proves and compiles nothing and opens none, so each member
-is freed after its row.  This module builds no system:
-it handles arguments and output, and rejects a setting the mode does not read.
+built.  simulate writes each trace file as its member is traced, so a run
+holds one trace at most.  construct proves and compiles nothing and opens
+none, so each member is freed after its row.  This module builds no system:
+it handles arguments and output, and rejects a setting the mode does not
+read, or a --d or --lane off any scale's range before any member runs.
 Every run produces one JSON report (printed to stdout, or written to
 --out/report.json together with a summary.csv of every measured orbit).
 Reports are deterministic for fixed (m, d, seed, budget) apart from the
@@ -40,7 +42,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import IO, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .construction import RecurrenceSystem
@@ -60,7 +62,7 @@ from .verify import (
 
 MODES = ("construct", "simulate", "cycle", "verify", "chain", "basin")
 FAMILIES = ("x", "v", "y", "w", "z")
-TRACE_FORMATS = ("text-bits", "run-length")
+TRACE_FORMATS = {"text-bits": "txt", "run-length": "rle"}  # each format's file suffix
 DEFAULT_MS = (6, 11)
 LONG_MS = (16, 21)
 CSV_FIELDS = ("system", "m", "d", "T_measured", "P_measured", "T_predicted", "P_predicted", "match")
@@ -102,44 +104,73 @@ class RunReport:
 # trace and system serialization
 
 
-# a run-length line is "<bit>×<count>\n" in UTF-8; export_trace writes runs in
-# blocks of about _RUN_BLOCK trace bytes, each extended to a whole run
+# lines are made and written a block at a time, as a whole trace's lines take several times the
+# trace: runs in blocks of about _RUN_BLOCK trace bytes, and writes of about _WRITE bytes
 _RUNS = re.compile(rb"\x00+|\x01+")
 _RUN_LINES = tuple(f"{bit}×%d\n".encode() for bit in (0, 1))
 _RUN_BLOCK = 1 << 14
+_WRITE = 1 << 16
 _CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> "0"/"1"
 
 
-def export_trace(trace: Sequence[int], path: str | Path, fmt: str, memory: int) -> None:
+def export_trace(
+    trace: Sequence[int], path: str | Path, fmt: str, memory: int, hint: tuple[int, int] | None = None
+) -> None:
     """Write a trace as text-bits (wrapped every memory symbols, on one line
-    when memory is 0) or run-length, in UTF-8."""
-    path = Path(path)
+    when memory is 0) or run-length, in UTF-8, in blocks of whole lines.
+
+    run-length reads hint, a claimed (T, P) such as a member's predicted one,
+    checked on the bytes: if trace[i + P] == trace[i] for every i in [T, len - P),
+    the runs of one period from the first change of bit after T are formatted
+    once and written for each whole period that follows.  Any hint, right,
+    wrong or none, gives the same file."""
     trace = trace if isinstance(trace, (bytes, bytearray)) else bytes(trace)
-    if fmt == "text-bits":
-        chars = trace.translate(_CHARS).decode()
-        width = memory or len(chars) or 1
-        lines = [chars[i : i + width] for i in range(0, len(chars), width)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return
-    if fmt == "run-length":
-        with path.open("wb") as fh:
-            # one block at a time, so memory stays flat: the lines of a whole
-            # trace take several times the trace itself
-            start, size = 0, len(trace)
-            while start < size:
-                end = min(start + _RUN_BLOCK, size)
-                if end < size:  # on to the next change of bit, or the end
-                    end = trace.find(1 - trace[end - 1], end)
-                    end = size if end < 0 else end
-                counts = tuple(map(len, _RUNS.findall(trace, start, end)))
-                first, other = _RUN_LINES[trace[start]], _RUN_LINES[1 - trace[start]]
-                lines = (first + other) * (len(counts) // 2) + first * (len(counts) % 2)
-                fh.write(lines % counts)
-                start = end
-            if not trace:
-                fh.write(b"\n")
-        return
-    raise ValueError(f"unknown trace format {fmt!r}")
+    if fmt not in TRACE_FORMATS:
+        raise ValueError(f"unknown trace format {fmt!r}")
+    size = len(trace)
+    with Path(path).open("wb") as fh:
+        if fmt == "text-bits":
+            width = memory or size or 1
+            step = max(1, _WRITE // width) * width
+            for start in range(0, size, step):
+                chars = trace[start : start + step].translate(_CHARS)
+                fh.write(b"\n".join(chars[i : i + width] for i in range(0, len(chars), width)) + b"\n")
+        else:
+            cut = _periodic_cut(trace, hint) or size
+            fh.writelines(_run_lines(trace, 0, cut))
+            if cut < size:
+                p = hint[1]
+                period = b"".join(_run_lines(trace, cut, cut + p))
+                reps, copies = (size - cut) // p, max(1, _WRITE // len(period))
+                fh.writelines(period * min(copies, reps - i) for i in range(0, reps, copies))
+                fh.writelines(_run_lines(trace, cut + reps * p, size))
+        if not size:
+            fh.write(b"\n")
+
+
+def _periodic_cut(trace: bytes | bytearray, hint: tuple[int, int] | None) -> int:
+    """The first change of bit after T if hint's (T, P) holds on trace from T
+    on and two whole periods follow that change, else 0."""
+    (t, p), size = hint or (0, 0), len(trace)
+    cut = trace.find(1 - trace[t], t + 1) if 0 <= t < size and p > 0 else -1
+    if not t < cut <= size - 2 * p:
+        return 0
+    # trace[i:] starts with the chunk a period on, so one chunk at a time is copied
+    chunks = range(t, size - p, _WRITE)
+    return cut if all(trace.startswith(trace[i + p : i + p + _WRITE], i) for i in chunks) else 0
+
+
+def _run_lines(trace: bytes | bytearray, start: int, stop: int) -> Iterator[bytes]:
+    """The run-length lines of trace[start:stop], whole runs, one block at a time."""
+    while start < stop:
+        end = min(start + _RUN_BLOCK, stop)
+        if end < stop:  # on to the next change of bit, or the stop
+            end = trace.find(1 - trace[end - 1], end, stop)
+            end = stop if end < 0 else end
+        counts = tuple(map(len, _RUNS.findall(trace, start, end)))
+        first, other = _RUN_LINES[trace[start]], _RUN_LINES[1 - trace[start]]
+        yield ((first + other) * (len(counts) // 2) + first * (len(counts) % 2)) % counts
+        start = end
 
 
 def import_trace(path: str | Path) -> list[int]:
@@ -211,15 +242,13 @@ def _measured_row(mem: Member, budget: int | None) -> ClaimResult:
     return ClaimResult(mem.system.label, {}, True, detail)
 
 
-def _member_row(
-    config: ExperimentConfig, params: WindowParams, mem: Member
-) -> tuple[dict, bytes | bytearray | None]:
-    """A member's row: its description, proof or trace row, and simulate's trace."""
+def _member_row(config: ExperimentConfig, params: WindowParams, mem: Member) -> dict:
+    """A member's row: its description, proof or trace row; simulate writes its trace file here."""
     fam, idx, system = mem.family, mem.index, mem.system
     if config.mode == "construct":
         doc = system_to_json(system)
         doc["predicted_transient"], doc["predicted_period"] = mem.predicted
-        return doc, None
+        return doc
     if config.mode == "cycle":
         skip = skip_detail(proof_work(params, fam, idx))
         res = attempt(system.label, {}, skip, _measured_row, mem, config.budget)
@@ -234,10 +263,14 @@ def _member_row(
             "P_measured": None,
             "match": res.passed,
         }
-        return row | ({"note": f"skipped: {skip['skipped']}"} if skip else res.detail), None
+        return row | ({"note": f"skipped: {skip['skipped']}"} if skip else res.detail)
     steps = config.steps if config.steps is not None else 2 * system.memory
     trace, route, spent = simulated_trace(mem, steps)
-    row = {
+    if config.emit_traces:
+        path = Path(config.out) / f"{_slug(system.label)}.{TRACE_FORMATS[config.trace_format]}"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
+    return {
         "system": system.label,
         "m": params.m,
         "steps": steps,
@@ -246,7 +279,6 @@ def _member_row(
         "route": route,
         "certificate_steps": spent,
     }
-    return row, trace
 
 
 def _resolved_ms(config: ExperimentConfig) -> list[int]:
@@ -257,10 +289,15 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     """Execute one configured run and assemble its report."""
     start = time.perf_counter()
     ms = _resolved_ms(config)
-    params_summary = [{"m": m} | window_params(m).summary() for m in ms]
+    scales = [window_params(m) for m in ms]
+    for params in scales:  # each selected d and lane, before any member runs or file is written
+        for d in config.d or ():
+            params.check_lane(d, "d")
+        if config.lane is not None:
+            params.check_lane(config.lane)
+    params_summary = [{"m": params.m} | params.summary() for params in scales]
     cycle_reports: list[dict] = []
     claim_results: list[ClaimResult] = []
-    traces: list[tuple[str, bytes | bytearray, int]] = []
 
     if config.mode in ("verify", "chain", "basin"):
         # chain and basin each run the claim of the same name
@@ -268,13 +305,9 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
         claim_results = run_claims(ms, claims, config.seed, config.budget, ds=config.d)
     else:
         with nullcontext() if config.mode == "construct" else proof_memo():
-            for m in ms:
-                params = window_params(m)
+            for params in scales:
                 for mem in _family_members(params, config):
-                    row, trace = _member_row(config, params, mem)
-                    cycle_reports.append(row)
-                    if config.emit_traces and trace is not None:
-                        traces.append((mem.system.label, trace, mem.system.memory))
+                    cycle_reports.append(_member_row(config, params, mem))
 
     report = RunReport(
         version=__version__,
@@ -289,7 +322,7 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     failed_claims = any(r.passed is False for r in claim_results)
     failed_cycles = any(row.get("match") is False for row in cycle_reports)
     code = 1 if (failed_claims or failed_cycles) else 0
-    _write_outputs(report, traces, config)
+    _write_outputs(report, config)
     return report, code
 
 
@@ -339,7 +372,7 @@ def _write_json(report: RunReport, fh: IO[str]) -> None:
     fh.write("\n")
 
 
-def _write_outputs(report: RunReport, traces, config: ExperimentConfig) -> None:
+def _write_outputs(report: RunReport, config: ExperimentConfig) -> None:
     if config.out is None:
         _write_json(report, sys.stdout)
         return
@@ -352,9 +385,6 @@ def _write_outputs(report: RunReport, traces, config: ExperimentConfig) -> None:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    for label, trace, memory in traces:
-        suffix = "txt" if config.trace_format == "text-bits" else "rle"
-        export_trace(trace, out_dir / f"{_slug(label)}.{suffix}", config.trace_format, memory)
 
 
 # ---------------------------------------------------------------------------

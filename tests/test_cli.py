@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import neurec.cli
 import neurec.verify
 from neurec import (
     RecurrenceSystem,
@@ -32,6 +34,7 @@ from neurec import (
 )
 from neurec.cli import (
     _RUN_BLOCK,
+    _WRITE,
     MODES,
     export_trace,
     import_trace,
@@ -595,6 +598,60 @@ def test_long_tier_simulated_z_traces_at_m16_equal_run(tmp_path):
         assert bytes(import_trace(out / f"z_m_16_d_{d}.rle")) == want, d
 
 
+def test_simulate_writes_each_trace_before_tracing_the_next_member(tmp_path, monkeypatch):
+    # a simulate run holds at most one trace: each is written, and freed,
+    # before the next member is traced
+    class Traced(bytearray):  # a bytearray that a weakref can watch
+        pass
+
+    calls, alive = [], []
+    traced, export = neurec.cli.simulated_trace, neurec.cli.export_trace
+
+    def tracing(mem, steps):
+        assert all(ref() is None for ref in alive), mem.system.label
+        trace, route, spent = traced(mem, steps)
+        calls.append(("trace", mem.system.label))
+        trace = Traced(trace)
+        alive.append(weakref.ref(trace))
+        return trace, route, spent
+
+    def exporting(trace, path, *args):
+        calls.append(("export", Path(path).name))
+        export(trace, path, *args)
+
+    monkeypatch.setattr("neurec.cli.simulated_trace", tracing)
+    monkeypatch.setattr("neurec.cli.export_trace", exporting)
+    argv = ["--mode", "simulate", "--m", "6", "--m", "11", "--system", "z", "--steps", "500"]
+    assert main([*argv, "--emit-traces", "--out", str(tmp_path / "sim")]) == 0
+    assert calls == [
+        (what, f"z[m={m},d={d}]" if what == "trace" else f"z_m_{m}_d_{d}.txt")
+        for m, rho in ((6, 2), (11, 3))
+        for d in range(rho)
+        for what in ("trace", "export")
+    ]
+    assert all(ref() is None for ref in alive)
+
+
+def test_simulated_z_traces_past_several_periods_are_one_line_per_run(tmp_path, monkeypatch):
+    # 70,000 steps at m = 11 run past T + 3P of every z(d): z(0) (T 583,
+    # P 2,001) and z(1) (T 3,194, P 69) repeat one period's lines, and z(2)
+    # (T 62,547, P 1) ends in a constant run
+    cuts = []
+    periodic_cut = neurec.cli._periodic_cut
+    monkeypatch.setattr(
+        "neurec.cli._periodic_cut", lambda *a: cuts.append(periodic_cut(*a)) or cuts[-1]
+    )
+    out = tmp_path / "sim"
+    argv = ["--mode", "simulate", "--m", "11", "--system", "z", "--steps", "70000"]
+    assert main([*argv, "--emit-traces", "--trace-format", "run-length", "--out", str(out)]) == 0
+    assert [cut > 0 for cut in cuts] == [True, True, False]
+    p = window_params(11)
+    for d in range(p.rho):
+        z = build_z(p, d)
+        want = per_run_lines(run(compile_system(z), z.init, 70_000))
+        assert (out / f"z_m_11_d_{d}.rle").read_bytes() == want, d
+
+
 # --- chain and basin modes --------------------------------------------------------
 
 
@@ -776,6 +833,9 @@ def test_reports_are_deterministic(tmp_path):
         # an empty d list selects nothing to run
         ["--config", {"mode": "cycle", "m": [6], "system": "w", "d": []}],
         ["--config", {"mode": "basin", "m": [6], "d": []}],
+        # d = 2 is on m = 11's range but off m = 6's: no m = 11 trace is written first
+        ["--mode", "simulate", "--m", "11", "--m", "6", "--system", "z", "--d", "2",
+         "--steps", "100", "--emit-traces", "--out", "OUT"],
     ],
 )
 def test_config_errors_exit_2(argv, tmp_path, capsys):
@@ -854,6 +914,57 @@ def test_run_length_blocks_write_every_run_once(tmp_path_factory, first, runs):
     export_trace(trace, path, "run-length", 5)
     assert path.read_bytes() == per_run_lines(trace)
     assert import_trace(path) == list(trace)
+
+
+@pytest.mark.parametrize("memory", [0, 1, 7, _WRITE + 1])
+def test_text_bits_blocks_hold_whole_lines(tmp_path, memory):
+    # a trace of several write blocks reads as lines of memory symbols each
+    trace = bytes(i * 7919 % 11 % 2 for i in range(3 * _WRITE + 5))
+    path = tmp_path / "t.txt"
+    export_trace(trace, path, "text-bits", memory)
+    chars = "".join(map(str, trace))
+    width = memory or len(chars)
+    # compared as lists of lines, whose first difference a failure names at once
+    lines = [chars[i : i + width] for i in range(0, len(chars), width)]
+    assert path.read_text().split("\n") == [*lines, ""]
+
+
+@st.composite
+def hinted_periodic_traces(draw):
+    """A random transient, then a random cycle repeated (sometimes past
+    _WRITE bytes, with one byte flipped), and a (T, P) hint for it: the
+    right one, or one that is wrong, past the end, P = 1, P = 2 or T = 0."""
+    transient = bytes(draw(st.lists(st.integers(0, 1), max_size=40)))
+    cycle = bytes(draw(st.lists(st.integers(0, 1), min_size=1, max_size=12)))
+    reps = draw(st.integers(0, 40) | st.integers(_WRITE // len(cycle), _WRITE // len(cycle) + 40))
+    trace = bytearray(transient + cycle * reps + cycle[: draw(st.integers(0, len(cycle)))])
+    if trace and draw(st.booleans()):
+        trace[draw(st.integers(0, len(trace) - 1))] ^= 1
+    t, p = len(transient), len(cycle)
+    right = [(t, p), (t + 3, 2 * p), (0, p), (t, 1), (t, 2), (len(trace), p), (t, len(trace))]
+    wrong = st.tuples(st.integers(0, len(trace) + 2), st.integers(1, 2 * p + 2))
+    return bytes(trace), draw(st.one_of(st.sampled_from(right), wrong))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hinted_periodic_traces())
+@example((b"\x01" * 3 + b"\x00" * 50, (3, 1)))  # a constant tail: no change of bit after T
+@example((b"\x00\x01" * 40, (0, 2)))
+@example((b"\x00" + b"\x01\x01\x00" * _WRITE, (1, 3)))  # more periods than one write holds
+@example((b"\x00" + b"\x01\x01\x00" * _WRITE + b"\x01", (1, 3)))  # wrong in the last byte only
+# wrong only at byte _WRITE - 2, late in the first chunk the check compares
+@example((b"\x01\x01\x00" * 21_844 + b"\x01" * 3 + b"\x01\x01\x00" * 21_844, (0, 3)))
+def test_a_hinted_trace_file_is_the_unhinted_one(tmp_path_factory, case):
+    # the hint's (T, P) is checked on the bytes, so right or wrong it leaves
+    # the file as one line per run (compared as lists of lines, whose first
+    # difference a failure names at once)
+    trace, hint = case
+    path = tmp_path_factory.mktemp("hinted") / "t.rle"
+    want = per_run_lines(trace).split(b"\n")
+    export_trace(trace, path, "run-length", 5, hint)
+    assert path.read_bytes().split(b"\n") == want
+    export_trace(trace, path, "run-length", 5)
+    assert path.read_bytes().split(b"\n") == want
 
 
 @pytest.mark.parametrize(

@@ -39,10 +39,9 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .construction import RecurrenceSystem
@@ -68,12 +67,14 @@ LONG_MS = (16, 21)
 CSV_FIELDS = ("system", "m", "d", "T_measured", "P_measured", "T_predicted", "P_predicted", "match")
 
 
-@dataclass
 class ExperimentConfig:
-    """Fully resolved run configuration (file values overridden by flags)."""
+    """Fully resolved run configuration (file values overridden by flags).
+
+    Each setting is an annotated class attribute holding its default; an
+    instance starts from those, with its own copy of every list."""
 
     mode: str = "verify"
-    m: list[int] = field(default_factory=lambda: list(DEFAULT_MS))
+    m: list[int] = list(DEFAULT_MS)
     d: list[int] | None = None
     system: str | None = None
     lane: int | None = None
@@ -86,9 +87,13 @@ class ExperimentConfig:
     seed: int = 0
     long: bool = False
 
+    def __init__(self) -> None:
+        for name in ExperimentConfig.__annotations__:
+            value = getattr(ExperimentConfig, name)
+            setattr(self, name, list(value) if isinstance(value, list) else value)
 
-@dataclass
-class RunReport:
+
+class RunReport(NamedTuple):
     """Everything one invocation produced."""
 
     version: str
@@ -312,10 +317,10 @@ def cmd_run(config: ExperimentConfig) -> tuple[RunReport, int]:
     report = RunReport(
         version=__version__,
         mode=config.mode,
-        config=asdict(config),
+        config=dict(vars(config)),
         params_summary=params_summary,
         cycle_reports=cycle_reports,
-        claim_results=[asdict(r) for r in claim_results],
+        claim_results=[r._asdict() for r in claim_results],
         wall_clock_s=round(time.perf_counter() - start, 3),
     )
 
@@ -368,7 +373,7 @@ def _write_json(report: RunReport, fh: IO[str]) -> None:
     """Stream the report into fh as indented JSON and a newline.  Its fields
     already hold plain dicts and lists, so they are written as they stand,
     with no deep copy and no whole document in memory."""
-    json.dump(vars(report), fh, indent=2, sort_keys=True)
+    json.dump(report._asdict(), fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 
@@ -462,16 +467,16 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_values) - set(ExperimentConfig.__dataclass_fields__)
+        unknown = set(file_values) - set(ExperimentConfig.__annotations__)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     config = ExperimentConfig()
     hints = get_type_hints(ExperimentConfig)
-    for name, spec in ExperimentConfig.__dataclass_fields__.items():
+    for name, annotation in ExperimentConfig.__annotations__.items():
         value = file_values.get(name)
         if value is not None:
             if not _has_type(value, hints[name]):
-                raise ValueError(f"config key {name!r} must be {spec.type}, got {value!r}")
+                raise ValueError(f"config key {name!r} must be {annotation}, got {value!r}")
             setattr(config, name, value)
         # each flag's dest is the field it overrides
         if getattr(args, name) is not None:
@@ -504,7 +509,7 @@ def _validate(config: ExperimentConfig) -> None:
         if given == []:
             raise ValueError(f"need at least one {name}")
     # the modes that read each setting; the others reject it off its default,
-    # which a dataclass keeps as a class attribute
+    # the class attribute of ExperimentConfig
     for names, modes in (
         (("d",), ("construct", "simulate", "cycle", "basin")),
         (("system", "lane"), ("construct", "simulate", "cycle")),

@@ -37,9 +37,8 @@ plain ints everywhere except the z-systems, whose perturbations live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import IndexOutOfRange, MixedShapes, PlanInvariantViolated, ShapeMismatch
 from .numtheory import WindowParams, cycle_lengths
@@ -78,36 +77,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecurrenceSystem:
-    """One threshold unit plus its initial window.
-
-    taps lists (j, a_j) for the nonzero weights, by rising offset j in
-    1..memory; a_j multiplies x(n-j), and every other weight is 0.  init is
-    x(0)..x(memory-1), bytes of 0/1.
-    """
-
+class _SystemFields(NamedTuple):
     memory: int
     taps: Taps
     threshold: Rational
     init: bytes
     label: str = ""
 
-    def __post_init__(self) -> None:
-        name = self.label or "system"
-        offsets = [0, *(j for j, _ in self.taps), self.memory + 1]
+
+class RecurrenceSystem(_SystemFields):
+    """One threshold unit plus its initial window.
+
+    taps lists (j, a_j) for the nonzero weights, by rising offset j in
+    1..memory; a_j multiplies x(n-j), and every other weight is 0.  init is
+    x(0)..x(memory-1), bytes of 0/1.  Every construction checks the shape,
+    _replace too, as it builds through _make.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, memory: int, taps: Taps, threshold: Rational, init: bytes, label: str = ""):
+        name = label or "system"
+        offsets = [0, *(j for j, _ in taps), memory + 1]
         if any(a >= b for a, b in zip(offsets, offsets[1:])):
-            raise ShapeMismatch(f"{name}: tap offsets must rise within 1..{self.memory}")
-        if any(w == 0 for _, w in self.taps):
+            raise ShapeMismatch(f"{name}: tap offsets must rise within 1..{memory}")
+        if any(w == 0 for _, w in taps):
             raise ShapeMismatch(f"{name}: a tap has weight 0")
-        if not isinstance(self.init, bytes) or len(self.init) != self.memory:
-            raise ShapeMismatch(f"{name}: init must be {self.memory} bytes")
-        if self.init.translate(None, b"\x00\x01"):
+        if not isinstance(init, bytes) or len(init) != memory:
+            raise ShapeMismatch(f"{name}: init must be {memory} bytes")
+        if init.translate(None, b"\x00\x01"):
             raise ShapeMismatch(f"{name}: init must be 0/1 bits")
+        return super().__new__(cls, memory, taps, threshold, init, label)
+
+    @classmethod
+    def _make(cls, iterable) -> RecurrenceSystem:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class IndexSets:
+class IndexSets(NamedTuple):
     """Weight-support bookkeeping for one scale m.
 
     pos[i] = {j * p_i : 1 <= j <= 2*rho} is where lane i's window holds its
@@ -244,7 +251,7 @@ def _shuffle(params: WindowParams, windows: Sequence[bytes], label: str) -> Recu
     """shuffle_compose of the single units started from windows, relabelled."""
     taps, theta = single_weights(params)
     lanes = [RecurrenceSystem(params.k, taps, theta, init) for init in windows]
-    return replace(shuffle_compose(lanes), label=label)
+    return shuffle_compose(lanes)._replace(label=label)
 
 
 def build_y(params: WindowParams) -> RecurrenceSystem:
@@ -299,8 +306,7 @@ def compute_B0(params: WindowParams, d: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class PerturbationPlan:
+class PerturbationPlan(NamedTuple):
     """Everything needed to depress y into z(., d).
 
     B0 is the base index set; A is the union of its unit shifts

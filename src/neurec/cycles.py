@@ -68,7 +68,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, product
 from math import gcd, lcm, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -90,8 +89,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """A certified minimal (transient, period) of one orbit.
 
     entry_window is the window S_T at the transient: the first window of

@@ -39,10 +39,9 @@ memory.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
 from .errors import ShapeMismatch
@@ -79,8 +78,7 @@ def bits_from_word(word: int, memory: int) -> bytes:
     return format(word & ((1 << memory) - 1) | 1 << memory, "b")[1:].encode().translate(_BITS)
 
 
-@dataclass(frozen=True)
-class CompiledSystem:
+class CompiledSystem(NamedTuple):
     """Scaled-integer form of a RecurrenceSystem.
 
     taps lists (offset j, scaled weight) for the system's taps, in order;

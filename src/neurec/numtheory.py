@@ -20,7 +20,7 @@ in cycles that prove a period minimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, RhoTooSmall
 
@@ -56,8 +56,7 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo + 1, 2), hi) if prime_factors(p) == (p,)]
 
 
-@dataclass(frozen=True)
-class WindowParams:
+class WindowParams(NamedTuple):
     """All scale parameters derived from m.
 
     primes are descending: primes[0] is the largest prime below 3m.

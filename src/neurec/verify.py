@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -131,14 +130,13 @@ def proof_memo() -> Iterator[None]:
         _proofs = None
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """One verified, refuted or skipped (passed None) claim instance."""
 
     claim: str
     params: dict
     passed: bool | None
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 def predicted_cycle(params: WindowParams, family: str, index: int | None = None) -> tuple[int, int]:
@@ -183,17 +181,17 @@ def z_handoff(params: WindowParams, d: int) -> Handoff:
     return Handoff(member(params, "y"), member(params, "w", d), cycle_lengths(params, d)[1])
 
 
-@dataclass(frozen=True, eq=False)
 class Member:
     """One family member, equal only to itself: its system, compiled once on
     first use (cs), its predicted (T, P) and, for z(d) only, its Handoff's
     builder, called only when a proof or trace needs the handoff certificate."""
 
-    family: str
-    index: int | None
-    system: RecurrenceSystem
-    predicted: tuple[int, int]
-    handoff: Callable[[], Handoff] | None
+    def __init__(
+        self, family: str, index: int | None, system: RecurrenceSystem, predicted: tuple[int, int],
+        handoff: Callable[[], Handoff] | None,
+    ) -> None:
+        self.family, self.index, self.system = family, index, system
+        self.predicted, self.handoff = predicted, handoff
 
     @cached_property
     def cs(self) -> CompiledSystem:
@@ -336,7 +334,7 @@ def measure_cycle(
         if read is None and spent + work > cap:
             raise BudgetExceeded(spent, cap)
         rep = verify_predicted(cs, init, t_pred, p_pred, read)
-        rep = replace(rep, steps_executed=spent + rep.steps_executed)
+        rep = rep._replace(steps_executed=spent + rep.steps_executed)
     if proofs is not None:
         proofs[key] = rep
     return rep
@@ -911,8 +909,7 @@ def skip_detail(work: int) -> dict | None:
 # the claim table
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One checkable statement.
 
     grid(params) lists its structurally valid instances at one scale, or is

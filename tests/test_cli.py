@@ -759,6 +759,33 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"m": 6}, "config key 'm' must be list[int], got 6"),
+        ({"m": [6], "budget": "10"}, "config key 'budget' must be int | None, got '10'"),
+        ({"m": [6], "claims": "prop1"}, "config key 'claims' must be list[str] | None, got 'prop1'"),
+        ({"m": [6], "long": 1}, "config key 'long' must be bool, got 1"),
+    ],
+)
+def test_config_file_type_error_names_the_annotation(tmp_path, capsys, values, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"neurec: {message}\n"
+
+
+def test_each_config_starts_from_its_own_defaults():
+    first = neurec.cli.ExperimentConfig()
+    first.m.append(16)
+    assert neurec.cli.ExperimentConfig().m == [6, 11]
+    assert vars(neurec.cli.ExperimentConfig()) == {
+        "mode": "verify", "m": [6, 11], "d": None, "system": None, "lane": None, "steps": None,
+        "budget": None, "claims": None, "out": None, "emit_traces": False,
+        "trace_format": "text-bits", "seed": 0, "long": False,
+    }
+
+
 def test_reports_are_deterministic(tmp_path):
     args = ["--mode", "verify", "--m", "6", "--claims", "basin,divisor_rule", "--seed", "7"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -988,6 +1015,24 @@ def test_exit_contract_through_the_module_entry_point(tmp_path, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # against a bare interpreter, so that what site loads on a given host does not count
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def loaded(statement):
+        code = f"{statement}; import sys; print(' '.join(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=os.environ | {"PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import neurec.cli") - loaded("pass")
+    assert "neurec.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_run_length_traces_are_utf8_in_an_ascii_locale(tmp_path):

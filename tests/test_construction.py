@@ -431,8 +431,15 @@ MALFORMED = {
 
 @pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED)
 def test_recurrence_system_validation(fields):
-    # each case breaks one field of a well-formed system
+    # each case breaks one field of a well-formed system, built anew or
+    # replaced into one (_replace builds through _make, which checks too)
     good = dict(memory=3, taps=((1, 1), (3, Fraction(-1, 2))), threshold=0, init=bytes([0, 1, 0]))
-    RecurrenceSystem(**good)
+    system = RecurrenceSystem(**good)
+    renamed = system._replace(label="renamed")
+    assert type(renamed) is RecurrenceSystem and renamed == (*good.values(), "renamed")
     with pytest.raises(ShapeMismatch):
         RecurrenceSystem(**good | fields)
+    with pytest.raises(ShapeMismatch):
+        system._replace(**fields)
+    with pytest.raises(ShapeMismatch):
+        RecurrenceSystem._make((good | fields).values())

@@ -6,7 +6,6 @@ is feasible to run, and, searching blind, must find the formula-level
 (T, P) of every family member at the desk scales.
 """
 
-import dataclasses
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -325,7 +324,7 @@ def on_certificate(cs, init, t, p, handoff=None):
     cert, spent = _certificate(cs, init, None if handoff is None else lambda: handoff, MEASURE_CUTOFF)
     read = cert.read if cert is not None and cert.closes else None
     rep = verify_predicted(cs, init, t, p, read)
-    return dataclasses.replace(rep, steps_executed=spent + rep.steps_executed)
+    return rep._replace(steps_executed=spent + rep.steps_executed)
 
 
 def lanes_uncapped(cs, init, t, p):
@@ -416,7 +415,7 @@ def test_one_lane_systems_never_take_the_lane_route(s):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
         mp.setattr("neurec.verify.certify_lanes", no_lanes)
-        assert measure_cycle(cs, s.init, pred) == dataclasses.replace(rep, steps_executed=sum(pred))
+        assert measure_cycle(cs, s.init, pred) == rep._replace(steps_executed=sum(pred))
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,7 +477,7 @@ def test_lane_route_agrees_with_simulation_on_y_and_w(m, families):
         sim = verify_predicted(cs, s.init, t, period)
         for prove in (on_certificate, lanes_uncapped):
             rep = prove(cs, s.init, t, period)
-            assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), (family, index)
+            assert rep == sim._replace(steps_executed=rep.steps_executed), (family, index)
         for pair in wrong_pairs(t, period):
             want = refusal(verify_predicted, cs, s.init, pair)
             assert refusal(lanes_uncapped, cs, s.init, pair) == want, (family, index, pair)
@@ -490,7 +489,7 @@ def test_lane_route_refuses_y_with_a_raised_threshold():
     y = build_y(p)
     cs = compile_system(y)
     assert on_certificate(cs, y.init, *predicted_cycle(p, "y")).steps_executed < 10_000
-    raised = dataclasses.replace(y, threshold=y.threshold + 1)
+    raised = y._replace(threshold=y.threshold + 1)
     with pytest.raises(PredictionFailed) as exc:
         on_certificate(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
     assert exc.value.check == "period"
@@ -538,10 +537,10 @@ def test_handoff_route_agrees_with_simulation_on_every_z(m, monkeypatch):
         sim = verify_predicted(cs, s.init, t, period)
         handoff = z_handoff(p, d)
         rep = handoff_uncapped(cs, s.init, t, period, handoff)
-        assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
+        assert rep == sim._replace(steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
         routed = measure_cycle(cs, s.init, (t, period), handoff=lambda: handoff)
-        assert routed == dataclasses.replace(sim, steps_executed=routed.steps_executed), d
+        assert routed == sim._replace(steps_executed=routed.steps_executed), d
         for pair in wrong_pairs(t, period):
             want = refusal(verify_predicted, cs, s.init, pair)
             assert refusal(handoff_uncapped, cs, s.init, (*pair, handoff)) == want, (d, pair)
@@ -555,7 +554,7 @@ def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
     p = window_params(m)
     for d in range(p.rho):
         z = build_z(p, d)
-        raised = dataclasses.replace(z, threshold=z.threshold + 1)
+        raised = z._replace(threshold=z.threshold + 1)
         cs = compile_system(raised)
         handoff = z_handoff(p, d)
         read, _ = handoff_reader(cs, raised.init, handoff, budget=10**9)
@@ -569,13 +568,13 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     # a z whose init is not y's cannot follow y's orbit: simulate
     p = window_params(6)
     z = build_z(p, 0)
-    flipped = dataclasses.replace(z, init=bytes([1 - z.init[0]]) + z.init[1:])
+    flipped = z._replace(init=bytes([1 - z.init[0]]) + z.init[1:])
     cs = compile_system(flipped)
     assert handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
     ref = detect_cycle(cs, flipped.init, step_budget=10**6)
     pair = (ref.measured_transient, ref.measured_period)
     rep = on_certificate(cs, flipped.init, *pair, z_handoff(p, 0))
-    assert rep == dataclasses.replace(ref, steps_executed=sum(pair))
+    assert rep == ref._replace(steps_executed=sum(pair))
 
 
 def test_handoff_certificate_refuses_lanes_it_cannot_prove_on():
@@ -660,11 +659,11 @@ def test_lane_prefix_finds_a_disagreement_inside_the_lane_transients():
         q0 = max(rep.measured_transient for _, rep in lanes.orbits)
         assert q0 > 0
         shifts = (Fraction(t, 8) for t in range(-16, 17))
-        perturbed = [dataclasses.replace(z, threshold=z.threshold + t) for t in shifts]
+        perturbed = [z._replace(threshold=z.threshold + t) for t in shifts]
         for j in range(z.memory):
             weights = weights_of(z)
             weights[j] -= 1
-            perturbed.append(dataclasses.replace(z, taps=taps_of(weights)))
+            perturbed.append(z._replace(taps=taps_of(weights)))
         for system in perturbed:
             cs = compile_system(system)
             first, steps = _first_disagreement(cs, lanes, 10**9)
@@ -685,7 +684,7 @@ def test_first_disagreement_budget_counts_search_nodes_and_crt_tuples():
     y = build_y(p)
     lanes, _ = certify_lanes(compile_system(y), y.init, 10**9)
     assert max(rep.measured_transient for _, rep in lanes.orbits) == 0
-    fires = compile_system(dataclasses.replace(y, taps=(), threshold=-1))
+    fires = compile_system(y._replace(taps=(), threshold=-1))
     trace = run(compile_system(y), y.init, y.memory)
     assert _first_disagreement(fires, lanes, 10**9)[0] == trace.index(0, y.memory) - y.memory
     tables = sum(rep.measured_period for _, rep in lanes.orbits)
@@ -806,17 +805,17 @@ def test_the_margin_premises_are_checked_at_their_boundaries():
     r, d = len(lanes.orbits), cs.denominator
     assert _fires_only_with(cs, lanes)
     floor = d * (lanes.cs.scaled_threshold - 1)
-    assert _fires_only_with(dataclasses.replace(cs, scaled_threshold=floor + 1), lanes)
-    assert not _fires_only_with(dataclasses.replace(cs, scaled_threshold=floor), lanes)
+    assert _fires_only_with(cs._replace(scaled_threshold=floor + 1), lanes)
+    assert not _fires_only_with(cs._replace(scaled_threshold=floor), lanes)
     j, weight = lanes.cs.taps[0]
     others = tuple(tap for tap in cs.taps if tap[0] != r * j)
     for extra, fires_only in ((0, True), (1, False)):
         taps = ((r * j, d * weight + extra), *others)
-        assert _fires_only_with(dataclasses.replace(cs, taps=taps), lanes) is fires_only
+        assert _fires_only_with(cs._replace(taps=taps), lanes) is fires_only
     off_stride = next(j for j in range(1, cs.memory + 1) if j % r)  # no lane tap: weight 0
     for weight, fires_only in ((0, True), (-1, True), (1, False)):
         taps = (*cs.taps, (off_stride, weight))
-        assert _fires_only_with(dataclasses.replace(cs, taps=taps), lanes) is fires_only
+        assert _fires_only_with(cs._replace(taps=taps), lanes) is fires_only
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -895,7 +894,7 @@ def test_certificate_traces_cut_off_the_lane_stride():
     for length in lengths:
         assert lanes.trace(length) == full[:length], length
     for at in (100, 101):
-        tail = dataclasses.replace(y, init=full[at : at + y.memory])
+        tail = y._replace(init=full[at : at + y.memory])
         handoff = Handoff(as_part(y), as_part(tail), at)
         cert, _ = _certificate(cs, y.init, lambda: handoff, 10**7)
         assert cert.closes and cert.at == at
@@ -956,8 +955,8 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
     for s, (t, period), handoff in cases:
         cs, init = compile_system(s), s.init
         full = measure_cycle(cs, init, (t, period), handoff=handoff)
-        assert full == dataclasses.replace(
-            verify_predicted(cs, init, t, period), steps_executed=full.steps_executed
+        assert full == verify_predicted(cs, init, t, period)._replace(
+            steps_executed=full.steps_executed
         )
 
         def closes(budget):
@@ -991,7 +990,7 @@ def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
         pred = predicted_cycle(p, "z", d)
         sim = verify_predicted(cs, z.init, *pred)
         rep = on_certificate(cs, z.init, *pred, z_handoff(p, d))
-        assert rep == dataclasses.replace(sim, steps_executed=rep.steps_executed), d
+        assert rep == sim._replace(steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
     assert (sim.measured_transient, sim.measured_period) == (12_264_800, 1)
 
@@ -1027,7 +1026,7 @@ def handoff_cases(draw):
     for j in draw(st.lists(st.integers(0, r * memory - 1), min_size=1, max_size=3)):
         perturbed[j] += draw(st.sampled_from([Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4)]))
     nudge = draw(st.sampled_from([Fraction(-1, 8), 0, Fraction(1, 8)]))
-    cs = compile_system(dataclasses.replace(head, taps=taps_of(perturbed), threshold=theta + nudge))
+    cs = compile_system(head._replace(taps=taps_of(perturbed), threshold=theta + nudge))
     head_cs = compile_system(head)
     word, first = word_from_bits(init), 0
     while first < 500 and (affine_sum(head_cs, word) >= head_cs.scaled_threshold) == (
@@ -1036,7 +1035,7 @@ def handoff_cases(draw):
         word, first = advance_word(head_cs, word, 1), first + 1
     at = first + draw(st.integers(0, r * memory))
     tail_init = run(cs, init, at)[at:]
-    return cs, init, Handoff(as_part(head), as_part(dataclasses.replace(head, init=tail_init)), at)
+    return cs, init, Handoff(as_part(head), as_part(head._replace(init=tail_init)), at)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1069,7 +1068,7 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     assert windows == [advance_word(cs, word0, n) for n in times]
     for prove in (on_certificate, handoff_uncapped):
         rep = prove(cs, init, t, p, handoff)
-        assert rep == dataclasses.replace(ref, steps_executed=rep.steps_executed)
+        assert rep == ref._replace(steps_executed=rep.steps_executed)
     for pair in wrong_pairs(t, p):
         want = refusal(verify_predicted, cs, init, pair)
         assert refusal(handoff_uncapped, cs, init, (*pair, handoff)) == want, pair
@@ -1083,7 +1082,7 @@ def test_the_margin_filter_finds_the_exact_scans_first_disagreement(case):
     # the system with its threshold a whole unit lower also fires where the
     # part's next bit is 0, which only the exact scan sees
     cs, _, handoff = case
-    lowered = dataclasses.replace(cs, scaled_threshold=cs.scaled_threshold - cs.denominator)
+    lowered = cs._replace(scaled_threshold=cs.scaled_threshold - cs.denominator)
     for part in (handoff.head, handoff.tail):
         lanes, _ = certify_lanes(part.cs, part.system.init, 10**6)
         if not lanes.coprime:

@@ -1,6 +1,5 @@
 """Claim registry behavior: inventory, dispatch, grids, failure capture."""
 
-import dataclasses
 import json
 import time
 from collections import Counter
@@ -17,8 +16,10 @@ import neurec.verify
 from neurec import (
     ALL_CLAIMS,
     BudgetExceeded,
+    ClaimResult,
     HypothesisUnmet,
     IndexOutOfRange,
+    Member,
     PredictionFailed,
     RecurrenceSystem,
     RhoTooSmall,
@@ -148,11 +149,12 @@ def test_member_guards_and_hands_off_z(capped_simulation):
     # z(4) at m = 21 has one lane: its member proves it on the handoff, and
     # without the handoff the proof, T + P = 1.9e9, passes the cap unrun
     p21 = window_params(21)
-    rep = member(p21, "z", 4).prove(budget=10**5)
+    z4 = member(p21, "z", 4)
+    rep = z4.prove(budget=10**5)
     assert (rep.measured_transient, rep.measured_period) == (1_927_501_345, 1)
     assert rep.steps_executed < 10**5
     with pytest.raises(BudgetExceeded) as exc:
-        dataclasses.replace(member(p21, "z", 4), handoff=None).prove()
+        Member(z4.family, z4.index, z4.system, z4.predicted, None).prove()
     assert (exc.value.steps, exc.value.budget) == (0, MEASURE_CUTOFF)
 
 
@@ -201,7 +203,7 @@ def test_measure_cycle_certifies_the_prediction(monkeypatch):
     assert measure_cycle(cs, s.init, (0, 17), budget=17) == rep
     # past DETECT_CUTOFF the proof is one pass of exactly T + P slides
     monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
-    assert measure_cycle(cs, s.init, (0, 17)) == dataclasses.replace(rep, steps_executed=17)
+    assert measure_cycle(cs, s.init, (0, 17)) == rep._replace(steps_executed=17)
     with pytest.raises(PredictionFailed):
         measure_cycle(cs, s.init, (1, 17))
 
@@ -256,7 +258,7 @@ def test_long_tier_blind_search_agrees_with_the_certificates_past_the_cutoff():
             rep = measure_cycle(compile_system(s), s.init, pred, handoff=handoff)
             assert rep.steps_executed < sum(pred), (m, family, d)  # a search takes T + P
             sim = detect_cycle(compile_system(s), s.init, sum(pred))
-            assert dataclasses.replace(rep, steps_executed=sim.steps_executed) == sim, (m, family, d)
+            assert rep._replace(steps_executed=sim.steps_executed) == sim, (m, family, d)
             checked.append((m, family, d))
     assert checked == [
         (16, "w", 0), (16, "w", 1), (21, "w", 1), (21, "w", 2), (21, "z", 1), (21, "z", 2)
@@ -370,7 +372,7 @@ def test_prop1_fails_when_the_support_is_the_whole_window(monkeypatch):
     index_sets = neurec.construction.index_sets
 
     def whole(params):
-        return dataclasses.replace(index_sets(params), F=frozenset(range(1, params.k + 1)))
+        return index_sets(params)._replace(F=frozenset(range(1, params.k + 1)))
 
     monkeypatch.setattr("neurec.construction.index_sets", whole)
     (res,) = run_claims(ms=(6,), claims=["prop1"])
@@ -383,7 +385,7 @@ def test_window_param_bounds_fail_on_ascending_primes(monkeypatch):
 
     def ascending(m):
         params = original(m)
-        return dataclasses.replace(params, primes=tuple(sorted(params.primes)))
+        return params._replace(primes=tuple(sorted(params.primes)))
 
     monkeypatch.setattr("neurec.verify.window_params", ascending)
     (res,) = run_claims(ms=(6,), claims=["window_param_bounds"])
@@ -514,7 +516,7 @@ def test_sum_bounds_see_a_flipped_lane_of_w(m, monkeypatch):
         w = build_w(params, d)
         init = bytearray(w.init)
         init[params.h - params.rho + d] ^= 1
-        return dataclasses.replace(w, init=bytes(init))
+        return w._replace(init=bytes(init))
 
     monkeypatch.setattr("neurec.construction.build_w", flipped)
     (res,) = run_claims(ms=(m,), claims=["sum_bounds"])
@@ -531,7 +533,7 @@ def test_sum_bounds_fail_lanes_whose_periods_share_a_factor(monkeypatch):
     # every lane of this y runs x_0's orbit, so all lane periods are p_0
     def one_orbit(params):
         init = [x_closed_form(params, 0, 1 + t // params.rho) for t in range(params.h)]
-        return dataclasses.replace(build_y(params), init=bytes(init))
+        return build_y(params)._replace(init=bytes(init))
 
     monkeypatch.setattr("neurec.construction.build_y", one_orbit)
     (res,) = run_claims(ms=(6,), claims=["sum_bounds"])
@@ -560,12 +562,12 @@ def lane_zero_two_slides_in(params):
     y = build_y(params)
     init = bytearray(y.init)
     init[:: params.rho] = bytes(x_closed_form(params, 0, 2 + j) for j in range(params.k))
-    return dataclasses.replace(y, init=bytes(init))
+    return y._replace(init=bytes(init))
 
 
 def raised_threshold(params):
     y = build_y(params)
-    return dataclasses.replace(y, threshold=y.threshold + 1)
+    return y._replace(threshold=y.threshold + 1)
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -696,7 +698,7 @@ def test_phases_refuse_z_with_a_lowered_threshold(m, monkeypatch):
     # anomalies, then w
     def lowered(params, d, y=None):
         z = build_z(params, d, y)
-        return dataclasses.replace(z, threshold=z.threshold - Fraction(1, 16))
+        return z._replace(threshold=z.threshold - Fraction(1, 16))
 
     monkeypatch.setattr("neurec.construction.build_z", lowered)
     for d in range(window_params(m).rho):
@@ -712,7 +714,7 @@ def test_phases_fail_without_a_handoff_certificate(monkeypatch):
     def misstarted(params, d):
         handoff = z_handoff(params, d)
         y = handoff.head.system
-        flipped = dataclasses.replace(y, init=bytes([1 - y.init[0]]) + y.init[1:])
+        flipped = y._replace(init=bytes([1 - y.init[0]]) + y.init[1:])
         return handoff._replace(head=member(params, "y", system=flipped))
 
     monkeypatch.setattr("neurec.verify.z_handoff", misstarted)
@@ -1018,7 +1020,7 @@ def test_chain_member_unlike_the_direct_build_is_proved_afresh(proof_calls, monk
 
     def flip_first_init_bit(current, plan, next_plan):
         system = original(current, plan, next_plan)
-        return dataclasses.replace(system, init=bytes([1 - system.init[0]]) + system.init[1:])
+        return system._replace(init=bytes([1 - system.init[0]]) + system.init[1:])
 
     monkeypatch.setattr("neurec.verify.cons.chain_perturbation", flip_first_init_bit)
     run_claims(ms=(6,), claims=["z_summary", "chain"])
@@ -1239,6 +1241,14 @@ def test_run_claims_m6_all_green():
     bad = [r for r in results if not r.passed]
     assert bad == [], [(r.claim, r.params, r.detail) for r in bad]
     assert {r.claim for r in results} == set(ALL_CLAIMS)
+
+
+def test_claim_results_never_share_a_detail():
+    # detail has no default, so no two results can share one by leaving it out
+    with pytest.raises(TypeError):
+        ClaimResult("prop1", {"m": 6}, True)
+    for results in (run_claims(ms=(6,)), run_claims(ms=(6,), claims=["z_summary"], budget=50)):
+        assert len({id(r.detail) for r in results}) == len(results)
 
 
 def test_every_claim_passes_at_every_scale_from_5_to_20():

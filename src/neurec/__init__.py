@@ -71,7 +71,6 @@ from .verify import (
     check_chain,
     check_composition,
     check_phases,
-    measure_cycle,
     member,
     predicted_cycle,
     run_claims,

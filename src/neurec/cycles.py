@@ -96,7 +96,7 @@ class CycleReport(NamedTuple):
     the attractor, certified by the probes.  steps_executed counts the
     slides taken: a blind search's own, whose probes read its trace, or a
     proof's, T + P when it simulates and 0 when it reads a certificate, to
-    which verify.measure_cycle adds the certificate's.
+    which verify.Member.prove adds the certificate's.
     """
 
     measured_transient: int

@@ -18,17 +18,18 @@ whatever its check returns.
 Some claims re-derive combinatorial facts (index-set cardinalities, weight
 band sums, the two routes to the perturbation set, the chain update).  The
 others simulate and compare against closed forms or predicted (transient,
-period) pairs.  measure_cycle is the one router of a proof: it searches
+period) pairs.  Member.prove is the one router of a proof: it searches
 orbits of predicted T + P up to DETECT_CUTOFF, which bench/test_harness.py
 pins, blind with detect_cycle, and proves the rest with verify_predicted,
 the one prover, on the windows of a certificate.  _certificate is the one
-place a certificate is picked, capped and kept.  Every z(d) reads its
-handoff certificate (handoff_certificate), its orbit y's up to its first
-disagreement and w(d)'s from L1(d) on, proved on the lanes of y and w(d).
-Any other system with more than one lane reads its lanes (certify_lanes),
-as y and every w(d), rho-way shuffles of single units, do.  A single unit,
-x_i or v_i, reads none and is searched or simulated.  On every route a
-wrong prediction raises PredictionFailed from the one probe rule in cycles.
+place a certificate is picked, capped and kept on its member.  Every z(d)
+reads its handoff certificate (handoff_certificate), its orbit y's up to its
+first disagreement and w(d)'s from L1(d) on, proved on the lanes of y and
+w(d).  Any other system with more than one lane reads its lanes
+(certify_lanes), as y and every w(d), rho-way shuffles of single units, do.
+A single unit, x_i or v_i, reads none and is searched or simulated.  On
+every route a wrong prediction raises PredictionFailed from the one probe
+rule in cycles.
 member wires each family member in one place, its system, compiled on
 first use (Member.cs), predicted_cycle pair and, for z(d), handoff builder;
 no claim but chain_equals_direct, about the builders, builds a family
@@ -45,11 +46,13 @@ a handoff at its prefix, phases, steps and an allowance for its nodes) of
 the members it proves or certifies, and skip_detail skips (passed None)
 one past MEASURE_CUTOFF rather than attempt it.
 
-A run builds and compiles each member once, proves each distinct orbit once
-and certifies it once: proof_memo, open for one run_claims call or a CLI cycle
-or simulate run, keeps every member built, completed proof and closed
-certificate, so z(d)'s handoff reads the run's y and w(d), the chain and
-sum_bounds reuse the proofs of earlier claims, phases and z_summary share
+A run builds and compiles each member once, proves it once and certifies
+it once: proof_memo, open for one run_claims call or a CLI cycle or simulate
+run, keeps every member built and nothing else, and a member keeps its
+completed proof and closed certificate.  So z(d)'s handoff reads the run's
+y and w(d), sum_bounds reuses the proofs of earlier claims, the chain
+reuses them for every chained z(d) equal to the run's (any other is a
+fresh member, freed once the chain moves past it), phases and z_summary share
 each z(d)'s certificate, y_cycle, y_deshuffle, sum_bounds and every z(d)
 share y's lanes, and a detail's steps do not depend on which claim ran
 first.  The memo is dropped when the run ends.  A certified proof also
@@ -90,7 +93,6 @@ __all__ = [
     "predicted_cycle",
     "Member",
     "member",
-    "measure_cycle",
     "simulated_trace",
     "Handoff",
     "z_handoff",
@@ -103,7 +105,7 @@ __all__ = [
     "run_claims",
 ]
 
-# Routing and feasibility bounds, in window slides.  measure_cycle routes on
+# Routing and feasibility bounds, in window slides.  Member.prove routes on
 # DETECT_CUTOFF and the cap; skip_detail skips instances past MEASURE_CUTOFF.
 # A search costs T + P slides, a certificate about sum(p_i) + h.  Best of 3,
 # 3 runs, 2 cores, CPython 3.11 (tools/route_crossover.py --repeats 3): lanes
@@ -114,20 +116,19 @@ __all__ = [
 DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
-_proofs: dict | None = None
+_members: dict | None = None
 
 
 @contextmanager
 def proof_memo() -> Iterator[None]:
-    """Open _proofs for one run: completed proofs under (compiled system, init,
-    predicted), closed certificates under (compiled system, init, handoff)
-    and built members under ("member", m, family, index)."""
-    global _proofs
-    _proofs = {}
+    """Open _members for one run: each member built, under (m, family,
+    index), with the proof and certificate it keeps (Member)."""
+    global _members
+    _members = {}
     try:
         yield
     finally:
-        _proofs = None
+        _members = None
 
 
 class ClaimResult(NamedTuple):
@@ -184,7 +185,9 @@ def z_handoff(params: WindowParams, d: int) -> Handoff:
 class Member:
     """One family member, equal only to itself: its system, compiled once on
     first use (cs), its predicted (T, P) and, for z(d) only, its Handoff's
-    builder, called only when a proof or trace needs the handoff certificate."""
+    builder, called only when a proof or trace needs the handoff certificate.
+    It keeps its completed proof (prove) and its closed certificate with that
+    certificate's steps (_certificate), so each is freed with the member."""
 
     def __init__(
         self, family: str, index: int | None, system: RecurrenceSystem, predicted: tuple[int, int],
@@ -192,14 +195,50 @@ class Member:
     ) -> None:
         self.family, self.index, self.system = family, index, system
         self.predicted, self.handoff = predicted, handoff
+        self.proof: CycleReport | None = None
+        self.certificate: tuple[Lanes | HandoffCertificate, int] | None = None
 
     @cached_property
     def cs(self) -> CompiledSystem:
         return compile_system(self.system)
 
     def prove(self, budget: int | None = None) -> CycleReport:
-        """measure_cycle on the member's compiled system, prediction and handoff."""
-        return measure_cycle(self.cs, self.system.init, self.predicted, budget, self.handoff)
+        """Certify the predicted (T, P) from the system's init as its minimal pair.
+
+        One cap, budget or else MEASURE_CUTOFF (_cap), picks the route and
+        bounds it.  An orbit whose T + P fits both the cap and DETECT_CUTOFF is
+        measured blind with detect_cycle in exactly T + P slides.  Any other,
+        or one the search does not confirm, is proved by verify_predicted on
+        the certificate _certificate picks for the member, or else on
+        simulated windows, unless their T + P plus the certificate's steps pass
+        the cap: then BudgetExceeded is raised before a step.  A refuted
+        prediction raises PredictionFailed naming the first probe it fails, so
+        a returned report always equals the prediction; its steps are the
+        certificate's, plus T + P when simulated.
+
+        A completed proof is kept on the member, and a repeat returns the same
+        report without walking the orbit again.  A failed proof raises and
+        keeps nothing.
+        """
+        if self.proof is not None:
+            return self.proof
+        t_pred, p_pred = self.predicted
+        work = t_pred + p_pred
+        cap = _cap(budget)
+        rep, cert, spent = None, None, 0
+        if work <= min(DETECT_CUTOFF, cap):
+            with suppress(BudgetExceeded):  # the prediction understates the orbit
+                rep = detect_cycle(self.cs, self.system.init, work)
+        else:
+            cert, spent = _certificate(self, cap)
+        if rep is None or (rep.measured_transient, rep.measured_period) != self.predicted:
+            read = cert.read if cert is not None and cert.closes else None
+            if read is None and spent + work > cap:
+                raise BudgetExceeded(spent, cap)
+            rep = verify_predicted(self.cs, self.system.init, t_pred, p_pred, read)
+            rep = rep._replace(steps_executed=spent + rep.steps_executed)
+        self.proof = rep
+        return rep
 
 
 def member(
@@ -208,69 +247,70 @@ def member(
     """The member family(index), "x"/"v" taking a lane i and "w"/"z" a step d.
 
     The one place verify builds a family system.  predicted_cycle raises on
-    an unknown family or an index off its range.  system replaces the built
-    one (the chain's incremental z(d)) and is never kept.  Inside proof_memo
-    a built member is kept, so a run builds and compiles each one once, z(d)
-    on the run's y; outside it every call builds afresh.  Builders and
-    z_handoff are looked up at each build, so a rebound name is seen.
+    an unknown family or an index off its range.  Inside proof_memo a built
+    member is kept, so a run builds and compiles each one once, z(d) on the
+    run's y, and proves and certifies it once; outside it every call builds
+    afresh.  A given system (the chain's incremental z(d)) gets the kept
+    member when it equals that member's system, and otherwise a fresh member
+    that is never kept.  Builders and z_handoff are looked up at each build,
+    so a rebound name is seen.
     """
-    memo = _proofs if system is None and _proofs is not None else {}
-    key = ("member", params.m, family, index)
-    if key not in memo:
-        predicted = predicted_cycle(params, family, index)
-        if system is None:
-            build = {
-                "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
-                "w": cons.build_w, "z": cons.build_z,
-            }[family]
-            extra = (member(params, "y").system,) if family == "z" else ()
-            system = build(params) if family == "y" else build(params, index, *extra)
-        handoff = partial(z_handoff, params, index) if family == "z" else None
-        memo[key] = Member(family, index, system, predicted, handoff)
-    return memo[key]
+    memo = _members if _members is not None else {}
+    kept = memo.get((params.m, family, index))
+    if kept is not None and (system is None or system == kept.system):
+        return kept
+    predicted = predicted_cycle(params, family, index)
+    handoff = partial(z_handoff, params, index) if family == "z" else None
+    if system is not None:
+        return Member(family, index, system, predicted, handoff)
+    build = {
+        "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
+        "w": cons.build_w, "z": cons.build_z,
+    }[family]
+    extra = (member(params, "y").system,) if family == "z" else ()
+    system = build(params) if family == "y" else build(params, index, *extra)
+    mem = memo[params.m, family, index] = Member(family, index, system, predicted, handoff)
+    return mem
 
 
 def _cap(budget: int | None) -> int:
     return MEASURE_CUTOFF if budget is None else budget
 
 
-def _certificate(
-    cs: CompiledSystem, init: Sequence[int], handoff: Callable[[], Handoff] | None, cap: int
-) -> tuple[Lanes | HandoffCertificate | None, int]:
-    """The certificate cs reads from init and its steps, within cap: with
-    handoff, a builder of the orbit cs follows (every z(d)), the handoff
-    certificate on head's and tail's lanes, built here first; without, cs's
-    lanes when it has more than one (y and every w(d)).  A single unit, or a
-    handoff whose init is not head's or with a one-lane part, gets (None, 0)
-    unbuilt.  Its builders keep the budget contract of cycles, so it returns
-    within cap or raises BudgetExceeded, adding the steps of the parts
-    already built.  Inside proof_memo one that closes is kept in _proofs and
-    reused while its steps fit cap, so a hit changes no result."""
-    plan = None if handoff is None else handoff()
-    if plan is None and lane_count(cs) == 1:
+def _certificate(mem: Member, cap: int) -> tuple[Lanes | HandoffCertificate | None, int]:
+    """The certificate mem reads from its init and its steps, within cap:
+    with a handoff (every z(d)), the handoff certificate on head's and
+    tail's lanes, built here first; without, mem's lanes when it has more
+    than one (y and every w(d)).  A single unit, or a handoff whose init is
+    not head's or with a one-lane part, gets (None, 0) unbuilt.  Its
+    builders keep the budget contract of cycles, so it returns within cap or
+    raises BudgetExceeded, adding the steps of the parts already built.  One
+    that closes is kept on mem with its steps and read again while its steps
+    fit cap, so a kept one changes no result."""
+    plan = None if mem.handoff is None else mem.handoff()
+    if plan is None and lane_count(mem.cs) == 1:
         return None, 0
-    key = (cs, bytes(init), plan)
-    hit = _proofs.get(key) if _proofs is not None else None
-    if hit is not None and hit[1] <= cap:
-        return hit
+    if mem.certificate is not None and mem.certificate[1] <= cap:
+        return mem.certificate
+    init = mem.system.init
     if plan is None:
-        cert, spent = certify_lanes(cs, init, cap)
+        cert, spent = certify_lanes(mem.cs, init, cap)
     else:
         parts = (plan.head, plan.tail)
-        if bytes(init) != plan.head.system.init or any(lane_count(part.cs) == 1 for part in parts):
+        if init != plan.head.system.init or any(lane_count(part.cs) == 1 for part in parts):
             return None, 0
         lanes, spent = [], 0
         try:
             for part in parts:
-                lane, steps = _certificate(part.cs, part.system.init, None, cap - spent)
+                lane, steps = _certificate(part, cap - spent)
                 lanes.append(lane)
                 spent += steps
-            cert, steps = handoff_certificate(cs, init, *lanes, plan.at, cap - spent)
+            cert, steps = handoff_certificate(mem.cs, init, *lanes, plan.at, cap - spent)
         except BudgetExceeded as exc:
             raise BudgetExceeded(spent + exc.steps, cap) from None
         spent += steps
-    if _proofs is not None and cert is not None and cert.closes:
-        _proofs[key] = cert, spent
+    if cert is not None and cert.closes:
+        mem.certificate = cert, spent
     return cert, spent
 
 
@@ -285,59 +325,10 @@ def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, in
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
         with suppress(BudgetExceeded):
-            cert, spent = _certificate(mem.cs, mem.system.init, mem.handoff, steps)
+            cert, spent = _certificate(mem, steps)
     if cert is None or not cert.closes:
         return run(mem.cs, mem.system.init, steps), "simulated", 0
     return cert.trace(mem.system.memory + steps), "handoff" if mem.handoff else "lanes", spent
-
-
-def measure_cycle(
-    cs: CompiledSystem,
-    init: Sequence[int],
-    predicted: tuple[int, int],
-    budget: int | None = None,
-    handoff: Callable[[], Handoff] | None = None,
-) -> CycleReport:
-    """Certify cs's predicted (T, P) from init as its minimal pair.
-
-    One cap, budget or else MEASURE_CUTOFF (_cap), picks the route and
-    bounds it.  An orbit whose T + P fits both the cap and DETECT_CUTOFF is
-    measured blind with detect_cycle in exactly T + P slides.  Any other,
-    or one the search does not confirm, is proved by verify_predicted on
-    the certificate _certificate picks for cs and handoff, or else on
-    simulated windows, unless their T + P plus the certificate's steps pass
-    the cap: then BudgetExceeded is raised before a step.  A refuted
-    prediction raises PredictionFailed naming the first probe it fails, so
-    a returned report always equals the prediction; its steps are the
-    certificate's, plus T + P when simulated.
-
-    Inside proof_memo a completed proof is remembered for the rest of the
-    run under cs, init and the prediction, and a repeat returns the same
-    report without walking the orbit again.  A failed proof raises as usual
-    and is not remembered; outside proof_memo every call proves afresh.
-    """
-    t_pred, p_pred = predicted
-    work = t_pred + p_pred
-    cap = _cap(budget)
-    proofs = _proofs
-    key = (cs, bytes(init), predicted)
-    if proofs is not None and key in proofs:
-        return proofs[key]
-    rep, cert, spent = None, None, 0
-    if work <= min(DETECT_CUTOFF, cap):
-        with suppress(BudgetExceeded):  # the prediction understates the orbit
-            rep = detect_cycle(cs, init, work)
-    else:
-        cert, spent = _certificate(cs, init, handoff, cap)
-    if rep is None or (rep.measured_transient, rep.measured_period) != predicted:
-        read = cert.read if cert is not None and cert.closes else None
-        if read is None and spent + work > cap:
-            raise BudgetExceeded(spent, cap)
-        rep = verify_predicted(cs, init, t_pred, p_pred, read)
-        rep = rep._replace(steps_executed=spent + rep.steps_executed)
-    if proofs is not None:
-        proofs[key] = rep
-    return rep
 
 
 def _report_dict(rep: CycleReport, predicted: tuple[int, int]) -> dict:
@@ -541,7 +532,7 @@ def _run_sum_bounds(m: int, budget: int | None = None, **_: object) -> ClaimResu
     detail: dict = {}
     ok = True
     for name, mem, low, high in envelopes:
-        lanes, _ = _certificate(mem.cs, mem.system.init, None, _cap(budget))
+        lanes, _ = _certificate(mem, _cap(budget))
         if lanes is None:  # a single unit: one lane, its trace to its proved T + P
             rep = mem.prove(budget)
             lanes = Lanes(mem.cs, ((run(mem.cs, mem.system.init, sum(mem.predicted)), rep),))
@@ -592,7 +583,7 @@ def _run_y_deshuffle(m: int, budget: int | None = None, **_: object) -> ClaimRes
     slide, and x_i is its closed form."""
     params = window_params(m)
     y = member(params, "y")
-    lanes, _ = _certificate(y.cs, y.system.init, None, _cap(budget))
+    lanes, _ = _certificate(y, _cap(budget))
     bad: list[str] = []
     for i, (trace, _) in zip(range(params.rho), lanes.orbits):
         x = member(params, "x", i)
@@ -652,7 +643,7 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
     p3_lo, p3_hi = p2_hi + 1, l1 + h - 1
     phase3_empty = p3_lo > p3_hi
 
-    cert, _ = _certificate(z.cs, z.system.init, z.handoff, _cap(budget))
+    cert, _ = _certificate(z, _cap(budget))
 
     bad: list[str] = []
     anomalies = 0
@@ -771,7 +762,7 @@ def check_basin(m: int, d: int, budget: int | None = None) -> ClaimResult:
     passes when _first_unforced_slide forces every output: then all
     2^n_free prefixes reach one window after n_free slides, so they share
     the reference's future and attractor.  Otherwise it fails, naming
-    unforced_slide.  The reference z(d) is proved by measure_cycle within
+    unforced_slide.  The reference z(d) is the run's member, proved within
     budget.  Raises HypothesisUnmet when d >= beta_e.
     """
     params = window_params(m)
@@ -851,7 +842,7 @@ def _basin_grid(params: WindowParams) -> list[dict]:
 
 
 def proof_work(params: WindowParams, family: str, index: int | None = None) -> int:
-    """Predicted T + P of the orbits measure_cycle proves for a family member.
+    """Predicted T + P of the orbits Member.prove proves for a family member.
 
     This is the one price of a proof, shared by the claim table and the
     CLI's cycle mode.  x_i and v_i are priced at their own T + P, and y,
@@ -1025,8 +1016,8 @@ def run_claims(
     cannot take down a whole report.  A scale the window parameters reject
     raises RhoTooSmall, and with ds a step off a claim's grid, or a claim
     without steps, raises ValueError, both before any instance runs; with
-    ds, a claim's instances are the requested steps, in that order.  Each distinct orbit is
-    proved once per call (see measure_cycle).
+    ds, a claim's instances are the requested steps, in that order.  Each
+    member is built, proved and certified once per call (see member).
     """
     selected = list(claims) if claims is not None else list(ALL_CLAIMS)
     unknown = sorted(set(selected) - set(ALL_CLAIMS))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import neurec.cli
 import neurec.verify
 from neurec import (
+    Member,
     RecurrenceSystem,
     advance_word,
     build_y,
@@ -458,6 +459,11 @@ def laned_members(p):
             yield member(p, family, d)
 
 
+def fresh(mem):
+    """A copy of mem that keeps no proof or certificate yet."""
+    return Member(mem.family, mem.index, mem.system, mem.predicted, mem.handoff)
+
+
 def step_counts(mem):
     """Simulations that end at S_0, S_1, past T + P, and for z(d) just
     before, exactly at and one past its handoff time at."""
@@ -482,7 +488,7 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
             assert simulated_trace(mem, steps)[0] == want, (s.label, steps)
-            cert, _ = _certificate(cs, s.init, mem.handoff, 10**9)
+            cert, _ = _certificate(fresh(mem), 10**9)
             assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
 
 
@@ -558,7 +564,8 @@ def test_an_off_by_one_handoff_simulates_the_same_trace(tmp_path, monkeypatch, s
     p = window_params(11)
     z = build_z(p, 2)
     cs = compile_system(z)
-    cert, _ = _certificate(cs, z.init, partial(shifted, p, 2), 10**9)
+    shifted_z = Member("z", 2, z, predicted_cycle(p, "z", 2), partial(shifted, p, 2))
+    cert, _ = _certificate(shifted_z, 10**9)
     assert not cert.closes
     assert import_trace(out / "z_m_11_d_2.rle") == list(run(cs, z.init, 5000))
 
@@ -573,7 +580,7 @@ def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m)
     for mem in laned_members(p):
         s = mem.system
         cs = compile_system(s)
-        _, cost = _certificate(cs, s.init, mem.handoff, 10**9)
+        _, cost = _certificate(fresh(mem), 10**9)
         for steps in (cost // 2, cost - 1) if mem.family == "z" else (cost // 2,):
             trace, route, spent = simulated_trace(mem, steps)
             assert (route, spent) == ("simulated", 0), (s.label, steps)

@@ -35,7 +35,6 @@ from neurec import (
     detect_cycle,
     find_repeat,
     lane_count,
-    measure_cycle,
     perturbation_plan,
     predicted_cycle,
     prime_factors,
@@ -58,9 +57,11 @@ from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, 
 from test_engine import affine_sum, dense_system, sparse_systems, taps_of, weights_of
 
 
-def as_part(system):
-    """A handoff part on any system: a Member that carries system alone."""
-    return Member("part", None, system, (0, 0), None)
+def as_part(system, predicted=(0, 0), handoff=None):
+    """A fresh Member on any system, keeping no proof or certificate yet: a
+    handoff part, or with handoff (a builder of a Handoff) the system that
+    follows that handoff."""
+    return Member("part", None, system, predicted, handoff)
 
 
 def naive_cycle(cs, init, cap=200_000):
@@ -317,24 +318,31 @@ def laned(cs, init):
     return lanes.read
 
 
-def on_certificate(cs, init, t, p, handoff=None):
-    """verify_predicted on the certificate verify builds, handoff's or else
-    cs's lanes, capped at MEASURE_CUTOFF: on its read when it closes, else
-    simulated.  Its steps count the certificate's and the reads."""
-    cert, spent = _certificate(cs, init, None if handoff is None else lambda: handoff, MEASURE_CUTOFF)
+def on_certificate(s, t, p, handoff=None):
+    """verify_predicted on the certificate verify builds for a fresh member
+    on system s, handoff's or else s's lanes, capped at MEASURE_CUTOFF: on
+    its read when it closes, else simulated.  Its steps count the
+    certificate's and the reads."""
+    mem = as_part(s, (t, p), None if handoff is None else lambda: handoff)
+    cert, spent = _certificate(mem, MEASURE_CUTOFF)
     read = cert.read if cert is not None and cert.closes else None
-    rep = verify_predicted(cs, init, t, p, read)
+    rep = verify_predicted(mem.cs, s.init, t, p, read)
     return rep._replace(steps_executed=spent + rep.steps_executed)
 
 
-def lanes_uncapped(cs, init, t, p):
+def simulated(s, t, p):
+    """verify_predicted on the simulated windows of system s."""
+    return verify_predicted(compile_system(s), s.init, t, p)
+
+
+def lanes_uncapped(s, t, p):
     """The lane proof with no cap on the lane searches, so it never simulates."""
-    return CycleReport(t, p, _probe_pass(laned(cs, init), t, p), 0)
+    return CycleReport(t, p, _probe_pass(laned(compile_system(s), s.init), t, p), 0)
 
 
-def refusal(prove, cs, init, pair):
+def refusal(prove, s, pair):
     with pytest.raises(PredictionFailed) as exc:
-        prove(cs, init, *pair)
+        prove(s, *pair)
     return exc.value.check
 
 
@@ -388,16 +396,16 @@ def test_lane_route_agrees_with_detect_cycle(s):
     if s.label == "zero":
         assert p == 1 and ref.entry_window == 0
     for prove in (on_certificate, lanes_uncapped):
-        rep = prove(cs, s.init, t, p)
+        rep = prove(s, t, p)
         assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (
             t,
             p,
             ref.entry_window,
         )
     for pair in wrong_pairs(t, p):
-        want = refusal(verify_predicted, cs, s.init, pair)
-        assert refusal(on_certificate, cs, s.init, pair) == want, pair
-        assert refusal(lanes_uncapped, cs, s.init, pair) == want, pair
+        want = refusal(simulated, s, pair)
+        assert refusal(on_certificate, s, pair) == want, pair
+        assert refusal(lanes_uncapped, s, pair) == want, pair
     assert_lane_reads_are_exact(cs, s.init, {t, t + 1, t + p, t + 2 * p, max(t - 1, 0)})
 
 
@@ -415,7 +423,7 @@ def test_one_lane_systems_never_take_the_lane_route(s):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("neurec.verify.DETECT_CUTOFF", 0)  # always the proving route
         mp.setattr("neurec.verify.certify_lanes", no_lanes)
-        assert measure_cycle(cs, s.init, pred) == rep._replace(steps_executed=sum(pred))
+        assert as_part(s, pred).prove() == rep._replace(steps_executed=sum(pred))
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,22 +484,21 @@ def test_lane_route_agrees_with_simulation_on_y_and_w(m, families):
         t, period = predicted_cycle(p, family, index)
         sim = verify_predicted(cs, s.init, t, period)
         for prove in (on_certificate, lanes_uncapped):
-            rep = prove(cs, s.init, t, period)
+            rep = prove(s, t, period)
             assert rep == sim._replace(steps_executed=rep.steps_executed), (family, index)
         for pair in wrong_pairs(t, period):
-            want = refusal(verify_predicted, cs, s.init, pair)
-            assert refusal(lanes_uncapped, cs, s.init, pair) == want, (family, index, pair)
+            want = refusal(simulated, s, pair)
+            assert refusal(lanes_uncapped, s, pair) == want, (family, index, pair)
 
 
 def test_lane_route_refuses_y_with_a_raised_threshold():
     # negative control: one whole unit more threshold breaks y's m = 16 cycle
     p = window_params(16)
     y = build_y(p)
-    cs = compile_system(y)
-    assert on_certificate(cs, y.init, *predicted_cycle(p, "y")).steps_executed < 10_000
+    assert on_certificate(y, *predicted_cycle(p, "y")).steps_executed < 10_000
     raised = y._replace(threshold=y.threshold + 1)
     with pytest.raises(PredictionFailed) as exc:
-        on_certificate(compile_system(raised), raised.init, *predicted_cycle(p, "y"))
+        on_certificate(raised, *predicted_cycle(p, "y"))
     assert exc.value.check == "period"
 
 
@@ -509,20 +516,20 @@ def z_members(p):
             yield d, chained
 
 
-def handoff_reader(cs, init, handoff, budget):
-    """The reader of the handoff certificate when it closes, else None; and
-    the steps the certificate took.  The certificate is built as verify
-    builds it: head's and tail's lanes certified first, then
-    handoff_certificate on them, their steps counted in."""
-    cert, spent = _certificate(cs, init, lambda: handoff, budget)
+def handoff_reader(s, handoff, budget):
+    """The reader of system s's handoff certificate when it closes, else
+    None; and the steps the certificate took.  The certificate is built as
+    verify builds it, for a fresh member: head's and tail's lanes certified
+    first, then handoff_certificate on them, their steps counted in."""
+    cert, spent = _certificate(as_part(s, handoff=lambda: handoff), budget)
     closed = cert is not None and cert.closes
     return (cert.read if closed else None), spent
 
 
-def handoff_uncapped(cs, init, t, p, handoff):
+def handoff_uncapped(s, t, p, handoff):
     """The handoff proof with no cap on its work, so it never simulates;
     the certificate must close."""
-    read, _ = handoff_reader(cs, init, handoff, budget=10**9)
+    read, _ = handoff_reader(s, handoff, budget=10**9)
     assert read is not None, "the handoff certificate did not close"
     return CycleReport(t, p, _probe_pass(read, t, p), 0)
 
@@ -536,14 +543,14 @@ def test_handoff_route_agrees_with_simulation_on_every_z(m, monkeypatch):
         t, period = predicted_cycle(p, "z", d)
         sim = verify_predicted(cs, s.init, t, period)
         handoff = z_handoff(p, d)
-        rep = handoff_uncapped(cs, s.init, t, period, handoff)
+        rep = handoff_uncapped(s, t, period, handoff)
         assert rep == sim._replace(steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
-        routed = measure_cycle(cs, s.init, (t, period), handoff=lambda: handoff)
+        routed = as_part(s, (t, period), lambda: handoff).prove()
         assert routed == sim._replace(steps_executed=routed.steps_executed), d
         for pair in wrong_pairs(t, period):
-            want = refusal(verify_predicted, cs, s.init, pair)
-            assert refusal(handoff_uncapped, cs, s.init, (*pair, handoff)) == want, (d, pair)
+            want = refusal(simulated, s, pair)
+            assert refusal(handoff_uncapped, s, (*pair, handoff)) == want, (d, pair)
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -555,13 +562,12 @@ def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
     for d in range(p.rho):
         z = build_z(p, d)
         raised = z._replace(threshold=z.threshold + 1)
-        cs = compile_system(raised)
         handoff = z_handoff(p, d)
-        read, _ = handoff_reader(cs, raised.init, handoff, budget=10**9)
+        read, _ = handoff_reader(raised, handoff, budget=10**9)
         assert read is None, d
         pred = predicted_cycle(p, "z", d)
-        want = refusal(verify_predicted, cs, raised.init, pred)
-        assert refusal(on_certificate, cs, raised.init, (*pred, handoff)) == want, d
+        want = refusal(simulated, raised, pred)
+        assert refusal(on_certificate, raised, (*pred, handoff)) == want, d
 
 
 def test_handoff_falls_back_when_head_is_not_the_start():
@@ -570,10 +576,10 @@ def test_handoff_falls_back_when_head_is_not_the_start():
     z = build_z(p, 0)
     flipped = z._replace(init=bytes([1 - z.init[0]]) + z.init[1:])
     cs = compile_system(flipped)
-    assert handoff_reader(cs, flipped.init, z_handoff(p, 0), budget=10**9) == (None, 0)
+    assert handoff_reader(flipped, z_handoff(p, 0), budget=10**9) == (None, 0)
     ref = detect_cycle(cs, flipped.init, step_budget=10**6)
     pair = (ref.measured_transient, ref.measured_period)
-    rep = on_certificate(cs, flipped.init, *pair, z_handoff(p, 0))
+    rep = on_certificate(flipped, *pair, z_handoff(p, 0))
     assert rep == ref._replace(steps_executed=sum(pair))
 
 
@@ -620,7 +626,8 @@ def test_a_one_lane_or_misstarted_handoff_is_refused_before_any_lane_search(monk
         (flipped, handoff),
     ]
     for init, refused in cases:
-        assert _certificate(cs, init, lambda: refused, 10**9) == (None, 0)
+        started = as_part(z._replace(init=init), handoff=lambda: refused)
+        assert _certificate(started, 10**9) == (None, 0)
 
 
 def full_window_first_disagreement(cs, ref, lanes):
@@ -727,13 +734,12 @@ def test_a_handoff_certificate_capped_one_step_below_its_cost_is_refused(m):
     # overrun (m = 6 z(1) costs 318 steps)
     p = window_params(m)
     for d in range(p.rho):
-        z = build_z(p, d)
-        cs, handoff = compile_system(z), partial(z_handoff, p, d)
-        cert, cost = _certificate(cs, z.init, handoff, MEASURE_CUTOFF)
+        z, handoff = build_z(p, d), partial(z_handoff, p, d)
+        cert, cost = _certificate(as_part(z, handoff=handoff), MEASURE_CUTOFF)
         assert cert.closes
-        assert _certificate(cs, z.init, handoff, cost)[0] == cert
+        assert _certificate(as_part(z, handoff=handoff), cost)[0] == cert
         with pytest.raises(BudgetExceeded) as exc:
-            _certificate(cs, z.init, handoff, cost - 1)
+            _certificate(as_part(z, handoff=handoff), cost - 1)
         assert exc.value.steps > exc.value.budget == cost - 1, d
 
 
@@ -761,8 +767,7 @@ def test_every_certificate_returns_within_its_cap_or_raises_past_it():
         p = window_params(m)
         for family, index in [("y", None), *((f, d) for f in "wz" for d in range(p.rho))]:
             mem = member(p, family, index)
-            cs, init = mem.cs, mem.system.init
-            cert, cost = _certificate(cs, init, mem.handoff, MEASURE_CUTOFF)
+            cert, cost = _certificate(mem, MEASURE_CUTOFF)
             least = cost
             if mem.handoff is None:
                 last = cert.orbits[-1][1]
@@ -773,7 +778,7 @@ def test_every_certificate_returns_within_its_cap_or_raises_past_it():
                 caps = sorted({*range(0, cost, cost // 16), least - 1, least, cost - 1, cost})
             for cap in caps:
                 try:
-                    got, steps = _certificate(cs, init, mem.handoff, cap)
+                    got, steps = _certificate(as_part(mem.system, handoff=mem.handoff), cap)
                 except BudgetExceeded as exc:
                     assert exc.steps > exc.budget == cap < least, (m, family, index, cap)
                     continue
@@ -790,8 +795,8 @@ def test_every_z_fires_only_with_both_its_parts_at_every_scale_from_5_to_20():
             p = window_params(m)
             for d in range(p.rho):
                 mem = member(p, "z", d)
-                cs = compile_system(mem.system)
-                cert, _ = _certificate(cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+                cs = mem.cs
+                cert, _ = _certificate(mem, MEASURE_CUTOFF)
                 assert _fires_only_with(cs, cert.head) and _fires_only_with(cs, cert.tail), (m, d)
 
 
@@ -825,7 +830,7 @@ def test_handoff_certificate_parts_equal_the_full_window_loop(m):
         z = build_z(p, d)
         cs = compile_system(z)
         handoff = z_handoff(p, d)
-        cert, _ = _certificate(cs, z.init, lambda: handoff, 10**9)
+        cert, _ = _certificate(as_part(z, handoff=lambda: handoff), 10**9)
         head, tail = handoff.head.cs, handoff.tail.cs
         first, _ = full_window_first_disagreement(cs, head, cert.head)
         split = handoff.at if first is None else min(first, handoff.at)
@@ -844,7 +849,7 @@ def test_handoff_takes_over_at_l1():
         z = build_z(p, d)
         l1 = cycle_lengths(p, d)[1]
         cs = compile_system(z)
-        read, _ = handoff_reader(cs, z.init, z_handoff(p, d), budget=10**9)
+        read, _ = handoff_reader(z, z_handoff(p, d), budget=10**9)
         y_cs = compile_system(build_y(p))
         word0 = word_from_bits(z.init)
         times = [l1 - p.rho - 1, l1 - p.rho, l1 - p.rho + 1, l1]
@@ -870,7 +875,7 @@ def test_certificate_traces_agree_with_their_reads(m):
             cert, _ = certify_lanes(cs, s.init, budget=10**9)
             times = {0, 1}
         else:
-            cert, _ = _certificate(cs, s.init, lambda: handoff, 10**9)
+            cert, _ = _certificate(as_part(s, handoff=lambda: handoff), 10**9)
             times = {0, handoff.at - 1, handoff.at, handoff.at + 1}
         assert cert.closes
         horizon = sum(predicted_cycle(p, family, index)) + s.memory
@@ -896,7 +901,7 @@ def test_certificate_traces_cut_off_the_lane_stride():
     for at in (100, 101):
         tail = y._replace(init=full[at : at + y.memory])
         handoff = Handoff(as_part(y), as_part(tail), at)
-        cert, _ = _certificate(cs, y.init, lambda: handoff, 10**7)
+        cert, _ = _certificate(as_part(y, handoff=lambda: handoff), 10**7)
         assert cert.closes and cert.at == at
         for length in lengths:
             assert cert.trace(length) == full[:length], (at, length)
@@ -940,7 +945,7 @@ def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch)
 
 
 def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
-    # y on its lanes and every z(d) on its handoff, through measure_cycle:
+    # y on its lanes and every z(d) on its handoff, through Member.prove:
     # one below the least budget the certificate closes within fails with
     # the steps the certificate spent, and one that covers the whole proof
     # changes nothing.  A search may overshoot T + P between its check
@@ -954,14 +959,14 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
     ]
     for s, (t, period), handoff in cases:
         cs, init = compile_system(s), s.init
-        full = measure_cycle(cs, init, (t, period), handoff=handoff)
+        full = as_part(s, (t, period), handoff).prove()
         assert full == verify_predicted(cs, init, t, period)._replace(
             steps_executed=full.steps_executed
         )
 
         def closes(budget):
             try:
-                cert, _ = _certificate(cs, init, handoff, budget)
+                cert, _ = _certificate(as_part(s, handoff=handoff), budget)
             except BudgetExceeded:
                 return False
             return cert is not None and cert.closes
@@ -972,12 +977,12 @@ def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):
         assert 0 < least <= t + period and closes(least) and not closes(least - 1)
         budget = least - 1
         with pytest.raises(BudgetExceeded) as capped:
-            _certificate(cs, init, handoff, budget)
+            _certificate(as_part(s, handoff=handoff), budget)
         with pytest.raises(BudgetExceeded) as exc:
-            measure_cycle(cs, init, (t, period), budget, handoff)
+            as_part(s, (t, period), handoff).prove(budget)
         assert (exc.value.steps, exc.value.budget) == (capped.value.steps, budget)
         for budget in (full.steps_executed, 10**9):
-            assert measure_cycle(cs, init, (t, period), budget, handoff) == full
+            assert as_part(s, (t, period), handoff).prove(budget) == full
 
 
 @pytest.mark.long
@@ -989,7 +994,7 @@ def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
         cs = compile_system(z)
         pred = predicted_cycle(p, "z", d)
         sim = verify_predicted(cs, z.init, *pred)
-        rep = on_certificate(cs, z.init, *pred, z_handoff(p, d))
+        rep = on_certificate(z, *pred, z_handoff(p, d))
         assert rep == sim._replace(steps_executed=rep.steps_executed), d
         assert rep.steps_executed < 10_000
     assert (sim.measured_transient, sim.measured_period) == (12_264_800, 1)
@@ -997,9 +1002,10 @@ def test_long_tier_handoff_route_agrees_with_simulation_at_m16():
 
 @st.composite
 def handoff_cases(draw):
-    """A laned head, a system cs that perturbs head's taps and threshold off
-    the lane stride, and a tail on head's taps started from cs's own window
-    at a time at, up to one memory past cs's first disagreement with head.
+    """A system s that perturbs a laned head's taps and threshold off the
+    lane stride, and the Handoff from head to a tail on head's taps started
+    from s's own window at a time at, up to one memory past s's first
+    disagreement with head.
 
     Head lanes start either anywhere (lanes with transients) or on their
     cycle, so the first disagreement is found both by explicit steps and
@@ -1026,8 +1032,8 @@ def handoff_cases(draw):
     for j in draw(st.lists(st.integers(0, r * memory - 1), min_size=1, max_size=3)):
         perturbed[j] += draw(st.sampled_from([Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4)]))
     nudge = draw(st.sampled_from([Fraction(-1, 8), 0, Fraction(1, 8)]))
-    cs = compile_system(head._replace(taps=taps_of(perturbed), threshold=theta + nudge))
-    head_cs = compile_system(head)
+    system = head._replace(taps=taps_of(perturbed), threshold=theta + nudge)
+    cs, head_cs = compile_system(system), compile_system(head)
     word, first = word_from_bits(init), 0
     while first < 500 and (affine_sum(head_cs, word) >= head_cs.scaled_threshold) == (
         affine_sum(cs, word) >= cs.scaled_threshold
@@ -1035,7 +1041,7 @@ def handoff_cases(draw):
         word, first = advance_word(head_cs, word, 1), first + 1
     at = first + draw(st.integers(0, r * memory))
     tail_init = run(cs, init, at)[at:]
-    return cs, init, Handoff(as_part(head), as_part(head._replace(init=tail_init)), at)
+    return system, Handoff(as_part(head), as_part(head._replace(init=tail_init)), at)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1046,8 +1052,9 @@ def test_a_certificate_traces_the_true_orbit(case, steps):
         cs, init = compile_system(case), case.init
         cert, _ = certify_lanes(cs, init, budget=10**6)
     else:
-        cs, init, handoff = case
-        cert, _ = _certificate(cs, init, lambda: handoff, 10**7)
+        s, handoff = case
+        cs, init = compile_system(s), s.init
+        cert, _ = _certificate(as_part(s, handoff=lambda: handoff), 10**7)
         if cert is None or not cert.closes:
             return  # e.g. lane periods that share a factor
     assert cert.trace(cs.memory + steps) == run(cs, init, steps)
@@ -1056,8 +1063,9 @@ def test_a_certificate_traces_the_true_orbit(case, steps):
 @settings(max_examples=300, deadline=None)
 @given(handoff_cases())
 def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
-    cs, init, handoff = case
-    read, _ = handoff_reader(cs, init, handoff, budget=10**7)
+    s, handoff = case
+    cs, init = compile_system(s), s.init
+    read, _ = handoff_reader(s, handoff, budget=10**7)
     if read is None:
         return  # e.g. lane periods that share a factor: the proof simulates
     ref = detect_cycle(cs, init, step_budget=10**6)
@@ -1067,11 +1075,11 @@ def test_a_closed_handoff_certificate_reads_the_true_orbit(case):
     word0 = word_from_bits(init)
     assert windows == [advance_word(cs, word0, n) for n in times]
     for prove in (on_certificate, handoff_uncapped):
-        rep = prove(cs, init, t, p, handoff)
+        rep = prove(s, t, p, handoff)
         assert rep == ref._replace(steps_executed=rep.steps_executed)
     for pair in wrong_pairs(t, p):
-        want = refusal(verify_predicted, cs, init, pair)
-        assert refusal(handoff_uncapped, cs, init, (*pair, handoff)) == want, pair
+        want = refusal(simulated, s, pair)
+        assert refusal(handoff_uncapped, s, (*pair, handoff)) == want, pair
 
 
 @settings(max_examples=300, deadline=None)
@@ -1081,7 +1089,8 @@ def test_the_margin_filter_finds_the_exact_scans_first_disagreement(case):
     # time whether it checks the margin premises or always scans every time;
     # the system with its threshold a whole unit lower also fires where the
     # part's next bit is 0, which only the exact scan sees
-    cs, _, handoff = case
+    s, handoff = case
+    cs = compile_system(s)
     lowered = cs._replace(scaled_threshold=cs.scaled_threshold - cs.denominator)
     for part in (handoff.head, handoff.tail):
         lanes, _ = certify_lanes(part.cs, part.system.init, 10**6)
@@ -1123,7 +1132,8 @@ def assert_lane_terms_are_window_popcounts(cs, lanes):
 @settings(max_examples=200, deadline=None)
 @given(handoff_cases())
 def test_scattered_lane_terms_are_the_lane_window_popcounts(case):
-    cs, _, handoff = case
+    s, handoff = case
+    cs = compile_system(s)
     for part in (handoff.head, handoff.tail):
         lanes, _ = certify_lanes(part.cs, part.system.init, 10**6)
         assert_lane_terms_are_window_popcounts(cs, lanes)
@@ -1151,8 +1161,9 @@ def test_certificate_reads_and_traces_equal_the_stepped_full_system(case):
         cs, init = compile_system(case), case.init
         cert, _ = certify_lanes(cs, init, budget=10**6)
     else:
-        cs, init, handoff = case
-        cert, _ = _certificate(cs, init, lambda: handoff, 10**7)
+        s, handoff = case
+        cs, init = compile_system(s), s.init
+        cert, _ = _certificate(as_part(s, handoff=lambda: handoff), 10**7)
         if cert is None or not cert.closes:
             return  # e.g. lane periods that share a factor
     ref = detect_cycle(cs, init, step_budget=10**6)

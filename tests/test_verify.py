@@ -36,7 +36,6 @@ from neurec import (
     dense_oracle_run,
     destabilized_system,
     detect_cycle,
-    measure_cycle,
     member,
     predicted_cycle,
     run,
@@ -125,8 +124,8 @@ def test_predicted_cycle_guards():
 
 @pytest.mark.parametrize("m", [6, 11])
 def test_member_proves_what_the_hand_wired_call_proves(m):
-    # the same report, steps included, as measure_cycle on the member's
-    # system and prediction, with z_handoff's handoff for every z(d)
+    # the same report, steps included, as a Member wired by hand on the
+    # built system and prediction, with z_handoff's handoff for every z(d)
     p = window_params(m)
     wired = [("x", i, single_system(p, i), None) for i in range(p.rho)]
     wired += [("v", i, destabilized_system(p, i), None) for i in range(p.rho)]
@@ -135,7 +134,7 @@ def test_member_proves_what_the_hand_wired_call_proves(m):
     wired += [("z", d, build_z(p, d), lambda d=d: z_handoff(p, d)) for d in range(p.rho)]
     for family, index, system, handoff in wired:
         pred = predicted_cycle(p, family, index)
-        want = measure_cycle(compile_system(system), system.init, pred, handoff=handoff)
+        want = Member(family, index, system, pred, handoff).prove()
         assert member(p, family, index).prove() == want, (family, index)
 
 
@@ -163,7 +162,7 @@ def test_a_raw_one_lane_proof_past_the_cap_raises_unrun(capped_simulation):
     p = window_params(21)
     z = build_z(p, 4)
     with pytest.raises(BudgetExceeded) as exc:
-        measure_cycle(compile_system(z), z.init, predicted_cycle(p, "z", 4))
+        Member("z", 4, z, predicted_cycle(p, "z", 4), None).prove()
     assert (exc.value.steps, exc.value.budget) == (0, MEASURE_CUTOFF)
 
 
@@ -173,39 +172,59 @@ def test_a_certificate_that_does_not_close_falls_back_within_the_cap(
     # the handoff certificate is built and does not close; simulating 1.9e9
     # slides would pass the cap, so the proof raises with the certificate's steps
     z = member(window_params(21), "z", 4)
-    cert, spent = _certificate(z.cs, z.system.init, z.handoff, MEASURE_CUTOFF)
+    cert, spent = _certificate(z, MEASURE_CUTOFF)
     assert not cert.closes and spent > 0
     with pytest.raises(BudgetExceeded) as exc:
         z.prove()
     assert (exc.value.steps, exc.value.budget) == (spent, MEASURE_CUTOFF)
 
 
-def test_measure_cycle_certifies_the_prediction(monkeypatch):
+def x0(pred):
+    """A fresh member on m = 6 x_0's system, predicted pred."""
+    return Member("x", 0, single_system(window_params(6), 0), pred, None)
+
+
+def test_prove_certifies_the_prediction(monkeypatch):
     p = window_params(6)
-    s = single_system(p, 0)
-    cs = compile_system(s)
-    rep = measure_cycle(cs, s.init, predicted_cycle(p, "x", 0))
+    rep = x0(predicted_cycle(p, "x", 0)).prove()
     assert (rep.measured_transient, rep.measured_period) == (0, 17)
     # a wrong pair raises from the probe it fails, whether the blind search
     # disagrees with it or runs out of budget on it
     for wrong, check in (((0, 34), "period_minimality"), ((1, 17), "transient_minimality")):
         with pytest.raises(PredictionFailed) as exc:
-            measure_cycle(cs, s.init, wrong)
+            x0(wrong).prove()
         assert exc.value.check == check
     y = neurec.build_y(p)
     with pytest.raises(PredictionFailed) as exc:
-        measure_cycle(compile_system(y), y.init, (0, 10))  # true period 442
+        Member("y", None, y, (0, 10), None).prove()  # true period 442
     assert exc.value.check == "period"
     # a budget caps the proof before it takes a step
     with pytest.raises(BudgetExceeded) as exc:
-        measure_cycle(cs, s.init, (0, 17), budget=16)
+        x0((0, 17)).prove(budget=16)
     assert (exc.value.steps, exc.value.budget) == (0, 16)
-    assert measure_cycle(cs, s.init, (0, 17), budget=17) == rep
+    assert x0((0, 17)).prove(budget=17) == rep
     # past DETECT_CUTOFF the proof is one pass of exactly T + P slides
     monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
-    assert measure_cycle(cs, s.init, (0, 17)) == rep._replace(steps_executed=17)
+    assert x0((0, 17)).prove() == rep._replace(steps_executed=17)
     with pytest.raises(PredictionFailed):
-        measure_cycle(cs, s.init, (1, 17))
+        x0((1, 17)).prove()
+
+
+def test_a_member_keeps_its_completed_proof_and_no_failed_one(proof_calls):
+    # a failed proof raises and keeps nothing, so the member is proved again;
+    # a completed one is kept, and every later call returns it unproved
+    x = x0((0, 17))
+    with pytest.raises(BudgetExceeded):
+        x.prove(budget=16)
+    assert x.proof is None and proof_calls == []
+    rep = x.prove(budget=17)
+    assert x.proof is rep and len(proof_calls) == 1
+    assert x.prove() is rep and x.prove(budget=0) is rep
+    assert len(proof_calls) == 1
+    wrong = x0((1, 17))
+    with pytest.raises(PredictionFailed):
+        wrong.prove()
+    assert wrong.proof is None
 
 
 def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
@@ -214,13 +233,13 @@ def test_proving_route_reads_lanes_only_where_the_system_has_them(monkeypatch):
     # y decimates into rho = 3 lanes: hundreds of lane slides, not T + P
     y_pred = predicted_cycle(p, "y")
     y = neurec.build_y(p)
-    rep = measure_cycle(compile_system(y), y.init, y_pred)
+    rep = Member("y", None, y, y_pred, None).prove()
     assert (rep.measured_transient, rep.measured_period) == y_pred
     assert rep.steps_executed < sum(y_pred) // 100
     # x_0 has one lane and is simulated
     x_pred = predicted_cycle(p, "x", 0)
     x = single_system(p, 0)
-    assert measure_cycle(compile_system(x), x.init, x_pred).steps_executed == sum(x_pred)
+    assert Member("x", 0, x, x_pred, None).prove().steps_executed == sum(x_pred)
 
 
 def test_w_whose_lane_searches_outrun_its_orbit_is_proved_on_its_lanes(monkeypatch):
@@ -234,7 +253,7 @@ def test_w_whose_lane_searches_outrun_its_orbit_is_proved_on_its_lanes(monkeypat
     p = window_params(26)
     pred = predicted_cycle(p, "w", p.rho - 1)
     w = build_w(p, p.rho - 1)
-    rep = measure_cycle(compile_system(w), w.init, pred)
+    rep = Member("w", p.rho - 1, w, pred, None).prove()
     assert (rep.measured_transient, rep.measured_period) == pred
     assert neurec.verify.DETECT_CUTOFF < sum(pred) < rep.steps_executed
 
@@ -255,7 +274,7 @@ def test_long_tier_blind_search_agrees_with_the_certificates_past_the_cutoff():
             if not neurec.verify.DETECT_CUTOFF < sum(pred) <= 10**6:
                 continue
             handoff = (lambda d=d: z_handoff(p, d)) if family == "z" else None
-            rep = measure_cycle(compile_system(s), s.init, pred, handoff=handoff)
+            rep = Member(family, d, s, pred, handoff).prove()
             assert rep.steps_executed < sum(pred), (m, family, d)  # a search takes T + P
             sim = detect_cycle(compile_system(s), s.init, sum(pred))
             assert rep._replace(steps_executed=sim.steps_executed) == sim, (m, family, d)
@@ -911,11 +930,10 @@ def test_grid_reports_skipped_instances_without_running_them(monkeypatch):
         raise AssertionError("a skipped instance was simulated")
 
     priced_past_the_cutoff(monkeypatch)
-    provers = (
-        "measure_cycle", "detect_cycle", "verify_predicted", "certify_lanes", "handoff_certificate",
-    )
+    provers = ("detect_cycle", "verify_predicted", "certify_lanes", "handoff_certificate")
     for name in ("compile_system", "run", *provers):
         monkeypatch.setattr(f"neurec.verify.{name}", no_simulation)
+    monkeypatch.setattr(Member, "prove", no_simulation)
     results = run_claims(ms=(21,), claims=["phases"], ds=[3])
     results += run_claims(ms=(21,), claims=["phases"], ds=[4])
     assert [(r.claim, r.params, r.passed) for r in results] == [
@@ -1012,7 +1030,7 @@ def test_proof_memo_lives_for_one_run(proof_calls):
     second = run_claims(ms=(6,), claims=CHAIN_CLAIMS)
     assert len(proof_calls) == 6
     assert first == second
-    assert neurec.verify._proofs is None
+    assert neurec.verify._members is None
 
 
 def test_chain_member_unlike_the_direct_build_is_proved_afresh(proof_calls, monkeypatch):
@@ -1092,6 +1110,62 @@ def test_z_hands_off_from_the_runs_own_y_and_w():
     assert member(p, "y").system is not member(p, "y").system
     assert z_handoff(p, 1).head is not z_handoff(p, 1).head
     assert z_handoff(p, 1).tail is not z_handoff(p, 1).tail
+
+
+def test_a_given_system_is_the_kept_member_only_when_equal():
+    # the chain's z(d) equals the run's: it is that member, proof and all;
+    # an unequal system gets a fresh member that the run does not keep
+    p = window_params(6)
+    with neurec.verify.proof_memo():
+        z1 = member(p, "z", 1)
+        assert member(p, "z", 1, build_z(p, 1)) is z1
+        flipped = z1.system._replace(init=bytes([1 - z1.system.init[0]]) + z1.system.init[1:])
+        other = member(p, "z", 1, flipped)
+        assert other is not z1 and other.system is flipped
+        assert member(p, "z", 1) is z1
+        assert list(neurec.verify._members.values()).count(other) == 0
+
+
+def test_chain_compiles_only_the_y_that_z_summary_does_not_read(monkeypatch):
+    # every chained z(d) is the run's z_summary member, so chain compiles no
+    # z(d) of its own; only m = 6's y, whose z(d) are searched blind and so
+    # never read its lanes, is compiled for chain alone
+    compiled = []
+
+    def recording(system):
+        compiled.append(system)
+        return compile_system(system)
+
+    monkeypatch.setattr("neurec.verify.compile_system", recording)
+    monkeypatch.setattr("neurec.cycles.compile_system", recording)
+    ms = (6, 11, 16)
+    assert all(r.passed for r in run_claims(ms=ms, claims=["z_summary"]))
+    alone = list(compiled)
+    compiled.clear()
+    assert all(r.passed for r in run_claims(ms=ms, claims=["z_summary", "chain"]))
+    assert len(compiled) == len(alone) + 1
+    assert [s for s in compiled if s not in alone] == [build_y(window_params(6))]
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_a_chain_alone_keeps_only_run_members(m, monkeypatch):
+    # check_chain proves each chained z(d) as a fresh member, which holds
+    # its own compiled system, proof and certificate; the run memo keeps
+    # members only, and none of them on a chained system
+    chained = []
+    original = neurec.verify.cons.chain_perturbation
+
+    def recording(*args):
+        chained.append(original(*args))
+        return chained[-1]
+
+    monkeypatch.setattr("neurec.verify.cons.chain_perturbation", recording)
+    with neurec.verify.proof_memo():
+        assert check_chain(m).passed
+        kept = list(neurec.verify._members.values())
+    assert len(chained) == window_params(m).rho - 1
+    assert kept and all(isinstance(mem, Member) for mem in kept)
+    assert not any(mem.system is system for mem in kept for system in chained)
 
 
 @pytest.mark.long
@@ -1222,12 +1296,12 @@ def test_a_remembered_certificate_is_read_exactly_while_its_steps_fit_the_cap(bu
     # and raises with the same steps
     with neurec.verify.proof_memo():
         z = member(window_params(6), "z", 0)
-        cert, cost = _certificate(z.cs, z.system.init, z.handoff, MEASURE_CUTOFF)
+        cert, cost = _certificate(z, MEASURE_CUTOFF)
         builds.clear()
-        assert _certificate(z.cs, z.system.init, z.handoff, cost) == (cert, cost)
+        assert _certificate(z, cost) == (cert, cost)
         assert builds == []
         with pytest.raises(BudgetExceeded) as exc:
-            _certificate(z.cs, z.system.init, z.handoff, cost - 1)
+            _certificate(z, cost - 1)
         assert (exc.value.steps, exc.value.budget) == (cost, cost - 1)
         assert [name for name, _, _ in builds] == ["handoff_certificate"]
 
@@ -1358,7 +1432,7 @@ def test_every_certificate_takes_at_most_its_price():
         p = window_params(m)
         for family, index in [("y", None), *((f, d) for f in "wz" for d in range(p.rho))]:
             mem = member(p, family, index)
-            cert, steps = _certificate(mem.cs, mem.system.init, mem.handoff, MEASURE_CUTOFF)
+            cert, steps = _certificate(mem, MEASURE_CUTOFF)
             assert cert.closes and steps <= proof_work(p, family, index), (m, family, index, steps)
 
 

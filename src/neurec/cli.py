@@ -15,9 +15,14 @@ which alone knows each claim's name, grid, cutoff and knobs.  The member modes
 of every scale, each a verify.member, one row per member; cycle proves it
 with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
-built.  simulate writes each trace file as its member is traced, so a run
-holds one trace at most.  construct proves and compiles nothing and opens
-none, so each member is freed after its row.  This module builds no system:
+built.  simulate writes each trace file as its member is traced, and reads
+the member's Trace a block of about _WRITE bytes at a time, never whole:
+export_trace's periodic check, run-length encoder and count of 1s, or with
+no file a count of its own.  So besides the members the memo keeps, with
+their certificates, a run holds one block, a simulated member's trace up to
+its first repeat and at most one period's run-length lines, whatever
+--steps is, up to MAX_STEPS.  construct proves and compiles nothing and
+opens none, so each member is freed after its row.  This module builds no system:
 it handles arguments and output, and rejects a setting the mode does not
 read, or a --d or --lane off any scale's range before any member runs.
 Every run produces one JSON report (printed to stdout, or written to
@@ -41,10 +46,21 @@ from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    IO,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from . import __version__
 from .construction import RecurrenceSystem
+from .engine import Trace
 from .errors import NeurecError
 from .numtheory import WindowParams, window_params
 from .verify import (
@@ -65,6 +81,10 @@ TRACE_FORMATS = {"text-bits": "txt", "run-length": "rle"}  # each format's file 
 DEFAULT_MS = (6, 11)
 LONG_MS = (16, 21)
 CSV_FIELDS = ("system", "m", "d", "T_measured", "P_measured", "T_predicted", "P_predicted", "match")
+# the most --steps simulate takes: a trace is read a block at a time at about a
+# nanosecond a step, so this many steps read for tens of seconds per member and
+# make a text-bits file of 10 GB; a run past it would not end in useful time
+MAX_STEPS = 10**10
 
 
 class ExperimentConfig:
@@ -109,8 +129,9 @@ class RunReport(NamedTuple):
 # trace and system serialization
 
 
-# lines are made and written a block at a time, as a whole trace's lines take several times the
-# trace: runs in blocks of about _RUN_BLOCK trace bytes, and writes of about _WRITE bytes
+# a trace is read and written a block at a time, never whole: lines are made from blocks of
+# _RUN_BLOCK trace bytes, as a block's run-length lines take several times the block, and every
+# other read and write takes about _WRITE bytes
 _RUNS = re.compile(rb"\x00+|\x01+")
 _RUN_LINES = tuple(f"{bit}×%d\n".encode() for bit in (0, 1))
 _RUN_BLOCK = 1 << 14
@@ -118,64 +139,123 @@ _WRITE = 1 << 16
 _CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> "0"/"1"
 
 
-def export_trace(
-    trace: Sequence[int], path: str | Path, fmt: str, memory: int, hint: tuple[int, int] | None = None
-) -> None:
-    """Write a trace as text-bits (wrapped every memory symbols, on one line
-    when memory is 0) or run-length, in UTF-8, in blocks of whole lines.
+def _blocks(trace: bytes | Trace, start: int, stop: int, size: int = _WRITE) -> Iterator[bytes]:
+    """trace[start:stop], size bytes at a time."""
+    return (trace[a : min(a + size, stop)] for a in range(start, stop, size))
 
-    run-length reads hint, a claimed (T, P) such as a member's predicted one,
-    checked on the bytes: if trace[i + P] == trace[i] for every i in [T, len - P),
-    the runs of one period from the first change of bit after T are formatted
-    once and written for each whole period that follows.  Any hint, right,
-    wrong or none, gives the same file."""
-    trace = trace if isinstance(trace, (bytes, bytearray)) else bytes(trace)
+
+def export_trace(
+    trace: Sequence[int] | Trace,
+    path: str | Path,
+    fmt: str,
+    memory: int,
+    hint: tuple[int, int] | None = None,
+) -> int:
+    """Write a trace as text-bits (wrapped every memory symbols, on one line
+    when memory is 0) or run-length, in UTF-8, a block at a time, and return
+    its count of 1s, counted off the blocks it reads.
+
+    trace is bytes, a Trace or any sequence of 0/1, which is copied to bytes;
+    each is read by slicing, one block at a time, so a Trace is never held
+    whole.  run-length reads hint, a claimed (T, P) such as a member's
+    predicted one, checked on the bytes: if trace[i + P] == trace[i] for
+    every i in [T, len - P), the runs of one period from the first change
+    of bit after T are formatted once and written for each whole period that
+    follows.  Any hint, right, wrong or none, gives the same file."""
+    if not isinstance(trace, (bytes, bytearray, Trace)):
+        trace = bytes(trace)
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
-    size = len(trace)
+    size, ones = len(trace), 0
     with Path(path).open("wb") as fh:
         if fmt == "text-bits":
             width = memory or size or 1
-            step = max(1, _WRITE // width) * width
-            for start in range(0, size, step):
-                chars = trace[start : start + step].translate(_CHARS)
-                fh.write(b"\n".join(chars[i : i + width] for i in range(0, len(chars), width)) + b"\n")
+            if width <= _WRITE:  # blocks of whole lines
+                for block in _blocks(trace, 0, size, _WRITE // width * width):
+                    ones += block.count(1)
+                    chars = block.translate(_CHARS)
+                    lines = (chars[i : i + width] for i in range(0, len(chars), width))
+                    fh.write(b"\n".join(lines) + b"\n")
+            else:  # a line longer than a block, as memory 0's one line, in blocks
+                for line in range(0, size, width):
+                    for block in _blocks(trace, line, min(line + width, size)):
+                        ones += block.count(1)
+                        fh.write(block.translate(_CHARS))
+                    fh.write(b"\n")
         else:
             cut = _periodic_cut(trace, hint) or size
-            fh.writelines(_run_lines(trace, 0, cut))
+            ones = _write_runs(fh.write, trace, 0, cut)
             if cut < size:
-                p = hint[1]
-                period = b"".join(_run_lines(trace, cut, cut + p))
+                p, lines = hint[1], []
+                per = _write_runs(lines.append, trace, cut, cut + p)
+                period = b"".join(lines)
                 reps, copies = (size - cut) // p, max(1, _WRITE // len(period))
                 fh.writelines(period * min(copies, reps - i) for i in range(0, reps, copies))
-                fh.writelines(_run_lines(trace, cut + reps * p, size))
+                ones += reps * per + _write_runs(fh.write, trace, cut + reps * p, size)
         if not size:
             fh.write(b"\n")
+    return ones
 
 
-def _periodic_cut(trace: bytes | bytearray, hint: tuple[int, int] | None) -> int:
+def _periodic_cut(trace: bytes | Trace, hint: tuple[int, int] | None) -> int:
     """The first change of bit after T if hint's (T, P) holds on trace from T
-    on and two whole periods follow that change, else 0."""
+    on and two whole periods follow that change, else 0.  Both are read by
+    blocks: the change up to its last place, len - 2P, and the period as
+    each block against the block P on, in one read of both when P is
+    shorter than a block."""
     (t, p), size = hint or (0, 0), len(trace)
-    cut = trace.find(1 - trace[t], t + 1) if 0 <= t < size and p > 0 else -1
-    if not t < cut <= size - 2 * p:
+    if not (0 <= t < size - 2 * p and p > 0):
         return 0
-    # trace[i:] starts with the chunk a period on, so one chunk at a time is copied
-    chunks = range(t, size - p, _WRITE)
-    return cut if all(trace.startswith(trace[i + p : i + p + _WRITE], i) for i in chunks) else 0
+    other, cut = 1 - trace[t : t + 1][0], t + 1
+    for block in _blocks(trace, t + 1, size - 2 * p + 1):
+        i = block.find(other)
+        if i >= 0:
+            cut += i
+            break
+        cut += len(block)
+    else:
+        return 0
+    for i in range(t, size - p, _WRITE):
+        if p < _WRITE:
+            block = trace[i : i + p + _WRITE]
+            same = block.startswith(memoryview(block)[p:])
+        else:
+            ahead = trace[i + p : i + p + _WRITE]
+            same = trace[i : i + len(ahead)] == ahead
+        if not same:
+            return 0
+    return cut
 
 
-def _run_lines(trace: bytes | bytearray, start: int, stop: int) -> Iterator[bytes]:
-    """The run-length lines of trace[start:stop], whole runs, one block at a time."""
-    while start < stop:
-        end = min(start + _RUN_BLOCK, stop)
-        if end < stop:  # on to the next change of bit, or the stop
-            end = trace.find(1 - trace[end - 1], end, stop)
-            end = stop if end < 0 else end
-        counts = tuple(map(len, _RUNS.findall(trace, start, end)))
-        first, other = _RUN_LINES[trace[start]], _RUN_LINES[1 - trace[start]]
-        yield ((first + other) * (len(counts) // 2) + first * (len(counts) % 2)) % counts
-        start = end
+def _write_runs(
+    write: Callable[[bytes], object], trace: bytes | Trace, start: int, stop: int
+) -> int:
+    """Write the run-length lines of trace[start:stop] with write, whole runs,
+    _RUN_BLOCK bytes of each block read at a time, the last run of each
+    carried into the next, which may extend it; return the count of 1s."""
+    bit = carry = ones = 0  # the last run so far, its bit and length
+    for block in _blocks(trace, start, stop):
+        ones += block.count(1)
+        for a in range(0, len(block), _RUN_BLOCK):
+            counts = list(map(len, _RUNS.findall(block, a, a + _RUN_BLOCK)))
+            first = block[a]
+            if carry and bit == first:
+                counts[0] += carry
+            elif carry:
+                counts.insert(0, carry)
+                first = bit
+            bit, carry = first ^ (len(counts) - 1) % 2, counts.pop()
+            if counts:
+                write(_lines(first, counts))
+    if carry:
+        write(_lines(bit, [carry]))
+    return ones
+
+
+def _lines(first: int, counts: list[int]) -> bytes:
+    """One line per run, of the given lengths, the first of bit first and alternating."""
+    one, other = _RUN_LINES[first], _RUN_LINES[1 - first]
+    return ((one + other) * (len(counts) // 2) + one * (len(counts) % 2)) % tuple(counts)
 
 
 def import_trace(path: str | Path) -> list[int]:
@@ -274,13 +354,15 @@ def _member_row(config: ExperimentConfig, params: WindowParams, mem: Member) -> 
     if config.emit_traces:
         path = Path(config.out) / f"{_slug(system.label)}.{TRACE_FORMATS[config.trace_format]}"
         path.parent.mkdir(parents=True, exist_ok=True)
-        export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
+        ones = export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
+    else:
+        ones = sum(block.count(1) for block in _blocks(trace, 0, len(trace)))
     return {
         "system": system.label,
         "m": params.m,
         "steps": steps,
         "trace_len": len(trace),
-        "ones": trace.count(1),
+        "ones": ones,
         "route": route,
         "certificate_steps": spent,
     }
@@ -418,7 +500,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--system", choices=FAMILIES, default=None, help="family filter")
     parser.add_argument("--lane", type=int, default=None, help="lane index i for x/v systems")
-    parser.add_argument("--steps", type=int, default=None, help="simulate: steps past the init")
+    parser.add_argument(
+        "--steps",
+        type=int,
+        default=None,
+        help=f"simulate: steps past the init, at most {MAX_STEPS:,}",
+    )
     parser.add_argument(
         "--budget",
         type=int,
@@ -529,8 +616,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError("m must be at least 2")
     if config.emit_traces and config.out is None:
         raise ValueError("--emit-traces needs --out")
-    if config.steps is not None and config.steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if config.steps is not None and not 0 <= config.steps <= MAX_STEPS:
+        raise ValueError(f"--steps must be from 0 to {MAX_STEPS:,}")
     if config.budget is not None and config.budget < 1:
         raise ValueError("budget must be positive")
 
@@ -544,7 +631,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"neurec: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("neurec: out of memory; try a smaller --m", file=sys.stderr)
+        print("neurec: out of memory; try a smaller --m or --steps", file=sys.stderr)
         return 2
     tags = {True: "PASS", False: "FAIL", None: "SKIP"}
     for res in report.claim_results:

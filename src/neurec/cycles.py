@@ -18,7 +18,9 @@ verify_predicted is the one prover of a prediction.  It probes the
 windows a reader supplies: a closed certificate's read, or with none a
 simulation in one forward pass of exactly T + P steps.  The two
 certificates share the closes / read / trace protocol; read takes no
-step, and trace writes the outputs x(n) lane by lane:
+step, and trace(start, stop) reads the outputs x(start..stop-1) lane by
+lane, each lane's from its own lane time in the range, so a range costs
+its length and not its start:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
@@ -73,7 +75,14 @@ from math import gcd, lcm, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
-from .engine import CompiledSystem, advance_word, compile_system, find_repeat, word_from_bits
+from .engine import (
+    CompiledSystem,
+    advance_word,
+    compile_system,
+    find_repeat,
+    periodic_slice,
+    word_from_bits,
+)
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
 from .numtheory import prime_factors
 
@@ -141,11 +150,10 @@ def _lane_system(cs: CompiledSystem, r: int) -> CompiledSystem:
     return compile_system(RecurrenceSystem(memory, lane_taps, cs.scaled_threshold, bytes(memory)))
 
 
-def _outputs(orbit: tuple[bytes, CycleReport], count: int) -> bytes:
-    """A lane's outputs x(0..count-1): its trace to T, then trace[T : T + P] repeated."""
+def _outputs(orbit: tuple[bytes, CycleReport], start: int, stop: int) -> bytes:
+    """A lane's outputs x(start..stop-1): its trace to T, then trace[T : T + P] repeated."""
     trace, rep = orbit
-    t, p = rep.measured_transient, rep.measured_period
-    return (trace[:t] + trace[t : t + p] * -((t - count) // p))[:count]
+    return periodic_slice(trace, rep.measured_transient, rep.measured_period, start, stop)
 
 
 class Lanes(NamedTuple):
@@ -153,6 +161,8 @@ class Lanes(NamedTuple):
 
     cs is the lane recurrence; orbits[i] is lane i's trace, the first
     T + P + memory bytes its detect_cycle search wrote, and its report.
+    trace(start, stop) reads any range of the orbit's outputs off them, in
+    time and space O(stop - start) beyond the lanes, whatever the start.
     """
 
     cs: CompiledSystem
@@ -173,10 +183,10 @@ class Lanes(NamedTuple):
             buf[(i - n) % r :: r] = trace[s : s + memory]
         return word_from_bits(buf)
 
-    def trace(self, length: int) -> bytearray:
-        """The orbit's outputs x(0..length-1), one byte 0/1 each."""
-        buf = bytearray(length)
-        _fill(self, buf, 0, length)
+    def trace(self, start: int, stop: int) -> bytearray:
+        """The orbit's outputs x(start..stop-1), one byte 0/1 each."""
+        buf = bytearray(max(stop - start, 0))
+        _fill(self, buf, 0, start, stop)
         return buf
 
     @property
@@ -201,7 +211,7 @@ class Lanes(NamedTuple):
 
         def counts(orbit: tuple[bytes, CycleReport], s: int, n: int) -> list[int]:
             # the popcounts at lane times s .. s + n - 1, by prefix sums of the outputs
-            pre = list(accumulate(_outputs(orbit, s + n + memory - 1)[s:], initial=0))
+            pre = list(accumulate(_outputs(orbit, s, s + n + memory - 1), initial=0))
             return [b - a for a, b in zip(pre, pre[memory:])]
 
         heads = [counts(orbit, 0, q0 + 1) for orbit in self.orbits]
@@ -217,13 +227,17 @@ class Lanes(NamedTuple):
         return min(sums | {lo}), max(sums | {hi})
 
 
-def _fill(lanes: Lanes, buf: bytearray, start: int, stop: int) -> None:
-    """Write x(0), x(1), ... over buf[start:stop], lane i's outputs into
-    buf[start + i : stop : r], a bytearray slice write (a strided memoryview
-    write is about ten times slower)."""
+def _fill(lanes: Lanes, buf: bytearray, at: int, start: int, stop: int) -> None:
+    """Write x(start..stop-1) of the orbit on lanes over buf[at : at + stop - start]:
+    lane i's outputs from its first time in range into every r-th byte from
+    there, a bytearray slice write (a strided memoryview write is about ten
+    times slower)."""
     r = len(lanes.orbits)
     for i, orbit in enumerate(lanes.orbits):
-        buf[start + i : stop : r] = _outputs(orbit, len(range(start + i, stop, r)))
+        first = start + (i - start) % r  # at lane time (first - i) / r
+        s = (first - i) // r
+        outs = _outputs(orbit, s, s + len(range(first, stop, r)))
+        buf[at + first - start : at + stop - start : r] = outs
 
 
 def certify_lanes(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[Lanes, int]:
@@ -369,7 +383,7 @@ def _first_disagreement(cs: CompiledSystem, lanes: Lanes, budget: int) -> tuple[
     flat = [[(i, w, m) for i in range(r) for w, m in slot0[(i - c) % r].items()] for c in range(r)]
 
     # lane i's outputs through the prefix, and its window at lane time at[i]
-    outs = [_outputs(orbit, q0 + memory) for orbit in lanes.orbits]
+    outs = [_outputs(orbit, 0, q0 + memory) for orbit in lanes.orbits]
     windows, at = [word_from_bits(out[:memory]) for out in outs], [0] * r
     # every time, or the n = r*q + c whose next bit, lane c's output at lane time q, is 1
     times = range(r * q0) if 0 in checked else sorted(
@@ -457,12 +471,13 @@ class HandoffCertificate(NamedTuple):
             return self.stepped[n - split]
         return self.head.read(n)
 
-    def trace(self, length: int) -> bytearray:
-        """x(0..length-1) of a closed certificate: head's before at, tail's on."""
-        buf = bytearray(length)
-        cut = min(self.at, length)
-        _fill(self.head, buf, 0, cut)
-        _fill(self.tail, buf, cut, length)
+    def trace(self, start: int, stop: int) -> bytearray:
+        """x(start..stop-1) of a closed certificate: head's before at, tail's
+        x(n - at) from at on."""
+        buf = bytearray(max(stop - start, 0))
+        cut = min(max(self.at, start), stop)
+        _fill(self.head, buf, 0, start, cut)
+        _fill(self.tail, buf, cut - start, cut - self.at, stop - self.at)
         return buf
 
 

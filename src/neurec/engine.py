@@ -16,16 +16,23 @@ Two independent evaluation routes:
 The compiled route steps in one loop, advance_word, which slides the
 window; a caller that needs the affine sums of an orbit's windows adds
 them up from the 1s of its trace instead of stepping again.  find_repeat
-is the one search for a repeated window, used by run and by
+is the one search for a repeated window, used by simulate and by
 cycles.detect_cycle.  It slides advance_word in chunks of at most memory
 slides, writes each chunk's outputs, the low bits of the window, into a
 trace with bits_from_word, and at check points spaced max(1, n // 8)
 slides apart looks the newest window S_n up in the trace so far.  No
 window repeats before S_{T + P} on an orbit of transient T and period P,
 so it stops after min(limit, T + P) slides at least and M + M // 8 at
-most, M = T + P + (T + P) // 8, whatever the memory.  run fills the rest
-of its trace by periodic extension from the first S_i == S_n with i < n,
-however many steps it asks for.
+most, M = T + P + (T + P) // 8, whatever the memory.
+
+A trace is read by range, never built whole unless a caller asks for all
+of it.  simulate keeps find_repeat's trace up to the first S_i == S_n with
+i < n and returns a Trace, whose slice trace[start:stop] reads
+x(start..stop-1) off it by periodic_slice: a slice of the kept trace, and
+past it the last n - i outputs repeated, however many steps it asks for.
+It holds memory + n bytes, whatever the range.  run is the full read of
+it, as bytes.  The lane certificates of cycles read their lanes' outputs
+by the same periodic_slice.
 
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
@@ -40,8 +47,9 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
 from .errors import ShapeMismatch
@@ -51,6 +59,9 @@ __all__ = [
     "compile_system",
     "advance_word",
     "find_repeat",
+    "Trace",
+    "periodic_slice",
+    "simulate",
     "run",
     "dense_oracle_run",
     "word_from_bits",
@@ -173,33 +184,70 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
         n += c
 
 
-def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
-    """Full trace x(0)..x(memory+steps-1), one byte 0/1 each; the prefix is init.
+class Trace:
+    """x(0..len(trace)-1) of an orbit, held as the rule that reads any range:
+    the slice trace[start:stop] is read(start, stop), bytes 0/1, so a reader
+    takes it a block at a time and never holds it whole.  A slice of bytes
+    reads the same range alike."""
+
+    __slots__ = ("read", "length")
+
+    def __init__(self, read: Callable[[int, int], bytes], length: int) -> None:
+        self.read, self.length = read, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, step = key.indices(self.length)
+        if step != 1:
+            raise ValueError("a trace is read by contiguous range")
+        return self.read(start, max(start, stop))
+
+
+def periodic_slice(head: bytes, t: int, p: int, start: int, stop: int) -> bytes:
+    """x(start..stop-1) of a sequence periodic from t with period p whose first
+    t + p terms or more are head: a slice of head, and past its end the cycle
+    head[t : t + p] repeated, in time and space O(stop - start).  p may be 0
+    when no read passes the end of head."""
+    if stop > len(head) and start >= t + p:  # the same phase as many periods back as it goes
+        shift = (start - t) // p * p
+        start, stop = start - shift, stop - shift
+    if stop <= len(head):
+        return head[start:stop]
+    whole, part = divmod(stop - t - p, p)  # start < t + p <= len(head) < stop here
+    cycles = head[t : t + p] * whole if whole else b""
+    return b"".join((head[start : t + p], cycles, head[t : t + part]))
+
+
+def simulate(cs: CompiledSystem, init: Sequence[int], steps: int) -> Trace:
+    """The trace x(0)..x(memory+steps-1), read by range; its prefix is init.
 
     find_repeat steps the trace to the first check point n at which the
-    newest window S_n already occurred at some i < n; equal windows have
-    equal futures, so the remaining outputs repeat the last n - i.  The
-    trace is exact: an orbit that does not repeat within steps slides is
-    stepped in full.
+    newest window S_n already occurred at some i < n, and simulate keeps it;
+    equal windows have equal futures, so every later output repeats the one
+    n - i before it.  The trace is exact: an orbit that does not repeat
+    within steps slides is stepped in full.  It holds memory + n bytes,
+    n <= min(steps, M + M // 8) as find_repeat says.
     """
     memory = cs.memory
     if len(init) != memory:
         raise ShapeMismatch(f"init length {len(init)} != system memory {memory}")
+    steps = max(steps, 0)
     if not memory:
         # no window to read outputs off, and every step sees the same empty sum
-        return bytes([cs.scaled_threshold <= 0]) * max(steps, 0)
-    trace = bytearray(memory + max(steps, 0))
-    trace[:memory] = bytes(init)
-    n, i = find_repeat(cs, trace, max(steps, 0))
-    src = memoryview(trace)
-    start, pos, end = i + memory, n + memory, len(trace)
-    while pos < end:
-        # [start, pos) has period n - i and a length that is a multiple of
-        # it, so copying it forward doubles it
-        k = min(pos - start, end - pos)
-        trace[pos : pos + k] = src[start : start + k]
-        pos += k
-    return bytes(trace)
+        head, t, p = bytes([cs.scaled_threshold <= 0]), 0, 1
+    else:
+        trace = bytearray(init)
+        n, i = find_repeat(cs, trace, steps)
+        head, t, p = bytes(trace), i, n - i  # no repeat within steps: p = 0, and head is all of it
+    return Trace(partial(periodic_slice, head, t, p), memory + steps)
+
+
+def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
+    """Full trace x(0)..x(memory+steps-1), one byte 0/1 each: simulate's
+    trace read in one range."""
+    return simulate(cs, init, steps)[:]
 
 
 def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) -> bytes:

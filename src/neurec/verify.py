@@ -40,11 +40,12 @@ its run trace to T + P; v_fixed and s1_range scatter their sums from run's
 trace (_window_sums).  One cap, the budget or else MEASURE_CUTOFF (_cap),
 picks a proof's route and bounds every certificate: past it _certificate
 raises BudgetExceeded, as a simulation does unrun.  simulated_trace routes
-simulate alike, capped at its steps.  _priced prices an instance at the
-largest proof_work (predicted T + P, each lane at the bound of its search,
-a handoff at its prefix, phases, steps and an allowance for its nodes) of
-the members it proves or certifies, and skip_detail skips (passed None)
-one past MEASURE_CUTOFF rather than attempt it.
+simulate alike, capped at its steps, to a Trace read by range.  _priced
+prices an instance at the largest proof_work (predicted T + P, each lane at
+the bound of its search, a handoff at its prefix, phases, steps and an
+allowance for its nodes) of the members it proves or certifies, and
+skip_detail skips (passed None) one past MEASURE_CUTOFF rather than attempt
+it.
 
 A run builds and compiles each member once, proves it once and certifies
 it once: proof_memo, open for one run_claims call or a CLI cycle or simulate
@@ -82,8 +83,8 @@ from .cycles import (
     lane_count,
     verify_predicted,
 )
-from .engine import CompiledSystem, advance_word, bits_from_word, compile_system, run
-from .engine import word_from_bits
+from .engine import CompiledSystem, Trace, advance_word, bits_from_word, compile_system, run
+from .engine import simulate, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed
 from .numtheory import WindowParams, cycle_lengths, window_params
 
@@ -314,21 +315,25 @@ def _certificate(mem: Member, cap: int) -> tuple[Lanes | HandoffCertificate | No
     return cert, spent
 
 
-def simulated_trace(mem: Member, steps: int) -> tuple[bytes | bytearray, str, int]:
-    """x(0..memory+steps-1) of a member, its route and the certificate's
-    steps.  run stops at the first repeat, so it takes min(T + P, steps)
-    slides; past DETECT_CUTOFF the trace is read off mem's certificate
-    (_certificate) if it closes within steps slides.  Below it run is the
-    cheaper for a handoff (tools/route_crossover.py --repeats 3, default
-    steps, 3 runs: m = 11 z(1) 0.96-1.05 ms by run, 1.63-2.47 by
-    certificate)."""
+def simulated_trace(mem: Member, steps: int) -> tuple[Trace, str, int]:
+    """x(0..memory+steps-1) of a member as a Trace, read by range, its route
+    and the certificate's steps.  simulate stops at the first repeat, so it
+    takes min(T + P, steps) slides and keeps as many bytes; past
+    DETECT_CUTOFF the trace is read off mem's certificate (_certificate) if
+    it closes within steps slides, and a range of it costs its length.
+    Either way no whole trace is built, and a reader holds the member's
+    first-repeat prefix or certificate and the range it asks for.  Below the
+    cutoff the simulation is the cheaper for a handoff
+    (tools/route_crossover.py --repeats 3, default steps, 3 runs: m = 11
+    z(1) 0.96-1.05 ms by run, 1.63-2.47 by certificate)."""
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
         with suppress(BudgetExceeded):
             cert, spent = _certificate(mem, steps)
     if cert is None or not cert.closes:
-        return run(mem.cs, mem.system.init, steps), "simulated", 0
-    return cert.trace(mem.system.memory + steps), "handoff" if mem.handoff else "lanes", spent
+        return simulate(mem.cs, mem.system.init, steps), "simulated", 0
+    trace = Trace(cert.trace, mem.system.memory + steps)
+    return trace, "handoff" if mem.handoff else "lanes", spent
 
 
 def _report_dict(rep: CycleReport, predicted: tuple[int, int]) -> dict:

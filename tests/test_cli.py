@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -36,6 +36,7 @@ from neurec import (
 from neurec.cli import (
     _RUN_BLOCK,
     _WRITE,
+    MAX_STEPS,
     MODES,
     export_trace,
     import_trace,
@@ -43,6 +44,7 @@ from neurec.cli import (
     system_to_json,
 )
 from neurec.cycles import Lanes
+from neurec.engine import Trace
 from neurec.verify import MEASURE_CUTOFF, _certificate, simulated_trace
 
 
@@ -487,9 +489,12 @@ def assert_simulate_traces_equal_run(m, oracle_steps):
             want = run(cs, s.init, steps)
             n = min(len(want), len(oracle))
             assert want[:n] == oracle[:n], (s.label, steps)
-            assert simulated_trace(mem, steps)[0] == want, (s.label, steps)
+            trace = simulated_trace(mem, steps)[0]
+            assert trace[:] == want, (s.label, steps)
+            blocks = (trace[a : a + 999] for a in range(0, len(trace), 999))
+            assert b"".join(blocks) == want, (s.label, steps)
             cert, _ = _certificate(fresh(mem), 10**9)
-            assert cert.closes and cert.trace(s.memory + steps) == want, (s.label, steps)
+            assert cert.closes and cert.trace(0, s.memory + steps) == want, (s.label, steps)
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -503,9 +508,9 @@ def test_a_wrong_lane_trace_fails_the_equality_check(monkeypatch):
     # negative control: one flipped byte in every lane trace is seen
     exact = Lanes.trace
 
-    def flipped(self, length):
-        buf = exact(self, length)
-        buf[-1] ^= 1
+    def flipped(self, start, stop):
+        buf = exact(self, start, stop)
+        buf[-1:] = bytes(1 - b for b in buf[-1:])
         return buf
 
     monkeypatch.setattr(Lanes, "trace", flipped)
@@ -584,7 +589,7 @@ def test_simulate_below_the_certificate_cost_runs_the_same_trace(monkeypatch, m)
         for steps in (cost // 2, cost - 1) if mem.family == "z" else (cost // 2,):
             trace, route, spent = simulated_trace(mem, steps)
             assert (route, spent) == ("simulated", 0), (s.label, steps)
-            assert trace == run(cs, s.init, steps), (s.label, steps)
+            assert trace[:] == run(cs, s.init, steps), (s.label, steps)
         if mem.family == "z":
             assert simulated_trace(mem, cost)[1:] == ("handoff", cost), s.label
 
@@ -606,21 +611,14 @@ def test_long_tier_simulated_z_traces_at_m16_equal_run(tmp_path):
 
 
 def test_simulate_writes_each_trace_before_tracing_the_next_member(tmp_path, monkeypatch):
-    # a simulate run holds at most one trace: each is written, and freed,
-    # before the next member is traced
-    class Traced(bytearray):  # a bytearray that a weakref can watch
-        pass
-
-    calls, alive = [], []
+    # each trace file is written before the next member is traced; that a
+    # run holds no whole trace meanwhile is test_simulate_peaks_alike_at_any_steps
+    calls = []
     traced, export = neurec.cli.simulated_trace, neurec.cli.export_trace
 
     def tracing(mem, steps):
-        assert all(ref() is None for ref in alive), mem.system.label
-        trace, route, spent = traced(mem, steps)
         calls.append(("trace", mem.system.label))
-        trace = Traced(trace)
-        alive.append(weakref.ref(trace))
-        return trace, route, spent
+        return traced(mem, steps)
 
     def exporting(trace, path, *args):
         calls.append(("export", Path(path).name))
@@ -636,7 +634,33 @@ def test_simulate_writes_each_trace_before_tracing_the_next_member(tmp_path, mon
         for d in range(rho)
         for what in ("trace", "export")
     ]
-    assert all(ref() is None for ref in alive)
+
+
+# how far tracemalloc's peak of a simulate run may grow from 200,000 steps to
+# 2,000,000: a block is 64 KiB, and holding any one trace whole would add 1.8 MB
+PEAK_GROWTH = 64 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["text-bits", "run-length"])
+def test_simulate_peaks_alike_at_any_steps(tmp_path, fmt):
+    # every trace is read in blocks off its first-repeat prefix or its
+    # certificate, so ten times the steps peaks within PEAK_GROWTH: here z(0)
+    # and z(1) at m = 11 are simulated and z(2) is read off its handoff
+    def peak(steps):
+        argv = ["--mode", "simulate", "--m", "11", "--system", "z", "--steps", str(steps)]
+        argv += ["--emit-traces", "--trace-format", fmt, "--out", str(tmp_path / str(steps))]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200_000)  # imports and caches of a first run
+    low, high = peak(200_000), peak(2_000_000)
+    assert high - low < PEAK_GROWTH, (low, high)
+    rows = read_report(tmp_path / "2000000")["cycle_reports"]
+    assert [row["route"] for row in rows] == ["simulated", "simulated", "handoff"]
 
 
 def test_simulated_z_traces_past_several_periods_are_one_line_per_run(tmp_path, monkeypatch):
@@ -870,6 +894,13 @@ def test_reports_are_deterministic(tmp_path):
         # d = 2 is on m = 11's range but off m = 6's: no m = 11 trace is written first
         ["--mode", "simulate", "--m", "11", "--m", "6", "--system", "z", "--d", "2",
          "--steps", "100", "--emit-traces", "--out", "OUT"],
+        # --steps past MAX_STEPS, one too large for a machine int and one that
+        # once ran out of memory, and a negative one
+        ["--mode", "simulate", "--m", "6", "--system", "v", "--lane", "0",
+         "--steps", "100000000000000000000"],
+        ["--mode", "simulate", "--m", "6", "--steps", str(10**12), "--emit-traces", "--out", "OUT"],
+        ["--config", {"mode": "simulate", "m": [6], "steps": MAX_STEPS + 1}],
+        ["--mode", "simulate", "--m", "6", "--steps", "-1"],
     ],
 )
 def test_config_errors_exit_2(argv, tmp_path, capsys):
@@ -885,6 +916,17 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("neurec: ") and len(err.splitlines()) == 1, err
     assert not out.exists()
+
+
+def test_steps_past_the_ceiling_name_steps(capsys):
+    # MAX_STEPS itself is a valid step count (nothing here runs); one more,
+    # or a negative count, is rejected by a message that names --steps
+    parse = neurec.cli._build_parser().parse_args
+    config = neurec.cli._merge_config(parse(["--mode", "simulate", "--steps", str(MAX_STEPS)]))
+    assert config.steps == MAX_STEPS
+    for steps in (MAX_STEPS + 1, 10**20, -1):
+        assert main(["--mode", "simulate", "--m", "6", "--steps", str(steps)]) == 2
+        assert "--steps" in capsys.readouterr().err, steps
 
 
 @pytest.mark.parametrize(
@@ -940,12 +982,15 @@ def per_run_lines(trace: bytes) -> bytes:
 @example(0, [1] * (2 * _RUN_BLOCK + 5))
 @example(1, [_RUN_BLOCK, _RUN_BLOCK, 1])
 @example(0, [_RUN_BLOCK - 1, 2, _RUN_BLOCK])
+@example(1, [_WRITE - 1, 1, _WRITE])
+@example(0, [_WRITE + _RUN_BLOCK, 3 * _WRITE])
 def test_run_length_blocks_write_every_run_once(tmp_path_factory, first, runs):
-    # export_trace cuts the trace into blocks of whole runs; runs that cross
-    # a block's nominal edge extend it, and the file equals one line per run
+    # export_trace reads the trace in blocks and formats it in smaller ones;
+    # a run that crosses the edge of either is carried into the next, and
+    # the file equals one line per run
     trace = b"".join(bytes([(first + i) % 2]) * n for i, n in enumerate(runs))
     path = tmp_path_factory.mktemp("blocks") / "t.rle"
-    export_trace(trace, path, "run-length", 5)
+    assert export_trace(trace, path, "run-length", 5) == trace.count(1)
     assert path.read_bytes() == per_run_lines(trace)
     assert import_trace(path) == list(trace)
 
@@ -955,7 +1000,7 @@ def test_text_bits_blocks_hold_whole_lines(tmp_path, memory):
     # a trace of several write blocks reads as lines of memory symbols each
     trace = bytes(i * 7919 % 11 % 2 for i in range(3 * _WRITE + 5))
     path = tmp_path / "t.txt"
-    export_trace(trace, path, "text-bits", memory)
+    assert export_trace(trace, path, "text-bits", memory) == trace.count(1)
     chars = "".join(map(str, trace))
     width = memory or len(chars)
     # compared as lists of lines, whose first difference a failure names at once
@@ -980,6 +1025,14 @@ def hinted_periodic_traces(draw):
     return bytes(trace), draw(st.one_of(st.sampled_from(right), wrong))
 
 
+def flip_last(trace: bytes) -> bytes:
+    return trace[:-1] + bytes([1 - trace[-1]])
+
+
+# a period longer than a block, which the check reads a second time a period on
+LONG_CYCLE = bytes(i * 7919 % 11 % 2 for i in range(_WRITE + 5))
+
+
 @settings(max_examples=80, deadline=None)
 @given(hinted_periodic_traces())
 @example((b"\x01" * 3 + b"\x00" * 50, (3, 1)))  # a constant tail: no change of bit after T
@@ -988,6 +1041,12 @@ def hinted_periodic_traces(draw):
 @example((b"\x00" + b"\x01\x01\x00" * _WRITE + b"\x01", (1, 3)))  # wrong in the last byte only
 # wrong only at byte _WRITE - 2, late in the first chunk the check compares
 @example((b"\x01\x01\x00" * 21_844 + b"\x01" * 3 + b"\x01\x01\x00" * 21_844, (0, 3)))
+# wrong only in the last byte of the last whole period, which one comparison
+# alone reads, the last of a block: P = 3 after a change of bit at 1, and a
+# period longer than a block after one at 3
+@example((flip_last(b"\x01\x00\x00" * 21_846 + b"\x01"), (0, 3)))
+@example((b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:9], (1, len(LONG_CYCLE))))
+@example((flip_last(b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:2]), (1, len(LONG_CYCLE))))
 def test_a_hinted_trace_file_is_the_unhinted_one(tmp_path_factory, case):
     # the hint's (T, P) is checked on the bytes, so right or wrong it leaves
     # the file as one line per run (compared as lists of lines, whose first
@@ -995,9 +1054,13 @@ def test_a_hinted_trace_file_is_the_unhinted_one(tmp_path_factory, case):
     trace, hint = case
     path = tmp_path_factory.mktemp("hinted") / "t.rle"
     want = per_run_lines(trace).split(b"\n")
-    export_trace(trace, path, "run-length", 5, hint)
+    assert export_trace(trace, path, "run-length", 5, hint) == trace.count(1)
     assert path.read_bytes().split(b"\n") == want
-    export_trace(trace, path, "run-length", 5)
+    assert export_trace(trace, path, "run-length", 5) == trace.count(1)
+    assert path.read_bytes().split(b"\n") == want
+    # a Trace is read by the same slices, a range at a time
+    ranged = Trace(lambda start, stop: trace[start:stop], len(trace))
+    assert export_trace(ranged, path, "run-length", 5, hint) == trace.count(1)
     assert path.read_bytes().split(b"\n") == want
 
 
@@ -1007,6 +1070,7 @@ def test_a_hinted_trace_file_is_the_unhinted_one(tmp_path_factory, case):
         (["--mode", "verify", "--m", "6", "--claims", "prop2"], 0),
         (["--mode", "verify", "--m", "6", "--claims", "z_summary", "--budget", "50"], 1),
         (["--mode", "verify", "--m", "4"], 2),
+        (["--mode", "simulate", "--m", "6", "--system", "v", "--lane", "0", "--steps", "1e20"], 2),
     ],
 )
 def test_exit_contract_through_the_module_entry_point(tmp_path, argv, code):

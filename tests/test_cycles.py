@@ -31,6 +31,7 @@ from neurec import (
     chain_perturbation,
     compile_system,
     cycle_lengths,
+    dense_oracle_run,
     destabilized_system,
     detect_cycle,
     find_repeat,
@@ -54,7 +55,15 @@ from neurec.cycles import (
     handoff_certificate,
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
-from test_engine import affine_sum, dense_system, sparse_systems, taps_of, weights_of
+from neurec.engine import Trace
+from test_engine import (
+    affine_sum,
+    dense_system,
+    read_in_blocks,
+    sparse_systems,
+    taps_of,
+    weights_of,
+)
 
 
 def as_part(system, predicted=(0, 0), handoff=None):
@@ -880,7 +889,7 @@ def test_certificate_traces_agree_with_their_reads(m):
         assert cert.closes
         horizon = sum(predicted_cycle(p, family, index)) + s.memory
         times |= set(rng.sample(range(horizon), 40))
-        trace = cert.trace(max(times) + s.memory)
+        trace = cert.trace(0, max(times) + s.memory)
         for n in sorted(times):
             assert cert.read(n) == word_from_bits(trace[n : n + s.memory]), (s.label, n)
 
@@ -897,14 +906,14 @@ def test_certificate_traces_cut_off_the_lane_stride():
     lengths = (1, 50, 98, 101, 2 * p.h + 1)
     assert all(length % 3 for length in lengths)
     for length in lengths:
-        assert lanes.trace(length) == full[:length], length
+        assert lanes.trace(0, length) == full[:length], length
     for at in (100, 101):
         tail = y._replace(init=full[at : at + y.memory])
         handoff = Handoff(as_part(y), as_part(tail), at)
         cert, _ = _certificate(as_part(y, handoff=lambda: handoff), 10**7)
         assert cert.closes and cert.at == at
         for length in lengths:
-            assert cert.trace(length) == full[:length], (at, length)
+            assert cert.trace(0, length) == full[:length], (at, length)
 
 
 @pytest.mark.parametrize("m", [6, 11])
@@ -938,7 +947,7 @@ def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch)
             horizon = len(lanes.orbits) * lane_horizon
             for n in range(0, horizon, 7):
                 lanes.read(n)
-            lanes.trace(horizon + s.memory)
+            lanes.trace(0, horizon + s.memory)
             lanes.popcount_range()
             _first_disagreement(z, lanes, 10**9)
             assert slides[0] == 0, (s.label, d)
@@ -1057,7 +1066,33 @@ def test_a_certificate_traces_the_true_orbit(case, steps):
         cert, _ = _certificate(as_part(s, handoff=lambda: handoff), 10**7)
         if cert is None or not cert.closes:
             return  # e.g. lane periods that share a factor
-    assert cert.trace(cs.memory + steps) == run(cs, init, steps)
+    assert cert.trace(0, cs.memory + steps) == run(cs, init, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(laned_systems(), handoff_cases()), st.integers(0, 150), st.data())
+def test_a_certificate_reads_every_range_of_the_true_orbit(case, steps, data):
+    # a range of a laned system's lanes or of a closed handoff certificate,
+    # read at once, as a Trace or in blocks of any size, is that slice of
+    # run's trace and of the oracle's, wherever it starts: before or past a
+    # handoff, whose trace runs up to 150 steps past it, and the lane
+    # transients, empty, or at the end
+    if isinstance(case, RecurrenceSystem):
+        s = case
+        cert, _ = certify_lanes(compile_system(s), s.init, budget=10**6)
+    else:
+        s, handoff = case
+        cert, _ = _certificate(as_part(s, handoff=lambda: handoff), 10**7)
+        if cert is None or not cert.closes:
+            return  # e.g. lane periods that share a factor
+        steps += handoff.at
+    full = run(compile_system(s), s.init, steps)
+    assert full == dense_oracle_run(s, s.init, steps)
+    start, stop = sorted(data.draw(st.integers(0, len(full))) for _ in range(2))
+    size = data.draw(st.integers(1, 40))
+    trace = Trace(cert.trace, len(full))
+    assert cert.trace(start, stop) == trace[start:stop] == full[start:stop]
+    assert read_in_blocks(trace, start, stop, size) == full[start:stop]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1174,4 +1209,4 @@ def test_certificate_reads_and_traces_equal_the_stepped_full_system(case):
         word = advance_word(cs, word, 1)
     full = run(cs, init, horizon)
     for length in range(horizon + 1):
-        assert cert.trace(length) == full[:length], length
+        assert cert.trace(0, length) == full[:length], length

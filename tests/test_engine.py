@@ -27,6 +27,7 @@ from neurec import (
     window_params,
     word_from_bits,
 )
+from neurec.engine import Trace, simulate
 
 
 def ref_run(system, steps):
@@ -337,6 +338,52 @@ def test_run_fill_on_random_systems(s, laps, offset):
     # short cycle far sooner, so long traces here are mostly fill
     steps = max(laps * max(s.memory, 1) + offset, 0)
     assert run(compile_system(s), s.init, steps) == dense_oracle_run(s, s.init, steps)
+
+
+@st.composite
+def full_systems(draw):
+    """Every offset of the window weighted, none by 0, often negatively, with
+    a zero threshold half the time and an all-1 init some of the time."""
+    memory = draw(st.integers(min_value=1, max_value=8))
+    weights = [draw(rationals.filter(bool)) for _ in range(memory)]
+    theta = draw(st.one_of(st.just(Fraction(0)), rationals))
+    bits = st.lists(st.integers(0, 1), min_size=memory, max_size=memory)
+    init = draw(st.one_of(st.just([1] * memory), bits))
+    return dense_system(weights, theta, init, label="full")
+
+
+def read_in_blocks(trace, start, stop, size):
+    """trace[start:stop] read size bytes at a time."""
+    return b"".join(trace[a : min(a + size, stop)] for a in range(start, stop, size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_systems(), sparse_systems(), full_systems()), st.integers(0, 200), st.data())
+@example(RecurrenceSystem(0, (), 0, b""), 70, None)
+@example(RecurrenceSystem(2, ((1, Fraction(-1)), (2, Fraction(-1))), 0, bytes([1, 1])), 100, None)
+def test_simulate_reads_every_range_as_run_and_the_oracle(s, steps, data):
+    # a range read, in one read or in blocks of any size, is that slice of
+    # run's trace and of the oracle's; most orbits here repeat within a few
+    # dozen slides, so most ranges start or stop past the first repeat
+    cs = compile_system(s)
+    trace, full = simulate(cs, s.init, steps), run(cs, s.init, steps)
+    assert full == dense_oracle_run(s, s.init, steps)
+    assert isinstance(full, bytes) and len(trace) == len(full) == s.memory + steps
+    starts = st.integers(0, len(full))
+    start, stop = (0, len(full)) if data is None else sorted((data.draw(starts), data.draw(starts)))
+    size = 7 if data is None else data.draw(st.integers(1, 80))
+    assert trace[start:stop] == full[start:stop]
+    assert read_in_blocks(trace, start, stop, size) == full[start:stop]
+
+
+def test_a_trace_slices_as_bytes_do():
+    full = bytes(i * 7 % 5 % 2 for i in range(50))
+    trace = Trace(lambda start, stop: full[start:stop], len(full))
+    keys = (slice(None), slice(3, 9), slice(9, 3), slice(-4, None), slice(40, 90), slice(None, -45))
+    for key in keys:
+        assert trace[key] == full[key], key
+    with pytest.raises(ValueError):
+        trace[::2]
 
 
 # --- edges -----------------------------------------------------------------

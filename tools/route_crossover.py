@@ -4,14 +4,16 @@
 
 Member.prove proves an orbit of predicted T + P up to verify.DETECT_CUTOFF
 by a blind search (detect_cycle) and a larger one on a lane or handoff
-certificate; simulated_trace reads a trace off the certificate past the same
-cutoff and otherwise simulates it with run.  For each orbit below, this
-script forces each route in turn, by setting DETECT_CUTOFF to 10^9 (blind,
-or run) and to 0 (certified), and prints the best of --repeats wall times
-of Member.prove() and of simulated_trace at the CLI's default steps (twice
-the memory).  A certificate that cannot close within those steps falls
-back to run, so the simulate table names the route the certified column
-took.  A member keeps its proof and certificate, so every repeat proves or
+certificate; simulated_trace returns a Trace read off the certificate past
+the same cutoff and otherwise off engine.simulate's first-repeat prefix.
+For each orbit below, this script forces each route in turn, by setting
+DETECT_CUTOFF to 10^9 (blind, or simulated) and to 0 (certified), and
+prints the best of --repeats wall times of Member.prove() and of
+simulated_trace at the CLI's default steps (twice the memory), its Trace
+read in full, as the CLI reads it in blocks, so both columns pay for every
+byte.  A certificate that cannot close within those steps falls back to
+the simulation, so the simulate table names the route the certified
+column took.  A member keeps its proof and certificate, so every repeat proves or
 traces a fresh copy (fresh), made before its clock starts on the compiled
 systems of the member and of its handoff's parts: a repeat pays for every
 search and certificate, and for no build or compile.  Everything runs in
@@ -66,6 +68,12 @@ def label(mem) -> str:
     return mem.family + ("" if mem.index is None else f"({mem.index})")
 
 
+def read_trace(mem: Member, steps: int) -> tuple[bytes, str, int]:
+    """simulated_trace with its Trace read in full."""
+    trace, route, spent = verify.simulated_trace(mem, steps)
+    return trace[:], route, spent
+
+
 def timed(mem, cutoff: int, call, repeats: int) -> tuple[float, object]:
     """The best time of call on a fresh copy of mem at this DETECT_CUTOFF,
     and what it returned."""
@@ -94,7 +102,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"{'m':>3} {'orbit':<6} {'steps':>10} {'run':>8} {'certified':>10}  route taken")
         for m, mem in members:
             steps = 2 * mem.system.memory
-            trace = partial(verify.simulated_trace, steps=steps)
+            trace = partial(read_trace, steps=steps)
             (ran, _), (certified, (_, route, _)) = (timed(mem, c, trace, repeats) for c in CUTOFFS)
             print(f"{m:>3} {label(mem):<6} {steps:>10,} {ran:>8.2f} {certified:>10.2f}  {route}")
 

@@ -17,8 +17,8 @@ with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
 built.  simulate writes each trace file as its member is traced, and reads
 the member's Trace a block of about _WRITE bytes at a time, never whole:
-export_trace's periodic check, run-length encoder and count of 1s, or with
-no file a count of its own.  So besides the members the memo keeps, with
+export_trace's periodic check and run-length encoder, and the row's count
+of 1s.  So besides the members the memo keeps, with
 their certificates, a run holds one block, a simulated member's trace up to
 its first repeat and at most one period's run-length lines, whatever
 --steps is, up to MAX_STEPS.  construct proves and compiles nothing and
@@ -150,10 +150,9 @@ def export_trace(
     fmt: str,
     memory: int,
     hint: tuple[int, int] | None = None,
-) -> int:
+) -> None:
     """Write a trace as text-bits (wrapped every memory symbols, on one line
-    when memory is 0) or run-length, in UTF-8, a block at a time, and return
-    its count of 1s, counted off the blocks it reads.
+    when memory is 0) or run-length, in UTF-8, a block at a time.
 
     trace is bytes, a Trace or any sequence of 0/1, which is copied to bytes;
     each is read by slicing, one block at a time, so a Trace is never held
@@ -166,43 +165,39 @@ def export_trace(
         trace = bytes(trace)
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
-    size, ones = len(trace), 0
+    size = len(trace)
     with Path(path).open("wb") as fh:
         if fmt == "text-bits":
             width = memory or size or 1
             if width <= _WRITE:  # blocks of whole lines
                 for block in _blocks(trace, 0, size, _WRITE // width * width):
-                    ones += block.count(1)
                     chars = block.translate(_CHARS)
                     lines = (chars[i : i + width] for i in range(0, len(chars), width))
                     fh.write(b"\n".join(lines) + b"\n")
             else:  # a line longer than a block, as memory 0's one line, in blocks
                 for line in range(0, size, width):
                     for block in _blocks(trace, line, min(line + width, size)):
-                        ones += block.count(1)
                         fh.write(block.translate(_CHARS))
                     fh.write(b"\n")
         else:
             cut = _periodic_cut(trace, hint) or size
-            ones = _write_runs(fh.write, trace, 0, cut)
+            _write_runs(fh.write, trace, 0, cut)
             if cut < size:
                 p, lines = hint[1], []
-                per = _write_runs(lines.append, trace, cut, cut + p)
+                _write_runs(lines.append, trace, cut, cut + p)
                 period = b"".join(lines)
                 reps, copies = (size - cut) // p, max(1, _WRITE // len(period))
                 fh.writelines(period * min(copies, reps - i) for i in range(0, reps, copies))
-                ones += reps * per + _write_runs(fh.write, trace, cut + reps * p, size)
+                _write_runs(fh.write, trace, cut + reps * p, size)
         if not size:
             fh.write(b"\n")
-    return ones
 
 
 def _periodic_cut(trace: bytes | Trace, hint: tuple[int, int] | None) -> int:
     """The first change of bit after T if hint's (T, P) holds on trace from T
     on and two whole periods follow that change, else 0.  Both are read by
     blocks: the change up to its last place, len - 2P, and the period as
-    each block against the block P on, in one read of both when P is
-    shorter than a block."""
+    each block against the block P on."""
     (t, p), size = hint or (0, 0), len(trace)
     if not (0 <= t < size - 2 * p and p > 0):
         return 0
@@ -216,26 +211,20 @@ def _periodic_cut(trace: bytes | Trace, hint: tuple[int, int] | None) -> int:
     else:
         return 0
     for i in range(t, size - p, _WRITE):
-        if p < _WRITE:
-            block = trace[i : i + p + _WRITE]
-            same = block.startswith(memoryview(block)[p:])
-        else:
-            ahead = trace[i + p : i + p + _WRITE]
-            same = trace[i : i + len(ahead)] == ahead
-        if not same:
+        ahead = trace[i + p : i + p + _WRITE]
+        if trace[i : i + len(ahead)] != ahead:
             return 0
     return cut
 
 
 def _write_runs(
     write: Callable[[bytes], object], trace: bytes | Trace, start: int, stop: int
-) -> int:
+) -> None:
     """Write the run-length lines of trace[start:stop] with write, whole runs,
     _RUN_BLOCK bytes of each block read at a time, the last run of each
-    carried into the next, which may extend it; return the count of 1s."""
-    bit = carry = ones = 0  # the last run so far, its bit and length
+    carried into the next, which may extend it."""
+    bit = carry = 0  # the last run so far, its bit and length
     for block in _blocks(trace, start, stop):
-        ones += block.count(1)
         for a in range(0, len(block), _RUN_BLOCK):
             counts = list(map(len, _RUNS.findall(block, a, a + _RUN_BLOCK)))
             first = block[a]
@@ -249,7 +238,6 @@ def _write_runs(
                 write(_lines(first, counts))
     if carry:
         write(_lines(bit, [carry]))
-    return ones
 
 
 def _lines(first: int, counts: list[int]) -> bytes:
@@ -354,9 +342,8 @@ def _member_row(config: ExperimentConfig, params: WindowParams, mem: Member) -> 
     if config.emit_traces:
         path = Path(config.out) / f"{_slug(system.label)}.{TRACE_FORMATS[config.trace_format]}"
         path.parent.mkdir(parents=True, exist_ok=True)
-        ones = export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
-    else:
-        ones = sum(block.count(1) for block in _blocks(trace, 0, len(trace)))
+        export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
+    ones = sum(block.count(1) for block in _blocks(trace, 0, len(trace)))
     return {
         "system": system.label,
         "m": params.m,

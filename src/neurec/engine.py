@@ -188,7 +188,9 @@ class Trace:
     """x(0..len(trace)-1) of an orbit, held as the rule that reads any range:
     the slice trace[start:stop] is read(start, stop), bytes 0/1, so a reader
     takes it a block at a time and never holds it whole.  A slice of bytes
-    reads the same range alike."""
+    reads the same range alike; trace[:] is the whole trace as bytes.  It
+    is read by slice only: an int index, iteration or count raises
+    TypeError."""
 
     __slots__ = ("read", "length")
 
@@ -199,6 +201,8 @@ class Trace:
         return self.length
 
     def __getitem__(self, key: slice) -> bytes:
+        if not isinstance(key, slice):
+            raise TypeError("a trace is read by slice")
         start, stop, step = key.indices(self.length)
         if step != 1:
             raise ValueError("a trace is read by contiguous range")

@@ -316,8 +316,8 @@ def _certificate(mem: Member, cap: int) -> tuple[Lanes | HandoffCertificate | No
 
 
 def simulated_trace(mem: Member, steps: int) -> tuple[Trace, str, int]:
-    """x(0..memory+steps-1) of a member as a Trace, read by range, its route
-    and the certificate's steps.  simulate stops at the first repeat, so it
+    """x(0..memory+steps-1) of a member as a Trace, read by slice (trace[:]
+    is the whole as bytes), its route and the certificate's steps.  simulate stops at the first repeat, so it
     takes min(T + P, steps) slides and keeps as many bytes; past
     DETECT_CUTOFF the trace is read off mem's certificate (_certificate) if
     it closes within steps slides, and a range of it costs its length.

@@ -384,6 +384,12 @@ def test_a_trace_slices_as_bytes_do():
         assert trace[key] == full[key], key
     with pytest.raises(ValueError):
         trace[::2]
+    # read by slice only: trace[:] is the bytes, and an index or iteration is refused
+    assert trace[:].count(1) == full.count(1)
+    with pytest.raises(TypeError, match="read by slice"):
+        trace[5]
+    with pytest.raises(TypeError):
+        list(trace)
 
 
 # --- edges -----------------------------------------------------------------

@@ -16,7 +16,7 @@ of every scale, each a verify.member, one row per member; cycle proves it
 with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
 built.  simulate writes each trace file as its member is traced, and reads
-the member's Trace a block of about _WRITE bytes at a time, never whole:
+the member's Trace a block of at most _WRITE bytes at a time, never whole:
 export_trace's periodic check and run-length encoder, and the row's count
 of 1s.  So besides the members the memo keeps, with
 their certificates, a run holds one block, a simulated member's trace up to
@@ -129,9 +129,9 @@ class RunReport(NamedTuple):
 # trace and system serialization
 
 
-# a trace is read and written a block at a time, never whole: lines are made from blocks of
-# _RUN_BLOCK trace bytes, as a block's run-length lines take several times the block, and every
-# other read and write takes about _WRITE bytes
+# a trace is read and written a block at a time, never whole: the run-length encoder reads
+# blocks of _RUN_BLOCK trace bytes, as a block's run-length lines take several times the block,
+# and every other read and write takes about _WRITE bytes
 _RUNS = re.compile(rb"\x00+|\x01+")
 _RUN_LINES = tuple(f"{bit}×%d\n".encode() for bit in (0, 1))
 _RUN_BLOCK = 1 << 14
@@ -221,21 +221,20 @@ def _write_runs(
     write: Callable[[bytes], object], trace: bytes | Trace, start: int, stop: int
 ) -> None:
     """Write the run-length lines of trace[start:stop] with write, whole runs,
-    _RUN_BLOCK bytes of each block read at a time, the last run of each
-    carried into the next, which may extend it."""
+    read _RUN_BLOCK bytes at a time, the last run of each block carried into
+    the next, which may extend it."""
     bit = carry = 0  # the last run so far, its bit and length
-    for block in _blocks(trace, start, stop):
-        for a in range(0, len(block), _RUN_BLOCK):
-            counts = list(map(len, _RUNS.findall(block, a, a + _RUN_BLOCK)))
-            first = block[a]
-            if carry and bit == first:
-                counts[0] += carry
-            elif carry:
-                counts.insert(0, carry)
-                first = bit
-            bit, carry = first ^ (len(counts) - 1) % 2, counts.pop()
-            if counts:
-                write(_lines(first, counts))
+    for block in _blocks(trace, start, stop, _RUN_BLOCK):
+        counts = list(map(len, _RUNS.findall(block)))
+        first = block[0]
+        if carry and bit == first:
+            counts[0] += carry
+        elif carry:
+            counts.insert(0, carry)
+            first = bit
+        bit, carry = first ^ (len(counts) - 1) % 2, counts.pop()
+        if counts:
+            write(_lines(first, counts))
     if carry:
         write(_lines(bit, [carry]))
 

@@ -4,7 +4,7 @@ The state sequence is S_0, S_1, ... where S_n is the window after n slides
 (S_0 is the init itself) and the dynamics are deterministic, so it is
 eventually periodic with a unique minimal transient T and period P.
 
-One probe rule proves a predicted pair, on windows that a reader supplies:
+One probe rule proves a predicted pair, on windows read off outputs (_windows):
 
     S_{T+P}    == S_T         (P is a period at T)
     S_{T+P/q}  != S_T         for every prime q | P  (P is minimal)
@@ -15,19 +15,19 @@ minimal one, so a smaller period would survive into some P/q probe.  A
 refuted pair raises PredictionFailed naming the first violated probe.
 
 verify_predicted is the one prover of a prediction.  It probes the
-windows a reader supplies: a closed certificate's read, or with none a
-simulation in one forward pass of exactly T + P steps.  The two
-certificates share the closes / read / trace protocol; read takes no
-step, and trace(start, stop) reads the outputs x(start..stop-1) lane by
-lane, each lane's from its own lane time in the range, so a range costs
-its length and not its start:
+windows of the outputs a range reader supplies, a closed certificate's
+trace, or with none a simulation in one forward pass of exactly T + P
+steps.  The two certificates share the closes / trace protocol: closes
+is a value, and trace(start, stop), which takes no step, reads the
+outputs x(start..stop-1) lane by lane, each lane's from its own lane time
+in the range, so a range costs its length and not its start:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
-then obey their own recurrence, so S_n is the exact interleave of the r
-lane windows at lane time ceil((n - i) / r).  Each lane orbit is stepped
-once, by the detect_cycle search that certifies it, whose trace it keeps:
-every later lane window, output or popcount is a slice of that trace.
+then obey their own recurrence, so x(n) is lane n mod r's output at lane
+time n // r.  Each lane orbit is stepped once, by the detect_cycle search
+that certifies it, whose trace it keeps: every later output or popcount
+is a slice of that trace.
 Lanes always close, and a proof then costs the lane searches, not T + P.
 Lanes.popcount_range reads the window popcount range off them.
 
@@ -43,13 +43,13 @@ shift.  Past them it scatters each lane's term of the sum from the 1s of
 one period of the lane's outputs, and runs a branch and bound over the
 lane phases with the Chinese remainder theorem.  Where the paper's margin
 premises hold (_fires_only_with), as for z(d) on y and on w(d), only the
-times whose next bit is 1 are checked, and otherwise every time is.  Explicit steps from there reach the
-handoff time, and the same search over tail's lanes finds any disagreement
-on tail's orbit.  The certificate closes when the stepped window is tail's
-init and there is none: S_n is then head's window before the
-disagreement, an explicit step before the handoff, and tail's window at
-n - at after it, and x(n) is head's before at and tail's x(n - at) from at
-on.  A proof costs a few explicit steps and search nodes.
+times whose next bit is 1 are checked, and otherwise every time is.  One
+advance_word call from head's window there steps the system to the
+handoff time, landing on S_at, and the same search over tail's lanes
+finds any disagreement on tail's orbit.  The certificate closes when the
+landed window is tail's S_0 and there is none: x(n) is then head's before
+at and tail's x(n - at) from at on.  A proof costs a few explicit steps
+and search nodes.
 
 detect_cycle measures (T, P) blind, taking no prediction.
 engine.find_repeat, which run also stops on, steps a trace to a window
@@ -122,6 +122,13 @@ def _check_init(cs: CompiledSystem, init: Sequence[int]) -> int:
 
 # A reader maps a window time n, ascending from call to call, to the window S_n.
 Reader = Callable[[int], int]
+# An output-range reader maps (start, stop) to the outputs x(start..stop-1), one byte 0/1 each.
+Outputs = Callable[[int, int], bytes]
+
+
+def _windows(trace: Outputs, memory: int) -> Reader:
+    """The window rule: S_n is the outputs x(n..n + memory - 1), packed into a word."""
+    return lambda n: word_from_bits(trace(n, n + memory))
 
 
 def _simulated(cs: CompiledSystem, word0: int) -> Reader:
@@ -168,20 +175,7 @@ class Lanes(NamedTuple):
     cs: CompiledSystem
     orbits: tuple[tuple[bytes, CycleReport], ...]
 
-    closes = True  # each lane orbit is certified, so every window is exact
-
-    def read(self, n: int) -> int:
-        """S_n: lane i's window at lane time s = ceil((n - i) / r), sliced off
-        its trace at s, or past T at T + (s - T) mod P."""
-        r, memory = len(self.orbits), self.cs.memory
-        buf = bytearray(r * memory)
-        for i, (trace, rep) in enumerate(self.orbits):
-            s = -((i - n) // r)  # ceil((n - i) / r)
-            t = rep.measured_transient
-            if s >= t:
-                s = t + (s - t) % rep.measured_period
-            buf[(i - n) % r :: r] = trace[s : s + memory]
-        return word_from_bits(buf)
+    closes = True  # each lane orbit is certified, so every output is exact
 
     def trace(self, start: int, stop: int) -> bytearray:
         """The orbit's outputs x(start..stop-1), one byte 0/1 each."""
@@ -299,9 +293,10 @@ def _lane_terms(cs: CompiledSystem, lanes: Lanes) -> Iterator[tuple[list[list[in
     for j, w in cs.taps:
         lags[-j % r].append(((j - 1) // r + 1, w))
     cycles = []
-    for trace, rep in lanes.orbits:
-        t, p = rep.measured_transient, rep.measured_period
-        cycles.append(bytes(trace[memory + t + (x - t) % p] for x in range(p)))
+    for orbit in lanes.orbits:
+        t, p = orbit[1].measured_transient, orbit[1].measured_period
+        q = -(-t // p) * p  # ceil(T / P) * P: past T, and at phase 0
+        cycles.append(_outputs(orbit, memory + q, memory + q + p))
     ones = [list(_ones(cyc)) for cyc in cycles]
     for c in range(r):
         terms = [[0] * len(cyc) for cyc in cycles]
@@ -446,30 +441,18 @@ class HandoffCertificate(NamedTuple):
     head and tail are the certified lanes of the two orbits; first and
     tail_first are the first times the system's rule disagrees with head's
     next bit on head's orbit and with tail's on tail's, or None when it
-    never does.  Up to first S_n is head's window; stepped holds
-    S_split .. S_at, stepped with the system's rule from min(first, at).
+    never does.  Up to first S_n is head's window; landed is S_at, stepped
+    with the system's rule from head's window at min(first, at).  closes:
+    landed is tail's S_0 and tail_first is None.
     """
 
     head: Lanes
     first: int | None
-    stepped: tuple[int, ...]
+    landed: int
     at: int
     tail: Lanes
     tail_first: int | None
-
-    @property
-    def closes(self) -> bool:
-        """S_at is tail's init and the system never leaves tail's orbit."""
-        return self.stepped[-1] == self.tail.read(0) and self.tail_first is None
-
-    def read(self, n: int) -> int:
-        """S_n of a closed certificate."""
-        split = self.at + 1 - len(self.stepped)
-        if n >= self.at:
-            return self.tail.read(n - self.at)
-        if n >= split:
-            return self.stepped[n - split]
-        return self.head.read(n)
+    closes: bool
 
     def trace(self, start: int, stop: int) -> bytearray:
         """x(start..stop-1) of a closed certificate: head's before at, tail's
@@ -486,29 +469,31 @@ def handoff_certificate(
 ) -> tuple[HandoffCertificate | None, int]:
     """The system's HandoffCertificate from init, on head's orbit and from
     time at on tail's, and the steps it took: the first disagreement with
-    head on head's orbit (_first_disagreement), explicit steps from there to
-    at, at most memory of them, and the same search on tail's orbit.  None
-    with 0 steps when init is not head's S_0, the lanes do not cover the
-    system's memory or their periods share a factor, and with the head
-    search's when the first disagreement comes more than memory slides
-    before at.  Past budget it raises BudgetExceeded (the budget contract)."""
+    head on head's orbit (_first_disagreement), the at - split explicit
+    steps from split = min(first, at) to at, at most memory of them, and the
+    same search on tail's orbit.  None with 0 steps when init is not head's
+    first memory outputs, the lanes do not cover the system's memory or
+    their periods share a factor, and with the head search's when the first
+    disagreement comes more than memory slides before at.  Past budget it
+    raises BudgetExceeded (the budget contract)."""
+    _check_init(cs, init)
+    memory = cs.memory
     covered = {len(lanes.orbits) * lanes.cs.memory for lanes in (head, tail)}
     coprime = head.coprime and tail.coprime
-    if head.read(0) != _check_init(cs, init) or covered != {cs.memory} or not coprime:
+    if head.trace(0, memory) != bytes(init) or covered != {memory} or not coprime:
         return None, 0
     first, spent = _first_disagreement(cs, head, budget)
     split = at if first is None else min(first, at)
-    if at - split > cs.memory:
+    if at - split > memory:
         return None, spent
-    stepped = [head.read(split)]
-    for _ in range(at - split):
-        stepped.append(advance_word(cs, stepped[-1], 1))
+    landed = advance_word(cs, _windows(head.trace, memory)(split), at - split)
     spent += at - split
     try:
         tail_first, steps = _first_disagreement(cs, tail, budget - spent)
     except BudgetExceeded as exc:
         raise BudgetExceeded(spent + exc.steps, budget) from None
-    return HandoffCertificate(head, first, tuple(stepped), at, tail, tail_first), spent + steps
+    closes = landed == _windows(tail.trace, memory)(0) and tail_first is None
+    return HandoffCertificate(head, first, landed, at, tail, tail_first, closes), spent + steps
 
 
 def _probe_pass(read: Reader, transient: int, period: int) -> int:
@@ -569,7 +554,7 @@ def _search(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[Cycle
     )
     if not 0 < lam <= len(trace) - memory - mu:  # a probe would read past the trace
         raise PredictionFailed("period", {"transient": mu, "period": lam, "reason": "off the trace"})
-    entry = _probe_pass(lambda t: word_from_bits(trace[t : t + memory]), mu, lam)
+    entry = _probe_pass(_windows(lambda a, b: trace[a:b], memory), mu, lam)
     return CycleReport(mu, lam, entry, n), trace
 
 
@@ -578,19 +563,21 @@ def verify_predicted(
     init: Sequence[int],
     predicted_transient: int,
     predicted_period: int,
-    read: Reader | None = None,
+    trace: Outputs | None = None,
 ) -> CycleReport:
     """Prove a predicted (T, P) minimal: the one prover of a prediction.
 
-    The probes read the windows read supplies (a closed certificate's read),
-    or with none a simulation of one pass of T + P slides.  Raises
-    PredictionFailed naming the first violated probe.  On success the
-    measured fields echo the now-proved prediction, and steps_executed is
-    T + P when it simulates and 0 when it reads a certificate.
+    The probes read the windows of the outputs trace supplies (a closed
+    certificate's trace), or with none a simulation of one pass of T + P
+    slides.  Raises PredictionFailed naming the first violated probe.  On
+    success the measured fields echo the now-proved prediction, and
+    steps_executed is T + P when it simulates and 0 when it reads a
+    certificate.
     """
     if predicted_transient < 0 or predicted_period < 1:
         raise ValueError(f"need T >= 0 and P >= 1, got ({predicted_transient}, {predicted_period})")
     word0 = _check_init(cs, init)
-    steps = predicted_transient + predicted_period if read is None else 0
-    entry = _probe_pass(read or _simulated(cs, word0), predicted_transient, predicted_period)
+    read = _simulated(cs, word0) if trace is None else _windows(trace, cs.memory)
+    steps = predicted_transient + predicted_period if trace is None else 0
+    entry = _probe_pass(read, predicted_transient, predicted_period)
     return CycleReport(predicted_transient, predicted_period, entry, steps)

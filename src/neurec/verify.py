@@ -233,10 +233,10 @@ class Member:
         else:
             cert, spent = _certificate(self, cap)
         if rep is None or (rep.measured_transient, rep.measured_period) != self.predicted:
-            read = cert.read if cert is not None and cert.closes else None
-            if read is None and spent + work > cap:
+            trace = cert.trace if cert is not None and cert.closes else None
+            if trace is None and spent + work > cap:
                 raise BudgetExceeded(spent, cap)
-            rep = verify_predicted(self.cs, self.system.init, t_pred, p_pred, read)
+            rep = verify_predicted(self.cs, self.system.init, t_pred, p_pred, trace)
             rep = rep._replace(steps_executed=spent + rep.steps_executed)
         self.proof = rep
         return rep
@@ -633,10 +633,11 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
     The certificate, the one z_summary proves z(d) on, is exact for all time
     and built within the same cap, budget or else MEASURE_CUTOFF.  Phase 1
     (z = y) ends at its boundary exactly when z first disagrees with y at
-    L1 - rho.  Phases 2-3 are the rho newest bits of z's stepped window at
-    L1 against y's: d + 1 anomalies z = 0, y = 1, then equality.  Phases 4-5
-    (z from L1 on is w) hold when z's window there is w's init and z never
-    leaves w's orbit.
+    L1 - rho.  Phases 2-3 are the rho newest bits of z's window at L1, the
+    certificate's landed, against y's outputs at the same times: d + 1
+    anomalies z = 0, y = 1, then equality.  Phases 4-5 (z from L1 on is w)
+    hold when z's window there is w's first h outputs and z never leaves
+    w's orbit.
     """
     params = window_params(m)
     z = member(params, "z", d)
@@ -659,10 +660,10 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
     else:
         if cert.first is not None and cert.first < l1 - rho:
             bad.append(f"phase1 mismatch at t={cert.first + h}")
-        # the rho newest bits of the windows at L1 are the trace at p2_lo..p3_hi
-        z_bits = bits_from_word(cert.stepped[-1], rho)
-        y_bits = bits_from_word(cert.head.read(l1), rho)
-        bits = list(zip(range(p2_lo, p3_hi + 1), z_bits, y_bits))
+        # z's window at L1 is its outputs at L1 .. L1 + h - 1; the rho newest are at p2_lo..p3_hi
+        z_window = bits_from_word(cert.landed, h)
+        y_bits = cert.head.trace(p2_lo, p3_hi + 1)
+        bits = list(zip(range(p2_lo, p3_hi + 1), z_window[h - rho :], y_bits))
         for t, z, y in bits[: d + 1]:
             if z == 0 and y == 1:
                 anomalies += 1
@@ -674,7 +675,7 @@ def check_phases(m: int, d: int, budget: int | None = None) -> ClaimResult:
         if t is not None:
             bad.append(f"phase3 mismatch at t={t}")
         n = cert.tail_first
-        if cert.stepped[-1] != cert.tail.read(0):
+        if z_window != cert.tail.trace(0, h):
             bad.append(f"phase4 mismatch: z's window at L1 = {l1} is not w's init")
         elif n is not None and n <= rho * (k - 1 - p_d) + d:
             bad.append(f"phase4 mismatch at offset t={n}")

@@ -51,6 +51,7 @@ from neurec.cycles import (
     _first_disagreement,
     _lane_terms,
     _probe_pass,
+    _windows,
     certify_lanes,
     handoff_certificate,
 )
@@ -321,21 +322,21 @@ def wrong_pairs(t, p):
 
 
 def laned(cs, init):
-    """The reader of the uncapped lane certificate, which must close."""
+    """The windows read off the uncapped lane certificate's trace, which must close."""
     lanes, _ = certify_lanes(cs, init, budget=10**9)
     assert lanes is not None, "the lane searches did not close"
-    return lanes.read
+    return _windows(lanes.trace, cs.memory)
 
 
 def on_certificate(s, t, p, handoff=None):
     """verify_predicted on the certificate verify builds for a fresh member
     on system s, handoff's or else s's lanes, capped at MEASURE_CUTOFF: on
-    its read when it closes, else simulated.  Its steps count the
+    its trace when it closes, else simulated.  Its steps count the
     certificate's and the reads."""
     mem = as_part(s, (t, p), None if handoff is None else lambda: handoff)
     cert, spent = _certificate(mem, MEASURE_CUTOFF)
-    read = cert.read if cert is not None and cert.closes else None
-    rep = verify_predicted(mem.cs, s.init, t, p, read)
+    trace = cert.trace if cert is not None and cert.closes else None
+    rep = verify_predicted(mem.cs, s.init, t, p, trace)
     return rep._replace(steps_executed=spent + rep.steps_executed)
 
 
@@ -526,13 +527,14 @@ def z_members(p):
 
 
 def handoff_reader(s, handoff, budget):
-    """The reader of system s's handoff certificate when it closes, else
-    None; and the steps the certificate took.  The certificate is built as
-    verify builds it, for a fresh member: head's and tail's lanes certified
-    first, then handoff_certificate on them, their steps counted in."""
+    """The windows read off system s's handoff certificate's trace when it
+    closes, else None; and the steps the certificate took.  The certificate
+    is built as verify builds it, for a fresh member: head's and tail's
+    lanes certified first, then handoff_certificate on them, their steps
+    counted in."""
     cert, spent = _certificate(as_part(s, handoff=lambda: handoff), budget)
     closed = cert is not None and cert.closes
-    return (cert.read if closed else None), spent
+    return (_windows(cert.trace, s.memory) if closed else None), spent
 
 
 def handoff_uncapped(s, t, p, handoff):
@@ -651,7 +653,7 @@ def full_window_first_disagreement(cs, ref, lanes):
     r = len(lanes.orbits)
     q0 = max(rep.measured_transient for _, rep in lanes.orbits)
     horizon = r * (q0 + prod(rep.measured_period for _, rep in lanes.orbits))
-    word = lanes.read(0)
+    word = _windows(lanes.trace, ref.memory)(0)
     for n in range(horizon):
         fires = affine_sum(cs, word) >= cs.scaled_threshold
         if (affine_sum(ref, word) >= ref.scaled_threshold) != fires:
@@ -725,7 +727,8 @@ def test_a_handoff_past_its_budget_raises_with_every_part_counted():
         cert, cost = handoff_certificate(cs, z.init, head, tail, at, 10**9)
         head_steps = _first_disagreement(cs, head, 10**9)[1]
         prefix = len(tail.orbits) * max(rep.measured_transient for _, rep in tail.orbits)
-        before_tail = head_steps + len(cert.stepped) - 1
+        split = at if cert.first is None else min(cert.first, at)
+        before_tail = head_steps + at - split
         assert prefix > 0, d
         for steps in (head_steps, before_tail + prefix, cost):
             with pytest.raises(BudgetExceeded) as exc:
@@ -847,7 +850,7 @@ def test_handoff_certificate_parts_equal_the_full_window_loop(m):
         for _ in range(handoff.at - split):
             stepped.append(advance_word(cs, stepped[-1], 1))
         tail_first, _ = full_window_first_disagreement(cs, tail, cert.tail)
-        assert (cert.first, cert.stepped, cert.tail_first) == (first, tuple(stepped), tail_first), d
+        assert (cert.first, cert.landed, cert.tail_first) == (first, stepped[-1], tail_first), d
 
 
 def test_handoff_takes_over_at_l1():
@@ -871,7 +874,8 @@ def test_handoff_takes_over_at_l1():
 
 @pytest.mark.parametrize("m", [6, 11])
 def test_certificate_traces_agree_with_their_reads(m):
-    # the window at n of a certificate's trace is the window read(n) gives,
+    # the window at n read off a range of a certificate's trace is the
+    # window at n of one long read of it and the stepped full system's S_n,
     # on y's and every w(d)'s lanes and on every z(d)'s handoff certificate
     p = window_params(m)
     rng = random.Random(m)
@@ -890,8 +894,10 @@ def test_certificate_traces_agree_with_their_reads(m):
         horizon = sum(predicted_cycle(p, family, index)) + s.memory
         times |= set(rng.sample(range(horizon), 40))
         trace = cert.trace(0, max(times) + s.memory)
+        windows, word, at = _windows(cert.trace, s.memory), word_from_bits(s.init), 0
         for n in sorted(times):
-            assert cert.read(n) == word_from_bits(trace[n : n + s.memory]), (s.label, n)
+            word, at = advance_word(cs, word, n - at), n
+            assert windows(n) == word_from_bits(trace[n : n + s.memory]) == word, (s.label, n)
 
 
 def test_certificate_traces_cut_off_the_lane_stride():
@@ -945,8 +951,9 @@ def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch)
             slides[0] = 0
             lane_horizon = max(rep.measured_transient + 2 * rep.measured_period for _, rep in lanes.orbits)
             horizon = len(lanes.orbits) * lane_horizon
+            windows = _windows(lanes.trace, s.memory)
             for n in range(0, horizon, 7):
-                lanes.read(n)
+                windows(n)
             lanes.trace(0, horizon + s.memory)
             lanes.popcount_range()
             _first_disagreement(z, lanes, 10**9)
@@ -1203,9 +1210,9 @@ def test_certificate_reads_and_traces_equal_the_stepped_full_system(case):
             return  # e.g. lane periods that share a factor
     ref = detect_cycle(cs, init, step_budget=10**6)
     horizon = ref.measured_transient + 3 * ref.measured_period + cs.memory
-    word = word_from_bits(init)
+    windows, word = _windows(cert.trace, cs.memory), word_from_bits(init)
     for n in range(horizon + 1):
-        assert cert.read(n) == word, n
+        assert windows(n) == word, n
         word = advance_word(cs, word, 1)
     full = run(cs, init, horizon)
     for length in range(horizon + 1):

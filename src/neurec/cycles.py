@@ -77,6 +77,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .construction import RecurrenceSystem
 from .engine import (
     CompiledSystem,
+    _ones,
     advance_word,
     compile_system,
     find_repeat,
@@ -267,14 +268,6 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
         x += mod * ((a - x) * pow(mod, -1, p) % p)
         mod *= p
     return x, mod
-
-
-def _ones(bits: bytes, start: int = 0, stop: int | None = None) -> Iterator[int]:
-    """The indices of the 1s of bits[start:stop], ascending, by bytes.find."""
-    i = bits.find(1, start, stop)
-    while i >= 0:
-        yield i
-        i = bits.find(1, i + 1, stop)
 
 
 def _lane_terms(cs: CompiledSystem, lanes: Lanes) -> Iterator[tuple[list[list[int]], bytes]]:

@@ -109,11 +109,12 @@ __all__ = [
 # Routing and feasibility bounds, in window slides.  Member.prove routes on
 # DETECT_CUTOFF and the cap; skip_detail skips instances past MEASURE_CUTOFF.
 # A search costs T + P slides, a certificate about sum(p_i) + h.  Best of 3,
-# 3 runs, 2 cores, CPython 3.11 (tools/route_crossover.py --repeats 3): lanes
-# win from a few hundred slides (m = 6 y, 442: 0.29 ms blind, 0.18 certified),
-# a handoff from between 557 (m = 6 z(1): 0.38 / 0.78 ms) and 2,584 (m = 11
-# z(0): 1.92 / 1.61 ms).  DETECT_CUTOFF stays above 557, the largest m = 6
-# orbit, as bench/test_harness.py pins m = 6 chain's 3 searches.
+# 3 runs, 2 cores, CPython 3.11 (tools/route_crossover.py --repeats 3), with
+# spike-driven searches: lanes tie at m = 6 y (442: 0.18 ms blind, 0.16
+# certified) and win from 2,491 (m = 11 w(0): 0.59 / 0.35 ms), a handoff
+# from between 3,263 (m = 11 z(1): 0.96 / 1.03 ms) and 15,498 (m = 16 z(1):
+# 3.76 / 1.85 ms).  DETECT_CUTOFF stays above 557, the largest m = 6 orbit,
+# as bench/test_harness.py pins m = 6 chain's 3 searches.
 DETECT_CUTOFF = 4_096          # above this predicted T+P, verify instead of search
 MEASURE_CUTOFF = 20_000_000    # above this predicted T+P, skip the proof
 
@@ -325,7 +326,7 @@ def simulated_trace(mem: Member, steps: int) -> tuple[Trace, str, int]:
     first-repeat prefix or certificate and the range it asks for.  Below the
     cutoff the simulation is the cheaper for a handoff
     (tools/route_crossover.py --repeats 3, default steps, 3 runs: m = 11
-    z(1) 0.96-1.05 ms by run, 1.63-2.47 by certificate)."""
+    z(1) 0.47-0.50 ms by run, 0.98-1.02 by certificate)."""
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
         with suppress(BudgetExceeded):

@@ -37,6 +37,34 @@ def capped_simulation(monkeypatch):
 
 
 @pytest.fixture
+def count_slides(monkeypatch):
+    """count_slides(on_slides) passes on_slides the slides of every chunk
+    either stepping loop takes: each advance_word call engine or cycles
+    makes, and each count sent to engine.spike_steps."""
+    import neurec.engine
+
+    advance, spikes = neurec.engine.advance_word, neurec.engine.spike_steps
+
+    def install(on_slides):
+        def counted_advance(cs, word, steps):
+            on_slides(steps)
+            return advance(cs, word, steps)
+
+        def counted_spikes(cs, trace):
+            loop = spikes(cs, trace)
+            steps = yield next(loop)
+            while True:
+                on_slides(steps)
+                steps = yield loop.send(steps)
+
+        for module in ("neurec.engine", "neurec.cycles"):
+            monkeypatch.setattr(f"{module}.advance_word", counted_advance)
+        monkeypatch.setattr("neurec.engine.spike_steps", counted_spikes)
+
+    return install
+
+
+@pytest.fixture
 def misplaced_handoff(monkeypatch):
     """z_handoff with its handoff time shifted by one: z(4)'s handoff
     certificate at m = 21 then does not close, and its proof falls back to

@@ -166,17 +166,15 @@ def test_search_succeeds_exactly_within_t_plus_p(name):
     assert exc.value.steps > exc.value.budget == sum(want) - 1
 
 
-def test_a_blind_search_steps_its_orbit_once(monkeypatch):
+def test_a_blind_search_steps_its_orbit_once(count_slides):
     # the probes read the search's own trace, so the only slides are the
     # search's: find_repeat's bound, and well short of a second T + P pass
     slides = [0]
 
-    def counting(cs, word, steps):
+    def counting(steps):
         slides[0] += max(steps, 0)
-        return advance_word(cs, word, steps)
 
-    for module in ("neurec.engine", "neurec.cycles"):
-        monkeypatch.setattr(f"{module}.advance_word", counting)
+    count_slides(counting)
     p = window_params(6)
     for family, index, s in family_members(p):
         want = predicted_cycle(p, family, index)
@@ -923,23 +921,22 @@ def test_certificate_traces_cut_off_the_lane_stride():
 
 
 @pytest.mark.parametrize("m", [6, 11])
-def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch):
+def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch, count_slides):
     # certify_lanes slides each lane exactly as far as its searches report;
     # reads, traces, popcounts and disagreement searches on the lanes then
     # slice the kept traces, and take no slide of any kind
     slides = [0]
 
-    def counted_advance(cs, word, steps):
+    def counting(steps):
         slides[0] += max(steps, 0)
-        return advance_word(cs, word, steps)
 
     def counted_run(cs, init, steps):
         slides[0] += max(steps, 0)
         return run(cs, init, steps)
 
+    count_slides(counting)
     for module in ("neurec.engine", "neurec.cycles"):
         # raising=False: a module that does not import a name gets the wrapper anyway
-        monkeypatch.setattr(f"{module}.advance_word", counted_advance)
         monkeypatch.setattr(f"{module}.run", counted_run, raising=False)
     p = window_params(m)
     for d in range(p.rho):

@@ -7,6 +7,8 @@ oracle.
 """
 
 from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,13 +23,15 @@ from neurec import (
     build_z,
     compile_system,
     dense_oracle_run,
+    destabilized_system,
     predicted_cycle,
     run,
     single_system,
     window_params,
     word_from_bits,
 )
-from neurec.engine import Trace, simulate
+from neurec import engine
+from neurec.engine import Trace, find_repeat, simulate, spike_steps
 
 
 def ref_run(system, steps):
@@ -220,23 +224,18 @@ def test_run_fill_around_the_first_repeat(m):
         assert run(cs, z.init, steps) == expect[: z.memory + steps]
 
 
-def counted_slides(monkeypatch):
-    """Count the slides run asks of advance_word."""
+def counted_slides(count_slides):
+    """Count the slides run asks of either stepping loop, one entry a chunk."""
     slides = []
-
-    def counted(cs, word, steps):
-        slides.append(steps)
-        return advance_word(cs, word, steps)
-
-    monkeypatch.setattr("neurec.engine.advance_word", counted)
+    count_slides(slides.append)
     return slides
 
 
-def test_run_stops_stepping_once_the_orbit_repeats(monkeypatch):
+def test_run_stops_stepping_once_the_orbit_repeats(count_slides):
     p = window_params(11)
     z = build_z(p, 1)
     t, per = predicted_cycle(p, "z", 1)
-    slides = counted_slides(monkeypatch)
+    slides = counted_slides(count_slides)
     trace = run(compile_system(z), z.init, 10**6)
     assert len(trace) == z.memory + 10**6
     # no window repeats before S_{T + P}; the first check point past it is
@@ -247,7 +246,7 @@ def test_run_stops_stepping_once_the_orbit_repeats(monkeypatch):
     assert trace[-per:] == trace[-2 * per : -per]
 
 
-def test_run_fill_past_the_geometric_checks(monkeypatch):
+def test_run_fill_past_the_geometric_checks(count_slides):
     # z(2) at m = 11 has T + P = 62,548, over 100 chunks of 585 slides, so
     # the check points spread to n // 8 apart before the first repeat
     p = window_params(11)
@@ -256,9 +255,98 @@ def test_run_fill_past_the_geometric_checks(monkeypatch):
     tp = sum(predicted_cycle(p, "z", 2))
     steps = 2 * tp + 7
     expect = stepped_outputs(cs, z.init, steps)
-    slides = counted_slides(monkeypatch)
+    slides = counted_slides(count_slides)
     assert run(cs, z.init, steps) == expect
     assert tp <= sum(slides) <= tp + tp // 8 + z.memory
+
+
+# --- the two stepping loops -------------------------------------------------
+
+
+def spiked_outputs(cs, init, chunks):
+    """init and the outputs spike_steps appends, sent one chunk at a time."""
+    trace = bytearray(init)
+    loop = spike_steps(cs, trace)
+    next(loop)
+    for c in chunks:
+        loop.send(c)
+    return bytes(trace)
+
+
+@st.composite
+def spike_systems(draw):
+    """Taps often negative, on a few offsets or on all of them, often one at
+    offset memory (a full window); memory 1 often; zero and negative
+    thresholds; all-0 and all-1 inits."""
+    memory = draw(st.one_of(st.just(1), st.integers(1, 48)))
+    offsets = draw(st.one_of(st.sets(st.integers(1, memory), max_size=memory), st.just(set(range(1, memory + 1)))))
+    if draw(st.booleans()):
+        offsets.add(memory)
+    taps = tuple((j, draw(rationals.filter(bool))) for j in sorted(offsets))
+    theta = draw(st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=0, max_denominator=5), rationals))
+    bits = st.lists(st.integers(0, 1), min_size=memory, max_size=memory).map(bytes)
+    init = draw(st.one_of(st.just(bytes(memory)), st.just(b"\x01" * memory), bits))
+    return RecurrenceSystem(memory, taps, theta, init, label="spikes")
+
+
+@settings(max_examples=200, deadline=None)
+@given(spike_systems(), st.lists(st.integers(0, 60), max_size=6))
+@example(RecurrenceSystem(1, ((1, Fraction(-1)),), 0, b"\x01"), [5, 0, 3])
+@example(RecurrenceSystem(3, ((3, Fraction(1)),), 1, b"\x01\x00\x01"), [1, 1, 7])
+def test_the_spike_loop_steps_as_advance_word_and_the_oracle(s, chunks):
+    # called directly, whatever find_repeat's rule picks: the init's 1s are
+    # seeded lazily, so chunks that stop anywhere, and a reach passed many
+    # times over (a tap at every offset of a 48-bit window), all read the same
+    cs = compile_system(s)
+    steps = sum(chunks)
+    expect = stepped_outputs(cs, s.init, steps)
+    assert spiked_outputs(cs, s.init, chunks) == expect
+    assert expect == dense_oracle_run(s, s.init, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spike_systems(), st.integers(0, 400))
+def test_find_repeat_is_one_search_under_either_loop(s, limit):
+    # the same check points, repeat and trace whichever loop steps it
+    cs = compile_system(s)
+    searches = []
+    for spiking in (False, True):
+        trace = bytearray(s.init)
+        with mock.patch.object(engine, "_spiking", lambda cs, init: spiking):
+            searches.append((find_repeat(cs, trace, limit), bytes(trace)))
+    assert searches[0] == searches[1]
+
+
+def test_run_steps_a_long_lane_orbit_by_spikes_as_advance_word_does():
+    # v_0 at m = 21 collapses after k - p_0 slides; its 50 taps over a
+    # 625-bit window seed the init's 1s past 400 slides and again past 3,207
+    p = window_params(21)
+    v = destabilized_system(p, 0)
+    cs = compile_system(v)
+    assert engine._spiking(cs, v.init)
+    steps = p.k + 1
+    assert run(cs, v.init, steps) == stepped_outputs(cs, v.init, steps)
+
+
+def test_the_rule_steps_the_family_by_spikes_and_dense_windows_by_words():
+    # the family's units fire about once a prime period, a few adds a
+    # slide against a bound that grows with the memory; a window of 1s
+    # under a tap at every offset costs memory adds a slide, and a
+    # memory-0 system has no window to ring
+    for m in (6, 11):
+        p = window_params(m)
+        systems = [build_y(p)]
+        for i in range(p.rho):
+            systems += [single_system(p, i), destabilized_system(p, i), build_w(p, i), build_z(p, i)]
+        for s in systems:
+            assert engine._spiking(compile_system(s), s.init), s.label
+    for m in (100, 200):
+        p = window_params(m)
+        for s in (single_system(p, p.rho - 1), destabilized_system(p, 0)):
+            assert engine._spiking(compile_system(s), s.init), s.label
+    full = RecurrenceSystem(8, tuple((j, 1) for j in range(1, 9)), 1, b"\x01" * 8)
+    assert not engine._spiking(compile_system(full), full.init)
+    assert not engine._spiking(compile_system(RecurrenceSystem(0, (), 0, b"")), b"")
 
 
 # --- cross-route equality ---------------------------------------------------

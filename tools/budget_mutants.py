@@ -4,13 +4,15 @@
 
 Each mutant makes one change to one function of TARGETS (certify_lanes,
 handoff_certificate and _first_disagreement in cycles, _certificate in
-verify): it drops a raise, drops an if whose test reads a budget (a name
-in BUDGET_NAMES), shifts the right side of such a comparison by +1 or -1,
-or shifts the steps of a raised BudgetExceeded by +1 or -1.  The script
-copies src/ and tests/ into DIR (which must not exist), writes each mutant
-in turn over its file there and runs pytest -x on TESTS.  A mutant is
-killed when pytest fails.  It prints one line per mutant and a count of
-the killed, and exits 1 when any survives.  Mutants are written with
+verify, find_repeat in engine): it drops a raise, drops an if whose test
+reads a budget (a name in BUDGET_NAMES), shifts the right side of such a
+comparison by +1 or -1, or shifts the steps of a raised BudgetExceeded by
++1 or -1.  The script copies src/ and tests/ into DIR (which must not
+exist), writes each mutant in turn over its file there and runs pytest -x
+on TESTS.  A mutant is killed when pytest fails, or when it runs past four
+times the unmutated run plus a minute (a search that no longer stops) and
+is stopped.  It prints one line per mutant and a count of the killed, and
+exits 1 when any survives.  Mutants are written with
 ast.unparse, so comments and layout of the mutated file are lost and its
 semantics kept.  It uses only the standard library and pytest, one test
 process at a time.
@@ -33,8 +35,9 @@ BUDGET_NAMES = frozenset({"budget", "cap", "limit"})
 TARGETS = (
     ("src/neurec/cycles.py", ("certify_lanes", "handoff_certificate", "_first_disagreement")),
     ("src/neurec/verify.py", ("_certificate",)),
+    ("src/neurec/engine.py", ("find_repeat",)),
 )
-TESTS = ("tests/test_cycles.py", "tests/test_verify.py")
+TESTS = ("tests/test_cycles.py", "tests/test_verify.py", "tests/test_engine.py")
 
 
 class Mutant(NamedTuple):
@@ -119,10 +122,14 @@ def mutants(path: str, functions: Sequence[str]) -> list[Mutant]:
     return out
 
 
-def _pytest(work: Path) -> int:
+def _pytest(work: Path, timeout: float | None = None) -> int | None:
+    """pytest's exit code, or None when it runs past timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
-    return subprocess.run(cmd, cwd=work, env=env, capture_output=True).returncode
+    try:
+        return subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,17 +143,19 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     if _pytest(args.work) != 0:
         raise SystemExit("the tests fail on the unmutated copy")
+    timeout = 4 * (time.perf_counter() - start) + 60
     survived = 0
     for m in found:
         target = args.work / m.path
         original = target.read_text()
         target.write_text(m.source)
         try:
-            killed = _pytest(args.work) != 0
+            code = _pytest(args.work, timeout)
         finally:
             target.write_text(original)
-        survived += not killed
-        print(f"{'killed' if killed else 'SURVIVED'} {m.path}:{m.line} {m.function}: {m.change}")
+        survived += code == 0
+        verdict = "SURVIVED" if code == 0 else "killed" if code is not None else "killed (timeout)"
+        print(f"{verdict} {m.path}:{m.line} {m.function}: {m.change}", flush=True)
     wall = time.perf_counter() - start
     print(f"{len(found)} mutants, {len(found) - survived} killed, {survived} survived, {wall:.0f} s")
     return 1 if survived else 0

@@ -15,23 +15,22 @@ Two independent evaluation routes:
 
 The compiled route steps in two loops.  advance_word slides the packed
 window, a few big-int operations on all of it a slide; it reads windows
-for cycles and verify and is find_repeat's fallback.  spike_steps is
-event-driven (Brette et al., J. Comput. Neurosci. 23, 2007; Mattia and
-Del Giudice, Neural Comput. 12, 2000): a slide pops one pending sum, and
-an output 1 adds its taps' weights to the sums they reach.  The family's
-units fire about once a prime period over windows of thousands of bits,
-so their searches run several times faster by it.  A caller that needs
-the affine sums of an orbit's windows adds them up from the 1s of its
-trace instead of stepping again.
+for cycles and verify.  spike_steps is event-driven (Brette et al., J.
+Comput. Neurosci. 23, 2007; Mattia and Del Giudice, Neural Comput. 12,
+2000): a slide pops one pending sum, and an output 1 adds its taps'
+weights to the sums they reach.  The family's units fire about once a
+prime period over windows of thousands of bits, so their searches run
+several times faster by it.  A caller that needs the affine sums of an
+orbit's windows adds them up from the 1s of its trace instead of stepping
+again.
 
 find_repeat is the one search for a repeated window, used by simulate and
-by cycles.detect_cycle; one rule, _spiking, picks its loop before the
-first slide.  It appends each chunk of at most memory slides to a trace,
-and at check points spaced max(1, n // 8) slides apart looks the newest
-window S_n up in the trace so far.  No window repeats before S_{T + P} on
-an orbit of transient T and period P, so it stops after min(limit, T + P)
-slides at least and M + M // 8 at most, M = T + P + (T + P) // 8,
-whatever the memory and the loop.
+by cycles.detect_cycle, and steps by spike_steps.  It appends each chunk
+of at most memory slides to a trace, and at check points spaced
+max(1, n // 8) slides apart looks the newest window S_n up in the trace
+so far.  No window repeats before S_{T + P} on an orbit of transient T
+and period P, so it stops after min(limit, T + P) slides at least and
+M + M // 8 at most, M = T + P + (T + P) // 8, whatever the memory.
 
 A trace is read by range, never built whole unless a caller asks for all
 of it.  simulate keeps find_repeat's trace up to the first S_i == S_n with
@@ -174,11 +173,13 @@ def spike_steps(cs: CompiledSystem, trace: bytearray) -> Generator[None, int, No
     popped slot being x(t + memory)'s.  The init's 1s are seeded alike, by
     the taps that reach past the window, up to a reach of 32 * memory / taps
     slides, then eightfold each time the slides pass it, so a short search
-    pays little more than what it reads.
+    pays little more than what it reads.  A memory-0 unit has no taps, so
+    its one slot stays 0.
     """
     memory, theta, taps = cs.memory, cs.scaled_threshold, cs.taps
     offsets = [j for j, _ in taps]
-    ring = [0] * memory
+    slots = memory or 1
+    ring = [0] * slots
     ones = list(_ones(trace, 0, memory))
     t, first = memory, 32 * memory // max(len(taps), 1)
     reach = 0  # the init's terms are in ring for x(memory .. memory + reach - 1)
@@ -192,7 +193,7 @@ def spike_steps(cs: CompiledSystem, trace: bytearray) -> Generator[None, int, No
                     ring[base + j] += w
         trace += bytes(stop - t)
         for t in range(t, stop):
-            k = t % memory
+            k = t % slots
             s = ring[k]
             ring[k] = 0
             if s >= theta:
@@ -203,34 +204,14 @@ def spike_steps(cs: CompiledSystem, trace: bytearray) -> Generator[None, int, No
         t = stop
 
 
-def _spiking(cs: CompiledSystem, init: bytes) -> bool:
-    """find_repeat's rule: spike_steps when ones * taps < memory * (3 +
-    memory // 1024), ones the init's 1s, else advance_word.
-
-    ones * taps / memory is the adds a spike slide costs if the orbit fires
-    as densely as its init.  Measured on delay lines (x(t) = x(t - memory),
-    light taps that never decide; best of 5, 2 cores, CPython 3.11), the
-    spike loop wins at 2.5 adds a slide and loses at 4.8 for memory 256 and
-    1,024, wins at 5 and loses at 12.8 for 4,096, and wins at 20.5 and loses
-    at 38.4 for 16,384; the bound sits below each crossing.  Every family
-    search, m = 6 to 200, takes the spike loop (3.2 to 4.8 adds a slide at
-    m = 200, under 39).  limit takes no part, as the seeding follows the
-    slides taken.  A memory-0 system has no window to ring.
-    """
-    memory = cs.memory
-    return init.count(1, 0, memory) * len(cs.taps) < memory * (3 + memory // 1024)
-
-
 def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, int]:
-    """Extend trace from the init window S_0, its memory bytes, to the first
+    """Extend trace, which holds exactly the init window S_0, to the first
     check point n <= limit at which S_n already occurred.
 
-    Window S_n is trace[n : n + memory].  One loop, picked by _spiking
-    before the first slide, appends the outputs in chunks of
-    min(memory, limit - n, max(1, n // 8)) slides: spike_steps writes them
-    to trace as it goes, advance_word leaves them as the low bits of the
-    window it ends on.  At check points max(1, n // 8) slides apart, and
-    always at limit, S_n is looked up in trace[: n + memory].
+    Window S_n is trace[n : n + memory].  spike_steps appends the outputs
+    in chunks of min(memory, limit - n, max(1, n // 8)) slides.  At check
+    points max(1, n // 8) slides apart, and always at limit, S_n is looked
+    up in trace[: n + memory].
     Returns (n, i) for the first check point n at which S_n == S_i for some
     i < n, with i the first such time, or (n, n) at n = limit when there is
     none.  On an orbit of transient T and period P, a repeat is found
@@ -245,11 +226,10 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
     is a check point, and for N > 16, g(g(N - 1) - 1) <= g(M - 2) <= M + M // 8.
     """
     memory = cs.memory
-    spikes = spike_steps(cs, trace).send if _spiking(cs, trace) else None
-    if spikes:
-        spikes(None)
-    else:
-        word = word_from_bits(trace[:memory])
+    if len(trace) != memory:
+        raise ShapeMismatch(f"trace length {len(trace)} != system memory {memory}")
+    spikes = spike_steps(cs, trace).send
+    spikes(None)
     n = check = 0
     while True:
         if n >= check or n == limit:
@@ -258,11 +238,7 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
                 return n, i
             check = n + max(1, n // 8)
         c = max(1, min(memory, limit - n, n // 8))
-        if spikes:
-            spikes(c)
-        else:
-            word = advance_word(cs, word, c)
-            trace += bits_from_word(word, c)
+        spikes(c)
         n += c
 
 

@@ -39,8 +39,9 @@ def capped_simulation(monkeypatch):
 @pytest.fixture
 def count_slides(monkeypatch):
     """count_slides(on_slides) passes on_slides the slides of every chunk
-    either stepping loop takes: each advance_word call engine or cycles
-    makes, and each count sent to engine.spike_steps."""
+    either stepping loop takes: each count sent to engine.spike_steps, by
+    which every search steps, and each advance_word call cycles makes, by
+    which it reads windows."""
     import neurec.engine
 
     advance, spikes = neurec.engine.advance_word, neurec.engine.spike_steps
@@ -57,8 +58,7 @@ def count_slides(monkeypatch):
                 on_slides(steps)
                 steps = yield loop.send(steps)
 
-        for module in ("neurec.engine", "neurec.cycles"):
-            monkeypatch.setattr(f"{module}.advance_word", counted_advance)
+        monkeypatch.setattr("neurec.cycles.advance_word", counted_advance)
         monkeypatch.setattr("neurec.engine.spike_steps", counted_spikes)
 
     return install

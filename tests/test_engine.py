@@ -7,7 +7,6 @@ oracle.
 """
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +29,6 @@ from neurec import (
     window_params,
     word_from_bits,
 )
-from neurec import engine
 from neurec.engine import Trace, find_repeat, simulate, spike_steps
 
 
@@ -294,9 +292,9 @@ def spike_systems(draw):
 @example(RecurrenceSystem(1, ((1, Fraction(-1)),), 0, b"\x01"), [5, 0, 3])
 @example(RecurrenceSystem(3, ((3, Fraction(1)),), 1, b"\x01\x00\x01"), [1, 1, 7])
 def test_the_spike_loop_steps_as_advance_word_and_the_oracle(s, chunks):
-    # called directly, whatever find_repeat's rule picks: the init's 1s are
-    # seeded lazily, so chunks that stop anywhere, and a reach passed many
-    # times over (a tap at every offset of a 48-bit window), all read the same
+    # called directly, in random chunks: the init's 1s are seeded lazily, so
+    # chunks that stop anywhere, and a reach passed many times over (a tap
+    # at every offset of a 48-bit window), all read the same
     cs = compile_system(s)
     steps = sum(chunks)
     expect = stepped_outputs(cs, s.init, steps)
@@ -304,17 +302,43 @@ def test_the_spike_loop_steps_as_advance_word_and_the_oracle(s, chunks):
     assert expect == dense_oracle_run(s, s.init, steps)
 
 
+def word_search(cs, init, limit):
+    """(n, i) of find_repeat's check points, chunks and lookups, stepped by
+    advance_word."""
+    memory, trace = cs.memory, bytearray(init)
+    word = word_from_bits(init)
+    n = check = 0
+    while True:
+        if n >= check or n == limit:
+            i = trace.find(trace[n : n + memory], 0, n + memory)
+            if i < n or n == limit:
+                return n, i
+            check = n + max(1, n // 8)
+        c = max(1, min(memory, limit - n, n // 8))
+        word = advance_word(cs, word, c)
+        trace += bits_from_word(word, c)
+        n += c
+
+
 @settings(max_examples=200, deadline=None)
 @given(spike_systems(), st.integers(0, 400))
-def test_find_repeat_is_one_search_under_either_loop(s, limit):
-    # the same check points, repeat and trace whichever loop steps it
+@example(RecurrenceSystem(0, (), 0, b""), 5)
+@example(RecurrenceSystem(0, (), 1, b""), 0)
+def test_find_repeat_is_the_search_advance_word_steps(s, limit):
+    # the same check points and repeat as the search stepped by words, and
+    # the oracle's trace (a memory-0 window keeps no output for advance_word)
     cs = compile_system(s)
-    searches = []
-    for spiking in (False, True):
-        trace = bytearray(s.init)
-        with mock.patch.object(engine, "_spiking", lambda cs, init: spiking):
-            searches.append((find_repeat(cs, trace, limit), bytes(trace)))
-    assert searches[0] == searches[1]
+    trace = bytearray(s.init)
+    n, i = find_repeat(cs, trace, limit)
+    assert (n, i) == word_search(cs, s.init, limit)
+    assert trace == dense_oracle_run(s, s.init, n)
+
+
+def test_find_repeat_refuses_a_trace_past_its_init_window():
+    # the loop appends to trace, so a longer one would misplace every window
+    z = build_z(window_params(6), 1)
+    with pytest.raises(ShapeMismatch):
+        find_repeat(compile_system(z), bytearray(z.init + b"\x00"), 100)
 
 
 def test_run_steps_a_long_lane_orbit_by_spikes_as_advance_word_does():
@@ -323,30 +347,8 @@ def test_run_steps_a_long_lane_orbit_by_spikes_as_advance_word_does():
     p = window_params(21)
     v = destabilized_system(p, 0)
     cs = compile_system(v)
-    assert engine._spiking(cs, v.init)
     steps = p.k + 1
     assert run(cs, v.init, steps) == stepped_outputs(cs, v.init, steps)
-
-
-def test_the_rule_steps_the_family_by_spikes_and_dense_windows_by_words():
-    # the family's units fire about once a prime period, a few adds a
-    # slide against a bound that grows with the memory; a window of 1s
-    # under a tap at every offset costs memory adds a slide, and a
-    # memory-0 system has no window to ring
-    for m in (6, 11):
-        p = window_params(m)
-        systems = [build_y(p)]
-        for i in range(p.rho):
-            systems += [single_system(p, i), destabilized_system(p, i), build_w(p, i), build_z(p, i)]
-        for s in systems:
-            assert engine._spiking(compile_system(s), s.init), s.label
-    for m in (100, 200):
-        p = window_params(m)
-        for s in (single_system(p, p.rho - 1), destabilized_system(p, 0)):
-            assert engine._spiking(compile_system(s), s.init), s.label
-    full = RecurrenceSystem(8, tuple((j, 1) for j in range(1, 9)), 1, b"\x01" * 8)
-    assert not engine._spiking(compile_system(full), full.init)
-    assert not engine._spiking(compile_system(RecurrenceSystem(0, (), 0, b"")), b"")
 
 
 # --- cross-route equality ---------------------------------------------------

@@ -16,11 +16,12 @@ refuted pair raises PredictionFailed naming the first violated probe.
 
 verify_predicted is the one prover of a prediction.  It probes the
 windows of the outputs a range reader supplies, a closed certificate's
-trace, or with none a simulation in one forward pass of exactly T + P
-steps.  The two certificates share the closes / trace protocol: closes
-is a value, and trace(start, stop), which takes no step, reads the
-outputs x(start..stop-1) lane by lane, each lane's from its own lane time
-in the range, so a range costs its length and not its start:
+trace, or with none engine.simulate's trace of T + P steps, read by the
+same range rule.  The two certificates share the closes / trace
+protocol: closes is a value, and trace(start, stop), which takes no
+step, reads the outputs x(start..stop-1) lane by lane, each lane's from
+its own lane time in the range, so a range costs its length and not its
+start:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
@@ -82,6 +83,7 @@ from .engine import (
     compile_system,
     find_repeat,
     periodic_slice,
+    simulate,
     word_from_bits,
 )
 from .errors import BudgetExceeded, PredictionFailed, ShapeMismatch
@@ -115,13 +117,12 @@ class CycleReport(NamedTuple):
     steps_executed: int
 
 
-def _check_init(cs: CompiledSystem, init: Sequence[int]) -> int:
+def _check_init(cs: CompiledSystem, init: Sequence[int]) -> None:
     if len(init) != cs.memory:
         raise ShapeMismatch(f"init length {len(init)} != system memory {cs.memory}")
-    return word_from_bits(init)
 
 
-# A reader maps a window time n, ascending from call to call, to the window S_n.
+# A reader maps a window time n to the window S_n.
 Reader = Callable[[int], int]
 # An output-range reader maps (start, stop) to the outputs x(start..stop-1), one byte 0/1 each.
 Outputs = Callable[[int, int], bytes]
@@ -130,17 +131,6 @@ Outputs = Callable[[int, int], bytes]
 def _windows(trace: Outputs, memory: int) -> Reader:
     """The window rule: S_n is the outputs x(n..n + memory - 1), packed into a word."""
     return lambda n: word_from_bits(trace(n, n + memory))
-
-
-def _simulated(cs: CompiledSystem, word0: int) -> Reader:
-    """Read S_n by advancing the full system from S_0 = word0."""
-    last = [0, word0]
-
-    def read(n: int) -> int:
-        last[:] = n, advance_word(cs, last[1], n - last[0])
-        return last[1]
-
-    return read
 
 
 def lane_count(cs: CompiledSystem) -> int:
@@ -561,16 +551,18 @@ def verify_predicted(
     """Prove a predicted (T, P) minimal: the one prover of a prediction.
 
     The probes read the windows of the outputs trace supplies (a closed
-    certificate's trace), or with none a simulation of one pass of T + P
-    slides.  Raises PredictionFailed naming the first violated probe.  On
-    success the measured fields echo the now-proved prediction, and
-    steps_executed is T + P when it simulates and 0 when it reads a
+    certificate's trace), or with none of engine.simulate's trace of T + P
+    steps, by the same window rule (_windows).  simulate stops at its first
+    repeat, so it takes at most T + P slides and holds at most
+    memory + T + P bytes.  Raises PredictionFailed naming the first violated
+    probe.  On success the measured fields echo the now-proved prediction,
+    and steps_executed is T + P when it simulates and 0 when it reads a
     certificate.
     """
     if predicted_transient < 0 or predicted_period < 1:
         raise ValueError(f"need T >= 0 and P >= 1, got ({predicted_transient}, {predicted_period})")
-    word0 = _check_init(cs, init)
-    read = _simulated(cs, word0) if trace is None else _windows(trace, cs.memory)
+    _check_init(cs, init)
     steps = predicted_transient + predicted_period if trace is None else 0
-    entry = _probe_pass(read, predicted_transient, predicted_period)
+    outputs = simulate(cs, init, steps).read if trace is None else trace
+    entry = _probe_pass(_windows(outputs, cs.memory), predicted_transient, predicted_period)
     return CycleReport(predicted_transient, predicted_period, entry, steps)

@@ -13,16 +13,16 @@ Two independent evaluation routes:
              exists to cross-check the compiled route bit for bit and for
              nothing else.
 
-The compiled route steps in two loops.  advance_word slides the packed
-window, a few big-int operations on all of it a slide; it reads windows
-for cycles and verify.  spike_steps is event-driven (Brette et al., J.
-Comput. Neurosci. 23, 2007; Mattia and Del Giudice, Neural Comput. 12,
-2000): a slide pops one pending sum, and an output 1 adds its taps'
-weights to the sums they reach.  The family's units fire about once a
-prime period over windows of thousands of bits, so their searches run
-several times faster by it.  A caller that needs the affine sums of an
-orbit's windows adds them up from the 1s of its trace instead of stepping
-again.
+The compiled route steps an orbit by spike_steps, which is event-driven
+(Brette et al., J. Comput. Neurosci. 23, 2007; Mattia and Del Giudice,
+Neural Comput. 12, 2000): a slide pops one pending sum, and an output 1
+adds its taps' weights to the sums they reach.  The family's units fire
+about once a prime period over windows of thousands of bits, so their
+searches run several times faster by it.  A caller that needs the affine
+sums of an orbit's windows adds them up from the 1s of its trace instead
+of stepping again.  advance_word slides a packed window, a few big-int
+operations on all of it a slide: it is the oracle's compiled counterpart
+and steps a window read off a trace, at most memory slides.
 
 find_repeat is the one search for a repeated window, used by simulate and
 by cycles.detect_cycle, and steps by spike_steps.  It appends each chunk

@@ -211,12 +211,12 @@ class Member:
         bounds it.  An orbit whose T + P fits both the cap and DETECT_CUTOFF is
         measured blind with detect_cycle in exactly T + P slides.  Any other,
         or one the search does not confirm, is proved by verify_predicted on
-        the certificate _certificate picks for the member, or else on
-        simulated windows, unless their T + P plus the certificate's steps pass
-        the cap: then BudgetExceeded is raised before a step.  A refuted
-        prediction raises PredictionFailed naming the first probe it fails, so
-        a returned report always equals the prediction; its steps are the
-        certificate's, plus T + P when simulated.
+        the certificate _certificate picks for the member, or else on the
+        windows of engine.simulate's trace, unless its T + P plus the
+        certificate's steps pass the cap: then BudgetExceeded is raised before
+        a step.  A refuted prediction raises PredictionFailed naming the first
+        probe it fails, so a returned report always equals the prediction; its
+        steps are the certificate's, plus T + P when simulated.
 
         A completed proof is kept on the member, and a repeat returns the same
         report without walking the orbit again.  A failed proof raises and

@@ -21,34 +21,35 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def capped_simulation(monkeypatch):
-    """Fail the test at once, rather than hang, when cycles asks advance_word
-    for more than MEASURE_CUTOFF slides in one call."""
+    """Fail the test at once, rather than hang, when cycles asks simulate
+    for more than MEASURE_CUTOFF steps."""
     import neurec.cycles
     from neurec.verify import MEASURE_CUTOFF
 
-    advance = neurec.cycles.advance_word
+    simulate = neurec.cycles.simulate
 
-    def guarded(cs, word, steps):
+    def guarded(cs, init, steps):
         if steps > MEASURE_CUTOFF:
-            pytest.fail(f"advance_word asked for {steps:,} slides, past MEASURE_CUTOFF")
-        return advance(cs, word, steps)
+            pytest.fail(f"simulate asked for {steps:,} steps, past MEASURE_CUTOFF")
+        return simulate(cs, init, steps)
 
-    monkeypatch.setattr("neurec.cycles.advance_word", guarded)
+    monkeypatch.setattr("neurec.cycles.simulate", guarded)
 
 
 @pytest.fixture
 def count_slides(monkeypatch):
-    """count_slides(on_slides) passes on_slides the slides of every chunk
-    either stepping loop takes: each count sent to engine.spike_steps, by
-    which every search steps, and each advance_word call cycles makes, by
-    which it reads windows."""
+    """count_slides(on_slides, on_advance=None) passes on_slides the slides
+    of every chunk either stepping loop takes: each count sent to
+    engine.spike_steps, by which every search and simulation steps, and each
+    advance_word call cycles makes, by which a handoff lands.  on_advance,
+    when given, takes advance_word's slides instead."""
     import neurec.engine
 
     advance, spikes = neurec.engine.advance_word, neurec.engine.spike_steps
 
-    def install(on_slides):
+    def install(on_slides, on_advance=None):
         def counted_advance(cs, word, steps):
-            on_slides(steps)
+            (on_advance or on_slides)(steps)
             return advance(cs, word, steps)
 
         def counted_spikes(cs, trace):

@@ -209,17 +209,24 @@ def test_the_probe_rule_guards_a_corrupted_search(monkeypatch, shift):
     assert refuted > 0
 
 
-def test_verify_predicted_accepts_true_pair():
+def test_verify_predicted_accepts_true_pair(count_slides):
+    # with no certificate the probes read simulate's trace: at most T + P
+    # spike-driven slides, and none of advance_word's
+    spiked, advanced = [], []
+    count_slides(spiked.append, advanced.append)
     p = window_params(6)
     y = build_y(p)
     rep = verify_predicted(compile_system(y), y.init, 0, 442)
     assert (rep.measured_transient, rep.measured_period) == (0, 442)
-    assert rep.steps_executed == 442  # exactly T + P slides
+    assert rep.steps_executed == 442  # T + P
+    assert sum(spiked) <= 442 and advanced == []
 
+    spiked.clear()
     v = destabilized_system(p, 0)
     rep = verify_predicted(compile_system(v), v.init, 53, 1)
     assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (53, 1, 0)
     assert rep.steps_executed == 54
+    assert sum(spiked) <= 54 and advanced == []
 
 
 def test_verify_predicted_rejects_wrong_pairs():
@@ -308,6 +315,12 @@ def test_detect_agrees_with_naive_on_sparse_systems(s):
     rep = detect_cycle(cs, s.init, step_budget=t + p)
     entry = advance_word(cs, word_from_bits(s.init), t)
     assert (rep.measured_transient, rep.measured_period, rep.entry_window) == (t, p, entry)
+    # the prover without a certificate, on simulate's trace, takes that
+    # pair and refuses every wrong one, memory 0 included
+    assert verify_predicted(cs, s.init, t, p)[:3] == (t, p, entry)
+    for pair in wrong_pairs(t, p):
+        with pytest.raises(PredictionFailed):
+            verify_predicted(cs, s.init, *pair)
 
 
 # --- proofs on decimated lanes -------------------------------------------------

@@ -203,9 +203,14 @@ def test_prove_certifies_the_prediction(monkeypatch):
         x0((0, 17)).prove(budget=16)
     assert (exc.value.steps, exc.value.budget) == (0, 16)
     assert x0((0, 17)).prove(budget=17) == rep
-    # past DETECT_CUTOFF the proof is one pass of exactly T + P slides
+    # a T + P that fits the budget exactly is searched blind: y's 442
+    # slides, not the 31 of its lanes
+    assert Member("y", None, y, (0, 442), None).prove(budget=442).steps_executed == 442
+    # past DETECT_CUTOFF the proof simulates and reports T + P steps, and it
+    # runs when they fit the cap exactly
     monkeypatch.setattr("neurec.verify.DETECT_CUTOFF", 0)
     assert x0((0, 17)).prove() == rep._replace(steps_executed=17)
+    assert x0((0, 17)).prove(budget=17) == rep._replace(steps_executed=17)
     with pytest.raises(PredictionFailed):
         x0((1, 17)).prove()
 
@@ -249,7 +254,7 @@ def test_w_whose_lane_searches_outrun_its_orbit_is_proved_on_its_lanes(monkeypat
     def no_simulation(*args):
         raise AssertionError("the full window was simulated")
 
-    monkeypatch.setattr("neurec.cycles._simulated", no_simulation)
+    monkeypatch.setattr("neurec.cycles.simulate", no_simulation)
     p = window_params(26)
     pred = predicted_cycle(p, "w", p.rho - 1)
     w = build_w(p, p.rho - 1)
@@ -1240,9 +1245,9 @@ def test_run_builds_each_certificate_once(builds):
 def test_a_run_searches_each_single_unit_orbit_once(monkeypatch):
     # _search is the search under detect_cycle and every lane of
     # certify_lanes.  x_cycle's search is the only one of each x_i orbit:
-    # sum_bounds reads x_i off that proof, and no lane of y or w(d) starts
-    # on it.  Only the v_i orbits recur: v_fixed searches v_i, and so does
-    # every w(d) with d >= i, whose lane i is v_i (ROADMAP item 2)
+    # sum_bounds re-runs x_i through run, not _search, and no lane of y or
+    # w(d) starts on it.  Only the v_i orbits recur: v_fixed searches v_i,
+    # and so does every w(d) with d >= i, whose lane i is v_i (ROADMAP item 1)
     searched = Counter()
     search = neurec.cycles._search
 

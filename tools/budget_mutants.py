@@ -2,9 +2,10 @@
 
     python3 tools/budget_mutants.py --work DIR
 
-Each mutant makes one change to one function of TARGETS (certify_lanes,
-handoff_certificate and _first_disagreement in cycles, _certificate in
-verify, find_repeat in engine): it drops a raise, drops an if whose test
+Each mutant makes one change to one function or class of TARGETS
+(certify_lanes, handoff_certificate and _first_disagreement in cycles,
+_certificate and Member, whose prove caps the simulation, in verify,
+find_repeat in engine): it drops a raise, drops an if whose test
 reads a budget (a name in BUDGET_NAMES), shifts the right side of such a
 comparison by +1 or -1, or shifts the steps of a raised BudgetExceeded by
 +1 or -1.  The script copies src/ and tests/ into DIR (which must not
@@ -34,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUDGET_NAMES = frozenset({"budget", "cap", "limit"})
 TARGETS = (
     ("src/neurec/cycles.py", ("certify_lanes", "handoff_certificate", "_first_disagreement")),
-    ("src/neurec/verify.py", ("_certificate",)),
+    ("src/neurec/verify.py", ("_certificate", "Member")),
     ("src/neurec/engine.py", ("find_repeat",)),
 )
 TESTS = ("tests/test_cycles.py", "tests/test_verify.py", "tests/test_engine.py")
@@ -102,7 +103,7 @@ def _apply(node: ast.AST, change: str, tree: ast.Module) -> None:
 
 
 def mutants(path: str, functions: Sequence[str]) -> list[Mutant]:
-    """Every mutant of the named top-level functions of path, distinct in source."""
+    """Every mutant of the named top-level functions or classes of path, distinct in source."""
     text = (ROOT / path).read_text()
     original = ast.unparse(ast.parse(text))
     seen, out = {original}, []

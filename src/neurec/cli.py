@@ -15,13 +15,16 @@ which alone knows each claim's name, grid, cutoff and knobs.  The member modes
 of every scale, each a verify.member, one row per member; cycle proves it
 with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
-built.  simulate writes each trace file as its member is traced, and reads
-the member's Trace a block of at most _WRITE bytes at a time, never whole:
-export_trace's periodic check and run-length encoder, and the row's count
-of 1s.  So besides the members the memo keeps, with
-their certificates, a run holds one block, a simulated member's trace up to
-its first repeat and at most one period's run-length lines, whatever
---steps is, up to MAX_STEPS.  construct proves and compiles nothing and
+built and every orbit searched.  simulate writes each trace file as its
+member is traced, and reads the member's Trace a block of at most _WRITE
+bytes at a time, never whole, and each byte once where the predicted period
+is at most _WRITE: export_trace's periodic check feeds its run-length
+encoder the blocks it reads, and the row's count of 1s is export_trace's,
+counted on those blocks, or a pass of its own when no file is written.  So
+besides the members the memo keeps, with their certificates, a run holds
+one block, P carried bytes, a simulated member's trace up to its first
+repeat and at most one period's run-length lines, whatever --steps is, up
+to MAX_STEPS.  construct proves and compiles nothing and
 opens none, so each member is freed after its row.  This module builds no system:
 it handles arguments and output, and rejects a setting the mode does not
 read, or a --d or --lane off any scale's range before any member runs.
@@ -150,93 +153,147 @@ def export_trace(
     fmt: str,
     memory: int,
     hint: tuple[int, int] | None = None,
-) -> None:
+) -> int:
     """Write a trace as text-bits (wrapped every memory symbols, on one line
-    when memory is 0) or run-length, in UTF-8, a block at a time.
+    when memory is 0) or run-length, in UTF-8, a block at a time, and return
+    its count of 1s, counted on the blocks it writes from.
 
     trace is bytes, a Trace or any sequence of 0/1, which is copied to bytes;
     each is read by slicing, one block at a time, so a Trace is never held
     whole.  run-length reads hint, a claimed (T, P) such as a member's
-    predicted one, checked on the bytes: if trace[i + P] == trace[i] for
-    every i in [T, len - P), the runs of one period from the first change
-    of bit after T are formatted once and written for each whole period that
-    follows.  Any hint, right, wrong or none, gives the same file."""
+    predicted one, checked on the bytes as they are read (_periodic_cut):
+    where it holds, one period's runs are formatted and counted once and
+    written for each whole period, so the 1s are the prefix's, reps times
+    the period's and the tail's.  Any hint, right, wrong or none, gives the
+    same file and count."""
     if not isinstance(trace, (bytes, bytearray, Trace)):
         trace = bytes(trace)
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
-    size = len(trace)
+    size, ones = len(trace), 0
     with Path(path).open("wb") as fh:
         if fmt == "text-bits":
             width = memory or size or 1
             if width <= _WRITE:  # blocks of whole lines
                 for block in _blocks(trace, 0, size, _WRITE // width * width):
+                    ones += block.count(1)
                     chars = block.translate(_CHARS)
                     lines = (chars[i : i + width] for i in range(0, len(chars), width))
                     fh.write(b"\n".join(lines) + b"\n")
             else:  # a line longer than a block, as memory 0's one line, in blocks
                 for line in range(0, size, width):
                     for block in _blocks(trace, line, min(line + width, size)):
+                        ones += block.count(1)
                         fh.write(block.translate(_CHARS))
                     fh.write(b"\n")
         else:
-            cut = _periodic_cut(trace, hint) or size
-            _write_runs(fh.write, trace, 0, cut)
-            if cut < size:
-                p, lines = hint[1], []
-                _write_runs(lines.append, trace, cut, cut + p)
-                period = b"".join(lines)
-                reps, copies = (size - cut) // p, max(1, _WRITE // len(period))
-                fh.writelines(period * min(copies, reps - i) for i in range(0, reps, copies))
-                _write_runs(fh.write, trace, cut + reps * p, size)
+            runs = _RunLines(fh.write)
+            _periodic_cut(trace, hint, runs)
+            runs.flush()
+            ones = runs.ones
         if not size:
             fh.write(b"\n")
+    return ones
 
 
-def _periodic_cut(trace: bytes | Trace, hint: tuple[int, int] | None) -> int:
-    """The first change of bit after T if hint's (T, P) holds on trace from T
-    on and two whole periods follow that change, else 0.  Both are read by
-    blocks: the change up to its last place, len - 2P, and the period as
-    each block against the block P on."""
-    (t, p), size = hint or (0, 0), len(trace)
-    if not (0 <= t < size - 2 * p and p > 0):
+class _RunLines:
+    """The run-length lines of the bytes fed, in order, written with write
+    _RUN_BLOCK bytes' worth at a time: the last run of each is carried into
+    the next, which may extend it, until flush writes it.  ones counts the
+    1s fed, summed over the runs of 1s."""
+
+    __slots__ = ("write", "bit", "carry", "ones")
+
+    def __init__(self, write: Callable[[bytes], object]) -> None:
+        self.write, self.bit, self.carry, self.ones = write, 0, 0, 0  # the last run: bit, length
+
+    def feed(self, block: bytes, start: int = 0, stop: int | None = None) -> None:
+        """Feed block[start:stop], nothing when stop <= start."""
+        stop = len(block) if stop is None else min(stop, len(block))
+        for a in range(start, stop, _RUN_BLOCK):
+            counts = list(map(len, _RUNS.findall(block, a, min(a + _RUN_BLOCK, stop))))
+            first = block[a]
+            self.ones += sum(counts[1 - first :: 2])
+            if self.carry and self.bit == first:
+                counts[0] += self.carry
+            elif self.carry:
+                counts.insert(0, self.carry)
+                first = self.bit
+            self.bit, self.carry = first ^ (len(counts) - 1) % 2, counts.pop()
+            if counts:
+                self.write(_lines(first, counts))
+
+    def flush(self) -> None:
+        if self.carry:
+            self.write(_lines(self.bit, [self.carry]))
+            self.carry = 0
+
+
+def _periodic_cut(trace: bytes | Trace, hint: tuple[int, int] | None, runs: _RunLines) -> int:
+    """Feed trace to runs, a block at a time, and return the cut: the first
+    change of bit after T if hint's (T, P) holds on trace from T on
+    (trace[i] == trace[i - P] for every i in [T + P, len)) and two whole
+    periods follow that change, else 0.
+
+    Bytes before the cut are fed as they are read.  From the cut on, one
+    period's runs are formatted apart and counted once, and written, when
+    the last block has passed the check, for each whole period, then the
+    tail's runs.  Each block is checked as it is read against the bytes P
+    before it: with P <= _WRITE those are the last P bytes read, carried
+    from block to block, so each byte is read once and a run holds one
+    block and P carried bytes; a longer period reads them again.  A block
+    that breaks the check ends it: the runs from the cut on are then read
+    again and fed."""
+    size = len(trace)
+    t, p = hint or (size, 0)
+    if not (0 <= t < size - 2 * p and p > 0):  # nothing to check
+        for block in _blocks(trace, 0, size):
+            runs.feed(block)
         return 0
-    other, cut = 1 - trace[t : t + 1][0], t + 1
-    for block in _blocks(trace, t + 1, size - 2 * p + 1):
-        i = block.find(other)
-        if i >= 0:
-            cut += i
-            break
-        cut += len(block)
-    else:
+    carried, last, cut = p <= _WRITE, size - 2 * p, 0  # the cut lies in (T, last]
+    before, lines = b"", []  # the carried bytes; the period's run lines
+    period = _RunLines(lines.append)
+    for start in range(0, size, _WRITE):
+        block = trace[start : start + _WRITE]
+        stop, lo = start + len(block), max(start, t + p)  # the block checks times lo..stop-1
+        if carried:
+            window = before + block  # x(start - len(before) .. stop - 1)
+            w = lo - stop + len(window)
+            before = window[-p:]
+        if lo < stop and (
+            window[w:] != window[w - p : -p] if carried else block[lo - start :] != trace[lo - p : stop - p]
+        ):
+            if cut:
+                for rest in _blocks(trace, cut, size):
+                    runs.feed(rest)
+                return 0
+            t = size
+        if not cut and t < stop:
+            if t >= start:
+                other = 1 - block[t - start]
+            i = block.find(other, max(t + 1 - start, 0), last + 1 - start)
+            if i >= 0:
+                cut = start + i
+            elif stop > last:
+                t = size
+        if cut:
+            runs.feed(block, 0, cut - start)
+            period.feed(block, max(cut - start, 0), cut + p - start)
+        else:
+            runs.feed(block)
+    if not cut:
         return 0
-    for i in range(t, size - p, _WRITE):
-        ahead = trace[i + p : i + p + _WRITE]
-        if trace[i : i + len(ahead)] != ahead:
-            return 0
+    runs.flush()
+    period.flush()
+    whole = b"".join(lines)
+    reps, copies = (size - cut) // p, max(1, _WRITE // len(whole))
+    for i in range(0, reps, copies):
+        runs.write(whole * min(copies, reps - i))
+    runs.ones += reps * period.ones
+    tail = (size - cut) % p
+    if tail:
+        runs.feed(before[-tail:] if carried else trace[size - tail : size])
     return cut
-
-
-def _write_runs(
-    write: Callable[[bytes], object], trace: bytes | Trace, start: int, stop: int
-) -> None:
-    """Write the run-length lines of trace[start:stop] with write, whole runs,
-    read _RUN_BLOCK bytes at a time, the last run of each block carried into
-    the next, which may extend it."""
-    bit = carry = 0  # the last run so far, its bit and length
-    for block in _blocks(trace, start, stop, _RUN_BLOCK):
-        counts = list(map(len, _RUNS.findall(block)))
-        first = block[0]
-        if carry and bit == first:
-            counts[0] += carry
-        elif carry:
-            counts.insert(0, carry)
-            first = bit
-        bit, carry = first ^ (len(counts) - 1) % 2, counts.pop()
-        if counts:
-            write(_lines(first, counts))
-    if carry:
-        write(_lines(bit, [carry]))
 
 
 def _lines(first: int, counts: list[int]) -> bytes:
@@ -341,8 +398,9 @@ def _member_row(config: ExperimentConfig, params: WindowParams, mem: Member) -> 
     if config.emit_traces:
         path = Path(config.out) / f"{_slug(system.label)}.{TRACE_FORMATS[config.trace_format]}"
         path.parent.mkdir(parents=True, exist_ok=True)
-        export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
-    ones = sum(block.count(1) for block in _blocks(trace, 0, len(trace)))
+        ones = export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
+    else:
+        ones = sum(block.count(1) for block in _blocks(trace, 0, len(trace)))
     return {
         "system": system.label,
         "m": params.m,

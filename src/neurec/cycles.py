@@ -28,7 +28,9 @@ offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
 then obey their own recurrence, so x(n) is lane n mod r's output at lane
 time n // r.  Each lane orbit is stepped once, by the detect_cycle search
 that certifies it, whose trace it keeps: every later output or popcount
-is a slice of that trace.
+is a slice of that trace.  Inside search_memo, which verify.proof_memo
+opens for a run, a lane orbit that recurs (v_i is the lane i of every
+w(d) with d >= i) and a blind search share one search and its bytes.
 Lanes always close, and a proof then costs the lane searches, not T + P.
 Lanes.popcount_range reads the window popcount range off them.
 
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from itertools import accumulate, product
 from math import gcd, lcm, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -83,6 +86,7 @@ from .engine import (
     compile_system,
     find_repeat,
     periodic_slice,
+    repeat_stop,
     simulate,
     word_from_bits,
 )
@@ -226,7 +230,7 @@ def _fill(lanes: Lanes, buf: bytearray, at: int, start: int, stop: int) -> None:
 
 
 def certify_lanes(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[Lanes, int]:
-    """Certify each of the lane_count(cs) lanes with _search, the search
+    """Certify each of the lane_count(cs) lanes with _kept_search, the search
     detect_cycle wraps, keeping the first T + P + memory bytes of its trace.
 
     Lane i is the trace at times i, i + r, i + 2r, ..., with init
@@ -239,14 +243,13 @@ def certify_lanes(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple
     orbits, spent = [], 0
     for i in range(r):
         try:
-            rep, trace = _search(lane_cs, init[i::r], budget - spent)
+            orbit = _kept_search(lane_cs, init[i::r], budget - spent)
         except BudgetExceeded as exc:
             raise BudgetExceeded(spent + exc.steps, budget) from None
-        spent += rep.steps_executed
+        spent += orbit[1].steps_executed
         if spent > budget:
             raise BudgetExceeded(spent, budget)
-        kept = rep.measured_transient + rep.measured_period + lane_cs.memory
-        orbits.append((bytes(trace[:kept]), rep))
+        orbits.append(orbit)
     return Lanes(lane_cs, tuple(orbits)), spent
 
 
@@ -518,8 +521,49 @@ def detect_cycle(cs: CompiledSystem, init: Sequence[int], step_budget: int) -> C
     BudgetExceeded.  It takes n slides and holds the trace, about
     9/8 (T + P) + memory bytes; the probe rule re-proves the measured pair
     on the trace's windows, so a buggy lookup or bisection cannot return.
+    Inside search_memo an orbit already searched takes no slide, and
+    reports the n a fresh search would (_kept_search).
     """
-    return _search(cs, init, step_budget)[0]
+    return _kept_search(cs, init, step_budget)[1]
+
+
+# the open search memo (search_memo): (cs, init bytes) -> a _kept_search result
+_searches: dict[tuple[CompiledSystem, bytes], tuple[bytes, CycleReport]] | None = None
+
+
+@contextmanager
+def search_memo() -> Iterator[None]:
+    """Keep each orbit _kept_search searches until the block ends, so that
+    detect_cycle and certify_lanes search each (cs, init) once in it."""
+    global _searches
+    _searches = {}
+    try:
+        yield
+    finally:
+        _searches = None
+
+
+def _kept_search(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[bytes, CycleReport]:
+    """The first T + P + memory bytes of _search's trace and its report, as a
+    lane orbit (Lanes.orbits).  Inside search_memo a searched (cs, init) is
+    kept, bytes and pair, and answers any later budget as a fresh search
+    would, without a step: its steps are the check point find_repeat stops
+    at under that budget (repeat_stop), which depends only on T + P, and
+    past the budget it raises the same BudgetExceeded."""
+    key = cs, bytes(init)
+    kept = None if _searches is None else _searches.get(key)
+    if kept is None:
+        rep, trace = _search(cs, init, budget)
+        kept = bytes(trace[: rep.measured_transient + rep.measured_period + cs.memory]), rep
+        if _searches is not None:
+            _searches[key] = kept
+        return kept
+    trace, rep = kept
+    limit, first = max(budget, 1), rep.measured_transient + rep.measured_period
+    n = repeat_stop(cs.memory, limit, first)
+    if n < first:
+        raise BudgetExceeded(limit + 1, budget)
+    return trace, rep._replace(steps_executed=n)
 
 
 def _search(cs: CompiledSystem, init: Sequence[int], budget: int) -> tuple[CycleReport, bytearray]:

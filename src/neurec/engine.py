@@ -30,7 +30,10 @@ of at most memory slides to a trace, and at check points spaced
 max(1, n // 8) slides apart looks the newest window S_n up in the trace
 so far.  No window repeats before S_{T + P} on an orbit of transient T
 and period P, so it stops after min(limit, T + P) slides at least and
-M + M // 8 at most, M = T + P + (T + P) // 8, whatever the memory.
+M + M // 8 at most, M = T + P + (T + P) // 8, whatever the memory.  Its
+schedule (_check_points) does not read the orbit, so where it stops
+follows from T + P and the limit alone: repeat_stop finds it without a
+step, for a search already made.
 
 A trace is read by range, never built whole unless a caller asks for all
 of it.  simulate keeps find_repeat's trace up to the first S_i == S_n with
@@ -230,16 +233,37 @@ def find_repeat(cs: CompiledSystem, trace: bytearray, limit: int) -> tuple[int, 
         raise ShapeMismatch(f"trace length {len(trace)} != system memory {memory}")
     spikes = spike_steps(cs, trace).send
     spikes(None)
+    for n, chunks in _check_points(memory, limit):
+        for c in chunks:
+            spikes(c)
+        i = trace.find(trace[n : n + memory], 0, n + memory)
+        if i < n:
+            break
+    return n, i
+
+
+def _check_points(memory: int, limit: int) -> Iterator[tuple[int, list[int]]]:
+    """find_repeat's schedule under limit, the same on every orbit: each check
+    point n, ascending and limit last, with the chunks of slides that reach
+    it from the one before."""
     n = check = 0
-    while True:
-        if n >= check or n == limit:
-            i = trace.find(trace[n : n + memory], 0, n + memory)
-            if i < n or n == limit:
-                return n, i
-            check = n + max(1, n // 8)
+    chunks: list[int] = []
+    while n < limit:
+        if n >= check:
+            yield n, chunks
+            check, chunks = n + max(1, n // 8), []
         c = max(1, min(memory, limit - n, n // 8))
-        spikes(c)
+        chunks.append(c)
         n += c
+    yield limit, chunks
+
+
+def repeat_stop(memory: int, limit: int, first: int) -> int:
+    """The slides find_repeat takes under limit on an orbit whose first
+    repeated window is S_first, first = T + P, without a step: its first
+    check point at or past first, or limit, where it finds no repeat when
+    limit < first."""
+    return next((n for n, _ in _check_points(memory, limit) if n >= first), limit)
 
 
 class Trace:

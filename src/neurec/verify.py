@@ -47,10 +47,14 @@ allowance for its nodes) of the members it proves or certifies, and
 skip_detail skips (passed None) one past MEASURE_CUTOFF rather than attempt
 it.
 
-A run builds and compiles each member once, proves it once and certifies
-it once: proof_memo, open for one run_claims call or a CLI cycle or simulate
-run, keeps every member built and nothing else, and a member keeps its
-completed proof and closed certificate.  So z(d)'s handoff reads the run's
+A run builds and compiles each member once, proves it once, certifies it
+once and searches each orbit once: proof_memo, open for one run_claims call
+or a CLI cycle or simulate run, keeps every member built, and opens
+cycles.search_memo, which keeps every orbit searched (its report and the
+first T + P + memory bytes of its trace, shared with the Lanes that read
+it); a member keeps its completed proof and closed certificate.  So v_fixed's
+v_i is the lane i of every w(d) with d >= i, searched once, a kept search
+answers a later budget as a fresh one would, and z(d)'s handoff reads the run's
 y and w(d), sum_bounds reuses the proofs of earlier claims, the chain
 reuses them for every chained z(d) equal to the run's (any other is a
 fresh member, freed once the chain moves past it), phases and z_summary share
@@ -81,6 +85,7 @@ from .cycles import (
     detect_cycle,
     handoff_certificate,
     lane_count,
+    search_memo,
     verify_predicted,
 )
 from .engine import CompiledSystem, Trace, advance_word, bits_from_word, compile_system, run
@@ -124,11 +129,13 @@ _members: dict | None = None
 @contextmanager
 def proof_memo() -> Iterator[None]:
     """Open _members for one run: each member built, under (m, family,
-    index), with the proof and certificate it keeps (Member)."""
+    index), with the proof and certificate it keeps (Member); and with it
+    cycles.search_memo, each orbit searched."""
     global _members
     _members = {}
     try:
-        yield
+        with search_memo():
+            yield
     finally:
         _members = None
 

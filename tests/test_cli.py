@@ -38,6 +38,7 @@ from neurec.cli import (
     _WRITE,
     MAX_STEPS,
     MODES,
+    TRACE_FORMATS,
     export_trace,
     import_trace,
     main,
@@ -686,6 +687,35 @@ def test_simulated_z_traces_past_several_periods_are_one_line_per_run(tmp_path, 
         assert (out / f"z_m_11_d_{d}.rle").read_bytes() == want, d
 
 
+def test_simulated_traces_are_read_once_and_count_their_ones(tmp_path, monkeypatch):
+    # the run-length export reads each byte of z(0..2) at m = 11 once: their
+    # periods, 2,001, 69 and 1, are carried by the check, which feeds the
+    # encoder the bytes it reads; each row's ones is its file's 1s
+    reads = {}
+    traced = neurec.cli.simulated_trace
+
+    def tracing(mem, steps):
+        trace, route, spent = traced(mem, steps)
+        seen = reads[mem.system.label] = bytearray(len(trace))
+
+        def read(start, stop):
+            seen[start:stop] = bytes(b + 1 for b in seen[start:stop])
+            return trace.read(start, stop)
+
+        return Trace(read, len(trace)), route, spent
+
+    monkeypatch.setattr("neurec.cli.simulated_trace", tracing)
+    out = tmp_path / "sim"
+    argv = ["--mode", "simulate", "--m", "11", "--system", "z", "--steps", "70000"]
+    assert main([*argv, "--emit-traces", "--trace-format", "run-length", "--out", str(out)]) == 0
+    assert {label: set(seen) for label, seen in reads.items()} == {
+        f"z[m=11,d={d}]": {1} for d in range(3)
+    }
+    for row in read_report(out)["cycle_reports"]:
+        d = row["system"][-2]
+        assert row["ones"] == import_trace(out / f"z_m_11_d_{d}.rle").count(1), row["system"]
+
+
 # --- chain and basin modes --------------------------------------------------------
 
 
@@ -990,12 +1020,17 @@ def per_run_lines(trace: bytes) -> bytes:
 def test_run_length_blocks_write_every_run_once(tmp_path_factory, first, runs):
     # export_trace reads the trace in blocks and formats it in smaller ones;
     # a run that crosses the edge of either is carried into the next, and
-    # the file equals one line per run
+    # the file equals one line per run; it returns the trace's 1s, counted
+    # on those blocks, for bytes and a Trace read by range, in both formats
     trace = b"".join(bytes([(first + i) % 2]) * n for i, n in enumerate(runs))
     path = tmp_path_factory.mktemp("blocks") / "t.rle"
-    export_trace(trace, path, "run-length", 5)
+    assert export_trace(trace, path, "run-length", 5) == trace.count(1)
     assert path.read_bytes() == per_run_lines(trace)
     assert import_trace(path) == list(trace)
+    ranged = Trace(lambda start, stop: trace[start:stop], len(trace))
+    for source in (trace, ranged):
+        for fmt in TRACE_FORMATS:
+            assert export_trace(source, path, fmt, 5) == trace.count(1), fmt
 
 
 @pytest.mark.parametrize("memory", [0, 1, 7, _WRITE + 1])
@@ -1029,7 +1064,11 @@ def hinted_periodic_traces(draw):
 
 
 def flip_last(trace: bytes) -> bytes:
-    return trace[:-1] + bytes([1 - trace[-1]])
+    return flip_at(trace, len(trace) - 1)
+
+
+def flip_at(trace: bytes, i: int) -> bytes:
+    return trace[:i] + bytes([1 - trace[i]]) + trace[i + 1 :]
 
 
 # a period longer than a block, which the check reads a second time a period on
@@ -1051,21 +1090,29 @@ LONG_CYCLE = bytes(i * 7919 % 11 % 2 for i in range(_WRITE + 5))
 @example((flip_last(b"\x01\x00\x00" * 21_846 + b"\x01\x00"), (0, 3)))  # wrong last byte, read alone in a last block
 @example((b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:9], (1, len(LONG_CYCLE))))
 @example((flip_last(b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:2]), (1, len(LONG_CYCLE))))
+# wrong only at byte _WRITE, the first of the second block, whose one
+# comparison, with the byte P before, reads the bytes carried from the first
+@example((flip_at(b"\x01\x00\x00" * (_WRITE // 3 + 1), _WRITE)[: _WRITE + 2], (0, 3)))
+# the longest period whose bytes are carried, and the shortest read again
+@example((b"\x01" + LONG_CYCLE[:_WRITE] * 3 + LONG_CYCLE[:9], (1, _WRITE)))
+@example((flip_last(b"\x01" + LONG_CYCLE[: _WRITE + 1] * 3 + LONG_CYCLE[:9]), (1, _WRITE + 1)))
 def test_a_hinted_trace_file_is_the_unhinted_one(tmp_path_factory, case):
     # the hint's (T, P) is checked on the bytes, so right or wrong it leaves
     # the file as one line per run (compared as lists of lines, whose first
-    # difference a failure names at once)
+    # difference a failure names at once) and the count of 1s returned
     trace, hint = case
     path = tmp_path_factory.mktemp("hinted") / "t.rle"
     want = per_run_lines(trace).split(b"\n")
-    export_trace(trace, path, "run-length", 5, hint)
+    assert export_trace(trace, path, "run-length", 5, hint) == trace.count(1)
     assert path.read_bytes().split(b"\n") == want
-    export_trace(trace, path, "run-length", 5)
+    assert export_trace(trace, path, "run-length", 5) == trace.count(1)
     assert path.read_bytes().split(b"\n") == want
     # a Trace is read by the same slices, a range at a time
     ranged = Trace(lambda start, stop: trace[start:stop], len(trace))
-    export_trace(ranged, path, "run-length", 5, hint)
+    assert export_trace(ranged, path, "run-length", 5, hint) == trace.count(1)
     assert path.read_bytes().split(b"\n") == want
+    assert export_trace(ranged, path, "text-bits", 5, hint) == trace.count(1)
+    assert export_trace(trace, path, "text-bits", 5, hint) == trace.count(1)
 
 
 @pytest.mark.parametrize(

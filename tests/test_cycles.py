@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import neurec.cycles
 from neurec import (
     BudgetExceeded,
     CycleReport,
@@ -54,6 +55,7 @@ from neurec.cycles import (
     _windows,
     certify_lanes,
     handoff_certificate,
+    search_memo,
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
 from neurec.engine import Trace
@@ -968,6 +970,71 @@ def test_lane_orbits_are_stepped_only_by_their_certifying_search(m, monkeypatch,
             lanes.popcount_range()
             _first_disagreement(z, lanes, 10**9)
             assert slides[0] == 0, (s.label, d)
+
+
+def outcome(search, *args):
+    """A search's report, or its BudgetExceeded as (steps, budget)."""
+    try:
+        return search(*args)
+    except BudgetExceeded as exc:
+        return exc.steps, exc.budget
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every (cs, init) cycles._search searches, in order."""
+    calls = []
+    search = neurec.cycles._search
+
+    def counted(cs, init, budget):
+        calls.append((cs, bytes(init)))
+        return search(cs, init, budget)
+
+    monkeypatch.setattr("neurec.cycles._search", counted)
+    return calls
+
+
+def test_a_kept_search_answers_every_budget_as_a_fresh_one(searches):
+    # m = 6 v_0 has T + P = 54, and its unlimited search stops at the check
+    # point 57: at a budget of 54 to 56 a fresh search stops at the budget,
+    # and below 54 it raises.  A kept search answers each budget alike,
+    # steps and BudgetExceeded detail included, and takes no slide
+    v = destabilized_system(window_params(6), 0)
+    cs = compile_system(v)
+    fresh = {b: outcome(detect_cycle, cs, v.init, b) for b in range(60)}
+    assert fresh[53] == (54, 53) and [fresh[b].steps_executed for b in (54, 55, 56, 57, 59)] == [54, 55, 56, 57, 57]
+    searches.clear()
+    with search_memo():
+        kept = detect_cycle(cs, v.init, 10**6)
+        assert kept.steps_executed == 57
+        # at a budget equal to its steps, and one below, as a fresh search
+        assert detect_cycle(cs, v.init, 57) == kept and outcome(detect_cycle, cs, v.init, 56) == fresh[56]
+        assert {b: outcome(detect_cycle, cs, v.init, b) for b in range(60)} == fresh
+    assert searches == [(cs, v.init)]
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_kept_lane_searches_certify_as_fresh_ones(m, searches):
+    # each w(d) has v_i as its lane i <= d: in a search memo each v_i is
+    # searched once, after which a lane set at its own steps, one below, half
+    # of them or none is what certify_lanes builds without the memo
+    p = window_params(m)
+    systems = [compile_system(build_w(p, d)) for d in range(p.rho)]
+    inits = [build_w(p, d).init for d in range(p.rho)]
+    costs = [certify_lanes(cs, init, 10**9)[1] for cs, init in zip(systems, inits)]
+    budgets = {(d, b) for d, cost in enumerate(costs) for b in (cost, cost - 1, cost // 2, 0)}
+    fresh = {(d, b): outcome(certify_lanes, systems[d], inits[d], b) for d, b in budgets}
+    searches.clear()
+    with search_memo():
+        for d in range(p.rho):
+            certify_lanes(systems[d], inits[d], 10**9)
+        assert len(searches) == len(set(searches))
+        lanes = len(searches)
+        assert {(d, b): outcome(certify_lanes, systems[d], inits[d], b) for d, b in budgets} == fresh
+    assert len(searches) == lanes
+    # outside the memo nothing is kept
+    certify_lanes(systems[0], inits[0], 10**9)
+    assert len(searches) == lanes + p.rho
 
 
 def test_budget_caps_the_certificate_proofs_at_m11(monkeypatch):

@@ -9,7 +9,7 @@ oracle.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neurec import (
@@ -29,7 +29,7 @@ from neurec import (
     window_params,
     word_from_bits,
 )
-from neurec.engine import Trace, find_repeat, simulate, spike_steps
+from neurec.engine import Trace, find_repeat, repeat_stop, simulate, spike_steps
 
 
 def ref_run(system, steps):
@@ -332,6 +332,25 @@ def test_find_repeat_is_the_search_advance_word_steps(s, limit):
     n, i = find_repeat(cs, trace, limit)
     assert (n, i) == word_search(cs, s.init, limit)
     assert trace == dense_oracle_run(s, s.init, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spike_systems())
+@example(RecurrenceSystem(0, (), 0, b""))
+def test_repeat_stop_is_where_find_repeat_stops(s):
+    # find_repeat's schedule does not read the orbit, and its check points
+    # find a repeat exactly from S_{T + P} on, so its stop under every limit
+    # up to past T + P follows from T + P alone, without a step
+    cs = compile_system(s)
+    trace = bytearray(s.init)
+    n, i = find_repeat(cs, trace, 2_000)
+    assume(i < n)
+    memory = cs.memory
+    first = next(t for t in range(n + 1) if trace.find(trace[t : t + memory], 0, t + memory) < t)
+    for limit in range(first + 20):
+        stop, j = find_repeat(cs, bytearray(s.init), limit)
+        assert repeat_stop(memory, limit, first) == stop, limit
+        assert (j < stop) == (first <= limit), limit
 
 
 def test_find_repeat_refuses_a_trace_past_its_init_window():

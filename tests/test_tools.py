@@ -39,15 +39,26 @@ def test_least_budget_is_the_one_readme_gives():
 
 def test_budget_mutants_change_only_their_function_each_in_one_way():
     tool = load("budget_mutants")
-    found = tool.mutants("src/neurec/cycles.py", ["certify_lanes"])
-    # the sum check's if (dropped, or its comparison shifted) and its raise's
-    # steps; the re-raise of a lane search's overrun, dropped or shifted
-    assert Counter(m.change for m in found) == {
-        "drop if": 1, "shift comparison +1": 1, "shift comparison -1": 1,
-        "drop raise": 1, "shift raised steps +1": 2, "shift raised steps -1": 2,
+    pins = {
+        # the sum check's if (dropped, or its comparison shifted) and its
+        # raise's steps; the re-raise of a lane search's overrun, dropped or
+        # shifted
+        ("src/neurec/cycles.py", "certify_lanes"): {
+            "drop if": 1, "shift comparison +1": 1, "shift comparison -1": 1,
+            "drop raise": 1, "shift raised steps +1": 2, "shift raised steps -1": 2,
+        },
+        # a kept search past a later budget: its raise, dropped or shifted
+        ("src/neurec/cycles.py", "_kept_search"): {
+            "drop raise": 1, "shift raised steps +1": 1, "shift raised steps -1": 1,
+        },
+        # find_repeat's schedule: its loop up to the limit, shifted
+        ("src/neurec/engine.py", "_check_points"): {"shift comparison +1": 1, "shift comparison -1": 1},
     }
-    original = ast.parse((TOOLS.parent / "src/neurec/cycles.py").read_text()).body
-    for m in found:
-        body = ast.parse(m.source).body
-        changed = [a.name for a, b in zip(original, body) if ast.dump(a) != ast.dump(b)]
-        assert len(body) == len(original) and changed == ["certify_lanes"], m.change
+    for (path, function), want in pins.items():
+        found = tool.mutants(path, [function])
+        assert Counter(m.change for m in found) == want, function
+        original = ast.parse((TOOLS.parent / path).read_text()).body
+        for m in found:
+            body = ast.parse(m.source).body
+            changed = [a.name for a, b in zip(original, body) if ast.dump(a) != ast.dump(b)]
+            assert len(body) == len(original) and changed == [function], m.change

@@ -3,9 +3,11 @@
     python3 tools/budget_mutants.py --work DIR
 
 Each mutant makes one change to one function or class of TARGETS
-(certify_lanes, handoff_certificate and _first_disagreement in cycles,
-_certificate and Member, whose prove caps the simulation, in verify,
-find_repeat in engine): it drops a raise, drops an if whose test
+(certify_lanes, handoff_certificate, _first_disagreement and
+_kept_search, the search memo's answer to a later budget, in cycles;
+_certificate and Member, whose prove caps the simulation, in verify;
+find_repeat and its schedule _check_points, which repeat_stop replays
+for a kept search, in engine): it drops a raise, drops an if whose test
 reads a budget (a name in BUDGET_NAMES), shifts the right side of such a
 comparison by +1 or -1, or shifts the steps of a raised BudgetExceeded by
 +1 or -1.  The script copies src/ and tests/ into DIR (which must not
@@ -34,9 +36,9 @@ from typing import Iterator, NamedTuple, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET_NAMES = frozenset({"budget", "cap", "limit"})
 TARGETS = (
-    ("src/neurec/cycles.py", ("certify_lanes", "handoff_certificate", "_first_disagreement")),
+    ("src/neurec/cycles.py", ("certify_lanes", "handoff_certificate", "_first_disagreement", "_kept_search")),
     ("src/neurec/verify.py", ("_certificate", "Member")),
-    ("src/neurec/engine.py", ("find_repeat",)),
+    ("src/neurec/engine.py", ("find_repeat", "_check_points")),
 )
 TESTS = ("tests/test_cycles.py", "tests/test_verify.py", "tests/test_engine.py")
 

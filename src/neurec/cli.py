@@ -47,7 +47,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import nullcontext
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import (
     IO,
@@ -321,6 +321,12 @@ def import_trace(path: str | Path) -> list[int]:
     return list(bits.translate(bytes.maketrans(b"01", b"\x00\x01")))
 
 
+def _ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator in lowest terms, as str(Fraction) writes it."""
+    g = gcd(numerator, denominator)
+    return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
+
+
 def system_to_json(system: RecurrenceSystem) -> dict:
     """Exact sparse description of one system: its taps as "weights", keyed by offset j."""
     return {
@@ -328,8 +334,8 @@ def system_to_json(system: RecurrenceSystem) -> dict:
         "version": 1,
         "label": system.label,
         "memory": system.memory,
-        "threshold": str(Fraction(system.threshold)),
-        "weights": {str(j): str(Fraction(w)) for j, w in system.taps},
+        "threshold": _ratio(system.threshold, system.denominator),
+        "weights": {str(j): _ratio(w, system.denominator) for j, w in system.taps},
         "init": system.init.translate(_CHARS).decode(),
     }
 

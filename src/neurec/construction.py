@@ -30,21 +30,24 @@ parameterized by the scale m through WindowParams:
 A RecurrenceSystem stores only its nonzero weights, as taps: (j, a_j) pairs
 sorted by the offset j, so a system of memory h = rho*k costs its support,
 not h.  Its init is bytes of 0/1, x(0) first, the form of every trace and
-window in engine and cycles.  Weights and thresholds are exact rationals:
-plain ints everywhere except the z-systems, whose perturbations live in
-(1/(8*Tot(d)))Z.  Nothing here ever touches floating point.
+window in engine and cycles.  Weights and threshold are exact rationals in
+one lattice, held as int numerators over the system's one denominator, in
+lowest terms: 1 for x, v, y and w(d), and 8*Tot(d) for z(d), whose
+perturbations live in (1/(8*Tot(d)))Z.  So z(d) and the chain step are
+built by integer adds, and nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from math import gcd, lcm
+from operator import itemgetter, lt
+from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, MixedShapes, PlanInvariantViolated, ShapeMismatch
 from .numtheory import WindowParams, cycle_lengths
 
-Rational = Union[int, Fraction]
-Taps = tuple[tuple[int, Rational], ...]
+Taps = tuple[tuple[int, int], ...]
 
 # The perturbation depth: the largest admissible value, since every
 # sub-threshold affine sum of the single units sits at least one whole unit
@@ -80,34 +83,48 @@ __all__ = [
 class _SystemFields(NamedTuple):
     memory: int
     taps: Taps
-    threshold: Rational
+    threshold: int
     init: bytes
     label: str = ""
+    denominator: int = 1
 
 
 class RecurrenceSystem(_SystemFields):
     """One threshold unit plus its initial window.
 
     taps lists (j, a_j) for the nonzero weights, by rising offset j in
-    1..memory; a_j multiplies x(n-j), and every other weight is 0.  init is
+    1..memory; a_j / denominator multiplies x(n-j), every other weight is
+    0, and the unit fires when the sum reaches threshold / denominator.  All
+    are ints in lowest terms, so == and hash compare values.  init is
     x(0)..x(memory-1), bytes of 0/1.  Every construction checks the shape,
     _replace too, as it builds through _make.
     """
 
     __slots__ = ()
 
-    def __new__(cls, memory: int, taps: Taps, threshold: Rational, init: bytes, label: str = ""):
+    def __new__(
+        cls, memory: int, taps: Taps, threshold: int, init: bytes, label: str = "", denominator: int = 1
+    ):
         name = label or "system"
-        offsets = [0, *(j for j, _ in taps), memory + 1]
-        if any(a >= b for a, b in zip(offsets, offsets[1:])):
+        offsets, weights = (0, *map(itemgetter(0), taps), memory + 1), tuple(map(itemgetter(1), taps))
+        if not all(map(lt, offsets, offsets[1:])):
             raise ShapeMismatch(f"{name}: tap offsets must rise within 1..{memory}")
-        if any(w == 0 for _, w in taps):
+        if {*map(type, weights), type(threshold)} != {int}:
+            raise ShapeMismatch(f"{name}: weights and threshold must be ints over the denominator")
+        if 0 in weights:
             raise ShapeMismatch(f"{name}: a tap has weight 0")
+        if type(denominator) is not int or denominator < 1:
+            raise ShapeMismatch(f"{name}: denominator must be a positive int")
         if not isinstance(init, bytes) or len(init) != memory:
             raise ShapeMismatch(f"{name}: init must be {memory} bytes")
         if init.translate(None, b"\x00\x01"):
             raise ShapeMismatch(f"{name}: init must be 0/1 bits")
-        return super().__new__(cls, memory, taps, threshold, init, label)
+        g = gcd(denominator, threshold, *weights)
+        if g > 1:  # each distinct weight divided once, so equal weights share one int
+            reduced = {w: w // g for w in set(weights)}
+            taps = tuple(zip(offsets[1:-1], map(reduced.__getitem__, weights)))
+            threshold, denominator = threshold // g, denominator // g
+        return super().__new__(cls, memory, taps, threshold, init, label, denominator)
 
     @classmethod
     def _make(cls, iterable) -> RecurrenceSystem:
@@ -223,28 +240,19 @@ def y_closed_form(params: WindowParams, t: int) -> int:
     return x_closed_form(params, i, 1 + q)
 
 
+def _single(params: WindowParams, init: bytes, label: str) -> RecurrenceSystem:
+    """The single unit of memory k, weights single_weights(params), started from init."""
+    return RecurrenceSystem(params.k, *single_weights(params), init, label)
+
+
 def single_system(params: WindowParams, i: int) -> RecurrenceSystem:
     """The periodic single unit x_i."""
-    taps, theta = single_weights(params)
-    return RecurrenceSystem(
-        memory=params.k,
-        taps=taps,
-        threshold=theta,
-        init=initial_config_x(params, i),
-        label=f"x[m={params.m},i={i}]",
-    )
+    return _single(params, initial_config_x(params, i), f"x[m={params.m},i={i}]")
 
 
 def destabilized_system(params: WindowParams, i: int) -> RecurrenceSystem:
     """The same unit started from the collapsing configuration v_i."""
-    taps, theta = single_weights(params)
-    return RecurrenceSystem(
-        memory=params.k,
-        taps=taps,
-        threshold=theta,
-        init=initial_config_v(params, i),
-        label=f"v[m={params.m},i={i}]",
-    )
+    return _single(params, initial_config_v(params, i), f"v[m={params.m},i={i}]")
 
 
 def _shuffle(params: WindowParams, windows: Sequence[bytes], label: str) -> RecurrenceSystem:
@@ -335,44 +343,40 @@ def perturbation_plan(params: WindowParams, d: int) -> PerturbationPlan:
             f"max(B0)+d = {max(b0) + d} exceeds h={params.h} at m={params.m}, d={d}"
         )
     a = frozenset(f + s for s in range(d + 1) for f in b0)
-    tot = len(b0)
-    beta_d = LAMBDA / tot
+    beta_d = LAMBDA / len(b0)
     xi_d = LAMBDA - beta_d / 8
-    return PerturbationPlan(
-        d=d,
-        B0=b0,
-        A=a,
-        tot=tot,
-        beta_d=beta_d,
-        xi_d=xi_d,
-        theta2=params.theta_single + xi_d,
-    )
+    return PerturbationPlan(d, b0, a, len(b0), beta_d, xi_d, params.theta_single + xi_d)
 
 
-def _shifted(taps: Taps, *moves: tuple[frozenset[int], Rational]) -> Taps:
-    """taps with delta added at every offset of each (offsets, delta) in
-    moves, in turn, dropping every weight that becomes 0."""
-    weights = dict(taps)
-    for offsets, delta in moves:
-        for f in offsets:
-            w = weights.pop(f, 0) + delta
-            if w:
-                weights[f] = w
-    return tuple(sorted(weights.items()))
+def _perturbed(s: RecurrenceSystem, plan: PerturbationPlan, sign: int, label: str) -> RecurrenceSystem:
+    """s with sign * beta(d) added on A(d), dropping every weight that
+    becomes 0, and sign * xi(d) added to its threshold, over the lcm of its
+    denominator and the plan's 8*Tot(d); the constructor reduces the result.
+    Each distinct weight is shifted once, so the taps it sets equal share one
+    int, and A(d) is visited in order, so the taps it adds come in order and
+    the closing sort has two runs to merge."""
+    D = lcm(s.denominator, 8 * plan.tot)
+    scale = D // s.denominator
+    weights = {j: w * scale for j, w in s.taps}
+    delta = sign * int(plan.beta_d * D)
+    shifted = {w: w + delta for w in {0, *weights.values()}}
+    for f in sorted(plan.A):
+        w = shifted[weights.get(f, 0)]
+        if w:
+            weights[f] = w
+        else:
+            weights.pop(f, None)
+    threshold = s.threshold * scale + sign * int(plan.xi_d * D)
+    return RecurrenceSystem(s.memory, tuple(sorted(weights.items())), threshold, s.init, label, D)
 
 
 def build_z(params: WindowParams, d: int, y: RecurrenceSystem | None = None) -> RecurrenceSystem:
     """y, build_y(params) unless given, with weights depressed by beta(d) on
-    A(d) and threshold 2*rho + xi(d)."""
+    A(d) and threshold 2*rho + xi(d).  Over D = 8*Tot(d) that is y's weights
+    times D with D * beta(d) = -8 added on A(d), and threshold
+    (2*rho - 1) * D + 1."""
     y = build_y(params) if y is None else y
-    plan = perturbation_plan(params, d)
-    return RecurrenceSystem(
-        memory=params.h,
-        taps=_shifted(y.taps, (plan.A, plan.beta_d)),
-        threshold=plan.theta2,
-        init=y.init,
-        label=f"z[m={params.m},d={d}]",
-    )
+    return _perturbed(y, perturbation_plan(params, d), 1, f"z[m={params.m},d={d}]")
 
 
 def chain_perturbation(
@@ -384,24 +388,18 @@ def chain_perturbation(
 
     For each index f the update depends only on membership in the two A
     sets: unchanged off both, beta swap on both, beta removed when leaving,
-    beta added when entering.  The threshold trades xi(d) for xi(d+1).
-    The result must equal build_z(params, d+1) exactly; the
-    chain_equals_direct claim enforces that.
+    beta added when entering.  The threshold trades xi(d) for xi(d+1).  It
+    takes beta(d) and xi(d) off, which leaves y's integer weights over 1,
+    then puts beta(d+1) and xi(d+1) on; Tot(d) changes with d, so each step
+    is made over the lcm of the denominators.  The result must equal
+    build_z(params, d+1) exactly; the chain_equals_direct claim enforces that.
     """
     if plan_next.d != plan_prev.d + 1:
         raise IndexOutOfRange(
             f"plans must be consecutive, got d={plan_prev.d} then d={plan_next.d}"
         )
-    moves = (plan_prev.A, -plan_prev.beta_d), (plan_next.A, plan_next.beta_d)
-    threshold = z_prev.threshold - plan_prev.xi_d + plan_next.xi_d
-    label = z_prev.label.replace(f"d={plan_prev.d}", f"d={plan_next.d}")
-    return RecurrenceSystem(
-        memory=z_prev.memory,
-        taps=_shifted(z_prev.taps, *moves),
-        threshold=threshold,
-        init=z_prev.init,
-        label=label or f"z[d={plan_next.d}]",
-    )
+    label = z_prev.label.replace(f"d={plan_prev.d}", f"d={plan_next.d}") or f"z[d={plan_next.d}]"
+    return _perturbed(_perturbed(z_prev, plan_prev, -1, label), plan_next, 1, label)
 
 
 def shuffle_compose(systems: Sequence[RecurrenceSystem]) -> RecurrenceSystem:
@@ -419,8 +417,8 @@ def shuffle_compose(systems: Sequence[RecurrenceSystem]) -> RecurrenceSystem:
     for s in systems[1:]:
         if s.memory != first.memory:
             raise MixedShapes(f"memory {s.memory} != {first.memory}")
-        if s.threshold != first.threshold:
-            raise MixedShapes(f"threshold {s.threshold} != {first.threshold}")
+        if (s.threshold, s.denominator) != (first.threshold, first.denominator):
+            raise MixedShapes(f"threshold {s.threshold}/{s.denominator} != {first.threshold}/{first.denominator}")
         if s.taps != first.taps:
             raise MixedShapes("lane weight profiles differ")
     r = len(systems)
@@ -433,4 +431,5 @@ def shuffle_compose(systems: Sequence[RecurrenceSystem]) -> RecurrenceSystem:
         threshold=first.threshold,
         init=bytes(init),
         label=f"shuffle[{','.join(s.label or '?' for s in systems)}]",
+        denominator=first.denominator,
     )

@@ -2,11 +2,10 @@
 
 Two independent evaluation routes:
 
-  compiled   the system's taps are scaled by the lcm D of their
-             denominators so the affine form becomes an integer; taps with
-             equal scaled weight are fused into one bitmask, so a step is a
-             handful of big-int AND / popcount operations on the packed
-             window.
+  compiled   the system's int weights over its one denominator D make
+             the affine form, scaled by D, an integer; taps with equal
+             weight are fused into one bitmask, so a step is a handful of
+             big-int AND / popcount operations on the packed window.
   oracle     a deliberately naive evaluator that expands the taps into the
              full dense weight vector itself and walks all of it with
              Fraction arithmetic every step.  No scaling, no sparsity.  It
@@ -59,7 +58,6 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .construction import RecurrenceSystem
@@ -111,10 +109,10 @@ def bits_from_word(word: int, memory: int) -> bytes:
 class CompiledSystem(NamedTuple):
     """Scaled-integer form of a RecurrenceSystem.
 
-    taps lists (offset j, scaled weight) for the system's taps, in order;
-    groups fuses taps of equal scaled weight into (weight, or-mask) pairs;
-    denominator is the common scale D (8 * Tot(d) for z-systems, 1 for the
-    integer-weight families).
+    taps is the system's own tuple of (offset j, weight), its weights
+    already ints over the common scale denominator (8 * Tot(d) for
+    z-systems, 1 for the integer-weight families), as scaled_threshold is;
+    groups fuses taps of equal weight into (weight, or-mask) pairs.
     """
 
     memory: int
@@ -125,27 +123,19 @@ class CompiledSystem(NamedTuple):
     mask: int
 
 
-def _scaled(value, d: int) -> int:
-    f = Fraction(value)
-    return f.numerator * (d // f.denominator)
-
-
 def compile_system(system: RecurrenceSystem) -> CompiledSystem:
-    """Clear denominators and fuse equal-weight taps into bitmasks, each
-    set in one bytearray, offset j at index memory - j, and packed once."""
+    """Fuse equal-weight taps into bitmasks, each set in one bytearray,
+    offset j at index memory - j, and packed once."""
     memory = system.memory
-    denoms = [Fraction(w).denominator for _, w in system.taps]
-    d = lcm(Fraction(system.threshold).denominator, *denoms)
-    taps = tuple((j, _scaled(w, d)) for j, w in system.taps)
     by_weight: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(memory))
-    for j, w in taps:
+    for j, w in system.taps:
         by_weight[w][memory - j] = 1
     groups = tuple(sorted((w, word_from_bits(bits)) for w, bits in by_weight.items()))
     return CompiledSystem(
         memory=memory,
-        taps=taps,
-        scaled_threshold=_scaled(system.threshold, d),
-        denominator=d,
+        taps=system.taps,
+        scaled_threshold=system.threshold,
+        denominator=system.denominator,
         groups=groups,
         mask=(1 << memory) - 1,
     )
@@ -349,8 +339,8 @@ def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) 
     window = deque(init, maxlen=system.memory)
     weights = [0] * system.memory
     for j, w in system.taps:
-        weights[j - 1] = w
-    theta = Fraction(system.threshold)
+        weights[j - 1] = Fraction(w, system.denominator)
+    theta = Fraction(system.threshold, system.denominator)
     for _ in range(steps):
         s = Fraction(0)
         for a, bit in zip(weights, reversed(window)):

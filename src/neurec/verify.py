@@ -88,7 +88,7 @@ from .cycles import (
     search_memo,
     verify_predicted,
 )
-from .engine import CompiledSystem, Trace, advance_word, bits_from_word, compile_system, run
+from .engine import CompiledSystem, Trace, _ones, advance_word, bits_from_word, compile_system, run
 from .engine import simulate, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed
 from .numtheory import WindowParams, cycle_lengths, window_params
@@ -453,23 +453,23 @@ def _run_b0_methods_agree(m: int, **_: object) -> ClaimResult:
 
 def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
-    plans = [cons.perturbation_plan(params, d) for d in range(params.rho)]
     y = member(params, "y").system
-    current = cons.build_z(params, 0, y)
+    plan, current = cons.perturbation_plan(params, 0), cons.build_z(params, 0, y)
     per_step = {}
     ok = True
     for d in range(params.rho - 1):
-        chained = cons.chain_perturbation(current, plans[d], plans[d + 1])
+        plan_next = cons.perturbation_plan(params, d + 1)
+        chained = cons.chain_perturbation(current, plan, plan_next)
         direct = cons.build_z(params, d + 1, y)
-        taps_equal = chained.taps == direct.taps
-        threshold_equal = chained.threshold == direct.threshold
+        taps_equal = (chained.taps, chained.denominator) == (direct.taps, direct.denominator)
+        threshold_equal = (chained.threshold, chained.denominator) == (direct.threshold, direct.denominator)
         ok = ok and taps_equal and threshold_equal and chained.init == direct.init
         per_step[f"{d}->{d + 1}"] = {
             "weights_equal": taps_equal,
             "threshold_equal": threshold_equal,
-            "theta2": str(Fraction(direct.threshold)),
+            "theta2": str(Fraction(direct.threshold, direct.denominator)),
         }
-        current = direct
+        plan, current = plan_next, direct
     return ClaimResult("chain_equals_direct", {"m": m}, ok, {"per_step": per_step})
 
 
@@ -482,10 +482,9 @@ def _window_sums(cs: CompiledSystem, trace: bytes, count: int) -> list[int]:
     scattered from its 1s: S_n reads x(n + memory - j) at tap (j, w), so a
     1 at x(t) adds w to S_{t - memory + j}."""
     sums = [0] * (count + 2 * cs.memory)  # S_n at sums[memory + n]
-    for t, bit in enumerate(trace[: cs.memory + count - 1]):
-        if bit:
-            for j, w in cs.taps:
-                sums[t + j] += w
+    for t in _ones(trace, 0, cs.memory + count - 1):
+        for j, w in cs.taps:
+            sums[t + j] += w
     return sums[cs.memory : cs.memory + count]
 
 
@@ -624,9 +623,9 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
     plan = cons.perturbation_plan(params, d)
     detail = _report_dict(rep, z.predicted) | {
         "tot": plan.tot,
-        "beta_d": str(Fraction(plan.beta_d)),
-        "xi_d": str(Fraction(plan.xi_d)),
-        "theta2": str(Fraction(plan.theta2)),
+        "beta_d": str(plan.beta_d),
+        "xi_d": str(plan.xi_d),
+        "theta2": str(plan.theta2),
     }
     return ClaimResult("z_summary", {"m": m, "d": d}, True, detail)
 

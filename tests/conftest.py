@@ -1,4 +1,19 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
+
+from neurec import RecurrenceSystem
+
+
+def rational_system(memory, taps, threshold, init, label=""):
+    """The RecurrenceSystem of rational taps (j, weight) and threshold, ints
+    or Fractions: each times the lcm of their denominators, which the system
+    keeps as its denominator (and reduces, as every system is)."""
+    theta, *weights = (Fraction(v) for v in (threshold, *(w for _, w in taps)))
+    d = lcm(theta.denominator, *(w.denominator for w in weights))
+    taps = tuple((j, int(w * d)) for (j, _), w in zip(taps, weights))
+    return RecurrenceSystem(memory, taps, int(theta * d), init, label, d)
 
 
 def pytest_addoption(parser):

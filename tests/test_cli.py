@@ -90,8 +90,9 @@ def test_system_json_roundtrip_exact():
     assert doc["memory"] == z.memory
     assert doc["init"] == "".join(map(str, z.init))
     # the rationals are exact: they parse back to the system's own values
-    assert Fraction(doc["threshold"]) == z.threshold == Fraction(241, 80)
-    assert tuple((int(j), Fraction(w)) for j, w in doc["weights"].items()) == z.taps
+    assert Fraction(doc["threshold"]) == Fraction(z.threshold, z.denominator) == Fraction(241, 80)
+    weights = tuple((j, Fraction(w, z.denominator)) for j, w in z.taps)
+    assert tuple((int(j), Fraction(w)) for j, w in doc["weights"].items()) == weights
 
 
 def test_trace_roundtrip_both_formats(tmp_path):

@@ -7,6 +7,7 @@ on the code under test for their expected values.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -339,12 +340,12 @@ def test_plan_shift_union():
 def test_build_z_m6_d0_coefficients():
     p = window_params(6)
     z = build_z(p, 0)
-    weights = dict(z.taps)
-    assert z.threshold == Fraction(241, 80)
-    assert weights[7] == Fraction(-1, 10)  # touched zero weight
-    assert weights[34] == Fraction(19, 10)  # touched +2
-    assert weights[136] == Fraction(-21, 10)  # touched -2
-    assert weights[26] == 2  # untouched
+    weights = dict(z.taps)  # ints over the denominator 8 * Tot = 80
+    assert (z.threshold, z.denominator) == (241, 80)  # 241/80
+    assert weights[7] == -8  # touched zero weight: -1/10
+    assert weights[34] == 152  # touched +2: 19/10
+    assert weights[136] == -168  # touched -2: -21/10
+    assert weights[26] == 160  # untouched: 2
     assert len(weights) == 14
     assert z.init == build_y(p).init
 
@@ -361,6 +362,80 @@ def test_chain_matches_direct_build(m):
         assert z.threshold == direct.threshold
         assert z.init == direct.init
         assert z.label == direct.label
+
+
+def test_chain_perturbation_crosses_a_change_of_denominator():
+    # Tot(d) changes with d, so z(d) and z(d + 1) are written over different
+    # denominators 8 * Tot: at m = 6, Tot goes 10 -> 9 and D 80 -> 72
+    p = window_params(6)
+    plan0, plan1 = perturbation_plan(p, 0), perturbation_plan(p, 1)
+    z0 = build_z(p, 0)
+    z1 = chain_perturbation(z0, plan0, plan1)
+    assert (z0.denominator, z1.denominator) == (80, 72)
+    assert z1 == build_z(p, 1)
+    for m in range(5, 22):
+        p = window_params(m)
+        y = build_y(p)
+        plans = [perturbation_plan(p, d) for d in range(p.rho)]
+        for d in range(p.rho - 1):
+            chained = chain_perturbation(build_z(p, d, y), plans[d], plans[d + 1])
+            assert chained == build_z(p, d + 1, y), (m, d)
+            # in Fractions: y's weights with beta(d + 1) added on A(d + 1)
+            want = dict(y.taps)
+            for f in plans[d + 1].A:
+                want[f] = want.get(f, 0) + plans[d + 1].beta_d
+            got = {j: Fraction(w, chained.denominator) for j, w in chained.taps}
+            assert got == {j: w for j, w in want.items() if w}, (m, d)
+            assert Fraction(chained.threshold, chained.denominator) == plans[d + 1].theta2
+
+
+@pytest.mark.parametrize("m", [6, 11])
+def test_every_family_weight_is_an_int_over_one_denominator(m):
+    # no Fraction per tap: x, v, y and w(d) are over 1, z(d) over 8 * Tot(d)
+    p = window_params(m)
+    systems = [f(p, i) for f in (single_system, destabilized_system) for i in range(p.rho)]
+    systems += [build_y(p), *(build_w(p, d) for d in range(p.rho))]
+    zs = [build_z(p, d) for d in range(p.rho)]
+    for s in systems + zs:
+        assert type(s.threshold) is int and all(type(w) is int for _, w in s.taps), s.label
+    assert all(s.denominator == 1 for s in systems)
+    assert [z.denominator for z in zs] == [8 * perturbation_plan(p, d).tot for d in range(p.rho)]
+
+
+rational_weights = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def written_profiles(draw):
+    """A rational profile (memory, taps, threshold, init) and a scale c to
+    write it at: its numerators over c times the least common denominator."""
+    memory = draw(st.integers(0, 8))
+    offsets = sorted(draw(st.sets(st.integers(1, max(memory, 1)), max_size=memory)))
+    taps = tuple((j, draw(rational_weights.filter(bool))) for j in offsets)
+    theta = draw(st.one_of(st.just(Fraction(0)), rational_weights))
+    init = bytes(draw(st.lists(st.integers(0, 1), min_size=memory, max_size=memory)))
+    return memory, taps, theta, init, draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_profiles())
+def test_a_system_is_its_profile_in_lowest_terms(case):
+    memory, taps, theta, init, c = case
+    d = lcm(theta.denominator, *(w.denominator for _, w in taps))
+
+    def written(scale):
+        ints = tuple((j, int(w * scale)) for j, w in taps)
+        return RecurrenceSystem(memory, ints, int(theta * scale), init, "profile", scale)
+
+    s, least = written(c * d), written(d)
+    assert s == least and hash(s) == hash(least)
+    cs = compile_system(s)
+    assert cs == compile_system(least)
+    assert cs.taps is s.taps
+    # the lcm rule: each reduced rational times the lcm of their denominators
+    assert cs.denominator == d
+    assert cs.taps == tuple((j, w.numerator * (d // w.denominator)) for j, w in taps)
+    assert cs.scaled_threshold == theta.numerator * (d // theta.denominator)
 
 
 def test_chain_rejects_non_consecutive():
@@ -413,6 +488,10 @@ def test_shuffle_compose_rejections():
     d = RecurrenceSystem(memory=1, taps=((1, 1),), threshold=1, init=bytes(1))
     with pytest.raises(MixedShapes):
         shuffle_compose([a, d])
+    # the same ints over another denominator are another profile
+    e = RecurrenceSystem(memory=1, taps=((1, 2),), threshold=1, init=bytes(1), denominator=3)
+    with pytest.raises(MixedShapes):
+        shuffle_compose([a, e])
 
 
 MALFORMED = {
@@ -422,6 +501,10 @@ MALFORMED = {
     "unsorted-offsets": {"taps": ((3, 1), (1, 1))},
     "zero-weight": {"taps": ((1, 1), (2, 0))},
     "zero-rational-weight": {"taps": ((2, Fraction(0)),)},
+    "fraction-weight": {"taps": ((1, 2), (3, Fraction(-1, 2)))},
+    "fraction-threshold": {"threshold": Fraction(1, 2)},
+    "zero-denominator": {"denominator": 0},
+    "negative-denominator": {"denominator": -2},
     "short-init": {"init": bytes(2)},
     "long-init": {"init": bytes(4)},
     "init-byte-2": {"init": bytes([0, 2, 0])},
@@ -433,10 +516,10 @@ MALFORMED = {
 def test_recurrence_system_validation(fields):
     # each case breaks one field of a well-formed system, built anew or
     # replaced into one (_replace builds through _make, which checks too)
-    good = dict(memory=3, taps=((1, 1), (3, Fraction(-1, 2))), threshold=0, init=bytes([0, 1, 0]))
+    good = dict(memory=3, taps=((1, 2), (3, -1)), threshold=0, init=bytes([0, 1, 0]), label="", denominator=2)
     system = RecurrenceSystem(**good)
     renamed = system._replace(label="renamed")
-    assert type(renamed) is RecurrenceSystem and renamed == (*good.values(), "renamed")
+    assert type(renamed) is RecurrenceSystem and renamed == (*(good | {"label": "renamed"}).values(),)
     with pytest.raises(ShapeMismatch):
         RecurrenceSystem(**good | fields)
     with pytest.raises(ShapeMismatch):

@@ -59,6 +59,7 @@ from neurec.cycles import (
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
 from neurec.engine import Trace
+from conftest import rational_system
 from test_engine import (
     affine_sum,
     dense_system,
@@ -406,7 +407,7 @@ def laned_systems(draw):
         inits = [draw(bits) for _ in range(r)]
     taps = tuple((r * j, w) for j, w in lane.taps)
     init = bytes(inits[i][q] for q in range(memory) for i in range(r))
-    return RecurrenceSystem(r * memory, taps, theta, init, label=kind)
+    return RecurrenceSystem(r * memory, taps, lane.threshold, init, kind, lane.denominator)
 
 
 @settings(max_examples=200, deadline=None)
@@ -585,7 +586,7 @@ def test_handoff_certificate_refuses_z_with_a_raised_threshold(m):
     p = window_params(m)
     for d in range(p.rho):
         z = build_z(p, d)
-        raised = z._replace(threshold=z.threshold + 1)
+        raised = z._replace(threshold=z.threshold + z.denominator)
         handoff = z_handoff(p, d)
         read, _ = handoff_reader(raised, handoff, budget=10**9)
         assert read is None, d
@@ -689,12 +690,12 @@ def test_lane_prefix_finds_a_disagreement_inside_the_lane_transients():
         r = len(lanes.orbits)
         q0 = max(rep.measured_transient for _, rep in lanes.orbits)
         assert q0 > 0
-        shifts = (Fraction(t, 8) for t in range(-16, 17))
-        perturbed = [z._replace(threshold=z.threshold + t) for t in shifts]
+        # z's denominator is 8 * Tot, so a shift by t / 8 is t * D / 8 over it
+        perturbed = [z._replace(threshold=z.threshold + t * z.denominator // 8) for t in range(-16, 17)]
         for j in range(z.memory):
             weights = weights_of(z)
             weights[j] -= 1
-            perturbed.append(z._replace(taps=taps_of(weights)))
+            perturbed.append(dense_system(weights, Fraction(z.threshold, z.denominator), z.init))
         for system in perturbed:
             cs = compile_system(system)
             first, steps = _first_disagreement(cs, lanes, 10**9)
@@ -1120,12 +1121,12 @@ def handoff_cases(draw):
         inits.append(lane_init)
     taps = tuple((r * j, w) for j, w in taps_of(weights))
     init = bytes(inits[i][q] for q in range(memory) for i in range(r))
-    head = RecurrenceSystem(r * memory, taps, theta, init)
+    head = rational_system(r * memory, taps, theta, init)
     perturbed = weights_of(head)
     for j in draw(st.lists(st.integers(0, r * memory - 1), min_size=1, max_size=3)):
         perturbed[j] += draw(st.sampled_from([Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4)]))
     nudge = draw(st.sampled_from([Fraction(-1, 8), 0, Fraction(1, 8)]))
-    system = head._replace(taps=taps_of(perturbed), threshold=theta + nudge)
+    system = rational_system(head.memory, taps_of(perturbed), theta + nudge, init)
     cs, head_cs = compile_system(system), compile_system(head)
     word, first = word_from_bits(init), 0
     while first < 500 and (affine_sum(head_cs, word) >= head_cs.scaled_threshold) == (

@@ -9,6 +9,7 @@ oracle.
 from fractions import Fraction
 
 import pytest
+from conftest import rational_system
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,8 @@ def ref_run(system, steps):
     """x(n) = 1 exactly when sum_j a_j x(n-j) - theta >= 0."""
     hist = list(system.init)
     for _ in range(steps):
-        s = sum(Fraction(w) * hist[-j] for j, w in system.taps)
-        hist.append(1 if s - Fraction(system.threshold) >= 0 else 0)
+        s = sum(Fraction(w, system.denominator) * hist[-j] for j, w in system.taps)
+        hist.append(1 if s - Fraction(system.threshold, system.denominator) >= 0 else 0)
     return bytes(hist)
 
 
@@ -47,10 +48,10 @@ def taps_of(weights):
 
 
 def weights_of(system):
-    """The dense weight list of a system, weights[j-1] multiplying x(n-j)."""
+    """The dense rational weight list of a system, weights[j-1] multiplying x(n-j)."""
     weights = [0] * system.memory
     for j, w in system.taps:
-        weights[j - 1] = w
+        weights[j - 1] = Fraction(w, system.denominator)
     return weights
 
 
@@ -60,8 +61,8 @@ def affine_sum(cs, word):
 
 
 def dense_system(weights, threshold, init, label=""):
-    """The RecurrenceSystem of a dense weight list and a sequence of init bits."""
-    return RecurrenceSystem(len(weights), taps_of(weights), threshold, bytes(init), label)
+    """The RecurrenceSystem of a dense rational weight list and a sequence of init bits."""
+    return rational_system(len(weights), taps_of(weights), threshold, bytes(init), label)
 
 
 # --- packing ---------------------------------------------------------------
@@ -140,8 +141,8 @@ def test_compile_structure():
     assert covered == sum(1 << (j - 1) for j, _ in cs.taps)
     for j, w in cs.taps:
         assert 1 <= j <= z.memory
-    assert cs.taps == tuple((j, w * cs.denominator) for j, w in z.taps)
-    assert Fraction(cs.scaled_threshold, cs.denominator) == z.threshold
+    assert cs.taps is z.taps  # the system's own ints over its denominator
+    assert (cs.scaled_threshold, cs.denominator) == (z.threshold, z.denominator)
 
 
 def test_compile_drops_zero_weights():
@@ -284,13 +285,13 @@ def spike_systems(draw):
     theta = draw(st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=0, max_denominator=5), rationals))
     bits = st.lists(st.integers(0, 1), min_size=memory, max_size=memory).map(bytes)
     init = draw(st.one_of(st.just(bytes(memory)), st.just(b"\x01" * memory), bits))
-    return RecurrenceSystem(memory, taps, theta, init, label="spikes")
+    return rational_system(memory, taps, theta, init, label="spikes")
 
 
 @settings(max_examples=200, deadline=None)
 @given(spike_systems(), st.lists(st.integers(0, 60), max_size=6))
-@example(RecurrenceSystem(1, ((1, Fraction(-1)),), 0, b"\x01"), [5, 0, 3])
-@example(RecurrenceSystem(3, ((3, Fraction(1)),), 1, b"\x01\x00\x01"), [1, 1, 7])
+@example(RecurrenceSystem(1, ((1, -1),), 0, b"\x01"), [5, 0, 3])
+@example(RecurrenceSystem(3, ((3, 1),), 1, b"\x01\x00\x01"), [1, 1, 7])
 def test_the_spike_loop_steps_as_advance_word_and_the_oracle(s, chunks):
     # called directly, in random chunks: the init's 1s are seeded lazily, so
     # chunks that stop anywhere, and a reach passed many times over (a tap
@@ -436,8 +437,8 @@ def sparse_systems(draw):
     st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, 12)),
 )
 @example(RecurrenceSystem(0, (), 0, b""), 5, 0)
-@example(RecurrenceSystem(0, (), Fraction(1, 3), b""), 0, 1)
-@example(RecurrenceSystem(1, ((1, Fraction(-1)),), Fraction(-1, 2), bytes(1)), 3, 1)
+@example(rational_system(0, (), Fraction(1, 3), b""), 0, 1)
+@example(rational_system(1, ((1, -1),), Fraction(-1, 2), bytes(1)), 3, 1)
 @example(RecurrenceSystem(3, (), -1, bytes([0, 1, 0])), 1, -1)
 def test_run_fill_on_random_systems(s, laps, offset):
     # run slides in chunks of at most memory: steps at a multiple of memory,
@@ -469,7 +470,7 @@ def read_in_blocks(trace, start, stop, size):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(small_systems(), sparse_systems(), full_systems()), st.integers(0, 200), st.data())
 @example(RecurrenceSystem(0, (), 0, b""), 70, None)
-@example(RecurrenceSystem(2, ((1, Fraction(-1)), (2, Fraction(-1))), 0, bytes([1, 1])), 100, None)
+@example(RecurrenceSystem(2, ((1, -1), (2, -1)), 0, bytes([1, 1])), 100, None)
 def test_simulate_reads_every_range_as_run_and_the_oracle(s, steps, data):
     # a range read, in one read or in blocks of any size, is that slice of
     # run's trace and of the oracle's; most orbits here repeat within a few
@@ -507,7 +508,7 @@ def test_a_trace_slices_as_bytes_do():
 def test_weightless_system_threshold_sign():
     fire = RecurrenceSystem(memory=2, taps=(), threshold=0, init=bytes([0, 0]))
     assert run(compile_system(fire), fire.init, 3) == bytes([0, 0, 1, 1, 1])
-    mute = RecurrenceSystem(memory=2, taps=(), threshold=Fraction(1, 7), init=bytes([1, 1]))
+    mute = rational_system(2, (), Fraction(1, 7), bytes([1, 1]))
     assert run(compile_system(mute), mute.init, 3) == bytes([1, 1, 0, 0, 0])
 
 

@@ -50,6 +50,7 @@ from neurec import (
 from neurec.cli import main
 from neurec.cycles import certify_lanes, lane_count
 from neurec.verify import MEASURE_CUTOFF, _certificate, _window_sums, claim_grid, proof_work
+from conftest import rational_system
 from test_cycles import search_bound
 from test_engine import dense_system, weights_of
 
@@ -722,7 +723,9 @@ def test_phases_refuse_z_with_a_lowered_threshold(m, monkeypatch):
     # anomalies, then w
     def lowered(params, d, y=None):
         z = build_z(params, d, y)
-        return z._replace(threshold=z.threshold - Fraction(1, 16))
+        taps = tuple((j, Fraction(w, z.denominator)) for j, w in z.taps)
+        theta = Fraction(z.threshold, z.denominator) - Fraction(1, 16)
+        return rational_system(z.memory, taps, theta, z.init, z.label)
 
     monkeypatch.setattr("neurec.construction.build_z", lowered)
     for d in range(window_params(m).rho):
@@ -801,8 +804,8 @@ def test_basin_fails_at_the_slide_a_raised_free_tap_leaves_unforced(monkeypatch)
     assert _first_unforced_slide(z, n_free) is None
     assert len(_windows_after_free_slides(z, n_free)) == 1
     for raised in range(1, 20):
-        taps = z.taps + ((z.memory, Fraction(raised)),)
-        bumped = RecurrenceSystem(z.memory, taps, z.threshold, z.init, z.label)
+        taps = z.taps + ((z.memory, raised * z.denominator),)
+        bumped = RecurrenceSystem(z.memory, taps, z.threshold, z.init, z.label, z.denominator)
         slide = _first_unforced_slide(bumped, n_free)
         if slide is not None:
             break

@@ -17,14 +17,17 @@ with Member.prove and simulate traces it with verify.simulated_trace, which
 picks its route, both inside one verify.proof_memo, which keeps every member
 built and every orbit searched.  simulate writes each trace file as its
 member is traced, and reads the member's Trace a block of at most _WRITE
-bytes at a time, never whole, and each byte once where the predicted period
-is at most _WRITE: export_trace's periodic check feeds its run-length
-encoder the blocks it reads, and the row's count of 1s is export_trace's,
-counted on those blocks, or a pass of its own when no file is written.  So
-besides the members the memo keeps, with their certificates, a run holds
-one block, P carried bytes, a simulated member's trace up to its first
-repeat and at most one period's run-length lines, whatever --steps is, up
-to MAX_STEPS.  construct proves and compiles nothing and
+times at a time, never whole: text-bits its bytes, and run-length only the
+times of its 1s (Trace.ones), which the Traces of verify.simulated_trace
+list from the periodic rules behind them without a byte, each block's
+once where the predicted period is at most _WRITE.  export_trace's
+periodic check feeds its run-length encoder the 1s it reads, and the
+row's count of 1s is export_trace's, counted on those blocks, or a pass
+of its own over the 1s when no file is written.  So besides the members
+the memo keeps, with their certificates, a run holds one block, the 1s of
+P carried times, a simulated member's trace up to its first repeat and at
+most one period's run-length lines, whatever --steps is, up to
+MAX_STEPS.  construct proves and compiles nothing and
 opens none, so each member is freed after its row.  This module builds no system:
 it handles arguments and output, and rejects a setting the mode does not
 read, or a --d or --lane off any scale's range before any member runs.
@@ -45,9 +48,12 @@ import json
 import re
 import sys
 import time
+from bisect import bisect_left
 from collections import Counter
 from contextlib import nullcontext
+from itertools import chain
 from math import gcd
+from operator import sub
 from pathlib import Path
 from typing import (
     IO,
@@ -63,7 +69,7 @@ from typing import (
 
 from . import __version__
 from .construction import RecurrenceSystem
-from .engine import Trace
+from .engine import Trace, _ones
 from .errors import NeurecError
 from .numtheory import WindowParams, window_params
 from .verify import (
@@ -132,17 +138,14 @@ class RunReport(NamedTuple):
 # trace and system serialization
 
 
-# a trace is read and written a block at a time, never whole: the run-length encoder reads
-# blocks of _RUN_BLOCK trace bytes, as a block's run-length lines take several times the block,
-# and every other read and write takes about _WRITE bytes
-_RUNS = re.compile(rb"\x00+|\x01+")
-_RUN_LINES = tuple(f"{bit}×%d\n".encode() for bit in (0, 1))
-_RUN_BLOCK = 1 << 14
+# a trace is read and written a block at a time, never whole: a block of _WRITE times, its
+# bytes for text-bits and the times of its 1s for run-length
+_RUN_LINES = ("0×%d\n", "1×%d\n")
 _WRITE = 1 << 16
 _CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> "0"/"1"
 
 
-def _blocks(trace: bytes | Trace, start: int, stop: int, size: int = _WRITE) -> Iterator[bytes]:
+def _blocks(trace: Trace, start: int, stop: int, size: int = _WRITE) -> Iterator[bytes]:
     """trace[start:stop], size bytes at a time."""
     return (trace[a : min(a + size, stop)] for a in range(start, stop, size))
 
@@ -158,16 +161,19 @@ def export_trace(
     when memory is 0) or run-length, in UTF-8, a block at a time, and return
     its count of 1s, counted on the blocks it writes from.
 
-    trace is bytes, a Trace or any sequence of 0/1, which is copied to bytes;
-    each is read by slicing, one block at a time, so a Trace is never held
-    whole.  run-length reads hint, a claimed (T, P) such as a member's
-    predicted one, checked on the bytes as they are read (_periodic_cut):
-    where it holds, one period's runs are formatted and counted once and
-    written for each whole period, so the 1s are the prefix's, reps times
-    the period's and the tail's.  Any hint, right, wrong or none, gives the
-    same file and count."""
-    if not isinstance(trace, (bytes, bytearray, Trace)):
-        trace = bytes(trace)
+    trace is a Trace, bytes or any sequence of 0/1, which is copied to bytes
+    and read as a Trace whose 1s bytes.find finds.  A Trace is read one block
+    at a time, so it is never held whole: text-bits reads its bytes, and
+    run-length only the times of its 1s (Trace.ones), from which
+    _RunLines writes the lines.  run-length reads hint, a claimed (T, P)
+    such as a member's predicted one, checked on the 1s as they are read
+    (_periodic_cut): where it holds, one period's lines are formatted and
+    counted once and written for each whole period, so the 1s are the
+    prefix's, reps times the period's and the tail's.  Any hint, right,
+    wrong or none, gives the same file and count."""
+    if not isinstance(trace, Trace):
+        bits = bytes(trace)
+        trace = Trace(lambda a, b: bits[a:b], len(bits), lambda a, b: list(_ones(bits, a, b)))
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
     size, ones = len(trace), 0
@@ -189,117 +195,154 @@ def export_trace(
         else:
             runs = _RunLines(fh.write)
             _periodic_cut(trace, hint, runs)
-            runs.flush()
             ones = runs.ones
         if not size:
             fh.write(b"\n")
     return ones
 
 
+class _Gaps(dict):
+    """step -> the lines that a step between two 1s writes after a run of
+    one 1: none for a step of 1, which extends the run, else the run's line
+    and the line of the step - 1 0s after it, each formatted once, when
+    first asked for."""
+
+    def __missing__(self, step: int) -> str:
+        lines = self[step] = _RUN_LINES[1] % 1 + _RUN_LINES[0] % (step - 1)
+        return lines
+
+
 class _RunLines:
-    """The run-length lines of the bytes fed, in order, written with write
-    _RUN_BLOCK bytes' worth at a time: the last run of each is carried into
-    the next, which may extend it, until flush writes it.  ones counts the
-    1s fed, summed over the runs of 1s."""
+    """The run-length lines of a trace from time start on, written with
+    write from the times of its 1s, fed a block at a time in ascending
+    order.  A step of 1 between two 1s extends a run of 1s; a longer step
+    ends it and writes the 0s between, each step's lines read from gaps
+    (_Gaps), which formats them once per distinct step.  The last run of 1s
+    is held until the next step or flush ends it.  ones counts the 1s fed."""
 
-    __slots__ = ("write", "bit", "carry", "ones")
+    __slots__ = ("write", "last", "run", "ones", "gaps")
 
-    def __init__(self, write: Callable[[bytes], object]) -> None:
-        self.write, self.bit, self.carry, self.ones = write, 0, 0, 0  # the last run: bit, length
+    def __init__(self, write: Callable[[bytes], object], start: int = 0) -> None:
+        # the last 1 fed (start - 1 before any) and the length of the run of 1s it ends
+        self.write, self.last, self.run, self.ones, self.gaps = write, start - 1, 0, 0, _Gaps({1: ""})
 
-    def feed(self, block: bytes, start: int = 0, stop: int | None = None) -> None:
-        """Feed block[start:stop], nothing when stop <= start."""
-        stop = len(block) if stop is None else min(stop, len(block))
-        for a in range(start, stop, _RUN_BLOCK):
-            counts = list(map(len, _RUNS.findall(block, a, min(a + _RUN_BLOCK, stop))))
-            first = block[a]
-            self.ones += sum(counts[1 - first :: 2])
-            if self.carry and self.bit == first:
-                counts[0] += self.carry
-            elif self.carry:
-                counts.insert(0, self.carry)
-                first = self.bit
-            self.bit, self.carry = first ^ (len(counts) - 1) % 2, counts.pop()
-            if counts:
-                self.write(_lines(first, counts))
+    def feed(self, ones: list[int]) -> None:
+        """Feed the times of the next 1s, each past the last fed.  Each step
+        takes its lines from gaps, and the first step past a run of 1s of
+        another length than one, from a cluster of steps of 1 or held from
+        the last feed, writes that length instead."""
+        if not ones:
+            return
+        n, steps = len(ones), [*map(sub, ones, chain((self.last,), ones)), 1]  # the 1 ends every search
+        self.last, self.ones = ones[-1], self.ones + n
+        lines = list(map(self.gaps.__getitem__, steps))
+        run, k = self.run, 0  # the run of 1s before steps[k]
+        while k < n:
+            j = steps.index(1, k)
+            if j > k:  # steps[k:j] are longer than 1: the first ends the run, the rest runs of one 1
+                if run != 1:
+                    lines[k] = (_RUN_LINES[1] % run if run else "") + _RUN_LINES[0] % (steps[k] - 1)
+                run = 1
+            k = j
+            while k < n and steps[k] == 1:
+                run, k = run + 1, k + 1
+        self.run = run
+        self.write("".join(lines).encode())  # a str join: bytes.join takes 80 bytes a line more
 
-    def flush(self) -> None:
-        if self.carry:
-            self.write(_lines(self.bit, [self.carry]))
-            self.carry = 0
+    def flush(self, stop: int) -> None:
+        """Write the held run of 1s and the 0s after it up to stop."""
+        lines = _RUN_LINES[1] % self.run if self.run else ""
+        if stop - 1 > self.last:
+            lines += _RUN_LINES[0] % (stop - 1 - self.last)
+        self.write(lines.encode())
+        self.last, self.run = stop - 1, 0
 
 
-def _periodic_cut(trace: bytes | Trace, hint: tuple[int, int] | None, runs: _RunLines) -> int:
-    """Feed trace to runs, a block at a time, and return the cut: the first
-    change of bit after T if hint's (T, P) holds on trace from T on
-    (trace[i] == trace[i - P] for every i in [T + P, len)) and two whole
+def _periodic_cut(trace: Trace, hint: tuple[int, int] | None, runs: _RunLines) -> int:
+    """Feed the 1s of trace to runs, a block at a time, flush it, and return
+    the cut: the first change of bit after T if hint's (T, P) holds on trace
+    from T on (x(i) == x(i - P) for every i in [T + P, len)) and two whole
     periods follow that change, else 0.
 
-    Bytes before the cut are fed as they are read.  From the cut on, one
-    period's runs are formatted apart and counted once, and written, when
+    The 1s before the cut are fed as they are read.  From the cut on, one
+    period's lines are formatted apart and counted once, and written, when
     the last block has passed the check, for each whole period, then the
-    tail's runs.  Each block is checked as it is read against the bytes P
-    before it: with P <= _WRITE those are the last P bytes read, carried
-    from block to block, so each byte is read once and a run holds one
-    block and P carried bytes; a longer period reads them again.  A block
-    that breaks the check ends it: the runs from the cut on are then read
-    again and fed."""
+    tail's.  Each block's 1s are checked as they are read against the 1s
+    P before them: with P <= _WRITE those are the 1s of the last P times
+    read, carried from block to block, so each time is read once; a longer
+    period reads them again.  A block that breaks the check ends it: the 1s
+    from the cut on are then read again and fed."""
     size = len(trace)
     t, p = hint or (size, 0)
     if not (0 <= t < size - 2 * p and p > 0):  # nothing to check
-        for block in _blocks(trace, 0, size):
-            runs.feed(block)
+        _feed(trace, runs, 0, size)
         return 0
     carried, last, cut = p <= _WRITE, size - 2 * p, 0  # the cut lies in (T, last]
-    before, lines = b"", []  # the carried bytes; the period's run lines
-    period = _RunLines(lines.append)
+    before: list[int] = []  # carried: the 1s of the P times before the block
+    lines: list[bytes] = []  # the period's lines, written by period from the cut on
+    period: _RunLines | None = None
     for start in range(0, size, _WRITE):
-        block = trace[start : start + _WRITE]
-        stop, lo = start + len(block), max(start, t + p)  # the block checks times lo..stop-1
+        stop = min(start + _WRITE, size)
+        ones = trace.ones(start, stop)
+        lo = max(start, t + p)  # the block checks times lo..stop-1
         if carried:
-            window = before + block  # x(start - len(before) .. stop - 1)
-            w = lo - stop + len(window)
-            before = window[-p:]
-        if lo < stop and (
-            window[w:] != window[w - p : -p] if carried else block[lo - start :] != trace[lo - p : stop - p]
-        ):
-            if cut:
-                for rest in _blocks(trace, cut, size):
-                    runs.feed(rest)
-                return 0
-            t = size
+            window = before + ones  # the 1s of start - P .. stop - 1
+            before = window[bisect_left(window, stop - p) :]
+        if lo < stop:
+            if carried:
+                back = window[bisect_left(window, lo - p) : len(window) - len(before)]
+            else:
+                back = trace.ones(lo - p, stop - p)
+            if ones[bisect_left(ones, lo) :] != list(map(p.__add__, back)):
+                if cut:
+                    _feed(trace, runs, cut, size)
+                    return 0
+                t = size
         if not cut and t < stop:
             if t >= start:
-                other = 1 - block[t - start]
-            i = block.find(other, max(t + 1 - start, 0), last + 1 - start)
-            if i >= 0:
-                cut = start + i
+                k = bisect_left(ones, t)
+                bit = k < len(ones) and ones[k] == t  # x(T)
+            seek = max(t + 1, start)
+            k = bisect_left(ones, seek)
+            if bit:  # the first 0 from seek on: the end of the run of 1s there
+                while k < len(ones) and ones[k] == seek:
+                    k, seek = k + 1, seek + 1
+                found = seek if seek < stop else -1
+            else:  # the first 1 from seek on
+                found = ones[k] if k < len(ones) else -1
+            if 0 <= found <= last:
+                cut, period = found, _RunLines(lines.append, found)
             elif stop > last:
                 t = size
         if cut:
-            runs.feed(block, 0, cut - start)
-            period.feed(block, max(cut - start, 0), cut + p - start)
+            at, end = bisect_left(ones, cut), bisect_left(ones, cut + p)
+            runs.feed(ones[:at])
+            period.feed(ones[at:end])
         else:
-            runs.feed(block)
+            runs.feed(ones)
     if not cut:
+        runs.flush(size)
         return 0
-    runs.flush()
-    period.flush()
+    runs.flush(cut)
+    period.flush(cut + p)
     whole = b"".join(lines)
     reps, copies = (size - cut) // p, max(1, _WRITE // len(whole))
     for i in range(0, reps, copies):
         runs.write(whole * min(copies, reps - i))
     runs.ones += reps * period.ones
-    tail = (size - cut) % p
-    if tail:
-        runs.feed(before[-tail:] if carried else trace[size - tail : size])
+    tail = size - (size - cut) % p
+    runs.last = tail - 1
+    if carried:
+        runs.feed(before[bisect_left(before, tail) :])
+    _feed(trace, runs, size if carried else tail, size)
     return cut
 
 
-def _lines(first: int, counts: list[int]) -> bytes:
-    """One line per run, of the given lengths, the first of bit first and alternating."""
-    one, other = _RUN_LINES[first], _RUN_LINES[1 - first]
-    return ((one + other) * (len(counts) // 2) + one * (len(counts) % 2)) % tuple(counts)
+def _feed(trace: Trace, runs: _RunLines, start: int, stop: int) -> None:
+    """Feed runs the 1s of trace from start to stop, a block at a time, and flush it at stop."""
+    for a in range(start, stop, _WRITE):
+        runs.feed(trace.ones(a, min(a + _WRITE, stop)))
+    runs.flush(stop)
 
 
 def import_trace(path: str | Path) -> list[int]:
@@ -406,7 +449,8 @@ def _member_row(config: ExperimentConfig, params: WindowParams, mem: Member) -> 
         path.parent.mkdir(parents=True, exist_ok=True)
         ones = export_trace(trace, path, config.trace_format, system.memory, mem.predicted)
     else:
-        ones = sum(block.count(1) for block in _blocks(trace, 0, len(trace)))
+        n = len(trace)
+        ones = sum(len(trace.ones(a, min(a + _WRITE, n))) for a in range(0, n, _WRITE))
     return {
         "system": system.label,
         "m": params.m,

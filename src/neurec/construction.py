@@ -370,13 +370,21 @@ def _perturbed(s: RecurrenceSystem, plan: PerturbationPlan, sign: int, label: st
     return RecurrenceSystem(s.memory, tuple(sorted(weights.items())), threshold, s.init, label, D)
 
 
-def build_z(params: WindowParams, d: int, y: RecurrenceSystem | None = None) -> RecurrenceSystem:
+def build_z(
+    params: WindowParams,
+    d: int,
+    y: RecurrenceSystem | None = None,
+    plan: PerturbationPlan | None = None,
+) -> RecurrenceSystem:
     """y, build_y(params) unless given, with weights depressed by beta(d) on
-    A(d) and threshold 2*rho + xi(d).  Over D = 8*Tot(d) that is y's weights
-    times D with D * beta(d) = -8 added on A(d), and threshold
-    (2*rho - 1) * D + 1."""
+    A(d) and threshold 2*rho + xi(d), as plan, perturbation_plan(params, d)
+    unless given, sets them.  Over D = 8*Tot(d) that is y's weights times D
+    with D * beta(d) = -8 added on A(d), and threshold (2*rho - 1) * D + 1."""
     y = build_y(params) if y is None else y
-    return _perturbed(y, perturbation_plan(params, d), 1, f"z[m={params.m},d={d}]")
+    plan = perturbation_plan(params, d) if plan is None else plan
+    if plan.d != d:
+        raise IndexOutOfRange(f"plan for d={plan.d} given to build z(d={d})")
+    return _perturbed(y, plan, 1, f"z[m={params.m},d={d}]")
 
 
 def chain_perturbation(

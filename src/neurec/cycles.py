@@ -21,7 +21,8 @@ same range rule.  The two certificates share the closes / trace
 protocol: closes is a value, and trace(start, stop), which takes no
 step, reads the outputs x(start..stop-1) lane by lane, each lane's from
 its own lane time in the range, so a range costs its length and not its
-start:
+start; ones(start, stop) lists the times of the 1s in the range, lane by
+lane by engine.periodic_ones, and builds no byte:
 
 Lanes, built by certify_lanes, decimate a system whose memory and tap
 offsets share a stride r > 1 (see lane_count): times i, i + r, i + 2r, ...
@@ -85,6 +86,7 @@ from .engine import (
     advance_word,
     compile_system,
     find_repeat,
+    periodic_ones,
     periodic_slice,
     repeat_stop,
     simulate,
@@ -177,6 +179,17 @@ class Lanes(NamedTuple):
         buf = bytearray(max(stop - start, 0))
         _fill(self, buf, 0, start, stop)
         return buf
+
+    def ones(self, start: int, stop: int, shift: int = 0) -> list[int]:
+        """The times of the orbit's 1s in start..stop-1, ascending, each plus
+        shift: lane i's by periodic_ones over its lane times in range, with
+        stride r and offset i, the lanes merged by one list.sort."""
+        r, out = len(self.orbits), []
+        for i, (trace, rep) in enumerate(self.orbits):
+            s, e = -((i - start) // r), -((i - stop) // r)  # the lane times in range
+            out += periodic_ones(trace, rep.measured_transient, rep.measured_period, s, e, r, i + shift)
+        out.sort()
+        return out
 
     @property
     def coprime(self) -> bool:
@@ -448,6 +461,12 @@ class HandoffCertificate(NamedTuple):
         _fill(self.head, buf, 0, start, cut)
         _fill(self.tail, buf, cut - start, cut - self.at, stop - self.at)
         return buf
+
+    def ones(self, start: int, stop: int) -> list[int]:
+        """The times of the 1s of a closed certificate in start..stop-1,
+        ascending: head's before at, then tail's, shifted by at."""
+        cut = min(max(self.at, start), stop)
+        return self.head.ones(start, cut) + self.tail.ones(cut - self.at, stop - self.at, self.at)
 
 
 def handoff_certificate(

@@ -40,8 +40,12 @@ i < n and returns a Trace, whose slice trace[start:stop] reads
 x(start..stop-1) off it by periodic_slice: a slice of the kept trace, and
 past it the last n - i outputs repeated, however many steps it asks for.
 It holds memory + n bytes, whatever the range.  run is the full read of
-it, as bytes.  The lane certificates of cycles read their lanes' outputs
-by the same periodic_slice.
+it, as bytes.  Its ones(start, stop) lists the times of the 1s in a range
+by periodic_ones, from the same rule and without a byte: the kept trace's
+1s, then one range of step n - i per 1 of the cycle, so an encoder that
+writes runs works per 1 as spike_steps steps per 1.  The lane certificates
+of cycles read their lanes' outputs by the same periodic_slice and their
+1s by the same periodic_ones.
 
 Window packing convention: bit (j - 1) of the word holds x(n - j), so the
 newest output sits at bit 0 and a step is (word << 1 | out) masked back to
@@ -70,6 +74,7 @@ __all__ = [
     "find_repeat",
     "Trace",
     "periodic_slice",
+    "periodic_ones",
     "simulate",
     "run",
     "dense_oracle_run",
@@ -257,17 +262,26 @@ def repeat_stop(memory: int, limit: int, first: int) -> int:
 
 
 class Trace:
-    """x(0..len(trace)-1) of an orbit, held as the rule that reads any range:
-    the slice trace[start:stop] is read(start, stop), bytes 0/1, so a reader
-    takes it a block at a time and never holds it whole.  A slice of bytes
-    reads the same range alike; trace[:] is the whole trace as bytes.  It
-    is read by slice only: an int index, iteration or count raises
-    TypeError."""
+    """x(0..len(trace)-1) of an orbit, held as the rules that read any range:
+    a length, a range reader and a reader of its 1s.  The slice
+    trace[start:stop] is read(start, stop), bytes 0/1, so a reader takes it
+    a block at a time and never holds it whole.  A slice of bytes reads the
+    same range alike; trace[:] is the whole trace as bytes.  It is read by
+    slice only: an int index, iteration or count raises TypeError.
+    ones(start, stop) lists the times of the 1s in the range, ascending: by
+    the rule the trace comes from when one is given, which builds no byte,
+    else by bytes.find on the range read."""
 
-    __slots__ = ("read", "length")
+    __slots__ = ("read", "length", "ones")
 
-    def __init__(self, read: Callable[[int, int], bytes], length: int) -> None:
+    def __init__(
+        self,
+        read: Callable[[int, int], bytes],
+        length: int,
+        ones: Callable[[int, int], list[int]] | None = None,
+    ) -> None:
         self.read, self.length = read, length
+        self.ones = ones or partial(_read_ones, read)
 
     def __len__(self) -> int:
         return self.length
@@ -279,6 +293,11 @@ class Trace:
         if step != 1:
             raise ValueError("a trace is read by contiguous range")
         return self.read(start, max(start, stop))
+
+
+def _read_ones(read: Callable[[int, int], bytes], start: int, stop: int) -> list[int]:
+    """The times of the 1s of read(start, stop), found in its bytes."""
+    return list(map(start.__add__, _ones(read(start, stop))))
 
 
 def periodic_slice(head: bytes, t: int, p: int, start: int, stop: int) -> bytes:
@@ -294,6 +313,23 @@ def periodic_slice(head: bytes, t: int, p: int, start: int, stop: int) -> bytes:
     whole, part = divmod(stop - t - p, p)  # start < t + p <= len(head) < stop here
     cycles = head[t : t + p] * whole if whole else b""
     return b"".join((head[start : t + p], cycles, head[t : t + part]))
+
+
+def periodic_ones(
+    head: bytes, t: int, p: int, start: int, stop: int, scale: int = 1, offset: int = 0
+) -> list[int]:
+    """offset + scale * n for each 1 x(n), start <= n < stop, of the sequence
+    periodic_slice reads, in time O(its 1s plus the cycle's), building no
+    byte: head's 1s before t + p, ascending, then one range, step p, per 1
+    of the cycle head[t : t + p], so the list is ascending only when the
+    cycle has at most one 1.  With p = 0 every time read lies in head."""
+    end = t + p if p else len(head)
+    out = [offset + scale * n for n in _ones(head, start, min(stop, end))]
+    if stop > end:
+        lo, stride = max(start, end), scale * p
+        for u in _ones(head, t, end):
+            out.extend(range(offset + scale * (lo + (u - lo) % p), offset + scale * stop, stride))
+    return out
 
 
 def simulate(cs: CompiledSystem, init: Sequence[int], steps: int) -> Trace:
@@ -317,7 +353,8 @@ def simulate(cs: CompiledSystem, init: Sequence[int], steps: int) -> Trace:
         trace = bytearray(init)
         n, i = find_repeat(cs, trace, steps)
         head, t, p = bytes(trace), i, n - i  # no repeat within steps: p = 0, and head is all of it
-    return Trace(partial(periodic_slice, head, t, p), memory + steps)
+    ones = partial(periodic_ones, head, t, p)
+    return Trace(partial(periodic_slice, head, t, p), memory + steps, lambda a, b: sorted(ones(a, b)))
 
 
 def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:

@@ -330,17 +330,19 @@ def simulated_trace(mem: Member, steps: int) -> tuple[Trace, str, int]:
     DETECT_CUTOFF the trace is read off mem's certificate (_certificate) if
     it closes within steps slides, and a range of it costs its length.
     Either way no whole trace is built, and a reader holds the member's
-    first-repeat prefix or certificate and the range it asks for.  Below the
-    cutoff the simulation is the cheaper for a handoff
-    (tools/route_crossover.py --repeats 3, default steps, 3 runs: m = 11
-    z(1) 0.47-0.50 ms by run, 0.98-1.02 by certificate)."""
+    first-repeat prefix or certificate and the range it asks for; the
+    Trace's ones reads the times of the 1s in a range off the same prefix
+    or certificate (its ones), without a byte.  Below the cutoff the
+    simulation is the cheaper for a handoff (tools/route_crossover.py
+    --repeats 3, default steps, each trace's 1s read in full, 3 runs: m = 11
+    z(1) 0.48-0.52 ms by run, 0.92-0.99 by certificate)."""
     cert, spent = None, 0
     if min(sum(mem.predicted), steps) > DETECT_CUTOFF:
         with suppress(BudgetExceeded):
             cert, spent = _certificate(mem, steps)
     if cert is None or not cert.closes:
         return simulate(mem.cs, mem.system.init, steps), "simulated", 0
-    trace = Trace(cert.trace, mem.system.memory + steps)
+    trace = Trace(cert.trace, mem.system.memory + steps, cert.ones)
     return trace, "handoff" if mem.handoff else "lanes", spent
 
 
@@ -454,13 +456,14 @@ def _run_b0_methods_agree(m: int, **_: object) -> ClaimResult:
 def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
     params = window_params(m)
     y = member(params, "y").system
-    plan, current = cons.perturbation_plan(params, 0), cons.build_z(params, 0, y)
+    plan = cons.perturbation_plan(params, 0)
+    current = cons.build_z(params, 0, y, plan)
     per_step = {}
     ok = True
     for d in range(params.rho - 1):
         plan_next = cons.perturbation_plan(params, d + 1)
         chained = cons.chain_perturbation(current, plan, plan_next)
-        direct = cons.build_z(params, d + 1, y)
+        direct = cons.build_z(params, d + 1, y, plan_next)
         taps_equal = (chained.taps, chained.denominator) == (direct.taps, direct.denominator)
         threshold_equal = (chained.threshold, chained.denominator) == (direct.threshold, direct.denominator)
         ok = ok and taps_equal and threshold_equal and chained.init == direct.init

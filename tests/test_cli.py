@@ -7,8 +7,10 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurec.cli
+import neurec.cycles
 import neurec.verify
 from neurec import (
     Member,
@@ -34,7 +37,6 @@ from neurec import (
     z_handoff,
 )
 from neurec.cli import (
-    _RUN_BLOCK,
     _WRITE,
     MAX_STEPS,
     MODES,
@@ -717,6 +719,50 @@ def test_simulated_traces_are_read_once_and_count_their_ones(tmp_path, monkeypat
         assert row["ones"] == import_trace(out / f"z_m_11_d_{d}.rle").count(1), row["system"]
 
 
+@pytest.mark.parametrize("emit", [True, False])
+def test_simulated_traces_are_written_and_counted_from_their_1s(tmp_path, monkeypatch, emit):
+    # at m = 11, z(0) and z(1) are simulated and z(2) is read off its handoff
+    # certificate; once traced, each is written as run-length, or its 1s
+    # counted when no file is written, from its 1s alone: neither its range
+    # reader nor cycles._fill, which fills a certificate's bytes, is called
+    reads, fills, traced, fill = [], [], neurec.cli.simulated_trace, neurec.cycles._fill
+    tracing = [False]
+
+    def traced_by_1s(mem, steps):
+        tracing[0] = True
+        trace, route, spent = traced(mem, steps)
+        tracing[0] = False
+
+        def read(start, stop):
+            reads.append((mem.system.label, start, stop))
+            return trace.read(start, stop)
+
+        return Trace(read, len(trace), trace.ones), route, spent
+
+    def filling(*args):
+        if not tracing[0]:
+            fills.append(args[2:])
+        return fill(*args)
+
+    monkeypatch.setattr("neurec.cli.simulated_trace", traced_by_1s)
+    monkeypatch.setattr("neurec.cycles._fill", filling)
+    out = tmp_path / "sim"
+    argv = ["--mode", "simulate", "--m", "11", "--system", "z", "--steps", "70000", "--out", str(out)]
+    if emit:
+        argv += ["--emit-traces", "--trace-format", "run-length"]
+    assert main(argv) == 0
+    assert reads == fills == []
+    rows = read_report(out)["cycle_reports"]
+    assert [row["route"] for row in rows] == ["simulated", "simulated", "handoff"]
+    p = window_params(11)
+    for d, row in enumerate(rows):
+        z = build_z(p, d)
+        want = run(compile_system(z), z.init, 70_000)
+        assert row["ones"] == want.count(1), d
+        if emit:
+            assert (out / f"z_m_11_d_{d}.rle").read_bytes() == per_run_lines(want), d
+
+
 # --- chain and basin modes --------------------------------------------------------
 
 
@@ -1005,33 +1051,66 @@ def per_run_lines(trace: bytes) -> bytes:
     return (lines or "\n").encode()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 1),
-    st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2 * _RUN_BLOCK)), max_size=40),
-)
-@example(0, [])
-@example(0, [3 * _RUN_BLOCK])
-@example(1, [3 * _RUN_BLOCK])
-@example(0, [1] * (2 * _RUN_BLOCK + 5))
-@example(1, [_RUN_BLOCK, _RUN_BLOCK, 1])
-@example(0, [_RUN_BLOCK - 1, 2, _RUN_BLOCK])
-@example(1, [_WRITE - 1, 1, _WRITE])
-@example(0, [_WRITE + _RUN_BLOCK, 3 * _WRITE])
-def test_run_length_blocks_write_every_run_once(tmp_path_factory, first, runs):
-    # export_trace reads the trace in blocks and formats it in smaller ones;
-    # a run that crosses the edge of either is carried into the next, and
-    # the file equals one line per run; it returns the trace's 1s, counted
-    # on those blocks, for bytes and a Trace read by range, in both formats
+def three_ways(trace: bytes) -> tuple:
+    """trace as bytes, as a Trace read only by range, whose 1s come from its
+    bytes, and as a Trace with a reader of its 1s, which reads no byte."""
+    def read(start, stop):
+        return trace[start:stop]
+
+    def ones(start, stop):
+        return list(compress(range(start, stop), trace[start:stop]))
+
+    return trace, Trace(read, len(trace)), Trace(lambda a, b: pytest.fail("a byte read"), len(trace), ones)
+
+
+@contextmanager
+def blocks_of(write):
+    """export_trace reading write times a block, and its carried periods at most write."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("neurec.cli._WRITE", write)
+        yield
+
+
+# block sizes: the real one, and small ones, which runs of 1s, cuts and periods cross
+BLOCKS = st.sampled_from([_WRITE, 1, 2, 3, 5, 8])
+
+
+@st.composite
+def runs_in_blocks(draw):
+    """Run lengths, up to twice the block or 2^15, and the block size."""
+    write = draw(BLOCKS)
+    cap = 2 * min(write, 1 << 14)
+    return draw(st.lists(st.integers(1, 4) | st.integers(1, cap), max_size=40)), write
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 1), runs_in_blocks())
+@example(0, ([], _WRITE))
+@example(0, ([3 * _WRITE], _WRITE))
+@example(1, ([3 * _WRITE], _WRITE))
+@example(0, ([1] * (2 * _WRITE + 5), _WRITE))
+@example(1, ([_WRITE, _WRITE, 1], _WRITE))
+@example(0, ([_WRITE - 1, 2, _WRITE], _WRITE))
+@example(1, ([_WRITE - 1, 1, _WRITE], _WRITE))
+@example(0, ([_WRITE + 5, 3 * _WRITE], _WRITE))
+@example(1, ([2, 3, 1, 7, 4], 3))  # runs of 1s across block edges
+@example(0, ([1] * 6, 1))
+@example(0, ([4, 9, 4], 4))  # runs that end on block edges
+def test_run_length_blocks_write_every_run_once(tmp_path_factory, first, case):
+    # export_trace reads the trace in blocks; a run that crosses the edge of
+    # one is carried into the next, and the file equals one line per run;
+    # it returns the trace's 1s, counted on those blocks, whether it reads
+    # bytes, a Trace by range or a Trace's 1s, in both formats
+    runs, write = case
     trace = b"".join(bytes([(first + i) % 2]) * n for i, n in enumerate(runs))
     path = tmp_path_factory.mktemp("blocks") / "t.rle"
-    assert export_trace(trace, path, "run-length", 5) == trace.count(1)
-    assert path.read_bytes() == per_run_lines(trace)
-    assert import_trace(path) == list(trace)
-    ranged = Trace(lambda start, stop: trace[start:stop], len(trace))
-    for source in (trace, ranged):
-        for fmt in TRACE_FORMATS:
-            assert export_trace(source, path, fmt, 5) == trace.count(1), fmt
+    with blocks_of(write):
+        for source in three_ways(trace):
+            assert export_trace(source, path, "run-length", 5) == trace.count(1)
+            assert path.read_bytes() == per_run_lines(trace)
+        assert import_trace(path) == list(trace)
+        for source in three_ways(trace)[:2]:  # text-bits reads bytes
+            assert export_trace(source, path, "text-bits", 5) == trace.count(1)
 
 
 @pytest.mark.parametrize("memory", [0, 1, 7, _WRITE + 1])
@@ -1049,19 +1128,20 @@ def test_text_bits_blocks_hold_whole_lines(tmp_path, memory):
 
 @st.composite
 def hinted_periodic_traces(draw):
-    """A random transient, then a random cycle repeated (sometimes past
-    _WRITE bytes, with one byte flipped), and a (T, P) hint for it: the
-    right one, or one that is wrong, past the end, P = 1, P = 2 or T = 0."""
+    """A random transient, then a random cycle repeated (sometimes past one
+    block, with one byte flipped), a (T, P) hint for it: the right one, or
+    one that is wrong, past the end, P = 1, P = 2 or T = 0, and the block size."""
+    write = draw(BLOCKS)
     transient = bytes(draw(st.lists(st.integers(0, 1), max_size=40)))
     cycle = bytes(draw(st.lists(st.integers(0, 1), min_size=1, max_size=12)))
-    reps = draw(st.integers(0, 40) | st.integers(_WRITE // len(cycle), _WRITE // len(cycle) + 40))
+    reps = draw(st.integers(0, 40) | st.integers(write // len(cycle), write // len(cycle) + 40))
     trace = bytearray(transient + cycle * reps + cycle[: draw(st.integers(0, len(cycle)))])
     if trace and draw(st.booleans()):
         trace[draw(st.integers(0, len(trace) - 1))] ^= 1
     t, p = len(transient), len(cycle)
     right = [(t, p), (t + 3, 2 * p), (0, p), (t, 1), (t, 2), (len(trace), p), (t, len(trace))]
     wrong = st.tuples(st.integers(0, len(trace) + 2), st.integers(1, 2 * p + 2))
-    return bytes(trace), draw(st.one_of(st.sampled_from(right), wrong))
+    return bytes(trace), draw(st.one_of(st.sampled_from(right), wrong)), write
 
 
 def flip_last(trace: bytes) -> bytes:
@@ -1078,42 +1158,48 @@ LONG_CYCLE = bytes(i * 7919 % 11 % 2 for i in range(_WRITE + 5))
 
 @settings(max_examples=80, deadline=None)
 @given(hinted_periodic_traces())
-@example((b"\x01" * 3 + b"\x00" * 50, (3, 1)))  # a constant tail: no change of bit after T
-@example((b"\x00\x01" * 40, (0, 2)))
-@example((b"\x00" + b"\x01\x01\x00" * _WRITE, (1, 3)))  # more periods than one write holds
-@example((b"\x00" + b"\x01\x01\x00" * _WRITE + b"\x01", (1, 3)))  # wrong in the last byte only
+@example((b"\x01" * 3 + b"\x00" * 50, (3, 1), _WRITE))  # a constant tail: no change of bit after T
+@example((b"\x00\x01" * 40, (0, 2), _WRITE))
+@example((b"\x00" + b"\x01\x01\x00" * _WRITE, (1, 3), _WRITE))  # more periods than one write holds
+@example((b"\x00" + b"\x01\x01\x00" * _WRITE + b"\x01", (1, 3), _WRITE))  # wrong in the last byte only
 # wrong only at byte _WRITE - 2, late in the first chunk the check compares
-@example((b"\x01\x01\x00" * 21_844 + b"\x01" * 3 + b"\x01\x01\x00" * 21_844, (0, 3)))
+@example((b"\x01\x01\x00" * 21_844 + b"\x01" * 3 + b"\x01\x01\x00" * 21_844, (0, 3), _WRITE))
 # wrong only in the last byte of the last whole period, which one comparison
 # alone reads, the last of a block: P = 3 after a change of bit at 1, and a
 # period longer than a block after one at 3
-@example((flip_last(b"\x01\x00\x00" * 21_846 + b"\x01"), (0, 3)))
-@example((flip_last(b"\x01\x00\x00" * 21_846 + b"\x01\x00"), (0, 3)))  # wrong last byte, read alone in a last block
-@example((b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:9], (1, len(LONG_CYCLE))))
-@example((flip_last(b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:2]), (1, len(LONG_CYCLE))))
+@example((flip_last(b"\x01\x00\x00" * 21_846 + b"\x01"), (0, 3), _WRITE))
+@example((flip_last(b"\x01\x00\x00" * 21_846 + b"\x01\x00"), (0, 3), _WRITE))  # wrong last byte, read alone in a last block
+@example((b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:9], (1, len(LONG_CYCLE)), _WRITE))
+@example((flip_last(b"\x01" + LONG_CYCLE * 3 + LONG_CYCLE[:2]), (1, len(LONG_CYCLE)), _WRITE))
 # wrong only at byte _WRITE, the first of the second block, whose one
 # comparison, with the byte P before, reads the bytes carried from the first
-@example((flip_at(b"\x01\x00\x00" * (_WRITE // 3 + 1), _WRITE)[: _WRITE + 2], (0, 3)))
+@example((flip_at(b"\x01\x00\x00" * (_WRITE // 3 + 1), _WRITE)[: _WRITE + 2], (0, 3), _WRITE))
 # the longest period whose bytes are carried, and the shortest read again
-@example((b"\x01" + LONG_CYCLE[:_WRITE] * 3 + LONG_CYCLE[:9], (1, _WRITE)))
-@example((flip_last(b"\x01" + LONG_CYCLE[: _WRITE + 1] * 3 + LONG_CYCLE[:9]), (1, _WRITE + 1)))
+@example((b"\x01" + LONG_CYCLE[:_WRITE] * 3 + LONG_CYCLE[:9], (1, _WRITE), _WRITE))
+@example((flip_last(b"\x01" + LONG_CYCLE[: _WRITE + 1] * 3 + LONG_CYCLE[:9]), (1, _WRITE + 1), _WRITE))
+# small blocks: a run of 1s at T that crosses block edges up to the cut,
+# whole periods across edges, a period of one block, carried, and of one
+# more, read again, and a wrong last byte read alone in a last block
+@example((b"\x00\x01\x01\x01\x01\x00\x00" * 8, (1, 7), 3))
+@example((b"\x00" * 3 + b"\x01\x01\x00" * 10, (3, 3), 4))
+@example((b"\x01" + b"\x01\x00\x00\x01\x00" * 6 + b"\x01\x00", (1, 5), 5))
+@example((b"\x01" + b"\x01\x00\x00\x01\x00" * 6 + b"\x01\x00", (1, 5), 4))
+@example((flip_last(b"\x01\x00\x00" * 9 + b"\x01"), (0, 3), 7))
 def test_a_hinted_trace_file_is_the_unhinted_one(tmp_path_factory, case):
-    # the hint's (T, P) is checked on the bytes, so right or wrong it leaves
+    # the hint's (T, P) is checked on the 1s, so right or wrong it leaves
     # the file as one line per run (compared as lists of lines, whose first
-    # difference a failure names at once) and the count of 1s returned
-    trace, hint = case
+    # difference a failure names at once) and the count of 1s returned,
+    # whether export_trace reads bytes, a Trace by range or a Trace's 1s
+    trace, hint, write = case
     path = tmp_path_factory.mktemp("hinted") / "t.rle"
     want = per_run_lines(trace).split(b"\n")
-    assert export_trace(trace, path, "run-length", 5, hint) == trace.count(1)
-    assert path.read_bytes().split(b"\n") == want
-    assert export_trace(trace, path, "run-length", 5) == trace.count(1)
-    assert path.read_bytes().split(b"\n") == want
-    # a Trace is read by the same slices, a range at a time
-    ranged = Trace(lambda start, stop: trace[start:stop], len(trace))
-    assert export_trace(ranged, path, "run-length", 5, hint) == trace.count(1)
-    assert path.read_bytes().split(b"\n") == want
-    assert export_trace(ranged, path, "text-bits", 5, hint) == trace.count(1)
-    assert export_trace(trace, path, "text-bits", 5, hint) == trace.count(1)
+    with blocks_of(write):
+        for source in three_ways(trace):
+            for given_hint in (hint, None):
+                assert export_trace(source, path, "run-length", 5, given_hint) == trace.count(1)
+                assert path.read_bytes().split(b"\n") == want
+        for source in three_ways(trace)[:2]:  # text-bits reads bytes
+            assert export_trace(source, path, "text-bits", 5, hint) == trace.count(1)
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,14 @@ def test_gamma_values():
         gamma(p6, 1, 2)
 
 
+def test_build_z_takes_a_plan_for_its_own_d_only():
+    params = window_params(6)
+    y = build_y(params)
+    assert build_z(params, 1, y, perturbation_plan(params, 1)) == build_z(params, 1)
+    with pytest.raises(IndexOutOfRange):
+        build_z(params, 1, y, perturbation_plan(params, 0))
+
+
 def test_build_w_init_layout():
     for m, d in ((6, 0), (11, 1)):
         p = window_params(m)

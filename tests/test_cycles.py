@@ -13,7 +13,7 @@ from functools import partial
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import neurec.cycles
@@ -58,7 +58,7 @@ from neurec.cycles import (
     search_memo,
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
-from neurec.engine import Trace
+from neurec.engine import Trace, _ones, simulate
 from conftest import rational_system
 from test_engine import (
     affine_sum,
@@ -1178,6 +1178,51 @@ def test_a_certificate_reads_every_range_of_the_true_orbit(case, steps, data):
     trace = Trace(cert.trace, len(full))
     assert cert.trace(start, stop) == trace[start:stop] == full[start:stop]
     assert read_in_blocks(trace, start, stop, size) == full[start:stop]
+
+
+def ones_by_find(read, start, stop):
+    """The times of the 1s of read(start, stop), found by bytes.find."""
+    return [start + i for i in _ones(read(start, stop))]
+
+
+# ranges of a trace by (start, length): empty, inside the transients, and far
+# past them, many periods out
+SPANS = st.tuples(st.integers(0, 10**9) | st.integers(0, 80), st.integers(0, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(laned_systems(), handoff_cases(), sparse_systems()),
+    st.integers(0, 60) | st.integers(10**6, 10**9),
+    st.lists(SPANS, max_size=6),
+)
+@example(RecurrenceSystem(0, (), 0, b""), 10**6, [(0, 5), (999_990, 300)])  # memory 0, all 1s
+@example(RecurrenceSystem(0, (), 1, b""), 5, [(0, 5)])  # memory 0, all 0s
+def test_every_reader_of_1s_lists_the_1s_of_its_bytes(case, steps, spans):
+    # a laned system's lanes, a closed handoff certificate and simulate's
+    # Trace (memory 0 included, and p = 0 when it stops before a repeat)
+    # each list the 1s of a range as bytes.find finds them in the bytes
+    # their range reader reads, the range across a handoff's at included
+    if isinstance(case, RecurrenceSystem):
+        s, at = case, 0
+        cert = None
+        if lane_count(compile_system(s)) > 1:
+            cert, _ = certify_lanes(compile_system(s), s.init, budget=10**6)
+    else:
+        (s, handoff), at = case, case[1].at
+        cert, _ = _certificate(as_part(s, handoff=lambda: handoff), 10**7)
+        if cert is None or not cert.closes:
+            return  # e.g. lane periods that share a factor
+    trace = simulate(compile_system(s), s.init, steps)
+    readers = [(trace.read, trace.ones, len(trace))]
+    if cert is not None:
+        readers.append((cert.trace, cert.ones, 10**9 + 300))
+    for read, ones, length in readers:
+        ranges = [(start, start + span) for start, span in spans] + [(0, 0), (0, s.memory + 8)]
+        ranges += [(max(at - 3, 0), at + 3), (max(length - 9, 0), length)]
+        for start, stop in ranges:
+            start, stop = min(start, length), min(stop, length)
+            assert ones(start, stop) == ones_by_find(read, start, stop), (start, stop)
 
 
 @settings(max_examples=300, deadline=None)

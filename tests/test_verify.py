@@ -1090,6 +1090,22 @@ def test_a_run_builds_each_member_once(member_builds):
     assert sorted(member_builds) == sorted(want * 2)
 
 
+def test_chain_equals_direct_makes_each_plan_once(monkeypatch):
+    # build_z takes the plan the claim already holds, so m = 11 makes one
+    # perturbation_plan per d, rho in all, where it made 2 * rho
+    plans = []
+    plan = neurec.construction.perturbation_plan
+
+    def counted(params, d):
+        plans.append((params.m, d))
+        return plan(params, d)
+
+    monkeypatch.setattr("neurec.construction.perturbation_plan", counted)
+    (res,) = run_claims(ms=(11,), claims=["chain_equals_direct"])
+    assert res.passed
+    assert plans == [(11, d) for d in range(window_params(11).rho)]
+
+
 def test_a_run_compiles_each_system_once(monkeypatch):
     # every compile in verify and cycles is recorded by the system's id, with
     # the system held alive so no id is reused

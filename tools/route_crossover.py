@@ -9,14 +9,15 @@ the same cutoff and otherwise off engine.simulate's first-repeat prefix.
 For each orbit below, this script forces each route in turn, by setting
 DETECT_CUTOFF to 10^9 (blind, or simulated) and to 0 (certified), and
 prints the best of --repeats wall times of Member.prove() and of
-simulated_trace at the CLI's default steps (twice the memory), its Trace
-read in full, as the CLI reads it in blocks, so both columns pay for every
-byte.  A certificate that cannot close within those steps falls back to
+simulated_trace at the CLI's default steps (twice the memory), its Trace's
+1s read in full, as the CLI's run-length export reads them in blocks, so
+both columns pay for every 1.  A certificate that cannot close within those steps falls back to
 the simulation, so the simulate table names the route the certified
 column took.  A member keeps its proof and certificate, so every repeat proves or
 traces a fresh copy (fresh), made before its clock starts on the compiled
-systems of the member and of its handoff's parts: a repeat pays for every
-search and certificate, and for no build or compile.  Everything runs in
+systems of the member and of its handoff's parts, inside a search memo of
+its own: a repeat pays for every search and certificate, as a run pays for
+them once, and for no build or compile.  Everything runs in
 this one process.  It uses only the standard library and src/.
 """
 
@@ -32,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import neurec.verify as verify  # noqa: E402
 from neurec import Member, member, window_params  # noqa: E402
+from neurec.cycles import search_memo  # noqa: E402
 
 ORBITS = (
     (6, "y", None), (6, "z", 0), (6, "z", 1),
@@ -54,13 +56,16 @@ def fresh(mem: Member) -> Member:
 
 
 def best_ms(mem: Member, call, repeats: int) -> float:
-    """The best of repeats wall times of call on a fresh copy of mem."""
+    """The best of repeats wall times of call on a fresh copy of mem, each
+    in a search memo of its own, so no repeat reads a search kept by another
+    (past the first, the run's memo, which only keeps searches, is closed)."""
     best = float("inf")
     for _ in range(repeats):
         copy = fresh(mem)
-        start = time.perf_counter()
-        call(copy)
-        best = min(best, time.perf_counter() - start)
+        with search_memo():
+            start = time.perf_counter()
+            call(copy)
+            best = min(best, time.perf_counter() - start)
     return best * 1e3
 
 
@@ -68,10 +73,10 @@ def label(mem) -> str:
     return mem.family + ("" if mem.index is None else f"({mem.index})")
 
 
-def read_trace(mem: Member, steps: int) -> tuple[bytes, str, int]:
-    """simulated_trace with its Trace read in full."""
+def read_trace(mem: Member, steps: int) -> tuple[list[int], str, int]:
+    """simulated_trace with its Trace's 1s read in full."""
     trace, route, spent = verify.simulated_trace(mem, steps)
-    return trace[:], route, spent
+    return trace.ones(0, len(trace)), route, spent
 
 
 def timed(mem, cutoff: int, call, repeats: int) -> tuple[float, object]:

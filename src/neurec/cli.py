@@ -228,23 +228,25 @@ class _RunLines:
 
     def feed(self, ones: list[int]) -> None:
         """Feed the times of the next 1s, each past the last fed.  Each step
-        takes its lines from gaps, and the first step past a run of 1s of
-        another length than one, from a cluster of steps of 1 or held from
-        the last feed, writes that length instead."""
+        writes its lines from gaps, save the first step past a run of other
+        than one 1 (steps of 1 before it, or the run held from the last
+        feed), which writes that run's length."""
         if not ones:
             return
-        n, steps = len(ones), [*map(sub, ones, chain((self.last,), ones)), 1]  # the 1 ends every search
+        n, last = len(ones), self.last
+        # each step's lines, "" for a step of 1, and a "" past the end that ends every search
+        lines = [*map(self.gaps.__getitem__, map(sub, ones, chain((last,), ones))), ""]
         self.last, self.ones = ones[-1], self.ones + n
-        lines = list(map(self.gaps.__getitem__, steps))
-        run, k = self.run, 0  # the run of 1s before steps[k]
+        run, k = self.run, 0  # the run of 1s before the step to ones[k]
         while k < n:
-            j = steps.index(1, k)
-            if j > k:  # steps[k:j] are longer than 1: the first ends the run, the rest runs of one 1
+            j = lines.index("", k)
+            if j > k:  # the steps to ones[k:j] are longer than 1: the first ends the run
                 if run != 1:
-                    lines[k] = (_RUN_LINES[1] % run if run else "") + _RUN_LINES[0] % (steps[k] - 1)
+                    zeros = ones[k] - (ones[k - 1] if k else last) - 1
+                    lines[k] = (_RUN_LINES[1] % run if run else "") + _RUN_LINES[0] % zeros
                 run = 1
             k = j
-            while k < n and steps[k] == 1:
+            while k < n and not lines[k]:
                 run, k = run + 1, k + 1
         self.run = run
         self.write("".join(lines).encode())  # a str join: bytes.join takes 80 bytes a line more

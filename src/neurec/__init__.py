@@ -5,7 +5,7 @@ The public surface groups into five layers:
 
   numtheory     scale parameters derived from m (primes, k, h, mu, beta, L's)
   construction  the system family x_i, v_i, y, w(d), z(d) and its index sets
-  engine        exact integer simulation plus a dense rational oracle
+  engine        exact integer simulation, stepped by the output 1s
   cycles        minimal (transient, period) measurement with certificates
   verify        the claim registry run by both the tests and the CLI
 """
@@ -45,7 +45,6 @@ from .engine import (
     advance_word,
     bits_from_word,
     compile_system,
-    dense_oracle_run,
     find_repeat,
     run,
     word_from_bits,

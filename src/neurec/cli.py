@@ -52,7 +52,6 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import nullcontext
 from itertools import chain
-from math import gcd
 from operator import sub
 from pathlib import Path
 from typing import (
@@ -68,7 +67,7 @@ from typing import (
 )
 
 from . import __version__
-from .construction import RecurrenceSystem
+from .construction import RecurrenceSystem, _ratio
 from .engine import Trace, _ones
 from .errors import NeurecError
 from .numtheory import WindowParams, window_params
@@ -364,12 +363,6 @@ def import_trace(path: str | Path) -> list[int]:
         return trace
     bits = re.sub(r"[^01]+", "", body).encode()
     return list(bits.translate(bytes.maketrans(b"01", b"\x00\x01")))
-
-
-def _ratio(numerator: int, denominator: int) -> str:
-    """numerator / denominator in lowest terms, as str(Fraction) writes it."""
-    g = gcd(numerator, denominator)
-    return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
 
 
 def system_to_json(system: RecurrenceSystem) -> dict:

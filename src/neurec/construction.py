@@ -39,7 +39,6 @@ built by integer adds, and nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
 from typing import NamedTuple, Sequence
@@ -52,7 +51,7 @@ Taps = tuple[tuple[int, int], ...]
 # The perturbation depth: the largest admissible value, since every
 # sub-threshold affine sum of the single units sits at least one whole unit
 # below the threshold (the s1_range claim re-checks that on every run).
-LAMBDA = Fraction(-1)
+LAMBDA = -1
 
 __all__ = [
     "LAMBDA",
@@ -129,6 +128,14 @@ class RecurrenceSystem(_SystemFields):
     @classmethod
     def _make(cls, iterable) -> RecurrenceSystem:
         return cls(*iterable)
+
+
+def _ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator in lowest terms, the sign on the numerator and
+    no denominator when it divides: the one formatter of an int over a
+    denominator in every report and system description."""
+    g = gcd(numerator, denominator)
+    return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
 
 
 class IndexSets(NamedTuple):
@@ -319,18 +326,24 @@ class PerturbationPlan(NamedTuple):
 
     B0 is the base index set; A is the union of its unit shifts
     B_0, B_0 + 1, ..., B_0 + d; tot = card B_0 (each shifted copy has the
-    same cardinality); beta_d = LAMBDA / tot is the per-index weight
-    depression and xi_d = LAMBDA - beta_d / 8 the threshold depression, so
-    theta2 = 2*rho + xi_d.
+    same cardinality).  beta_d, xi_d and theta2 are int numerators over the
+    plan's one denominator 8 * tot: beta(d) = LAMBDA / tot is the per-index
+    weight depression, 8 * LAMBDA over it, and xi(d) = LAMBDA - beta(d) / 8
+    the threshold depression, LAMBDA * (8 * tot - 1) over it, so theta2 is
+    2*rho + xi(d).
     """
 
     d: int
     B0: frozenset[int]
     A: frozenset[int]
     tot: int
-    beta_d: Fraction
-    xi_d: Fraction
-    theta2: Fraction
+    beta_d: int
+    xi_d: int
+    theta2: int
+
+    @property
+    def denominator(self) -> int:
+        return 8 * self.tot
 
 
 def perturbation_plan(params: WindowParams, d: int) -> PerturbationPlan:
@@ -343,9 +356,9 @@ def perturbation_plan(params: WindowParams, d: int) -> PerturbationPlan:
             f"max(B0)+d = {max(b0) + d} exceeds h={params.h} at m={params.m}, d={d}"
         )
     a = frozenset(f + s for s in range(d + 1) for f in b0)
-    beta_d = LAMBDA / len(b0)
-    xi_d = LAMBDA - beta_d / 8
-    return PerturbationPlan(d, b0, a, len(b0), beta_d, xi_d, params.theta_single + xi_d)
+    tot = len(b0)
+    xi_d = LAMBDA * (8 * tot - 1)
+    return PerturbationPlan(d, b0, a, tot, 8 * LAMBDA, xi_d, params.theta_single * 8 * tot + xi_d)
 
 
 def _perturbed(s: RecurrenceSystem, plan: PerturbationPlan, sign: int, label: str) -> RecurrenceSystem:
@@ -355,10 +368,10 @@ def _perturbed(s: RecurrenceSystem, plan: PerturbationPlan, sign: int, label: st
     Each distinct weight is shifted once, so the taps it sets equal share one
     int, and A(d) is visited in order, so the taps it adds come in order and
     the closing sort has two runs to merge."""
-    D = lcm(s.denominator, 8 * plan.tot)
-    scale = D // s.denominator
+    D = lcm(s.denominator, plan.denominator)
+    scale, lift = D // s.denominator, sign * (D // plan.denominator)
     weights = {j: w * scale for j, w in s.taps}
-    delta = sign * int(plan.beta_d * D)
+    delta = lift * plan.beta_d
     shifted = {w: w + delta for w in {0, *weights.values()}}
     for f in sorted(plan.A):
         w = shifted[weights.get(f, 0)]
@@ -366,7 +379,7 @@ def _perturbed(s: RecurrenceSystem, plan: PerturbationPlan, sign: int, label: st
             weights[f] = w
         else:
             weights.pop(f, None)
-    threshold = s.threshold * scale + sign * int(plan.xi_d * D)
+    threshold = s.threshold * scale + lift * plan.xi_d
     return RecurrenceSystem(s.memory, tuple(sorted(weights.items())), threshold, s.init, label, D)
 
 

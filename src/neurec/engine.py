@@ -1,27 +1,22 @@
 """Exact simulation of recurrence systems over sliding bit windows.
 
-Two independent evaluation routes:
+A system is compiled once: its int weights over its one denominator D make
+the affine form, scaled by D, an integer, and taps with equal weight are
+fused into one bitmask.  The independent oracle, a dense evaluator that
+walks every weight in rational arithmetic each step, lives with the tests,
+which check every route here against it bit for bit.
 
-  compiled   the system's int weights over its one denominator D make
-             the affine form, scaled by D, an integer; taps with equal
-             weight are fused into one bitmask, so a step is a handful of
-             big-int AND / popcount operations on the packed window.
-  oracle     a deliberately naive evaluator that expands the taps into the
-             full dense weight vector itself and walks all of it with
-             Fraction arithmetic every step.  No scaling, no sparsity.  It
-             exists to cross-check the compiled route bit for bit and for
-             nothing else.
-
-The compiled route steps an orbit by spike_steps, which is event-driven
+The compiled form steps an orbit by spike_steps, which is event-driven
 (Brette et al., J. Comput. Neurosci. 23, 2007; Mattia and Del Giudice,
 Neural Comput. 12, 2000): a slide pops one pending sum, and an output 1
 adds its taps' weights to the sums they reach.  The family's units fire
 about once a prime period over windows of thousands of bits, so their
 searches run several times faster by it.  A caller that needs the affine
 sums of an orbit's windows adds them up from the 1s of its trace instead
-of stepping again.  advance_word slides a packed window, a few big-int
-operations on all of it a slide: it is the oracle's compiled counterpart
-and steps a window read off a trace, at most memory slides.
+of stepping again.  advance_word slides a packed window, a handful of
+big-int AND / popcount operations on all of it a slide: it is the dense
+step in compiled form and steps a window read off a trace, at most memory
+slides.
 
 find_repeat is the one search for a repeated window, used by simulate and
 by cycles.detect_cycle, and steps by spike_steps.  It appends each chunk
@@ -59,8 +54,7 @@ memory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict, deque
-from fractions import Fraction
+from collections import defaultdict
 from functools import partial
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
@@ -77,7 +71,6 @@ __all__ = [
     "periodic_ones",
     "simulate",
     "run",
-    "dense_oracle_run",
     "word_from_bits",
     "bits_from_word",
 ]
@@ -362,28 +355,3 @@ def run(cs: CompiledSystem, init: Sequence[int], steps: int) -> bytes:
     trace read in one range."""
     return simulate(cs, init, steps)[:]
 
-
-def dense_oracle_run(system: RecurrenceSystem, init: Sequence[int], steps: int) -> bytes:
-    """Reference trace via a full-length rational dot product every step.
-
-    Kept intentionally slow and direct: it expands the taps into the dense
-    weight list, touches every weight each step and compares against the
-    threshold in Fraction arithmetic.
-    """
-    if len(init) != system.memory:
-        raise ShapeMismatch(f"init length {len(init)} != system memory {system.memory}")
-    trace = list(init)
-    window = deque(init, maxlen=system.memory)
-    weights = [0] * system.memory
-    for j, w in system.taps:
-        weights[j - 1] = Fraction(w, system.denominator)
-    theta = Fraction(system.threshold, system.denominator)
-    for _ in range(steps):
-        s = Fraction(0)
-        for a, bit in zip(weights, reversed(window)):
-            if bit:
-                s = s + a
-        out = 1 if s >= theta else 0
-        trace.append(out)
-        window.append(out)
-    return bytes(trace)

@@ -12,7 +12,8 @@ descending, p_0 > p_1 > ... > p_{rho-1}, and derive
 
 Bertrand-style bounds give 2*rho <= mu_i <= 3*rho and
 rho(m) <= ceil((m - 1) / 2); both are enforced eagerly so downstream code can
-rely on them.  All arithmetic is exact integer work, no dependencies.
+rely on them.  All arithmetic is exact integer work, no dependencies, and
+each scale is derived once.
 prime_factors is the one trial division, for the primes and for the probes
 in cycles that prove a period minimal.
 """
@@ -20,6 +21,7 @@ in cycles that prove a period minimal.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, RhoTooSmall
@@ -95,8 +97,10 @@ class WindowParams(NamedTuple):
             raise IndexOutOfRange(f"{what}={i} not in [0, {self.rho - 1}] for m={self.m}")
 
 
+@cache
 def window_params(m: int) -> WindowParams:
-    """Derive all scale parameters for a given m.
+    """Derive all scale parameters for a given m, once per m per process:
+    a WindowParams is immutable, so every caller shares it.
 
     Raises RhoTooSmall when the open interval (2m, 3m) holds fewer than two
     primes (for m >= 2 that only happens at m in {2, 3, 4}).

@@ -71,12 +71,11 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager, suppress
-from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import construction as cons
-from .construction import RecurrenceSystem
+from .construction import PerturbationPlan, RecurrenceSystem, _ratio
 from .cycles import (
     CycleReport,
     HandoffCertificate,
@@ -88,8 +87,8 @@ from .cycles import (
     search_memo,
     verify_predicted,
 )
-from .engine import CompiledSystem, Trace, _ones, advance_word, bits_from_word, compile_system, run
-from .engine import simulate, word_from_bits
+from .engine import CompiledSystem, Trace, _ones, advance_word, bits_from_word, compile_system, periodic_slice
+from .engine import run, simulate, word_from_bits
 from .errors import BudgetExceeded, HypothesisUnmet, PredictionFailed
 from .numtheory import WindowParams, cycle_lengths, window_params
 
@@ -194,16 +193,17 @@ def z_handoff(params: WindowParams, d: int) -> Handoff:
 class Member:
     """One family member, equal only to itself: its system, compiled once on
     first use (cs), its predicted (T, P) and, for z(d) only, its Handoff's
-    builder, called only when a proof or trace needs the handoff certificate.
+    builder, called only when a proof or trace needs the handoff certificate,
+    and the PerturbationPlan its system was built from (plan, else None).
     It keeps its completed proof (prove) and its closed certificate with that
     certificate's steps (_certificate), so each is freed with the member."""
 
     def __init__(
         self, family: str, index: int | None, system: RecurrenceSystem, predicted: tuple[int, int],
-        handoff: Callable[[], Handoff] | None,
+        handoff: Callable[[], Handoff] | None, plan: PerturbationPlan | None = None,
     ) -> None:
         self.family, self.index, self.system = family, index, system
-        self.predicted, self.handoff = predicted, handoff
+        self.predicted, self.handoff, self.plan = predicted, handoff, plan
         self.proof: CycleReport | None = None
         self.certificate: tuple[Lanes | HandoffCertificate, int] | None = None
 
@@ -251,18 +251,23 @@ class Member:
 
 
 def member(
-    params: WindowParams, family: str, index: int | None = None, system: RecurrenceSystem | None = None
+    params: WindowParams,
+    family: str,
+    index: int | None = None,
+    system: RecurrenceSystem | None = None,
+    plan: PerturbationPlan | None = None,
 ) -> Member:
     """The member family(index), "x"/"v" taking a lane i and "w"/"z" a step d.
 
     The one place verify builds a family system.  predicted_cycle raises on
     an unknown family or an index off its range.  Inside proof_memo a built
     member is kept, so a run builds and compiles each one once, z(d) on the
-    run's y, and proves and certifies it once; outside it every call builds
-    afresh.  A given system (the chain's incremental z(d)) gets the kept
-    member when it equals that member's system, and otherwise a fresh member
-    that is never kept.  Builders and z_handoff are looked up at each build,
-    so a rebound name is seen.
+    run's y and on its own plan, which it keeps, and proves and certifies it
+    once; outside it every call builds afresh.  A given system (the chain's
+    incremental z(d), with the plan it was built on) gets the kept member
+    when it equals that member's system, and otherwise a fresh member that
+    is never kept.  Builders and z_handoff are looked up at each build, so a
+    rebound name is seen.
     """
     memo = _members if _members is not None else {}
     kept = memo.get((params.m, family, index))
@@ -271,14 +276,16 @@ def member(
     predicted = predicted_cycle(params, family, index)
     handoff = partial(z_handoff, params, index) if family == "z" else None
     if system is not None:
-        return Member(family, index, system, predicted, handoff)
+        return Member(family, index, system, predicted, handoff, plan)
     build = {
         "x": cons.single_system, "v": cons.destabilized_system, "y": cons.build_y,
         "w": cons.build_w, "z": cons.build_z,
     }[family]
-    extra = (member(params, "y").system,) if family == "z" else ()
+    if family == "z":
+        plan = cons.perturbation_plan(params, index)
+    extra = (member(params, "y").system, plan) if family == "z" else ()
     system = build(params) if family == "y" else build(params, index, *extra)
-    mem = memo[params.m, family, index] = Member(family, index, system, predicted, handoff)
+    mem = memo[params.m, family, index] = Member(family, index, system, predicted, handoff, plan)
     return mem
 
 
@@ -440,13 +447,28 @@ def _run_pos_disjoint(m: int, **_: object) -> ClaimResult:
 
 def _run_b0_methods_agree(m: int, **_: object) -> ClaimResult:
     """compute_B0's residue classes against B_0(d)'s definition: the f in
-    [1, h - d] at which the closed-form y puts a 1 at time h + L1(d) - rho - f."""
+    [1, h - d] at which the closed-form y puts a 1 at time h + L1(d) - rho - f.
+
+    The scan reads y as its closed form defines it, y(rho q + i) =
+    x_i(1 + q), with no residue arithmetic of compute_B0's: each lane's
+    x_closed_form over one period p_i, sum(p_i) calls in all, laid out by
+    periodic_slice over the times each d reads and interleaved into y's
+    bytes, whose 1s bytes.find lists (_ones)."""
     params = window_params(m)
+    rho, h = params.rho, params.h
+    periods = [
+        bytes(cons.x_closed_form(params, i, 1 + q) for q in range(p)) for i, p in enumerate(params.primes)
+    ]
     per_d = {}
     ok = True
-    for d in range(params.rho):
-        base = params.h + cycle_lengths(params, d)[1] - params.rho
-        scan = {f for f in range(1, params.h - d + 1) if cons.y_closed_form(params, base - f)}
+    for d in range(rho):
+        base = h + cycle_lengths(params, d)[1] - rho
+        q0, q1 = (base - h + d) // rho, -(-base // rho)  # y(t) for base - h + d <= t < base
+        ys = bytearray(rho * (q1 - q0))  # y(rho * q0 + n) at n
+        for i, (lane, p) in enumerate(zip(periods, params.primes)):
+            ys[i::rho] = periodic_slice(lane, 0, p, q0, q1)
+        top = base - rho * q0
+        scan = {top - n for n in _ones(ys, top - h + d, top)}
         agree = scan == cons.compute_B0(params, d)
         ok = ok and agree
         per_d[str(d)] = {"tot": len(scan), "agree": agree}
@@ -470,7 +492,7 @@ def _run_chain_equals_direct(m: int, **_: object) -> ClaimResult:
         per_step[f"{d}->{d + 1}"] = {
             "weights_equal": taps_equal,
             "threshold_equal": threshold_equal,
-            "theta2": str(Fraction(direct.threshold, direct.denominator)),
+            "theta2": _ratio(direct.threshold, direct.denominator),
         }
         plan, current = plan_next, direct
     return ClaimResult("chain_equals_direct", {"m": m}, ok, {"per_step": per_step})
@@ -623,12 +645,12 @@ def _run_z_summary(m: int, d: int, budget: int | None = None, **_: object) -> Cl
     params = window_params(m)
     z = member(params, "z", d)
     rep = z.prove(budget)
-    plan = cons.perturbation_plan(params, d)
+    plan = z.plan
     detail = _report_dict(rep, z.predicted) | {
         "tot": plan.tot,
-        "beta_d": str(plan.beta_d),
-        "xi_d": str(plan.xi_d),
-        "theta2": str(plan.theta2),
+        "beta_d": _ratio(plan.beta_d, plan.denominator),
+        "xi_d": _ratio(plan.xi_d, plan.denominator),
+        "theta2": _ratio(plan.theta2, plan.denominator),
     }
     return ClaimResult("z_summary", {"m": m, "d": d}, True, detail)
 
@@ -715,14 +737,15 @@ def check_chain(m: int, budget: int | None = None) -> ClaimResult:
     """
     params = window_params(m)
     rho = params.rho
-    plans = [cons.perturbation_plan(params, d) for d in range(rho)]
     y = member(params, "y")
     rep = y.prove(budget)
     steps_detail, periods = {"y": _report_dict(rep, y.predicted)}, [rep.measured_period]
     mem = member(params, "z", 0)
     for d in range(rho):
         if d:  # chained from z(d - 1) once that is proved, and then dropped
-            mem = member(params, "z", d, cons.chain_perturbation(mem.system, plans[d - 1], plans[d]))
+            kept = (_members or {}).get((m, "z", d))  # the run's z(d), built on its plan
+            plan = cons.perturbation_plan(params, d) if kept is None else kept.plan
+            mem = member(params, "z", d, cons.chain_perturbation(mem.system, mem.plan, plan), plan)
         rep = mem.prove(budget)
         steps_detail[f"z{d}"] = _report_dict(rep, mem.predicted)
         periods.append(rep.measured_period)
@@ -804,11 +827,16 @@ def check_basin(m: int, d: int, budget: int | None = None) -> ClaimResult:
 # composition claims
 
 
+# the memory-1 units fixed at their own output, x(n) = 1[2 x(n-1) - 1], from 0 and from 1
+_CONSTANT_LANES = tuple(
+    RecurrenceSystem(memory=1, taps=((1, 2),), threshold=1, init=bytes([bit]), label=f"const{bit}")
+    for bit in (0, 1)
+)
+
+
 def _constant_lane(bit: int) -> RecurrenceSystem:
-    """Memory-1 unit fixed at its own output: x(n) = 1[2 x(n-1) - 1]."""
-    return RecurrenceSystem(
-        memory=1, taps=((1, 2),), threshold=1, init=bytes([bit]), label=f"const{bit}"
-    )
+    """The memory-1 unit fixed at bit, built once per process."""
+    return _CONSTANT_LANES[bit]
 
 
 def _composed_cycle(bits: Sequence[int]) -> CycleReport:

@@ -1,9 +1,10 @@
+from collections import deque
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from neurec import RecurrenceSystem
+from neurec import RecurrenceSystem, ShapeMismatch
 
 
 def rational_system(memory, taps, threshold, init, label=""):
@@ -14,6 +15,33 @@ def rational_system(memory, taps, threshold, init, label=""):
     d = lcm(theta.denominator, *(w.denominator for w in weights))
     taps = tuple((j, int(w * d)) for (j, _), w in zip(taps, weights))
     return RecurrenceSystem(memory, taps, int(theta * d), init, label, d)
+
+
+def dense_oracle_run(system, init, steps):
+    """Reference trace via a full-length rational dot product every step.
+
+    Kept intentionally slow and direct, independent of the package's
+    stepping: it expands the taps into the dense weight list, touches every
+    weight each step and compares against the threshold in Fraction
+    arithmetic.  No scaling, no sparsity.
+    """
+    if len(init) != system.memory:
+        raise ShapeMismatch(f"init length {len(init)} != system memory {system.memory}")
+    trace = list(init)
+    window = deque(init, maxlen=system.memory)
+    weights = [0] * system.memory
+    for j, w in system.taps:
+        weights[j - 1] = Fraction(w, system.denominator)
+    theta = Fraction(system.threshold, system.denominator)
+    for _ in range(steps):
+        s = Fraction(0)
+        for a, bit in zip(weights, reversed(window)):
+            if bit:
+                s = s + a
+        out = 1 if s >= theta else 0
+        trace.append(out)
+        window.append(out)
+    return bytes(trace)
 
 
 def pytest_addoption(parser):

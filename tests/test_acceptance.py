@@ -24,7 +24,6 @@ from neurec import (
     check_phases,
     compile_system,
     compute_B0,
-    dense_oracle_run,
     destabilized_system,
     perturbation_plan,
     predicted_cycle,
@@ -34,6 +33,7 @@ from neurec import (
     verify_predicted,
     window_params,
 )
+from conftest import dense_oracle_run
 from test_construction import scanned_B0, simulated_B0
 
 

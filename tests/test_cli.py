@@ -28,7 +28,6 @@ from neurec import (
     build_z,
     check_basin,
     compile_system,
-    dense_oracle_run,
     member,
     predicted_cycle,
     run,
@@ -49,6 +48,7 @@ from neurec.cli import (
 from neurec.cycles import Lanes
 from neurec.engine import Trace
 from neurec.verify import MEASURE_CUTOFF, _certificate, simulated_trace
+from conftest import dense_oracle_run
 
 
 def read_report(out_dir):
@@ -1237,11 +1237,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        return set(proc.stdout.splitlines()[-1].split())
 
-    added = loaded("import neurec.cli") - loaded("pass")
+    bare = loaded("pass")
+    added = loaded("import neurec.cli") - bare
     assert "neurec.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    # plans and reports are made at run time: a default verify run loads neither either
+    ran = loaded("from neurec.cli import main; assert main(['--mode', 'verify', '--out', 'out']) == 0") - bare
+    assert (tmp_path / "out" / "report.json").exists()
+    assert not ran & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def test_run_length_traces_are_utf8_in_an_ascii_locale(tmp_path):

@@ -325,9 +325,11 @@ def test_plan_m6_d0_frozen():
     plan = perturbation_plan(p, 0)
     assert plan.tot == 10
     assert LAMBDA == Fraction(-1)
-    assert plan.beta_d == Fraction(-1, 10)
-    assert plan.xi_d == Fraction(-79, 80)
-    assert plan.theta2 == Fraction(241, 80)
+    # ints over the plan's one denominator 8 * Tot = 80
+    assert plan.denominator == 80
+    assert Fraction(plan.beta_d, plan.denominator) == Fraction(-1, 10)
+    assert Fraction(plan.xi_d, plan.denominator) == Fraction(-79, 80)
+    assert Fraction(plan.theta2, plan.denominator) == Fraction(241, 80)
     assert plan.A == plan.B0
 
 
@@ -340,9 +342,11 @@ def test_plan_shift_union():
             f + s for f in plan.B0 for s in range(d + 1)
         )
         assert max(plan.A) <= p.h
-        assert plan.beta_d == LAMBDA / plan.tot
-        assert plan.xi_d == LAMBDA - plan.beta_d / 8
-        assert plan.theta2 == 2 * p.rho + plan.xi_d
+        assert plan.denominator == 8 * plan.tot
+        beta, xi, theta2 = (Fraction(v, plan.denominator) for v in (plan.beta_d, plan.xi_d, plan.theta2))
+        assert beta == Fraction(LAMBDA, plan.tot)
+        assert xi == LAMBDA - beta / 8
+        assert theta2 == 2 * p.rho + xi
 
 
 def test_build_z_m6_d0_coefficients():
@@ -389,12 +393,13 @@ def test_chain_perturbation_crosses_a_change_of_denominator():
             chained = chain_perturbation(build_z(p, d, y), plans[d], plans[d + 1])
             assert chained == build_z(p, d + 1, y), (m, d)
             # in Fractions: y's weights with beta(d + 1) added on A(d + 1)
+            plan = plans[d + 1]
             want = dict(y.taps)
-            for f in plans[d + 1].A:
-                want[f] = want.get(f, 0) + plans[d + 1].beta_d
+            for f in plan.A:
+                want[f] = want.get(f, 0) + Fraction(plan.beta_d, plan.denominator)
             got = {j: Fraction(w, chained.denominator) for j, w in chained.taps}
             assert got == {j: w for j, w in want.items() if w}, (m, d)
-            assert Fraction(chained.threshold, chained.denominator) == plans[d + 1].theta2
+            assert Fraction(chained.threshold, chained.denominator) == Fraction(plan.theta2, plan.denominator)
 
 
 @pytest.mark.parametrize("m", [6, 11])

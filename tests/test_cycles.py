@@ -32,7 +32,6 @@ from neurec import (
     chain_perturbation,
     compile_system,
     cycle_lengths,
-    dense_oracle_run,
     destabilized_system,
     detect_cycle,
     find_repeat,
@@ -59,7 +58,7 @@ from neurec.cycles import (
 )
 from neurec.verify import MEASURE_CUTOFF, _certificate, _constant_lane, member, proof_memo, z_handoff
 from neurec.engine import Trace, _ones, simulate
-from conftest import rational_system
+from conftest import dense_oracle_run, rational_system
 from test_engine import (
     affine_sum,
     dense_system,

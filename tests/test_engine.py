@@ -9,7 +9,7 @@ oracle.
 from fractions import Fraction
 
 import pytest
-from conftest import rational_system
+from conftest import dense_oracle_run, rational_system
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from neurec import (
     build_y,
     build_z,
     compile_system,
-    dense_oracle_run,
     destabilized_system,
     predicted_cycle,
     run,

@@ -33,7 +33,6 @@ from neurec import (
     check_phases,
     compile_system,
     cycle_lengths,
-    dense_oracle_run,
     destabilized_system,
     detect_cycle,
     member,
@@ -50,7 +49,8 @@ from neurec import (
 from neurec.cli import main
 from neurec.cycles import certify_lanes, lane_count
 from neurec.verify import MEASURE_CUTOFF, _certificate, _window_sums, claim_grid, proof_work
-from conftest import rational_system
+from conftest import dense_oracle_run, rational_system
+from test_construction import scanned_B0
 from test_cycles import search_bound
 from test_engine import dense_system, weights_of
 
@@ -405,6 +405,46 @@ def test_prop1_fails_when_the_support_is_the_whole_window(monkeypatch):
     assert (res.detail["worst_observed"], res.detail["bound"]) == (6, 1)
 
 
+def one_representative_per_lane(params, d):
+    """compute_B0 with one f per lane, the least of its residue class: the
+    far smaller set compute_B0's docstring warns of."""
+    l1 = cycle_lengths(params, d)[1]
+    return frozenset((l1 - i - 1) % (params.rho * p) + 1 for i, p in enumerate(params.primes))
+
+
+def residue_shifted_by_one(params, d):
+    """compute_B0 with each lane's residue l1 - i - 1 shifted to l1 - i."""
+    l1 = cycle_lengths(params, d)[1]
+    out: set[int] = set()
+    for i, p in enumerate(params.primes):
+        mod = params.rho * p
+        out.update(range((l1 - i) % mod + 1, params.h + 1, mod))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("mutant", [one_representative_per_lane, residue_shifted_by_one])
+@pytest.mark.parametrize("m", [6, 11])
+def test_b0_methods_agree_fails_on_a_mutant_of_compute_B0(monkeypatch, m, mutant):
+    monkeypatch.setattr("neurec.construction.compute_B0", mutant)
+    (res,) = run_claims(ms=(m,), claims=["b0_methods_agree"])
+    assert res.passed is False
+    assert not all(v["agree"] for v in res.detail["per_d"].values())
+
+
+def test_b0_methods_agree_scans_what_the_per_f_scan_finds():
+    # the scan by lane periods counts the f that one y_closed_form call per f
+    # finds, and agrees with compute_B0, which equals that per-f scan: so the
+    # two scans find one set
+    for m in range(5, 41):
+        p = window_params(m)
+        (res,) = run_claims(ms=(m,), claims=["b0_methods_agree"])
+        assert res.passed, m
+        for d in range(p.rho):
+            scanned = scanned_B0(p, d)
+            assert res.detail["per_d"][str(d)]["tot"] == len(scanned), (m, d)
+            assert neurec.construction.compute_B0(p, d) == scanned, (m, d)
+
+
 def test_window_param_bounds_fail_on_ascending_primes(monkeypatch):
     original = neurec.verify.window_params
 
@@ -721,8 +761,8 @@ def test_phases_equal_the_trace_comparison(m):
 def test_phases_refuse_z_with_a_lowered_threshold(m, monkeypatch):
     # negative control: 1/16 less threshold, and z no longer runs y, the
     # anomalies, then w
-    def lowered(params, d, y=None):
-        z = build_z(params, d, y)
+    def lowered(params, d, y=None, plan=None):
+        z = build_z(params, d, y, plan)
         taps = tuple((j, Fraction(w, z.denominator)) for j, w in z.taps)
         theta = Fraction(z.threshold, z.denominator) - Fraction(1, 16)
         return rational_system(z.memory, taps, theta, z.init, z.label)
@@ -820,7 +860,7 @@ def test_basin_fails_at_the_slide_a_raised_free_tap_leaves_unforced(monkeypatch)
     def bumped_cycle(params, family, index=None):
         return true if family == "z" else predicted_cycle(params, family, index)
 
-    monkeypatch.setattr("neurec.verify.cons.build_z", lambda params, d, y=None: bumped)
+    monkeypatch.setattr("neurec.verify.cons.build_z", lambda params, d, y=None, plan=None: bumped)
     monkeypatch.setattr("neurec.verify.predicted_cycle", bumped_cycle)
     res = check_basin(6, 0)
     assert res.passed is False
@@ -834,8 +874,8 @@ def test_basin_rotation_reaches_other_attractors(monkeypatch):
     # free bit decides the very first output
     original = neurec.verify.cons.build_z
 
-    def rotation(params, d, y=None):
-        z = original(params, d, y)
+    def rotation(params, d, y=None, plan=None):
+        z = original(params, d, y, plan)
         return RecurrenceSystem(z.memory, ((z.memory, 1),), 1, z.init)
 
     def rotation_cycle(params, family, index=None):
@@ -1104,6 +1144,26 @@ def test_chain_equals_direct_makes_each_plan_once(monkeypatch):
     (res,) = run_claims(ms=(11,), claims=["chain_equals_direct"])
     assert res.passed
     assert plans == [(11, d) for d in range(window_params(11).rho)]
+
+
+def test_a_run_makes_each_plan_twice(monkeypatch):
+    # once for the z(d) member, which keeps it for z_summary and the chain,
+    # and once for chain_equals_direct's own chain; a chain alone makes each once
+    plans = Counter()
+    plan = neurec.construction.perturbation_plan
+
+    def counted(params, d):
+        plans[params.m, d] += 1
+        return plan(params, d)
+
+    monkeypatch.setattr("neurec.construction.perturbation_plan", counted)
+    results = run_claims(ms=(6, 11))
+    assert all(res.passed for res in results)
+    assert plans == {(m, d): 2 for m in (6, 11) for d in range(window_params(m).rho)}
+    plans.clear()
+    (res,) = run_claims(ms=(11,), claims=["chain"])
+    assert res.passed
+    assert plans == {(11, d): 1 for d in range(window_params(11).rho)}
 
 
 def test_a_run_compiles_each_system_once(monkeypatch):

@@ -443,6 +443,10 @@ def test_b0_methods_agree_scans_what_the_per_f_scan_finds():
             scanned = scanned_B0(p, d)
             assert res.detail["per_d"][str(d)]["tot"] == len(scanned), (m, d)
             assert neurec.construction.compute_B0(p, d) == scanned, (m, d)
+    # f = 1, the last time the scan reads, is first in a B_0(d) at m = 69, d = 3
+    assert 1 in neurec.construction.compute_B0(window_params(69), 3)
+    (res,) = run_claims(ms=(69,), claims=["b0_methods_agree"])
+    assert res.passed
 
 
 def test_window_param_bounds_fail_on_ascending_primes(monkeypatch):
